@@ -6,7 +6,6 @@ bound, and a seeded Monte-Carlo harness that cross-checks every analytic
 value against simulation.
 """
 
-from ._kernels import BACKEND
 from .adversary import (
     AmplitudeTriple,
     CheatStrategy,

@@ -53,16 +53,9 @@ class RunConfig:
     strategy_file: str | None = None
 
     def __post_init__(self):
-        if self.command in ("analyze", "simulate") and self.protocol is None:
-            raise ValidationError(f"{self.command} requires --protocol")
-        if self.command == "cheat" and self.strategy_file is None:
-            raise ValidationError("cheat requires --strategy")
-        if self.protocol is not None and self.protocol not in _PROTOCOLS:
-            raise ValidationError(f"unknown protocol {self.protocol!r}")
+        # argparse enforces the required options and the choices.
         if self.trials < 1:
             raise ValidationError("--trials must be positive")
-        if self.output not in ("table", "json"):
-            raise ValidationError(f"unknown output mode {self.output!r}")
 
 
 def render_json(value) -> str:
@@ -231,7 +224,6 @@ def build_parser() -> _Parser:
         if trials:
             sub.add_argument("--trials", type=int, default=10000)
             sub.add_argument("--seed", type=int, default=42)
-            sub.add_argument("--n-states", type=int, default=100, dest="n_states")
         if strategy:
             sub.add_argument("--strategy", dest="strategy_file", required=True)
         sub.add_argument("--output", choices=("table", "json"), default="table")
@@ -240,7 +232,8 @@ def build_parser() -> _Parser:
     add("analyze", "cheating profile of one protocol", protocol=True)
     add("balance", "coin-flip compositions of the protocol pairs")
     add("bound", "closed-form lower bound on the cheating advantage")
-    add("simulate", "seeded completeness estimate", protocol=True, trials=True)
+    simulate = add("simulate", "seeded completeness estimate", protocol=True, trials=True)
+    simulate.add_argument("--n-states", type=int, default=100, dest="n_states")
     add("cheat", "seeded cheating-strategy estimate", trials=True, strategy=True)
     add("headline", "recompute the headline table with cross-checks")
     return parser

@@ -1,11 +1,11 @@
 """Dense complex linear algebra for Hilbert spaces of dimension at most 16.
 
 Everything a two-party quantum protocol simulation needs and nothing more:
-tensor products, partial traces, Hermitian spectra via a cyclic Jacobi
-eigensolver, trace norms, minimum-error (Helstrom) discrimination, and
-projective measurement sampling.  All values are immutable after
-construction and all operations are pure functions, so they are safe to
-share between threads.
+tensor products, partial traces, Hermitian spectra via LAPACK (numpy's
+``eigvalsh`` / ``eigh``), trace norms, minimum-error (Helstrom)
+discrimination, and projective measurement sampling.  All values are
+immutable after construction and all operations are pure functions, so they
+are safe to share between threads.
 
 Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
 invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
@@ -19,13 +19,9 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from . import _kernels
-
 MAX_DIM = 16
 STRUCTURAL_TOL = 1e-12
 DERIVED_TOL = 1e-10
-JACOBI_OFF_TOL = _kernels.OFF_DIAGONAL_TOL
-JACOBI_MAX_SWEEPS = _kernels.MAX_SWEEPS
 
 
 class ValidationError(ValueError):
@@ -255,28 +251,26 @@ def partial_trace(rho: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> Dens
     return DensityMatrix(ComplexMatrix(reduced), validate=False)
 
 
-def hermitian_eigenvalues(m: ComplexMatrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix, ascending.
-
-    Computed by cyclic Jacobi rotations until the off-diagonal Frobenius
-    norm drops below ``JACOBI_OFF_TOL`` (at most ``JACOBI_MAX_SWEEPS``
-    sweeps).
-    """
+def _require_hermitian(m: ComplexMatrix) -> None:
     if not m.is_hermitian():
         raise ValidationError("eigensolver requires a Hermitian matrix (tolerance 1e-12)")
-    w, off = _kernels.eigvalsh(m.data)
-    if off >= JACOBI_OFF_TOL:
-        raise NumericError(f"jacobi sweeps did not converge: off-diagonal norm {off}")
-    return w
+
+
+def hermitian_eigenvalues(m: ComplexMatrix) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending (LAPACK ``eigvalsh``)."""
+    _require_hermitian(m)
+    try:
+        return np.linalg.eigvalsh(m.data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
 
 def _hermitian_eigh(m: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    if not m.is_hermitian():
-        raise ValidationError("eigensolver requires a Hermitian matrix (tolerance 1e-12)")
-    w, v, off = _kernels.eigh(m.data)
-    if off >= JACOBI_OFF_TOL:
-        raise NumericError(f"jacobi sweeps did not converge: off-diagonal norm {off}")
-    return w, v
+    _require_hermitian(m)
+    try:
+        return np.linalg.eigh(m.data)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
 
 def trace_norm(m: ComplexMatrix) -> float:

@@ -4,7 +4,7 @@ Every protocol run draws from counter-based Philox streams, one stream per
 party, keyed by (seed, stream id).  Party independence makes it possible to
 replace one side's behaviour with an adversarial variant without disturbing
 the other side's draws.  Monte-Carlo harnesses derive one seed per trial by
-mixing the master seed with the trial index, so trial blocks can be split
+mixing the master seed and then the trial index, so trial blocks can be split
 across workers and recombined exactly.
 """
 
@@ -41,9 +41,12 @@ def splitmix64(value: int) -> int:
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Per-trial seed: master seed xor trial index, passed through the mixer.
+    """Per-trial seed: the mixed master seed plus the trial index, mixed again.
 
+    Mixing the master seed before adding the index keeps distinct master
+    seeds from sharing trial seeds, so they give independent replicates.
     Depends only on (master_seed, trial_index), never on how trials are
     batched, which is what makes split-and-concatenate runs reproducible.
     """
-    return splitmix64((master_seed & _MASK64) ^ (trial_index & _MASK64))
+    base = splitmix64(master_seed & _MASK64)
+    return splitmix64((base + trial_index) & _MASK64)

@@ -1,7 +1,7 @@
 """Shared test fixtures and independent oracles.
 
 The oracles here deliberately avoid the library's own code paths: the
-characteristic-polynomial eigensolver checks the Jacobi implementation,
+characteristic-polynomial eigensolver checks the LAPACK-backed spectra,
 and the closed-form objective checks the density-matrix evaluators.
 """
 
@@ -12,7 +12,7 @@ import pytest
 def charpoly_eigenvalues(matrix: np.ndarray) -> np.ndarray:
     """Eigenvalues via Faddeev-LeVerrier coefficients and root finding.
 
-    Independent of the package's Jacobi path; accurate to roughly 1e-8 for
+    Independent of the package's LAPACK path; accurate to roughly 1e-8 for
     well-conditioned small matrices.
     """
     n = matrix.shape[0]

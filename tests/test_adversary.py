@@ -7,6 +7,7 @@ from rotlab.adversary import (
     AmplitudeTriple,
     CheatStrategy,
     UnsupportedStrategyError,
+    _qutrit_cheat_grid,
     alice_qutrit_cheat_prob,
     alice_sequence_cheat_prob,
     bob_qutrit_cheat_prob,
@@ -71,6 +72,16 @@ def test_optimizer_dominates_grid_oracle():
     tt, ff = np.meshgrid(angles, angles, indexing="ij")
     oracle = closed_form_objective(np.sin(tt) * np.cos(ff), np.sin(tt) * np.sin(ff), np.cos(tt))
     assert value >= oracle.max() - 1e-9
+
+
+def test_grid_matches_pointwise_evaluator():
+    thetas = np.linspace(0.1, 1.4, 7)
+    phis = np.linspace(0.05, 1.5, 7)
+    grid = _qutrit_cheat_grid(thetas, phis)
+    for i, theta in enumerate(thetas):
+        for j, phi in enumerate(phis):
+            triple = AmplitudeTriple.from_angles(theta, phi)
+            assert abs(grid[i, j] - alice_qutrit_cheat_prob(triple)) < 1e-12
 
 
 def test_optimizer_tolerance_validation():

@@ -127,6 +127,14 @@ def test_cheat_rejects_unknown_parameters(capsys, tmp_path):
     assert code == 1
 
 
+def test_cheat_rejects_n_states(capsys, tmp_path):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"party": "bob", "protocol": "qutrit"}))
+    with pytest.raises(SystemExit) as excinfo:
+        main(["cheat", "--strategy", str(path), "--n-states", "9"])
+    assert excinfo.value.code == 1
+
+
 def test_cheat_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cheat", "--strategy", str(tmp_path / "absent.json"))
     assert code == 1

@@ -7,8 +7,10 @@ from rotlab.linalg import (
     ComplexMatrix,
     DensityMatrix,
     DimensionError,
+    NumericError,
     PureState,
     ValidationError,
+    _hermitian_eigh,
     helstrom_prob,
     helstrom_projectors,
     hermitian_eigenvalues,
@@ -198,6 +200,36 @@ def test_eigenvalues_reproduce_trace_and_frobenius(rng):
         w = hermitian_eigenvalues(ComplexMatrix(h))
         assert abs(w.sum() - np.trace(h).real) < 1e-9
         assert abs((w**2).sum() - np.linalg.norm(h) ** 2) < 1e-9
+
+
+def test_eigvalsh_matches_lapack(rng):
+    for dim in (2, 3, 4, 9, 16):
+        h = random_hermitian(rng, dim)
+        w = hermitian_eigenvalues(ComplexMatrix(h))
+        assert np.max(np.abs(w - np.linalg.eigvalsh(h))) < 1e-12
+
+
+def test_eigh_reconstructs_and_is_unitary(rng):
+    for dim in (3, 6, 9):
+        h = random_hermitian(rng, dim)
+        w, v = _hermitian_eigh(ComplexMatrix(h))
+        assert np.max(np.abs(v @ np.diag(w) @ v.conj().T - h)) < 1e-12
+        assert np.max(np.abs(v.conj().T @ v - np.eye(dim))) < 1e-12
+        assert np.all(np.diff(w) >= -1e-15)
+
+
+def test_eigensolver_failure_raises_numeric_error(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError):
+        hermitian_eigenvalues(ComplexMatrix.diagonal([1.0, -1.0]))
+    rho0 = DensityMatrix.from_pure(PureState.basis(2, 0))
+    rho1 = DensityMatrix.from_pure(PureState.basis(2, 1))
+    with pytest.raises(NumericError):
+        helstrom_projectors(0.5, rho0, 0.5, rho1)
 
 
 def test_trace_norm_signature_matrix():

@@ -31,6 +31,11 @@ def test_trial_seed_depends_only_on_master_and_index():
     assert trial_seed(42, 7) != trial_seed(42, 8)
     assert trial_seed(43, 7) != trial_seed(42, 7)
     assert splitmix64(0) != splitmix64(1)
+    # Master seeds that differ in low bits must not replay each other's trials.
+    assert not {trial_seed(0, i) for i in range(1024)} & {trial_seed(1, i) for i in range(1024)}
+    strategy = CheatStrategy("alice", "qutrit")
+    counts = [estimate_cheat(strategy, 2000, seed=seed).successes for seed in range(4)]
+    assert len(set(counts)) == 4, counts
 
 
 def test_estimate_cheat_block_splitting_is_exact():
