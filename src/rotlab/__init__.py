@@ -23,6 +23,7 @@ from .linalg import (
     DensityMatrix,
     DimensionError,
     NumericError,
+    ProjectiveMeasurement,
     PureState,
     ValidationError,
     helstrom_prob,
@@ -30,6 +31,7 @@ from .linalg import (
     hermitian_eigenvalues,
     kron,
     measure,
+    measure_pure,
     partial_trace,
     trace_norm,
 )

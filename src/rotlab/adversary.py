@@ -18,22 +18,22 @@ import numpy as np
 from .linalg import (
     ComplexMatrix,
     DensityMatrix,
+    ProjectiveMeasurement,
     PureState,
     ValidationError,
     helstrom_prob,
     helstrom_projectors,
     kron,
-    measure,
+    measure_pure,
     partial_trace,
 )
 from .protocols import (
     SEQUENCE_STATES,
     OtPair,
     SequenceConfig,
-    _measure_pure,
+    _qutrit_pair_unitary,
     qutrit_entangled_state,
     qutrit_measurement,
-    qutrit_unitary,
 )
 from .rng import ALICE, BOB, BOB_AUX, draw_bit, party_stream
 from .security import CheatProfile
@@ -47,8 +47,8 @@ class UnsupportedStrategyError(ValueError):
 
 @dataclass(frozen=True)
 class AmplitudeTriple:
-    """Cheating Alice's qutrit amplitudes (alpha, beta, gamma_amp), all
-    nonnegative with unit squared sum."""
+    """Cheating Alice's qutrit amplitudes (alpha, beta, gamma_amp), each in
+    [0, 1], with unit squared sum."""
 
     alpha: float
     beta: float
@@ -56,10 +56,10 @@ class AmplitudeTriple:
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma_amp", self.gamma_amp)):
-            if value < 0.0:
-                raise ValidationError(f"{name} must be nonnegative, got {value}")
+            if not 0.0 <= value <= 1.0:
+                raise ValidationError(f"{name} must be a finite amplitude in [0, 1], got {value}")
         norm_sq = self.alpha**2 + self.beta**2 + self.gamma_amp**2
-        if abs(norm_sq - 1.0) > 1e-12:
+        if not abs(norm_sq - 1.0) <= 1e-12:
             raise ValidationError(f"squared amplitudes sum to {norm_sq!r}, expected 1")
 
     @classmethod
@@ -302,7 +302,9 @@ class CheatStrategy:
 
     ``parameters`` is strategy-specific: the probe amplitudes for the
     qutrit and coin-flip Alice attacks, the batch size for the sequence
-    attack.  Unknown parameter names are rejected.
+    attack.  Unknown parameter names are rejected.  The parameters are
+    fixed at construction, when the cache key that selects the compiled
+    runner is computed.
     """
 
     def __init__(self, party: str, protocol: str, parameters: dict | None = None):
@@ -326,9 +328,10 @@ class CheatStrategy:
         self.party = party
         self.protocol = protocol
         self.parameters = parameters
+        self._cache_key = (party, protocol, json.dumps(parameters, sort_keys=True))
 
     def cache_key(self) -> tuple[str, str, str]:
-        return (self.party, self.protocol, json.dumps(self.parameters, sort_keys=True))
+        return self._cache_key
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, CheatStrategy):
@@ -342,8 +345,8 @@ class CheatStrategy:
         return f"CheatStrategy({self.party!r}, {self.protocol!r}, {self.parameters!r})"
 
 
-def _equal_prior_projectors(rho0: DensityMatrix, rho1: DensityMatrix):
-    return helstrom_projectors(0.5, rho0, 0.5, rho1)
+def _equal_prior_measurement(rho0: DensityMatrix, rho1: DensityMatrix) -> ProjectiveMeasurement:
+    return ProjectiveMeasurement(helstrom_projectors(0.5, rho0, 0.5, rho1))
 
 
 def _strategy_triple(params: dict) -> AmplitudeTriple:
@@ -352,29 +355,36 @@ def _strategy_triple(params: dict) -> AmplitudeTriple:
     return AmplitudeTriple.balanced()
 
 
-def _alice_qutrit_runner(params: dict):
+def _alice_qutrit_tables(params: dict):
+    # The probe after Bob's phase encoding, per bit pair, and Alice's
+    # Helstrom measurement, per announced permutation value.
     triple = _strategy_triple(params)
-    projectors = {
-        perm: _equal_prior_projectors(*_bit_mixtures(triple, perm)) for perm in (0, 1)
+    encoded = {(x0, x1): _encoded_state(triple, x0, x1) for x0 in (0, 1) for x1 in (0, 1)}
+    measurements = {
+        perm: _equal_prior_measurement(*_bit_mixtures(triple, perm)) for perm in (0, 1)
     }
-    state = PureState(np.array(triple.as_tuple(), dtype=float))
+    return encoded, measurements
+
+
+def _alice_qutrit_runner(params: dict):
+    encoded, measurements = _alice_qutrit_tables(params)
 
     def run(seed: int) -> bool:
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        held = qutrit_unitary(pair.x0, pair.x1).data @ state.amplitudes
-        guess = measure(DensityMatrix.from_pure(PureState(held)), projectors[pair.p], alice.random())
+        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
         return guess == pair.y
 
     return run
 
 
-def _helstrom_on_bob_side():
+def _helstrom_on_bob_side() -> ProjectiveMeasurement:
     red0, red1 = _bob_qutrit_reduced_states()
-    pi0, pi1 = helstrom_projectors(0.5, red0, 0.5, red1)
     identity3 = ComplexMatrix.identity(3)
-    return (kron(identity3, pi0), kron(identity3, pi1))
+    return ProjectiveMeasurement(
+        tuple(kron(identity3, pi) for pi in helstrom_projectors(0.5, red0, 0.5, red1))
+    )
 
 
 def _bob_qutrit_runner(params: dict):
@@ -384,13 +394,12 @@ def _bob_qutrit_runner(params: dict):
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         a = draw_bit(alice)
-        psi = qutrit_entangled_state(a).amplitudes
-        a_guess, psi = _measure_pure(psi, lifted, bob.random())
+        a_guess, psi = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
         y = draw_bit(bob)
         z_dummy = draw_bit(bob)
         pair = OtPair.draw(y, z_dummy, a_guess)
-        psi = np.kron(np.eye(3), qutrit_unitary(pair.x0, pair.x1).data) @ psi
-        _measure_pure(psi, qutrit_measurement(a), alice.random())  # Alice's local decode
+        psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
+        measure_pure(PureState(psi), qutrit_measurement(a), alice.random())  # Alice's local decode
         asserted = a == pair.p
         return asserted  # Bob predicted an assertion by matching p to his guess
 
@@ -399,31 +408,25 @@ def _bob_qutrit_runner(params: dict):
 
 def _alice_sequence_runner(params: dict):
     cfg = SequenceConfig(params.get("n_states", 4))
-    projectors = {bit: _equal_prior_projectors(*_sequence_mixtures(bit)) for bit in (0, 1)}
+    measurements = {bit: _equal_prior_measurement(*_sequence_mixtures(bit)) for bit in (0, 1)}
 
     def run(seed: int) -> bool:
+        # Alice attacks the first untested slot.  Bob declares the slots in
+        # order, so only his first declaration is drawn.
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
         tested = set(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
-        untested = [j for j in range(cfg.n_states) if j not in tested]
-        declared = {slot: draw_bit(bob) for slot in untested}
-        slot = untested[0]
-        state = SEQUENCE_STATES[pairs[slot]]
-        guess = measure(
-            DensityMatrix.from_pure(state), projectors[declared[slot]], alice.random()
-        )
-        return guess == pairs[slot][declared[slot]]
+        slot = next(j for j in range(cfg.n_states) if j not in tested)
+        declared = draw_bit(bob)
+        guess, _ = measure_pure(SEQUENCE_STATES[pairs[slot]], measurements[declared], alice.random())
+        return guess == pairs[slot][declared]
 
     return run
 
 
 def _alice_coinflip_runner(params: dict):
-    triple = _strategy_triple(params)
-    projectors = {
-        perm: _equal_prior_projectors(*_bit_mixtures(triple, perm)) for perm in (0, 1)
-    }
-    state = PureState(np.array(triple.as_tuple(), dtype=float))
+    encoded, measurements = _alice_qutrit_tables(params)
 
     def run(seed: int) -> bool:
         # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
@@ -433,11 +436,10 @@ def _alice_coinflip_runner(params: dict):
         bob = party_stream(seed, BOB)
         bob_aux = party_stream(seed, BOB_AUX)
         pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        held = qutrit_unitary(pair.x0, pair.x1).data @ state.amplitudes
         b = draw_bit(bob_aux)
         if b == 1:
             return True
-        guess = measure(DensityMatrix.from_pure(PureState(held)), projectors[pair.p], alice.random())
+        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
         return guess == pair.y
 
     return run
@@ -453,13 +455,12 @@ def _bob_coinflip_runner(params: dict):
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         a = draw_bit(alice)
-        psi = qutrit_entangled_state(a).amplitudes
-        a_guess, psi = _measure_pure(psi, lifted, bob.random())
+        a_guess, psi = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
         y = draw_bit(bob)
         z_dummy = draw_bit(bob)
         pair = OtPair.draw(y, z_dummy, a_guess)
-        psi = np.kron(np.eye(3), qutrit_unitary(pair.x0, pair.x1).data) @ psi
-        _measure_pure(psi, qutrit_measurement(a), alice.random())
+        psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
+        measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
         b = 0
         assert_bit = 0 if a == pair.p else 1
         return assert_bit == b

@@ -3,9 +3,10 @@
 Everything a two-party quantum protocol simulation needs and nothing more:
 tensor products, partial traces, Hermitian spectra via LAPACK (numpy's
 ``eigvalsh`` / ``eigh``), trace norms, minimum-error (Helstrom)
-discrimination, and projective measurement sampling.  All values are
-immutable after construction and all operations are pure functions, so they
-are safe to share between threads.
+discrimination, and projective measurement sampling from measurements whose
+completeness and orthogonality are checked once, at construction.  All
+values are immutable after construction and all operations are pure
+functions, so they are safe to share between threads.
 
 Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
 invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
@@ -14,6 +15,7 @@ guards derived quantities (positivity, projector completeness).
 
 from __future__ import annotations
 
+import math
 from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
@@ -128,7 +130,7 @@ class PureState:
         if not (1 <= arr.size <= MAX_DIM):
             raise DimensionError(f"state dimension {arr.size} outside 1..{MAX_DIM}")
         norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > STRUCTURAL_TOL:
+        if not abs(norm - 1.0) <= STRUCTURAL_TOL:
             raise ValidationError(f"state norm {norm!r} is not 1 within {STRUCTURAL_TOL}")
         arr.setflags(write=False)
         object.__setattr__(self, "amplitudes", arr)
@@ -181,10 +183,10 @@ class DensityMatrix:
         if not self.matrix.is_hermitian():
             raise ValidationError("density matrix must be Hermitian within 1e-12")
         tr = self.matrix.trace()
-        if abs(tr - 1.0) > STRUCTURAL_TOL:
+        if not abs(tr - 1.0) <= STRUCTURAL_TOL:
             raise ValidationError(f"density matrix trace {tr!r} is not 1 within {STRUCTURAL_TOL}")
         smallest = hermitian_eigenvalues(self.matrix)[0]
-        if smallest < -DERIVED_TOL:
+        if not smallest >= -DERIVED_TOL:
             raise ValidationError(f"density matrix has eigenvalue {smallest} < -{DERIVED_TOL}")
 
     @property
@@ -199,10 +201,12 @@ class DensityMatrix:
     def mixture(cls, components: Iterable[tuple[float, PureState]]) -> "DensityMatrix":
         """Convex mixture of pure states; weights must sum to 1."""
         components = list(components)
+        if not components:
+            raise ValidationError("a mixture needs at least one component")
         weights = np.array([w for w, _ in components], dtype=float)
-        if np.any(weights < -STRUCTURAL_TOL):
-            raise ValidationError("mixture weights must be nonnegative")
-        if abs(weights.sum() - 1.0) > STRUCTURAL_TOL:
+        if not np.all(weights >= -STRUCTURAL_TOL):
+            raise ValidationError("mixture weights must be finite and nonnegative")
+        if not abs(weights.sum() - 1.0) <= STRUCTURAL_TOL:
             raise ValidationError(f"mixture weights sum to {weights.sum()!r}, expected 1")
         dim = components[0][1].dim
         acc = np.zeros((dim, dim), dtype=np.complex128)
@@ -281,7 +285,7 @@ def trace_norm(m: ComplexMatrix) -> float:
 def _check_priors(p0: float, p1: float) -> None:
     if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
         raise ValidationError(f"priors must lie in [0, 1], got ({p0}, {p1})")
-    if abs(p0 + p1 - 1.0) > STRUCTURAL_TOL:
+    if not abs(p0 + p1 - 1.0) <= STRUCTURAL_TOL:
         raise ValidationError(f"priors must sum to 1 within {STRUCTURAL_TOL}, got {p0 + p1!r}")
 
 
@@ -320,35 +324,107 @@ def helstrom_projectors(
     return ComplexMatrix(pi0), ComplexMatrix(pi1)
 
 
-def measure(state: DensityMatrix, projectors: Sequence[ComplexMatrix], rand: float) -> int:
-    """Sample a projective measurement outcome.
+@dataclass(frozen=True, eq=False)
+class ProjectiveMeasurement:
+    """Complete set of pairwise-orthogonal projectors, validated once.
 
-    The projector set must be pairwise orthogonal and complete within
-    ``DERIVED_TOL``.  Sampling inverts the cumulative outcome distribution
-    at ``rand`` (a uniform draw in [0, 1)) in ascending index order, so a
-    fixed ``rand`` always yields the same outcome.
+    Construction checks that the set is non-empty, that every projector is
+    square with one shared dimension, and that the projectors sum to the
+    identity and are pairwise orthogonal within ``DERIVED_TOL``.  Outcome
+    ``k`` is the ``k``-th projector; indexing and iteration give the
+    projectors in outcome order.
     """
+
+    projectors: tuple[ComplexMatrix, ...]
+
+    def __post_init__(self):
+        projectors = tuple(self.projectors)
+        if not projectors:
+            raise ValidationError("a measurement needs at least one projector")
+        dim = projectors[0].rows
+        if any(proj.rows != dim or proj.cols != dim for proj in projectors):
+            raise DimensionError("projectors must be square and share one dimension")
+        stack = np.array([proj.data for proj in projectors])
+        if not np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) <= DERIVED_TOL:
+            raise ValidationError("projector set is not complete (sum differs from identity)")
+        for i in range(len(projectors)):
+            for j in range(i + 1, len(projectors)):
+                if not np.max(np.abs(stack[i] @ stack[j])) <= DERIVED_TOL:
+                    raise ValidationError(f"projectors {i} and {j} are not orthogonal")
+        object.__setattr__(self, "projectors", projectors)
+
+    @property
+    def dim(self) -> int:
+        return self.projectors[0].rows
+
+    def __len__(self) -> int:
+        return len(self.projectors)
+
+    def __getitem__(self, outcome: int) -> ComplexMatrix:
+        return self.projectors[outcome]
+
+    def __iter__(self):
+        return iter(self.projectors)
+
+    def __repr__(self) -> str:
+        return f"ProjectiveMeasurement({len(self)} outcomes, dim={self.dim})"
+
+
+def _checked_measurement(measurement, dim: int, rand: float) -> ProjectiveMeasurement:
+    # The per-call checks; a plain projector sequence is validated here.
     if not (0.0 <= rand < 1.0):
         raise ValidationError(f"rand must lie in [0, 1), got {rand}")
-    dim = state.dim
-    total = np.zeros((dim, dim), dtype=np.complex128)
-    for proj in projectors:
-        if proj.rows != dim or proj.cols != dim:
-            raise DimensionError("projector dimensions must match the state")
-        total += proj.data
-    if np.max(np.abs(total - np.eye(dim))) > DERIVED_TOL:
-        raise ValidationError("projector set is not complete (sum differs from identity)")
-    for i in range(len(projectors)):
-        for j in range(i + 1, len(projectors)):
-            overlap = np.max(np.abs(projectors[i].data @ projectors[j].data))
-            if overlap > DERIVED_TOL:
-                raise ValidationError(f"projectors {i} and {j} are not orthogonal")
-    rho = state.matrix.data
+    if not isinstance(measurement, ProjectiveMeasurement):
+        measurement = ProjectiveMeasurement(measurement)
+    if measurement.dim != dim:
+        raise DimensionError("projector dimensions must match the state")
+    return measurement
+
+
+def _invert_cumulative(weights: list[float], rand: float) -> int:
+    # Ascending index order, negative weights clamped at 0, and the last
+    # outcome when rounding leaves the total below rand.
     cumulative = 0.0
-    last = len(projectors) - 1
-    for k, proj in enumerate(projectors):
-        prob = float(np.einsum("ij,ji->", proj.data, rho).real)
-        cumulative += max(prob, 0.0)
+    for k, weight in enumerate(weights):
+        cumulative += max(weight, 0.0)
         if rand < cumulative:
             return k
-    return last
+    return len(weights) - 1
+
+
+def measure(
+    state: DensityMatrix, measurement: ProjectiveMeasurement | Sequence[ComplexMatrix], rand: float
+) -> int:
+    """Sample a projective measurement outcome.
+
+    ``measurement`` is a :class:`ProjectiveMeasurement`, validated when it
+    was built; a plain projector sequence is wrapped in one, so it gets the
+    same completeness and orthogonality checks on every call.  Each call
+    checks ``rand`` and the state's dimension.  Sampling inverts the
+    cumulative outcome distribution at ``rand`` (a uniform draw in [0, 1))
+    in ascending index order, so a fixed ``rand`` always yields the same
+    outcome.
+    """
+    measurement = _checked_measurement(measurement, state.dim, rand)
+    rho = state.matrix.data
+    return _invert_cumulative(
+        [float(np.einsum("ij,ji->", proj.data, rho).real) for proj in measurement], rand
+    )
+
+
+def measure_pure(
+    state: PureState, measurement: ProjectiveMeasurement | Sequence[ComplexMatrix], rand: float
+) -> tuple[int, np.ndarray]:
+    """Sample a projective measurement of a pure state.
+
+    Gives the outcome :func:`measure` gives on ``DensityMatrix.from_pure(state)``
+    with the same ``rand``, together with the post-measurement amplitudes
+    ``P_k psi / ||P_k psi||``.  Each Born weight is ``||P_k psi||^2``, taken
+    from the projected vector the post-measurement state needs anyway.
+    """
+    measurement = _checked_measurement(measurement, state.dim, rand)
+    psi = state.amplitudes
+    projected = [proj.data @ psi for proj in measurement]
+    weights = [float(np.vdot(v, v).real) for v in projected]
+    outcome = _invert_cumulative(weights, rand)
+    return outcome, projected[outcome] / math.sqrt(weights[outcome])

@@ -13,12 +13,11 @@ import math
 from dataclasses import dataclass
 
 from .adversary import CheatStrategy, execute_cheat
-from .linalg import ValidationError
+from .linalg import PureState, ValidationError, measure_pure
 from .protocols import (
     SEQUENCE_STATES,
     ROT_EXECUTORS,
     SequenceConfig,
-    _measure_pure,
     run_sequence,
     sequence_expected_outcome,
     sequence_test_basis,
@@ -172,9 +171,8 @@ def _run_detection_trial(cfg: SequenceConfig, seed: int, variant: str) -> bool:
         x0, x1 = announced[slot]
         basis = sequence_test_basis(x0, x1)
         expected = sequence_expected_outcome(x0, x1)
-        amps = sent[slot].amplitudes
-        m1, amps = _measure_pure(amps, _QUBIT1[basis], alice.random())
-        m2, _ = _measure_pure(amps, _QUBIT2[basis], alice.random())
+        m1, amps = measure_pure(sent[slot], _QUBIT1[basis], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
         if m1 != expected or m2 != expected:
             return True
     return False

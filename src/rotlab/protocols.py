@@ -33,11 +33,11 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
-    DensityMatrix,
+    ProjectiveMeasurement,
     PureState,
     ValidationError,
     kron,
-    measure,
+    measure_pure,
 )
 from .rng import ALICE, BOB, BOB_AUX, draw_bit, party_stream
 
@@ -218,11 +218,11 @@ def _qutrit_pair_unitary(x0: int, x1: int) -> ComplexMatrix:
 
 
 @lru_cache(maxsize=None)
-def qutrit_measurement(a: int) -> tuple[ComplexMatrix, ComplexMatrix]:
+def qutrit_measurement(a: int) -> ProjectiveMeasurement:
     """Alice's two-outcome check: projector onto her probe state vs the rest."""
     pi0 = qutrit_entangled_state(a).projector()
     pi1 = ComplexMatrix(np.eye(9) - pi0.data)
-    return pi0, pi1
+    return ProjectiveMeasurement((pi0, pi1))
 
 
 def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
@@ -260,13 +260,6 @@ def qutrit_decode(a: int, outcome: int) -> int:
     return _qutrit_decode_table()[(a, outcome)]
 
 
-def _measure_pure(amplitudes: np.ndarray, projectors, rand: float) -> tuple[int, np.ndarray]:
-    state = DensityMatrix.from_pure(PureState(amplitudes))
-    outcome = measure(state, projectors, rand)
-    post = projectors[outcome].data @ amplitudes
-    return outcome, post / np.linalg.norm(post)
-
-
 # --------------------------------------------------------------------------
 # Sequence protocol building blocks
 # --------------------------------------------------------------------------
@@ -278,24 +271,22 @@ SEQUENCE_STATES: dict[tuple[int, int], PureState] = {
     (1, 1): PureState([0.0, 0.0, 0.0, 1.0]),
 }
 
-_Z_PROJS = (
-    ComplexMatrix(np.diag([1.0, 0.0])),
-    ComplexMatrix(np.diag([0.0, 1.0])),
+_Z_PROJS = ProjectiveMeasurement(
+    (ComplexMatrix(np.diag([1.0, 0.0])), ComplexMatrix(np.diag([0.0, 1.0])))
 )
-_X_PROJS = (
-    ComplexMatrix(np.full((2, 2), 0.5)),
-    ComplexMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]])),
+_X_PROJS = ProjectiveMeasurement(
+    (ComplexMatrix(np.full((2, 2), 0.5)), ComplexMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]])))
 )
 _I2 = ComplexMatrix.identity(2)
 
-# Projector pairs lifted to the two-qubit space, per qubit and basis.
+# Single-qubit measurements lifted to the two-qubit space, per qubit and basis.
 _QUBIT1 = {
-    "Z": tuple(kron(p, _I2) for p in _Z_PROJS),
-    "X": tuple(kron(p, _I2) for p in _X_PROJS),
+    basis: ProjectiveMeasurement(tuple(kron(p, _I2) for p in projs))
+    for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
 }
 _QUBIT2 = {
-    "Z": tuple(kron(_I2, p) for p in _Z_PROJS),
-    "X": tuple(kron(_I2, p) for p in _X_PROJS),
+    basis: ProjectiveMeasurement(tuple(kron(_I2, p) for p in projs))
+    for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
 }
 
 # Untested-index decode: qubit 1 read in Z, qubit 2 in X.  Each outcome pair
@@ -353,7 +344,7 @@ def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
     transcript.record("B", "qubit", _state_payload(state.amplitudes))
     discard = draw_bit(alice)  # 0 -> measure, 1 -> accept NULL
     if discard == 0:
-        outcome_bit = measure(DensityMatrix.from_pure(state), _Z_PROJS, alice.random())
+        outcome_bit, _ = measure_pure(state, _Z_PROJS, alice.random())
         outcome = RotOutcome.received(outcome_bit, y)
     else:
         outcome = RotOutcome.null(y)
@@ -377,7 +368,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
 
-    outcome_index, _ = _measure_pure(psi, qutrit_measurement(a), alice.random())
+    outcome_index, _ = measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
     learned = qutrit_decode(a, outcome_index)
 
     transcript.record("B", "permutation", {"p": p})
@@ -412,19 +403,18 @@ def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOu
         transcript.record("B", "announce", {"slot": slot, "bits": [x0, x1]})
         basis = sequence_test_basis(x0, x1)
         expected = sequence_expected_outcome(x0, x1)
-        amps = SEQUENCE_STATES[(x0, x1)].amplitudes
-        m1, amps = _measure_pure(amps, _QUBIT1[basis], alice.random())
-        m2, _ = _measure_pure(amps, _QUBIT2[basis], alice.random())
+        m1, amps = measure_pure(SEQUENCE_STATES[(x0, x1)], _QUBIT1[basis], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
         if m1 != expected or m2 != expected:
             transcript.record("A", "abort", {"slot": slot})
             return transcript, [RotOutcome.abort_sentinel()]
 
-    untested = [j for j in range(cfg.n_states) if j not in set(tested)]
+    tested_set = set(tested)
+    untested = [j for j in range(cfg.n_states) if j not in tested_set]
     learned: dict[int, tuple[int, int]] = {}
     for slot in untested:
-        amps = SEQUENCE_STATES[pairs[slot]].amplitudes
-        m1, amps = _measure_pure(amps, _QUBIT1["Z"], alice.random())
-        m2, _ = _measure_pure(amps, _QUBIT2["X"], alice.random())
+        m1, amps = measure_pure(SEQUENCE_STATES[pairs[slot]], _QUBIT1["Z"], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2["X"], alice.random())
         learned[slot] = sequence_decode(m1, m2)
 
     outcomes = []

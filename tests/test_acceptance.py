@@ -27,6 +27,8 @@ from rotlab.security import advantage, balance, check_kitaev_product, kitaev_min
 
 from conftest import closed_form_objective, random_triple
 
+pytestmark = pytest.mark.slow
+
 BEST = (2.0 + math.sqrt(2.0)) / 4.0
 
 

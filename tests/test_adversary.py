@@ -33,6 +33,14 @@ def test_amplitude_triple_validation():
         AmplitudeTriple(-0.5, 0.5, math.sqrt(0.5))
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200, 1.0 + 1e-9])
+def test_amplitude_triple_rejects_non_finite_and_oversized(bad):
+    with pytest.raises(ValidationError):
+        AmplitudeTriple(bad, 0.0, 0.0)
+    with pytest.raises(ValidationError):
+        CheatStrategy("alice", "qutrit", {"triple": [0.0, 0.0, bad]})
+
+
 def test_cheat_prob_balanced_probe_hits_best_value():
     assert abs(alice_qutrit_cheat_prob(AmplitudeTriple.balanced()) - BEST) < 1e-12
 

@@ -135,6 +135,18 @@ def test_cheat_rejects_n_states(capsys, tmp_path):
     assert excinfo.value.code == 1
 
 
+@pytest.mark.parametrize("amplitude", ["NaN", "1e200"])
+def test_cheat_rejects_bad_amplitudes(capsys, tmp_path, amplitude):
+    path = tmp_path / "strategy.json"
+    path.write_text(
+        '{"party": "alice", "protocol": "qutrit", "parameters": {"triple": [%s, 0, 0]}}' % amplitude
+    )
+    code, out, err = run_cli(capsys, "cheat", "--strategy", str(path), "--trials", "10")
+    assert code == 1
+    assert out == ""
+    assert "alpha must be a finite amplitude in [0, 1]" in err
+
+
 def test_cheat_missing_file(capsys, tmp_path):
     code, _, err = run_cli(capsys, "cheat", "--strategy", str(tmp_path / "absent.json"))
     assert code == 1

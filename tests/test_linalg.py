@@ -8,6 +8,7 @@ from rotlab.linalg import (
     DensityMatrix,
     DimensionError,
     NumericError,
+    ProjectiveMeasurement,
     PureState,
     ValidationError,
     _hermitian_eigh,
@@ -16,6 +17,7 @@ from rotlab.linalg import (
     hermitian_eigenvalues,
     kron,
     measure,
+    measure_pure,
     partial_trace,
     trace_norm,
 )
@@ -72,6 +74,12 @@ def test_pure_state_norm_validated():
     PureState([SQRT_HALF, SQRT_HALF])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_pure_state_rejects_non_finite_amplitudes(bad):
+    with pytest.raises(ValidationError):
+        PureState([bad, 0.0])
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValidationError):
         DensityMatrix(cm([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
@@ -86,6 +94,12 @@ def test_mixture_weights_validated():
     state = PureState.basis(2, 0)
     with pytest.raises(ValidationError):
         DensityMatrix.mixture([(0.7, state), (0.7, state)])
+    with pytest.raises(ValidationError):
+        DensityMatrix.mixture([(math.nan, state), (1.0, state)])
+    with pytest.raises(ValidationError):
+        DensityMatrix.mixture([(math.nan, state)])
+    with pytest.raises(ValidationError):
+        DensityMatrix.mixture([])
 
 
 # ---------------------------------------------------------------------------
@@ -394,3 +408,70 @@ def test_measure_rejects_bad_rand():
     projectors = [basis_projector(2, 0), basis_projector(2, 1)]
     with pytest.raises(ValidationError):
         measure(state, projectors, 1.0)
+
+
+def _random_measurement(rng, dim):
+    # Rank-one projectors onto the columns of a random unitary, grouped into
+    # a random number of outcomes (some of rank above one).
+    unitary = random_unitary(rng, dim)
+    cuts = sorted(rng.choice(np.arange(1, dim), size=rng.integers(0, dim), replace=False))
+    groups = np.split(np.arange(dim), cuts)
+    return ProjectiveMeasurement(
+        tuple(ComplexMatrix(unitary[:, g] @ unitary[:, g].conj().T) for g in groups)
+    )
+
+
+def test_projective_measurement_rejects_malformed_sets():
+    p0, p1 = basis_projector(2, 0), basis_projector(2, 1)
+    with pytest.raises(ValidationError):
+        ProjectiveMeasurement(())
+    with pytest.raises(DimensionError):
+        ProjectiveMeasurement((p0, basis_projector(3, 1)))
+    with pytest.raises(DimensionError):
+        ProjectiveMeasurement((cm([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),))
+    with pytest.raises(ValidationError):
+        ProjectiveMeasurement((p0,))
+    with pytest.raises(ValidationError):
+        ProjectiveMeasurement((ComplexMatrix(np.eye(2) * 0.5),) * 2)
+    with pytest.raises(ValidationError):
+        ProjectiveMeasurement((cm([[math.nan, 0.0], [0.0, 0.0]]), p1))
+    measurement = ProjectiveMeasurement([p0, p1])
+    assert measurement.dim == 2 and len(measurement) == 2
+    assert measurement[1] is measurement.projectors[1]
+    assert list(measurement) == [p0, p1]
+
+
+def test_measure_checks_rand_and_dimension_on_every_call():
+    measurement = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
+    mixed = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    for bad in (-0.1, 1.0, math.nan):
+        with pytest.raises(ValidationError):
+            measure(mixed, measurement, bad)
+        with pytest.raises(ValidationError):
+            measure_pure(PureState.basis(2, 0), measurement, bad)
+    with pytest.raises(DimensionError):
+        measure(DensityMatrix.from_pure(PureState.basis(3, 0)), measurement, 0.5)
+    with pytest.raises(DimensionError):
+        measure_pure(PureState.basis(4, 0), measurement, 0.5)
+    with pytest.raises(ValidationError):
+        measure_pure(PureState.basis(2, 0), [basis_projector(2, 0)], 0.5)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 9])
+def test_measure_pure_matches_density_reference(rng, dim):
+    rands = np.linspace(0.0, 1.0, 64, endpoint=False)
+    for _ in range(20):
+        measurement = _random_measurement(rng, dim)
+        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        state = PureState(raw / np.linalg.norm(raw))
+        reference = DensityMatrix.from_pure(state)
+        for rand in rands:
+            outcome, post = measure_pure(state, measurement, rand)
+            assert outcome == measure(reference, measurement, rand)
+            projected = measurement[outcome].data @ state.amplitudes
+            assert np.allclose(post, projected / np.linalg.norm(projected), atol=1e-12)
+    # Zero-weight outcomes are never sampled from an eigenstate.
+    measurement = ProjectiveMeasurement(tuple(basis_projector(dim, k) for k in range(dim)))
+    for k in range(dim):
+        for rand in (0.0, 0.5, 1.0 - 2.0**-53):
+            assert measure_pure(PureState.basis(dim, k), measurement, rand)[0] == k

@@ -38,6 +38,35 @@ def test_trial_seed_depends_only_on_master_and_index():
     assert len(set(counts)) == 4, counts
 
 
+# Success counts at master seed 2027, recorded before the pure-state sampler
+# replaced the density-matrix path.  They pin every draw and every sampled
+# outcome, so any change to the draw order or to the sampling rule shows here.
+REPLAY_SEED = 2027
+CHEAT_COUNTS = [
+    ("alice", "qutrit", None, 441),
+    ("bob", "qutrit", None, 373),
+    ("alice", "sequence", None, 422),
+    ("alice", "coinflip", None, 478),
+    ("bob", "coinflip", None, 373),
+    ("alice", "qutrit", {"triple": [1, 0, 0]}, 261),
+]
+COMPLETENESS_COUNTS = {"bad_classical": 511, "bad_qubit": 500, "qutrit": 505, "sequence": 471}
+DETECTION_COUNTS = {"honest": 0, "send-orthogonal": 56, "announce-wrong-state": 163}
+
+
+def test_seeded_counts_replay_exactly():
+    cheat = [
+        estimate_cheat(CheatStrategy(party, protocol, params), 500, REPLAY_SEED).successes
+        for party, protocol, params, _ in CHEAT_COUNTS
+    ]
+    assert cheat == [count for *_, count in CHEAT_COUNTS]
+    for protocol, count in COMPLETENESS_COUNTS.items():
+        report, conditional = estimate_completeness(protocol, 1000, REPLAY_SEED, n_states=16)
+        assert (report.successes, conditional) == (count, True), protocol
+    for variant, count in DETECTION_COUNTS.items():
+        assert sequence_detection_experiment(16, variant, 200, REPLAY_SEED).successes == count, variant
+
+
 def test_estimate_cheat_block_splitting_is_exact():
     strategy = CheatStrategy("alice", "qutrit")
     full = estimate_cheat(strategy, 1500, seed=5)
