@@ -8,6 +8,7 @@ Monte-Carlo harness can cross-check every analytic value empirically.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -21,8 +22,10 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
+    born_weights,
     helstrom_prob,
     helstrom_projectors,
+    invert_cumulative_block,
     kron,
     measure_pure,
     partial_trace,
@@ -31,11 +34,9 @@ from .protocols import (
     SEQUENCE_STATES,
     OtPair,
     SequenceConfig,
-    _qutrit_pair_unitary,
     qutrit_entangled_state,
-    qutrit_measurement,
 )
-from .rng import ALICE, BOB, BOB_AUX, draw_bit, party_stream
+from .rng import ALICE, BOB, BOB_AUX, BlockStream, draw_bit, party_stream
 from .security import CheatProfile
 
 GRID_POINTS = 200
@@ -379,29 +380,22 @@ def _alice_qutrit_runner(params: dict):
     return run
 
 
-def _helstrom_on_bob_side() -> ProjectiveMeasurement:
-    red0, red1 = _bob_qutrit_reduced_states()
-    identity3 = ComplexMatrix.identity(3)
-    return ProjectiveMeasurement(
-        tuple(kron(identity3, pi) for pi in helstrom_projectors(0.5, red0, 0.5, red1))
-    )
+def _alice_qutrit_block(params: dict):
+    # Born weights of Alice's measurement on the encoded probe, per Bob's
+    # (y, z_dummy, p), as _alice_qutrit_runner measures it.
+    encoded, measurements = _alice_qutrit_tables(params)
+    weights = np.empty((2, 2, 2, 2))
+    for y, z_dummy, p in itertools.product((0, 1), repeat=3):
+        pair = OtPair.draw(y, z_dummy, p)
+        weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)], measurements[p])
 
-
-def _bob_qutrit_runner(params: dict):
-    lifted = _helstrom_on_bob_side()
-
-    def run(seed: int) -> bool:
-        alice = party_stream(seed, ALICE)
-        bob = party_stream(seed, BOB)
-        a = draw_bit(alice)
-        a_guess, psi = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
-        y = draw_bit(bob)
-        z_dummy = draw_bit(bob)
-        pair = OtPair.draw(y, z_dummy, a_guess)
-        psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
-        measure_pure(PureState(psi), qutrit_measurement(a), alice.random())  # Alice's local decode
-        asserted = a == pair.p
-        return asserted  # Bob predicted an assertion by matching p to his guess
+    def run(seeds: np.ndarray) -> np.ndarray:
+        alice = BlockStream(seeds, ALICE)
+        bob = BlockStream(seeds, BOB)
+        y = bob.draw_bit()
+        z_dummy = bob.draw_bit()
+        p = bob.draw_bit()
+        return invert_cumulative_block(weights[y, z_dummy, p], alice.random()) == y
 
     return run
 
@@ -426,44 +420,61 @@ def _alice_sequence_runner(params: dict):
 
 
 def _alice_coinflip_runner(params: dict):
-    encoded, measurements = _alice_qutrit_tables(params)
+    # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
+    # NULL (always accepted), on b = 0 she must pass Bob's check, which
+    # succeeds exactly when her measurement recovers his data bit.
+    recovers_bit = _alice_qutrit_runner(params)
 
     def run(seed: int) -> bool:
-        # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
-        # NULL (always accepted), on b = 0 she must pass Bob's check, which
-        # succeeds exactly when her measurement recovers his data bit.
-        alice = party_stream(seed, ALICE)
-        bob = party_stream(seed, BOB)
-        bob_aux = party_stream(seed, BOB_AUX)
-        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        b = draw_bit(bob_aux)
-        if b == 1:
-            return True
-        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
-        return guess == pair.y
+        return draw_bit(party_stream(seed, BOB_AUX)) == 1 or recovers_bit(seed)
 
     return run
 
 
-def _bob_coinflip_runner(params: dict):
+def _alice_coinflip_block(params: dict):
+    recovers_bit = _alice_qutrit_block(params)
+
+    def run(seeds: np.ndarray) -> np.ndarray:
+        return (BlockStream(seeds, BOB_AUX).draw_bit() == 1) | recovers_bit(seeds)
+
+    return run
+
+
+def _helstrom_on_bob_side() -> ProjectiveMeasurement:
+    red0, red1 = _bob_qutrit_reduced_states()
+    identity3 = ComplexMatrix.identity(3)
+    return ProjectiveMeasurement(
+        tuple(kron(identity3, pi) for pi in helstrom_projectors(0.5, red0, 0.5, red1))
+    )
+
+
+def _bob_qutrit_runner(params: dict):
+    # Bob guesses Alice's choice bit a from his half of her probe and aligns
+    # the permutation with his guess.  Honest Alice asserts receipt exactly
+    # when a == p, so he calls her assert bit, and in the coin flip he
+    # announces b = 0 and lands HEADS, exactly when his guess is right.
     lifted = _helstrom_on_bob_side()
 
     def run(seed: int) -> bool:
-        # Bob wants HEADS, so he announces the assert bit he predicts; he
-        # aligns the permutation with his measurement and never aborts on his
-        # own check.  He succeeds exactly when honest Alice asserts receipt.
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         a = draw_bit(alice)
-        a_guess, psi = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
-        y = draw_bit(bob)
-        z_dummy = draw_bit(bob)
-        pair = OtPair.draw(y, z_dummy, a_guess)
-        psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
-        measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
-        b = 0
-        assert_bit = 0 if a == pair.p else 1
-        return assert_bit == b
+        a_guess, _ = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
+        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), a_guess)
+        return a == pair.p
+
+    return run
+
+
+def _bob_qutrit_block(params: dict):
+    lifted = _helstrom_on_bob_side()
+    weights = np.array([born_weights(qutrit_entangled_state(a), lifted) for a in (0, 1)])
+
+    def run(seeds: np.ndarray) -> np.ndarray:
+        # Bob's data and dummy bits, drawn after his measurement, do not
+        # change whether his guess is right.
+        a = BlockStream(seeds, ALICE).draw_bit()
+        return invert_cumulative_block(weights[a], BlockStream(seeds, BOB).random()) == a
 
     return run
 
@@ -473,7 +484,17 @@ _RUNNER_FACTORIES = {
     ("bob", "qutrit"): _bob_qutrit_runner,
     ("alice", "sequence"): _alice_sequence_runner,
     ("alice", "coinflip"): _alice_coinflip_runner,
-    ("bob", "coinflip"): _bob_coinflip_runner,
+    ("bob", "coinflip"): _bob_qutrit_runner,
+}
+
+# Vectorised forms, each giving its runner's outcome trial by trial for an
+# array of trial seeds.  alice/sequence stays scalar: its test-set draw,
+# Generator.choice, consumes a variable number of words.
+_BLOCK_FACTORIES = {
+    ("alice", "qutrit"): _alice_qutrit_block,
+    ("bob", "qutrit"): _bob_qutrit_block,
+    ("alice", "coinflip"): _alice_coinflip_block,
+    ("bob", "coinflip"): _bob_qutrit_block,
 }
 
 
@@ -482,6 +503,29 @@ def _compiled_runner(cache_key: tuple[str, str, str]):
     party, protocol, params_json = cache_key
     factory = _RUNNER_FACTORIES[(party, protocol)]
     return factory(json.loads(params_json))
+
+
+@lru_cache(maxsize=64)
+def _compiled_block(cache_key: tuple[str, str, str]):
+    party, protocol, params_json = cache_key
+    factory = _BLOCK_FACTORIES[(party, protocol)]
+    return factory(json.loads(params_json))
+
+
+def cheat_block(strategy: CheatStrategy):
+    """The block form of :func:`execute_cheat` for ``strategy``, or None
+    when only the scalar runner covers it.
+
+    The block form maps a uint64 array of trial seeds to a boolean array
+    holding, trial by trial, what ``execute_cheat`` returns for each seed.
+    Its outcome tables are built on first use.
+    """
+    key = (strategy.party, strategy.protocol)
+    if key not in _RUNNER_FACTORIES:
+        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
+    if key not in _BLOCK_FACTORIES:
+        return None
+    return _compiled_block(strategy.cache_key())
 
 
 def execute_cheat(strategy: CheatStrategy, seed: int) -> bool:

@@ -4,7 +4,8 @@ Everything a two-party quantum protocol simulation needs and nothing more:
 tensor products, partial traces, Hermitian spectra via LAPACK (numpy's
 ``eigvalsh`` / ``eigh``), trace norms, minimum-error (Helstrom)
 discrimination, and projective measurement sampling from measurements whose
-completeness and orthogonality are checked once, at construction.  All
+completeness and orthogonality are checked once, at construction, with a
+row-wise form of the sampling rule for blocks of trials.  All
 values are immutable after construction and all operations are pure
 functions, so they are safe to share between threads.
 
@@ -392,6 +393,16 @@ def _invert_cumulative(weights: list[float], rand: float) -> int:
     return len(weights) - 1
 
 
+def invert_cumulative_block(weights: np.ndarray, rand: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`_invert_cumulative`: the outcome of ``weights[i]`` at
+    ``rand[i]``, under the same rules (ascending order, negative weights
+    clamped at 0, the last outcome when rounding leaves the total below
+    ``rand``) and the same sequential sums."""
+    cumulative = np.cumsum(np.maximum(weights, 0.0), axis=-1)
+    below = rand[:, None] < cumulative
+    return np.where(below.any(axis=-1), below.argmax(axis=-1), weights.shape[-1] - 1)
+
+
 def measure(
     state: DensityMatrix, measurement: ProjectiveMeasurement | Sequence[ComplexMatrix], rand: float
 ) -> int:
@@ -423,8 +434,20 @@ def measure_pure(
     from the projected vector the post-measurement state needs anyway.
     """
     measurement = _checked_measurement(measurement, state.dim, rand)
-    psi = state.amplitudes
-    projected = [proj.data @ psi for proj in measurement]
-    weights = [float(np.vdot(v, v).real) for v in projected]
+    projected, weights = _projections(state.amplitudes, measurement)
     outcome = _invert_cumulative(weights, rand)
     return outcome, projected[outcome] / math.sqrt(weights[outcome])
+
+
+def _projections(psi: np.ndarray, measurement: ProjectiveMeasurement) -> tuple[list, list[float]]:
+    # The projected vectors P_k psi and their Born weights ||P_k psi||^2.
+    projected = [proj.data @ psi for proj in measurement]
+    return projected, [float(np.vdot(v, v).real) for v in projected]
+
+
+def born_weights(state: PureState, measurement: ProjectiveMeasurement) -> list[float]:
+    """The Born weights :func:`measure_pure` samples ``state`` from, the
+    same floats, so outcome tables built from them reproduce its outcomes."""
+    if measurement.dim != state.dim:
+        raise DimensionError("projector dimensions must match the state")
+    return _projections(state.amplitudes, measurement)[1]

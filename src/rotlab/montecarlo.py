@@ -12,10 +12,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .adversary import CheatStrategy, execute_cheat
+import numpy as np
+
+from .adversary import CheatStrategy, cheat_block, execute_cheat
 from .linalg import PureState, ValidationError, measure_pure
 from .protocols import (
     SEQUENCE_STATES,
+    ROT_BLOCK_EXECUTORS,
     ROT_EXECUTORS,
     SequenceConfig,
     run_sequence,
@@ -24,9 +27,12 @@ from .protocols import (
     _QUBIT1,
     _QUBIT2,
 )
-from .rng import ALICE, BOB, draw_bit, party_stream, trial_seed
+from .rng import ALICE, BOB, draw_bit, party_stream, trial_seed, trial_seeds
 
 MIN_COMPLETENESS_TRIALS = 1000
+
+# Trials per block-engine call; bounds the engine's arrays at any trial count.
+BLOCK_TRIALS = 1 << 16
 
 DETECTION_VARIANTS = ("honest", "send-orthogonal", "announce-wrong-state")
 
@@ -76,6 +82,12 @@ class TrialReport:
         return out
 
 
+def _seed_blocks(seed: int, offset: int, trials: int):
+    # The trial seeds of trials offset .. offset + trials - 1, BLOCK_TRIALS at a time.
+    for start in range(0, trials, BLOCK_TRIALS):
+        yield trial_seeds(seed, offset + start, min(BLOCK_TRIALS, trials - start))
+
+
 def estimate_completeness(
     protocol: str, trials: int, seed: int, n_states: int = 100
 ) -> tuple[TrialReport, bool]:
@@ -83,7 +95,9 @@ def estimate_completeness(
     flag: True only if every asserting trial received Bob's actual bit.
 
     For the sequence protocol each decoded index counts as one trial;
-    ``n_states`` sets the batch size per run.
+    ``n_states`` sets the batch size per run.  The single-transfer
+    protocols are evaluated a block of trials at a time, with the outcomes
+    of their scalar runs.
     """
     if protocol not in ROT_EXECUTORS:
         raise ValidationError(f"unknown protocol id {protocol!r}")
@@ -92,34 +106,26 @@ def estimate_completeness(
 
     asserts = 0
     conditional_ok = True
-
-    def tally(outcome) -> None:
-        nonlocal asserts, conditional_ok
-        if outcome.aborted:
-            conditional_ok = False
-            return
-        if outcome.assert_bit == 0:
-            asserts += 1
-            if outcome.g_hat != outcome.bob_bit:
-                conditional_ok = False
-
-    if protocol == "sequence":
+    if protocol in ROT_BLOCK_EXECUTORS:
+        for seeds in _seed_blocks(seed, 0, trials):
+            outcome = ROT_BLOCK_EXECUTORS[protocol](seeds)
+            asserted = outcome.assert_bit == 0
+            asserts += int(np.count_nonzero(asserted))
+            conditional_ok &= bool(np.all(outcome.g_hat[asserted] == outcome.bob_bit[asserted]))
+    else:
         cfg = SequenceConfig(n_states)
         collected = 0
         run_index = 0
         while collected < trials:
             _, outcomes = run_sequence(cfg, trial_seed(seed, run_index))
             run_index += 1
-            for outcome in outcomes:
-                if collected == trials:
-                    break
+            for outcome in outcomes[: trials - collected]:
                 collected += 1
-                tally(outcome)
-    else:
-        executor = ROT_EXECUTORS[protocol]
-        for index in range(trials):
-            _, outcome = executor(trial_seed(seed, index))
-            tally(outcome)
+                if outcome.aborted:
+                    conditional_ok = False
+                elif outcome.assert_bit == 0:
+                    asserts += 1
+                    conditional_ok &= outcome.g_hat == outcome.bob_bit
 
     return TrialReport.from_counts(trials, asserts, target=0.5), conditional_ok
 
@@ -134,14 +140,21 @@ def estimate_cheat(
     """Empirical success rate of a cheating strategy.
 
     ``trial_offset`` shifts the per-trial seed indices, so disjoint blocks
-    of one master seed add up to exactly the unsplit run.
+    of one master seed add up to exactly the unsplit run.  Strategies with a
+    block form are evaluated a block of trials at a time, with the outcomes
+    of :func:`execute_cheat`.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
-    successes = 0
-    for index in range(trials):
-        if execute_cheat(strategy, trial_seed(seed, trial_offset + index)):
-            successes += 1
+    block = cheat_block(strategy)
+    if block is None:
+        successes = sum(
+            execute_cheat(strategy, trial_seed(seed, trial_offset + index)) for index in range(trials)
+        )
+    else:
+        successes = sum(
+            int(np.count_nonzero(block(seeds))) for seeds in _seed_blocks(seed, trial_offset, trials)
+        )
     return TrialReport.from_counts(trials, successes, target=target)
 
 

@@ -19,15 +19,22 @@ The five flows:
   state; Bob declares per state which bit counts.
 * ``run_coinflip_reduction`` - wraps any of the above into a coin flip with
   a consistency check on Alice's claimed output.
+
+``ROT_BLOCK_EXECUTORS`` holds array forms of the three single-transfer runs
+for the Monte-Carlo harness: they draw the same words from
+:class:`~rotlab.rng.BlockStream` and sample from the same Born weights, so
+each trial of a block has its scalar run's outcome, without a transcript.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,10 +43,12 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
+    born_weights,
+    invert_cumulative_block,
     kron,
     measure_pure,
 )
-from .rng import ALICE, BOB, BOB_AUX, draw_bit, party_stream
+from .rng import ALICE, BOB, BOB_AUX, BlockStream, draw_bit, party_stream
 
 
 @dataclass(frozen=True)
@@ -441,6 +450,78 @@ ROT_EXECUTORS = {
     "bad_qubit": run_bad_qubit,
     "qutrit": run_qutrit,
     "sequence": _run_sequence_single,
+}
+
+
+# --------------------------------------------------------------------------
+# Block forms of the single-transfer runs
+# --------------------------------------------------------------------------
+
+
+class RotOutcomeBlock(NamedTuple):
+    """Honest Alice's outputs over a block of trials, one array entry per
+    trial as :class:`RotOutcome` gives them; ``g_hat`` is meaningful only
+    where ``assert_bit`` is 0."""
+
+    g_hat: np.ndarray
+    assert_bit: np.ndarray
+    bob_bit: np.ndarray
+
+
+def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
+    bob = BlockStream(seeds, BOB)
+    y = bob.draw_bit()
+    keep = bob.draw_bit()
+    return RotOutcomeBlock(g_hat=y, assert_bit=keep, bob_bit=y)
+
+
+@lru_cache(maxsize=None)
+def _bad_qubit_weights() -> np.ndarray:
+    # Born weights of Alice's Z measurement, per Bob's bit.
+    return np.array([born_weights(PureState.basis(2, y), _Z_PROJS) for y in (0, 1)])
+
+
+def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
+    bob = BlockStream(seeds, BOB)
+    alice = BlockStream(seeds, ALICE)
+    y = bob.draw_bit()
+    discard = alice.draw_bit()
+    # Drawn for every trial; it is Alice's last draw, used only where she measures.
+    outcome = invert_cumulative_block(_bad_qubit_weights()[y], alice.random())
+    return RotOutcomeBlock(g_hat=outcome, assert_bit=discard, bob_bit=y)
+
+
+@lru_cache(maxsize=None)
+def _qutrit_tables() -> tuple[np.ndarray, np.ndarray]:
+    # Born weights of Alice's measurement, per (a, y, z_dummy, p), from the
+    # state run_qutrit measures; and her decoded bit, per (a, outcome).
+    weights = np.empty((2, 2, 2, 2, 2))
+    for a, y, z_dummy, p in itertools.product((0, 1), repeat=4):
+        pair = OtPair.draw(y, z_dummy, p)
+        psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ qutrit_entangled_state(a).amplitudes
+        weights[a, y, z_dummy, p] = born_weights(PureState(psi), qutrit_measurement(a))
+    decoded = np.array([[qutrit_decode(a, outcome) for outcome in (0, 1)] for a in (0, 1)])
+    return weights, decoded
+
+
+def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
+    weights, decoded = _qutrit_tables()
+    alice = BlockStream(seeds, ALICE)
+    bob = BlockStream(seeds, BOB)
+    a = alice.draw_bit()
+    y = bob.draw_bit()
+    z_dummy = bob.draw_bit()
+    p = bob.draw_bit()
+    outcome = invert_cumulative_block(weights[a, y, z_dummy, p], alice.random())
+    return RotOutcomeBlock(g_hat=decoded[a, outcome], assert_bit=(a != p).astype(np.intp), bob_bit=y)
+
+
+# The runs the Monte-Carlo harness evaluates a block of trial seeds at a
+# time; each gives, trial by trial, the outcome of its ROT_EXECUTORS entry.
+ROT_BLOCK_EXECUTORS = {
+    "bad_classical": _bad_classical_block,
+    "bad_qubit": _bad_qubit_block,
+    "qutrit": _qutrit_block,
 }
 
 

@@ -6,11 +6,19 @@ replace one side's behaviour with an adversarial variant without disturbing
 the other side's draws.  Monte-Carlo harnesses derive one seed per trial by
 mixing the master seed and then the trial index, so trial blocks can be split
 across workers and recombined exactly.
+
+The block engine evaluates whole arrays of trials at once.  Because Philox
+is counter-based, a trial's draws are a pure function of (trial seed,
+stream, counter): :func:`philox_block` computes numpy's Philox4x64-10 output
+for an array of keys, and :class:`BlockStream` hands its words out the way
+``numpy.random.Generator`` consumes them, so a block of trials sees exactly
+the draws of the scalar streams.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -21,11 +29,34 @@ BOB = 1
 ALICE_AUX = 2
 BOB_AUX = 3
 
+_SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
+_SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
+
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11).
+_PHILOX_MUL = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
+_PHILOX_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_ROUNDS = 10
+_LOW32 = np.uint64(0xFFFFFFFF)
+_SHIFT32 = np.uint64(32)
+
+
+class _PhiloxKey(ISeedSequence):
+    # Hands Philox the key [seed, stream] as its seed state.  Philox(key=...)
+    # would first gather OS entropy for a SeedSequence it then discards.
+
+    def __init__(self, seed: int, stream: int):
+        self._key = (seed & _MASK64, stream & _MASK64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is two uint64 words, not {n_words} x {np.dtype(dtype)}")
+        return np.array(self._key, dtype=np.uint64)
+
 
 def party_stream(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one party's private randomness."""
-    key = np.array([seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    """Counter-based generator for one party's private randomness: the
+    stream of ``Generator(Philox(key=[seed, stream]))``."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream)))
 
 
 def draw_bit(gen: np.random.Generator) -> int:
@@ -34,9 +65,9 @@ def draw_bit(gen: np.random.Generator) -> int:
 
 def splitmix64(value: int) -> int:
     """splitmix64 finalizer; full-period 64-bit mixing."""
-    z = (value + 0x9E3779B97F4A7C15) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    z = (value + _SPLITMIX_GAMMA) & _MASK64
+    z = ((z ^ (z >> 30)) * _SPLITMIX_MUL[0]) & _MASK64
+    z = ((z ^ (z >> 27)) * _SPLITMIX_MUL[1]) & _MASK64
     return z ^ (z >> 31)
 
 
@@ -50,3 +81,76 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
     """
     base = splitmix64(master_seed & _MASK64)
     return splitmix64((base + trial_index) & _MASK64)
+
+
+def trial_seeds(master_seed: int, offset: int, count: int) -> np.ndarray:
+    """``trial_seed(master_seed, offset + i)`` for i in range(count), as uint64."""
+    start = (splitmix64(master_seed & _MASK64) + offset) & _MASK64
+    with np.errstate(over="ignore"):
+        z = np.uint64(start) + np.arange(count, dtype=np.uint64) + np.uint64(_SPLITMIX_GAMMA)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SPLITMIX_MUL[0])
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SPLITMIX_MUL[1])
+    return z ^ (z >> np.uint64(31))
+
+
+def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The high and low 64-bit words of multiplier * x.  The high word comes
+    # from 32-bit partial products, each sum below 2**64.
+    m_lo, m_hi = multiplier & _LOW32, multiplier >> _SHIFT32
+    x_lo, x_hi = x & _LOW32, x >> _SHIFT32
+    middle = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
+    cross = m_lo * x_hi + (middle & _LOW32)
+    return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), multiplier * x
+
+
+def philox_block(seeds: np.ndarray, stream: int) -> np.ndarray:
+    """First output block of ``Philox(key=[seed, stream])`` for every seed.
+
+    Philox4x64-10 at counter [1, 0, 0, 0], the block a fresh generator's
+    first ``random_raw(4)`` returns; shape ``(4, len(seeds))``.
+    """
+    k0 = np.asarray(seeds, dtype=np.uint64)
+    k1 = np.uint64(stream & _MASK64)
+    c0, c1, c2, c3 = np.ones_like(k0), np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
+    with np.errstate(over="ignore"):
+        for round_index in range(_PHILOX_ROUNDS):
+            if round_index:
+                k0, k1 = k0 + _PHILOX_WEYL[0], k1 + _PHILOX_WEYL[1]
+            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
+            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
+            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    return np.stack((c0, c1, c2, c3))
+
+
+class BlockStream:
+    """The draws of ``party_stream(seed, stream)`` for an array of seeds.
+
+    Holds each seed's first Philox block and hands out its four words the
+    way ``Generator`` consumes them.  :meth:`draw_bit` is :func:`draw_bit`
+    (``integers(0, 2)``): the top bit of the next 32-bit value, where a fresh
+    word gives its low half first and buffers its high half for the next
+    32-bit draw.  :meth:`random` is ``Generator.random()``: the next whole
+    word as ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.
+    Asking for a fifth word raises IndexError, since only one block is held.
+    """
+
+    def __init__(self, seeds: np.ndarray, stream: int):
+        self._words = philox_block(seeds, stream)
+        self._used = 0
+        self._buffered: np.ndarray | None = None
+
+    def _next_word(self) -> np.ndarray:
+        word = self._words[self._used]
+        self._used += 1
+        return word
+
+    def draw_bit(self) -> np.ndarray:
+        if self._buffered is not None:
+            bits, self._buffered = self._buffered >> np.uint64(63), None
+        else:
+            word = self._next_word()
+            bits, self._buffered = (word >> np.uint64(31)) & np.uint64(1), word
+        return bits.astype(np.intp)
+
+    def random(self) -> np.ndarray:
+        return (self._next_word() >> np.uint64(11)) * 2.0**-53

@@ -12,9 +12,12 @@ from rotlab.linalg import (
     PureState,
     ValidationError,
     _hermitian_eigh,
+    _invert_cumulative,
+    born_weights,
     helstrom_prob,
     helstrom_projectors,
     hermitian_eigenvalues,
+    invert_cumulative_block,
     kron,
     measure,
     measure_pure,
@@ -465,9 +468,11 @@ def test_measure_pure_matches_density_reference(rng, dim):
         raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         state = PureState(raw / np.linalg.norm(raw))
         reference = DensityMatrix.from_pure(state)
-        for rand in rands:
+        # The block sampler, fed the same Born weights, gives the same outcomes.
+        block = invert_cumulative_block(np.tile(born_weights(state, measurement), (rands.size, 1)), rands)
+        for rand, block_outcome in zip(rands, block):
             outcome, post = measure_pure(state, measurement, rand)
-            assert outcome == measure(reference, measurement, rand)
+            assert outcome == measure(reference, measurement, rand) == block_outcome
             projected = measurement[outcome].data @ state.amplitudes
             assert np.allclose(post, projected / np.linalg.norm(projected), atol=1e-12)
     # Zero-weight outcomes are never sampled from an eigenstate.
@@ -475,3 +480,23 @@ def test_measure_pure_matches_density_reference(rng, dim):
     for k in range(dim):
         for rand in (0.0, 0.5, 1.0 - 2.0**-53):
             assert measure_pure(PureState.basis(dim, k), measurement, rand)[0] == k
+
+
+def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
+    # Negative weights (clamped at 0), totals below rand (last outcome) and
+    # rand on a cumulative boundary, row by row against the scalar rule.
+    weights = rng.normal(0.3, 0.3, size=(4000, 4))
+    weights[:5] = [
+        [0.5, 0.5, 0.0, 0.0],
+        [-0.1, 0.2, 0.3, 0.1],
+        [0.0, 0.0, 0.0, 0.0],
+        [0.25, 0.25, 0.25, 0.25],
+        [1.0, -1.0, 0.0, 0.0],
+    ]
+    rand = rng.random(4000)
+    rand[:5] = [0.5, 0.2, 0.0, 0.75, 0.999]
+    expected = [_invert_cumulative(list(row), r) for row, r in zip(weights, rand)]
+    assert invert_cumulative_block(weights, rand).tolist() == expected
+    qubit = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
+    with pytest.raises(DimensionError):
+        born_weights(PureState.basis(3, 0), qubit)

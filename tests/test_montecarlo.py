@@ -1,8 +1,11 @@
 import math
+from collections import Counter
 
+import numpy as np
 import pytest
 
-from rotlab.adversary import CheatStrategy, UnsupportedStrategyError
+from rotlab import montecarlo, rng
+from rotlab.adversary import CheatStrategy, UnsupportedStrategyError, cheat_block, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.montecarlo import (
     TrialReport,
@@ -10,7 +13,10 @@ from rotlab.montecarlo import (
     estimate_completeness,
     sequence_detection_experiment,
 )
-from rotlab.rng import splitmix64, trial_seed
+from rotlab.protocols import ROT_BLOCK_EXECUTORS, ROT_EXECUTORS
+from rotlab.rng import splitmix64, trial_seed, trial_seeds
+
+from conftest import random_triple
 
 
 def test_trial_report_fields():
@@ -137,3 +143,62 @@ def test_estimate_cheat_rejects_foreign_strategy():
 
     with pytest.raises(UnsupportedStrategyError):
         estimate_cheat(Impostor(), 10, seed=1)
+
+
+MASTERS = (0, 2027, (1 << 64) - 1)
+
+
+def _block_strategies():
+    triples = [None, [1.0, 0.0, 0.0]] + [list(random_triple(np.random.default_rng(k))) for k in range(3)]
+    for protocol in ("qutrit", "coinflip"):
+        for triple in triples:
+            yield CheatStrategy("alice", protocol, None if triple is None else {"triple": triple})
+        yield CheatStrategy("bob", protocol)
+
+
+def test_block_outcomes_match_scalar_runs_trial_by_trial():
+    for master in MASTERS:
+        for offset in (0, 1_000_003):
+            seeds = trial_seeds(master, offset, 200)
+            for protocol, block in ROT_BLOCK_EXECUTORS.items():
+                got = block(seeds)
+                for index, seed in enumerate(seeds.tolist()):
+                    _, want = ROT_EXECUTORS[protocol](seed)
+                    assert (got.assert_bit[index], got.bob_bit[index]) == (want.assert_bit, want.bob_bit)
+                    if want.assert_bit == 0:
+                        assert got.g_hat[index] == want.g_hat, (protocol, master, offset, index)
+            for strategy in _block_strategies():
+                got = cheat_block(strategy)(seeds).tolist()
+                assert got == [execute_cheat(strategy, seed) for seed in seeds.tolist()], (strategy, master)
+
+
+def test_block_runs_straddling_chunks_match_scalar_counts(monkeypatch):
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 384)
+    for protocol in ROT_BLOCK_EXECUTORS:
+        outcomes = [ROT_EXECUTORS[protocol](trial_seed(41, index))[1] for index in range(1000)]
+        report, conditional = estimate_completeness(protocol, 1000, 41)
+        assert report.successes == sum(outcome.assert_bit == 0 for outcome in outcomes)
+        assert conditional
+    for strategy in _block_strategies():
+        expected = sum(execute_cheat(strategy, trial_seed(3, 500 + index)) for index in range(900))
+        assert estimate_cheat(strategy, 900, 3, trial_offset=500).successes == expected, strategy
+
+
+def test_block_flows_key_each_stream_once(monkeypatch):
+    # With at most four words drawn per stream (BlockStream holds one block),
+    # each covered flow computes at most one Philox block per party stream.
+    keyed = Counter()
+    philox_block = rng.philox_block
+
+    def counting(seeds, stream):
+        keyed[stream] += 1
+        return philox_block(seeds, stream)
+
+    monkeypatch.setattr(rng, "philox_block", counting)
+    seeds = trial_seeds(0, 0, 16)
+    flows = list(ROT_BLOCK_EXECUTORS.values()) + [cheat_block(s) for s in _block_strategies()]
+    for flow in flows:
+        keyed.clear()
+        flow(seeds)
+        assert keyed and max(keyed.values()) == 1, flow
+    assert cheat_block(CheatStrategy("alice", "sequence")) is None
