@@ -35,6 +35,7 @@ from .protocols import (
     OtPair,
     SequenceConfig,
     qutrit_entangled_state,
+    sequence_setup,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, draw_bit, party_stream
 from .security import CheatProfile
@@ -289,14 +290,6 @@ def coin_forcing_probs(rot_profile: CheatProfile) -> tuple[float, float]:
 # Executable strategies
 # --------------------------------------------------------------------------
 
-_STRATEGY_PARAMS = {
-    ("alice", "qutrit"): {"triple"},
-    ("bob", "qutrit"): set(),
-    ("alice", "sequence"): {"n_states"},
-    ("alice", "coinflip"): {"triple"},
-    ("bob", "coinflip"): set(),
-}
-
 
 class CheatStrategy:
     """One dishonest party's tactic for one protocol.
@@ -309,11 +302,10 @@ class CheatStrategy:
     """
 
     def __init__(self, party: str, protocol: str, parameters: dict | None = None):
-        key = (party, protocol)
-        if key not in _STRATEGY_PARAMS:
+        if (party, protocol) not in _STRATEGIES:
             raise UnsupportedStrategyError(f"no strategy for party={party!r}, protocol={protocol!r}")
         parameters = dict(parameters or {})
-        unknown = set(parameters) - _STRATEGY_PARAMS[key]
+        unknown = set(parameters) - _STRATEGIES[(party, protocol)][0]
         if unknown:
             raise ValidationError(f"unknown strategy parameters: {sorted(unknown)}")
         if "triple" in parameters:
@@ -407,10 +399,7 @@ def _alice_sequence_runner(params: dict):
     def run(seed: int) -> bool:
         # Alice attacks the first untested slot.  Bob declares the slots in
         # order, so only his first declaration is drawn.
-        alice = party_stream(seed, ALICE)
-        bob = party_stream(seed, BOB)
-        pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
-        tested = set(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
+        alice, bob, pairs, tested = sequence_setup(cfg, seed)
         slot = next(j for j in range(cfg.n_states) if j not in tested)
         declared = draw_bit(bob)
         guess, _ = measure_pure(SEQUENCE_STATES[pairs[slot]], measurements[declared], alice.random())
@@ -479,36 +468,30 @@ def _bob_qutrit_block(params: dict):
     return run
 
 
-_RUNNER_FACTORIES = {
-    ("alice", "qutrit"): _alice_qutrit_runner,
-    ("bob", "qutrit"): _bob_qutrit_runner,
-    ("alice", "sequence"): _alice_sequence_runner,
-    ("alice", "coinflip"): _alice_coinflip_runner,
-    ("bob", "coinflip"): _bob_qutrit_runner,
-}
-
-# Vectorised forms, each giving its runner's outcome trial by trial for an
-# array of trial seeds.  alice/sequence stays scalar: its test-set draw,
-# Generator.choice, consumes a variable number of words.
-_BLOCK_FACTORIES = {
-    ("alice", "qutrit"): _alice_qutrit_block,
-    ("bob", "qutrit"): _bob_qutrit_block,
-    ("alice", "coinflip"): _alice_coinflip_block,
-    ("bob", "coinflip"): _bob_qutrit_block,
+# (party, protocol) -> (parameter names, runner factory, block factory).
+# A block form gives its runner's outcome trial by trial for an array of
+# trial seeds.  alice/sequence has none: its test-set draw, Generator.choice,
+# consumes a variable number of words.
+_STRATEGIES = {
+    ("alice", "qutrit"): ({"triple"}, _alice_qutrit_runner, _alice_qutrit_block),
+    ("bob", "qutrit"): (set(), _bob_qutrit_runner, _bob_qutrit_block),
+    ("alice", "sequence"): ({"n_states"}, _alice_sequence_runner, None),
+    ("alice", "coinflip"): ({"triple"}, _alice_coinflip_runner, _alice_coinflip_block),
+    ("bob", "coinflip"): (set(), _bob_qutrit_runner, _bob_qutrit_block),
 }
 
 
-@lru_cache(maxsize=64)
-def _compiled_runner(cache_key: tuple[str, str, str]):
-    party, protocol, params_json = cache_key
-    factory = _RUNNER_FACTORIES[(party, protocol)]
-    return factory(json.loads(params_json))
+def _factories(strategy: CheatStrategy):
+    key = (strategy.party, strategy.protocol)
+    if key not in _STRATEGIES:
+        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
+    return _STRATEGIES[key][1:]
 
 
-@lru_cache(maxsize=64)
-def _compiled_block(cache_key: tuple[str, str, str]):
-    party, protocol, params_json = cache_key
-    factory = _BLOCK_FACTORIES[(party, protocol)]
+@lru_cache(maxsize=128)
+def _compiled(factory, cache_key: tuple[str, str, str]):
+    # One runner or block form per factory and strategy parameters.
+    _, _, params_json = cache_key
     return factory(json.loads(params_json))
 
 
@@ -520,12 +503,8 @@ def cheat_block(strategy: CheatStrategy):
     holding, trial by trial, what ``execute_cheat`` returns for each seed.
     Its outcome tables are built on first use.
     """
-    key = (strategy.party, strategy.protocol)
-    if key not in _RUNNER_FACTORIES:
-        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
-    if key not in _BLOCK_FACTORIES:
-        return None
-    return _compiled_block(strategy.cache_key())
+    _, block = _factories(strategy)
+    return None if block is None else _compiled(block, strategy.cache_key())
 
 
 def execute_cheat(strategy: CheatStrategy, seed: int) -> bool:
@@ -536,7 +515,5 @@ def execute_cheat(strategy: CheatStrategy, seed: int) -> bool:
     call honest Alice's assert bit, and coin-flip strategies must land
     HEADS.
     """
-    key = (strategy.party, strategy.protocol)
-    if key not in _RUNNER_FACTORIES:
-        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
-    return bool(_compiled_runner(strategy.cache_key())(seed))
+    runner, _ = _factories(strategy)
+    return bool(_compiled(runner, strategy.cache_key())(seed))

@@ -15,19 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .adversary import CheatStrategy, cheat_block, execute_cheat
-from .linalg import PureState, ValidationError, measure_pure
+from .linalg import ValidationError
 from .protocols import (
     SEQUENCE_STATES,
     ROT_BLOCK_EXECUTORS,
     ROT_EXECUTORS,
     SequenceConfig,
-    run_sequence,
-    sequence_expected_outcome,
-    sequence_test_basis,
-    _QUBIT1,
-    _QUBIT2,
+    play_sequence,
+    sequence_setup,
+    sequence_spot_check,
 )
-from .rng import ALICE, BOB, draw_bit, party_stream, trial_seed, trial_seeds
+from .rng import trial_seed, trial_seeds
 
 MIN_COMPLETENESS_TRIALS = 1000
 
@@ -35,15 +33,6 @@ MIN_COMPLETENESS_TRIALS = 1000
 BLOCK_TRIALS = 1 << 16
 
 DETECTION_VARIANTS = ("honest", "send-orthogonal", "announce-wrong-state")
-
-# Orthogonal partner within the same measurement basis; a tested corrupted
-# state then fails the consistency check with certainty.
-_ORTHOGONAL_PARTNER = {
-    (0, 0): (1, 1),
-    (1, 1): (0, 0),
-    (0, 1): (1, 0),
-    (1, 0): (0, 1),
-}
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,7 @@ def estimate_completeness(
         collected = 0
         run_index = 0
         while collected < trials:
-            _, outcomes = run_sequence(cfg, trial_seed(seed, run_index))
+            *_, outcomes = play_sequence(cfg, trial_seed(seed, run_index))
             run_index += 1
             for outcome in outcomes[: trials - collected]:
                 collected += 1
@@ -162,33 +151,20 @@ def _run_detection_trial(cfg: SequenceConfig, seed: int, variant: str) -> bool:
     # Bob's preparation plus Alice's spot checks; the abort statistic is
     # decided entirely by the testing phase, so the untested decode is
     # skipped here.
-    alice = party_stream(seed, ALICE)
-    bob = party_stream(seed, BOB)
-    pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
-    sent = {slot: SEQUENCE_STATES[bits] for slot, bits in enumerate(pairs)}
-    announced = dict(enumerate(pairs))
-
+    alice, bob, pairs, tested = sequence_setup(cfg, seed)
+    sent = announced = pairs
     if variant == "send-orthogonal":
+        # Flipping both bits gives the orthogonal partner within the same
+        # basis; a tested corrupted state then fails the check with certainty.
         corrupt = int(bob.integers(0, cfg.n_states))
-        sent[corrupt] = SEQUENCE_STATES[_ORTHOGONAL_PARTNER[pairs[corrupt]]]
-
-    tested = sorted(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
-
-    if variant == "announce-wrong-state":
-        position = int(bob.integers(0, cfg.test_size))
-        slot = tested[position]
+        sent = list(pairs)
+        sent[corrupt] = (1 - pairs[corrupt][0], 1 - pairs[corrupt][1])
+    elif variant == "announce-wrong-state":
+        slot = tested[int(bob.integers(0, cfg.test_size))]
         alternatives = [bits for bits in SEQUENCE_STATES if bits != pairs[slot]]
+        announced = list(pairs)
         announced[slot] = alternatives[int(bob.integers(0, len(alternatives)))]
-
-    for slot in tested:
-        x0, x1 = announced[slot]
-        basis = sequence_test_basis(x0, x1)
-        expected = sequence_expected_outcome(x0, x1)
-        m1, amps = measure_pure(sent[slot], _QUBIT1[basis], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
-        if m1 != expected or m2 != expected:
-            return True
-    return False
+    return sequence_spot_check(alice, tested, sent, announced) is not None
 
 
 def sequence_detection_experiment(
@@ -199,8 +175,8 @@ def sequence_detection_experiment(
     ``send-orthogonal`` corrupts one uniformly chosen state with its
     orthogonal partner, so a tested corruption is caught with certainty and
     the abort rate targets test_size / n_states.  ``announce-wrong-state``
-    lies about one tested announcement (no analytic target is claimed);
-    ``honest`` is the zero-abort control.
+    lies about one tested announcement, which is caught at the rate 5/6 at
+    every batch size; ``honest`` is the zero-abort control.
     """
     if dishonesty not in DETECTION_VARIANTS:
         raise ValidationError(f"dishonesty must be one of {DETECTION_VARIANTS}, got {dishonesty!r}")
@@ -212,9 +188,16 @@ def sequence_detection_experiment(
         if _run_detection_trial(cfg, trial_seed(seed, index), dishonesty):
             aborts += 1
     if dishonesty == "send-orthogonal":
-        target: float | None = cfg.test_size / cfg.n_states
+        target = cfg.test_size / cfg.n_states
     elif dishonesty == "honest":
         target = 0.0
     else:
-        target = None
+        # The lie swaps a tested slot's pair for one of the other three,
+        # uniformly.  Checked against the other state of the same basis,
+        # the sent state passes with probability 0; against either state of
+        # the other basis, each qubit shows the expected outcome with 1/2,
+        # so it passes with 1/4.  Every other tested slot is honest and
+        # passes with certainty, so the abort rate is
+        # 1 - (0 + 1/4 + 1/4) / 3 = 5/6 whatever n_states is.
+        target = 5.0 / 6.0
     return TrialReport.from_counts(trials, aborts, target=target)

@@ -16,7 +16,10 @@ The five flows:
   measurement, and Bob's permutation announcement.
 * ``run_sequence``       - Bob ships a batch of two-qubit states, Alice
   spot-checks a square-root-sized sample and decodes one bit per remaining
-  state; Bob declares per state which bit counts.
+  state; Bob declares per state which bit counts.  The flow itself is
+  ``play_sequence``, built from ``sequence_setup`` and
+  ``sequence_spot_check``, which the cheating and detection runs share;
+  it returns plain values and ``run_sequence`` renders the transcript.
 * ``run_coinflip_reduction`` - wraps any of the above into a coin flip with
   a consistency check on Alice's claimed output.
 
@@ -235,11 +238,11 @@ def qutrit_measurement(a: int) -> ProjectiveMeasurement:
 
 
 def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
-    """Outcome distribution of Alice's measurement for one classical context."""
-    psi = qutrit_entangled_state(a).amplitudes
-    evolved = _qutrit_pair_unitary(x0, x1).data @ psi
-    p0 = float(abs(np.vdot(psi, evolved)) ** 2)
-    return p0, 1.0 - p0
+    """Outcome distribution of Alice's measurement for one classical context:
+    the Born weights ``run_qutrit`` samples from."""
+    evolved = _qutrit_pair_unitary(x0, x1).data @ qutrit_entangled_state(a).amplitudes
+    p0, p1 = born_weights(PureState(evolved), qutrit_measurement(a))
+    return p0, p1
 
 
 @lru_cache(maxsize=None)
@@ -323,6 +326,32 @@ def sequence_decode(m1: int, m2: int) -> tuple[int, int]:
     return SEQUENCE_DECODE[(m1, m2)]
 
 
+def sequence_setup(cfg: SequenceConfig, seed: int):
+    """The start every sequence flow shares: both party streams, Bob's
+    ``n_states`` bit pairs and Alice's sorted test set, as
+    ``(alice, bob, pairs, tested)``."""
+    alice = party_stream(seed, ALICE)
+    bob = party_stream(seed, BOB)
+    pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
+    tested = sorted(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
+    return alice, bob, pairs, tested
+
+
+def sequence_spot_check(alice, tested, sent, announced) -> int | None:
+    """Alice's consistency check of the tested slots, in order: the first
+    slot that fails, or None.  ``sent[slot]`` is the bit pair whose state
+    Bob sent, ``announced[slot]`` the pair he announces for it."""
+    for slot in tested:
+        x0, x1 = announced[slot]
+        basis = sequence_test_basis(x0, x1)
+        expected = sequence_expected_outcome(x0, x1)
+        m1, amps = measure_pure(SEQUENCE_STATES[sent[slot]], _QUBIT1[basis], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
+        if m1 != expected or m2 != expected:
+            return slot
+    return None
+
+
 # --------------------------------------------------------------------------
 # Honest runs
 # --------------------------------------------------------------------------
@@ -388,54 +417,59 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     return transcript, outcome
 
 
+def play_sequence(cfg: SequenceConfig, seed: int):
+    """The honest sequence flow, without a transcript:
+    ``(pairs, tested, failed, declarations, outcomes)``.
+
+    ``failed`` is the first tested slot that failed the spot check, or None.
+    On a failure ``declarations`` is empty and ``outcomes`` holds a single
+    abort sentinel; otherwise both hold one entry per untested slot, in
+    order: Bob's ``(slot, bit_index)`` and Alice's output.
+    """
+    alice, bob, pairs, tested = sequence_setup(cfg, seed)
+    failed = sequence_spot_check(alice, tested, pairs, pairs)
+    if failed is not None:
+        return pairs, tested, failed, [], [RotOutcome.abort_sentinel()]
+
+    tested_set = set(tested)
+    declarations = []
+    outcomes = []
+    for slot in range(cfg.n_states):
+        if slot in tested_set:
+            continue
+        m1, amps = measure_pure(SEQUENCE_STATES[pairs[slot]], _QUBIT1["Z"], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2["X"], alice.random())
+        learned_index, learned_value = sequence_decode(m1, m2)
+        declared = draw_bit(bob)
+        declarations.append((slot, declared))
+        true_bit = pairs[slot][declared]
+        if learned_index == declared:
+            outcomes.append(RotOutcome.received(learned_value, true_bit))
+        else:
+            outcomes.append(RotOutcome.null(true_bit))
+    return pairs, tested, failed, declarations, outcomes
+
+
 def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOutcome]]:
     """Batched transfer: spot-check a sample, decode one bit per survivor.
 
     On an inconsistent spot check the run aborts and the outcome list holds
     a single abort sentinel.
     """
+    pairs, tested, failed, declarations, outcomes = play_sequence(cfg, seed)
     transcript = Transcript()
-    alice = party_stream(seed, ALICE)
-    bob = party_stream(seed, BOB)
-
-    pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
     for slot, bits in enumerate(pairs):
         transcript.record(
             "B", "state", _state_payload(SEQUENCE_STATES[bits].amplitudes, slot=slot)
         )
-
-    tested = sorted(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
     transcript.record("A", "test_set", {"slots": tested})
-
     for slot in tested:
-        x0, x1 = pairs[slot]
-        transcript.record("B", "announce", {"slot": slot, "bits": [x0, x1]})
-        basis = sequence_test_basis(x0, x1)
-        expected = sequence_expected_outcome(x0, x1)
-        m1, amps = measure_pure(SEQUENCE_STATES[(x0, x1)], _QUBIT1[basis], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
-        if m1 != expected or m2 != expected:
+        transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
+        if slot == failed:
             transcript.record("A", "abort", {"slot": slot})
-            return transcript, [RotOutcome.abort_sentinel()]
-
-    tested_set = set(tested)
-    untested = [j for j in range(cfg.n_states) if j not in tested_set]
-    learned: dict[int, tuple[int, int]] = {}
-    for slot in untested:
-        m1, amps = measure_pure(SEQUENCE_STATES[pairs[slot]], _QUBIT1["Z"], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2["X"], alice.random())
-        learned[slot] = sequence_decode(m1, m2)
-
-    outcomes = []
-    for slot in untested:
-        declared = draw_bit(bob)
+            return transcript, outcomes
+    for slot, declared in declarations:
         transcript.record("B", "declare", {"slot": slot, "bit_index": declared})
-        true_bit = pairs[slot][declared]
-        learned_index, learned_value = learned[slot]
-        if learned_index == declared:
-            outcomes.append(RotOutcome.received(learned_value, true_bit))
-        else:
-            outcomes.append(RotOutcome.null(true_bit))
     return transcript, outcomes
 
 
@@ -493,13 +527,12 @@ def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
 
 @lru_cache(maxsize=None)
 def _qutrit_tables() -> tuple[np.ndarray, np.ndarray]:
-    # Born weights of Alice's measurement, per (a, y, z_dummy, p), from the
-    # state run_qutrit measures; and her decoded bit, per (a, outcome).
+    # Born weights of Alice's measurement, per (a, y, z_dummy, p); and her
+    # decoded bit, per (a, outcome).
     weights = np.empty((2, 2, 2, 2, 2))
     for a, y, z_dummy, p in itertools.product((0, 1), repeat=4):
         pair = OtPair.draw(y, z_dummy, p)
-        psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ qutrit_entangled_state(a).amplitudes
-        weights[a, y, z_dummy, p] = born_weights(PureState(psi), qutrit_measurement(a))
+        weights[a, y, z_dummy, p] = qutrit_born_probabilities(a, pair.x0, pair.x1)
     decoded = np.array([[qutrit_decode(a, outcome) for outcome in (0, 1)] for a in (0, 1)])
     return weights, decoded
 

@@ -4,7 +4,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rotlab import montecarlo, rng
+from rotlab import montecarlo, protocols, rng
 from rotlab.adversary import CheatStrategy, UnsupportedStrategyError, cheat_block, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.montecarlo import (
@@ -13,7 +13,7 @@ from rotlab.montecarlo import (
     estimate_completeness,
     sequence_detection_experiment,
 )
-from rotlab.protocols import ROT_BLOCK_EXECUTORS, ROT_EXECUTORS
+from rotlab.protocols import ROT_BLOCK_EXECUTORS, ROT_EXECUTORS, SequenceConfig, run_sequence
 from rotlab.rng import splitmix64, trial_seed, trial_seeds
 
 from conftest import random_triple
@@ -107,6 +107,35 @@ def test_estimate_completeness_deterministic():
     assert first == second
 
 
+def test_sequence_completeness_builds_no_transcript(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("Monte-Carlo recorded a transcript message")
+
+    monkeypatch.setattr(protocols.Transcript, "record", refuse)
+    report, conditional = estimate_completeness("sequence", 1000, seed=4, n_states=9)
+    assert report.trials == 1000 and conditional
+
+
+@pytest.mark.parametrize("n_states, trials", [(4, 1001), (9, 1003), (16, 1001)])
+def test_sequence_completeness_counts_run_sequence_outcomes(n_states, trials):
+    # Each trial count stops part-way through a run's outcomes.
+    cfg = SequenceConfig(n_states)
+    assert trials % (cfg.n_states - cfg.test_size) != 0
+    outcomes = []
+    run_index = 0
+    while len(outcomes) < trials:
+        outcomes += run_sequence(cfg, trial_seed(6, run_index))[1]
+        run_index += 1
+    outcomes = outcomes[:trials]
+    asserts = sum(outcome.assert_bit == 0 for outcome in outcomes)
+    conditional = all(
+        not outcome.aborted and (outcome.assert_bit == 1 or outcome.g_hat == outcome.bob_bit)
+        for outcome in outcomes
+    )
+    report, flag = estimate_completeness("sequence", trials, seed=6, n_states=n_states)
+    assert (report.successes, flag) == (asserts, conditional)
+
+
 def test_detection_experiment_honest_control():
     report = sequence_detection_experiment(16, "honest", 300, seed=2)
     assert report.successes == 0
@@ -121,9 +150,9 @@ def test_detection_experiment_orthogonal_small_batch():
 
 def test_detection_experiment_wrong_announcement_detects_often():
     report = sequence_detection_experiment(16, "announce-wrong-state", 600, seed=2)
-    assert report.target is None
     # a lie about one tested state is caught with probability 5/6
-    assert abs(report.estimate - 5.0 / 6.0) < 0.06
+    assert report.target == 5.0 / 6.0
+    assert abs(report.z_score) < 3.5
 
 
 def test_detection_experiment_validation():

@@ -20,6 +20,8 @@ from rotlab.protocols import (
     run_sequence,
     sequence_decode,
     sequence_expected_outcome,
+    sequence_setup,
+    sequence_spot_check,
     sequence_test_basis,
 )
 
@@ -211,6 +213,26 @@ def test_sequence_test_step_consistency_table():
     assert sequence_test_basis(1, 1) == "Z" and sequence_expected_outcome(1, 1) == 1
     assert sequence_test_basis(0, 1) == "X" and sequence_expected_outcome(0, 1) == 0
     assert sequence_test_basis(1, 0) == "X" and sequence_expected_outcome(1, 0) == 1
+
+
+def test_sequence_spot_check_passes_honest_states():
+    cfg = SequenceConfig(16)
+    for seed in range(40):
+        alice, _, pairs, tested = sequence_setup(cfg, seed)
+        assert sequence_spot_check(alice, tested, pairs, pairs) is None
+
+
+def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
+    # Flipping both bits gives the orthogonal state of the same basis, which
+    # shows the announced outcome with probability 0.
+    cfg = SequenceConfig(16)
+    for seed in range(40):
+        for position in range(cfg.test_size):
+            alice, _, pairs, tested = sequence_setup(cfg, seed)
+            slot = tested[position]
+            sent = list(pairs)
+            sent[slot] = (1 - pairs[slot][0], 1 - pairs[slot][1])
+            assert sequence_spot_check(alice, tested, sent, pairs) == slot
 
 
 def test_sequence_honest_runs_never_abort():
