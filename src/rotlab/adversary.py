@@ -2,8 +2,9 @@
 
 The evaluators compute each dishonest party's best success probability
 analytically (trace-norm discrimination of the relevant state mixtures);
-``execute_cheat`` turns the same strategies into seeded single runs so the
-Monte-Carlo harness can cross-check every analytic value empirically.
+``execute_cheat`` turns the same strategies into seeded single runs, and
+``cheat_block`` into block forms with the same outcomes, so the Monte-Carlo
+harness can cross-check every analytic value empirically.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .protocols import (
     SequenceConfig,
     qutrit_entangled_state,
     sequence_setup,
+    sequence_setup_block,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, draw_bit, party_stream
 from .security import CheatProfile
@@ -392,9 +394,14 @@ def _alice_qutrit_block(params: dict):
     return run
 
 
+def _alice_sequence_measurements() -> dict[int, ProjectiveMeasurement]:
+    # Alice's Helstrom measurement on a stored state, per declared bit.
+    return {bit: _equal_prior_measurement(*_sequence_mixtures(bit)) for bit in (0, 1)}
+
+
 def _alice_sequence_runner(params: dict):
     cfg = SequenceConfig(params.get("n_states", 4))
-    measurements = {bit: _equal_prior_measurement(*_sequence_mixtures(bit)) for bit in (0, 1)}
+    measurements = _alice_sequence_measurements()
 
     def run(seed: int) -> bool:
         # Alice attacks the first untested slot.  Bob declares the slots in
@@ -404,6 +411,33 @@ def _alice_sequence_runner(params: dict):
         declared = draw_bit(bob)
         guess, _ = measure_pure(SEQUENCE_STATES[pairs[slot]], measurements[declared], alice.random())
         return guess == pairs[slot][declared]
+
+    return run
+
+
+def _alice_sequence_block(params: dict):
+    # Born weights of Alice's measurement, per (pair index, declared bit).
+    # Trials whose test-set draw hit a Lemire rejection are replayed
+    # through the runner.
+    cfg = SequenceConfig(params.get("n_states", 4))
+    measurements = _alice_sequence_measurements()
+    weights = np.array(
+        [[born_weights(state, measurements[bit]) for bit in (0, 1)] for state in SEQUENCE_STATES.values()]
+    )
+    runner = _alice_sequence_runner(params)
+
+    def run(seeds: np.ndarray) -> np.ndarray:
+        setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
+        # The test set is sorted, so the first untested slot is the number
+        # of slots j that hold tested[j] == j.
+        slot = (setup.tested == np.arange(cfg.test_size)[:, None]).sum(axis=0)
+        pair = setup.pairs[slot, np.arange(seeds.size)]
+        declared = setup.bob.draw_bit()
+        guess = invert_cumulative_block(weights[pair, declared], setup.alice.random())
+        success = guess == ((pair >> (1 - declared)) & 1)
+        for lane in np.flatnonzero(setup.rejected):
+            success[lane] = runner(int(seeds[lane]))
+        return success
 
     return run
 
@@ -470,12 +504,11 @@ def _bob_qutrit_block(params: dict):
 
 # (party, protocol) -> (parameter names, runner factory, block factory).
 # A block form gives its runner's outcome trial by trial for an array of
-# trial seeds.  alice/sequence has none: its test-set draw, Generator.choice,
-# consumes a variable number of words.
+# trial seeds; every strategy has one.
 _STRATEGIES = {
     ("alice", "qutrit"): ({"triple"}, _alice_qutrit_runner, _alice_qutrit_block),
     ("bob", "qutrit"): (set(), _bob_qutrit_runner, _bob_qutrit_block),
-    ("alice", "sequence"): ({"n_states"}, _alice_sequence_runner, None),
+    ("alice", "sequence"): ({"n_states"}, _alice_sequence_runner, _alice_sequence_block),
     ("alice", "coinflip"): ({"triple"}, _alice_coinflip_runner, _alice_coinflip_block),
     ("bob", "coinflip"): (set(), _bob_qutrit_runner, _bob_qutrit_block),
 }
@@ -496,15 +529,14 @@ def _compiled(factory, cache_key: tuple[str, str, str]):
 
 
 def cheat_block(strategy: CheatStrategy):
-    """The block form of :func:`execute_cheat` for ``strategy``, or None
-    when only the scalar runner covers it.
+    """The block form of :func:`execute_cheat` for ``strategy``.
 
     The block form maps a uint64 array of trial seeds to a boolean array
     holding, trial by trial, what ``execute_cheat`` returns for each seed.
     Its outcome tables are built on first use.
     """
     _, block = _factories(strategy)
-    return None if block is None else _compiled(block, strategy.cache_key())
+    return _compiled(block, strategy.cache_key())
 
 
 def execute_cheat(strategy: CheatStrategy, seed: int) -> bool:

@@ -5,6 +5,12 @@ sequence protocol's spot-check deterrence, with binomial error accounting.
 Trials are fanned out through per-trial seeds derived from the master seed,
 so any block split reproduces the concatenated run exactly and reports are
 deterministic end to end.
+
+Every estimator runs on the block engine: a block of trial seeds at a time,
+each trial with exactly the outcome of its scalar run.  A sequence trial
+whose ``choice`` or ``integers`` draw hit a Lemire rejection (probability
+below n_states / 2**32 per draw) is flagged by the block form and replayed
+through the scalar flow.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adversary import CheatStrategy, cheat_block, execute_cheat
+from .adversary import CheatStrategy, cheat_block
 from .linalg import ValidationError
 from .protocols import (
     SEQUENCE_STATES,
@@ -22,14 +28,19 @@ from .protocols import (
     ROT_EXECUTORS,
     SequenceConfig,
     play_sequence,
+    play_sequence_block,
     sequence_setup,
+    sequence_setup_block,
     sequence_spot_check,
+    sequence_spot_check_block,
 )
-from .rng import trial_seed, trial_seeds
+from .rng import trial_seeds
 
 MIN_COMPLETENESS_TRIALS = 1000
 
 # Trials per block-engine call; bounds the engine's arrays at any trial count.
+# A sequence run holds about 2 * n_states words per party, so it counts as
+# n_states trials.
 BLOCK_TRIALS = 1 << 16
 
 DETECTION_VARIANTS = ("honest", "send-orthogonal", "announce-wrong-state")
@@ -71,10 +82,36 @@ class TrialReport:
         return out
 
 
-def _seed_blocks(seed: int, offset: int, trials: int):
-    # The trial seeds of trials offset .. offset + trials - 1, BLOCK_TRIALS at a time.
-    for start in range(0, trials, BLOCK_TRIALS):
-        yield trial_seeds(seed, offset + start, min(BLOCK_TRIALS, trials - start))
+def _seed_blocks(seed: int, offset: int, trials: int, size: int):
+    # The trial seeds of trials offset .. offset + trials - 1, size at a time.
+    for start in range(0, trials, size):
+        yield trial_seeds(seed, offset + start, min(size, trials - start))
+
+
+def _runs_per_block(cfg: SequenceConfig) -> int:
+    return max(1, BLOCK_TRIALS // cfg.n_states)
+
+
+def _sequence_outcomes(cfg: SequenceConfig, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The outcomes of the runs at ``seeds``, run after run: whether each
+    # asserted receipt, and whether it is correct (not an abort sentinel,
+    # and a receipt of Bob's actual bit).  A failed run yields one outcome,
+    # its abort sentinel.
+    per_run = cfg.n_states - cfg.test_size
+    block = play_sequence_block(cfg, seeds)
+    out = block.outcomes
+    passed = block.failed < 0
+    asserted = passed & (out.assert_bit == 0)
+    correct = passed & ((out.assert_bit == 1) | (out.g_hat == out.bob_bit))
+    kept = passed | (np.arange(per_run)[:, None] == 0)
+    for lane in np.flatnonzero(block.rejected):
+        *_, outcomes = play_sequence(cfg, int(seeds[lane]))
+        kept[:, lane] = np.arange(per_run) < len(outcomes)
+        asserted[: len(outcomes), lane] = [o.assert_bit == 0 for o in outcomes]
+        correct[: len(outcomes), lane] = [
+            not o.aborted and (o.assert_bit == 1 or o.g_hat == o.bob_bit) for o in outcomes
+        ]
+    return asserted.T[kept.T], correct.T[kept.T]
 
 
 def estimate_completeness(
@@ -85,8 +122,9 @@ def estimate_completeness(
 
     For the sequence protocol each decoded index counts as one trial;
     ``n_states`` sets the batch size per run.  The single-transfer
-    protocols are evaluated a block of trials at a time, with the outcomes
-    of their scalar runs.
+    protocols are evaluated a block of trials at a time, the sequence
+    protocol a block of whole runs at a time, with the outcomes of their
+    scalar runs; the last run is cut off after the requested trial count.
     """
     if protocol not in ROT_EXECUTORS:
         raise ValidationError(f"unknown protocol id {protocol!r}")
@@ -96,25 +134,25 @@ def estimate_completeness(
     asserts = 0
     conditional_ok = True
     if protocol in ROT_BLOCK_EXECUTORS:
-        for seeds in _seed_blocks(seed, 0, trials):
+        for seeds in _seed_blocks(seed, 0, trials, BLOCK_TRIALS):
             outcome = ROT_BLOCK_EXECUTORS[protocol](seeds)
             asserted = outcome.assert_bit == 0
             asserts += int(np.count_nonzero(asserted))
             conditional_ok &= bool(np.all(outcome.g_hat[asserted] == outcome.bob_bit[asserted]))
     else:
         cfg = SequenceConfig(n_states)
+        per_run = cfg.n_states - cfg.test_size
         collected = 0
         run_index = 0
         while collected < trials:
-            *_, outcomes = play_sequence(cfg, trial_seed(seed, run_index))
-            run_index += 1
-            for outcome in outcomes[: trials - collected]:
-                collected += 1
-                if outcome.aborted:
-                    conditional_ok = False
-                elif outcome.assert_bit == 0:
-                    asserts += 1
-                    conditional_ok &= outcome.g_hat == outcome.bob_bit
+            # Whole runs, as many as the remaining trials need if none aborts.
+            runs = min(_runs_per_block(cfg), -(-(trials - collected) // per_run))
+            asserted, correct = _sequence_outcomes(cfg, trial_seeds(seed, run_index, runs))
+            run_index += runs
+            asserted, correct = asserted[: trials - collected], correct[: trials - collected]
+            collected += asserted.size
+            asserts += int(np.count_nonzero(asserted))
+            conditional_ok &= bool(correct.all())
 
     return TrialReport.from_counts(trials, asserts, target=0.5), conditional_ok
 
@@ -129,21 +167,15 @@ def estimate_cheat(
     """Empirical success rate of a cheating strategy.
 
     ``trial_offset`` shifts the per-trial seed indices, so disjoint blocks
-    of one master seed add up to exactly the unsplit run.  Strategies with a
-    block form are evaluated a block of trials at a time, with the outcomes
-    of :func:`execute_cheat`.
+    of one master seed add up to exactly the unsplit run.  Trials are
+    evaluated a block at a time, with the outcomes of
+    :func:`~rotlab.adversary.execute_cheat`.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
     block = cheat_block(strategy)
-    if block is None:
-        successes = sum(
-            execute_cheat(strategy, trial_seed(seed, trial_offset + index)) for index in range(trials)
-        )
-    else:
-        successes = sum(
-            int(np.count_nonzero(block(seeds))) for seeds in _seed_blocks(seed, trial_offset, trials)
-        )
+    blocks = _seed_blocks(seed, trial_offset, trials, BLOCK_TRIALS)
+    successes = sum(int(np.count_nonzero(block(seeds))) for seeds in blocks)
     return TrialReport.from_counts(trials, successes, target=target)
 
 
@@ -167,6 +199,31 @@ def _run_detection_trial(cfg: SequenceConfig, seed: int, variant: str) -> bool:
     return sequence_spot_check(alice, tested, sent, announced) is not None
 
 
+def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np.ndarray:
+    # _run_detection_trial for a block of seeds, on pair indices: flipping
+    # both bits is index ^ 3, and the a-th alternative to index p is
+    # a + (a >= p).  Bob's integers draws take the halves of his word n.
+    setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size, bob_words=1)
+    lanes = np.arange(seeds.size)
+    sent = announced = setup.pairs
+    rejected = setup.rejected
+    if variant == "send-orthogonal":
+        (corrupt,), bob_rejected = setup.bob.bounded([cfg.n_states - 1])
+        sent = setup.pairs.copy()
+        sent[corrupt, lanes] ^= 3
+        rejected = rejected | bob_rejected
+    elif variant == "announce-wrong-state":
+        (pick, alternative), bob_rejected = setup.bob.bounded([cfg.test_size - 1, 2])
+        slot = setup.tested[pick, lanes]
+        announced = setup.pairs.copy()
+        announced[slot, lanes] = alternative + (alternative >= setup.pairs[slot, lanes])
+        rejected = rejected | bob_rejected
+    aborted = sequence_spot_check_block(setup.alice, setup.tested, sent, announced) >= 0
+    for lane in np.flatnonzero(rejected):
+        aborted[lane] = _run_detection_trial(cfg, int(seeds[lane]), variant)
+    return aborted
+
+
 def sequence_detection_experiment(
     n_states: int, dishonesty: str, trials: int, seed: int
 ) -> TrialReport:
@@ -183,10 +240,10 @@ def sequence_detection_experiment(
     if trials < 1:
         raise ValidationError("need at least one trial")
     cfg = SequenceConfig(n_states)
-    aborts = 0
-    for index in range(trials):
-        if _run_detection_trial(cfg, trial_seed(seed, index), dishonesty):
-            aborts += 1
+    aborts = sum(
+        int(np.count_nonzero(_detection_block(cfg, seeds, dishonesty)))
+        for seeds in _seed_blocks(seed, 0, trials, _runs_per_block(cfg))
+    )
     if dishonesty == "send-orthogonal":
         target = cfg.test_size / cfg.n_states
     elif dishonesty == "honest":

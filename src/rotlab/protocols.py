@@ -24,9 +24,13 @@ The five flows:
   a consistency check on Alice's claimed output.
 
 ``ROT_BLOCK_EXECUTORS`` holds array forms of the three single-transfer runs
-for the Monte-Carlo harness: they draw the same words from
+for the Monte-Carlo harness, and ``sequence_setup_block``,
+``sequence_spot_check_block`` and ``play_sequence_block`` are the array
+forms of the sequence flow.  They draw the same words from
 :class:`~rotlab.rng.BlockStream` and sample from the same Born weights, so
 each trial of a block has its scalar run's outcome, without a transcript.
+The sequence forms flag the trials whose test-set draw hit a Lemire
+rejection; those are replayed through the scalar flow.
 """
 
 from __future__ import annotations
@@ -556,6 +560,152 @@ ROT_BLOCK_EXECUTORS = {
     "bad_qubit": _bad_qubit_block,
     "qutrit": _qutrit_block,
 }
+
+
+# --------------------------------------------------------------------------
+# Block forms of the sequence flow
+# --------------------------------------------------------------------------
+#
+# A bit pair (x0, x1) is the index 2 * x0 + x1 into SEQUENCE_STATES, and a
+# basis is 0 for Z and 1 for X, so the test basis of a pair is x0 ^ x1.
+
+
+class SequenceSetupBlock(NamedTuple):
+    """:func:`sequence_setup` over a block of seeds.  ``pairs`` holds Bob's
+    pair index per slot, shape ``(n_states, seeds)``; ``tested`` Alice's
+    sorted test set, shape ``(test_size, seeds)``.  ``rejected`` marks the
+    seeds whose ``choice`` hit a Lemire rejection: nothing drawn for them is
+    the scalar run's, so they must be replayed through :func:`sequence_setup`."""
+
+    alice: BlockStream
+    bob: BlockStream
+    pairs: np.ndarray
+    tested: np.ndarray
+    rejected: np.ndarray
+
+
+class SequenceBlock(NamedTuple):
+    """:func:`play_sequence` over a block of seeds.  ``failed`` is the first
+    failing tested slot, or -1; ``outcomes`` holds one row per untested slot,
+    in order, meaningful only where ``failed`` is -1; ``rejected`` marks the
+    seeds to replay through :func:`play_sequence`."""
+
+    failed: np.ndarray
+    outcomes: RotOutcomeBlock
+    rejected: np.ndarray
+
+
+@lru_cache(maxsize=None)
+def _sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # Born weights of qubit 1, per (pair, basis); of qubit 2 on the state
+    # measure_pure leaves after qubit 1 showed m1, per (pair, basis, m1,
+    # basis of qubit 2); and Alice's untested-slot decode, per (m1, m2), as
+    # (learned index, learned value).  An outcome of weight 0 is never
+    # sampled and keeps zero weights.
+    first = np.zeros((4, 2, 2))
+    second = np.zeros((4, 2, 2, 2, 2))
+    for pair, state in enumerate(SEQUENCE_STATES.values()):
+        for basis, name in enumerate("ZX"):
+            weights = born_weights(state, _QUBIT1[name])
+            first[pair, basis] = weights
+            for m1 in (0, 1):
+                if weights[m1] > 0.0:
+                    # A uniform at the outcome's lower cumulative edge selects it.
+                    outcome, amps = measure_pure(state, _QUBIT1[name], float(sum(weights[:m1])))
+                    if outcome != m1:
+                        raise RuntimeError("post-measurement state selected the wrong outcome")
+                    for second_basis, second_name in enumerate("ZX"):
+                        second[pair, basis, m1, second_basis] = born_weights(
+                            PureState(amps), _QUBIT2[second_name]
+                        )
+    decode = np.array([[SEQUENCE_DECODE[(m1, m2)] for m2 in (0, 1)] for m1 in (0, 1)])
+    return first, second, decode
+
+
+def _measure_qubits_block(pairs, first_basis, second_basis, rand1, rand2):
+    # measure_pure on qubit 1, then on qubit 2 of the state it leaves, for
+    # arrays of pair indices and bases: (m1, m2).
+    first, second, _ = _sequence_tables()
+    shape = pairs.shape
+    pairs, first_basis, second_basis = (
+        np.broadcast_to(a, shape).ravel() for a in (pairs, first_basis, second_basis)
+    )
+    m1 = invert_cumulative_block(first[pairs, first_basis], rand1.ravel())
+    m2 = invert_cumulative_block(second[pairs, first_basis, m1, second_basis], rand2.ravel())
+    return m1.reshape(shape), m2.reshape(shape)
+
+
+def _pair_bit(pairs: np.ndarray, index) -> np.ndarray:
+    # Bit ``index`` of each pair: x0 at index 0, x1 at index 1.
+    return (pairs >> (1 - np.asarray(index))) & 1
+
+
+def sequence_setup_block(
+    cfg: SequenceConfig, seeds: np.ndarray, alice_words: int = 0, bob_words: int = 0
+) -> SequenceSetupBlock:
+    """:func:`sequence_setup` for an array of seeds; the streams also hold
+    the ``alice_words`` and ``bob_words`` 64-bit words each party draws
+    after it.
+
+    ``choice(n, k, replace=False)`` is Floyd's algorithm, one Lemire draw
+    in ``[0, j]`` for each j from n - k to n - 1, a draw already picked
+    giving way to j itself, followed by a Fisher-Yates shuffle of the k
+    picks, one draw in ``[0, i]`` for each i from k - 1 down to 1.  The
+    test set is sorted, so the shuffle draws are taken but their order is
+    unused.  Those 2k - 1 32-bit values fill k words.
+    """
+    n, k = cfg.n_states, cfg.test_size
+    alice = BlockStream(seeds, ALICE, k + alice_words)
+    bob = BlockStream(seeds, BOB, n + bob_words)
+    bits = bob.draw_bits(2 * n)
+    pairs = 2 * bits[0::2] + bits[1::2]
+    draws, rejected = alice.bounded(np.concatenate((np.arange(n - k, n), np.arange(k - 1, 0, -1))))
+    picks = np.empty((k, draws.shape[1]), dtype=np.intp)
+    for t, j in enumerate(range(n - k, n)):
+        taken = (picks[:t] == draws[t]).any(axis=0)
+        picks[t] = np.where(taken, j, draws[t])
+    return SequenceSetupBlock(alice, bob, pairs, np.sort(picks, axis=0), rejected)
+
+
+def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np.ndarray:
+    """:func:`sequence_spot_check` for a block: the first failing tested
+    slot per seed, or -1.  ``sent`` and ``announced`` are pair indices per
+    slot.  Every tested slot takes its two uniforms; the draws after the
+    first failure are never used, as the scalar check stops there."""
+    sent = np.take_along_axis(sent, tested, axis=0)
+    announced = np.take_along_axis(announced, tested, axis=0)
+    rand = alice.randoms(2 * len(tested))
+    basis = _pair_bit(announced, 0) ^ _pair_bit(announced, 1)
+    expected = _pair_bit(announced, 0)
+    m1, m2 = _measure_qubits_block(sent, basis, basis, rand[0::2], rand[1::2])
+    fails = (m1 != expected) | (m2 != expected)
+    first = fails.argmax(axis=0)
+    return np.where(fails.any(axis=0), tested[first, np.arange(tested.shape[1])], -1)
+
+
+def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock:
+    """:func:`play_sequence` for an array of seeds, with each seed's failed
+    slot and, where it passed, its outcomes.  Alice draws two uniforms per
+    tested slot and then two per untested slot; Bob declares after his
+    pairs, one bit per untested slot."""
+    n, k = cfg.n_states, cfg.test_size
+    setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
+    failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs)
+    is_tested = np.zeros(setup.pairs.shape, dtype=bool)
+    is_tested[setup.tested, np.arange(setup.pairs.shape[1])] = True
+    # Each seed's untested slots, in order: n - k of them for every seed.
+    sent = setup.pairs.T[~is_tested.T].reshape(-1, n - k).T
+    rand = setup.alice.randoms(2 * (n - k))
+    m1, m2 = _measure_qubits_block(sent, 0, 1, rand[0::2], rand[1::2])
+    *_, decode = _sequence_tables()
+    learned_index, learned_value = np.moveaxis(decode[m1, m2], -1, 0)
+    declared = setup.bob.draw_bits(n - k)
+    outcomes = RotOutcomeBlock(
+        g_hat=learned_value,
+        assert_bit=(learned_index != declared).astype(np.intp),
+        bob_bit=_pair_bit(sent, declared),
+    )
+    return SequenceBlock(failed, outcomes, setup.rejected)
 
 
 def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome]:

@@ -10,9 +10,12 @@ across workers and recombined exactly.
 The block engine evaluates whole arrays of trials at once.  Because Philox
 is counter-based, a trial's draws are a pure function of (trial seed,
 stream, counter): :func:`philox_block` computes numpy's Philox4x64-10 output
-for an array of keys, and :class:`BlockStream` hands its words out the way
-``numpy.random.Generator`` consumes them, so a block of trials sees exactly
-the draws of the scalar streams.
+for an array of keys at any counter, and :class:`BlockStream` hands its
+words out the way ``numpy.random.Generator`` consumes them, so a block of
+trials sees exactly the draws of the scalar streams.  Bounded draws
+(``integers`` and ``choice``) use Lemire's multiply-shift, which draws
+again with probability below ``high / 2**32``; the block form flags those
+trials instead, for a replay through the scalar streams.
 """
 
 from __future__ import annotations
@@ -103,15 +106,21 @@ def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), multiplier * x
 
 
-def philox_block(seeds: np.ndarray, stream: int) -> np.ndarray:
-    """First output block of ``Philox(key=[seed, stream])`` for every seed.
+def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
+    """Philox4x64-10 output block at counter ``[counter, 0, 0, 0]`` under the
+    key ``[seed, stream]``, for every seed.
 
-    Philox4x64-10 at counter [1, 0, 0, 0], the block a fresh generator's
-    first ``random_raw(4)`` returns; shape ``(4, len(seeds))``.
+    ``Philox(key=[seed, stream])`` hands out the block at counter ``b + 1``
+    as its words ``4b .. 4b + 3``, so counter 1 is a fresh generator's first
+    ``random_raw(4)``.  ``counter`` broadcasts against ``seeds``; the shape
+    is ``(4,)`` followed by the broadcast shape.
     """
     k0 = np.asarray(seeds, dtype=np.uint64)
     k1 = np.uint64(stream & _MASK64)
-    c0, c1, c2, c3 = np.ones_like(k0), np.zeros_like(k0), np.zeros_like(k0), np.zeros_like(k0)
+    counter = np.asarray(counter, dtype=np.uint64)
+    # The rounds only read c1..c3, so one zero array serves all three.
+    c1 = c2 = c3 = np.zeros(np.broadcast_shapes(k0.shape, counter.shape), dtype=np.uint64)
+    c0 = counter + c1
     with np.errstate(over="ignore"):
         for round_index in range(_PHILOX_ROUNDS):
             if round_index:
@@ -125,24 +134,58 @@ def philox_block(seeds: np.ndarray, stream: int) -> np.ndarray:
 class BlockStream:
     """The draws of ``party_stream(seed, stream)`` for an array of seeds.
 
-    Holds each seed's first Philox block and hands out its four words the
-    way ``Generator`` consumes them.  :meth:`draw_bit` is :func:`draw_bit`
-    (``integers(0, 2)``): the top bit of the next 32-bit value, where a fresh
-    word gives its low half first and buffers its high half for the next
-    32-bit draw.  :meth:`random` is ``Generator.random()``: the next whole
-    word as ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.
-    Asking for a fifth word raises IndexError, since only one block is held.
+    Holds the first ``words`` 64-bit words of each seed's stream, rounded up
+    to whole Philox blocks and computed in one :func:`philox_block` call,
+    and hands them out the way ``Generator`` consumes them.  A 32-bit value
+    comes from the buffered high half of the last word split, if there is
+    one, and otherwise from the low half of a fresh word, whose high half is
+    then buffered.  :meth:`draw_bit` is :func:`draw_bit` (``integers(0, 2)``),
+    the top bit of a 32-bit value.  :meth:`bounded` is ``integers(0, high + 1)``
+    and the draws of ``Generator.choice``: Lemire's multiply-shift on one
+    32-bit value each.  :meth:`random` is ``Generator.random()``: the next
+    whole word as ``(word >> 11) * 2**-53``, leaving the 32-bit buffer
+    alone.  Asking for more words than it holds raises IndexError.
     """
 
-    def __init__(self, seeds: np.ndarray, stream: int):
-        self._words = philox_block(seeds, stream)
+    def __init__(self, seeds: np.ndarray, stream: int, words: int = 4):
+        blocks = -(-words // 4)
+        if blocks <= 1:
+            # The single-transfer flows' case, kept on one-dimensional arrays.
+            self._words = philox_block(seeds, stream)
+        else:
+            out = philox_block(seeds, stream, np.arange(1, blocks + 1, dtype=np.uint64)[:, None])
+            self._words = out.swapaxes(0, 1).reshape(4 * blocks, out.shape[-1])
         self._used = 0
-        self._buffered: np.ndarray | None = None
+        self._buffered: np.ndarray | None = None  # the word whose high half is next
+
+    def _take(self, count: int) -> np.ndarray:
+        if self._used + count > len(self._words):
+            raise IndexError(f"stream holds {len(self._words)} words, asked for word {self._used + count}")
+        words = self._words[self._used : self._used + count]
+        self._used += count
+        return words
 
     def _next_word(self) -> np.ndarray:
         word = self._words[self._used]
         self._used += 1
         return word
+
+    def _halves(self, count: int) -> np.ndarray:
+        """The next ``count`` 32-bit values, shape ``(count, len(seeds))``."""
+        parts = []
+        if count and self._buffered is not None:
+            parts.append(self._buffered[None] >> _SHIFT32)
+            count -= 1
+            self._buffered = None
+        words = self._take((count + 1) // 2)
+        if count % 2:
+            self._buffered = words[-1]
+        split = np.stack((words & _LOW32, words >> _SHIFT32), axis=1).reshape(2 * len(words), words.shape[-1])
+        parts.append(split[:count])
+        return np.concatenate(parts) if len(parts) > 1 else parts[0]
+
+    def draw_bits(self, count: int) -> np.ndarray:
+        return (self._halves(count) >> np.uint64(31)).astype(np.intp)
 
     def draw_bit(self) -> np.ndarray:
         if self._buffered is not None:
@@ -151,6 +194,27 @@ class BlockStream:
             word = self._next_word()
             bits, self._buffered = (word >> np.uint64(31)) & np.uint64(1), word
         return bits.astype(np.intp)
+
+    def bounded(self, highs) -> tuple[np.ndarray, np.ndarray]:
+        """One draw in ``[0, high]`` per entry of ``highs`` (each at least 1),
+        in order: ``(values, rejected)``, values shaped ``(len(highs), len(seeds))``.
+
+        Lemire's method takes ``(u * (high + 1)) >> 32`` of a 32-bit value
+        ``u`` and draws again while the low 32 bits of that product fall
+        below ``(2**32 - 1 - high) mod (high + 1)``.  ``rejected`` marks the
+        seeds where a draw fell below it; their values and every later draw
+        are not the generator's, so those seeds must be replayed through
+        ``party_stream``.  A draw is rejected with probability below
+        ``high / 2**32``.
+        """
+        span = np.asarray(highs, dtype=np.uint64)[:, None] + np.uint64(1)
+        product = self._halves(len(span)) * span
+        threshold = (_LOW32 - (span - np.uint64(1))) % span
+        rejected = ((product & _LOW32) < threshold).any(axis=0)
+        return (product >> _SHIFT32).astype(np.intp), rejected
+
+    def randoms(self, count: int) -> np.ndarray:
+        return (self._take(count) >> np.uint64(11)) * 2.0**-53
 
     def random(self) -> np.ndarray:
         return (self._next_word() >> np.uint64(11)) * 2.0**-53

@@ -22,7 +22,7 @@ from rotlab.adversary import (
     coin_forcing_probs,
     optimize_alice_qutrit,
 )
-from rotlab.protocols import SequenceConfig, run_sequence
+from rotlab.protocols import SequenceConfig, play_sequence, play_sequence_block
 from rotlab.security import advantage, balance, check_kitaev_product, kitaev_min_advantage
 
 from conftest import closed_form_objective, random_triple
@@ -151,9 +151,11 @@ def test_criterion_7_completeness(protocol, seed, capsys):
 
 def test_criterion_7_honest_sequence_never_aborts(capsys):
     cfg = SequenceConfig(100)
-    for repetition in range(1000):
-        _, outcomes = run_sequence(cfg, repetition)
-        assert not any(outcome.aborted for outcome in outcomes)
+    block = play_sequence_block(cfg, np.arange(1000, dtype=np.uint64))
+    aborted = block.failed >= 0
+    for seed in np.flatnonzero(block.rejected):
+        aborted[seed] = play_sequence(cfg, int(seed))[2] is not None
+    assert not aborted.any()
     with capsys.disabled():
         report("criterion 7: zero aborts across 1000 honest batched runs at n_states=100")
 

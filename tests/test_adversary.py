@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from rotlab import adversary
 from rotlab.adversary import (
     AmplitudeTriple,
     CheatStrategy,
@@ -12,6 +13,7 @@ from rotlab.adversary import (
     alice_sequence_cheat_prob,
     bob_qutrit_cheat_prob,
     bob_sequence_cheat_prob,
+    cheat_block,
     coin_forcing_probs,
     execute_cheat,
     optimize_alice_qutrit,
@@ -180,6 +182,12 @@ def test_strategy_equality_and_defaults():
         "alice", "qutrit", {"triple": balanced}
     )
     assert CheatStrategy("bob", "qutrit") != CheatStrategy("bob", "coinflip")
+
+
+def test_every_strategy_has_a_block_form():
+    for (party, protocol), (_, runner, block) in adversary._STRATEGIES.items():
+        assert runner is not None and block is not None, (party, protocol)
+        assert callable(cheat_block(CheatStrategy(party, protocol)))
 
 
 def test_execute_cheat_is_deterministic_per_seed():

@@ -4,16 +4,25 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rotlab import montecarlo, protocols, rng
+from rotlab import adversary, montecarlo, protocols, rng
 from rotlab.adversary import CheatStrategy, UnsupportedStrategyError, cheat_block, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.montecarlo import (
+    DETECTION_VARIANTS,
     TrialReport,
     estimate_cheat,
     estimate_completeness,
     sequence_detection_experiment,
 )
-from rotlab.protocols import ROT_BLOCK_EXECUTORS, ROT_EXECUTORS, SequenceConfig, run_sequence
+from rotlab.protocols import (
+    ROT_BLOCK_EXECUTORS,
+    ROT_EXECUTORS,
+    SequenceConfig,
+    play_sequence,
+    play_sequence_block,
+    run_sequence,
+    sequence_setup_block,
+)
 from rotlab.rng import splitmix64, trial_seed, trial_seeds
 
 from conftest import random_triple
@@ -183,6 +192,7 @@ def _block_strategies():
         for triple in triples:
             yield CheatStrategy("alice", protocol, None if triple is None else {"triple": triple})
         yield CheatStrategy("bob", protocol)
+    yield CheatStrategy("alice", "sequence")
 
 
 def test_block_outcomes_match_scalar_runs_trial_by_trial():
@@ -213,21 +223,164 @@ def test_block_runs_straddling_chunks_match_scalar_counts(monkeypatch):
         assert estimate_cheat(strategy, 900, 3, trial_offset=500).successes == expected, strategy
 
 
+def _sequence_block_flows(cfg):
+    # The sequence block flows over a block of seeds, by name.
+    flows = {"play": lambda seeds: play_sequence_block(cfg, seeds)}
+    for variant in DETECTION_VARIANTS:
+        flows[variant] = lambda seeds, variant=variant: montecarlo._detection_block(cfg, seeds, variant)
+    return flows
+
+
 def test_block_flows_key_each_stream_once(monkeypatch):
-    # With at most four words drawn per stream (BlockStream holds one block),
-    # each covered flow computes at most one Philox block per party stream.
+    # Each block flow computes every Philox word it draws from a party
+    # stream in a single philox_block call.
     keyed = Counter()
     philox_block = rng.philox_block
 
-    def counting(seeds, stream):
+    def counting(seeds, stream, *counter):
         keyed[stream] += 1
-        return philox_block(seeds, stream)
+        return philox_block(seeds, stream, *counter)
 
     monkeypatch.setattr(rng, "philox_block", counting)
     seeds = trial_seeds(0, 0, 16)
     flows = list(ROT_BLOCK_EXECUTORS.values()) + [cheat_block(s) for s in _block_strategies()]
+    flows += list(_sequence_block_flows(SequenceConfig(16)).values())
     for flow in flows:
         keyed.clear()
         flow(seeds)
         assert keyed and max(keyed.values()) == 1, flow
-    assert cheat_block(CheatStrategy("alice", "sequence")) is None
+
+
+def _refuse(*args):
+    raise AssertionError("a seed was replayed through the scalar flow")
+
+
+# Seeds per master seed: the scalar n = 10001 run takes about half a second.
+SEQUENCE_LANES = {4: 48, 9: 48, 16: 48, 100: 8, 10001: 1}
+
+
+@pytest.mark.parametrize("n_states", sorted(SEQUENCE_LANES))
+def test_sequence_blocks_match_scalar_runs_trial_by_trial(monkeypatch, n_states):
+    cfg = SequenceConfig(n_states)
+    cheat = CheatStrategy("alice", "sequence", {"n_states": n_states})
+    flows = _sequence_block_flows(cfg)
+    for master in MASTERS:
+        seeds = trial_seeds(master, 1_000_003, SEQUENCE_LANES[n_states])
+        runs = [play_sequence(cfg, seed) for seed in seeds.tolist()]
+        expected = {
+            variant: [montecarlo._run_detection_trial(cfg, seed, variant) for seed in seeds.tolist()]
+            for variant in DETECTION_VARIANTS
+        }
+        expected["cheat"] = [execute_cheat(cheat, seed) for seed in seeds.tolist()]
+        with monkeypatch.context() as patch:
+            # Nothing is replayed, so each outcome below is the block form's own.
+            patch.setattr(montecarlo, "_run_detection_trial", _refuse)
+            patch.setattr(adversary, "sequence_setup", _refuse)
+            setup = sequence_setup_block(cfg, seeds)
+            block = flows["play"](seeds)
+            got = {variant: flows[variant](seeds).tolist() for variant in DETECTION_VARIANTS}
+            got["cheat"] = cheat_block(cheat)(seeds).tolist()
+        assert not setup.rejected.any() and not block.rejected.any()
+        assert got == expected, (n_states, master)
+        for lane, (pairs, tested, failed, _, outcomes) in enumerate(runs):
+            assert setup.pairs[:, lane].tolist() == [2 * x0 + x1 for x0, x1 in pairs]
+            assert setup.tested[:, lane].tolist() == tested
+            assert block.failed[lane] == (-1 if failed is None else failed)
+            if failed is None:
+                assert block.outcomes.assert_bit[:, lane].tolist() == [o.assert_bit for o in outcomes]
+                assert block.outcomes.bob_bit[:, lane].tolist() == [o.bob_bit for o in outcomes]
+                received = block.outcomes.assert_bit[:, lane] == 0
+                assert block.outcomes.g_hat[received, lane].tolist() == [
+                    o.g_hat for o in outcomes if o.assert_bit == 0
+                ]
+
+
+def _lemire_threshold(high: int) -> int:
+    return (2**32 - 1 - high) % (high + 1)
+
+
+# n_states = 100, so test_size = 10.  Each forced draw takes a 32-bit value
+# of 0, which Lemire rejects whenever its range has a positive threshold:
+# Alice's first Floyd draw (range [0, 90], her word 0, low half), her first
+# shuffle draw (range [0, 9], her 10th 32-bit value: word 5, low half), and
+# Bob's integers draws after his 100 pair words (word 100: the low half for
+# the corrupted slot, range [0, 99], or the lied-about position, range
+# [0, 9]; the high half for the lie, range [0, 2]).
+FORCED = {
+    "floyd": (rng.ALICE, 0, "low", 90, ("play", "cheat") + DETECTION_VARIANTS),
+    "shuffle": (rng.ALICE, 5, "low", 9, ("play", "cheat") + DETECTION_VARIANTS),
+    "orthogonal-slot": (rng.BOB, 100, "low", 99, ("send-orthogonal",)),
+    "lie-position": (rng.BOB, 100, "low", 9, ("announce-wrong-state",)),
+    "lie-state": (rng.BOB, 100, "high", 2, ("announce-wrong-state",)),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(FORCED))
+def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
+    stream, word, half, high, flows = FORCED[draw]
+    assert _lemire_threshold(high) > 0
+    cfg = SequenceConfig(100)
+    master, target = 2027, 3
+    target_seed = trial_seed(master, target)
+    philox_block = rng.philox_block
+
+    def forced(seeds, party, counter=1):
+        # BlockStream asks for its blocks at counters 1, 2, ... in one call.
+        out = philox_block(seeds, party, counter)
+        if party == stream:
+            keep = np.uint64(0xFFFFFFFF << 32 if half == "low" else 0xFFFFFFFF)
+            out[word % 4, word // 4, np.asarray(seeds) == np.uint64(target_seed)] &= keep
+        return out
+
+    replayed = []
+
+    def spy(scalar):
+        def replay(cfg, seed, *args):
+            replayed.append(seed)
+            return scalar(cfg, seed, *args)
+
+        return replay
+
+    strategy = CheatStrategy("alice", "sequence", {"n_states": 100})
+    for flow in flows:
+        runs = 1000 // 90 + 1 if flow == "play" else 40
+        assert runs > target
+        if flow == "play":
+            outcomes = [o for index in range(runs) for o in play_sequence(cfg, trial_seed(master, index))[4]]
+            expected = sum(o.assert_bit == 0 for o in outcomes[:1000])
+        elif flow == "cheat":
+            expected = sum(execute_cheat(strategy, trial_seed(master, index)) for index in range(runs))
+        else:
+            expected = sum(
+                montecarlo._run_detection_trial(cfg, trial_seed(master, index), flow) for index in range(runs)
+            )
+        replayed.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "philox_block", forced)
+            if flow == "play":
+                patch.setattr(montecarlo, "play_sequence", spy(play_sequence))
+                report, conditional = estimate_completeness("sequence", 1000, master, n_states=100)
+                assert conditional
+            elif flow == "cheat":
+                # The runner's replay starts from adversary.sequence_setup.
+                patch.setattr(adversary, "sequence_setup", spy(protocols.sequence_setup))
+                report = estimate_cheat(strategy, runs, master)
+            else:
+                patch.setattr(montecarlo, "_run_detection_trial", spy(montecarlo._run_detection_trial))
+                report = sequence_detection_experiment(100, flow, runs, master)
+        assert replayed == [target_seed], (draw, flow)
+        assert report.successes == expected, (draw, flow)
+
+
+def test_sequence_runs_straddling_chunks_match_unchunked(monkeypatch):
+    # 1001 trials at n_states = 16 take 84 runs of 12 decoded slots, the
+    # last cut off after 5.
+    whole = estimate_completeness("sequence", 1001, 6, n_states=16)
+    detections = {
+        variant: sequence_detection_experiment(16, variant, 80, 6) for variant in DETECTION_VARIANTS
+    }
+    for block_trials in (1, 3 * 16, 10 * 16 + 7):
+        monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block_trials)
+        assert estimate_completeness("sequence", 1001, 6, n_states=16) == whole
+        for variant, report in detections.items():
+            assert sequence_detection_experiment(16, variant, 80, 6) == report, (block_trials, variant)

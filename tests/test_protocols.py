@@ -21,9 +21,12 @@ from rotlab.protocols import (
     sequence_decode,
     sequence_expected_outcome,
     sequence_setup,
+    sequence_setup_block,
     sequence_spot_check,
+    sequence_spot_check_block,
     sequence_test_basis,
 )
+from rotlab.rng import trial_seeds
 
 DATA = Path(__file__).parent / "data"
 
@@ -233,6 +236,27 @@ def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
             sent = list(pairs)
             sent[slot] = (1 - pairs[slot][0], 1 - pairs[slot][1])
             assert sequence_spot_check(alice, tested, sent, pairs) == slot
+
+
+def test_sequence_spot_check_block_stops_where_the_scalar_check_does():
+    # Random announcements fail at varied test-set positions, often more
+    # than once per run; the block form reports the first failing slot.
+    cfg = SequenceConfig(16)
+    seeds = trial_seeds(17, 0, 300)
+    announced = np.random.default_rng(5).integers(0, 4, size=(cfg.n_states, seeds.size))
+    announced[:, ::3] = -1  # every third run announces honestly
+    setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size)
+    announced = np.where(announced < 0, setup.pairs, announced)
+    failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, announced)
+    positions = set()
+    for lane, seed in enumerate(seeds.tolist()):
+        alice, _, pairs, tested = sequence_setup(cfg, seed)
+        claims = [divmod(int(index), 2) for index in announced[:, lane]]
+        slot = sequence_spot_check(alice, tested, pairs, claims)
+        assert failed[lane] == (-1 if slot is None else slot), lane
+        if slot is not None:
+            positions.add(tested.index(slot))
+    assert len(positions) >= 3 and -1 in failed
 
 
 def test_sequence_honest_runs_never_abort():

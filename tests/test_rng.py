@@ -50,6 +50,83 @@ def test_philox_block_matches_numpy(stream):
         assert block[:, index].tolist() == expected.tolist(), (int(key), stream)
 
 
+@pytest.mark.parametrize("stream", (0, 3))
+def test_philox_block_at_any_counter(stream):
+    # Counter c holds the generator's words 4(c - 1) .. 4c - 1.
+    keys = _keys(20)
+    blocks = 9
+    block = philox_block(keys, stream, np.arange(1, blocks + 1, dtype=np.uint64)[:, None])
+    assert block.shape == (4, blocks, keys.size)
+    for index, key in enumerate(keys):
+        expected = np.random.Philox(key=np.array([key, stream], dtype=np.uint64)).random_raw(4 * blocks)
+        assert block[:, :, index].T.ravel().tolist() == expected.tolist(), int(key)
+    for counter in (1 << 32, (1 << 63) + 7, MASK64):
+        block = philox_block(keys, stream, counter)
+        for index, key in enumerate(keys):
+            philox = np.random.Philox(key=np.array([key, stream], dtype=np.uint64), counter=counter - 1)
+            assert block[:, index].tolist() == philox.random_raw(4).tolist(), (int(key), counter)
+
+
+def test_block_stream_spans_blocks():
+    # Bits, uniforms and bounded draws interleaved over several Philox
+    # blocks, including runs that end on a buffered half word.
+    keys = _keys(60)
+    highs = [5, 99, 1, 12, 1000]
+    for stream in (0, 1):
+        block = BlockStream(keys, stream, words=23)
+        bits_a = block.draw_bits(7)
+        uniforms = block.randoms(5)
+        bounded, rejected = block.bounded(highs)
+        bits_b = block.draw_bits(4)
+        last = block.random()
+        assert not rejected.any()
+        for index, key in enumerate(keys):
+            gen = party_stream(int(key), stream)
+            assert bits_a[:, index].tolist() == [draw_bit(gen) for _ in range(7)]
+            assert uniforms[:, index].tolist() == [gen.random() for _ in range(5)]
+            assert bounded[:, index].tolist() == [int(gen.integers(0, high + 1)) for high in highs]
+            assert bits_b[:, index].tolist() == [draw_bit(gen) for _ in range(4)]
+            assert last[index] == gen.random()
+    block = BlockStream(keys, 0, words=6)  # rounded up to two whole blocks
+    block.randoms(8)
+    with pytest.raises(IndexError):
+        block.draw_bit()
+
+
+def test_bounded_flags_exactly_the_lemire_redraws():
+    # A range of 3 * 2**30 + 1 values rejects about a quarter of all 32-bit
+    # draws, so numpy's own generator shows which draws it took again: after
+    # a single 32-bit draw a fresh generator holds one buffered half word
+    # and has used one word of its block.
+    high = 3 << 30
+    keys = _keys(300)
+    values, rejected = BlockStream(keys, 0).bounded([high])
+    assert 20 < np.count_nonzero(rejected) < 150
+    for index, key in enumerate(keys):
+        gen = party_stream(int(key), 0)
+        value = int(gen.integers(0, high + 1))
+        state = gen.bit_generator.state
+        drew_once = state["has_uint32"] == 1 and state["buffer_pos"] == 1
+        assert bool(rejected[index]) == (not drew_once), int(key)
+        if drew_once:
+            assert values[0, index] == value
+
+
+def test_bounded_redraws_strictly_below_the_threshold(monkeypatch):
+    # Synthetic words whose low half u makes u * (high + 1) mod 2**32 equal
+    # the threshold (kept) or one less (redrawn).  Odd ranges make u unique.
+    for high in (2, 90, 3 << 30):
+        span = high + 1
+        threshold = (2**32 - 1 - high) % span
+        u = np.array([leftover * pow(span, -1, 2**32) % 2**32 for leftover in (threshold - 1, threshold)])
+        words = np.zeros((4, u.size), dtype=np.uint64)
+        words[0] = u
+        monkeypatch.setattr(rng, "philox_block", lambda seeds, stream, counter=1: words)
+        values, rejected = BlockStream(np.zeros(u.size, dtype=np.uint64), 0).bounded([high])
+        assert rejected.tolist() == [True, False], high
+        assert values[0].tolist() == [int(v) * span >> 32 for v in u]
+
+
 def test_block_stream_maps_words_as_generator():
     # Bits take the low half of a fresh word, then its buffered high half;
     # random() takes a whole word and leaves the buffer alone.
