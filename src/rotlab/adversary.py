@@ -1,10 +1,11 @@
 """Optimal-cheating evaluators and executable cheating strategies.
 
 The evaluators compute each dishonest party's best success probability
-analytically (trace-norm discrimination of the relevant state mixtures);
-``execute_cheat`` turns the same strategies into seeded single runs, and
-``cheat_block`` into block forms with the same outcomes, so the Monte-Carlo
-harness can cross-check every analytic value empirically.
+analytically (trace-norm discrimination of the relevant state mixtures).
+Each executable strategy is written once, as a block form over an array
+of trial seeds (``cheat_block``), so the Monte-Carlo harness can
+cross-check every analytic value empirically; ``execute_cheat`` runs it on
+one seed.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .linalg import (
     helstrom_projectors,
     invert_cumulative_block,
     kron,
-    measure_pure,
     partial_trace,
 )
 from .protocols import (
@@ -36,10 +36,9 @@ from .protocols import (
     OtPair,
     SequenceConfig,
     qutrit_entangled_state,
-    sequence_setup,
     sequence_setup_block,
 )
-from .rng import ALICE, BOB, BOB_AUX, BlockStream, draw_bit, party_stream
+from .rng import ALICE, BOB, BOB_AUX, BlockStream, seed_array
 from .security import CheatProfile
 
 GRID_POINTS = 200
@@ -299,8 +298,8 @@ class CheatStrategy:
     ``parameters`` is strategy-specific: the probe amplitudes for the
     qutrit and coin-flip Alice attacks, the batch size for the sequence
     attack.  Unknown parameter names are rejected.  The parameters are
-    fixed at construction, when the cache key that selects the compiled
-    runner is computed.
+    fixed at construction, when the cache key that selects the strategy's
+    block form, built once per key, is computed.
     """
 
     def __init__(self, party: str, protocol: str, parameters: dict | None = None):
@@ -361,22 +360,10 @@ def _alice_qutrit_tables(params: dict):
     return encoded, measurements
 
 
-def _alice_qutrit_runner(params: dict):
-    encoded, measurements = _alice_qutrit_tables(params)
-
-    def run(seed: int) -> bool:
-        alice = party_stream(seed, ALICE)
-        bob = party_stream(seed, BOB)
-        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
-        return guess == pair.y
-
-    return run
-
-
 def _alice_qutrit_block(params: dict):
-    # Born weights of Alice's measurement on the encoded probe, per Bob's
-    # (y, z_dummy, p), as _alice_qutrit_runner measures it.
+    # Alice measures Bob's encoding of her probe with the Helstrom
+    # measurement for the announced permutation value and guesses his data
+    # bit.  Born weights of that measurement, per Bob's (y, z_dummy, p).
     encoded, measurements = _alice_qutrit_tables(params)
     weights = np.empty((2, 2, 2, 2))
     for y, z_dummy, p in itertools.product((0, 1), repeat=3):
@@ -399,32 +386,16 @@ def _alice_sequence_measurements() -> dict[int, ProjectiveMeasurement]:
     return {bit: _equal_prior_measurement(*_sequence_mixtures(bit)) for bit in (0, 1)}
 
 
-def _alice_sequence_runner(params: dict):
-    cfg = SequenceConfig(params.get("n_states", 4))
-    measurements = _alice_sequence_measurements()
-
-    def run(seed: int) -> bool:
-        # Alice attacks the first untested slot.  Bob declares the slots in
-        # order, so only his first declaration is drawn.
-        alice, bob, pairs, tested = sequence_setup(cfg, seed)
-        slot = next(j for j in range(cfg.n_states) if j not in tested)
-        declared = draw_bit(bob)
-        guess, _ = measure_pure(SEQUENCE_STATES[pairs[slot]], measurements[declared], alice.random())
-        return guess == pairs[slot][declared]
-
-    return run
-
-
 def _alice_sequence_block(params: dict):
-    # Born weights of Alice's measurement, per (pair index, declared bit).
-    # Trials whose test-set draw hit a Lemire rejection are replayed
-    # through the runner.
+    # Alice stores the first untested slot's state and measures it with the
+    # Helstrom measurement for Bob's declared bit.  Bob declares the slots in
+    # order, so only his first declaration is drawn.  Born weights of that
+    # measurement, per (pair index, declared bit).
     cfg = SequenceConfig(params.get("n_states", 4))
     measurements = _alice_sequence_measurements()
     weights = np.array(
         [[born_weights(state, measurements[bit]) for bit in (0, 1)] for state in SEQUENCE_STATES.values()]
     )
-    runner = _alice_sequence_runner(params)
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
@@ -436,25 +407,16 @@ def _alice_sequence_block(params: dict):
         guess = invert_cumulative_block(weights[pair, declared], setup.alice.random())
         success = guess == ((pair >> (1 - declared)) & 1)
         for lane in np.flatnonzero(setup.rejected):
-            success[lane] = runner(int(seeds[lane]))
+            success[lane] = run(seeds[lane : lane + 1])[0]
         return success
 
     return run
 
 
-def _alice_coinflip_runner(params: dict):
+def _alice_coinflip_block(params: dict):
     # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
     # NULL (always accepted), on b = 0 she must pass Bob's check, which
     # succeeds exactly when her measurement recovers his data bit.
-    recovers_bit = _alice_qutrit_runner(params)
-
-    def run(seed: int) -> bool:
-        return draw_bit(party_stream(seed, BOB_AUX)) == 1 or recovers_bit(seed)
-
-    return run
-
-
-def _alice_coinflip_block(params: dict):
     recovers_bit = _alice_qutrit_block(params)
 
     def run(seeds: np.ndarray) -> np.ndarray:
@@ -471,25 +433,11 @@ def _helstrom_on_bob_side() -> ProjectiveMeasurement:
     )
 
 
-def _bob_qutrit_runner(params: dict):
+def _bob_qutrit_block(params: dict):
     # Bob guesses Alice's choice bit a from his half of her probe and aligns
     # the permutation with his guess.  Honest Alice asserts receipt exactly
     # when a == p, so he calls her assert bit, and in the coin flip he
     # announces b = 0 and lands HEADS, exactly when his guess is right.
-    lifted = _helstrom_on_bob_side()
-
-    def run(seed: int) -> bool:
-        alice = party_stream(seed, ALICE)
-        bob = party_stream(seed, BOB)
-        a = draw_bit(alice)
-        a_guess, _ = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
-        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), a_guess)
-        return a == pair.p
-
-    return run
-
-
-def _bob_qutrit_block(params: dict):
     lifted = _helstrom_on_bob_side()
     weights = np.array([born_weights(qutrit_entangled_state(a), lifted) for a in (0, 1)])
 
@@ -502,30 +450,22 @@ def _bob_qutrit_block(params: dict):
     return run
 
 
-# (party, protocol) -> (parameter names, runner factory, block factory).
-# A block form gives its runner's outcome trial by trial for an array of
-# trial seeds; every strategy has one.
+# (party, protocol) -> (parameter names, block factory).  A block form maps
+# a uint64 array of trial seeds to whether each trial's cheat succeeds.
 _STRATEGIES = {
-    ("alice", "qutrit"): ({"triple"}, _alice_qutrit_runner, _alice_qutrit_block),
-    ("bob", "qutrit"): (set(), _bob_qutrit_runner, _bob_qutrit_block),
-    ("alice", "sequence"): ({"n_states"}, _alice_sequence_runner, _alice_sequence_block),
-    ("alice", "coinflip"): ({"triple"}, _alice_coinflip_runner, _alice_coinflip_block),
-    ("bob", "coinflip"): (set(), _bob_qutrit_runner, _bob_qutrit_block),
+    ("alice", "qutrit"): ({"triple"}, _alice_qutrit_block),
+    ("bob", "qutrit"): (set(), _bob_qutrit_block),
+    ("alice", "sequence"): ({"n_states"}, _alice_sequence_block),
+    ("alice", "coinflip"): ({"triple"}, _alice_coinflip_block),
+    ("bob", "coinflip"): (set(), _bob_qutrit_block),
 }
 
 
-def _factories(strategy: CheatStrategy):
-    key = (strategy.party, strategy.protocol)
-    if key not in _STRATEGIES:
-        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
-    return _STRATEGIES[key][1:]
-
-
 @lru_cache(maxsize=128)
-def _compiled(factory, cache_key: tuple[str, str, str]):
-    # One runner or block form per factory and strategy parameters.
-    _, _, params_json = cache_key
-    return factory(json.loads(params_json))
+def _compiled(cache_key: tuple[str, str, str]):
+    # One block form per strategy and parameters.
+    party, protocol, params_json = cache_key
+    return _STRATEGIES[(party, protocol)][1](json.loads(params_json))
 
 
 def cheat_block(strategy: CheatStrategy):
@@ -535,8 +475,10 @@ def cheat_block(strategy: CheatStrategy):
     holding, trial by trial, what ``execute_cheat`` returns for each seed.
     Its outcome tables are built on first use.
     """
-    _, block = _factories(strategy)
-    return _compiled(block, strategy.cache_key())
+    key = (strategy.party, strategy.protocol)
+    if key not in _STRATEGIES:
+        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
+    return _compiled(strategy.cache_key())
 
 
 def execute_cheat(strategy: CheatStrategy, seed: int) -> bool:
@@ -545,7 +487,6 @@ def execute_cheat(strategy: CheatStrategy, seed: int) -> bool:
     Success follows each protocol's cheating definition: Alice-type
     strategies must recover Bob's relevant bit, Bob-type strategies must
     call honest Alice's assert bit, and coin-flip strategies must land
-    HEADS.
+    HEADS.  The run is the strategy's block form on one seed.
     """
-    runner, _ = _factories(strategy)
-    return bool(_compiled(runner, strategy.cache_key())(seed))
+    return bool(cheat_block(strategy)(seed_array(seed))[0])

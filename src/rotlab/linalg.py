@@ -3,11 +3,11 @@
 Everything a two-party quantum protocol simulation needs and nothing more:
 tensor products, partial traces, Hermitian spectra via LAPACK (numpy's
 ``eigvalsh`` / ``eigh``), trace norms, minimum-error (Helstrom)
-discrimination, and projective measurement sampling from measurements whose
-completeness and orthogonality are checked once, at construction, with a
-row-wise form of the sampling rule for blocks of trials.  All
-values are immutable after construction and all operations are pure
-functions, so they are safe to share between threads.
+discrimination, and projective measurement sampling of pure states from
+measurements whose completeness and orthogonality are checked once, at
+construction, with a row-wise form of the sampling rule for blocks of
+trials.  All values are immutable after construction and all operations
+are pure functions, so they are safe to share between threads.
 
 Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
 invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
@@ -384,43 +384,31 @@ def _checked_measurement(measurement, dim: int, rand: float) -> ProjectiveMeasur
 
 def _invert_cumulative(weights: list[float], rand: float) -> int:
     # Ascending index order, negative weights clamped at 0, and the last
-    # outcome when rounding leaves the total below rand.
+    # outcome of positive weight when rounding leaves the total below rand.
     cumulative = 0.0
+    last = len(weights) - 1
     for k, weight in enumerate(weights):
-        cumulative += max(weight, 0.0)
-        if rand < cumulative:
-            return k
-    return len(weights) - 1
+        if weight > 0.0:
+            cumulative += weight
+            last = k
+            if rand < cumulative:
+                return k
+    return last
 
 
 def invert_cumulative_block(weights: np.ndarray, rand: np.ndarray) -> np.ndarray:
     """Row-wise :func:`_invert_cumulative`: the outcome of ``weights[i]`` at
     ``rand[i]``, under the same rules (ascending order, negative weights
-    clamped at 0, the last outcome when rounding leaves the total below
-    ``rand``) and the same sequential sums."""
+    clamped at 0, the last outcome of positive weight when rounding leaves
+    the total below ``rand``) and the same sequential sums."""
     cumulative = np.cumsum(np.maximum(weights, 0.0), axis=-1)
     below = rand[:, None] < cumulative
-    return np.where(below.any(axis=-1), below.argmax(axis=-1), weights.shape[-1] - 1)
-
-
-def measure(
-    state: DensityMatrix, measurement: ProjectiveMeasurement | Sequence[ComplexMatrix], rand: float
-) -> int:
-    """Sample a projective measurement outcome.
-
-    ``measurement`` is a :class:`ProjectiveMeasurement`, validated when it
-    was built; a plain projector sequence is wrapped in one, so it gets the
-    same completeness and orthogonality checks on every call.  Each call
-    checks ``rand`` and the state's dimension.  Sampling inverts the
-    cumulative outcome distribution at ``rand`` (a uniform draw in [0, 1))
-    in ascending index order, so a fixed ``rand`` always yields the same
-    outcome.
-    """
-    measurement = _checked_measurement(measurement, state.dim, rand)
-    rho = state.matrix.data
-    return _invert_cumulative(
-        [float(np.einsum("ij,ji->", proj.data, rho).real) for proj in measurement], rand
-    )
+    outcome = below.argmax(axis=-1)
+    short = ~below.any(axis=-1)
+    if short.any():
+        # The first positive weight from the end; the last outcome if none is.
+        outcome[short] = weights.shape[-1] - 1 - (weights[short, ::-1] > 0.0).argmax(axis=-1)
+    return outcome
 
 
 def measure_pure(
@@ -428,8 +416,13 @@ def measure_pure(
 ) -> tuple[int, np.ndarray]:
     """Sample a projective measurement of a pure state.
 
-    Gives the outcome :func:`measure` gives on ``DensityMatrix.from_pure(state)``
-    with the same ``rand``, together with the post-measurement amplitudes
+    ``measurement`` is a :class:`ProjectiveMeasurement`, validated when it
+    was built; a plain projector sequence is wrapped in one, so it gets the
+    same completeness and orthogonality checks on every call.  Each call
+    checks ``rand`` and the state's dimension.  Sampling inverts the
+    cumulative outcome distribution at ``rand`` (a uniform draw in [0, 1))
+    in ascending index order, so a fixed ``rand`` always yields the same
+    outcome.  Returns the outcome and the post-measurement amplitudes
     ``P_k psi / ||P_k psi||``.  Each Born weight is ``||P_k psi||^2``, taken
     from the projected vector the post-measurement state needs anyway.
     """

@@ -6,11 +6,11 @@ Trials are fanned out through per-trial seeds derived from the master seed,
 so any block split reproduces the concatenated run exactly and reports are
 deterministic end to end.
 
-Every estimator runs on the block engine: a block of trial seeds at a time,
-each trial with exactly the outcome of its scalar run.  A sequence trial
-whose ``choice`` or ``integers`` draw hit a Lemire rejection (probability
-below n_states / 2**32 per draw) is flagged by the block form and replayed
-through the scalar flow.
+Every estimator evaluates a block of trial seeds at a time, on the same
+block forms that the single runs call on one seed.  A sequence trial whose
+``choice`` or ``integers`` draw hit a Lemire rejection (probability below
+n_states / 2**32 per draw) is flagged by the block form and run again on
+its seed alone, where the draw is taken again as numpy does.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ import numpy as np
 from .adversary import CheatStrategy, cheat_block
 from .linalg import ValidationError
 from .protocols import (
-    SEQUENCE_STATES,
-    ROT_BLOCK_EXECUTORS,
     ROT_EXECUTORS,
+    SequenceBlock,
     SequenceConfig,
-    play_sequence,
     play_sequence_block,
-    sequence_setup,
     sequence_setup_block,
-    sequence_spot_check,
     sequence_spot_check_block,
 )
 from .rng import trial_seeds
@@ -92,25 +88,28 @@ def _runs_per_block(cfg: SequenceConfig) -> int:
     return max(1, BLOCK_TRIALS // cfg.n_states)
 
 
-def _sequence_outcomes(cfg: SequenceConfig, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The outcomes of the runs at ``seeds``, run after run: whether each
-    # asserted receipt, and whether it is correct (not an abort sentinel,
-    # and a receipt of Bob's actual bit).  A failed run yields one outcome,
-    # its abort sentinel.
-    per_run = cfg.n_states - cfg.test_size
-    block = play_sequence_block(cfg, seeds)
+def _sequence_masks(block: SequenceBlock) -> tuple[np.ndarray, ...]:
+    # Per untested slot and run: whether the outcome asserted a receipt,
+    # whether it is correct (not an abort sentinel, and a receipt of Bob's
+    # actual bit), and whether the run has it.  A failed run has one
+    # outcome, its abort sentinel.
     out = block.outcomes
     passed = block.failed < 0
     asserted = passed & (out.assert_bit == 0)
     correct = passed & ((out.assert_bit == 1) | (out.g_hat == out.bob_bit))
-    kept = passed | (np.arange(per_run)[:, None] == 0)
+    kept = passed | (np.arange(len(out.assert_bit))[:, None] == 0)
+    return asserted, correct, kept
+
+
+def _sequence_outcomes(cfg: SequenceConfig, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The outcomes of the runs at ``seeds``, run after run: whether each
+    # asserted receipt, and whether it is correct.
+    block = play_sequence_block(cfg, seeds)
+    asserted, correct, kept = _sequence_masks(block)
     for lane in np.flatnonzero(block.rejected):
-        *_, outcomes = play_sequence(cfg, int(seeds[lane]))
-        kept[:, lane] = np.arange(per_run) < len(outcomes)
-        asserted[: len(outcomes), lane] = [o.assert_bit == 0 for o in outcomes]
-        correct[: len(outcomes), lane] = [
-            not o.aborted and (o.assert_bit == 1 or o.g_hat == o.bob_bit) for o in outcomes
-        ]
+        alone = _sequence_masks(play_sequence_block(cfg, seeds[lane : lane + 1]))
+        for mask, column in zip((asserted, correct, kept), alone):
+            mask[:, lane] = column[:, 0]
     return asserted.T[kept.T], correct.T[kept.T]
 
 
@@ -124,7 +123,7 @@ def estimate_completeness(
     ``n_states`` sets the batch size per run.  The single-transfer
     protocols are evaluated a block of trials at a time, the sequence
     protocol a block of whole runs at a time, with the outcomes of their
-    scalar runs; the last run is cut off after the requested trial count.
+    single runs; the last run is cut off after the requested trial count.
     """
     if protocol not in ROT_EXECUTORS:
         raise ValidationError(f"unknown protocol id {protocol!r}")
@@ -133,9 +132,10 @@ def estimate_completeness(
 
     asserts = 0
     conditional_ok = True
-    if protocol in ROT_BLOCK_EXECUTORS:
+    _, block = ROT_EXECUTORS[protocol]
+    if block is not None:
         for seeds in _seed_blocks(seed, 0, trials, BLOCK_TRIALS):
-            outcome = ROT_BLOCK_EXECUTORS[protocol](seeds)
+            outcome = block(seeds)
             asserted = outcome.assert_bit == 0
             asserts += int(np.count_nonzero(asserted))
             conditional_ok &= bool(np.all(outcome.g_hat[asserted] == outcome.bob_bit[asserted]))
@@ -168,8 +168,8 @@ def estimate_cheat(
 
     ``trial_offset`` shifts the per-trial seed indices, so disjoint blocks
     of one master seed add up to exactly the unsplit run.  Trials are
-    evaluated a block at a time, with the outcomes of
-    :func:`~rotlab.adversary.execute_cheat`.
+    evaluated a block at a time, each with the outcome
+    :func:`~rotlab.adversary.execute_cheat` gives for its seed.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
@@ -179,30 +179,15 @@ def estimate_cheat(
     return TrialReport.from_counts(trials, successes, target=target)
 
 
-def _run_detection_trial(cfg: SequenceConfig, seed: int, variant: str) -> bool:
-    # Bob's preparation plus Alice's spot checks; the abort statistic is
-    # decided entirely by the testing phase, so the untested decode is
-    # skipped here.
-    alice, bob, pairs, tested = sequence_setup(cfg, seed)
-    sent = announced = pairs
-    if variant == "send-orthogonal":
-        # Flipping both bits gives the orthogonal partner within the same
-        # basis; a tested corrupted state then fails the check with certainty.
-        corrupt = int(bob.integers(0, cfg.n_states))
-        sent = list(pairs)
-        sent[corrupt] = (1 - pairs[corrupt][0], 1 - pairs[corrupt][1])
-    elif variant == "announce-wrong-state":
-        slot = tested[int(bob.integers(0, cfg.test_size))]
-        alternatives = [bits for bits in SEQUENCE_STATES if bits != pairs[slot]]
-        announced = list(pairs)
-        announced[slot] = alternatives[int(bob.integers(0, len(alternatives)))]
-    return sequence_spot_check(alice, tested, sent, announced) is not None
-
-
 def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np.ndarray:
-    # _run_detection_trial for a block of seeds, on pair indices: flipping
-    # both bits is index ^ 3, and the a-th alternative to index p is
-    # a + (a >= p).  Bob's integers draws take the halves of his word n.
+    # Bob's preparation plus Alice's spot checks, on pair indices; the abort
+    # statistic is decided entirely by the testing phase, so the untested
+    # decode is skipped.  send-orthogonal flips both bits of a uniformly
+    # chosen slot, index ^ 3: the orthogonal partner within the same basis,
+    # which a test then catches with certainty.  announce-wrong-state
+    # announces, for a uniformly chosen tested slot, the a-th of the other
+    # three pairs, a + (a >= p) for the sent index p.  Bob's integers draws
+    # take the halves of his word n.
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size, bob_words=1)
     lanes = np.arange(seeds.size)
     sent = announced = setup.pairs
@@ -220,7 +205,7 @@ def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np
         rejected = rejected | bob_rejected
     aborted = sequence_spot_check_block(setup.alice, setup.tested, sent, announced) >= 0
     for lane in np.flatnonzero(rejected):
-        aborted[lane] = _run_detection_trial(cfg, int(seeds[lane]), variant)
+        aborted[lane] = _detection_block(cfg, seeds[lane : lane + 1], variant)[0]
     return aborted
 
 

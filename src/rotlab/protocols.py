@@ -16,21 +16,18 @@ The five flows:
   measurement, and Bob's permutation announcement.
 * ``run_sequence``       - Bob ships a batch of two-qubit states, Alice
   spot-checks a square-root-sized sample and decodes one bit per remaining
-  state; Bob declares per state which bit counts.  The flow itself is
-  ``play_sequence``, built from ``sequence_setup`` and
-  ``sequence_spot_check``, which the cheating and detection runs share;
-  it returns plain values and ``run_sequence`` renders the transcript.
+  state; Bob declares per state which bit counts.
 * ``run_coinflip_reduction`` - wraps any of the above into a coin flip with
   a consistency check on Alice's claimed output.
 
-``ROT_BLOCK_EXECUTORS`` holds array forms of the three single-transfer runs
-for the Monte-Carlo harness, and ``sequence_setup_block``,
-``sequence_spot_check_block`` and ``play_sequence_block`` are the array
-forms of the sequence flow.  They draw the same words from
-:class:`~rotlab.rng.BlockStream` and sample from the same Born weights, so
-each trial of a block has its scalar run's outcome, without a transcript.
-The sequence forms flag the trials whose test-set draw hit a Lemire
-rejection; those are replayed through the scalar flow.
+Each flow is written once, as a block form over an array of trial seeds:
+the three single-transfer forms in ``ROT_EXECUTORS``, and
+``sequence_setup_block``, ``sequence_spot_check_block`` and
+``play_sequence_block`` for the sequence flow, which the cheating and
+detection runs share.  They draw from :class:`~rotlab.rng.BlockStream` and
+sample each measurement from a table of its Born weights.  A run is its
+block form on one seed, with the transcript rendered from the bits it drew;
+the Monte-Carlo harness calls the block forms and builds no transcript.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from .linalg import (
     kron,
     measure_pure,
 )
-from .rng import ALICE, BOB, BOB_AUX, BlockStream, draw_bit, party_stream
+from .rng import ALICE, BOB, BOB_AUX, BlockStream, seed_array
 
 
 @dataclass(frozen=True)
@@ -330,167 +327,6 @@ def sequence_decode(m1: int, m2: int) -> tuple[int, int]:
     return SEQUENCE_DECODE[(m1, m2)]
 
 
-def sequence_setup(cfg: SequenceConfig, seed: int):
-    """The start every sequence flow shares: both party streams, Bob's
-    ``n_states`` bit pairs and Alice's sorted test set, as
-    ``(alice, bob, pairs, tested)``."""
-    alice = party_stream(seed, ALICE)
-    bob = party_stream(seed, BOB)
-    pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
-    tested = sorted(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
-    return alice, bob, pairs, tested
-
-
-def sequence_spot_check(alice, tested, sent, announced) -> int | None:
-    """Alice's consistency check of the tested slots, in order: the first
-    slot that fails, or None.  ``sent[slot]`` is the bit pair whose state
-    Bob sent, ``announced[slot]`` the pair he announces for it."""
-    for slot in tested:
-        x0, x1 = announced[slot]
-        basis = sequence_test_basis(x0, x1)
-        expected = sequence_expected_outcome(x0, x1)
-        m1, amps = measure_pure(SEQUENCE_STATES[sent[slot]], _QUBIT1[basis], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
-        if m1 != expected or m2 != expected:
-            return slot
-    return None
-
-
-# --------------------------------------------------------------------------
-# Honest runs
-# --------------------------------------------------------------------------
-
-
-def run_bad_classical(seed: int) -> tuple[Transcript, RotOutcome]:
-    """Fully classical strawman: Bob's coin decides whether he announces y."""
-    transcript = Transcript()
-    bob = party_stream(seed, BOB)
-    y = draw_bit(bob)
-    keep = draw_bit(bob)  # 0 -> announce y, 1 -> announce NULL
-    if keep == 0:
-        transcript.record("B", "announce", {"g": y})
-        outcome = RotOutcome.received(y, y)
-    else:
-        transcript.record("B", "announce", {"g": None})
-        outcome = RotOutcome.null(y)
-    return transcript, outcome
-
-
-def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
-    """Bob sends |y>; Alice's coin decides between measuring and discarding."""
-    transcript = Transcript()
-    bob = party_stream(seed, BOB)
-    alice = party_stream(seed, ALICE)
-    y = draw_bit(bob)
-    state = PureState.basis(2, y)
-    transcript.record("B", "qubit", _state_payload(state.amplitudes))
-    discard = draw_bit(alice)  # 0 -> measure, 1 -> accept NULL
-    if discard == 0:
-        outcome_bit, _ = measure_pure(state, _Z_PROJS, alice.random())
-        outcome = RotOutcome.received(outcome_bit, y)
-    else:
-        outcome = RotOutcome.null(y)
-    return transcript, outcome
-
-
-def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
-    """The two-qutrit exchange with a permuted phase-encoded bit pair."""
-    transcript = Transcript()
-    alice = party_stream(seed, ALICE)
-    bob = party_stream(seed, BOB)
-
-    a = draw_bit(alice)
-    psi = qutrit_entangled_state(a).amplitudes
-    transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
-
-    y = draw_bit(bob)
-    z_dummy = draw_bit(bob)
-    p = draw_bit(bob)
-    pair = OtPair.draw(y, z_dummy, p)
-    psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
-    transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
-
-    outcome_index, _ = measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
-    learned = qutrit_decode(a, outcome_index)
-
-    transcript.record("B", "permutation", {"p": p})
-    if a == p:
-        outcome = RotOutcome.received(learned, y)
-    else:
-        outcome = RotOutcome.null(y)
-    return transcript, outcome
-
-
-def play_sequence(cfg: SequenceConfig, seed: int):
-    """The honest sequence flow, without a transcript:
-    ``(pairs, tested, failed, declarations, outcomes)``.
-
-    ``failed`` is the first tested slot that failed the spot check, or None.
-    On a failure ``declarations`` is empty and ``outcomes`` holds a single
-    abort sentinel; otherwise both hold one entry per untested slot, in
-    order: Bob's ``(slot, bit_index)`` and Alice's output.
-    """
-    alice, bob, pairs, tested = sequence_setup(cfg, seed)
-    failed = sequence_spot_check(alice, tested, pairs, pairs)
-    if failed is not None:
-        return pairs, tested, failed, [], [RotOutcome.abort_sentinel()]
-
-    tested_set = set(tested)
-    declarations = []
-    outcomes = []
-    for slot in range(cfg.n_states):
-        if slot in tested_set:
-            continue
-        m1, amps = measure_pure(SEQUENCE_STATES[pairs[slot]], _QUBIT1["Z"], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2["X"], alice.random())
-        learned_index, learned_value = sequence_decode(m1, m2)
-        declared = draw_bit(bob)
-        declarations.append((slot, declared))
-        true_bit = pairs[slot][declared]
-        if learned_index == declared:
-            outcomes.append(RotOutcome.received(learned_value, true_bit))
-        else:
-            outcomes.append(RotOutcome.null(true_bit))
-    return pairs, tested, failed, declarations, outcomes
-
-
-def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOutcome]]:
-    """Batched transfer: spot-check a sample, decode one bit per survivor.
-
-    On an inconsistent spot check the run aborts and the outcome list holds
-    a single abort sentinel.
-    """
-    pairs, tested, failed, declarations, outcomes = play_sequence(cfg, seed)
-    transcript = Transcript()
-    for slot, bits in enumerate(pairs):
-        transcript.record(
-            "B", "state", _state_payload(SEQUENCE_STATES[bits].amplitudes, slot=slot)
-        )
-    transcript.record("A", "test_set", {"slots": tested})
-    for slot in tested:
-        transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
-        if slot == failed:
-            transcript.record("A", "abort", {"slot": slot})
-            return transcript, outcomes
-    for slot, declared in declarations:
-        transcript.record("B", "declare", {"slot": slot, "bit_index": declared})
-    return transcript, outcomes
-
-
-def _run_sequence_single(seed: int) -> tuple[Transcript, RotOutcome]:
-    # Coin-flip adapter: smallest valid batch, first surviving outcome.
-    transcript, outcomes = run_sequence(SequenceConfig(4), seed)
-    return transcript, outcomes[0]
-
-
-ROT_EXECUTORS = {
-    "bad_classical": run_bad_classical,
-    "bad_qubit": run_bad_qubit,
-    "qutrit": run_qutrit,
-    "sequence": _run_sequence_single,
-}
-
-
 # --------------------------------------------------------------------------
 # Block forms of the single-transfer runs
 # --------------------------------------------------------------------------
@@ -541,8 +377,10 @@ def _qutrit_tables() -> tuple[np.ndarray, np.ndarray]:
     return weights, decoded
 
 
-def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
-    weights, decoded = _qutrit_tables()
+def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
+    # Alice's choice bit a, Bob's (y, z_dummy, p) and Alice's measurement
+    # outcome, per seed.
+    weights, _ = _qutrit_tables()
     alice = BlockStream(seeds, ALICE)
     bob = BlockStream(seeds, BOB)
     a = alice.draw_bit()
@@ -550,16 +388,13 @@ def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
     z_dummy = bob.draw_bit()
     p = bob.draw_bit()
     outcome = invert_cumulative_block(weights[a, y, z_dummy, p], alice.random())
+    return a, y, z_dummy, p, outcome
+
+
+def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
+    a, y, _, p, outcome = _qutrit_draws(seeds)
+    _, decoded = _qutrit_tables()
     return RotOutcomeBlock(g_hat=decoded[a, outcome], assert_bit=(a != p).astype(np.intp), bob_bit=y)
-
-
-# The runs the Monte-Carlo harness evaluates a block of trial seeds at a
-# time; each gives, trial by trial, the outcome of its ROT_EXECUTORS entry.
-ROT_BLOCK_EXECUTORS = {
-    "bad_classical": _bad_classical_block,
-    "bad_qubit": _bad_qubit_block,
-    "qutrit": _qutrit_block,
-}
 
 
 # --------------------------------------------------------------------------
@@ -571,11 +406,12 @@ ROT_BLOCK_EXECUTORS = {
 
 
 class SequenceSetupBlock(NamedTuple):
-    """:func:`sequence_setup` over a block of seeds.  ``pairs`` holds Bob's
-    pair index per slot, shape ``(n_states, seeds)``; ``tested`` Alice's
-    sorted test set, shape ``(test_size, seeds)``.  ``rejected`` marks the
-    seeds whose ``choice`` hit a Lemire rejection: nothing drawn for them is
-    the scalar run's, so they must be replayed through :func:`sequence_setup`."""
+    """The start every sequence flow shares, over a block of seeds: both
+    party streams, ``pairs``, Bob's pair index per slot, shape
+    ``(n_states, seeds)``, and ``tested``, Alice's sorted test set, shape
+    ``(test_size, seeds)``.  ``rejected`` marks the seeds whose ``choice``
+    hit a Lemire rejection: nothing drawn for them is the generator's, so
+    the flow must be run again on each of them alone."""
 
     alice: BlockStream
     bob: BlockStream
@@ -585,12 +421,17 @@ class SequenceSetupBlock(NamedTuple):
 
 
 class SequenceBlock(NamedTuple):
-    """:func:`play_sequence` over a block of seeds.  ``failed`` is the first
-    failing tested slot, or -1; ``outcomes`` holds one row per untested slot,
-    in order, meaningful only where ``failed`` is -1; ``rejected`` marks the
-    seeds to replay through :func:`play_sequence`."""
+    """The honest sequence flow over a block of seeds.  ``pairs`` and
+    ``tested`` are as in :class:`SequenceSetupBlock`; ``failed`` is the
+    first failing tested slot, or -1; ``declared`` holds Bob's declared bit
+    index and ``outcomes`` Alice's output, one row per untested slot, in
+    order, meaningful only where ``failed`` is -1; ``rejected`` marks the
+    seeds to run again alone."""
 
+    pairs: np.ndarray
+    tested: np.ndarray
     failed: np.ndarray
+    declared: np.ndarray
     outcomes: RotOutcomeBlock
     rejected: np.ndarray
 
@@ -643,9 +484,10 @@ def _pair_bit(pairs: np.ndarray, index) -> np.ndarray:
 def sequence_setup_block(
     cfg: SequenceConfig, seeds: np.ndarray, alice_words: int = 0, bob_words: int = 0
 ) -> SequenceSetupBlock:
-    """:func:`sequence_setup` for an array of seeds; the streams also hold
-    the ``alice_words`` and ``bob_words`` 64-bit words each party draws
-    after it.
+    """Both party streams, Bob's ``n_states`` bit pairs and Alice's sorted
+    test set, for an array of seeds; the streams also hold the
+    ``alice_words`` and ``bob_words`` 64-bit words each party draws after
+    them.
 
     ``choice(n, k, replace=False)`` is Floyd's algorithm, one Lemire draw
     in ``[0, j]`` for each j from n - k to n - 1, a draw already picked
@@ -668,10 +510,11 @@ def sequence_setup_block(
 
 
 def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np.ndarray:
-    """:func:`sequence_spot_check` for a block: the first failing tested
-    slot per seed, or -1.  ``sent`` and ``announced`` are pair indices per
-    slot.  Every tested slot takes its two uniforms; the draws after the
-    first failure are never used, as the scalar check stops there."""
+    """Alice's consistency check of the tested slots, in order: the first
+    failing tested slot per seed, or -1.  ``sent`` holds the pair index per
+    slot whose state Bob sent, ``announced`` the one he announces for it.
+    Every tested slot takes its two uniforms; the outcomes after the first
+    failure are not used, as the check stops there."""
     sent = np.take_along_axis(sent, tested, axis=0)
     announced = np.take_along_axis(announced, tested, axis=0)
     rand = alice.randoms(2 * len(tested))
@@ -684,10 +527,11 @@ def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np
 
 
 def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock:
-    """:func:`play_sequence` for an array of seeds, with each seed's failed
-    slot and, where it passed, its outcomes.  Alice draws two uniforms per
-    tested slot and then two per untested slot; Bob declares after his
-    pairs, one bit per untested slot."""
+    """The honest sequence flow for an array of seeds: each seed's pairs,
+    test set and failed slot and, where it passed, Bob's declarations and
+    Alice's outcomes.  Alice draws two uniforms per tested slot and then two
+    per untested slot; Bob declares after his pairs, one bit per untested
+    slot."""
     n, k = cfg.n_states, cfg.test_size
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
     failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs)
@@ -705,7 +549,96 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
         assert_bit=(learned_index != declared).astype(np.intp),
         bob_bit=_pair_bit(sent, declared),
     )
-    return SequenceBlock(failed, outcomes, setup.rejected)
+    return SequenceBlock(setup.pairs, setup.tested, failed, declared, outcomes, setup.rejected)
+
+
+# --------------------------------------------------------------------------
+# Runs
+# --------------------------------------------------------------------------
+#
+# Each run is its block form on a one-element seed array; the transcript is
+# rendered from the bits that block form drew.
+
+
+def _outcome(block: RotOutcomeBlock, index) -> RotOutcome:
+    # The RotOutcome of one trial of a block.
+    bob_bit = int(block.bob_bit[index])
+    if block.assert_bit[index] == 0:
+        return RotOutcome.received(int(block.g_hat[index]), bob_bit)
+    return RotOutcome.null(bob_bit)
+
+
+def run_bad_classical(seed: int) -> tuple[Transcript, RotOutcome]:
+    """Fully classical strawman: Bob's coin decides whether he announces y."""
+    out = _bad_classical_block(seed_array(seed))
+    outcome = _outcome(out, 0)
+    transcript = Transcript()
+    transcript.record("B", "announce", {"g": outcome.g_hat})
+    return transcript, outcome
+
+
+def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
+    """Bob sends |y>; Alice's coin decides between measuring and discarding."""
+    out = _bad_qubit_block(seed_array(seed))
+    transcript = Transcript()
+    transcript.record("B", "qubit", _state_payload(PureState.basis(2, int(out.bob_bit[0])).amplitudes))
+    return transcript, _outcome(out, 0)
+
+
+def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
+    """The two-qutrit exchange with a permuted phase-encoded bit pair."""
+    a, y, z_dummy, p, outcome = (int(draw[0]) for draw in _qutrit_draws(seed_array(seed)))
+    transcript = Transcript()
+    psi = qutrit_entangled_state(a).amplitudes
+    transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
+    pair = OtPair.draw(y, z_dummy, p)
+    psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
+    transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
+    transcript.record("B", "permutation", {"p": p})
+    if a == p:
+        return transcript, RotOutcome.received(qutrit_decode(a, outcome), y)
+    return transcript, RotOutcome.null(y)
+
+
+def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOutcome]]:
+    """Batched transfer: spot-check a sample, decode one bit per survivor.
+
+    On an inconsistent spot check the run aborts and the outcome list holds
+    a single abort sentinel.
+    """
+    block = play_sequence_block(cfg, seed_array(seed))
+    pairs = [divmod(index, 2) for index in block.pairs[:, 0].tolist()]
+    tested = block.tested[:, 0].tolist()
+    transcript = Transcript()
+    for slot, bits in enumerate(pairs):
+        transcript.record("B", "state", _state_payload(SEQUENCE_STATES[bits].amplitudes, slot=slot))
+    transcript.record("A", "test_set", {"slots": tested})
+    for slot in tested:
+        transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
+        if slot == block.failed[0]:
+            transcript.record("A", "abort", {"slot": slot})
+            return transcript, [RotOutcome.abort_sentinel()]
+    untested = sorted(set(range(cfg.n_states)) - set(tested))
+    for slot, declared in zip(untested, block.declared[:, 0].tolist()):
+        transcript.record("B", "declare", {"slot": slot, "bit_index": declared})
+    return transcript, [_outcome(block.outcomes, (row, 0)) for row in range(len(untested))]
+
+
+def _run_sequence_single(seed: int) -> tuple[Transcript, RotOutcome]:
+    # Coin-flip adapter: smallest valid batch, first surviving outcome.
+    transcript, outcomes = run_sequence(SequenceConfig(4), seed)
+    return transcript, outcomes[0]
+
+
+# Each transfer protocol's single run, for the coin flip, and the block form
+# of its outcomes, for the Monte-Carlo harness.  The sequence protocol's
+# block form is play_sequence_block, which also takes the batch size.
+ROT_EXECUTORS = {
+    "bad_classical": (run_bad_classical, _bad_classical_block),
+    "bad_qubit": (run_bad_qubit, _bad_qubit_block),
+    "qutrit": (run_qutrit, _qutrit_block),
+    "sequence": (_run_sequence_single, None),
+}
 
 
 def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome]:
@@ -716,16 +649,15 @@ def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome
     with no bit at all; anything else aborts.
     """
     try:
-        executor = ROT_EXECUTORS[rot]
+        run, _ = ROT_EXECUTORS[rot]
     except KeyError:
         raise ValidationError(f"unknown protocol id {rot!r}") from None
     transcript = Transcript()
-    sub_transcript, outcome = executor(seed)
+    sub_transcript, outcome = run(seed)
     transcript.extend_from(sub_transcript)
 
     a = outcome.assert_bit
-    bob_aux = party_stream(seed, BOB_AUX)
-    b = draw_bit(bob_aux)
+    b = int(BlockStream(seed_array(seed), BOB_AUX).draw_bit()[0])
     transcript.record("B", "coin_bit", {"b": b})
     transcript.record("A", "reveal", {"assert_bit": a, "g": outcome.g_hat})
 

@@ -7,21 +7,25 @@ the other side's draws.  Monte-Carlo harnesses derive one seed per trial by
 mixing the master seed and then the trial index, so trial blocks can be split
 across workers and recombined exactly.
 
-The block engine evaluates whole arrays of trials at once.  Because Philox
+The draw contract is numpy's: stream ``(seed, stream)`` gives the draws a
+numpy generator over ``Philox(key=[seed, stream])`` makes.  Because Philox
 is counter-based, a trial's draws are a pure function of (trial seed,
-stream, counter): :func:`philox_block` computes numpy's Philox4x64-10 output
-for an array of keys at any counter, and :class:`BlockStream` hands its
-words out the way ``numpy.random.Generator`` consumes them, so a block of
-trials sees exactly the draws of the scalar streams.  Bounded draws
-(``integers`` and ``choice``) use Lemire's multiply-shift, which draws
-again with probability below ``high / 2**32``; the block form flags those
-trials instead, for a replay through the scalar streams.
+stream, counter): :func:`philox_block` computes numpy's Philox4x64-10
+output for an array of keys at any counter, and :class:`BlockStream`
+hands its words out the way the numpy generator consumes them.  Every flow
+evaluates an array of seeds at once; a single run is the same flow on a
+one-element array.  Bounded draws (``integers`` and ``choice``) use
+Lemire's multiply-shift, which draws again with probability below
+``high / 2**32``.  A one-seed stream draws again exactly as numpy does; a
+stream over many seeds flags those seeds instead, for a replay of the flow
+on each of them alone.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
-from numpy.random.bit_generator import ISeedSequence
 
 _MASK64 = (1 << 64) - 1
 
@@ -36,34 +40,17 @@ _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_MUL = (np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157))
-_PHILOX_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
 
-class _PhiloxKey(ISeedSequence):
-    # Hands Philox the key [seed, stream] as its seed state.  Philox(key=...)
-    # would first gather OS entropy for a SeedSequence it then discards.
-
-    def __init__(self, seed: int, stream: int):
-        self._key = (seed & _MASK64, stream & _MASK64)
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        if n_words != 2 or np.dtype(dtype) != np.uint64:
-            raise ValueError(f"a Philox key is two uint64 words, not {n_words} x {np.dtype(dtype)}")
-        return np.array(self._key, dtype=np.uint64)
-
-
-def party_stream(seed: int, stream: int) -> np.random.Generator:
-    """Counter-based generator for one party's private randomness: the
-    stream of ``Generator(Philox(key=[seed, stream]))``."""
-    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream)))
-
-
-def draw_bit(gen: np.random.Generator) -> int:
-    return int(gen.integers(0, 2))
+def seed_array(seed: int) -> np.ndarray:
+    """A run's seed, reduced mod 2**64, as the one-element uint64 array the
+    flows take."""
+    return np.array([operator.index(seed) & _MASK64], dtype=np.uint64)
 
 
 def splitmix64(value: int) -> int:
@@ -106,6 +93,18 @@ def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), multiplier * x
 
 
+def _philox_one(key0: int, key1: int, counter: int) -> list[int]:
+    # One Philox4x64-10 block on Python integers, which beat numpy's per-call
+    # overhead when the key array holds a single seed.
+    c0, c1, c2, c3 = counter, 0, 0, 0
+    for round_index in range(_PHILOX_ROUNDS):
+        if round_index:
+            key0, key1 = (key0 + _PHILOX_WEYL[0]) & _MASK64, (key1 + _PHILOX_WEYL[1]) & _MASK64
+        p0, p1 = _PHILOX_MUL[0] * c0, _PHILOX_MUL[1] * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ key0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ key1, p0 & _MASK64
+    return [c0, c1, c2, c3]
+
+
 def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
     """Philox4x64-10 output block at counter ``[counter, 0, 0, 0]`` under the
     key ``[seed, stream]``, for every seed.
@@ -116,59 +115,75 @@ def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
     is ``(4,)`` followed by the broadcast shape.
     """
     k0 = np.asarray(seeds, dtype=np.uint64)
-    k1 = np.uint64(stream & _MASK64)
     counter = np.asarray(counter, dtype=np.uint64)
+    shape = (4,) + np.broadcast_shapes(k0.shape, counter.shape)
+    if k0.size == 1:
+        key = int(k0.reshape(-1)[0])
+        blocks = [_philox_one(key, stream & _MASK64, c) for c in counter.reshape(-1).tolist()]
+        return np.array(blocks, dtype=np.uint64).T.reshape(shape)
+    k1 = np.uint64(stream & _MASK64)
+    mul0, mul1 = np.uint64(_PHILOX_MUL[0]), np.uint64(_PHILOX_MUL[1])
+    weyl0, weyl1 = np.uint64(_PHILOX_WEYL[0]), np.uint64(_PHILOX_WEYL[1])
     # The rounds only read c1..c3, so one zero array serves all three.
-    c1 = c2 = c3 = np.zeros(np.broadcast_shapes(k0.shape, counter.shape), dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(shape[1:], dtype=np.uint64)
     c0 = counter + c1
     with np.errstate(over="ignore"):
         for round_index in range(_PHILOX_ROUNDS):
             if round_index:
-                k0, k1 = k0 + _PHILOX_WEYL[0], k1 + _PHILOX_WEYL[1]
-            hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c0)
-            hi1, lo1 = _mulhilo(_PHILOX_MUL[1], c2)
+                k0, k1 = k0 + weyl0, k1 + weyl1
+            hi0, lo0 = _mulhilo(mul0, c0)
+            hi1, lo1 = _mulhilo(mul1, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
     return np.stack((c0, c1, c2, c3))
 
 
 class BlockStream:
-    """The draws of ``party_stream(seed, stream)`` for an array of seeds.
+    """The draws of stream ``(seed, stream)`` for an array of seeds.
 
     Holds the first ``words`` 64-bit words of each seed's stream, rounded up
     to whole Philox blocks and computed in one :func:`philox_block` call,
-    and hands them out the way ``Generator`` consumes them.  A 32-bit value
-    comes from the buffered high half of the last word split, if there is
-    one, and otherwise from the low half of a fresh word, whose high half is
-    then buffered.  :meth:`draw_bit` is :func:`draw_bit` (``integers(0, 2)``),
-    the top bit of a 32-bit value.  :meth:`bounded` is ``integers(0, high + 1)``
-    and the draws of ``Generator.choice``: Lemire's multiply-shift on one
-    32-bit value each.  :meth:`random` is ``Generator.random()``: the next
-    whole word as ``(word >> 11) * 2**-53``, leaving the 32-bit buffer
-    alone.  Asking for more words than it holds raises IndexError.
+    and hands them out the way numpy's generator consumes them.  A 32-bit
+    value comes from the buffered high half of the last word split, if there
+    is one, and otherwise from the low half of a fresh word, whose high half
+    is then buffered.  :meth:`draw_bit` is ``integers(0, 2)``, the top bit
+    of a 32-bit value.  :meth:`bounded` is ``integers(0, high + 1)`` and the
+    draws of ``choice``: Lemire's multiply-shift on one 32-bit value each.
+    :meth:`random` is ``random()``: the next whole word as
+    ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.  Asking for
+    more words than it holds raises IndexError, unless a one-seed stream
+    has drawn again: it then extends itself by whole Philox blocks.
     """
 
     def __init__(self, seeds: np.ndarray, stream: int, words: int = 4):
-        blocks = -(-words // 4)
-        if blocks <= 1:
-            # The single-transfer flows' case, kept on one-dimensional arrays.
-            self._words = philox_block(seeds, stream)
-        else:
-            out = philox_block(seeds, stream, np.arange(1, blocks + 1, dtype=np.uint64)[:, None])
-            self._words = out.swapaxes(0, 1).reshape(4 * blocks, out.shape[-1])
+        self._seeds = seeds
+        self._stream = stream
+        self._words = self._blocks(0, -(-words // 4))
         self._used = 0
         self._buffered: np.ndarray | None = None  # the word whose high half is next
+        self._extends = False
+
+    def _blocks(self, first: int, count: int) -> np.ndarray:
+        # Philox blocks first .. first + count - 1 as words, shape (4 * count, len(seeds)).
+        if count <= 1:
+            # The single-transfer flows' case, kept on one-dimensional counters.
+            return philox_block(self._seeds, self._stream, first + 1)
+        counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)[:, None]
+        out = philox_block(self._seeds, self._stream, counters)
+        return out.swapaxes(0, 1).reshape(4 * count, out.shape[-1])
 
     def _take(self, count: int) -> np.ndarray:
-        if self._used + count > len(self._words):
-            raise IndexError(f"stream holds {len(self._words)} words, asked for word {self._used + count}")
+        held = len(self._words)
+        if self._used + count > held:
+            if not self._extends:
+                raise IndexError(f"stream holds {held} words, asked for word {self._used + count}")
+            extra = self._blocks(held // 4, -(-(self._used + count - held) // 4))
+            self._words = np.concatenate((self._words, extra))
         words = self._words[self._used : self._used + count]
         self._used += count
         return words
 
     def _next_word(self) -> np.ndarray:
-        word = self._words[self._used]
-        self._used += 1
-        return word
+        return self._take(1)[0]
 
     def _halves(self, count: int) -> np.ndarray:
         """The next ``count`` 32-bit values, shape ``(count, len(seeds))``."""
@@ -201,16 +216,28 @@ class BlockStream:
 
         Lemire's method takes ``(u * (high + 1)) >> 32`` of a 32-bit value
         ``u`` and draws again while the low 32 bits of that product fall
-        below ``(2**32 - 1 - high) mod (high + 1)``.  ``rejected`` marks the
-        seeds where a draw fell below it; their values and every later draw
-        are not the generator's, so those seeds must be replayed through
-        ``party_stream``.  A draw is rejected with probability below
-        ``high / 2**32``.
+        below ``(2**32 - 1 - high) mod (high + 1)``, which happens with
+        probability below ``high / 2**32``.  A one-seed stream draws again,
+        so its values and later draws are the generator's, and ``rejected``
+        is False.  Over many seeds, ``rejected`` marks the seeds where a
+        draw fell below the threshold; their values and every later draw are
+        not the generator's, so the flow must be run again on each of them
+        alone.
         """
         span = np.asarray(highs, dtype=np.uint64)[:, None] + np.uint64(1)
-        product = self._halves(len(span)) * span
         threshold = (_LOW32 - (span - np.uint64(1))) % span
+        start = self._used, self._buffered
+        product = self._halves(len(span)) * span
         rejected = ((product & _LOW32) < threshold).any(axis=0)
+        if rejected.size == 1 and rejected[0]:
+            # Draw again from the start, one 32-bit value at a time.
+            self._used, self._buffered = start
+            self._extends = True
+            for index in range(len(span)):
+                product[index] = self._halves(1)[0] * span[index]
+                while (product[index, 0] & _LOW32) < threshold[index, 0]:
+                    product[index] = self._halves(1)[0] * span[index]
+            rejected[0] = False
         return (product >> _SHIFT32).astype(np.intp), rejected
 
     def randoms(self, count: int) -> np.ndarray:

@@ -1,0 +1,357 @@
+"""Reference flows for the differential tests, one run at a time on numpy's
+``Generator``.
+
+The library writes every flow once, as a block form over an array of trial
+seeds, on its own Philox kernel (``rotlab.rng.BlockStream``).  Here the same
+flows draw from ``Generator(Philox(key=[seed, stream]))`` itself: a bit is
+``integers(0, 2)``, a uniform ``random()``, a test set ``choice``, and each
+measurement is sampled by ``measure_pure``.  The library's flows must give
+these outcomes and transcripts trial by trial.  Nothing here draws from
+``BlockStream`` or ``philox_block``.
+"""
+
+import json
+from functools import lru_cache
+
+import numpy as np
+from numpy.random.bit_generator import ISeedSequence
+
+from rotlab.adversary import _alice_qutrit_tables, _alice_sequence_measurements, _helstrom_on_bob_side
+from rotlab.linalg import DimensionError, ProjectiveMeasurement, PureState, ValidationError, measure_pure
+from rotlab.protocols import (
+    _QUBIT1,
+    _QUBIT2,
+    _Z_PROJS,
+    SEQUENCE_STATES,
+    OtPair,
+    RotOutcome,
+    SequenceConfig,
+    Transcript,
+    _qutrit_pair_unitary,
+    _state_payload,
+    qutrit_decode,
+    qutrit_entangled_state,
+    qutrit_measurement,
+    sequence_decode,
+    sequence_expected_outcome,
+    sequence_test_basis,
+)
+from rotlab.rng import ALICE, BOB, BOB_AUX
+
+_MASK64 = (1 << 64) - 1
+
+
+# --------------------------------------------------------------------------
+# Party streams
+# --------------------------------------------------------------------------
+
+
+class _PhiloxKey(ISeedSequence):
+    # Hands Philox the key [seed, stream] as its seed state.  Philox(key=...)
+    # would first gather OS entropy for a SeedSequence it then discards.
+
+    def __init__(self, seed: int, stream: int):
+        self._key = (seed & _MASK64, stream & _MASK64)
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        if n_words != 2 or np.dtype(dtype) != np.uint64:
+            raise ValueError(f"a Philox key is two uint64 words, not {n_words} x {np.dtype(dtype)}")
+        return np.array(self._key, dtype=np.uint64)
+
+
+def party_stream(seed: int, stream: int) -> np.random.Generator:
+    """Counter-based generator for one party's private randomness: the
+    stream of ``Generator(Philox(key=[seed, stream]))``."""
+    return np.random.Generator(np.random.Philox(_PhiloxKey(seed, stream)))
+
+
+def draw_bit(gen: np.random.Generator) -> int:
+    return int(gen.integers(0, 2))
+
+
+# --------------------------------------------------------------------------
+# Density-matrix sampling
+# --------------------------------------------------------------------------
+
+
+def invert_cumulative(weights: list[float], rand: float) -> int:
+    """The sampling rule: the first outcome, in ascending order, whose
+    cumulative weight exceeds ``rand``, negative weights counting as 0; the
+    last outcome of positive weight when rounding leaves the total below."""
+    cumulative = 0.0
+    positive = [k for k, weight in enumerate(weights) if weight > 0.0]
+    for k in positive:
+        cumulative += weights[k]
+        if rand < cumulative:
+            return k
+    return positive[-1] if positive else len(weights) - 1
+
+
+def measure(state, measurement, rand: float) -> int:
+    """Sample a projective measurement of a ``DensityMatrix``: outcome k
+    has weight ``tr(P_k rho)``.  A plain projector sequence is wrapped in a
+    :class:`ProjectiveMeasurement`, so it is checked on every call, and so
+    are ``rand`` and the state's dimension."""
+    if not (0.0 <= rand < 1.0):
+        raise ValidationError(f"rand must lie in [0, 1), got {rand}")
+    if not isinstance(measurement, ProjectiveMeasurement):
+        measurement = ProjectiveMeasurement(measurement)
+    if measurement.dim != state.dim:
+        raise DimensionError("projector dimensions must match the state")
+    rho = state.matrix.data
+    return invert_cumulative([float(np.einsum("ij,ji->", proj.data, rho).real) for proj in measurement], rand)
+
+
+# --------------------------------------------------------------------------
+# Honest runs
+# --------------------------------------------------------------------------
+
+
+def run_bad_classical(seed: int) -> tuple[Transcript, RotOutcome]:
+    transcript = Transcript()
+    bob = party_stream(seed, BOB)
+    y = draw_bit(bob)
+    keep = draw_bit(bob)  # 0 -> announce y, 1 -> announce NULL
+    if keep == 0:
+        transcript.record("B", "announce", {"g": y})
+        outcome = RotOutcome.received(y, y)
+    else:
+        transcript.record("B", "announce", {"g": None})
+        outcome = RotOutcome.null(y)
+    return transcript, outcome
+
+
+def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
+    transcript = Transcript()
+    bob = party_stream(seed, BOB)
+    alice = party_stream(seed, ALICE)
+    y = draw_bit(bob)
+    state = PureState.basis(2, y)
+    transcript.record("B", "qubit", _state_payload(state.amplitudes))
+    discard = draw_bit(alice)  # 0 -> measure, 1 -> accept NULL
+    if discard == 0:
+        outcome_bit, _ = measure_pure(state, _Z_PROJS, alice.random())
+        outcome = RotOutcome.received(outcome_bit, y)
+    else:
+        outcome = RotOutcome.null(y)
+    return transcript, outcome
+
+
+def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
+    transcript = Transcript()
+    alice = party_stream(seed, ALICE)
+    bob = party_stream(seed, BOB)
+
+    a = draw_bit(alice)
+    psi = qutrit_entangled_state(a).amplitudes
+    transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
+
+    y = draw_bit(bob)
+    z_dummy = draw_bit(bob)
+    p = draw_bit(bob)
+    pair = OtPair.draw(y, z_dummy, p)
+    psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
+    transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
+
+    outcome_index, _ = measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
+    learned = qutrit_decode(a, outcome_index)
+
+    transcript.record("B", "permutation", {"p": p})
+    if a == p:
+        outcome = RotOutcome.received(learned, y)
+    else:
+        outcome = RotOutcome.null(y)
+    return transcript, outcome
+
+
+def sequence_setup(cfg: SequenceConfig, seed: int):
+    """The start every sequence flow shares: both party streams, Bob's
+    ``n_states`` bit pairs and Alice's sorted test set, as
+    ``(alice, bob, pairs, tested)``."""
+    alice = party_stream(seed, ALICE)
+    bob = party_stream(seed, BOB)
+    pairs = [(draw_bit(bob), draw_bit(bob)) for _ in range(cfg.n_states)]
+    tested = sorted(int(j) for j in alice.choice(cfg.n_states, size=cfg.test_size, replace=False))
+    return alice, bob, pairs, tested
+
+
+def sequence_spot_check(alice, tested, sent, announced) -> int | None:
+    """Alice's consistency check of the tested slots, in order: the first
+    slot that fails, or None.  ``sent[slot]`` is the bit pair whose state
+    Bob sent, ``announced[slot]`` the pair he announces for it."""
+    for slot in tested:
+        x0, x1 = announced[slot]
+        basis = sequence_test_basis(x0, x1)
+        expected = sequence_expected_outcome(x0, x1)
+        m1, amps = measure_pure(SEQUENCE_STATES[sent[slot]], _QUBIT1[basis], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
+        if m1 != expected or m2 != expected:
+            return slot
+    return None
+
+
+def play_sequence(cfg: SequenceConfig, seed: int):
+    """The honest sequence flow, without a transcript:
+    ``(pairs, tested, failed, declarations, outcomes)``.
+
+    ``failed`` is the first tested slot that failed the spot check, or None.
+    On a failure ``declarations`` is empty and ``outcomes`` holds a single
+    abort sentinel; otherwise both hold one entry per untested slot, in
+    order: Bob's ``(slot, bit_index)`` and Alice's output.
+    """
+    alice, bob, pairs, tested = sequence_setup(cfg, seed)
+    failed = sequence_spot_check(alice, tested, pairs, pairs)
+    if failed is not None:
+        return pairs, tested, failed, [], [RotOutcome.abort_sentinel()]
+
+    tested_set = set(tested)
+    declarations = []
+    outcomes = []
+    for slot in range(cfg.n_states):
+        if slot in tested_set:
+            continue
+        m1, amps = measure_pure(SEQUENCE_STATES[pairs[slot]], _QUBIT1["Z"], alice.random())
+        m2, _ = measure_pure(PureState(amps), _QUBIT2["X"], alice.random())
+        learned_index, learned_value = sequence_decode(m1, m2)
+        declared = draw_bit(bob)
+        declarations.append((slot, declared))
+        true_bit = pairs[slot][declared]
+        if learned_index == declared:
+            outcomes.append(RotOutcome.received(learned_value, true_bit))
+        else:
+            outcomes.append(RotOutcome.null(true_bit))
+    return pairs, tested, failed, declarations, outcomes
+
+
+def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOutcome]]:
+    pairs, tested, failed, declarations, outcomes = play_sequence(cfg, seed)
+    transcript = Transcript()
+    for slot, bits in enumerate(pairs):
+        transcript.record("B", "state", _state_payload(SEQUENCE_STATES[bits].amplitudes, slot=slot))
+    transcript.record("A", "test_set", {"slots": tested})
+    for slot in tested:
+        transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
+        if slot == failed:
+            transcript.record("A", "abort", {"slot": slot})
+            return transcript, outcomes
+    for slot, declared in declarations:
+        transcript.record("B", "declare", {"slot": slot, "bit_index": declared})
+    return transcript, outcomes
+
+
+# The single-transfer runs, by protocol id.
+ROT_RUNS = {
+    "bad_classical": run_bad_classical,
+    "bad_qubit": run_bad_qubit,
+    "qutrit": run_qutrit,
+}
+
+
+def coin_bit(seed: int) -> int:
+    """Bob's announced bit in the coin flip built on a transfer."""
+    return draw_bit(party_stream(seed, BOB_AUX))
+
+
+# --------------------------------------------------------------------------
+# Cheating runs
+# --------------------------------------------------------------------------
+
+
+def _alice_qutrit_runner(params: dict):
+    encoded, measurements = _alice_qutrit_tables(params)
+
+    def run(seed: int) -> bool:
+        alice = party_stream(seed, ALICE)
+        bob = party_stream(seed, BOB)
+        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
+        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
+        return guess == pair.y
+
+    return run
+
+
+def _alice_sequence_runner(params: dict):
+    cfg = SequenceConfig(params.get("n_states", 4))
+    measurements = _alice_sequence_measurements()
+
+    def run(seed: int) -> bool:
+        # Alice attacks the first untested slot.  Bob declares the slots in
+        # order, so only his first declaration is drawn.
+        alice, bob, pairs, tested = sequence_setup(cfg, seed)
+        slot = next(j for j in range(cfg.n_states) if j not in tested)
+        declared = draw_bit(bob)
+        guess, _ = measure_pure(SEQUENCE_STATES[pairs[slot]], measurements[declared], alice.random())
+        return guess == pairs[slot][declared]
+
+    return run
+
+
+def _alice_coinflip_runner(params: dict):
+    # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
+    # NULL (always accepted), on b = 0 she must pass Bob's check, which
+    # succeeds exactly when her measurement recovers his data bit.
+    recovers_bit = _alice_qutrit_runner(params)
+
+    def run(seed: int) -> bool:
+        return draw_bit(party_stream(seed, BOB_AUX)) == 1 or recovers_bit(seed)
+
+    return run
+
+
+def _bob_qutrit_runner(params: dict):
+    # Bob guesses Alice's choice bit a from his half of her probe and aligns
+    # the permutation with his guess.  Honest Alice asserts receipt exactly
+    # when a == p, so he calls her assert bit, and in the coin flip he
+    # announces b = 0 and lands HEADS, exactly when his guess is right.
+    lifted = _helstrom_on_bob_side()
+
+    def run(seed: int) -> bool:
+        alice = party_stream(seed, ALICE)
+        bob = party_stream(seed, BOB)
+        a = draw_bit(alice)
+        a_guess, _ = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
+        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), a_guess)
+        return a == pair.p
+
+    return run
+
+
+# (party, protocol) -> runner factory, one per library strategy.
+RUNNERS = {
+    ("alice", "qutrit"): _alice_qutrit_runner,
+    ("bob", "qutrit"): _bob_qutrit_runner,
+    ("alice", "sequence"): _alice_sequence_runner,
+    ("alice", "coinflip"): _alice_coinflip_runner,
+    ("bob", "coinflip"): _bob_qutrit_runner,
+}
+
+
+@lru_cache(maxsize=None)
+def _runner(cache_key: tuple[str, str, str]):
+    party, protocol, params_json = cache_key
+    return RUNNERS[(party, protocol)](json.loads(params_json))
+
+
+def execute_cheat(strategy, seed: int) -> bool:
+    """One cheating run of a ``CheatStrategy``; True when it succeeds."""
+    return bool(_runner(strategy.cache_key())(seed))
+
+
+def run_detection_trial(cfg: SequenceConfig, seed: int, variant: str) -> bool:
+    """Whether a run with Bob's ``variant`` aborts: Bob's preparation plus
+    Alice's spot checks; the abort statistic is decided entirely by the
+    testing phase, so the untested decode is skipped here."""
+    alice, bob, pairs, tested = sequence_setup(cfg, seed)
+    sent = announced = pairs
+    if variant == "send-orthogonal":
+        # Flipping both bits gives the orthogonal partner within the same
+        # basis; a tested corrupted state then fails the check with certainty.
+        corrupt = int(bob.integers(0, cfg.n_states))
+        sent = list(pairs)
+        sent[corrupt] = (1 - pairs[corrupt][0], 1 - pairs[corrupt][1])
+    elif variant == "announce-wrong-state":
+        slot = tested[int(bob.integers(0, cfg.test_size))]
+        alternatives = [bits for bits in SEQUENCE_STATES if bits != pairs[slot]]
+        announced = list(pairs)
+        announced[slot] = alternatives[int(bob.integers(0, len(alternatives)))]
+    return sequence_spot_check(alice, tested, sent, announced) is not None

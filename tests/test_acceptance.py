@@ -22,7 +22,7 @@ from rotlab.adversary import (
     coin_forcing_probs,
     optimize_alice_qutrit,
 )
-from rotlab.protocols import SequenceConfig, play_sequence, play_sequence_block
+from rotlab.protocols import SequenceConfig, play_sequence_block
 from rotlab.security import advantage, balance, check_kitaev_product, kitaev_min_advantage
 
 from conftest import closed_form_objective, random_triple
@@ -154,7 +154,7 @@ def test_criterion_7_honest_sequence_never_aborts(capsys):
     block = play_sequence_block(cfg, np.arange(1000, dtype=np.uint64))
     aborted = block.failed >= 0
     for seed in np.flatnonzero(block.rejected):
-        aborted[seed] = play_sequence(cfg, int(seed))[2] is not None
+        aborted[seed] = play_sequence_block(cfg, np.array([seed], dtype=np.uint64)).failed[0] >= 0
     assert not aborted.any()
     with capsys.disabled():
         report("criterion 7: zero aborts across 1000 honest batched runs at n_states=100")

@@ -1,6 +1,10 @@
-"""Source-layout rules checked by parsing the package, not by importing it."""
+"""Source-layout rules, checked by parsing the package or by importing it in a
+fresh interpreter."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import rotlab
@@ -57,3 +61,69 @@ def test_private_use_finder_sees_imports_and_attributes():
         "from rotlab.rng import _PhiloxKey",
         "adversary._compiled",
     ]
+
+
+FORBIDDEN_NAMES = {"Generator", "party_stream"}
+
+
+def _generator_uses(tree: ast.Module) -> list[str]:
+    # Imports of numpy.random, numpy's ``random`` attribute, and any name,
+    # attribute or imported name called Generator or party_stream.
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [f"import {a.name}" for a in node.names if a.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            names = {a.name for a in node.names}
+            if module.startswith("numpy.random") or (module == "numpy" and "random" in names):
+                found.append(f"from {module} import ...")
+            found += [f"import {name}" for name in sorted(names & FORBIDDEN_NAMES)]
+        elif isinstance(node, ast.Name) and node.id in FORBIDDEN_NAMES:
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and (
+            node.attr in FORBIDDEN_NAMES
+            or (node.attr == "random" and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"))
+        ):
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_library_draws_only_from_its_own_philox_kernel():
+    offences = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = _generator_uses(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            offences[path.name] = uses
+    assert not offences, offences
+
+
+def test_generator_use_finder_sees_imports_names_and_attributes():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random.bit_generator import ISeedSequence\n"
+        "from .rng import party_stream\n"
+        "np.random.Philox\n"
+        "rng.Generator\n"
+        "Generator\n"
+        "alice.random()\n"
+    )
+    assert sorted(_generator_uses(ast.parse(source))) == sorted([
+        "import numpy.random",
+        "from numpy import ...",
+        "from numpy.random.bit_generator import ...",
+        "import party_stream",
+        "np.random",
+        "rng.Generator",
+        "Generator",
+    ])
+
+
+def test_importing_rotlab_leaves_numpy_random_unloaded():
+    code = "import sys, rotlab; print('numpy.random' in sys.modules)"
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.strip() == "False"

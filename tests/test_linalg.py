@@ -19,13 +19,14 @@ from rotlab.linalg import (
     hermitian_eigenvalues,
     invert_cumulative_block,
     kron,
-    measure,
     measure_pure,
     partial_trace,
     trace_norm,
 )
+from rotlab.protocols import SEQUENCE_STATES
 
 from conftest import charpoly_eigenvalues, random_density, random_hermitian, random_unitary
+from oracle import measure
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -397,6 +398,8 @@ def test_measure_requires_complete_projectors():
     state = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
     with pytest.raises(ValidationError):
         measure(state, [basis_projector(2, 0)], 0.2)
+    with pytest.raises(ValidationError):
+        measure_pure(PureState.basis(2, 0), [basis_projector(2, 0)], 0.2)
 
 
 def test_measure_requires_orthogonal_projectors():
@@ -404,6 +407,8 @@ def test_measure_requires_orthogonal_projectors():
     half = ComplexMatrix(np.eye(2) * 0.5)
     with pytest.raises(ValidationError):
         measure(state, [half, half], 0.2)
+    with pytest.raises(ValidationError):
+        measure_pure(PureState.basis(2, 0), [half, half], 0.2)
 
 
 def test_measure_rejects_bad_rand():
@@ -411,6 +416,8 @@ def test_measure_rejects_bad_rand():
     projectors = [basis_projector(2, 0), basis_projector(2, 1)]
     with pytest.raises(ValidationError):
         measure(state, projectors, 1.0)
+    with pytest.raises(ValidationError):
+        measure_pure(PureState.basis(2, 0), projectors, 1.0)
 
 
 def _random_measurement(rng, dim):
@@ -483,8 +490,9 @@ def test_measure_pure_matches_density_reference(rng, dim):
 
 
 def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
-    # Negative weights (clamped at 0), totals below rand (last outcome) and
-    # rand on a cumulative boundary, row by row against the scalar rule.
+    # Negative weights (clamped at 0), totals below rand (the last outcome of
+    # positive weight) and rand on a cumulative boundary, row by row against
+    # the scalar rule.
     weights = rng.normal(0.3, 0.3, size=(4000, 4))
     weights[:5] = [
         [0.5, 0.5, 0.0, 0.0],
@@ -500,3 +508,26 @@ def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
     qubit = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
     with pytest.raises(DimensionError):
         born_weights(PureState.basis(3, 0), qubit)
+
+
+def test_rounding_short_total_never_samples_a_zero_weight_outcome():
+    # The sequence protocol's untested-slot decode of the pair (0, 1): qubit
+    # 1 in Z, then qubit 2 in X, whose weights sum to 1 - 2**-52.  The
+    # uniforms above that total fall to the last outcome of positive weight.
+    identity = ComplexMatrix.identity(2)
+    z_basis = (cm([[1.0, 0.0], [0.0, 0.0]]), cm([[0.0, 0.0], [0.0, 1.0]]))
+    x_basis = (cm([[0.5, 0.5], [0.5, 0.5]]), cm([[0.5, -0.5], [-0.5, 0.5]]))
+    qubit1_z = ProjectiveMeasurement(tuple(kron(p, identity) for p in z_basis))
+    qubit2_x = ProjectiveMeasurement(tuple(kron(identity, p) for p in x_basis))
+    _, amps = measure_pure(SEQUENCE_STATES[(0, 1)], qubit1_z, 0.0)
+    state = PureState(amps)
+    weights = born_weights(state, qubit2_x)
+    assert weights == [0.9999999999999998, 0.0]
+    top = 1.0 - 2.0**-53
+    outcome, post = measure_pure(state, qubit2_x, top)
+    assert outcome == 0 and np.all(np.isfinite(post))
+    assert invert_cumulative_block(np.array([weights]), np.array([top])).tolist() == [0]
+    # Zero weights after the last positive one, and rows with none.
+    rows = np.array([[0.5, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]])
+    assert invert_cumulative_block(rows, np.full(3, 0.9)).tolist() == [2, 3, 3]
+    assert [_invert_cumulative(list(row), 0.9) for row in rows] == [2, 3, 3]

@@ -4,7 +4,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from rotlab import adversary, montecarlo, protocols, rng
+import oracle
+from rotlab import montecarlo, protocols, rng
 from rotlab.adversary import CheatStrategy, UnsupportedStrategyError, cheat_block, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.montecarlo import (
@@ -14,15 +15,7 @@ from rotlab.montecarlo import (
     estimate_completeness,
     sequence_detection_experiment,
 )
-from rotlab.protocols import (
-    ROT_BLOCK_EXECUTORS,
-    ROT_EXECUTORS,
-    SequenceConfig,
-    play_sequence,
-    play_sequence_block,
-    run_sequence,
-    sequence_setup_block,
-)
+from rotlab.protocols import ROT_EXECUTORS, SequenceConfig, play_sequence_block, sequence_setup_block
 from rotlab.rng import splitmix64, trial_seed, trial_seeds
 
 from conftest import random_triple
@@ -133,7 +126,7 @@ def test_sequence_completeness_counts_run_sequence_outcomes(n_states, trials):
     outcomes = []
     run_index = 0
     while len(outcomes) < trials:
-        outcomes += run_sequence(cfg, trial_seed(6, run_index))[1]
+        outcomes += oracle.run_sequence(cfg, trial_seed(6, run_index))[1]
         run_index += 1
     outcomes = outcomes[:trials]
     asserts = sum(outcome.assert_bit == 0 for outcome in outcomes)
@@ -185,6 +178,9 @@ def test_estimate_cheat_rejects_foreign_strategy():
 
 MASTERS = (0, 2027, (1 << 64) - 1)
 
+# The block form of each single-transfer protocol.
+ROT_BLOCKS = {protocol: block for protocol, (_, block) in ROT_EXECUTORS.items() if block is not None}
+
 
 def _block_strategies():
     triples = [None, [1.0, 0.0, 0.0]] + [list(random_triple(np.random.default_rng(k))) for k in range(3)]
@@ -199,27 +195,28 @@ def test_block_outcomes_match_scalar_runs_trial_by_trial():
     for master in MASTERS:
         for offset in (0, 1_000_003):
             seeds = trial_seeds(master, offset, 200)
-            for protocol, block in ROT_BLOCK_EXECUTORS.items():
+            for protocol, block in ROT_BLOCKS.items():
                 got = block(seeds)
                 for index, seed in enumerate(seeds.tolist()):
-                    _, want = ROT_EXECUTORS[protocol](seed)
+                    _, want = oracle.ROT_RUNS[protocol](seed)
                     assert (got.assert_bit[index], got.bob_bit[index]) == (want.assert_bit, want.bob_bit)
                     if want.assert_bit == 0:
                         assert got.g_hat[index] == want.g_hat, (protocol, master, offset, index)
             for strategy in _block_strategies():
-                got = cheat_block(strategy)(seeds).tolist()
-                assert got == [execute_cheat(strategy, seed) for seed in seeds.tolist()], (strategy, master)
+                want = [oracle.execute_cheat(strategy, seed) for seed in seeds.tolist()]
+                assert cheat_block(strategy)(seeds).tolist() == want, (strategy, master)
+                assert [execute_cheat(strategy, seed) for seed in seeds.tolist()] == want, (strategy, master)
 
 
 def test_block_runs_straddling_chunks_match_scalar_counts(monkeypatch):
     monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 384)
-    for protocol in ROT_BLOCK_EXECUTORS:
-        outcomes = [ROT_EXECUTORS[protocol](trial_seed(41, index))[1] for index in range(1000)]
+    for protocol in ROT_BLOCKS:
+        outcomes = [oracle.ROT_RUNS[protocol](trial_seed(41, index))[1] for index in range(1000)]
         report, conditional = estimate_completeness(protocol, 1000, 41)
         assert report.successes == sum(outcome.assert_bit == 0 for outcome in outcomes)
         assert conditional
     for strategy in _block_strategies():
-        expected = sum(execute_cheat(strategy, trial_seed(3, 500 + index)) for index in range(900))
+        expected = sum(oracle.execute_cheat(strategy, trial_seed(3, 500 + index)) for index in range(900))
         assert estimate_cheat(strategy, 900, 3, trial_offset=500).successes == expected, strategy
 
 
@@ -243,7 +240,7 @@ def test_block_flows_key_each_stream_once(monkeypatch):
 
     monkeypatch.setattr(rng, "philox_block", counting)
     seeds = trial_seeds(0, 0, 16)
-    flows = list(ROT_BLOCK_EXECUTORS.values()) + [cheat_block(s) for s in _block_strategies()]
+    flows = list(ROT_BLOCKS.values()) + [cheat_block(s) for s in _block_strategies()]
     flows += list(_sequence_block_flows(SequenceConfig(16)).values())
     for flow in flows:
         keyed.clear()
@@ -251,11 +248,15 @@ def test_block_flows_key_each_stream_once(monkeypatch):
         assert keyed and max(keyed.values()) == 1, flow
 
 
-def _refuse(*args):
-    raise AssertionError("a seed was replayed through the scalar flow")
+def _refuse_one_seed(seeds, *args):
+    if np.asarray(seeds).size == 1:
+        raise AssertionError("a seed was run again alone")
+    return PHILOX_BLOCK(seeds, *args)
 
 
-# Seeds per master seed: the scalar n = 10001 run takes about half a second.
+PHILOX_BLOCK = rng.philox_block
+
+# Seeds per master seed: the oracle's n = 10001 run takes about half a second.
 SEQUENCE_LANES = {4: 48, 9: 48, 16: 48, 100: 8, 10001: 1}
 
 
@@ -266,27 +267,29 @@ def test_sequence_blocks_match_scalar_runs_trial_by_trial(monkeypatch, n_states)
     flows = _sequence_block_flows(cfg)
     for master in MASTERS:
         seeds = trial_seeds(master, 1_000_003, SEQUENCE_LANES[n_states])
-        runs = [play_sequence(cfg, seed) for seed in seeds.tolist()]
+        runs = [oracle.play_sequence(cfg, seed) for seed in seeds.tolist()]
         expected = {
-            variant: [montecarlo._run_detection_trial(cfg, seed, variant) for seed in seeds.tolist()]
+            variant: [oracle.run_detection_trial(cfg, seed, variant) for seed in seeds.tolist()]
             for variant in DETECTION_VARIANTS
         }
-        expected["cheat"] = [execute_cheat(cheat, seed) for seed in seeds.tolist()]
+        expected["cheat"] = [oracle.execute_cheat(cheat, seed) for seed in seeds.tolist()]
         with monkeypatch.context() as patch:
-            # Nothing is replayed, so each outcome below is the block form's own.
-            patch.setattr(montecarlo, "_run_detection_trial", _refuse)
-            patch.setattr(adversary, "sequence_setup", _refuse)
+            # No seed of a block is run again alone, so each outcome below is
+            # the block's own.  A one-seed block is a run on its own.
+            if seeds.size > 1:
+                patch.setattr(rng, "philox_block", _refuse_one_seed)
             setup = sequence_setup_block(cfg, seeds)
             block = flows["play"](seeds)
             got = {variant: flows[variant](seeds).tolist() for variant in DETECTION_VARIANTS}
             got["cheat"] = cheat_block(cheat)(seeds).tolist()
         assert not setup.rejected.any() and not block.rejected.any()
         assert got == expected, (n_states, master)
-        for lane, (pairs, tested, failed, _, outcomes) in enumerate(runs):
+        for lane, (pairs, tested, failed, declarations, outcomes) in enumerate(runs):
             assert setup.pairs[:, lane].tolist() == [2 * x0 + x1 for x0, x1 in pairs]
             assert setup.tested[:, lane].tolist() == tested
             assert block.failed[lane] == (-1 if failed is None else failed)
             if failed is None:
+                assert block.declared[:, lane].tolist() == [declared for _, declared in declarations]
                 assert block.outcomes.assert_bit[:, lane].tolist() == [o.assert_bit for o in outcomes]
                 assert block.outcomes.bob_bit[:, lane].tolist() == [o.bob_bit for o in outcomes]
                 received = block.outcomes.assert_bit[:, lane] == 0
@@ -322,53 +325,46 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
     cfg = SequenceConfig(100)
     master, target = 2027, 3
     target_seed = trial_seed(master, target)
-    philox_block = rng.philox_block
+    opened = []  # (party, seed) of every one-seed stream opened
 
     def forced(seeds, party, counter=1):
+        # The value is forced in the block pass only: the run of the target
+        # seed alone must see its real draws, which the oracle sees too.
         # BlockStream asks for its blocks at counters 1, 2, ... in one call.
-        out = philox_block(seeds, party, counter)
-        if party == stream:
+        out = PHILOX_BLOCK(seeds, party, counter)
+        seeds = np.asarray(seeds)
+        if seeds.size == 1:
+            if np.asarray(counter).min() == 1:
+                opened.append((party, int(seeds[0])))
+        elif party == stream:
             keep = np.uint64(0xFFFFFFFF << 32 if half == "low" else 0xFFFFFFFF)
-            out[word % 4, word // 4, np.asarray(seeds) == np.uint64(target_seed)] &= keep
+            out[word % 4, word // 4, seeds == np.uint64(target_seed)] &= keep
         return out
-
-    replayed = []
-
-    def spy(scalar):
-        def replay(cfg, seed, *args):
-            replayed.append(seed)
-            return scalar(cfg, seed, *args)
-
-        return replay
 
     strategy = CheatStrategy("alice", "sequence", {"n_states": 100})
     for flow in flows:
         runs = 1000 // 90 + 1 if flow == "play" else 40
         assert runs > target
+        seeds = [trial_seed(master, index) for index in range(runs)]
         if flow == "play":
-            outcomes = [o for index in range(runs) for o in play_sequence(cfg, trial_seed(master, index))[4]]
+            outcomes = [o for seed in seeds for o in oracle.play_sequence(cfg, seed)[4]]
             expected = sum(o.assert_bit == 0 for o in outcomes[:1000])
         elif flow == "cheat":
-            expected = sum(execute_cheat(strategy, trial_seed(master, index)) for index in range(runs))
+            expected = sum(oracle.execute_cheat(strategy, seed) for seed in seeds)
         else:
-            expected = sum(
-                montecarlo._run_detection_trial(cfg, trial_seed(master, index), flow) for index in range(runs)
-            )
-        replayed.clear()
+            expected = sum(oracle.run_detection_trial(cfg, seed, flow) for seed in seeds)
+        opened.clear()
         with monkeypatch.context() as patch:
             patch.setattr(rng, "philox_block", forced)
             if flow == "play":
-                patch.setattr(montecarlo, "play_sequence", spy(play_sequence))
                 report, conditional = estimate_completeness("sequence", 1000, master, n_states=100)
                 assert conditional
             elif flow == "cheat":
-                # The runner's replay starts from adversary.sequence_setup.
-                patch.setattr(adversary, "sequence_setup", spy(protocols.sequence_setup))
                 report = estimate_cheat(strategy, runs, master)
             else:
-                patch.setattr(montecarlo, "_run_detection_trial", spy(montecarlo._run_detection_trial))
                 report = sequence_detection_experiment(100, flow, runs, master)
-        assert replayed == [target_seed], (draw, flow)
+        # The target lane alone is run again, once: one stream per party.
+        assert sorted(opened) == [(rng.ALICE, target_seed), (rng.BOB, target_seed)], (draw, flow)
         assert report.successes == expected, (draw, flow)
 
 

@@ -4,6 +4,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import oracle
+from rotlab import protocols
+from rotlab.adversary import CheatStrategy, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.protocols import (
     SEQUENCE_STATES,
@@ -20,9 +23,7 @@ from rotlab.protocols import (
     run_sequence,
     sequence_decode,
     sequence_expected_outcome,
-    sequence_setup,
     sequence_setup_block,
-    sequence_spot_check,
     sequence_spot_check_block,
     sequence_test_basis,
 )
@@ -220,22 +221,24 @@ def test_sequence_test_step_consistency_table():
 
 def test_sequence_spot_check_passes_honest_states():
     cfg = SequenceConfig(16)
-    for seed in range(40):
-        alice, _, pairs, tested = sequence_setup(cfg, seed)
-        assert sequence_spot_check(alice, tested, pairs, pairs) is None
+    setup = sequence_setup_block(cfg, np.arange(40, dtype=np.uint64), alice_words=2 * cfg.test_size)
+    assert not setup.rejected.any()
+    assert (sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs) == -1).all()
 
 
 def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
     # Flipping both bits gives the orthogonal state of the same basis, which
     # shows the announced outcome with probability 0.
     cfg = SequenceConfig(16)
-    for seed in range(40):
-        for position in range(cfg.test_size):
-            alice, _, pairs, tested = sequence_setup(cfg, seed)
-            slot = tested[position]
-            sent = list(pairs)
-            sent[slot] = (1 - pairs[slot][0], 1 - pairs[slot][1])
-            assert sequence_spot_check(alice, tested, sent, pairs) == slot
+    seeds = np.arange(40, dtype=np.uint64)
+    lanes = np.arange(seeds.size)
+    for position in range(cfg.test_size):
+        setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size)
+        slot = setup.tested[position]
+        sent = setup.pairs.copy()
+        sent[slot, lanes] ^= 3
+        failed = sequence_spot_check_block(setup.alice, setup.tested, sent, setup.pairs)
+        assert failed.tolist() == slot.tolist()
 
 
 def test_sequence_spot_check_block_stops_where_the_scalar_check_does():
@@ -250,9 +253,9 @@ def test_sequence_spot_check_block_stops_where_the_scalar_check_does():
     failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, announced)
     positions = set()
     for lane, seed in enumerate(seeds.tolist()):
-        alice, _, pairs, tested = sequence_setup(cfg, seed)
+        alice, _, pairs, tested = oracle.sequence_setup(cfg, seed)
         claims = [divmod(int(index), 2) for index in announced[:, lane]]
-        slot = sequence_spot_check(alice, tested, pairs, claims)
+        slot = oracle.sequence_spot_check(alice, tested, pairs, claims)
         assert failed[lane] == (-1 if slot is None else slot), lane
         if slot is not None:
             positions.add(tested.index(slot))
@@ -353,3 +356,52 @@ def test_transcript_export_golden_sequence():
     transcript, _ = run_sequence(SequenceConfig(4), 3)
     golden = (DATA / "golden_sequence_n4_seed3.jsonl").read_text()
     assert transcript.to_jsonl() == golden
+
+
+# ---------------------------------------------------------------------------
+# runs against the one-run-at-a-time oracle
+
+MASK64 = (1 << 64) - 1
+RUN_SEEDS = [0, 3, 7, MASK64] + trial_seeds(2027, 0, 120).tolist()
+
+
+def test_runs_match_oracle_runs_trial_by_trial():
+    # Each run is its block form on one seed; its transcript and outcome
+    # must be the oracle's, message by message.
+    runs = {"bad_classical": run_bad_classical, "bad_qubit": run_bad_qubit, "qutrit": run_qutrit}
+    for protocol, run in runs.items():
+        for seed in RUN_SEEDS:
+            assert run(seed) == oracle.ROT_RUNS[protocol](seed), (protocol, seed)
+    for n_states in (4, 9, 16, 100):
+        cfg = SequenceConfig(n_states)
+        for seed in RUN_SEEDS[:40]:
+            assert run_sequence(cfg, seed) == oracle.run_sequence(cfg, seed), (n_states, seed)
+    for seed in RUN_SEEDS[:40]:
+        transcript, _ = run_coinflip_reduction("qutrit", seed)
+        assert transcript.messages[3].payload == {"b": oracle.coin_bit(seed)}
+
+
+def test_aborted_sequence_run_renders_as_the_oracle_does(monkeypatch):
+    # Honest runs pass their spot check; making both flows fail it at the
+    # second tested slot reaches the abort branch of the transcript.
+    monkeypatch.setattr(protocols, "sequence_spot_check_block", lambda alice, tested, sent, announced: tested[1])
+    monkeypatch.setattr(oracle, "sequence_spot_check", lambda alice, tested, sent, announced: tested[1])
+    cfg = SequenceConfig(9)
+    for seed in RUN_SEEDS[:20]:
+        transcript, outcomes = run_sequence(cfg, seed)
+        assert (transcript, outcomes) == oracle.run_sequence(cfg, seed), seed
+        assert transcript.messages[-1].label == "abort" and outcomes == [RotOutcome.abort_sentinel()]
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 1000003])
+def test_entry_points_reduce_seeds_mod_2_64(offset):
+    # Any Python int is a seed; -1 - k is 2**64 - 1 - k and 2**64 + k is k.
+    strategies = [CheatStrategy(party, protocol) for party, protocol in oracle.RUNNERS]
+    entry_points = [run_bad_classical, run_bad_qubit, run_qutrit]
+    entry_points += [lambda seed: run_sequence(SequenceConfig(9), seed)]
+    entry_points += [lambda seed, rot=rot: run_coinflip_reduction(rot, seed) for rot in ("qutrit", "sequence")]
+    entry_points += [lambda seed, s=s: execute_cheat(s, seed) for s in strategies]
+    for run in entry_points:
+        assert run(-1 - offset) == run(MASK64 - offset)
+        assert run((1 << 64) + offset) == run(offset)
+        assert run(offset) == run(offset - (5 << 64))

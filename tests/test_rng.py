@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rotlab import adversary, protocols, rng
+import oracle
+from oracle import draw_bit, party_stream
+from rotlab import rng
 from rotlab.adversary import CheatStrategy
-from rotlab.rng import BlockStream, draw_bit, party_stream, philox_block, trial_seed, trial_seeds
+from rotlab.rng import BlockStream, philox_block, trial_seed, trial_seeds
 
 MASK64 = (1 << 64) - 1
 EDGE_SEEDS = (0, MASK64, (1 << 63) + 5)
@@ -29,7 +31,7 @@ def test_party_stream_matches_keyed_philox(seed, stream):
 
 def test_philox_key_supplies_only_a_two_word_key():
     with pytest.raises(ValueError):
-        rng._PhiloxKey(1, 2).generate_state(4, np.uint32)
+        oracle._PhiloxKey(1, 2).generate_state(4, np.uint32)
 
 
 def test_trial_seeds_match_trial_seed():
@@ -65,6 +67,23 @@ def test_philox_block_at_any_counter(stream):
         for index, key in enumerate(keys):
             philox = np.random.Philox(key=np.array([key, stream], dtype=np.uint64), counter=counter - 1)
             assert block[:, index].tolist() == philox.random_raw(4).tolist(), (int(key), counter)
+
+
+def test_philox_block_on_one_seed_matches_numpy():
+    # A one-seed key array takes a separate path; it must give numpy's words
+    # at any counter, with the shapes of the many-seed path.
+    keys = _keys(40)
+    counters = np.array([1, 2, 9, 1 << 32, (1 << 63) + 7, MASK64], dtype=np.uint64)
+    for stream in (0, 3, MASK64):
+        for key in keys.tolist():
+            one = philox_block(np.array([key], dtype=np.uint64), stream, counters[:, None])
+            assert one.shape == (4, counters.size, 1)
+            for index, counter in enumerate(counters.tolist()):
+                key_words = np.array([key, stream & MASK64], dtype=np.uint64)
+                expected = np.random.Philox(key=key_words, counter=counter - 1).random_raw(4)
+                assert one[:, index, 0].tolist() == expected.tolist(), (key, stream, counter)
+            assert philox_block(np.array([key], dtype=np.uint64), stream).shape == (4, 1)
+            assert philox_block(np.uint64(key), stream).tolist() == one[:, 0, 0].tolist()
 
 
 def test_block_stream_spans_blocks():
@@ -110,6 +129,33 @@ def test_bounded_flags_exactly_the_lemire_redraws():
         assert bool(rejected[index]) == (not drew_once), int(key)
         if drew_once:
             assert values[0, index] == value
+
+
+def test_one_seed_bounded_redraws_as_generator():
+    # The range above, so about a quarter of the draws are taken again.
+    # Without a redraw the draws below use exactly the 12 words, three
+    # Philox blocks, the stream planned; any redraw pushes the last of them
+    # into a fourth block.
+    high = 3 << 30
+    keys = _keys(300)
+    planned = BlockStream(keys, 0, words=12)
+    planned.randoms(6)
+    _, redrawn = planned.bounded([high])
+    assert 20 < np.count_nonzero(redrawn) < 150
+    for key in keys.tolist():
+        gen = party_stream(key, 0)
+        block = BlockStream(np.array([key], dtype=np.uint64), 0, words=12)
+        assert block.randoms(6)[:, 0].tolist() == [gen.random() for _ in range(6)]
+        values, rejected = block.bounded([high])
+        assert values[0, 0] == gen.integers(0, high + 1) and not rejected[0], key
+        assert block.random()[0] == gen.random()
+        assert block.draw_bit()[0] == draw_bit(gen)
+        assert block.random()[0] == gen.random()
+        # Several ranges in one call, each taken again on its own.
+        values, rejected = block.bounded([high, 90, high])
+        assert values[:, 0].tolist() == [gen.integers(0, r + 1) for r in (high, 90, high)] and not rejected[0]
+        assert block.draw_bit()[0] == draw_bit(gen)
+        assert block.random()[0] == gen.random()
 
 
 def test_bounded_redraws_strictly_below_the_threshold(monkeypatch):
@@ -166,13 +212,13 @@ class _RecordingGenerator:
 
 def _cheat_flow(party, protocol):
     strategy = CheatStrategy(party, protocol)
-    return lambda seed: adversary.execute_cheat(strategy, seed)
+    return lambda seed: oracle.execute_cheat(strategy, seed)
 
 
 SCALAR_FLOWS = {
-    "completeness/bad_classical": protocols.run_bad_classical,
-    "completeness/bad_qubit": protocols.run_bad_qubit,
-    "completeness/qutrit": protocols.run_qutrit,
+    "completeness/bad_classical": oracle.run_bad_classical,
+    "completeness/bad_qubit": oracle.run_bad_qubit,
+    "completeness/qutrit": oracle.run_qutrit,
     "cheat/alice/qutrit": _cheat_flow("alice", "qutrit"),
     "cheat/bob/qutrit": _cheat_flow("bob", "qutrit"),
     "cheat/alice/coinflip": _cheat_flow("alice", "coinflip"),
@@ -182,18 +228,17 @@ SCALAR_FLOWS = {
 
 @pytest.mark.parametrize("flow", sorted(SCALAR_FLOWS))
 def test_block_draws_match_generator(monkeypatch, flow):
-    """Every draw a covered flow makes from party_stream, in the flow's
-    order, is what a BlockStream over the same seed hands out, and no flow
-    needs more than one Philox block per stream."""
+    """Every draw a covered oracle flow makes from party_stream, in the
+    flow's order, is what a BlockStream over the same seed hands out, and no
+    flow needs more than one Philox block per stream."""
     logs: dict[int, list] = {}
 
     def recording_stream(seed, stream):
         assert stream not in logs, "one stream per party and trial"
         logs[stream] = []
-        return _RecordingGenerator(rng.party_stream(seed, stream), logs[stream])
+        return _RecordingGenerator(party_stream(seed, stream), logs[stream])
 
-    monkeypatch.setattr(protocols, "party_stream", recording_stream)
-    monkeypatch.setattr(adversary, "party_stream", recording_stream)
+    monkeypatch.setattr(oracle, "party_stream", recording_stream)
     orders = set()
     for index in range(64):
         seed = trial_seed(7, index)
