@@ -125,15 +125,15 @@ def estimate_completeness(
     protocol a block of whole runs at a time, with the outcomes of their
     single runs; the last run is cut off after the requested trial count.
     """
-    if protocol not in ROT_EXECUTORS:
+    if protocol != "sequence" and protocol not in ROT_EXECUTORS:
         raise ValidationError(f"unknown protocol id {protocol!r}")
     if trials < MIN_COMPLETENESS_TRIALS:
         raise ValidationError(f"need at least {MIN_COMPLETENESS_TRIALS} trials, got {trials}")
 
     asserts = 0
     conditional_ok = True
-    _, block = ROT_EXECUTORS[protocol]
-    if block is not None:
+    if protocol != "sequence":
+        _, block = ROT_EXECUTORS[protocol]
         for seeds in _seed_blocks(seed, 0, trials, BLOCK_TRIALS):
             outcome = block(seeds)
             asserted = outcome.assert_bit == 0

@@ -630,15 +630,18 @@ def _run_sequence_single(seed: int) -> tuple[Transcript, RotOutcome]:
     return transcript, outcomes[0]
 
 
-# Each transfer protocol's single run, for the coin flip, and the block form
-# of its outcomes, for the Monte-Carlo harness.  The sequence protocol's
-# block form is play_sequence_block, which also takes the batch size.
+# Each single-transfer protocol's run and the block form of its outcomes,
+# which the Monte-Carlo harness evaluates.  The sequence protocol's block
+# form is play_sequence_block, which also takes the batch size.
 ROT_EXECUTORS = {
     "bad_classical": (run_bad_classical, _bad_classical_block),
     "bad_qubit": (run_bad_qubit, _bad_qubit_block),
     "qutrit": (run_qutrit, _qutrit_block),
-    "sequence": (_run_sequence_single, None),
 }
+
+# The transfer a coin flip can wrap, per protocol.
+COINFLIP_TRANSFERS = {name: run for name, (run, _) in ROT_EXECUTORS.items()}
+COINFLIP_TRANSFERS["sequence"] = _run_sequence_single
 
 
 def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome]:
@@ -649,7 +652,7 @@ def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome
     with no bit at all; anything else aborts.
     """
     try:
-        run, _ = ROT_EXECUTORS[rot]
+        run = COINFLIP_TRANSFERS[rot]
     except KeyError:
         raise ValidationError(f"unknown protocol id {rot!r}") from None
     transcript = Transcript()

@@ -39,12 +39,17 @@ BOB_AUX = 3
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
 _SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
-# Philox4x64 round multipliers and Weyl key increments (Salmon et al., SC'11).
-_PHILOX_MUL = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+
+# Philox4x64 round multipliers, each with its 32-bit halves, and Weyl key
+# increments (Salmon et al., SC'11).
+_PHILOX_ROUNDS = 10
+_PHILOX_MUL = tuple(
+    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
+    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+)
+_PHILOX_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 
 
 def seed_array(seed: int) -> np.ndarray:
@@ -83,26 +88,15 @@ def trial_seeds(master_seed: int, offset: int, count: int) -> np.ndarray:
     return z ^ (z >> np.uint64(31))
 
 
-def _mulhilo(multiplier: np.uint64, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The high and low 64-bit words of multiplier * x.  The high word comes
-    # from 32-bit partial products, each sum below 2**64.
-    m_lo, m_hi = multiplier & _LOW32, multiplier >> _SHIFT32
+def _mulhilo(multiplier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The high and low 64-bit words of m * x, for multiplier = (m, its low
+    # half, its high half).  The high word comes from 32-bit partial
+    # products, each sum below 2**64.
+    m, m_lo, m_hi = multiplier
     x_lo, x_hi = x & _LOW32, x >> _SHIFT32
     middle = m_hi * x_lo + ((m_lo * x_lo) >> _SHIFT32)
     cross = m_lo * x_hi + (middle & _LOW32)
-    return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), multiplier * x
-
-
-def _philox_one(key0: int, key1: int, counter: int) -> list[int]:
-    # One Philox4x64-10 block on Python integers, which beat numpy's per-call
-    # overhead when the key array holds a single seed.
-    c0, c1, c2, c3 = counter, 0, 0, 0
-    for round_index in range(_PHILOX_ROUNDS):
-        if round_index:
-            key0, key1 = (key0 + _PHILOX_WEYL[0]) & _MASK64, (key1 + _PHILOX_WEYL[1]) & _MASK64
-        p0, p1 = _PHILOX_MUL[0] * c0, _PHILOX_MUL[1] * c2
-        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ key0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ key1, p0 & _MASK64
-    return [c0, c1, c2, c3]
+    return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), m * x
 
 
 def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
@@ -116,16 +110,16 @@ def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
     """
     k0 = np.asarray(seeds, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
-    shape = (4,) + np.broadcast_shapes(k0.shape, counter.shape)
-    if k0.size == 1:
-        key = int(k0.reshape(-1)[0])
-        blocks = [_philox_one(key, stream & _MASK64, c) for c in counter.reshape(-1).tolist()]
-        return np.array(blocks, dtype=np.uint64).T.reshape(shape)
+    shape = np.broadcast_shapes(k0.shape, counter.shape)
+    rounds_shape = shape
+    if k0.size == counter.size == 1:
+        # A single block runs its rounds on 0-d arrays, whose arithmetic
+        # gives numpy scalars at a seventh of a one-element array's cost.
+        k0, counter, rounds_shape = k0.reshape(()), counter.reshape(()), ()
     k1 = np.uint64(stream & _MASK64)
-    mul0, mul1 = np.uint64(_PHILOX_MUL[0]), np.uint64(_PHILOX_MUL[1])
-    weyl0, weyl1 = np.uint64(_PHILOX_WEYL[0]), np.uint64(_PHILOX_WEYL[1])
+    (mul0, mul1), (weyl0, weyl1) = _PHILOX_MUL, _PHILOX_WEYL
     # The rounds only read c1..c3, so one zero array serves all three.
-    c1 = c2 = c3 = np.zeros(shape[1:], dtype=np.uint64)
+    c1 = c2 = c3 = np.zeros(rounds_shape, dtype=np.uint64)
     c0 = counter + c1
     with np.errstate(over="ignore"):
         for round_index in range(_PHILOX_ROUNDS):
@@ -134,7 +128,7 @@ def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
             hi0, lo0 = _mulhilo(mul0, c0)
             hi1, lo1 = _mulhilo(mul1, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3))
+    return np.stack((c0, c1, c2, c3)).reshape((4,) + shape)
 
 
 class BlockStream:

@@ -179,7 +179,7 @@ def test_estimate_cheat_rejects_foreign_strategy():
 MASTERS = (0, 2027, (1 << 64) - 1)
 
 # The block form of each single-transfer protocol.
-ROT_BLOCKS = {protocol: block for protocol, (_, block) in ROT_EXECUTORS.items() if block is not None}
+ROT_BLOCKS = {protocol: block for protocol, (_, block) in ROT_EXECUTORS.items()}
 
 
 def _block_strategies():

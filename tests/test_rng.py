@@ -70,20 +70,23 @@ def test_philox_block_at_any_counter(stream):
 
 
 def test_philox_block_on_one_seed_matches_numpy():
-    # A one-seed key array takes a separate path; it must give numpy's words
-    # at any counter, with the shapes of the many-seed path.
+    # One seed at one counter runs the rounds on numpy scalars; it must give
+    # numpy's words at any counter, with the shapes of the many-seed path.
     keys = _keys(40)
     counters = np.array([1, 2, 9, 1 << 32, (1 << 63) + 7, MASK64], dtype=np.uint64)
     for stream in (0, 3, MASK64):
         for key in keys.tolist():
-            one = philox_block(np.array([key], dtype=np.uint64), stream, counters[:, None])
-            assert one.shape == (4, counters.size, 1)
+            seed = np.array([key], dtype=np.uint64)
+            many = philox_block(seed, stream, counters[:, None])
+            assert many.shape == (4, counters.size, 1)
             for index, counter in enumerate(counters.tolist()):
                 key_words = np.array([key, stream & MASK64], dtype=np.uint64)
-                expected = np.random.Philox(key=key_words, counter=counter - 1).random_raw(4)
-                assert one[:, index, 0].tolist() == expected.tolist(), (key, stream, counter)
-            assert philox_block(np.array([key], dtype=np.uint64), stream).shape == (4, 1)
-            assert philox_block(np.uint64(key), stream).tolist() == one[:, 0, 0].tolist()
+                expected = np.random.Philox(key=key_words, counter=counter - 1).random_raw(4).tolist()
+                assert many[:, index, 0].tolist() == expected, (key, stream, counter)
+                one = philox_block(seed, stream, counter)
+                assert one.shape == (4, 1) and one.dtype == np.uint64
+                assert one[:, 0].tolist() == expected, (key, stream, counter)
+                assert philox_block(np.uint64(key), stream, counter).tolist() == expected
 
 
 def test_block_stream_spans_blocks():
