@@ -41,7 +41,8 @@ from .protocols import (
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, seed_array
 from .security import CheatProfile
 
-GRID_POINTS = 200
+GRID_POINTS = 21
+OPTIMIZER_TOLERANCE = 1e-9  # one value for every caller: one cached optimum
 
 
 class UnsupportedStrategyError(ValueError):
@@ -122,52 +123,6 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     return float(np.mean(values))
 
 
-def _simplex_maximise(fn, start, step, tolerance, max_iter=500):
-    # Reflection-based Nelder-Mead on two coordinates; stops once the
-    # simplex diameter falls below the tolerance.
-    pts = [
-        np.array(start, dtype=float),
-        np.array([start[0] + step, start[1]], dtype=float),
-        np.array([start[0], start[1] + step], dtype=float),
-    ]
-    vals = [fn(p) for p in pts]
-    for _ in range(max_iter):
-        order = sorted(range(3), key=lambda i: -vals[i])
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        diameter = max(
-            np.linalg.norm(pts[0] - pts[1]),
-            np.linalg.norm(pts[0] - pts[2]),
-            np.linalg.norm(pts[1] - pts[2]),
-        )
-        if diameter < tolerance:
-            break
-        centroid = (pts[0] + pts[1]) / 2.0
-        worst = pts[2]
-        reflected = centroid + (centroid - worst)
-        f_reflected = fn(reflected)
-        if f_reflected > vals[0]:
-            expanded = centroid + 2.0 * (centroid - worst)
-            f_expanded = fn(expanded)
-            if f_expanded > f_reflected:
-                pts[2], vals[2] = expanded, f_expanded
-            else:
-                pts[2], vals[2] = reflected, f_reflected
-        elif f_reflected > vals[1]:
-            pts[2], vals[2] = reflected, f_reflected
-        else:
-            contracted = centroid + 0.5 * (worst - centroid)
-            f_contracted = fn(contracted)
-            if f_contracted > vals[2]:
-                pts[2], vals[2] = contracted, f_contracted
-            else:
-                for i in (1, 2):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
-                    vals[i] = fn(pts[i])
-    best = int(np.argmax(vals))
-    return pts[best], vals[best]
-
-
 def _qutrit_cheat_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
     """The objective of :func:`alice_qutrit_cheat_prob` on a theta x phi grid.
 
@@ -197,32 +152,31 @@ def _qutrit_cheat_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
     """Maximise the probe-state attack over the amplitude octant.
 
-    A 200x200 spherical-coordinate grid scan locates the basin, then a
-    simplex descent on the two angles refines it until the simplex step
-    drops below ``tolerance``.
+    A grid over the two spherical angles narrows around its best point
+    until its step drops below ``tolerance``.  The value returned is the
+    density path, :func:`alice_qutrit_cheat_prob`, at the final triple.
     """
     if not (0.0 < tolerance <= 1e-3):
         raise ValidationError(f"tolerance must lie in (0, 1e-3], got {tolerance}")
+    # The objective is 1/2 + sin(theta) cos(theta) (cos(phi) + sin(phi)) / 2,
+    # a product of two nonnegative factors with one peak each on [0, pi/2].  So
+    # the grid's best point lies within one step of the true maximum on each
+    # axis, and a window two steps either side of it keeps that maximum.
     half_pi = math.pi / 2.0
-    thetas = np.linspace(0.0, half_pi, GRID_POINTS)
-    phis = np.linspace(0.0, half_pi, GRID_POINTS)
-    values = _qutrit_cheat_grid(thetas, phis)
-    i, j = np.unravel_index(int(np.argmax(values)), values.shape)
-    grid_best = float(values[i, j])
-    grid_angles = np.array([thetas[i], phis[j]])
-
-    def objective(angles) -> float:
-        theta = min(max(float(angles[0]), 0.0), half_pi)
-        phi = min(max(float(angles[1]), 0.0), half_pi)
-        return alice_qutrit_cheat_prob(AmplitudeTriple.from_angles(theta, phi))
-
-    step = half_pi / (GRID_POINTS - 1)
-    angles, refined = _simplex_maximise(objective, grid_angles, step, tolerance)
-    if refined >= grid_best:
-        theta = min(max(float(angles[0]), 0.0), half_pi)
-        phi = min(max(float(angles[1]), 0.0), half_pi)
-        return AmplitudeTriple.from_angles(theta, phi), refined
-    return AmplitudeTriple.from_angles(*grid_angles), grid_best
+    lo, hi = np.zeros(2), np.full(2, half_pi)
+    while True:
+        step = (hi - lo) / (GRID_POINTS - 1)
+        thetas = np.linspace(lo[0], hi[0], GRID_POINTS)
+        phis = np.linspace(lo[1], hi[1], GRID_POINTS)
+        values = _qutrit_cheat_grid(thetas, phis)
+        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        best = np.array([thetas[i], phis[j]])
+        if step.max() < tolerance:
+            break
+        lo = np.maximum(best - 2.0 * step, 0.0)
+        hi = np.minimum(best + 2.0 * step, half_pi)
+    triple = AmplitudeTriple.from_angles(*best)
+    return triple, alice_qutrit_cheat_prob(triple)
 
 
 # --------------------------------------------------------------------------
@@ -303,8 +257,12 @@ class CheatStrategy:
     """
 
     def __init__(self, party: str, protocol: str, parameters: dict | None = None):
+        if not isinstance(party, str) or not isinstance(protocol, str):
+            raise ValidationError("party and protocol must be strings")
         if (party, protocol) not in _STRATEGIES:
             raise UnsupportedStrategyError(f"no strategy for party={party!r}, protocol={protocol!r}")
+        if parameters is not None and not isinstance(parameters, dict):
+            raise ValidationError("parameters must be an object")
         parameters = dict(parameters or {})
         unknown = set(parameters) - _STRATEGIES[(party, protocol)][0]
         if unknown:
@@ -313,6 +271,8 @@ class CheatStrategy:
             values = parameters["triple"]
             if not isinstance(values, (list, tuple)) or len(values) != 3:
                 raise ValidationError("triple must be a list of three amplitudes")
+            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
+                raise ValidationError("triple amplitudes must be numbers")
             parameters["triple"] = list(AmplitudeTriple(*map(float, values)).as_tuple())
         if "n_states" in parameters:
             n_states = parameters["n_states"]

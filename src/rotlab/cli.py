@@ -29,7 +29,6 @@ from .linalg import ValidationError
 from .security import ConsistencyError
 
 _PROTOCOLS = ("bad_classical", "bad_qubit", "qutrit", "sequence")
-_OPTIMIZER_TOLERANCE = 1e-9
 
 _STRATEGY_FIELDS = {"party", "protocol", "parameters"}
 
@@ -115,7 +114,7 @@ def _analyze(config: RunConfig) -> dict:
     if config.protocol == "bad_qubit":
         return _profile_dict(security.advantage(1.0, security.IDEAL_BOB))
     if config.protocol == "qutrit":
-        triple, optimized = adversary.optimize_alice_qutrit(_OPTIMIZER_TOLERANCE)
+        triple, optimized = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
         closed_path = adversary.alice_qutrit_cheat_prob(adversary.AmplitudeTriple.balanced())
         payload = _profile_dict(security.advantage(closed_path, adversary.bob_qutrit_cheat_prob()))
         payload["p_a_star_optimized"] = optimized
@@ -217,23 +216,25 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="rotlab", description="Rabin oblivious transfer security laboratory")
     commands = parser.add_subparsers(dest="command", required=True)
 
+    # Options left off the command line stay off the namespace, so the
+    # defaults live in RunConfig alone.
     def add(name, help_text, protocol=False, trials=False, strategy=False):
-        sub = commands.add_parser(name, help=help_text)
+        sub = commands.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if protocol:
             sub.add_argument("--protocol", choices=_PROTOCOLS, required=True)
         if trials:
-            sub.add_argument("--trials", type=int, default=10000)
-            sub.add_argument("--seed", type=int, default=42)
+            sub.add_argument("--trials", type=int)
+            sub.add_argument("--seed", type=int)
         if strategy:
             sub.add_argument("--strategy", dest="strategy_file", required=True)
-        sub.add_argument("--output", choices=("table", "json"), default="table")
+        sub.add_argument("--output", choices=("table", "json"))
         return sub
 
     add("analyze", "cheating profile of one protocol", protocol=True)
     add("balance", "coin-flip compositions of the protocol pairs")
     add("bound", "closed-form lower bound on the cheating advantage")
     simulate = add("simulate", "seeded completeness estimate", protocol=True, trials=True)
-    simulate.add_argument("--n-states", type=int, default=100, dest="n_states")
+    simulate.add_argument("--n-states", type=int, dest="n_states")
     add("cheat", "seeded cheating-strategy estimate", trials=True, strategy=True)
     add("headline", "recompute the headline table with cross-checks")
     return parser
@@ -243,15 +244,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            protocol=getattr(args, "protocol", None),
-            trials=getattr(args, "trials", 10000),
-            seed=getattr(args, "seed", 42),
-            n_states=getattr(args, "n_states", 100),
-            output=args.output,
-            strategy_file=getattr(args, "strategy_file", None),
-        )
+        config = RunConfig(**vars(args))
         payload = _COMMANDS[config.command](config)
     except ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)

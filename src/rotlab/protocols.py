@@ -191,18 +191,15 @@ class SequenceConfig:
     """Batch size and derived spot-check size for the sequence protocol."""
 
     n_states: int
-    test_size: int | None = None
 
     def __post_init__(self):
         if self.n_states < 4:
             raise ValidationError("sequence protocol needs at least 4 states")
-        expected = math.isqrt(self.n_states)
-        if self.test_size is None:
-            object.__setattr__(self, "test_size", expected)
-        elif self.test_size != expected:
-            raise ValidationError(
-                f"test_size must be floor(sqrt(n_states)) = {expected}, got {self.test_size}"
-            )
+
+    @property
+    def test_size(self) -> int:
+        """floor(sqrt(n_states)) slots are spot-checked."""
+        return math.isqrt(self.n_states)
 
 
 # --------------------------------------------------------------------------

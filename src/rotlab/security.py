@@ -192,7 +192,7 @@ def reproduce_headline_table() -> HeadlineReport:
     _cross_check("theorem_1_gamma", balanced_bad.gamma, 1.25)
     _cross_check("theorem_1_z", balanced_bad.z_bias, 0.25)
 
-    _, p_a_opt = adversary.optimize_alice_qutrit(1e-8)
+    _, p_a_opt = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
     p_b_qutrit = adversary.bob_qutrit_cheat_prob()
     qutrit_profile = advantage(p_a_opt, p_b_qutrit)
     _cross_check("lemma_2_p_a", qutrit_profile.p_a_star, 0.853)

@@ -75,6 +75,12 @@ def test_optimizer_finds_the_maximum():
     assert abs(triple.gamma_amp - math.sqrt(0.5)) < 1e-4
 
 
+def test_optimizer_value_is_the_density_path_at_its_triple():
+    for tolerance in (1e-3, 1e-6, 1e-9):
+        triple, value = optimize_alice_qutrit(tolerance)
+        assert value == alice_qutrit_cheat_prob(triple)
+
+
 def test_optimizer_dominates_grid_oracle():
     # Independent brute force through the closed form on a coarse grid.
     _, value = optimize_alice_qutrit(1e-9)

@@ -70,6 +70,31 @@ def test_headline_interval(capsys):
     assert abs(hi - 1.2398) < 1e-3
 
 
+# The exact documents, byte for byte; any change to the optimizer or the
+# headline path that moves a printed digit fails here.
+PINNED_JSON = {
+    ("analyze", "--protocol", "qutrit"): (
+        '{"gamma": 1.500000, "gamma_a": 1.138071, "gamma_b": 1.500000, '
+        '"optimal_triple": [0.500000, 0.500000, 0.707107], "p_a_star": 0.853553, '
+        '"p_a_star_optimized": 0.853553, "p_b_star": 0.750000}\n'
+    ),
+    ("headline",): (
+        '{"interval": [1.097168, 1.239718], "lemma_2_profile": {"gamma": 1.500000, '
+        '"p_a_star": 0.853553, "p_b_star": 0.750000}, "protocol_1_gamma": 2.000000, '
+        '"protocol_2_gamma": 1.333333, "theorem_1_gamma": 1.250000, '
+        '"theorem_2_gamma": 1.239718, "theorem_3_bound": 1.097168}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(PINNED_JSON))
+def test_json_output_is_pinned(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--output", "json")
+    assert code == 0
+    assert err == ""
+    assert out == PINNED_JSON[argv]
+
+
 def test_headline_consistency_exit_code(capsys, monkeypatch):
     def broken():
         raise security.ConsistencyError("forced drift")
@@ -145,6 +170,28 @@ def test_cheat_rejects_bad_amplitudes(capsys, tmp_path, amplitude):
     assert code == 1
     assert out == ""
     assert "alpha must be a finite amplitude in [0, 1]" in err
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"party": "alice", "protocol": "qutrit", "parameters": 5},
+        {"party": "alice", "protocol": "qutrit", "parameters": []},
+        {"party": ["alice"], "protocol": "qutrit"},
+        {"party": "alice", "protocol": 3},
+        {"party": "alice", "protocol": "qutrit", "parameters": {"triple": [0.5, 0.5, None]}},
+        {"party": "alice", "protocol": "qutrit", "parameters": {"triple": ["0.5", "0.5", "0.7071067811865476"]}},
+        {"party": "alice", "protocol": "qutrit", "parameters": {"triple": [True, 0, 0]}},
+    ],
+)
+def test_cheat_rejects_malformed_strategy_files(capsys, tmp_path, document):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(document))
+    code, out, err = run_cli(capsys, "cheat", "--strategy", str(path), "--trials", "1000")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_cheat_missing_file(capsys, tmp_path):

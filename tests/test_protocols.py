@@ -67,8 +67,8 @@ def test_sequence_config_validation():
     assert SequenceConfig(4).test_size == 2
     with pytest.raises(ValidationError):
         SequenceConfig(3)
-    with pytest.raises(ValidationError):
-        SequenceConfig(100, test_size=9)
+    with pytest.raises(TypeError):
+        SequenceConfig(100, test_size=9)  # derived from n_states, not settable
 
 
 # ---------------------------------------------------------------------------
