@@ -38,7 +38,7 @@ from .protocols import (
     qutrit_entangled_state,
     sequence_setup_block,
 )
-from .rng import ALICE, BOB, BOB_AUX, BlockStream, seed_array
+from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 from .security import CheatProfile
 
 GRID_POINTS = 21
@@ -320,23 +320,31 @@ def _alice_qutrit_tables(params: dict):
     return encoded, measurements
 
 
-def _alice_qutrit_block(params: dict):
+def _alice_recovers_bit(params: dict):
     # Alice measures Bob's encoding of her probe with the Helstrom
     # measurement for the announced permutation value and guesses his data
-    # bit.  Born weights of that measurement, per Bob's (y, z_dummy, p).
+    # bit: whether the guess is right, from both party streams.  Born
+    # weights of that measurement, per Bob's (y, z_dummy, p).
     encoded, measurements = _alice_qutrit_tables(params)
     weights = np.empty((2, 2, 2, 2))
     for y, z_dummy, p in itertools.product((0, 1), repeat=3):
         pair = OtPair.draw(y, z_dummy, p)
         weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)], measurements[p])
 
-    def run(seeds: np.ndarray) -> np.ndarray:
-        alice = BlockStream(seeds, ALICE)
-        bob = BlockStream(seeds, BOB)
+    def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:
         y = bob.draw_bit()
         z_dummy = bob.draw_bit()
         p = bob.draw_bit()
         return invert_cumulative_block(weights[y, z_dummy, p], alice.random()) == y
+
+    return recovers_bit
+
+
+def _alice_qutrit_block(params: dict):
+    recovers_bit = _alice_recovers_bit(params)
+
+    def run(seeds: np.ndarray) -> np.ndarray:
+        return recovers_bit(*block_streams(seeds, ((ALICE, 4), (BOB, 4))))
 
     return run
 
@@ -377,10 +385,11 @@ def _alice_coinflip_block(params: dict):
     # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
     # NULL (always accepted), on b = 0 she must pass Bob's check, which
     # succeeds exactly when her measurement recovers his data bit.
-    recovers_bit = _alice_qutrit_block(params)
+    recovers_bit = _alice_recovers_bit(params)
 
     def run(seeds: np.ndarray) -> np.ndarray:
-        return (BlockStream(seeds, BOB_AUX).draw_bit() == 1) | recovers_bit(seeds)
+        aux, alice, bob = block_streams(seeds, ((BOB_AUX, 4), (ALICE, 4), (BOB, 4)))
+        return (aux.draw_bit() == 1) | recovers_bit(alice, bob)
 
     return run
 
@@ -404,8 +413,9 @@ def _bob_qutrit_block(params: dict):
     def run(seeds: np.ndarray) -> np.ndarray:
         # Bob's data and dummy bits, drawn after his measurement, do not
         # change whether his guess is right.
-        a = BlockStream(seeds, ALICE).draw_bit()
-        return invert_cumulative_block(weights[a], BlockStream(seeds, BOB).random()) == a
+        alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
+        a = alice.draw_bit()
+        return invert_cumulative_block(weights[a], bob.random()) == a
 
     return run
 

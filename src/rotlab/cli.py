@@ -47,7 +47,7 @@ class RunConfig:
     protocol: str | None = None
     trials: int = 10000
     seed: int = 42
-    n_states: int = 100
+    n_states: int | None = None  # the sequence batch size; None keeps the default
     output: str = "table"
     strategy_file: str | None = None
 
@@ -55,6 +55,8 @@ class RunConfig:
         # argparse enforces the required options and the choices.
         if self.trials < 1:
             raise ValidationError("--trials must be positive")
+        if self.n_states is not None and self.protocol != "sequence":
+            raise ValidationError(f"--n-states applies only to --protocol sequence, not {self.protocol}")
 
 
 def render_json(value) -> str:
@@ -157,8 +159,9 @@ def _bound(config: RunConfig) -> dict:
 
 
 def _simulate(config: RunConfig) -> dict:
+    batch = {} if config.n_states is None else {"n_states": config.n_states}
     report, conditional = montecarlo.estimate_completeness(
-        config.protocol, config.trials, config.seed, n_states=config.n_states
+        config.protocol, config.trials, config.seed, **batch
     )
     return {
         "protocol": config.protocol,

@@ -52,7 +52,7 @@ from .linalg import (
     kron,
     measure_pure,
 )
-from .rng import ALICE, BOB, BOB_AUX, BlockStream, seed_array
+from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 
 
 @dataclass(frozen=True)
@@ -353,8 +353,7 @@ def _bad_qubit_weights() -> np.ndarray:
 
 
 def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
-    bob = BlockStream(seeds, BOB)
-    alice = BlockStream(seeds, ALICE)
+    alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
     y = bob.draw_bit()
     discard = alice.draw_bit()
     # Drawn for every trial; it is Alice's last draw, used only where she measures.
@@ -378,8 +377,7 @@ def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     # Alice's choice bit a, Bob's (y, z_dummy, p) and Alice's measurement
     # outcome, per seed.
     weights, _ = _qutrit_tables()
-    alice = BlockStream(seeds, ALICE)
-    bob = BlockStream(seeds, BOB)
+    alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
     a = alice.draw_bit()
     y = bob.draw_bit()
     z_dummy = bob.draw_bit()
@@ -494,8 +492,7 @@ def sequence_setup_block(
     unused.  Those 2k - 1 32-bit values fill k words.
     """
     n, k = cfg.n_states, cfg.test_size
-    alice = BlockStream(seeds, ALICE, k + alice_words)
-    bob = BlockStream(seeds, BOB, n + bob_words)
+    alice, bob = block_streams(seeds, ((ALICE, k + alice_words), (BOB, n + bob_words)))
     bits = bob.draw_bits(2 * n)
     pairs = 2 * bits[0::2] + bits[1::2]
     draws, rejected = alice.bounded(np.concatenate((np.arange(n - k, n), np.arange(k - 1, 0, -1))))

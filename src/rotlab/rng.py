@@ -11,14 +11,16 @@ The draw contract is numpy's: stream ``(seed, stream)`` gives the draws a
 numpy generator over ``Philox(key=[seed, stream])`` makes.  Because Philox
 is counter-based, a trial's draws are a pure function of (trial seed,
 stream, counter): :func:`philox_block` computes numpy's Philox4x64-10
-output for an array of keys at any counter, and :class:`BlockStream`
-hands its words out the way the numpy generator consumes them.  Every flow
-evaluates an array of seeds at once; a single run is the same flow on a
-one-element array.  Bounded draws (``integers`` and ``choice``) use
-Lemire's multiply-shift, which draws again with probability below
-``high / 2**32``.  A one-seed stream draws again exactly as numpy does; a
-stream over many seeds flags those seeds instead, for a replay of the flow
-on each of them alone.
+output for arrays of seeds, streams and counters, and :class:`BlockStream`
+hands its words out the way the numpy generator consumes them.  A stream's
+words depend only on (seed, stream, counter), however streams are grouped
+into calls, so :func:`block_streams` keys all of a flow's party streams in
+one kernel call.  Every flow evaluates an array of seeds at once; a single
+run is the same flow on a one-element array.  Bounded draws (``integers``
+and ``choice``) use Lemire's multiply-shift, which draws again with
+probability below ``high / 2**32``.  A one-seed stream draws again
+exactly as numpy does; a stream over many seeds flags those seeds instead,
+for a replay of the flow on each of them alone.
 """
 
 from __future__ import annotations
@@ -50,6 +52,13 @@ _PHILOX_MUL = tuple(
     for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 )
 _PHILOX_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+# The same constants stacked as columns, one row per lane pair: row 0
+# multiplies c0 and bumps k0, row 1 multiplies c2 and bumps k1.
+_STACKED_MUL = tuple(np.array([[a], [b]], dtype=np.uint64) for a, b in zip(*_PHILOX_MUL))
+_STACKED_WEYL = np.array([[w] for w in _PHILOX_WEYL], dtype=np.uint64)
+# Columns per pass of the stacked rounds: wide enough to spread each ufunc
+# call's fixed cost, narrow enough to keep a round's temporaries in cache.
+_COLUMNS = 4096
 
 
 def seed_array(seed: int) -> np.ndarray:
@@ -99,28 +108,37 @@ def _mulhilo(multiplier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), m * x
 
 
-def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
+def philox_block(seeds: np.ndarray, stream, counter=1) -> np.ndarray:
     """Philox4x64-10 output block at counter ``[counter, 0, 0, 0]`` under the
     key ``[seed, stream]``, for every seed.
 
     ``Philox(key=[seed, stream])`` hands out the block at counter ``b + 1``
     as its words ``4b .. 4b + 3``, so counter 1 is a fresh generator's first
-    ``random_raw(4)``.  ``counter`` broadcasts against ``seeds``; the shape
-    is ``(4,)`` followed by the broadcast shape.
+    ``random_raw(4)``.  ``stream`` and ``counter`` broadcast against
+    ``seeds``; the shape is ``(4,)`` followed by the broadcast shape.
     """
     k0 = np.asarray(seeds, dtype=np.uint64)
+    k1 = np.asarray(stream, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
-    shape = np.broadcast_shapes(k0.shape, counter.shape)
-    rounds_shape = shape
-    if k0.size == counter.size == 1:
-        # A single block runs its rounds on 0-d arrays, whose arithmetic
-        # gives numpy scalars at a seventh of a one-element array's cost.
-        k0, counter, rounds_shape = k0.reshape(()), counter.reshape(()), ()
-    k1 = np.uint64(stream & _MASK64)
+    shape = np.broadcast_shapes(k0.shape, k1.shape, counter.shape)
+    if k0.size == k1.size == counter.size == 1:
+        # A single block runs its rounds on numpy scalars, at a fifth of
+        # the stacked rounds' cost.
+        block = _single_rounds(k0.ravel()[0], k1.ravel()[0], counter.ravel()[0])
+        return np.stack(block).reshape((4,) + shape)
+    key = np.stack([np.broadcast_to(k, shape).ravel() for k in (k0, k1)])
+    counter = np.broadcast_to(counter, shape).ravel()
+    out = np.empty((4, counter.size), dtype=np.uint64)
+    for start in range(0, counter.size, _COLUMNS):
+        columns = slice(start, start + _COLUMNS)
+        out[0::2, columns], out[1::2, columns] = _stacked_rounds(key[:, columns], counter[columns])
+    return out.reshape((4,) + shape)
+
+
+def _single_rounds(k0, k1, c0) -> tuple:
+    # The ten rounds on one block's words c0..c3.
     (mul0, mul1), (weyl0, weyl1) = _PHILOX_MUL, _PHILOX_WEYL
-    # The rounds only read c1..c3, so one zero array serves all three.
-    c1 = c2 = c3 = np.zeros(rounds_shape, dtype=np.uint64)
-    c0 = counter + c1
+    c1 = c2 = c3 = np.uint64(0)
     with np.errstate(over="ignore"):
         for round_index in range(_PHILOX_ROUNDS):
             if round_index:
@@ -128,14 +146,38 @@ def philox_block(seeds: np.ndarray, stream: int, counter=1) -> np.ndarray:
             hi0, lo0 = _mulhilo(mul0, c0)
             hi1, lo1 = _mulhilo(mul1, c2)
             c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
-    return np.stack((c0, c1, c2, c3)).reshape((4,) + shape)
+    return c0, c1, c2, c3
+
+
+def _stacked_rounds(key: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The ten rounds on the lane pairs even = (c0, c2) and odd = (c1, c3),
+    # each shaped (2, columns) like key = (k0, k1).  A round multiplies c0
+    # and c2 by their own multipliers in one stacked product, then sets
+    # (c0, c2) = (hi(c2) ^ c1 ^ k0, hi(c0) ^ c3 ^ k1) and
+    # (c1, c3) = (lo(c2), lo(c0)).  The constants are spread to full rows:
+    # numpy multiplies two contiguous arrays about twice as fast as it
+    # broadcasts a column against one.
+    width = key.shape[1]
+    mul = tuple(np.repeat(c, width, axis=1) for c in _STACKED_MUL)
+    weyl = np.repeat(_STACKED_WEYL, width, axis=1)
+    even = np.zeros_like(key)
+    even[0] = counter
+    odd = np.zeros_like(key)
+    with np.errstate(over="ignore"):
+        for round_index in range(_PHILOX_ROUNDS):
+            if round_index:
+                key = key + weyl
+            hi, lo = _mulhilo(mul, even)
+            even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+    return even, odd
 
 
 class BlockStream:
     """The draws of stream ``(seed, stream)`` for an array of seeds.
 
     Holds the first ``words`` 64-bit words of each seed's stream, rounded up
-    to whole Philox blocks and computed in one :func:`philox_block` call,
+    to whole Philox blocks and computed in one :func:`philox_block` call
+    (with a flow's other streams, when :func:`block_streams` builds it),
     and hands them out the way numpy's generator consumes them.  A 32-bit
     value comes from the buffered high half of the last word split, if there
     is one, and otherwise from the low half of a fresh word, whose high half
@@ -151,7 +193,19 @@ class BlockStream:
     def __init__(self, seeds: np.ndarray, stream: int, words: int = 4):
         self._seeds = seeds
         self._stream = stream
-        self._words = self._blocks(0, -(-words // 4))
+        self._hold(self._blocks(0, -(-words // 4)))
+
+    @classmethod
+    def _holding(cls, seeds: np.ndarray, stream: int, words: np.ndarray) -> "BlockStream":
+        # The stream over words already computed, shape (4 * blocks, len(seeds)).
+        self = cls.__new__(cls)
+        self._seeds = seeds
+        self._stream = stream
+        self._hold(words)
+        return self
+
+    def _hold(self, words: np.ndarray) -> None:
+        self._words = words
         self._used = 0
         self._buffered: np.ndarray | None = None  # the word whose high half is next
         self._extends = False
@@ -159,7 +213,7 @@ class BlockStream:
     def _blocks(self, first: int, count: int) -> np.ndarray:
         # Philox blocks first .. first + count - 1 as words, shape (4 * count, len(seeds)).
         if count <= 1:
-            # The single-transfer flows' case, kept on one-dimensional counters.
+            # One block needs no counter axis.
             return philox_block(self._seeds, self._stream, first + 1)
         counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)[:, None]
         out = philox_block(self._seeds, self._stream, counters)
@@ -239,3 +293,30 @@ class BlockStream:
 
     def random(self) -> np.ndarray:
         return (self._next_word() >> np.uint64(11)) * 2.0**-53
+
+
+def block_streams(seeds: np.ndarray, streams) -> tuple[BlockStream, ...]:
+    """One :class:`BlockStream` per ``(stream, words)`` pair of ``streams``,
+    all over ``seeds``, in order.
+
+    Over many seeds, every stream's blocks are computed in one
+    :func:`philox_block` call: each stream contributes its own rows of
+    (stream, counter), as many as its ``words`` need, so no stream is padded
+    to the longest.  A stream's words depend only on (seed, stream,
+    counter), so each is the :class:`BlockStream` built on its own.  A
+    single seed builds its streams one by one, so a one-block stream keeps
+    the kernel's scalar rounds.
+    """
+    if seeds.size == 1:
+        return tuple(BlockStream(seeds, stream, words) for stream, words in streams)
+    blocks = [-(-words // 4) for _, words in streams]
+    ids = np.repeat(np.array([stream for stream, _ in streams], dtype=np.uint64), blocks)
+    counters = np.concatenate([np.arange(1, count + 1, dtype=np.uint64) for count in blocks])
+    out = philox_block(seeds, ids[:, None], counters[:, None])
+    # Rows 4r .. 4r + 3 hold block row r: each stream's words are one slice.
+    words = out.swapaxes(0, 1).reshape(4 * ids.size, seeds.size)
+    ends = 4 * np.cumsum(blocks)
+    return tuple(
+        BlockStream._holding(seeds, stream, words[end - 4 * count : end])
+        for (stream, _), count, end in zip(streams, blocks, ends.tolist())
+    )

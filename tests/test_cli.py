@@ -128,6 +128,28 @@ def test_simulate_is_deterministic(capsys):
     assert payload["assert_rate"]["trials"] == 2000
 
 
+@pytest.mark.parametrize("protocol", ["bad_classical", "bad_qubit", "qutrit"])
+@pytest.mark.parametrize("n_states", ["3", "100"])
+def test_simulate_rejects_n_states_for_single_transfers(capsys, protocol, n_states):
+    # --n-states sizes the sequence batch; a single transfer has none, so
+    # the flag is refused rather than ignored, as the sequence protocol
+    # refuses a batch below 4.
+    args = ("simulate", "--trials", "1000", "--n-states")
+    code, out, err = run_cli(capsys, *args, n_states, "--protocol", protocol)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: --n-states applies only to --protocol sequence, not {protocol}\n"
+    code, _, err = run_cli(capsys, *args, "3", "--protocol", "sequence")
+    assert code == 1 and err.startswith("error: ")
+
+
+def test_simulate_sequence_keeps_its_default_batch(capsys):
+    args = ("simulate", "--protocol", "sequence", "--trials", "1000", "--seed", "4", "--output", "json")
+    _, default, _ = run_cli(capsys, *args)
+    code, explicit, _ = run_cli(capsys, *args, "--n-states", "100")
+    assert code == 0 and default == explicit
+
+
 def test_cheat_with_strategy_file(capsys, tmp_path):
     path = tmp_path / "strategy.json"
     path.write_text(json.dumps({"party": "bob", "protocol": "qutrit"}))

@@ -229,23 +229,26 @@ def _sequence_block_flows(cfg):
 
 
 def test_block_flows_key_each_stream_once(monkeypatch):
-    # Each block flow computes every Philox word it draws from a party
-    # stream in a single philox_block call.
-    keyed = Counter()
+    # Each many-seed block flow computes every Philox word it draws, from
+    # all of its party streams, in a single philox_block call, which keys
+    # each (stream, counter) once.
+    calls = []
     philox_block = rng.philox_block
 
-    def counting(seeds, stream, *counter):
-        keyed[stream] += 1
-        return philox_block(seeds, stream, *counter)
+    def counting(seeds, stream, counter=1):
+        rows = np.broadcast_arrays(np.asarray(stream), np.asarray(counter))
+        calls.append(Counter(zip(*(row.ravel().tolist() for row in rows))))
+        return philox_block(seeds, stream, counter)
 
     monkeypatch.setattr(rng, "philox_block", counting)
     seeds = trial_seeds(0, 0, 16)
     flows = list(ROT_BLOCKS.values()) + [cheat_block(s) for s in _block_strategies()]
     flows += list(_sequence_block_flows(SequenceConfig(16)).values())
     for flow in flows:
-        keyed.clear()
+        calls.clear()
         flow(seeds)
-        assert keyed and max(keyed.values()) == 1, flow
+        assert len(calls) == 1, flow
+        assert calls[0] and max(calls[0].values()) == 1, flow
 
 
 def _refuse_one_seed(seeds, *args):
@@ -330,15 +333,18 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
     def forced(seeds, party, counter=1):
         # The value is forced in the block pass only: the run of the target
         # seed alone must see its real draws, which the oracle sees too.
-        # BlockStream asks for its blocks at counters 1, 2, ... in one call.
+        # A one-seed stream asks for its blocks at counters 1, 2, ... in one
+        # call; a block pass asks for every party's blocks in one call, one
+        # (party, counter) row each.
         out = PHILOX_BLOCK(seeds, party, counter)
         seeds = np.asarray(seeds)
         if seeds.size == 1:
             if np.asarray(counter).min() == 1:
                 opened.append((party, int(seeds[0])))
-        elif party == stream:
+        else:
             keep = np.uint64(0xFFFFFFFF << 32 if half == "low" else 0xFFFFFFFF)
-            out[word % 4, word // 4, seeds == np.uint64(target_seed)] &= keep
+            row = (np.asarray(party) == stream) & (np.asarray(counter) == word // 4 + 1)
+            out[word % 4][row & (seeds == np.uint64(target_seed))] &= keep
         return out
 
     strategy = CheatStrategy("alice", "sequence", {"n_states": 100})

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import oracle
 from oracle import draw_bit, party_stream
 from rotlab import rng
 from rotlab.adversary import CheatStrategy
-from rotlab.rng import BlockStream, philox_block, trial_seed, trial_seeds
+from rotlab.rng import BlockStream, block_streams, philox_block, trial_seed, trial_seeds
 
 MASK64 = (1 << 64) - 1
 EDGE_SEEDS = (0, MASK64, (1 << 63) + 5)
@@ -89,6 +91,47 @@ def test_philox_block_on_one_seed_matches_numpy():
                 assert philox_block(np.uint64(key), stream, counter).tolist() == expected
 
 
+def _numpy_block(seed: int, stream: int, counter: int) -> list[int]:
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=counter - 1).random_raw(4).tolist()
+
+
+@pytest.mark.parametrize("offset", (-1, 0, 1))
+def test_philox_block_with_array_streams_matches_numpy(offset):
+    # Every (seed, stream, counter) cell of the stacked rounds is numpy's
+    # block, with the seed, stream and counter arrays broadcast together and
+    # the cells spanning one column pass less, exactly, or one more.
+    count = rng._COLUMNS + offset
+    keys = _keys(count - len(EDGE_SEEDS))
+    streams = np.resize(np.array([0, 1, 2, 3, MASK64], dtype=np.uint64), count)
+    counters = np.resize(np.array([1, 2, 9, 1 << 32, MASK64], dtype=np.uint64), count)
+    np.random.default_rng(count).shuffle(counters)
+    block = philox_block(keys, streams, counters)
+    assert block.shape == (4, count) and block.dtype == np.uint64
+    for index, cell in enumerate(zip(keys.tolist(), streams.tolist(), counters.tolist())):
+        assert block[:, index].tolist() == _numpy_block(*cell), cell
+    # Rows of (stream, counter) against a row of seeds, the layout flows use.
+    rows = np.array([[0, 1], [3, 2], [MASK64, 7]], dtype=np.uint64)
+    block = philox_block(keys[:9], rows[:, :1], rows[:, 1:])
+    assert block.shape == (4, 3, 9)
+    for row, (stream, counter) in enumerate(rows.tolist()):
+        for index, key in enumerate(keys[:9].tolist()):
+            assert block[:, row, index].tolist() == _numpy_block(key, stream, counter)
+
+
+def test_block_streams_hold_the_words_of_streams_built_alone():
+    # One call for all streams, each keeping its own length and stream id.
+    keys = _keys(50)
+    specs = ((rng.BOB_AUX, 1), (rng.ALICE, 23), (rng.BOB, 4), (MASK64, 9))
+    for seeds in (keys, keys[:1]):
+        grouped = block_streams(seeds, specs)
+        assert len(grouped) == len(specs)
+        for stream, (stream_id, words) in zip(grouped, specs):
+            alone = BlockStream(seeds, stream_id, words)
+            assert stream._words.shape == (4 * -(-words // 4), seeds.size)
+            assert np.array_equal(stream._words, alone._words), (stream_id, seeds.size)
+
+
 def test_block_stream_spans_blocks():
     # Bits, uniforms and bounded draws interleaved over several Philox
     # blocks, including runs that end on a buffered half word.
@@ -145,9 +188,13 @@ def test_one_seed_bounded_redraws_as_generator():
     planned.randoms(6)
     _, redrawn = planned.bounded([high])
     assert 20 < np.count_nonzero(redrawn) < 150
-    for key in keys.tolist():
+    one_seed_streams = (
+        lambda seed: BlockStream(seed, 0, words=12),
+        lambda seed: block_streams(seed, ((rng.BOB, 4), (0, 12)))[1],
+    )
+    for key, make in itertools.product(keys.tolist(), one_seed_streams):
         gen = party_stream(key, 0)
-        block = BlockStream(np.array([key], dtype=np.uint64), 0, words=12)
+        block = make(np.array([key], dtype=np.uint64))
         assert block.randoms(6)[:, 0].tolist() == [gen.random() for _ in range(6)]
         values, rejected = block.bounded([high])
         assert values[0, 0] == gen.integers(0, high + 1) and not rejected[0], key
