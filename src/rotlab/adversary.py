@@ -2,6 +2,12 @@
 
 The evaluators compute each dishonest party's best success probability
 analytically (trace-norm discrimination of the relevant state mixtures).
+Cheating Alice's qutrit objective has one stacked evaluator: both
+discrimination operators of many amplitude triples at once, with all their
+trace norms from one ``eigvalsh`` call.  It serves single triples and the
+optimizer's grid alike; its reference, the density-matrix path one triple
+at a time, is in ``tests/oracle.py``.
+
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
 cross-check every analytic value empirically; ``execute_cheat`` runs it on
@@ -13,6 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -51,8 +58,8 @@ class UnsupportedStrategyError(ValueError):
 
 @dataclass(frozen=True)
 class AmplitudeTriple:
-    """Cheating Alice's qutrit amplitudes (alpha, beta, gamma_amp), each in
-    [0, 1], with unit squared sum."""
+    """Cheating Alice's qutrit amplitudes (alpha, beta, gamma_amp): real
+    numbers (not bools), each in [0, 1], with unit squared sum."""
 
     alpha: float
     beta: float
@@ -60,6 +67,8 @@ class AmplitudeTriple:
 
     def __post_init__(self):
         for name, value in (("alpha", self.alpha), ("beta", self.beta), ("gamma_amp", self.gamma_amp)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, not {type(value).__name__}")
             if not 0.0 <= value <= 1.0:
                 raise ValidationError(f"{name} must be a finite amplitude in [0, 1], got {value}")
         norm_sq = self.alpha**2 + self.beta**2 + self.gamma_amp**2
@@ -89,63 +98,51 @@ class AmplitudeTriple:
 # --------------------------------------------------------------------------
 
 
-def _encoded_state(triple: AmplitudeTriple, x0: int, x1: int) -> PureState:
-    signs = ((-1.0) ** x0, (-1.0) ** x1, 1.0)
-    return PureState(np.array(signs) * np.array(triple.as_tuple()))
+# Bob's phase encoding diag((-1)^x0, (-1)^x1, 1) for (x0, x1) = 00, 01, 10, 11.
+_ENCODING_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
-def _bit_mixtures(triple: AmplitudeTriple, perm: int) -> tuple[DensityMatrix, DensityMatrix]:
-    """The two equal-weight mixtures Alice must tell apart once the
-    permutation value is announced: encodings with the selected bit 0 vs 1."""
-    groups: dict[int, list[PureState]] = {0: [], 1: []}
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            bit = x0 if perm == 0 else x1
-            groups[bit].append(_encoded_state(triple, x0, x1))
-    rho0 = DensityMatrix.mixture([(0.5, s) for s in groups[0]])
-    rho1 = DensityMatrix.mixture([(0.5, s) for s in groups[1]])
-    return rho0, rho1
+def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
+    """:func:`alice_qutrit_cheat_prob` of every row of an (m, 3) array of
+    amplitudes.
+
+    The operator for permutation value p is 0.5 rho_0 - 0.5 rho_1, where
+    rho_b mixes, with weight 1/2 each, the two encodings whose selected bit
+    (x0 for p = 0, x1 for p = 1) is b.  It is summed in the association of
+    ``DensityMatrix.mixture`` and ``helstrom_prob``, so each value equals
+    the density path's.  The operators are real, and all 2m trace norms
+    come from one ``eigvalsh`` call.
+    """
+    encoded = vectors[:, None, :] * _ENCODING_SIGNS
+    outers = np.einsum("mki,mkj->mkij", encoded, encoded)
+    # (o00 + o01) - (o10 + o11) for p = 0, (o00 + o10) - (o01 + o11) for p = 1.
+    operators = 0.25 * ((outers[:, 0:1] + outers[:, 1:3]) - (outers[:, 2:0:-1] + outers[:, 3:4]))
+    norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=-1)
+    return (0.5 * (1.0 + norms)).mean(axis=1)
 
 
 def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     """Success probability of the probe-state attack on the qutrit protocol,
     averaged over the uniform permutation value.
 
-    Evaluated through the density-matrix path (mixtures and trace norms);
-    the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its cross-check.
+    The Helstrom value of the two bit mixtures, from their trace-norm
+    distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
+    cross-check.
     """
     if not isinstance(triple, AmplitudeTriple):
         triple = AmplitudeTriple(*triple)
-    values = []
-    for perm in (0, 1):
-        rho0, rho1 = _bit_mixtures(triple, perm)
-        values.append(helstrom_prob(0.5, rho0, 0.5, rho1))
-    return float(np.mean(values))
+    return float(_qutrit_cheat_values(np.array([triple.as_tuple()], dtype=float))[0])
 
 
 def _qutrit_cheat_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """The objective of :func:`alice_qutrit_cheat_prob` on a theta x phi grid.
-
-    Batched over the grid: the two bit-difference operators of every triple
-    are stacked and their trace norms come from one ``eigvalsh`` call each.
-    """
-    tt, ff = np.meshgrid(thetas, phis, indexing="ij")
-    alpha = (np.sin(tt) * np.cos(ff)).ravel()
-    beta = (np.sin(tt) * np.sin(ff)).ravel()
-    gamma_amp = np.cos(tt).ravel()
-    vecs = np.empty((alpha.size, 2, 2, 3))
-    for x0 in range(2):
-        for x1 in range(2):
-            vecs[:, x0, x1, 0] = alpha * (1.0 - 2.0 * x0)
-            vecs[:, x0, x1, 1] = beta * (1.0 - 2.0 * x1)
-            vecs[:, x0, x1, 2] = gamma_amp
-    outers = np.einsum("mxyi,mxyj->mxyij", vecs, vecs)
-    delta0 = 0.5 * (outers[:, 0, 0] + outers[:, 0, 1] - outers[:, 1, 0] - outers[:, 1, 1])
-    delta1 = 0.5 * (outers[:, 0, 0] + outers[:, 1, 0] - outers[:, 0, 1] - outers[:, 1, 1])
-    norms0 = np.abs(np.linalg.eigvalsh(delta0)).sum(axis=1)
-    norms1 = np.abs(np.linalg.eigvalsh(delta1)).sum(axis=1)
-    values = 0.5 * ((0.5 + 0.25 * norms0) + (0.5 + 0.25 * norms1))
-    return values.reshape(thetas.size, phis.size)
+    """:func:`alice_qutrit_cheat_prob` on a theta x phi grid of
+    :meth:`AmplitudeTriple.from_angles`, in one evaluator call."""
+    sin_t = np.sin(thetas)[:, None]
+    vectors = np.empty((thetas.size, phis.size, 3))
+    vectors[..., 0] = sin_t * np.cos(phis)
+    vectors[..., 1] = sin_t * np.sin(phis)
+    vectors[..., 2] = np.cos(thetas)[:, None]
+    return _qutrit_cheat_values(vectors.reshape(-1, 3)).reshape(thetas.size, phis.size)
 
 
 @lru_cache(maxsize=8)
@@ -153,8 +150,8 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
     """Maximise the probe-state attack over the amplitude octant.
 
     A grid over the two spherical angles narrows around its best point
-    until its step drops below ``tolerance``.  The value returned is the
-    density path, :func:`alice_qutrit_cheat_prob`, at the final triple.
+    until its step drops below ``tolerance``.  The value returned is
+    :func:`alice_qutrit_cheat_prob` at the final triple.
     """
     if not (0.0 < tolerance <= 1e-3):
         raise ValidationError(f"tolerance must lie in (0, 1e-3], got {tolerance}")
@@ -271,9 +268,7 @@ class CheatStrategy:
             values = parameters["triple"]
             if not isinstance(values, (list, tuple)) or len(values) != 3:
                 raise ValidationError("triple must be a list of three amplitudes")
-            if any(isinstance(v, bool) or not isinstance(v, (int, float)) for v in values):
-                raise ValidationError("triple amplitudes must be numbers")
-            parameters["triple"] = list(AmplitudeTriple(*map(float, values)).as_tuple())
+            parameters["triple"] = [float(v) for v in AmplitudeTriple(*values).as_tuple()]
         if "n_states" in parameters:
             n_states = parameters["n_states"]
             if not isinstance(n_states, int) or isinstance(n_states, bool):
@@ -307,6 +302,23 @@ def _strategy_triple(params: dict) -> AmplitudeTriple:
     if "triple" in params:
         return AmplitudeTriple(*params["triple"])
     return AmplitudeTriple.balanced()
+
+
+def _encoded_state(triple: AmplitudeTriple, x0: int, x1: int) -> PureState:
+    return PureState(_ENCODING_SIGNS[2 * x0 + x1] * np.array(triple.as_tuple()))
+
+
+def _bit_mixtures(triple: AmplitudeTriple, perm: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """The two equal-weight mixtures Alice must tell apart once the
+    permutation value is announced: encodings with the selected bit 0 vs 1."""
+    groups: dict[int, list[PureState]] = {0: [], 1: []}
+    for x0 in (0, 1):
+        for x1 in (0, 1):
+            bit = x0 if perm == 0 else x1
+            groups[bit].append(_encoded_state(triple, x0, x1))
+    rho0 = DensityMatrix.mixture([(0.5, s) for s in groups[0]])
+    rho1 = DensityMatrix.mixture([(0.5, s) for s in groups[1]])
+    return rho0, rho1
 
 
 def _alice_qutrit_tables(params: dict):

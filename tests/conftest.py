@@ -2,7 +2,9 @@
 
 The oracles here deliberately avoid the library's own code paths: the
 characteristic-polynomial eigensolver checks the LAPACK-backed spectra,
-and the closed-form objective checks the density-matrix evaluators.
+and the closed-form objective checks the qutrit cheating objective (the
+library's stacked evaluator, which in turn must equal the density path in
+``oracle.py`` exactly).
 """
 
 import numpy as np

@@ -8,6 +8,11 @@ flows draw from ``Generator(Philox(key=[seed, stream]))`` itself: a bit is
 measurement is sampled by ``measure_pure``.  The library's flows must give
 these outcomes and transcripts trial by trial.  Nothing here draws from
 ``BlockStream`` or ``philox_block``.
+
+It also holds the density path of cheating Alice's qutrit objective, built
+one triple at a time from public ``linalg`` objects (``PureState``,
+``DensityMatrix.mixture``, ``helstrom_prob``); the library's stacked
+evaluator must give its values exactly.
 """
 
 import json
@@ -17,7 +22,15 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 from rotlab.adversary import _alice_qutrit_tables, _alice_sequence_measurements, _helstrom_on_bob_side
-from rotlab.linalg import DimensionError, ProjectiveMeasurement, PureState, ValidationError, measure_pure
+from rotlab.linalg import (
+    DensityMatrix,
+    DimensionError,
+    ProjectiveMeasurement,
+    PureState,
+    ValidationError,
+    helstrom_prob,
+    measure_pure,
+)
 from rotlab.protocols import (
     _QUBIT1,
     _QUBIT2,
@@ -250,6 +263,40 @@ ROT_RUNS = {
 def coin_bit(seed: int) -> int:
     """Bob's announced bit in the coin flip built on a transfer."""
     return draw_bit(party_stream(seed, BOB_AUX))
+
+
+# --------------------------------------------------------------------------
+# Cheating Alice's qutrit objective
+# --------------------------------------------------------------------------
+
+
+def encoding_signs(x0: int, x1: int) -> np.ndarray:
+    """The diagonal of Bob's phase encoding diag((-1)^x0, (-1)^x1, 1)."""
+    return np.array(((-1.0) ** x0, (-1.0) ** x1, 1.0))
+
+
+def probe_cheat_prob(encoded: dict[tuple[int, int], PureState]) -> float:
+    """Alice's Helstrom success, averaged over the permutation value, given
+    Bob's four encodings ``encoded[(x0, x1)]`` of her probe: per value, the
+    equal-prior discrimination of the two equal-weight mixtures of the
+    encodings whose selected bit (x0, then x1) is 0 and 1."""
+    values = []
+    for perm in (0, 1):
+        groups: dict[int, list[PureState]] = {0: [], 1: []}
+        for bits, state in encoded.items():
+            groups[bits[perm]].append(state)
+        rho0 = DensityMatrix.mixture([(0.5, s) for s in groups[0]])
+        rho1 = DensityMatrix.mixture([(0.5, s) for s in groups[1]])
+        values.append(helstrom_prob(0.5, rho0, 0.5, rho1))
+    return float(np.mean(values))
+
+
+def alice_qutrit_cheat_prob(triple) -> float:
+    """The density path of ``adversary.alice_qutrit_cheat_prob``."""
+    amplitudes = np.array(triple.as_tuple())
+    return probe_cheat_prob(
+        {(x0, x1): PureState(encoding_signs(x0, x1) * amplitudes) for x0 in (0, 1) for x1 in (0, 1)}
+    )
 
 
 # --------------------------------------------------------------------------

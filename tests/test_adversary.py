@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,10 +20,19 @@ from rotlab.adversary import (
     execute_cheat,
     optimize_alice_qutrit,
 )
-from rotlab.linalg import DensityMatrix, PureState, ValidationError, helstrom_prob
+from rotlab.linalg import (
+    ComplexMatrix,
+    DensityMatrix,
+    PureState,
+    ValidationError,
+    helstrom_prob,
+    kron,
+    partial_trace,
+)
 from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage
 
+import oracle
 from conftest import closed_form_objective, random_triple
 
 BEST = (2.0 + math.sqrt(2.0)) / 4.0
@@ -35,10 +46,12 @@ def test_amplitude_triple_validation():
         AmplitudeTriple(-0.5, 0.5, math.sqrt(0.5))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200, 1.0 + 1e-9])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, 1e200, 1.0 + 1e-9, "a", 1j, True, None])
 def test_amplitude_triple_rejects_non_finite_and_oversized(bad):
     with pytest.raises(ValidationError):
         AmplitudeTriple(bad, 0.0, 0.0)
+    with pytest.raises(ValidationError):
+        alice_qutrit_cheat_prob((bad, 0.0, 0.0))
     with pytest.raises(ValidationError):
         CheatStrategy("alice", "qutrit", {"triple": [0.0, 0.0, bad]})
 
@@ -50,6 +63,38 @@ def test_cheat_prob_balanced_probe_hits_best_value():
 def test_cheat_prob_degenerate_probes_give_coin_toss():
     assert abs(alice_qutrit_cheat_prob(AmplitudeTriple(1.0, 0.0, 0.0)) - 0.5) < 1e-12
     assert abs(alice_qutrit_cheat_prob(AmplitudeTriple(0.0, 0.0, 1.0)) - 0.5) < 1e-12
+    assert alice_qutrit_cheat_prob((Fraction(1), 0, 0)) == 0.5  # any real numbers
+
+
+def test_cheat_prob_equals_the_density_path_exactly(rng):
+    triples = [AmplitudeTriple(*random_triple(rng)) for _ in range(2000)]
+    triples += [AmplitudeTriple(1.0, 0.0, 0.0), AmplitudeTriple(0.0, 1.0, 0.0), AmplitudeTriple(0.0, 0.0, 1.0)]
+    triples += [AmplitudeTriple.balanced()]
+    triples += [optimize_alice_qutrit(tolerance)[0] for tolerance in (1e-3, 1e-6, 1e-9)]
+    for triple in triples:
+        assert alice_qutrit_cheat_prob(triple) == oracle.alice_qutrit_cheat_prob(triple), triple
+
+
+def test_entangled_probes_reach_their_reduced_triple(rng):
+    # Bob's phase encoding acts on the qutrit he receives, the second factor
+    # of C^3 (x) C^3, so the encoded Gram matrix depends only on the diagonal
+    # of his reduced state: any entangled probe reaches exactly the objective
+    # of the triple sqrt(diag rho_B), and the real nonnegative triples lose
+    # no generality.
+    alice_side = ComplexMatrix.identity(3)
+    for _ in range(300):
+        raw = rng.normal(size=9) + 1j * rng.normal(size=9)
+        probe = PureState(raw / np.linalg.norm(raw))
+        encoded = {
+            (x0, x1): PureState(
+                kron(alice_side, ComplexMatrix.diagonal(oracle.encoding_signs(x0, x1))).data @ probe.amplitudes
+            )
+            for x0 in (0, 1)
+            for x1 in (0, 1)
+        }
+        rho_b = partial_trace(DensityMatrix.from_pure(probe), 3, 3, keep="B")
+        triple = AmplitudeTriple(*map(float, np.sqrt(np.diag(rho_b.matrix.data).real)))
+        assert abs(oracle.probe_cheat_prob(encoded) - alice_qutrit_cheat_prob(triple)) < 1e-12
 
 
 def test_cheat_prob_matches_closed_form(rng):
@@ -97,7 +142,51 @@ def test_grid_matches_pointwise_evaluator():
     for i, theta in enumerate(thetas):
         for j, phi in enumerate(phis):
             triple = AmplitudeTriple.from_angles(theta, phi)
-            assert abs(grid[i, j] - alice_qutrit_cheat_prob(triple)) < 1e-12
+            assert grid[i, j] == oracle.alice_qutrit_cheat_prob(triple)
+
+
+def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
+    # One stacked eigvalsh per value or per optimizer grid, and no state
+    # objects built on the way.
+    counts = Counter()
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_post_init(cls):
+        post_init = cls.__post_init__
+
+        def wrapper(self, *args):
+            counts[cls.__name__] += 1
+            post_init(self, *args)
+
+        return wrapper
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    for cls in (PureState, DensityMatrix):
+        monkeypatch.setattr(cls, "__post_init__", counting_post_init(cls))
+    alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
+    assert counts == {"eigvalsh": 1}
+
+    steps = []
+    grid = adversary._qutrit_cheat_grid
+
+    def counting_grid(thetas, phis):
+        before = counts["eigvalsh"]
+        values = grid(thetas, phis)
+        steps.append(counts["eigvalsh"] - before)
+        return values
+
+    monkeypatch.setattr(adversary, "_qutrit_cheat_grid", counting_grid)
+    for tolerance in (1e-3, 1e-6, 1e-9):
+        counts.clear()
+        steps.clear()
+        optimize_alice_qutrit.__wrapped__(tolerance)  # past the cache
+        assert steps and steps == [1] * len(steps), tolerance
+        # One per narrowing step, and one for the value at the final triple.
+        assert counts == {"eigvalsh": len(steps) + 1}, tolerance
 
 
 def test_optimizer_tolerance_validation():
