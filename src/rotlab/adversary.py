@@ -48,7 +48,7 @@ from .protocols import (
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 from .security import CheatProfile
 
-GRID_POINTS = 21
+GRID_POINTS = 11
 OPTIMIZER_TOLERANCE = 1e-9  # one value for every caller: one cached optimum
 
 
@@ -149,16 +149,19 @@ def _qutrit_cheat_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
 def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
     """Maximise the probe-state attack over the amplitude octant.
 
-    A grid over the two spherical angles narrows around its best point
-    until its step drops below ``tolerance``.  The value returned is
-    :func:`alice_qutrit_cheat_prob` at the final triple.
+    A ``GRID_POINTS`` x ``GRID_POINTS`` grid over the two spherical angles
+    narrows to one step either side of its best point, a 5x smaller window
+    each time, until its step drops below ``tolerance``.  The value
+    returned is :func:`alice_qutrit_cheat_prob` at the final triple.
     """
     if not (0.0 < tolerance <= 1e-3):
         raise ValidationError(f"tolerance must lie in (0, 1e-3], got {tolerance}")
-    # The objective is 1/2 + sin(theta) cos(theta) (cos(phi) + sin(phi)) / 2,
-    # a product of two nonnegative factors with one peak each on [0, pi/2].  So
-    # the grid's best point lies within one step of the true maximum on each
-    # axis, and a window two steps either side of it keeps that maximum.
+    # The objective is 1/2 + g(theta) h(phi) / 2 with g = sin(theta) cos(theta)
+    # and h = cos(phi) + sin(phi): two nonnegative factors, each with one peak
+    # on [0, pi/2].  The grid's argmax is therefore the pair of the per-axis
+    # argmaxes, and the best sample of a one-peaked factor lies within one
+    # step of its peak, so a window one step either side of it keeps the
+    # maximum.
     half_pi = math.pi / 2.0
     lo, hi = np.zeros(2), np.full(2, half_pi)
     while True:
@@ -170,8 +173,8 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
         best = np.array([thetas[i], phis[j]])
         if step.max() < tolerance:
             break
-        lo = np.maximum(best - 2.0 * step, 0.0)
-        hi = np.minimum(best + 2.0 * step, half_pi)
+        lo = np.maximum(best - step, 0.0)
+        hi = np.minimum(best + step, half_pi)
     triple = AmplitudeTriple.from_angles(*best)
     return triple, alice_qutrit_cheat_prob(triple)
 
@@ -270,10 +273,7 @@ class CheatStrategy:
                 raise ValidationError("triple must be a list of three amplitudes")
             parameters["triple"] = [float(v) for v in AmplitudeTriple(*values).as_tuple()]
         if "n_states" in parameters:
-            n_states = parameters["n_states"]
-            if not isinstance(n_states, int) or isinstance(n_states, bool):
-                raise ValidationError("n_states must be an integer")
-            SequenceConfig(n_states)  # range check
+            SequenceConfig(parameters["n_states"])  # type and range check
         self.party = party
         self.protocol = protocol
         self.parameters = parameters

@@ -80,9 +80,6 @@ class ComplexMatrix:
     def diagonal(cls, entries: Sequence[complex]) -> "ComplexMatrix":
         return cls(np.diag(np.asarray(entries, dtype=np.complex128)))
 
-    def dagger(self) -> "ComplexMatrix":
-        return ComplexMatrix(self.data.conj().T)
-
     def trace(self) -> complex:
         return complex(np.trace(self.data))
 
@@ -90,22 +87,6 @@ class ComplexMatrix:
         return self.rows == self.cols and bool(
             np.max(np.abs(self.data - self.data.conj().T)) <= tol
         )
-
-    def __add__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return ComplexMatrix(self.data + other.data)
-
-    def __sub__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        return ComplexMatrix(self.data - other.data)
-
-    def __mul__(self, scalar: complex) -> "ComplexMatrix":
-        return ComplexMatrix(self.data * scalar)
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "ComplexMatrix") -> "ComplexMatrix":
-        if self.cols != other.rows:
-            raise DimensionError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        return ComplexMatrix(self.data @ other.data)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexMatrix):

@@ -36,7 +36,8 @@ MIN_COMPLETENESS_TRIALS = 1000
 
 # Trials per block-engine call; bounds the engine's arrays at any trial count.
 # A sequence run holds about 2 * n_states words per party, so it counts as
-# n_states trials.
+# n_states trials; SequenceConfig caps n_states at MAX_SEQUENCE_STATES, so one
+# run is never larger than a default block.
 BLOCK_TRIALS = 1 << 16
 
 DETECTION_VARIANTS = ("honest", "send-orthogonal", "announce-wrong-state")

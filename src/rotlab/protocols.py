@@ -186,6 +186,11 @@ class CoinOutcome:
             raise ValidationError("HEADS exactly when no abort and a == b")
 
 
+# The largest sequence batch.  One run holds about 2 * n_states words per
+# party, so this keeps a single run as small as a default engine block.
+MAX_SEQUENCE_STATES = 1 << 16
+
+
 @dataclass(frozen=True)
 class SequenceConfig:
     """Batch size and derived spot-check size for the sequence protocol."""
@@ -193,8 +198,12 @@ class SequenceConfig:
     n_states: int
 
     def __post_init__(self):
+        if not isinstance(self.n_states, int) or isinstance(self.n_states, bool):
+            raise ValidationError("n_states must be an integer")
         if self.n_states < 4:
             raise ValidationError("sequence protocol needs at least 4 states")
+        if self.n_states > MAX_SEQUENCE_STATES:
+            raise ValidationError(f"sequence protocol takes at most {MAX_SEQUENCE_STATES} states")
 
     @property
     def test_size(self) -> int:

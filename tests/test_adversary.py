@@ -151,9 +151,12 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     counts = Counter()
     eigvalsh = np.linalg.eigvalsh
 
-    def counting_eigvalsh(*args, **kwargs):
+    matrices = []
+
+    def counting_eigvalsh(a, *args, **kwargs):
         counts["eigvalsh"] += 1
-        return eigvalsh(*args, **kwargs)
+        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        return eigvalsh(a, *args, **kwargs)
 
     def counting_post_init(cls):
         post_init = cls.__post_init__
@@ -183,10 +186,43 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     for tolerance in (1e-3, 1e-6, 1e-9):
         counts.clear()
         steps.clear()
+        matrices.clear()
         optimize_alice_qutrit.__wrapped__(tolerance)  # past the cache
         assert steps and steps == [1] * len(steps), tolerance
         # One per narrowing step, and one for the value at the final triple.
         assert counts == {"eigvalsh": len(steps) + 1}, tolerance
+        # Two operators per grid triple, and two for the final value.
+        assert matrices == [2 * adversary.GRID_POINTS**2] * len(steps) + [2], tolerance
+    # A 5x narrower window per step: 13 steps from pi/2 to below 1e-9.
+    assert len(steps) == 13
+    assert sum(matrices) == 3148
+
+
+@pytest.mark.parametrize("points", [adversary.GRID_POINTS, 10, 12])
+def test_optimizer_windows_keep_the_peak(monkeypatch, points):
+    # Every grid of a cold search spans pi/4, the peak of both factors of
+    # the objective, so the one-step margin never drops the maximum.  An odd
+    # grid keeps pi/4 at its centre; an even one never samples it, so its
+    # windows rest on the margin alone.  Below a width of about 1e-8 the
+    # grid values tie within rounding, so the 1e-9 search is covered by
+    # test_optimizer_finds_the_maximum instead.
+    monkeypatch.setattr(adversary, "GRID_POINTS", points)
+    grids = []
+    grid = adversary._qutrit_cheat_grid
+
+    def recording_grid(thetas, phis):
+        grids.append((thetas.copy(), phis.copy()))
+        return grid(thetas, phis)
+
+    monkeypatch.setattr(adversary, "_qutrit_cheat_grid", recording_grid)
+    peak = math.pi / 4.0
+    for tolerance in (1e-3, 1e-6):
+        grids.clear()
+        optimize_alice_qutrit.__wrapped__(tolerance)
+        assert grids, tolerance
+        for thetas, phis in grids:
+            assert thetas[0] <= peak <= thetas[-1], (tolerance, thetas[0], thetas[-1])
+            assert phis[0] <= peak <= phis[-1], (tolerance, phis[0], phis[-1])
 
 
 def test_optimizer_tolerance_validation():
@@ -267,8 +303,11 @@ def test_strategy_validation():
         CheatStrategy("alice", "qutrit", {"triple": [0.9, 0.9, 0.9]})
     with pytest.raises(ValidationError):
         CheatStrategy("alice", "sequence", {"n_states": 2})
-    with pytest.raises(ValidationError):
-        CheatStrategy("alice", "sequence", {"n_states": "four"})
+    for n_states in ("four", 4.5, True, 2**16 + 1):
+        with pytest.raises(ValidationError):
+            CheatStrategy("alice", "sequence", {"n_states": n_states})
+    with pytest.raises(ValidationError, match="n_states must be an integer"):
+        CheatStrategy("alice", "sequence", {"n_states": 4.0})
 
 
 def test_strategy_equality_and_defaults():

@@ -143,6 +143,15 @@ def test_simulate_rejects_n_states_for_single_transfers(capsys, protocol, n_stat
     assert code == 1 and err.startswith("error: ")
 
 
+def test_simulate_rejects_oversized_batches(capsys):
+    # SequenceConfig rejects the batch before any run is built.
+    args = ("simulate", "--protocol", "sequence", "--trials", "1000", "--n-states", "65537")
+    code, out, err = run_cli(capsys, *args)
+    assert code == 1
+    assert out == ""
+    assert err == "error: sequence protocol takes at most 65536 states\n"
+
+
 def test_simulate_sequence_keeps_its_default_batch(capsys):
     args = ("simulate", "--protocol", "sequence", "--trials", "1000", "--seed", "4", "--output", "json")
     _, default, _ = run_cli(capsys, *args)
@@ -204,6 +213,9 @@ def test_cheat_rejects_bad_amplitudes(capsys, tmp_path, amplitude):
         {"party": "alice", "protocol": "qutrit", "parameters": {"triple": [0.5, 0.5, None]}},
         {"party": "alice", "protocol": "qutrit", "parameters": {"triple": ["0.5", "0.5", "0.7071067811865476"]}},
         {"party": "alice", "protocol": "qutrit", "parameters": {"triple": [True, 0, 0]}},
+        {"party": "alice", "protocol": "sequence", "parameters": {"n_states": 65537}},
+        {"party": "alice", "protocol": "sequence", "parameters": {"n_states": 4.5}},
+        {"party": "alice", "protocol": "sequence", "parameters": {"n_states": True}},
     ],
 )
 def test_cheat_rejects_malformed_strategy_files(capsys, tmp_path, document):

@@ -12,6 +12,16 @@ import rotlab
 PACKAGE = Path(rotlab.__file__).parent
 
 
+def _offences(finder) -> dict[str, list[str]]:
+    # What ``finder`` reports for each module of the package, by file name.
+    offences = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        uses = finder(ast.parse(path.read_text(), filename=str(path)))
+        if uses:
+            offences[path.name] = uses
+    return offences
+
+
 def _private_uses(tree: ast.Module) -> list[str]:
     # Underscore names taken from another rotlab module, by ``from`` import
     # or as an attribute of a sibling module bound by ``from . import x``.
@@ -39,11 +49,7 @@ def _private_uses(tree: ast.Module) -> list[str]:
 
 
 def test_modules_use_no_private_names_of_other_modules():
-    offences = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        uses = _private_uses(ast.parse(path.read_text(), filename=str(path)))
-        if uses:
-            offences[path.name] = uses
+    offences = _offences(_private_uses)
     assert not offences, offences
 
 
@@ -90,11 +96,7 @@ def _generator_uses(tree: ast.Module) -> list[str]:
 
 
 def test_library_draws_only_from_its_own_philox_kernel():
-    offences = {}
-    for path in sorted(PACKAGE.glob("*.py")):
-        uses = _generator_uses(ast.parse(path.read_text(), filename=str(path)))
-        if uses:
-            offences[path.name] = uses
+    offences = _offences(_generator_uses)
     assert not offences, offences
 
 
@@ -127,3 +129,42 @@ def test_importing_rotlab_leaves_numpy_random_unloaded():
     env = dict(os.environ, PYTHONPATH=path)
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert result.stdout.strip() == "False"
+
+
+ALLOWED_PACKAGES = sys.stdlib_module_names | {"numpy", "rotlab"}
+
+
+def _foreign_imports(tree: ast.Module) -> list[str]:
+    # Top-level packages of absolute imports outside the standard library,
+    # numpy and rotlab itself; relative imports stay inside rotlab.
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        found += [name for name in names if name.split(".")[0] not in ALLOWED_PACKAGES]
+    return found
+
+
+def test_modules_import_only_numpy_and_the_standard_library():
+    offences = _offences(_foreign_imports)
+    assert not offences, offences
+
+
+def test_foreign_import_finder_sees_packages_and_submodules():
+    source = (
+        "from __future__ import annotations\n"
+        "import math, scipy.linalg\n"
+        "import numpy as np\n"
+        "from numpy.linalg import eigvalsh\n"
+        "from sympy import Matrix\n"
+        "from . import linalg\n"
+        "from .rng import seed_array\n"
+        "from rotlab.protocols import OtPair\n"
+        "def f():\n"
+        "    import numba\n"
+    )
+    assert _foreign_imports(ast.parse(source)) == ["scipy.linalg", "sympy", "numba"]

@@ -128,10 +128,10 @@ def test_kron_dimension_overflow():
 
 def test_kron_mixed_product_property(rng):
     for _ in range(20):
-        a, b, c, d = (ComplexMatrix(random_hermitian(rng, 3)) for _ in range(4))
-        left = kron(a, b) @ kron(c, d)
-        right = kron(a @ c, b @ d)
-        assert np.max(np.abs(left.data - right.data)) < 1e-12
+        a, b, c, d = (random_hermitian(rng, 3) for _ in range(4))
+        left = kron(ComplexMatrix(a), ComplexMatrix(b)).data @ kron(ComplexMatrix(c), ComplexMatrix(d)).data
+        right = kron(ComplexMatrix(a @ c), ComplexMatrix(b @ d)).data
+        assert np.max(np.abs(left - right)) < 1e-12
 
 
 # ---------------------------------------------------------------------------

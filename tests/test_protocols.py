@@ -9,6 +9,7 @@ from rotlab import protocols
 from rotlab.adversary import CheatStrategy, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.protocols import (
+    MAX_SEQUENCE_STATES,
     SEQUENCE_STATES,
     CoinResult,
     OtPair,
@@ -69,6 +70,14 @@ def test_sequence_config_validation():
         SequenceConfig(3)
     with pytest.raises(TypeError):
         SequenceConfig(100, test_size=9)  # derived from n_states, not settable
+    # Rejected at construction, before any run is built.
+    assert SequenceConfig(MAX_SEQUENCE_STATES).test_size == 256
+    for bad in (MAX_SEQUENCE_STATES + 1, 10**8):
+        with pytest.raises(ValidationError, match=f"at most {MAX_SEQUENCE_STATES} states"):
+            SequenceConfig(bad)
+    for bad in (4.5, 16.0, True, "16", None):
+        with pytest.raises(ValidationError, match="n_states must be an integer"):
+            SequenceConfig(bad)
 
 
 # ---------------------------------------------------------------------------
