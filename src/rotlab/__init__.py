@@ -30,7 +30,6 @@ from .linalg import (
     helstrom_projectors,
     hermitian_eigenvalues,
     kron,
-    measure_pure,
     partial_trace,
     trace_norm,
 )

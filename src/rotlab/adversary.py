@@ -4,14 +4,16 @@ The evaluators compute each dishonest party's best success probability
 analytically (trace-norm discrimination of the relevant state mixtures).
 Cheating Alice's qutrit objective has one stacked evaluator: both
 discrimination operators of many amplitude triples at once, with all their
-trace norms from one ``eigvalsh`` call.  It serves single triples and the
-optimizer's grid alike; its reference, the density-matrix path one triple
-at a time, is in ``tests/oracle.py``.
+trace norms from one :func:`~rotlab.linalg.trace_norms` call.  It serves
+single triples and the optimizer's grid alike; its reference, the
+density-matrix path one triple at a time, is in ``tests/oracle.py``.
 
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
 cross-check every analytic value empirically; ``execute_cheat`` runs it on
-one seed.
+one seed.  Each samples its measurement from a table of Born weights that
+:func:`~rotlab.linalg.projections` builds for all the states it can
+measure at once.
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
-    born_weights,
     helstrom_prob,
     helstrom_projectors,
     invert_cumulative_block,
     kron,
     partial_trace,
+    projections,
+    trace_norms,
 )
 from .protocols import (
     SEQUENCE_STATES,
@@ -110,15 +113,15 @@ def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
     rho_b mixes, with weight 1/2 each, the two encodings whose selected bit
     (x0 for p = 0, x1 for p = 1) is b.  It is summed in the association of
     ``DensityMatrix.mixture`` and ``helstrom_prob``, so each value equals
-    the density path's.  The operators are real, and all 2m trace norms
-    come from one ``eigvalsh`` call.
+    the density path's.  The operators are real and symmetric by
+    construction, so they go to :func:`trace_norms` unchecked, and all 2m
+    trace norms come from one eigensolve.
     """
     encoded = vectors[:, None, :] * _ENCODING_SIGNS
     outers = np.einsum("mki,mkj->mkij", encoded, encoded)
     # (o00 + o01) - (o10 + o11) for p = 0, (o00 + o10) - (o01 + o11) for p = 1.
     operators = 0.25 * ((outers[:, 0:1] + outers[:, 1:3]) - (outers[:, 2:0:-1] + outers[:, 3:4]))
-    norms = np.abs(np.linalg.eigvalsh(operators)).sum(axis=-1)
-    return (0.5 * (1.0 + norms)).mean(axis=1)
+    return (0.5 * (1.0 + trace_norms(operators))).mean(axis=1)
 
 
 def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
@@ -203,13 +206,13 @@ def bob_qutrit_cheat_prob() -> float:
 # --------------------------------------------------------------------------
 
 
-def _sequence_mixtures(declared_bit: int) -> tuple[DensityMatrix, DensityMatrix]:
-    groups: dict[int, list[PureState]] = {0: [], 1: []}
-    for bits, state in SEQUENCE_STATES.items():
-        groups[bits[declared_bit]].append(state)
-    rho0 = DensityMatrix.mixture([(0.5, s) for s in groups[0]])
-    rho1 = DensityMatrix.mixture([(0.5, s) for s in groups[1]])
-    return rho0, rho1
+def _bit_mixtures(states_by_pair: dict, index: int) -> tuple[DensityMatrix, DensityMatrix]:
+    """The two equal-weight mixtures of ``states_by_pair[(x0, x1)]`` whose
+    bit ``index`` is 0 and 1, each summed in the dictionary's order."""
+    return tuple(
+        DensityMatrix.mixture([(0.5, s) for bits, s in states_by_pair.items() if bits[index] == bit])
+        for bit in (0, 1)
+    )
 
 
 def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
@@ -218,7 +221,7 @@ def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
     independent of the batch size."""
     if declared_bit not in (0, 1):
         raise ValidationError(f"declared_bit must be 0 or 1, got {declared_bit}")
-    rho0, rho1 = _sequence_mixtures(declared_bit)
+    rho0, rho1 = _bit_mixtures(SEQUENCE_STATES, declared_bit)
     return helstrom_prob(0.5, rho0, 0.5, rho1)
 
 
@@ -304,44 +307,36 @@ def _strategy_triple(params: dict) -> AmplitudeTriple:
     return AmplitudeTriple.balanced()
 
 
-def _encoded_state(triple: AmplitudeTriple, x0: int, x1: int) -> PureState:
-    return PureState(_ENCODING_SIGNS[2 * x0 + x1] * np.array(triple.as_tuple()))
-
-
-def _bit_mixtures(triple: AmplitudeTriple, perm: int) -> tuple[DensityMatrix, DensityMatrix]:
-    """The two equal-weight mixtures Alice must tell apart once the
-    permutation value is announced: encodings with the selected bit 0 vs 1."""
-    groups: dict[int, list[PureState]] = {0: [], 1: []}
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            bit = x0 if perm == 0 else x1
-            groups[bit].append(_encoded_state(triple, x0, x1))
-    rho0 = DensityMatrix.mixture([(0.5, s) for s in groups[0]])
-    rho1 = DensityMatrix.mixture([(0.5, s) for s in groups[1]])
-    return rho0, rho1
-
-
 def _alice_qutrit_tables(params: dict):
     # The probe after Bob's phase encoding, per bit pair, and Alice's
-    # Helstrom measurement, per announced permutation value.
-    triple = _strategy_triple(params)
-    encoded = {(x0, x1): _encoded_state(triple, x0, x1) for x0 in (0, 1) for x1 in (0, 1)}
-    measurements = {
-        perm: _equal_prior_measurement(*_bit_mixtures(triple, perm)) for perm in (0, 1)
+    # Helstrom measurement, per announced permutation value: the one that
+    # tells apart the encodings whose selected bit is 0 and 1.
+    amplitudes = np.array(_strategy_triple(params).as_tuple())
+    encoded = {
+        (x0, x1): PureState(_ENCODING_SIGNS[2 * x0 + x1] * amplitudes) for x0 in (0, 1) for x1 in (0, 1)
     }
+    measurements = {perm: _equal_prior_measurement(*_bit_mixtures(encoded, perm)) for perm in (0, 1)}
     return encoded, measurements
+
+
+def _alice_qutrit_weights(params: dict) -> np.ndarray:
+    # Born weights of Alice's measurement for the announced permutation
+    # value on Bob's encoding, per Bob's (y, z_dummy, p).
+    encoded, measurements = _alice_qutrit_tables(params)
+    states = np.array([state.amplitudes for state in encoded.values()]).reshape(2, 2, 3)
+    by_perm = [projections(states, measurements[p])[1] for p in (0, 1)]
+    weights = np.empty((2, 2, 2, 2))
+    for y, z_dummy, p in itertools.product((0, 1), repeat=3):
+        pair = OtPair.draw(y, z_dummy, p)
+        weights[y, z_dummy, p] = by_perm[p][pair.x0, pair.x1]
+    return weights
 
 
 def _alice_recovers_bit(params: dict):
     # Alice measures Bob's encoding of her probe with the Helstrom
     # measurement for the announced permutation value and guesses his data
-    # bit: whether the guess is right, from both party streams.  Born
-    # weights of that measurement, per Bob's (y, z_dummy, p).
-    encoded, measurements = _alice_qutrit_tables(params)
-    weights = np.empty((2, 2, 2, 2))
-    for y, z_dummy, p in itertools.product((0, 1), repeat=3):
-        pair = OtPair.draw(y, z_dummy, p)
-        weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)], measurements[p])
+    # bit: whether the guess is right, from both party streams.
+    weights = _alice_qutrit_weights(params)
 
     def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:
         y = bob.draw_bit()
@@ -363,19 +358,22 @@ def _alice_qutrit_block(params: dict):
 
 def _alice_sequence_measurements() -> dict[int, ProjectiveMeasurement]:
     # Alice's Helstrom measurement on a stored state, per declared bit.
-    return {bit: _equal_prior_measurement(*_sequence_mixtures(bit)) for bit in (0, 1)}
+    return {bit: _equal_prior_measurement(*_bit_mixtures(SEQUENCE_STATES, bit)) for bit in (0, 1)}
+
+
+def _alice_sequence_weights() -> np.ndarray:
+    # Born weights of that measurement, per (pair index, declared bit).
+    measurements = _alice_sequence_measurements()
+    states = np.array([state.amplitudes for state in SEQUENCE_STATES.values()])
+    return np.stack([projections(states, measurements[bit])[1] for bit in (0, 1)], axis=1)
 
 
 def _alice_sequence_block(params: dict):
     # Alice stores the first untested slot's state and measures it with the
     # Helstrom measurement for Bob's declared bit.  Bob declares the slots in
-    # order, so only his first declaration is drawn.  Born weights of that
-    # measurement, per (pair index, declared bit).
+    # order, so only his first declaration is drawn.
     cfg = SequenceConfig(params.get("n_states", 4))
-    measurements = _alice_sequence_measurements()
-    weights = np.array(
-        [[born_weights(state, measurements[bit]) for bit in (0, 1)] for state in SEQUENCE_STATES.values()]
-    )
+    weights = _alice_sequence_weights()
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
@@ -414,13 +412,19 @@ def _helstrom_on_bob_side() -> ProjectiveMeasurement:
     )
 
 
+def _bob_qutrit_weights() -> np.ndarray:
+    # Born weights of Bob's Helstrom measurement on his half of Alice's
+    # probe, per her choice bit.
+    probes = np.array([qutrit_entangled_state(a).amplitudes for a in (0, 1)])
+    return projections(probes, _helstrom_on_bob_side())[1]
+
+
 def _bob_qutrit_block(params: dict):
     # Bob guesses Alice's choice bit a from his half of her probe and aligns
     # the permutation with his guess.  Honest Alice asserts receipt exactly
     # when a == p, so he calls her assert bit, and in the coin flip he
     # announces b = 0 and lands HEADS, exactly when his guess is right.
-    lifted = _helstrom_on_bob_side()
-    weights = np.array([born_weights(qutrit_entangled_state(a), lifted) for a in (0, 1)])
+    weights = _bob_qutrit_weights()
 
     def run(seeds: np.ndarray) -> np.ndarray:
         # Bob's data and dummy bits, drawn after his measurement, do not

@@ -3,11 +3,15 @@
 Everything a two-party quantum protocol simulation needs and nothing more:
 tensor products, partial traces, Hermitian spectra via LAPACK (numpy's
 ``eigvalsh`` / ``eigh``), trace norms, minimum-error (Helstrom)
-discrimination, and projective measurement sampling of pure states from
-measurements whose completeness and orthogonality are checked once, at
-construction, with a row-wise form of the sampling rule for blocks of
-trials.  All values are immutable after construction and all operations
-are pure functions, so they are safe to share between threads.
+discrimination, and projective measurements whose completeness and
+orthogonality are checked once, at construction.  Two stacked primitives
+carry the numerics: :func:`trace_norms` takes the trace norms of a stack of
+operators in one eigensolve, and :func:`projections` gives the projected
+vectors and Born weights of a stack of pure states under a measurement;
+:func:`invert_cumulative_block` samples outcomes from such weights, row by
+row, for blocks of trials.  All values are immutable after construction and
+all operations are pure functions, so they are safe to share between
+threads.
 
 Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
 invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
@@ -16,8 +20,7 @@ guards derived quantities (positivity, projector completeness).
 
 from __future__ import annotations
 
-import math
-from dataclasses import InitVar, dataclass
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -242,13 +245,18 @@ def _require_hermitian(m: ComplexMatrix) -> None:
         raise ValidationError("eigensolver requires a Hermitian matrix (tolerance 1e-12)")
 
 
+def _eigenvalues(operators: np.ndarray) -> np.ndarray:
+    # Ascending eigenvalues of each matrix of a stack, from one LAPACK call.
+    try:
+        return np.linalg.eigvalsh(operators)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+
+
 def hermitian_eigenvalues(m: ComplexMatrix) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending (LAPACK ``eigvalsh``)."""
     _require_hermitian(m)
-    try:
-        return np.linalg.eigvalsh(m.data)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"eigensolver did not converge: {exc}") from exc
+    return _eigenvalues(m.data)
 
 
 def _hermitian_eigh(m: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -259,9 +267,22 @@ def _hermitian_eigh(m: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
 
+def trace_norms(operators: np.ndarray) -> np.ndarray:
+    """Trace norm of each operator of an ``(..., d, d)`` stack: the sum of
+    its absolute eigenvalues, all from one ``eigvalsh`` call.
+
+    Like numpy's ``eigvalsh``, it does not check that the operators are
+    Hermitian: it reads only their lower triangles, and a non-Hermitian
+    input gives meaningless values.  Pass only operators that are Hermitian
+    by construction; :func:`trace_norm` checks its argument.
+    """
+    return np.abs(_eigenvalues(operators)).sum(axis=-1)
+
+
 def trace_norm(m: ComplexMatrix) -> float:
     """Sum of absolute eigenvalues of a Hermitian matrix."""
-    return float(np.abs(hermitian_eigenvalues(m)).sum())
+    _require_hermitian(m)
+    return float(trace_norms(m.data))
 
 
 def _check_priors(p0: float, p1: float) -> None:
@@ -318,6 +339,8 @@ class ProjectiveMeasurement:
     """
 
     projectors: tuple[ComplexMatrix, ...]
+    # The projectors as one read-only (outcomes, dim, dim) array.
+    stack: np.ndarray = field(init=False)
 
     def __post_init__(self):
         projectors = tuple(self.projectors)
@@ -333,7 +356,9 @@ class ProjectiveMeasurement:
             for j in range(i + 1, len(projectors)):
                 if not np.max(np.abs(stack[i] @ stack[j])) <= DERIVED_TOL:
                     raise ValidationError(f"projectors {i} and {j} are not orthogonal")
+        stack.setflags(write=False)
         object.__setattr__(self, "projectors", projectors)
+        object.__setattr__(self, "stack", stack)
 
     @property
     def dim(self) -> int:
@@ -352,36 +377,11 @@ class ProjectiveMeasurement:
         return f"ProjectiveMeasurement({len(self)} outcomes, dim={self.dim})"
 
 
-def _checked_measurement(measurement, dim: int, rand: float) -> ProjectiveMeasurement:
-    # The per-call checks; a plain projector sequence is validated here.
-    if not (0.0 <= rand < 1.0):
-        raise ValidationError(f"rand must lie in [0, 1), got {rand}")
-    if not isinstance(measurement, ProjectiveMeasurement):
-        measurement = ProjectiveMeasurement(measurement)
-    if measurement.dim != dim:
-        raise DimensionError("projector dimensions must match the state")
-    return measurement
-
-
-def _invert_cumulative(weights: list[float], rand: float) -> int:
-    # Ascending index order, negative weights clamped at 0, and the last
-    # outcome of positive weight when rounding leaves the total below rand.
-    cumulative = 0.0
-    last = len(weights) - 1
-    for k, weight in enumerate(weights):
-        if weight > 0.0:
-            cumulative += weight
-            last = k
-            if rand < cumulative:
-                return k
-    return last
-
-
 def invert_cumulative_block(weights: np.ndarray, rand: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`_invert_cumulative`: the outcome of ``weights[i]`` at
-    ``rand[i]``, under the same rules (ascending order, negative weights
-    clamped at 0, the last outcome of positive weight when rounding leaves
-    the total below ``rand``) and the same sequential sums."""
+    """The outcome of ``weights[i]`` at the uniform ``rand[i]``, row by row:
+    the first outcome, in ascending order, whose cumulative weight exceeds
+    the uniform, negative weights counting as 0, and the last outcome of
+    positive weight when rounding leaves the total below it."""
     cumulative = np.cumsum(np.maximum(weights, 0.0), axis=-1)
     below = rand[:, None] < cumulative
     outcome = below.argmax(axis=-1)
@@ -392,36 +392,18 @@ def invert_cumulative_block(weights: np.ndarray, rand: np.ndarray) -> np.ndarray
     return outcome
 
 
-def measure_pure(
-    state: PureState, measurement: ProjectiveMeasurement | Sequence[ComplexMatrix], rand: float
-) -> tuple[int, np.ndarray]:
-    """Sample a projective measurement of a pure state.
+def projections(amplitudes: np.ndarray, measurement: ProjectiveMeasurement) -> tuple[np.ndarray, np.ndarray]:
+    """The projected vectors ``P_k psi`` of an ``(..., d)`` stack of pure
+    states, shape ``(..., k, d)``, and their Born weights ``||P_k psi||^2``,
+    shape ``(..., k)``.
 
-    ``measurement`` is a :class:`ProjectiveMeasurement`, validated when it
-    was built; a plain projector sequence is wrapped in one, so it gets the
-    same completeness and orthogonality checks on every call.  Each call
-    checks ``rand`` and the state's dimension.  Sampling inverts the
-    cumulative outcome distribution at ``rand`` (a uniform draw in [0, 1))
-    in ascending index order, so a fixed ``rand`` always yields the same
-    outcome.  Returns the outcome and the post-measurement amplitudes
-    ``P_k psi / ||P_k psi||``.  Each Born weight is ``||P_k psi||^2``, taken
-    from the projected vector the post-measurement state needs anyway.
+    The amplitudes are taken as given, unit norm or not.  A post-measurement
+    state is a projected vector over the square root of its weight.
     """
-    measurement = _checked_measurement(measurement, state.dim, rand)
-    projected, weights = _projections(state.amplitudes, measurement)
-    outcome = _invert_cumulative(weights, rand)
-    return outcome, projected[outcome] / math.sqrt(weights[outcome])
-
-
-def _projections(psi: np.ndarray, measurement: ProjectiveMeasurement) -> tuple[list, list[float]]:
-    # The projected vectors P_k psi and their Born weights ||P_k psi||^2.
-    projected = [proj.data @ psi for proj in measurement]
-    return projected, [float(np.vdot(v, v).real) for v in projected]
-
-
-def born_weights(state: PureState, measurement: ProjectiveMeasurement) -> list[float]:
-    """The Born weights :func:`measure_pure` samples ``state`` from, the
-    same floats, so outcome tables built from them reproduce its outcomes."""
-    if measurement.dim != state.dim:
+    if amplitudes.shape[-1] != measurement.dim:
         raise DimensionError("projector dimensions must match the state")
-    return _projections(state.amplitudes, measurement)[1]
+    projected = np.matmul(measurement.stack, amplitudes[..., None, :, None])[..., 0]
+    # The inner product as a matmul gives np.vdot's floats, which the seeded
+    # counts rest on; an einsum or a sum of |v|^2 can differ in the last bit.
+    weights = np.matmul(projected.conj()[..., None, :], projected[..., :, None])[..., 0, 0].real
+    return projected, weights

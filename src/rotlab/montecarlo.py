@@ -170,12 +170,16 @@ def estimate_cheat(
     ``trial_offset`` shifts the per-trial seed indices, so disjoint blocks
     of one master seed add up to exactly the unsplit run.  Trials are
     evaluated a block at a time, each with the outcome
-    :func:`~rotlab.adversary.execute_cheat` gives for its seed.
+    :func:`~rotlab.adversary.execute_cheat` gives for its seed; a strategy
+    with an ``n_states`` parameter plays a sequence run per trial, so its
+    blocks hold as many runs as a sequence completeness block.
     """
     if trials < 1:
         raise ValidationError("need at least one trial")
     block = cheat_block(strategy)
-    blocks = _seed_blocks(seed, trial_offset, trials, BLOCK_TRIALS)
+    n_states = strategy.parameters.get("n_states")
+    size = BLOCK_TRIALS if n_states is None else _runs_per_block(SequenceConfig(n_states))
+    blocks = _seed_blocks(seed, trial_offset, trials, size)
     successes = sum(int(np.count_nonzero(block(seeds))) for seeds in blocks)
     return TrialReport.from_counts(trials, successes, target=target)
 

@@ -47,10 +47,9 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
-    born_weights,
     invert_cumulative_block,
     kron,
-    measure_pure,
+    projections,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 
@@ -244,12 +243,14 @@ def qutrit_measurement(a: int) -> ProjectiveMeasurement:
     return ProjectiveMeasurement((pi0, pi1))
 
 
-def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
-    """Outcome distribution of Alice's measurement for one classical context:
-    the Born weights ``run_qutrit`` samples from."""
-    evolved = _qutrit_pair_unitary(x0, x1).data @ qutrit_entangled_state(a).amplitudes
-    p0, p1 = born_weights(PureState(evolved), qutrit_measurement(a))
-    return p0, p1
+@lru_cache(maxsize=None)
+def _qutrit_weights() -> np.ndarray:
+    # Born weights of Alice's measurement, per (a, x0, x1, outcome): the
+    # outcome distribution run_qutrit samples from in each classical context.
+    unitaries = np.array([[_qutrit_pair_unitary(x0, x1).data for x1 in (0, 1)] for x0 in (0, 1)])
+    return np.array(
+        [projections(unitaries @ qutrit_entangled_state(a).amplitudes, qutrit_measurement(a))[1] for a in (0, 1)]
+    )
 
 
 @lru_cache(maxsize=None)
@@ -263,7 +264,7 @@ def _qutrit_decode_table() -> dict:
             values = set()
             for x0 in (0, 1):
                 for x1 in (0, 1):
-                    probs = qutrit_born_probabilities(a, x0, x1)
+                    probs = _qutrit_weights()[a, x0, x1]
                     if abs(probs[outcome] - 1.0) > 1e-12 and abs(probs[outcome]) > 1e-12:
                         raise RuntimeError("honest qutrit measurement is not deterministic")
                     if probs[outcome] > 0.5:
@@ -319,20 +320,6 @@ SEQUENCE_DECODE: dict[tuple[int, int], tuple[int, int]] = {
 }
 
 
-def sequence_test_basis(x0: int, x1: int) -> str:
-    """Basis in which both qubits of the announced state are checked."""
-    return "Z" if x0 == x1 else "X"
-
-
-def sequence_expected_outcome(x0: int, x1: int) -> int:
-    """Outcome both tested qubits must show for a consistent announcement."""
-    return x0
-
-
-def sequence_decode(m1: int, m2: int) -> tuple[int, int]:
-    return SEQUENCE_DECODE[(m1, m2)]
-
-
 # --------------------------------------------------------------------------
 # Block forms of the single-transfer runs
 # --------------------------------------------------------------------------
@@ -357,8 +344,9 @@ def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
 
 @lru_cache(maxsize=None)
 def _bad_qubit_weights() -> np.ndarray:
-    # Born weights of Alice's Z measurement, per Bob's bit.
-    return np.array([born_weights(PureState.basis(2, y), _Z_PROJS) for y in (0, 1)])
+    # Born weights of Alice's Z measurement, per Bob's bit: on the rows of
+    # the identity, the basis states |0> and |1>.
+    return projections(np.eye(2), _Z_PROJS)[1]
 
 
 def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
@@ -377,7 +365,7 @@ def _qutrit_tables() -> tuple[np.ndarray, np.ndarray]:
     weights = np.empty((2, 2, 2, 2, 2))
     for a, y, z_dummy, p in itertools.product((0, 1), repeat=4):
         pair = OtPair.draw(y, z_dummy, p)
-        weights[a, y, z_dummy, p] = qutrit_born_probabilities(a, pair.x0, pair.x1)
+        weights[a, y, z_dummy, p] = _qutrit_weights()[a, pair.x0, pair.x1]
     decoded = np.array([[qutrit_decode(a, outcome) for outcome in (0, 1)] for a in (0, 1)])
     return weights, decoded
 
@@ -443,32 +431,23 @@ class SequenceBlock(NamedTuple):
 @lru_cache(maxsize=None)
 def _sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # Born weights of qubit 1, per (pair, basis); of qubit 2 on the state
-    # measure_pure leaves after qubit 1 showed m1, per (pair, basis, m1,
-    # basis of qubit 2); and Alice's untested-slot decode, per (m1, m2), as
-    # (learned index, learned value).  An outcome of weight 0 is never
-    # sampled and keeps zero weights.
-    first = np.zeros((4, 2, 2))
-    second = np.zeros((4, 2, 2, 2, 2))
-    for pair, state in enumerate(SEQUENCE_STATES.values()):
-        for basis, name in enumerate("ZX"):
-            weights = born_weights(state, _QUBIT1[name])
-            first[pair, basis] = weights
-            for m1 in (0, 1):
-                if weights[m1] > 0.0:
-                    # A uniform at the outcome's lower cumulative edge selects it.
-                    outcome, amps = measure_pure(state, _QUBIT1[name], float(sum(weights[:m1])))
-                    if outcome != m1:
-                        raise RuntimeError("post-measurement state selected the wrong outcome")
-                    for second_basis, second_name in enumerate("ZX"):
-                        second[pair, basis, m1, second_basis] = born_weights(
-                            PureState(amps), _QUBIT2[second_name]
-                        )
+    # qubit 1's outcome m1 leaves, per (pair, basis, m1, basis of qubit 2);
+    # and Alice's untested-slot decode, per (m1, m2), as (learned index,
+    # learned value).  An outcome of weight 0 is never sampled; it leaves
+    # no state, and its second weights are 0.
+    states = np.array([state.amplitudes for state in SEQUENCE_STATES.values()])
+    by_basis = [projections(states, _QUBIT1[basis]) for basis in "ZX"]
+    projected = np.stack([vectors for vectors, _ in by_basis], axis=1)
+    first = np.stack([weights for _, weights in by_basis], axis=1)
+    norms = np.sqrt(first)[..., None]
+    after = np.divide(projected, norms, out=np.zeros_like(projected), where=norms > 0.0)
+    second = np.stack([projections(after, _QUBIT2[b])[1] for b in "ZX"], axis=-2)
     decode = np.array([[SEQUENCE_DECODE[(m1, m2)] for m2 in (0, 1)] for m1 in (0, 1)])
     return first, second, decode
 
 
 def _measure_qubits_block(pairs, first_basis, second_basis, rand1, rand2):
-    # measure_pure on qubit 1, then on qubit 2 of the state it leaves, for
+    # A measurement of qubit 1, then of qubit 2 on the state it leaves, for
     # arrays of pair indices and bases: (m1, m2).
     first, second, _ = _sequence_tables()
     shape = pairs.shape

@@ -75,20 +75,16 @@ def splitmix64(value: int) -> int:
     return z ^ (z >> 31)
 
 
-def trial_seed(master_seed: int, trial_index: int) -> int:
-    """Per-trial seed: the mixed master seed plus the trial index, mixed again.
+def trial_seeds(master_seed: int, offset: int, count: int) -> np.ndarray:
+    """The seeds of trials offset .. offset + count - 1, as uint64: for
+    trial i, ``splitmix64`` of the mixed master seed plus i, mod 2**64.
 
     Mixing the master seed before adding the index keeps distinct master
     seeds from sharing trial seeds, so they give independent replicates.
-    Depends only on (master_seed, trial_index), never on how trials are
-    batched, which is what makes split-and-concatenate runs reproducible.
+    A trial's seed depends only on (master_seed, i), never on how trials
+    are batched, which is what makes split-and-concatenate runs
+    reproducible.
     """
-    base = splitmix64(master_seed & _MASK64)
-    return splitmix64((base + trial_index) & _MASK64)
-
-
-def trial_seeds(master_seed: int, offset: int, count: int) -> np.ndarray:
-    """``trial_seed(master_seed, offset + i)`` for i in range(count), as uint64."""
     start = (splitmix64(master_seed & _MASK64) + offset) & _MASK64
     with np.errstate(over="ignore"):
         z = np.uint64(start) + np.arange(count, dtype=np.uint64) + np.uint64(_SPLITMIX_GAMMA)

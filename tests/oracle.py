@@ -5,17 +5,22 @@ The library writes every flow once, as a block form over an array of trial
 seeds, on its own Philox kernel (``rotlab.rng.BlockStream``).  Here the same
 flows draw from ``Generator(Philox(key=[seed, stream]))`` itself: a bit is
 ``integers(0, 2)``, a uniform ``random()``, a test set ``choice``, and each
-measurement is sampled by ``measure_pure``.  The library's flows must give
-these outcomes and transcripts trial by trial.  Nothing here draws from
-``BlockStream`` or ``philox_block``.
+measurement is sampled by ``measure_pure``, one state and one uniform at a
+time.  The library's flows must give these outcomes and transcripts trial
+by trial.  Nothing here draws from ``BlockStream`` or ``philox_block``.
 
-It also holds the density path of cheating Alice's qutrit objective, built
-one triple at a time from public ``linalg`` objects (``PureState``,
-``DensityMatrix.mixture``, ``helstrom_prob``); the library's stacked
-evaluator must give its values exactly.
+It also holds two references built one object at a time: every Born table
+the library samples from, each weight ``||P_k psi||^2`` taken with
+``np.vdot`` from ``proj.data @ psi``, which the library's stacked tables
+must equal exactly; and the density path of cheating Alice's qutrit
+objective, from public ``linalg`` objects (``PureState``,
+``DensityMatrix.mixture``, ``helstrom_prob``), whose values the library's
+stacked evaluator must give exactly.
 """
 
+import itertools
 import json
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -29,7 +34,7 @@ from rotlab.linalg import (
     PureState,
     ValidationError,
     helstrom_prob,
-    measure_pure,
+    projections,
 )
 from rotlab.protocols import (
     _QUBIT1,
@@ -45,11 +50,8 @@ from rotlab.protocols import (
     qutrit_decode,
     qutrit_entangled_state,
     qutrit_measurement,
-    sequence_decode,
-    sequence_expected_outcome,
-    sequence_test_basis,
 )
-from rotlab.rng import ALICE, BOB, BOB_AUX
+from rotlab.rng import ALICE, BOB, BOB_AUX, splitmix64
 
 _MASK64 = (1 << 64) - 1
 
@@ -82,8 +84,15 @@ def draw_bit(gen: np.random.Generator) -> int:
     return int(gen.integers(0, 2))
 
 
+def trial_seed(master_seed: int, trial_index: int) -> int:
+    """The seed of one trial: the mixed master seed plus the trial index,
+    mixed again."""
+    base = splitmix64(master_seed & _MASK64)
+    return splitmix64((base + trial_index) & _MASK64)
+
+
 # --------------------------------------------------------------------------
-# Density-matrix sampling
+# Measurement sampling
 # --------------------------------------------------------------------------
 
 
@@ -100,19 +109,115 @@ def invert_cumulative(weights: list[float], rand: float) -> int:
     return positive[-1] if positive else len(weights) - 1
 
 
+def _checked(measurement, dim: int, rand: float) -> ProjectiveMeasurement:
+    # The per-call checks; a plain projector sequence is validated here.
+    if not (0.0 <= rand < 1.0):
+        raise ValidationError(f"rand must lie in [0, 1), got {rand}")
+    if not isinstance(measurement, ProjectiveMeasurement):
+        measurement = ProjectiveMeasurement(measurement)
+    if measurement.dim != dim:
+        raise DimensionError("projector dimensions must match the state")
+    return measurement
+
+
 def measure(state, measurement, rand: float) -> int:
     """Sample a projective measurement of a ``DensityMatrix``: outcome k
     has weight ``tr(P_k rho)``.  A plain projector sequence is wrapped in a
     :class:`ProjectiveMeasurement`, so it is checked on every call, and so
     are ``rand`` and the state's dimension."""
-    if not (0.0 <= rand < 1.0):
-        raise ValidationError(f"rand must lie in [0, 1), got {rand}")
-    if not isinstance(measurement, ProjectiveMeasurement):
-        measurement = ProjectiveMeasurement(measurement)
-    if measurement.dim != state.dim:
-        raise DimensionError("projector dimensions must match the state")
+    measurement = _checked(measurement, state.dim, rand)
     rho = state.matrix.data
     return invert_cumulative([float(np.einsum("ij,ji->", proj.data, rho).real) for proj in measurement], rand)
+
+
+def measure_pure(state, measurement, rand: float) -> tuple[int, np.ndarray]:
+    """Sample a projective measurement of a ``PureState`` with the checks of
+    :func:`measure`: the outcome, by the sampling rule on the Born weights
+    of ``linalg.projections``, and the post-measurement amplitudes
+    ``P_k psi / ||P_k psi||``."""
+    measurement = _checked(measurement, state.dim, rand)
+    projected, weights = projections(state.amplitudes, measurement)
+    outcome = invert_cumulative(weights.tolist(), rand)
+    return outcome, projected[outcome] / math.sqrt(weights[outcome])
+
+
+# --------------------------------------------------------------------------
+# Born tables, one state at a time
+# --------------------------------------------------------------------------
+
+
+def born_weights(amplitudes, measurement) -> list[float]:
+    """The Born weights of one state: ``np.vdot`` of each ``proj.data @ psi``."""
+    return [float(np.vdot(v, v).real) for v in (proj.data @ amplitudes for proj in measurement)]
+
+
+def post_measurement(amplitudes, measurement, outcome: int) -> np.ndarray:
+    """The state outcome ``outcome`` leaves: ``P_k psi / ||P_k psi||``."""
+    v = measurement[outcome].data @ amplitudes
+    return v / math.sqrt(float(np.vdot(v, v).real))
+
+
+def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
+    """Outcome distribution of honest Alice's qutrit measurement in one
+    classical context."""
+    evolved = _qutrit_pair_unitary(x0, x1).data @ qutrit_entangled_state(a).amplitudes
+    p0, p1 = born_weights(evolved, qutrit_measurement(a))
+    return p0, p1
+
+
+def bad_qubit_weights() -> np.ndarray:
+    """Alice's Z measurement, per Bob's bit."""
+    return np.array([born_weights(PureState.basis(2, y).amplitudes, _Z_PROJS) for y in (0, 1)])
+
+
+def qutrit_weights() -> np.ndarray:
+    """Honest Alice's qutrit measurement, per (a, y, z_dummy, p)."""
+    weights = np.empty((2, 2, 2, 2, 2))
+    for a, y, z_dummy, p in itertools.product((0, 1), repeat=4):
+        pair = OtPair.draw(y, z_dummy, p)
+        weights[a, y, z_dummy, p] = qutrit_born_probabilities(a, pair.x0, pair.x1)
+    return weights
+
+
+def sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Qubit 1, per (pair, basis); qubit 2 on the state qubit 1's outcome m1
+    leaves, per (pair, basis, m1, basis of qubit 2), 0 where m1 has weight
+    0; and the untested-slot decode, per (m1, m2)."""
+    first = np.zeros((4, 2, 2))
+    second = np.zeros((4, 2, 2, 2, 2))
+    for pair, state in enumerate(SEQUENCE_STATES.values()):
+        for basis, name in enumerate("ZX"):
+            first[pair, basis] = born_weights(state.amplitudes, _QUBIT1[name])
+            for m1 in (0, 1):
+                if first[pair, basis, m1] > 0.0:
+                    after = post_measurement(state.amplitudes, _QUBIT1[name], m1)
+                    for second_basis, second_name in enumerate("ZX"):
+                        second[pair, basis, m1, second_basis] = born_weights(after, _QUBIT2[second_name])
+    decode = np.array([[sequence_decode(m1, m2) for m2 in (0, 1)] for m1 in (0, 1)])
+    return first, second, decode
+
+
+def alice_qutrit_weights(params: dict) -> np.ndarray:
+    """Cheating Alice's Helstrom measurement, per Bob's (y, z_dummy, p)."""
+    encoded, measurements = _alice_qutrit_tables(params)
+    weights = np.empty((2, 2, 2, 2))
+    for y, z_dummy, p in itertools.product((0, 1), repeat=3):
+        pair = OtPair.draw(y, z_dummy, p)
+        weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)].amplitudes, measurements[p])
+    return weights
+
+
+def alice_sequence_weights() -> np.ndarray:
+    """Cheating Alice's measurement of a stored state, per (pair, declared bit)."""
+    measurements = _alice_sequence_measurements()
+    return np.array(
+        [[born_weights(s.amplitudes, measurements[bit]) for bit in (0, 1)] for s in SEQUENCE_STATES.values()]
+    )
+
+
+def bob_qutrit_weights() -> np.ndarray:
+    """Cheating Bob's measurement of his half of the probe, per Alice's bit."""
+    return np.array([born_weights(qutrit_entangled_state(a).amplitudes, _helstrom_on_bob_side()) for a in (0, 1)])
 
 
 # --------------------------------------------------------------------------
@@ -175,6 +280,24 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     else:
         outcome = RotOutcome.null(y)
     return transcript, outcome
+
+
+def sequence_test_basis(x0: int, x1: int) -> str:
+    """Basis in which both qubits of the announced state are checked."""
+    return "Z" if x0 == x1 else "X"
+
+
+def sequence_expected_outcome(x0: int, x1: int) -> int:
+    """Outcome both tested qubits must show for a consistent announcement."""
+    return x0
+
+
+def sequence_decode(m1: int, m2: int) -> tuple[int, int]:
+    """What Alice learns from qubit 1 read in Z and qubit 2 in X, as (which
+    bit, its value).  m1 rules out |11> (m1 = 0) or |00> (m1 = 1), and m2
+    rules out |--> (m2 = 0) or |++> (m2 = 1); the two states left share bit
+    m1 ^ m2, and its value is m1."""
+    return m1 ^ m2, m1
 
 
 def sequence_setup(cfg: SequenceConfig, seed: int):

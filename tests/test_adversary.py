@@ -318,6 +318,19 @@ def test_strategy_equality_and_defaults():
     assert CheatStrategy("bob", "qutrit") != CheatStrategy("bob", "coinflip")
 
 
+def test_cheat_born_tables_equal_one_state_references(rng):
+    # The stacked tables the cheating blocks sample from hold exactly (==)
+    # the floats the one-state formula gives, for the default probe, the
+    # edge probes and 120 random ones.
+    triples = [None, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    triples += [list(random_triple(rng)) for _ in range(120)]
+    for triple in triples:
+        params = {} if triple is None else {"triple": triple}
+        assert np.array_equal(adversary._alice_qutrit_weights(params), oracle.alice_qutrit_weights(params)), triple
+    assert np.array_equal(adversary._alice_sequence_weights(), oracle.alice_sequence_weights())
+    assert np.array_equal(adversary._bob_qutrit_weights(), oracle.bob_qutrit_weights())
+
+
 def test_every_strategy_has_a_block_form():
     for (party, protocol), (_, block) in adversary._STRATEGIES.items():
         assert callable(block), (party, protocol)

@@ -168,3 +168,94 @@ def test_foreign_import_finder_sees_packages_and_submodules():
         "    import numba\n"
     )
     assert _foreign_imports(ast.parse(source)) == ["scipy.linalg", "sympy", "numba"]
+
+
+EIGENSOLVERS = {"eigvalsh", "eigh"}
+
+
+def _eigensolver_uses(tree: ast.Module) -> list[str]:
+    # Each use of numpy's Hermitian eigensolvers, as an attribute or an
+    # imported name, labelled with the top-level definition that holds it.
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
+                found.append(f"{owner}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{owner}: {alias.name}" for alias in node.names if alias.name in EIGENSOLVERS]
+    return found
+
+
+def test_only_linalg_calls_the_eigensolvers():
+    # Every eigensolve goes through linalg, and there through one function
+    # per solver, so one name counts them all.
+    offences = _offences(_eigensolver_uses)
+    in_linalg = offences.pop("linalg.py", [])
+    assert not offences, offences
+    assert sorted(in_linalg) == ["_eigenvalues: eigvalsh", "_hermitian_eigh: eigh"]
+
+
+def test_eigensolver_finder_sees_attributes_and_imports():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import eigh, norm\n"
+        "def f(a):\n"
+        "    '''Calls eigvalsh.'''\n"
+        "    return np.linalg.eigvalsh(a)\n"
+        "class C:\n"
+        "    solve = np.linalg.eigh\n"
+    )
+    assert _eigensolver_uses(ast.parse(source)) == ["<module>: eigh", "f: eigvalsh", "C: eigh"]
+
+
+def _names_read(nodes) -> set[str]:
+    # Every name the nodes read, import or take as an attribute.
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                found.update(alias.name for alias in node.names)
+    return found
+
+
+def _unused_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    # Public top-level functions and classes that no code of the package
+    # uses outside their own bodies; rotlab/__init__.py's imports count as
+    # uses, so an export is one.
+    unused = []
+    for name, tree in trees.items():
+        elsewhere = _names_read(other for key, other in trees.items() if key != name)
+        by_top = [(top, _names_read([top])) for top in tree.body]
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in elsewhere and not any(node.name in names for top, names in by_top if top is not node):
+                unused.append(f"{name}: {node.name}")
+    return unused
+
+
+def test_every_public_definition_is_used_or_exported():
+    # A function only the tests call belongs with the tests (tests/oracle.py).
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert _unused_definitions(trees) == []
+
+
+def test_unused_definition_finder_sees_modules_exports_and_self_use():
+    trees = {
+        "__init__.py": ast.parse("from .a import exported\n"),
+        "a.py": ast.parse(
+            "def exported(): pass\n"
+            "def helper(): pass\n"
+            "def caller(): return helper()\n"
+            "def recursive(n): return recursive(n - 1)\n"
+            "class Unused: pass\n"
+            "def _private(): pass\n"
+        ),
+        "b.py": ast.parse("from . import a\na.caller()\n"),
+    }
+    assert _unused_definitions(trees) == ["a.py: recursive", "a.py: Unused"]

@@ -12,21 +12,20 @@ from rotlab.linalg import (
     PureState,
     ValidationError,
     _hermitian_eigh,
-    _invert_cumulative,
-    born_weights,
     helstrom_prob,
     helstrom_projectors,
     hermitian_eigenvalues,
     invert_cumulative_block,
     kron,
-    measure_pure,
     partial_trace,
+    projections,
     trace_norm,
+    trace_norms,
 )
 from rotlab.protocols import SEQUENCE_STATES
 
 from conftest import charpoly_eigenvalues, random_density, random_hermitian, random_unitary
-from oracle import measure
+from oracle import born_weights, invert_cumulative, measure, measure_pure
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -227,6 +226,15 @@ def test_eigvalsh_matches_lapack(rng):
         assert np.max(np.abs(w - np.linalg.eigvalsh(h))) < 1e-12
 
 
+def test_trace_norms_equal_trace_norm_row_by_row(rng):
+    for dim in (2, 3, 4, 9, 16):
+        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        norms = trace_norms(stack)
+        assert norms.shape == (2, 3)
+        for index in np.ndindex(2, 3):
+            assert norms[index] == trace_norm(ComplexMatrix(stack[index])), (dim, index)
+
+
 def test_eigh_reconstructs_and_is_unitary(rng):
     for dim in (3, 6, 9):
         h = random_hermitian(rng, dim)
@@ -244,6 +252,8 @@ def test_eigensolver_failure_raises_numeric_error(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", fail)
     with pytest.raises(NumericError):
         hermitian_eigenvalues(ComplexMatrix.diagonal([1.0, -1.0]))
+    with pytest.raises(NumericError):
+        trace_norms(np.eye(2)[None])
     rho0 = DensityMatrix.from_pure(PureState.basis(2, 0))
     rho1 = DensityMatrix.from_pure(PureState.basis(2, 1))
     with pytest.raises(NumericError):
@@ -447,6 +457,8 @@ def test_projective_measurement_rejects_malformed_sets():
         ProjectiveMeasurement((cm([[math.nan, 0.0], [0.0, 0.0]]), p1))
     measurement = ProjectiveMeasurement([p0, p1])
     assert measurement.dim == 2 and len(measurement) == 2
+    assert measurement.stack.shape == (2, 2, 2) and not measurement.stack.flags.writeable
+    assert (measurement.stack == [p0.data, p1.data]).all()
     assert measurement[1] is measurement.projectors[1]
     assert list(measurement) == [p0, p1]
 
@@ -472,11 +484,18 @@ def test_measure_pure_matches_density_reference(rng, dim):
     rands = np.linspace(0.0, 1.0, 64, endpoint=False)
     for _ in range(20):
         measurement = _random_measurement(rng, dim)
-        raw = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        state = PureState(raw / np.linalg.norm(raw))
+        raw = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
+        amplitudes = raw / np.linalg.norm(raw, axis=-1, keepdims=True)
+        # A stack of states gives, row by row, the one-state floats.
+        projected, weights = projections(amplitudes, measurement)
+        assert projected.shape == (3, len(measurement), dim) and weights.shape == (3, len(measurement))
+        for row in range(3):
+            assert weights[row].tolist() == born_weights(amplitudes[row], measurement)
+            assert (projected[row] == projections(amplitudes[row], measurement)[0]).all()
+        state = PureState(amplitudes[0])
         reference = DensityMatrix.from_pure(state)
         # The block sampler, fed the same Born weights, gives the same outcomes.
-        block = invert_cumulative_block(np.tile(born_weights(state, measurement), (rands.size, 1)), rands)
+        block = invert_cumulative_block(np.tile(weights[0], (rands.size, 1)), rands)
         for rand, block_outcome in zip(rands, block):
             outcome, post = measure_pure(state, measurement, rand)
             assert outcome == measure(reference, measurement, rand) == block_outcome
@@ -503,11 +522,11 @@ def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
     ]
     rand = rng.random(4000)
     rand[:5] = [0.5, 0.2, 0.0, 0.75, 0.999]
-    expected = [_invert_cumulative(list(row), r) for row, r in zip(weights, rand)]
+    expected = [invert_cumulative(list(row), r) for row, r in zip(weights, rand)]
     assert invert_cumulative_block(weights, rand).tolist() == expected
     qubit = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
     with pytest.raises(DimensionError):
-        born_weights(PureState.basis(3, 0), qubit)
+        projections(PureState.basis(3, 0).amplitudes, qubit)
 
 
 def test_rounding_short_total_never_samples_a_zero_weight_outcome():
@@ -521,7 +540,7 @@ def test_rounding_short_total_never_samples_a_zero_weight_outcome():
     qubit2_x = ProjectiveMeasurement(tuple(kron(identity, p) for p in x_basis))
     _, amps = measure_pure(SEQUENCE_STATES[(0, 1)], qubit1_z, 0.0)
     state = PureState(amps)
-    weights = born_weights(state, qubit2_x)
+    weights = projections(state.amplitudes, qubit2_x)[1].tolist()
     assert weights == [0.9999999999999998, 0.0]
     top = 1.0 - 2.0**-53
     outcome, post = measure_pure(state, qubit2_x, top)
@@ -530,4 +549,4 @@ def test_rounding_short_total_never_samples_a_zero_weight_outcome():
     # Zero weights after the last positive one, and rows with none.
     rows = np.array([[0.5, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]])
     assert invert_cumulative_block(rows, np.full(3, 0.9)).tolist() == [2, 3, 3]
-    assert [_invert_cumulative(list(row), 0.9) for row in rows] == [2, 3, 3]
+    assert [invert_cumulative(list(row), 0.9) for row in rows] == [2, 3, 3]

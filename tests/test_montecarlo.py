@@ -16,9 +16,10 @@ from rotlab.montecarlo import (
     sequence_detection_experiment,
 )
 from rotlab.protocols import ROT_EXECUTORS, SequenceConfig, play_sequence_block, sequence_setup_block
-from rotlab.rng import splitmix64, trial_seed, trial_seeds
+from rotlab.rng import splitmix64, trial_seeds
 
 from conftest import random_triple
+from oracle import trial_seed
 
 
 def test_trial_report_fields():
@@ -381,8 +382,24 @@ def test_sequence_runs_straddling_chunks_match_unchunked(monkeypatch):
     detections = {
         variant: sequence_detection_experiment(16, variant, 80, 6) for variant in DETECTION_VARIANTS
     }
+    # A cheat trial at n_states = 16 is a whole run, so its blocks hold as
+    # many trials as a completeness block holds runs.
+    strategy = CheatStrategy("alice", "sequence", {"n_states": 16})
+    cheat = estimate_cheat(strategy, 80, 6)
+    block = cheat_block(strategy)
+    sizes = []
+
+    def recording(seeds):
+        sizes.append(seeds.size)
+        return block(seeds)
+
+    monkeypatch.setattr(montecarlo, "cheat_block", lambda _: recording)
     for block_trials in (1, 3 * 16, 10 * 16 + 7):
         monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", block_trials)
         assert estimate_completeness("sequence", 1001, 6, n_states=16) == whole
         for variant, report in detections.items():
             assert sequence_detection_experiment(16, variant, 80, 6) == report, (block_trials, variant)
+        sizes.clear()
+        assert estimate_cheat(strategy, 80, 6) == cheat, block_trials
+        runs = max(1, block_trials // 16)
+        assert sizes == [min(runs, 80 - start) for start in range(0, 80, runs)], block_trials

@@ -15,20 +15,18 @@ from rotlab.protocols import (
     OtPair,
     RotOutcome,
     SequenceConfig,
-    qutrit_born_probabilities,
     qutrit_decode,
     run_bad_classical,
     run_bad_qubit,
     run_coinflip_reduction,
     run_qutrit,
     run_sequence,
-    sequence_decode,
-    sequence_expected_outcome,
     sequence_setup_block,
     sequence_spot_check_block,
-    sequence_test_basis,
 )
 from rotlab.rng import trial_seeds
+
+from oracle import qutrit_born_probabilities, sequence_decode, sequence_expected_outcome, sequence_test_basis
 
 DATA = Path(__file__).parent / "data"
 
@@ -388,6 +386,15 @@ def test_runs_match_oracle_runs_trial_by_trial():
     for seed in RUN_SEEDS[:40]:
         transcript, _ = run_coinflip_reduction("qutrit", seed)
         assert transcript.messages[3].payload == {"b": oracle.coin_bit(seed)}
+
+
+def test_born_tables_equal_one_state_references():
+    # The stacked tables the honest flows sample from hold exactly (==) the
+    # floats the one-state formula gives.
+    assert np.array_equal(protocols._bad_qubit_weights(), oracle.bad_qubit_weights())
+    assert np.array_equal(protocols._qutrit_tables()[0], oracle.qutrit_weights())
+    for got, want in zip(protocols._sequence_tables(), oracle.sequence_tables(), strict=True):
+        assert np.array_equal(got, want)
 
 
 def test_aborted_sequence_run_renders_as_the_oracle_does(monkeypatch):

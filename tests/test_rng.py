@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 import oracle
-from oracle import draw_bit, party_stream
+from oracle import draw_bit, party_stream, trial_seed
 from rotlab import rng
 from rotlab.adversary import CheatStrategy
-from rotlab.rng import BlockStream, block_streams, philox_block, trial_seed, trial_seeds
+from rotlab.rng import BlockStream, block_streams, philox_block, trial_seeds
 
 MASK64 = (1 << 64) - 1
 EDGE_SEEDS = (0, MASK64, (1 << 63) + 5)
