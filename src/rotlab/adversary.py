@@ -2,10 +2,11 @@
 
 The evaluators compute each dishonest party's best success probability
 analytically (trace-norm discrimination of the relevant state mixtures).
-Cheating Alice's qutrit objective has one stacked evaluator: both
-discrimination operators of many amplitude triples at once, with all their
-trace norms from one :func:`~rotlab.linalg.trace_norms` call.  It serves
-single triples and the optimizer's grid alike; its reference, the
+Cheating Alice's qutrit objective has one stacked evaluator: each
+discrimination operator is one of two fixed sign patterns, built once from
+Bob's encodings, times the probe's outer product v v^T, and all the trace
+norms of many triples come from one :func:`~rotlab.linalg.trace_norms` call.
+It serves single triples and the optimizer's grid alike; its reference, the
 density-matrix path one triple at a time, is in ``tests/oracle.py``.
 
 Each executable strategy is written once, as a block form over an array
@@ -79,6 +80,17 @@ class AmplitudeTriple:
             raise ValidationError(f"squared amplitudes sum to {norm_sq!r}, expected 1")
 
     @classmethod
+    def coerce(cls, triple) -> "AmplitudeTriple":
+        """``triple`` itself, or the triple of the three values it unpacks to."""
+        if isinstance(triple, cls):
+            return triple
+        try:
+            alpha, beta, gamma_amp = triple
+        except (TypeError, ValueError):
+            raise ValidationError("triple must be a list of three amplitudes") from None
+        return cls(alpha, beta, gamma_amp)
+
+    @classmethod
     def from_angles(cls, theta: float, phi: float) -> "AmplitudeTriple":
         """Spherical chart of the nonnegative octant, theta/phi in [0, pi/2]."""
         return cls(
@@ -105,23 +117,26 @@ class AmplitudeTriple:
 _ENCODING_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
 
 
-def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
-    """:func:`alice_qutrit_cheat_prob` of every row of an (m, 3) array of
-    amplitudes.
+# Encoding x maps v v^T to (s_x s_x^T) * v v^T, so each operator is a fixed
+# pattern times v v^T: its formula on the sign outer products, (o00 + o01) -
+# (o10 + o11) for p = 0 and (o00 + o10) - (o01 + o11) for p = 1.
+_SIGN_OUTERS = np.einsum("ki,kj->kij", _ENCODING_SIGNS, _ENCODING_SIGNS)
+_SIGN_PATTERNS = 0.25 * ((_SIGN_OUTERS[0:1] + _SIGN_OUTERS[1:3]) - (_SIGN_OUTERS[2:0:-1] + _SIGN_OUTERS[3:4]))
 
-    The operator for permutation value p is 0.5 rho_0 - 0.5 rho_1, where
-    rho_b mixes, with weight 1/2 each, the two encodings whose selected bit
-    (x0 for p = 0, x1 for p = 1) is b.  It is summed in the association of
-    ``DensityMatrix.mixture`` and ``helstrom_prob``, so each value equals
-    the density path's.  The operators are real and symmetric by
-    construction, so they go to :func:`trace_norms` unchecked, and all 2m
-    trace norms come from one eigensolve.
-    """
-    encoded = vectors[:, None, :] * _ENCODING_SIGNS
-    outers = np.einsum("mki,mkj->mkij", encoded, encoded)
-    # (o00 + o01) - (o10 + o11) for p = 0, (o00 + o10) - (o01 + o11) for p = 1.
-    operators = 0.25 * ((outers[:, 0:1] + outers[:, 1:3]) - (outers[:, 2:0:-1] + outers[:, 3:4]))
-    return (0.5 * (1.0 + trace_norms(operators))).mean(axis=1)
+
+def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
+    """The (m, 2, 3, 3) operators 0.5 rho_0 - 0.5 rho_1 of an (m, 3) array of
+    amplitudes, per value p, rho_b mixing equally the encodings with x_p = b.
+    Each entry is 0 or +-fl(v_i v_j), exactly the density path's, so the
+    operators are real and exactly symmetric."""
+    return _SIGN_PATTERNS * (vectors[:, None, :, None] * vectors[:, None, None, :])
+
+
+def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
+    """:func:`alice_qutrit_cheat_prob` of each row of an (m, 3) array: all 2m
+    trace norms from one eigensolve, averaged over the permutation value."""
+    values = 0.5 * (1.0 + trace_norms(_qutrit_cheat_operators(vectors)))
+    return 0.5 * (values[:, 0] + values[:, 1])
 
 
 def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
@@ -132,8 +147,7 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
     cross-check.
     """
-    if not isinstance(triple, AmplitudeTriple):
-        triple = AmplitudeTriple(*triple)
+    triple = AmplitudeTriple.coerce(triple)
     return float(_qutrit_cheat_values(np.array([triple.as_tuple()], dtype=float))[0])
 
 
@@ -271,10 +285,7 @@ class CheatStrategy:
         if unknown:
             raise ValidationError(f"unknown strategy parameters: {sorted(unknown)}")
         if "triple" in parameters:
-            values = parameters["triple"]
-            if not isinstance(values, (list, tuple)) or len(values) != 3:
-                raise ValidationError("triple must be a list of three amplitudes")
-            parameters["triple"] = [float(v) for v in AmplitudeTriple(*values).as_tuple()]
+            parameters["triple"] = [float(v) for v in AmplitudeTriple.coerce(parameters["triple"]).as_tuple()]
         if "n_states" in parameters:
             SequenceConfig(parameters["n_states"])  # type and range check
         self.party = party

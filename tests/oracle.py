@@ -398,28 +398,41 @@ def encoding_signs(x0: int, x1: int) -> np.ndarray:
     return np.array(((-1.0) ** x0, (-1.0) ** x1, 1.0))
 
 
+def _bit_mixtures(encoded: dict[tuple[int, int], PureState]) -> list[tuple[DensityMatrix, DensityMatrix]]:
+    # Per permutation value, the two equal-weight mixtures of the encodings
+    # whose selected bit (x0, then x1) is 0 and 1.
+    pairs = []
+    for perm in (0, 1):
+        groups: dict[int, list[PureState]] = {0: [], 1: []}
+        for bits, state in encoded.items():
+            groups[bits[perm]].append(state)
+        pairs.append(tuple(DensityMatrix.mixture([(0.5, s) for s in groups[bit]]) for bit in (0, 1)))
+    return pairs
+
+
 def probe_cheat_prob(encoded: dict[tuple[int, int], PureState]) -> float:
     """Alice's Helstrom success, averaged over the permutation value, given
     Bob's four encodings ``encoded[(x0, x1)]`` of her probe: per value, the
     equal-prior discrimination of the two equal-weight mixtures of the
     encodings whose selected bit (x0, then x1) is 0 and 1."""
-    values = []
-    for perm in (0, 1):
-        groups: dict[int, list[PureState]] = {0: [], 1: []}
-        for bits, state in encoded.items():
-            groups[bits[perm]].append(state)
-        rho0 = DensityMatrix.mixture([(0.5, s) for s in groups[0]])
-        rho1 = DensityMatrix.mixture([(0.5, s) for s in groups[1]])
-        values.append(helstrom_prob(0.5, rho0, 0.5, rho1))
-    return float(np.mean(values))
+    return float(np.mean([helstrom_prob(0.5, rho0, 0.5, rho1) for rho0, rho1 in _bit_mixtures(encoded)]))
+
+
+def _encoded_probes(triple) -> dict[tuple[int, int], PureState]:
+    amplitudes = np.array(triple.as_tuple())
+    return {(x0, x1): PureState(encoding_signs(x0, x1) * amplitudes) for x0 in (0, 1) for x1 in (0, 1)}
 
 
 def alice_qutrit_cheat_prob(triple) -> float:
     """The density path of ``adversary.alice_qutrit_cheat_prob``."""
-    amplitudes = np.array(triple.as_tuple())
-    return probe_cheat_prob(
-        {(x0, x1): PureState(encoding_signs(x0, x1) * amplitudes) for x0 in (0, 1) for x1 in (0, 1)}
-    )
+    return probe_cheat_prob(_encoded_probes(triple))
+
+
+def qutrit_cheat_operators(triple) -> np.ndarray:
+    """The density path's (2, 3, 3) complex operators 0.5 rho_0 - 0.5 rho_1
+    per permutation value, whose trace norms ``helstrom_prob`` takes."""
+    mixtures = _bit_mixtures(_encoded_probes(triple))
+    return np.array([0.5 * rho0.matrix.data - 0.5 * rho1.matrix.data for rho0, rho1 in mixtures])
 
 
 # --------------------------------------------------------------------------

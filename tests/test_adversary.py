@@ -56,6 +56,29 @@ def test_amplitude_triple_rejects_non_finite_and_oversized(bad):
         CheatStrategy("alice", "qutrit", {"triple": [0.0, 0.0, bad]})
 
 
+@pytest.mark.parametrize("bad", [(0.5, 0.5), (0.5, 0.5, 0.5, 0.5), 5, None, np.float64(1.0), np.array(1.0)])
+def test_non_triples_are_rejected(bad):
+    with pytest.raises(ValidationError, match="triple must be a list of three amplitudes"):
+        alice_qutrit_cheat_prob(bad)
+    with pytest.raises(ValidationError, match="triple must be a list of three amplitudes"):
+        CheatStrategy("alice", "qutrit", {"triple": bad})
+
+
+@pytest.mark.parametrize(
+    "triple",
+    [
+        AmplitudeTriple.balanced(),
+        [0.5, 0.5, math.sqrt(0.5)],
+        np.array([0.5, 0.5, math.sqrt(0.5)]),
+        (Fraction(1, 2), Fraction(1, 2), math.sqrt(0.5)),
+    ],
+)
+def test_triple_coercion_accepts_sequences_numpy_rows_and_fractions(triple):
+    assert alice_qutrit_cheat_prob(triple) == alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
+    balanced = list(AmplitudeTriple.balanced().as_tuple())
+    assert CheatStrategy("alice", "qutrit", {"triple": triple}).parameters == {"triple": balanced}
+
+
 def test_cheat_prob_balanced_probe_hits_best_value():
     assert abs(alice_qutrit_cheat_prob(AmplitudeTriple.balanced()) - BEST) < 1e-12
 
@@ -73,6 +96,26 @@ def test_cheat_prob_equals_the_density_path_exactly(rng):
     triples += [optimize_alice_qutrit(tolerance)[0] for tolerance in (1e-3, 1e-6, 1e-9)]
     for triple in triples:
         assert alice_qutrit_cheat_prob(triple) == oracle.alice_qutrit_cheat_prob(triple), triple
+
+
+def test_operators_equal_the_density_path_exactly(rng, monkeypatch):
+    # Each operator goes to trace_norms unchecked: it must be the density
+    # path's 0.5 rho_0 - 0.5 rho_1, real, and exactly symmetric.
+    vectors = [random_triple(rng) for _ in range(2000)]
+    vectors += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), AmplitudeTriple.balanced().as_tuple()]
+    grids = []
+    values = adversary._qutrit_cheat_values
+    monkeypatch.setattr(adversary, "_qutrit_cheat_values", lambda v: grids.append(v) or values(v))
+    angles = np.linspace(0.0, math.pi / 2.0, adversary.GRID_POINTS)
+    adversary._qutrit_cheat_grid(angles, angles)  # the first grid of every cold search
+    vectors = np.concatenate([np.array(vectors), *grids])
+    assert len(vectors) == 2004 + adversary.GRID_POINTS**2
+    operators = adversary._qutrit_cheat_operators(vectors)
+    assert operators.shape == (len(vectors), 2, 3, 3)
+    assert np.array_equal(operators, operators.swapaxes(-1, -2))
+    for row, ops in zip(vectors, operators):
+        reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*row))
+        assert np.array_equal(ops, reference.real) and not reference.imag.any(), row
 
 
 def test_entangled_probes_reach_their_reduced_triple(rng):
@@ -118,6 +161,22 @@ def test_optimizer_finds_the_maximum():
     assert abs(triple.alpha - 0.5) < 1e-4
     assert abs(triple.beta - 0.5) < 1e-4
     assert abs(triple.gamma_amp - math.sqrt(0.5)) < 1e-4
+
+
+@pytest.mark.parametrize(
+    "tolerance, triple",
+    [
+        (1e-3, (0.5, 0.4999999999999999, 0.7071067811865476)),
+        (1e-6, (0.5, 0.4999999999999999, 0.7071067811865476)),
+        (1e-9, (0.49999999871320355, 0.49999998584524025, 0.7071067921053765)),
+    ],
+)
+def test_optimum_is_pinned_at_full_precision(tolerance, triple):
+    # The CLI's pinned JSON keeps 6 decimals; a change to the search or the
+    # evaluator that moves the optimum by one ulp shows here.
+    found, value = optimize_alice_qutrit(tolerance)
+    assert value == 0.8535533905932737
+    assert found.as_tuple() == triple
 
 
 def test_optimizer_value_is_the_density_path_at_its_triple():
