@@ -12,8 +12,10 @@ density-matrix path one triple at a time, is in ``tests/oracle.py``.
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
 cross-check every analytic value empirically; ``execute_cheat`` runs it on
-one seed.  Each samples its measurement from a table of Born weights that
-:func:`~rotlab.linalg.projections` builds for all the states it can
+one seed.  Each samples its measurement with one comparison, against
+thresholds its factory builds once with
+:func:`~rotlab.linalg.cumulative_thresholds` from a table of Born weights
+that :func:`~rotlab.linalg.projections` gives for all the states it can
 measure at once.
 """
 
@@ -34,9 +36,9 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
+    cumulative_thresholds,
     helstrom_prob,
     helstrom_projectors,
-    invert_cumulative_block,
     kron,
     partial_trace,
     projections,
@@ -347,13 +349,13 @@ def _alice_recovers_bit(params: dict):
     # Alice measures Bob's encoding of her probe with the Helstrom
     # measurement for the announced permutation value and guesses his data
     # bit: whether the guess is right, from both party streams.
-    weights = _alice_qutrit_weights(params)
+    thresholds = cumulative_thresholds(_alice_qutrit_weights(params))[..., 0]
 
     def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:
         y = bob.draw_bit()
         z_dummy = bob.draw_bit()
         p = bob.draw_bit()
-        return invert_cumulative_block(weights[y, z_dummy, p], alice.random()) == y
+        return (alice.random() >= thresholds[y, z_dummy, p]) == y
 
     return recovers_bit
 
@@ -384,7 +386,7 @@ def _alice_sequence_block(params: dict):
     # Helstrom measurement for Bob's declared bit.  Bob declares the slots in
     # order, so only his first declaration is drawn.
     cfg = SequenceConfig(params.get("n_states", 4))
-    weights = _alice_sequence_weights()
+    thresholds = cumulative_thresholds(_alice_sequence_weights())[..., 0]
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
@@ -393,7 +395,7 @@ def _alice_sequence_block(params: dict):
         slot = (setup.tested == np.arange(cfg.test_size)[:, None]).sum(axis=0)
         pair = setup.pairs[slot, np.arange(seeds.size)]
         declared = setup.bob.draw_bit()
-        guess = invert_cumulative_block(weights[pair, declared], setup.alice.random())
+        guess = setup.alice.random() >= thresholds[pair, declared]
         success = guess == ((pair >> (1 - declared)) & 1)
         for lane in np.flatnonzero(setup.rejected):
             success[lane] = run(seeds[lane : lane + 1])[0]
@@ -435,14 +437,14 @@ def _bob_qutrit_block(params: dict):
     # the permutation with his guess.  Honest Alice asserts receipt exactly
     # when a == p, so he calls her assert bit, and in the coin flip he
     # announces b = 0 and lands HEADS, exactly when his guess is right.
-    weights = _bob_qutrit_weights()
+    thresholds = cumulative_thresholds(_bob_qutrit_weights())[..., 0]
 
     def run(seeds: np.ndarray) -> np.ndarray:
         # Bob's data and dummy bits, drawn after his measurement, do not
         # change whether his guess is right.
         alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
         a = alice.draw_bit()
-        return invert_cumulative_block(weights[a], bob.random()) == a
+        return (bob.random() >= thresholds[a]) == a
 
     return run
 

@@ -8,10 +8,10 @@ orthogonality are checked once, at construction.  Two stacked primitives
 carry the numerics: :func:`trace_norms` takes the trace norms of a stack of
 operators in one eigensolve, and :func:`projections` gives the projected
 vectors and Born weights of a stack of pure states under a measurement;
-:func:`invert_cumulative_block` samples outcomes from such weights, row by
-row, for blocks of trials.  All values are immutable after construction and
-all operations are pure functions, so they are safe to share between
-threads.
+:func:`cumulative_thresholds` turns a table of such weights, once, into
+the thresholds its outcomes are sampled from, one comparison per
+two-outcome draw.  All values are immutable after construction and all
+operations are pure functions, so they are safe to share between threads.
 
 Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
 invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
@@ -377,19 +377,26 @@ class ProjectiveMeasurement:
         return f"ProjectiveMeasurement({len(self)} outcomes, dim={self.dim})"
 
 
-def invert_cumulative_block(weights: np.ndarray, rand: np.ndarray) -> np.ndarray:
-    """The outcome of ``weights[i]`` at the uniform ``rand[i]``, row by row:
-    the first outcome, in ascending order, whose cumulative weight exceeds
-    the uniform, negative weights counting as 0, and the last outcome of
-    positive weight when rounding leaves the total below it."""
-    cumulative = np.cumsum(np.maximum(weights, 0.0), axis=-1)
-    below = rand[:, None] < cumulative
-    outcome = below.argmax(axis=-1)
-    short = ~below.any(axis=-1)
-    if short.any():
-        # The first positive weight from the end; the last outcome if none is.
-        outcome[short] = weights.shape[-1] - 1 - (weights[short, ::-1] > 0.0).argmax(axis=-1)
-    return outcome
+def cumulative_thresholds(weights: np.ndarray) -> np.ndarray:
+    """The sampling thresholds of an ``(..., k)`` table of outcome weights,
+    read-only, same shape: the cumulative sums of the weights, negative
+    weights counting as 0, with the last outcome of positive weight (the
+    last outcome, where none is positive) and every outcome after it raised
+    to ``+inf``.
+
+    The outcome of a row at a uniform ``r`` in [0, 1) is the number of its
+    thresholds at or below ``r``: the first outcome whose cumulative weight
+    exceeds ``r``, an ``r`` on a boundary going to the next outcome, and
+    the last outcome of positive weight when rounding leaves the total at
+    or below ``r``.  A two-outcome row thus gives outcome 1 exactly when
+    ``r >= row[0]``.
+    """
+    thresholds = np.cumsum(np.maximum(weights, 0.0), axis=-1)
+    k = thresholds.shape[-1]
+    last = k - 1 - (weights[..., ::-1] > 0.0).argmax(axis=-1)
+    thresholds[np.arange(k) >= last[..., None]] = np.inf
+    thresholds.setflags(write=False)
+    return thresholds
 
 
 def projections(amplitudes: np.ndarray, measurement: ProjectiveMeasurement) -> tuple[np.ndarray, np.ndarray]:

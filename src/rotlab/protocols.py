@@ -25,9 +25,11 @@ the three single-transfer forms in ``ROT_EXECUTORS``, and
 ``sequence_setup_block``, ``sequence_spot_check_block`` and
 ``play_sequence_block`` for the sequence flow, which the cheating and
 detection runs share.  They draw from :class:`~rotlab.rng.BlockStream` and
-sample each measurement from a table of its Born weights.  A run is its
-block form on one seed, with the transcript rendered from the bits it drew;
-the Monte-Carlo harness calls the block forms and builds no transcript.
+sample each measurement with one comparison, against the thresholds that
+:func:`~rotlab.linalg.cumulative_thresholds` builds once from a table of
+its Born weights.  A run is its block form on one seed, with the
+transcript rendered from the bits it drew; the Monte-Carlo harness calls
+the block forms and builds no transcript.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
-    invert_cumulative_block,
+    cumulative_thresholds,
     kron,
     projections,
 )
@@ -342,11 +344,16 @@ def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
     return RotOutcomeBlock(g_hat=y, assert_bit=keep, bob_bit=y)
 
 
-@lru_cache(maxsize=None)
 def _bad_qubit_weights() -> np.ndarray:
     # Born weights of Alice's Z measurement, per Bob's bit: on the rows of
     # the identity, the basis states |0> and |1>.
     return projections(np.eye(2), _Z_PROJS)[1]
+
+
+@lru_cache(maxsize=None)
+def _bad_qubit_thresholds() -> np.ndarray:
+    # Alice's outcome-1 threshold, per Bob's bit.
+    return cumulative_thresholds(_bad_qubit_weights())[..., 0]
 
 
 def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
@@ -354,7 +361,7 @@ def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
     y = bob.draw_bit()
     discard = alice.draw_bit()
     # Drawn for every trial; it is Alice's last draw, used only where she measures.
-    outcome = invert_cumulative_block(_bad_qubit_weights()[y], alice.random())
+    outcome = (alice.random() >= _bad_qubit_thresholds()[y]).astype(np.intp)
     return RotOutcomeBlock(g_hat=outcome, assert_bit=discard, bob_bit=y)
 
 
@@ -370,16 +377,21 @@ def _qutrit_tables() -> tuple[np.ndarray, np.ndarray]:
     return weights, decoded
 
 
+@lru_cache(maxsize=None)
+def _qutrit_thresholds() -> np.ndarray:
+    # Alice's outcome-1 threshold, per (a, y, z_dummy, p).
+    return cumulative_thresholds(_qutrit_tables()[0])[..., 0]
+
+
 def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     # Alice's choice bit a, Bob's (y, z_dummy, p) and Alice's measurement
     # outcome, per seed.
-    weights, _ = _qutrit_tables()
     alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
     a = alice.draw_bit()
     y = bob.draw_bit()
     z_dummy = bob.draw_bit()
     p = bob.draw_bit()
-    outcome = invert_cumulative_block(weights[a, y, z_dummy, p], alice.random())
+    outcome = (alice.random() >= _qutrit_thresholds()[a, y, z_dummy, p]).astype(np.intp)
     return a, y, z_dummy, p, outcome
 
 
@@ -446,17 +458,22 @@ def _sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, decode
 
 
+@lru_cache(maxsize=None)
+def _sequence_thresholds() -> tuple[np.ndarray, np.ndarray]:
+    # The outcome-1 thresholds of qubit 1, per (pair, basis), and of qubit
+    # 2, per (pair, basis, m1, basis of qubit 2).
+    first, second, _ = _sequence_tables()
+    return cumulative_thresholds(first)[..., 0], cumulative_thresholds(second)[..., 0]
+
+
 def _measure_qubits_block(pairs, first_basis, second_basis, rand1, rand2):
     # A measurement of qubit 1, then of qubit 2 on the state it leaves, for
-    # arrays of pair indices and bases: (m1, m2).
-    first, second, _ = _sequence_tables()
-    shape = pairs.shape
-    pairs, first_basis, second_basis = (
-        np.broadcast_to(a, shape).ravel() for a in (pairs, first_basis, second_basis)
-    )
-    m1 = invert_cumulative_block(first[pairs, first_basis], rand1.ravel())
-    m2 = invert_cumulative_block(second[pairs, first_basis, m1, second_basis], rand2.ravel())
-    return m1.reshape(shape), m2.reshape(shape)
+    # arrays of pair indices, bases and uniforms that broadcast together:
+    # (m1, m2).
+    first, second = _sequence_thresholds()
+    m1 = (rand1 >= first[pairs, first_basis]).astype(np.intp)
+    m2 = (rand2 >= second[pairs, first_basis, m1, second_basis]).astype(np.intp)
+    return m1, m2
 
 
 def _pair_bit(pairs: np.ndarray, index) -> np.ndarray:

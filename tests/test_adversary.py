@@ -5,7 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotlab import adversary
+from rotlab import adversary, linalg
 from rotlab.adversary import (
     AmplitudeTriple,
     CheatStrategy,
@@ -33,7 +33,7 @@ from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage
 
 import oracle
-from conftest import closed_form_objective, random_triple
+from conftest import assert_thresholds_pin, closed_form_objective, random_triple
 
 BEST = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -388,6 +388,35 @@ def test_cheat_born_tables_equal_one_state_references(rng):
         assert np.array_equal(adversary._alice_qutrit_weights(params), oracle.alice_qutrit_weights(params)), triple
     assert np.array_equal(adversary._alice_sequence_weights(), oracle.alice_sequence_weights())
     assert np.array_equal(adversary._bob_qutrit_weights(), oracle.bob_qutrit_weights())
+
+
+def test_cheat_threshold_tables_pin_their_born_tables(monkeypatch, rng):
+    # Each strategy factory builds one threshold table, from the Born table
+    # of the one-state formula, for the default probe, the edge probes and
+    # 20 random ones.
+    built = []
+
+    def recording(weights):
+        thresholds = linalg.cumulative_thresholds(weights)
+        built.append((weights, thresholds))
+        return thresholds
+
+    monkeypatch.setattr(adversary, "cumulative_thresholds", recording)
+    triples = [None, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    triples += [list(random_triple(rng)) for _ in range(20)]
+    cases = [(("bob", protocol), {}, oracle.bob_qutrit_weights()) for protocol in ("qutrit", "coinflip")]
+    cases.append((("alice", "sequence"), {}, oracle.alice_sequence_weights()))
+    for triple in triples:
+        params = {} if triple is None else {"triple": triple}
+        weights = oracle.alice_qutrit_weights(params)
+        cases += [(("alice", protocol), params, weights) for protocol in ("qutrit", "coinflip")]
+    assert {key for key, _, _ in cases} == set(adversary._STRATEGIES)
+    for key, params, weights in cases:
+        built.clear()
+        adversary._STRATEGIES[key][1](params)
+        assert len(built) == 1, key
+        assert np.array_equal(built[0][0], weights), (key, params)
+        assert_thresholds_pin(weights, built[0][1])
 
 
 def test_every_strategy_has_a_block_form():

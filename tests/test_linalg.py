@@ -12,10 +12,10 @@ from rotlab.linalg import (
     PureState,
     ValidationError,
     _hermitian_eigh,
+    cumulative_thresholds,
     helstrom_prob,
     helstrom_projectors,
     hermitian_eigenvalues,
-    invert_cumulative_block,
     kron,
     partial_trace,
     projections,
@@ -24,7 +24,14 @@ from rotlab.linalg import (
 )
 from rotlab.protocols import SEQUENCE_STATES
 
-from conftest import charpoly_eigenvalues, random_density, random_hermitian, random_unitary
+from conftest import (
+    assert_thresholds_pin,
+    charpoly_eigenvalues,
+    random_density,
+    random_hermitian,
+    random_unitary,
+    threshold_outcomes,
+)
 from oracle import born_weights, invert_cumulative, measure, measure_pure
 
 SQRT_HALF = math.sqrt(0.5)
@@ -494,8 +501,8 @@ def test_measure_pure_matches_density_reference(rng, dim):
             assert (projected[row] == projections(amplitudes[row], measurement)[0]).all()
         state = PureState(amplitudes[0])
         reference = DensityMatrix.from_pure(state)
-        # The block sampler, fed the same Born weights, gives the same outcomes.
-        block = invert_cumulative_block(np.tile(weights[0], (rands.size, 1)), rands)
+        # The thresholds of the same Born weights give the same outcomes.
+        block = threshold_outcomes(cumulative_thresholds(weights[0]), rands)
         for rand, block_outcome in zip(rands, block):
             outcome, post = measure_pure(state, measurement, rand)
             assert outcome == measure(reference, measurement, rand) == block_outcome
@@ -509,9 +516,9 @@ def test_measure_pure_matches_density_reference(rng, dim):
 
 
 def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
-    # Negative weights (clamped at 0), totals below rand (the last outcome of
-    # positive weight) and rand on a cumulative boundary, row by row against
-    # the scalar rule.
+    # Sampling from cumulative thresholds, row by row against the scalar
+    # rule: negative weights (clamped at 0), totals below rand (the last
+    # outcome of positive weight) and rand on a cumulative boundary.
     weights = rng.normal(0.3, 0.3, size=(4000, 4))
     weights[:5] = [
         [0.5, 0.5, 0.0, 0.0],
@@ -523,7 +530,15 @@ def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
     rand = rng.random(4000)
     rand[:5] = [0.5, 0.2, 0.0, 0.75, 0.999]
     expected = [invert_cumulative(list(row), r) for row, r in zip(weights, rand)]
-    assert invert_cumulative_block(weights, rand).tolist() == expected
+    assert threshold_outcomes(cumulative_thresholds(weights), rand).tolist() == expected
+    # Rows of two, three and four outcomes, with one positive weight or none,
+    # each sampled at the uniforms exactly on each of its finite thresholds,
+    # at 0.0, at 1 - 2**-53 and on a grid.
+    for k in (2, 3, 4):
+        rows = rng.normal(0.3, 0.3, size=(120, k))
+        rows[:4] = 0.0
+        rows[1, 0] = rows[2, -1] = rows[3, k // 2] = 1.0
+        assert_thresholds_pin(rows, cumulative_thresholds(rows))
     qubit = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
     with pytest.raises(DimensionError):
         projections(PureState.basis(3, 0).amplitudes, qubit)
@@ -545,8 +560,8 @@ def test_rounding_short_total_never_samples_a_zero_weight_outcome():
     top = 1.0 - 2.0**-53
     outcome, post = measure_pure(state, qubit2_x, top)
     assert outcome == 0 and np.all(np.isfinite(post))
-    assert invert_cumulative_block(np.array([weights]), np.array([top])).tolist() == [0]
+    assert threshold_outcomes(cumulative_thresholds(np.array([weights])), np.array([top])).tolist() == [0]
     # Zero weights after the last positive one, and rows with none.
     rows = np.array([[0.5, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]])
-    assert invert_cumulative_block(rows, np.full(3, 0.9)).tolist() == [2, 3, 3]
+    assert threshold_outcomes(cumulative_thresholds(rows), np.full(3, 0.9)).tolist() == [2, 3, 3]
     assert [invert_cumulative(list(row), 0.9) for row in rows] == [2, 3, 3]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from rotlab import montecarlo, protocols, rng
+from rotlab import adversary, linalg, montecarlo, protocols, rng
 from rotlab.adversary import CheatStrategy, UnsupportedStrategyError, cheat_block, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.montecarlo import (
@@ -163,6 +163,67 @@ def test_detection_experiment_validation():
         sequence_detection_experiment(16, "replace-everything", 100, seed=1)
     with pytest.raises(ValidationError):
         sequence_detection_experiment(2, "honest", 100, seed=1)
+
+
+def _estimators():
+    # Each estimator with small defaults, by name; every argument is
+    # passed by keyword.
+    def cheat(trials=10, seed=1, trial_offset=0):
+        return estimate_cheat(CheatStrategy("bob", "qutrit"), trials, seed, trial_offset=trial_offset)
+
+    return {
+        "completeness": lambda trials=1000, seed=1: estimate_completeness("qutrit", trials, seed),
+        "sequence": lambda trials=1000, seed=1: estimate_completeness("sequence", trials, seed, n_states=9),
+        "cheat": cheat,
+        "detection": lambda trials=10, seed=1: sequence_detection_experiment(9, "honest", trials, seed),
+    }
+
+
+@pytest.mark.parametrize("value", [True, False, 1000.0, 1.5, "7", None], ids=repr)
+@pytest.mark.parametrize("argument", ["trials", "seed", "trial_offset"])
+def test_estimators_reject_bools_and_non_integers(argument, value):
+    for name, estimate in _estimators().items():
+        if argument == "trial_offset" and name != "cheat":
+            continue
+        with pytest.raises(ValidationError, match=f"{argument} must be an integer"):
+            estimate(**{argument: value})
+
+
+def test_estimators_take_numpy_integers_as_python_ints():
+    for estimate in _estimators().values():
+        assert estimate(seed=np.int64(-5)) == estimate(seed=-5)
+        assert estimate(trials=np.int32(1000)) == estimate(trials=1000)
+    cheat = _estimators()["cheat"]
+    assert cheat(trial_offset=np.uint64(7)) == cheat(trial_offset=7)
+
+
+def test_threshold_tables_are_built_once(monkeypatch):
+    # Every flow samples from threshold tables built on first use; calling
+    # an estimator again builds none.
+    built = []
+    cumulative_thresholds = linalg.cumulative_thresholds
+
+    def counting(weights):
+        built.append(weights.shape)
+        return cumulative_thresholds(weights)
+
+    for module in (protocols, adversary):
+        monkeypatch.setattr(module, "cumulative_thresholds", counting)
+    for cached in (protocols._bad_qubit_thresholds, protocols._qutrit_thresholds, protocols._sequence_thresholds):
+        cached.cache_clear()
+    adversary._compiled.cache_clear()
+    flows = [lambda p=p: estimate_completeness(p, 1000, 3, n_states=9) for p in ("bad_qubit", "qutrit", "sequence")]
+    strategies = list(_block_strategies())
+    flows += [lambda s=s: estimate_cheat(s, 100, 3) for s in strategies]
+    flows += [lambda v=v: sequence_detection_experiment(9, v, 20, 3) for v in DETECTION_VARIANTS]
+    for flow in flows:
+        flow()
+        count = len(built)
+        flow()
+        assert len(built) == count, flow
+    # One table per honest measurement (the sequence flow has two) and one
+    # per strategy.
+    assert len(built) == 4 + len(strategies)
 
 
 def test_estimate_cheat_rejects_foreign_strategy():

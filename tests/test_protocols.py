@@ -26,6 +26,7 @@ from rotlab.protocols import (
 )
 from rotlab.rng import trial_seeds
 
+from conftest import assert_thresholds_pin
 from oracle import qutrit_born_probabilities, sequence_decode, sequence_expected_outcome, sequence_test_basis
 
 DATA = Path(__file__).parent / "data"
@@ -395,6 +396,42 @@ def test_born_tables_equal_one_state_references():
     assert np.array_equal(protocols._qutrit_tables()[0], oracle.qutrit_weights())
     for got, want in zip(protocols._sequence_tables(), oracle.sequence_tables(), strict=True):
         assert np.array_equal(got, want)
+
+
+def two_outcome(thresholds):
+    # A table of outcome-1 thresholds as the full two-outcome table: the
+    # last threshold of a two-outcome row is always +inf.
+    return np.stack((thresholds, np.full_like(thresholds, np.inf)), axis=-1)
+
+
+def test_threshold_tables_pin_their_born_tables():
+    # The thresholds the honest flows sample from, against the one-state
+    # Born tables: finite entries are their cumulative sums, +inf sits at
+    # and after the last positive outcome, and every row samples the
+    # scalar rule's outcome.
+    assert_thresholds_pin(oracle.bad_qubit_weights(), two_outcome(protocols._bad_qubit_thresholds()))
+    assert_thresholds_pin(oracle.qutrit_weights(), two_outcome(protocols._qutrit_thresholds()))
+    first, second, _ = oracle.sequence_tables()
+    for weights, thresholds in zip((first, second), protocols._sequence_thresholds(), strict=True):
+        assert_thresholds_pin(weights, two_outcome(thresholds))
+
+
+def test_qubit_measurements_sample_the_scalar_rule():
+    # Both measurements of the sequence flow, for every pair and pair of
+    # bases, at uniforms on a grid, on each threshold, at 0.0 and at
+    # 1 - 2**-53: the scalar rule on the one-state Born tables.
+    first, second, _ = oracle.sequence_tables()
+    edges = np.concatenate([t[np.isfinite(t)] for t in protocols._sequence_thresholds()])
+    uniforms = np.unique(np.concatenate((np.linspace(0.0, 1.0, 17), edges, [0.0, 1.0 - 2.0**-53])))
+    uniforms = uniforms[uniforms < 1.0]
+    grids = np.meshgrid(np.arange(4), [0, 1], [0, 1], uniforms, uniforms, indexing="ij")
+    pairs, basis1, basis2, rand1, rand2 = (grid.ravel() for grid in grids)
+    m1, m2 = protocols._measure_qubits_block(pairs, basis1, basis2, rand1, rand2)
+    for case in zip(pairs, basis1, basis2, rand1, rand2, m1, m2):
+        pair, b1, b2, r1, r2, got1, got2 = case
+        want1 = oracle.invert_cumulative(first[pair, b1].tolist(), r1)
+        want2 = oracle.invert_cumulative(second[pair, b1, want1, b2].tolist(), r2)
+        assert (got1, got2) == (want1, want2), case
 
 
 def test_aborted_sequence_run_renders_as_the_oracle_does(monkeypatch):
