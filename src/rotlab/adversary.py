@@ -4,7 +4,8 @@ The evaluators compute each dishonest party's best success probability
 analytically (trace-norm discrimination of the relevant state mixtures).
 Cheating Alice's qutrit objective has one stacked evaluator: each
 discrimination operator is one of two fixed sign patterns, built once from
-Bob's encodings, times the probe's outer product v v^T, and all the trace
+Bob's encodings (``protocols.QUTRIT_ENCODING_SIGNS``, which the strategies
+also read), times the probe's outer product v v^T, and all the trace
 norms of many triples come from one :func:`~rotlab.linalg.trace_norms` call.
 It serves single triples and the optimizer's grid alike; its reference, the
 density-matrix path one triple at a time, is in ``tests/oracle.py``.
@@ -16,12 +17,12 @@ one seed.  Each samples its measurement with one comparison, against
 thresholds its factory builds once with
 :func:`~rotlab.linalg.cumulative_thresholds` from a table of Born weights
 that :func:`~rotlab.linalg.projections` gives for all the states it can
-measure at once.
+measure at once, gathered per classical context through the protocol's own
+tables (``protocols.OT_PAIR_INDEX``, ``protocols.pair_bit``).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 import numbers
@@ -45,9 +46,11 @@ from .linalg import (
     trace_norms,
 )
 from .protocols import (
+    OT_PAIR_INDEX,
+    QUTRIT_ENCODING_SIGNS,
     SEQUENCE_STATES,
-    OtPair,
     SequenceConfig,
+    pair_bit,
     qutrit_entangled_state,
     sequence_setup_block,
 )
@@ -115,14 +118,10 @@ class AmplitudeTriple:
 # --------------------------------------------------------------------------
 
 
-# Bob's phase encoding diag((-1)^x0, (-1)^x1, 1) for (x0, x1) = 00, 01, 10, 11.
-_ENCODING_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
-
-
 # Encoding x maps v v^T to (s_x s_x^T) * v v^T, so each operator is a fixed
 # pattern times v v^T: its formula on the sign outer products, (o00 + o01) -
 # (o10 + o11) for p = 0 and (o00 + o10) - (o01 + o11) for p = 1.
-_SIGN_OUTERS = np.einsum("ki,kj->kij", _ENCODING_SIGNS, _ENCODING_SIGNS)
+_SIGN_OUTERS = np.einsum("ki,kj->kij", QUTRIT_ENCODING_SIGNS, QUTRIT_ENCODING_SIGNS)
 _SIGN_PATTERNS = 0.25 * ((_SIGN_OUTERS[0:1] + _SIGN_OUTERS[1:3]) - (_SIGN_OUTERS[2:0:-1] + _SIGN_OUTERS[3:4]))
 
 
@@ -235,7 +234,7 @@ def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
     """Success probability of storing a batch state and measuring only after
     Bob declares which bit counts; identical for either declared bit and
     independent of the batch size."""
-    if declared_bit not in (0, 1):
+    if isinstance(declared_bit, bool) or declared_bit not in (0, 1):
         raise ValidationError(f"declared_bit must be 0 or 1, got {declared_bit}")
     rho0, rho1 = _bit_mixtures(SEQUENCE_STATES, declared_bit)
     return helstrom_prob(0.5, rho0, 0.5, rho1)
@@ -289,7 +288,7 @@ class CheatStrategy:
         if "triple" in parameters:
             parameters["triple"] = [float(v) for v in AmplitudeTriple.coerce(parameters["triple"]).as_tuple()]
         if "n_states" in parameters:
-            SequenceConfig(parameters["n_states"])  # type and range check
+            parameters["n_states"] = SequenceConfig(parameters["n_states"]).n_states
         self.party = party
         self.protocol = protocol
         self.parameters = parameters
@@ -325,9 +324,7 @@ def _alice_qutrit_tables(params: dict):
     # Helstrom measurement, per announced permutation value: the one that
     # tells apart the encodings whose selected bit is 0 and 1.
     amplitudes = np.array(_strategy_triple(params).as_tuple())
-    encoded = {
-        (x0, x1): PureState(_ENCODING_SIGNS[2 * x0 + x1] * amplitudes) for x0 in (0, 1) for x1 in (0, 1)
-    }
+    encoded = {divmod(pair, 2): PureState(signs * amplitudes) for pair, signs in enumerate(QUTRIT_ENCODING_SIGNS)}
     measurements = {perm: _equal_prior_measurement(*_bit_mixtures(encoded, perm)) for perm in (0, 1)}
     return encoded, measurements
 
@@ -336,13 +333,9 @@ def _alice_qutrit_weights(params: dict) -> np.ndarray:
     # Born weights of Alice's measurement for the announced permutation
     # value on Bob's encoding, per Bob's (y, z_dummy, p).
     encoded, measurements = _alice_qutrit_tables(params)
-    states = np.array([state.amplitudes for state in encoded.values()]).reshape(2, 2, 3)
-    by_perm = [projections(states, measurements[p])[1] for p in (0, 1)]
-    weights = np.empty((2, 2, 2, 2))
-    for y, z_dummy, p in itertools.product((0, 1), repeat=3):
-        pair = OtPair.draw(y, z_dummy, p)
-        weights[y, z_dummy, p] = by_perm[p][pair.x0, pair.x1]
-    return weights
+    states = np.array([state.amplitudes for state in encoded.values()])
+    by_perm = np.array([projections(states, measurements[p])[1] for p in (0, 1)])
+    return by_perm[[0, 1], OT_PAIR_INDEX]
 
 
 def _alice_recovers_bit(params: dict):
@@ -396,7 +389,7 @@ def _alice_sequence_block(params: dict):
         pair = setup.pairs[slot, np.arange(seeds.size)]
         declared = setup.bob.draw_bit()
         guess = setup.alice.random() >= thresholds[pair, declared]
-        success = guess == ((pair >> (1 - declared)) & 1)
+        success = guess == pair_bit(pair, declared)
         for lane in np.flatnonzero(setup.rejected):
             success[lane] = run(seeds[lane : lane + 1])[0]
         return success

@@ -13,14 +13,15 @@ Verbs:
 Output is a human-readable table by default or a single canonical JSON
 document with ``--output json`` (sorted keys, probabilities at six
 decimals; parsing and re-emitting is byte-identical).  Exit codes: 0 on
-success, 1 on validation/usage errors, 2 when the headline cross-checks
-drift.
+success, 1 on validation/usage errors or when the reader closes stdout
+early, 2 when the headline cross-checks drift.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -110,15 +111,22 @@ def _profile_dict(profile: security.CheatProfile) -> dict:
     }
 
 
+def _qutrit_profile() -> security.CheatProfile:
+    # The qutrit protocol's profile at the balanced probe triple.
+    return security.advantage(
+        adversary.alice_qutrit_cheat_prob(adversary.AmplitudeTriple.balanced()),
+        adversary.bob_qutrit_cheat_prob(),
+    )
+
+
 def _analyze(config: RunConfig) -> dict:
     if config.protocol == "bad_classical":
-        return _profile_dict(security.advantage(security.IDEAL_ALICE, 1.0))
+        return _profile_dict(security.BAD_CLASSICAL_PROFILE)
     if config.protocol == "bad_qubit":
-        return _profile_dict(security.advantage(1.0, security.IDEAL_BOB))
+        return _profile_dict(security.BAD_QUBIT_PROFILE)
     if config.protocol == "qutrit":
         triple, optimized = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
-        closed_path = adversary.alice_qutrit_cheat_prob(adversary.AmplitudeTriple.balanced())
-        payload = _profile_dict(security.advantage(closed_path, adversary.bob_qutrit_cheat_prob()))
+        payload = _profile_dict(_qutrit_profile())
         payload["p_a_star_optimized"] = optimized
         payload["optimal_triple"] = list(triple.as_tuple())
         return payload
@@ -130,14 +138,8 @@ def _analyze(config: RunConfig) -> dict:
 
 
 def _balance(config: RunConfig) -> dict:
-    classical = security.advantage(security.IDEAL_ALICE, 1.0)
-    qubit = security.advantage(1.0, security.IDEAL_BOB)
-    qutrit = security.advantage(
-        adversary.alice_qutrit_cheat_prob(adversary.AmplitudeTriple.balanced()),
-        adversary.bob_qutrit_cheat_prob(),
-    )
-    bad_pair = security.balance(qubit, classical)
-    refined = security.balance(qubit, qutrit)
+    bad_pair = security.balance(security.BAD_QUBIT_PROFILE, security.BAD_CLASSICAL_PROFILE)
+    refined = security.balance(security.BAD_QUBIT_PROFILE, _qutrit_profile())
     return {
         "bad_pair": {"z_bias": bad_pair.z_bias, "gamma": bad_pair.gamma},
         "qubit_qutrit": {"z_bias": refined.z_bias, "gamma": refined.gamma},
@@ -263,7 +265,14 @@ def main(argv=None) -> int:
 
 
 def entry_point() -> None:
-    sys.exit(main())
+    try:
+        status = main()
+        sys.stdout.flush()  # a reader gone early raises here, not at exit
+    except BrokenPipeError:
+        # Python's recipe: devnull onto stdout, so the flush at exit cannot fail.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        status = 1
+    sys.exit(status)
 
 
 if __name__ == "__main__":

@@ -20,6 +20,8 @@ guards derived quantities (positivity, projector completeness).
 
 from __future__ import annotations
 
+import numbers
+import operator
 from dataclasses import InitVar, dataclass, field
 from typing import Iterable, Sequence
 
@@ -40,6 +42,14 @@ class DimensionError(ValidationError):
 
 class NumericError(RuntimeError):
     """An iterative routine failed to reach its convergence target."""
+
+
+def as_integer(name: str, value) -> int:
+    """``value`` as a Python int: any integer but a bool, numpy's included;
+    anything else raises :class:`ValidationError`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, not {type(value).__name__}")
+    return operator.index(value)
 
 
 def _as_complex_array(values, ndim: int) -> np.ndarray:

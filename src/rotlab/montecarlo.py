@@ -16,14 +16,12 @@ its seed alone, where the draw is taken again as numpy does.
 from __future__ import annotations
 
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import CheatStrategy, cheat_block
-from .linalg import ValidationError
+from .linalg import ValidationError, as_integer
 from .protocols import (
     ROT_EXECUTORS,
     SequenceBlock,
@@ -81,13 +79,6 @@ class TrialReport:
         return out
 
 
-def _integer(name: str, value) -> int:
-    # An integer argument as a Python int; bools and non-integers raise.
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ValidationError(f"{name} must be an integer, not {type(value).__name__}")
-    return operator.index(value)
-
-
 def _seed_blocks(seed: int, offset: int, trials: int, size: int):
     # The trial seeds of trials offset .. offset + trials - 1, size at a time.
     for start in range(0, trials, size):
@@ -137,7 +128,7 @@ def estimate_completeness(
     """
     if protocol != "sequence" and protocol not in ROT_EXECUTORS:
         raise ValidationError(f"unknown protocol id {protocol!r}")
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, seed = as_integer("trials", trials), as_integer("seed", seed)
     if trials < MIN_COMPLETENESS_TRIALS:
         raise ValidationError(f"need at least {MIN_COMPLETENESS_TRIALS} trials, got {trials}")
 
@@ -184,8 +175,8 @@ def estimate_cheat(
     with an ``n_states`` parameter plays a sequence run per trial, so its
     blocks hold as many runs as a sequence completeness block.
     """
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
-    trial_offset = _integer("trial_offset", trial_offset)
+    trials, seed = as_integer("trials", trials), as_integer("seed", seed)
+    trial_offset = as_integer("trial_offset", trial_offset)
     if trials < 1:
         raise ValidationError("need at least one trial")
     block = cheat_block(strategy)
@@ -239,7 +230,7 @@ def sequence_detection_experiment(
     """
     if dishonesty not in DETECTION_VARIANTS:
         raise ValidationError(f"dishonesty must be one of {DETECTION_VARIANTS}, got {dishonesty!r}")
-    trials, seed = _integer("trials", trials), _integer("seed", seed)
+    trials, seed = as_integer("trials", trials), as_integer("seed", seed)
     if trials < 1:
         raise ValidationError("need at least one trial")
     cfg = SequenceConfig(n_states)

@@ -13,7 +13,8 @@ The five flows:
   decides between measuring and discarding.
 * ``run_qutrit``         - the two-qutrit exchange: Alice's entangled probe,
   Bob's phase encoding of a permuted bit pair, Alice's two-outcome
-  measurement, and Bob's permutation announcement.
+  measurement, whose outcome is the bit at her position, and Bob's
+  permutation announcement.
 * ``run_sequence``       - Bob ships a batch of two-qubit states, Alice
   spot-checks a square-root-sized sample and decodes one bit per remaining
   state; Bob declares per state which bit counts.
@@ -30,11 +31,15 @@ sample each measurement with one comparison, against the thresholds that
 its Born weights.  A run is its block form on one seed, with the
 transcript rendered from the bits it drew; the Monte-Carlo harness calls
 the block forms and builds no transcript.
+
+Each protocol fact the cheating strategies share is defined here once:
+Bob's phase encoding (``QUTRIT_ENCODING_SIGNS``), his permutation of the
+bit pair (``OT_PAIR_INDEX``, from :meth:`OtPair.draw`) and the bit a
+sequence pair holds at a declared index (:func:`pair_bit`).
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -49,6 +54,7 @@ from .linalg import (
     ProjectiveMeasurement,
     PureState,
     ValidationError,
+    as_integer,
     cumulative_thresholds,
     kron,
     projections,
@@ -165,8 +171,12 @@ class OtPair:
         x0, x1 = (y, z_dummy) if p == 0 else (z_dummy, y)
         return cls(x0=x0, x1=x1, p=p, z_dummy=z_dummy, y=y)
 
-    def bit(self, index: int) -> int:
-        return self.x0 if index == 0 else self.x1
+
+# Bob's bit pair as the index 2 * x0 + x1, per (y, z_dummy, p).
+OT_PAIR_INDEX = np.array(
+    [2 * pair.x0 + pair.x1 for pair in (OtPair.draw(*context) for context in np.ndindex(2, 2, 2))]
+).reshape(2, 2, 2)
+OT_PAIR_INDEX.setflags(write=False)
 
 
 class CoinResult(Enum):
@@ -199,8 +209,7 @@ class SequenceConfig:
     n_states: int
 
     def __post_init__(self):
-        if not isinstance(self.n_states, int) or isinstance(self.n_states, bool):
-            raise ValidationError("n_states must be an integer")
+        object.__setattr__(self, "n_states", as_integer("n_states", self.n_states))
         if self.n_states < 4:
             raise ValidationError("sequence protocol needs at least 4 states")
         if self.n_states > MAX_SEQUENCE_STATES:
@@ -226,10 +235,15 @@ def qutrit_entangled_state(a: int) -> PureState:
     return PureState(amps)
 
 
+# Bob's phase encoding diag((-1)^x0, (-1)^x1, 1), per pair index 2 * x0 + x1.
+QUTRIT_ENCODING_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, 1.0], [-1.0, -1.0, 1.0]])
+QUTRIT_ENCODING_SIGNS.setflags(write=False)
+
+
 @lru_cache(maxsize=None)
 def qutrit_unitary(x0: int, x1: int) -> ComplexMatrix:
     """Bob's phase encoding: diag((-1)^x0, (-1)^x1, 1) on his qutrit."""
-    return ComplexMatrix.diagonal([(-1.0) ** x0, (-1.0) ** x1, 1.0])
+    return ComplexMatrix.diagonal(QUTRIT_ENCODING_SIGNS[2 * x0 + x1])
 
 
 @lru_cache(maxsize=None)
@@ -243,43 +257,6 @@ def qutrit_measurement(a: int) -> ProjectiveMeasurement:
     pi0 = qutrit_entangled_state(a).projector()
     pi1 = ComplexMatrix(np.eye(9) - pi0.data)
     return ProjectiveMeasurement((pi0, pi1))
-
-
-@lru_cache(maxsize=None)
-def _qutrit_weights() -> np.ndarray:
-    # Born weights of Alice's measurement, per (a, x0, x1, outcome): the
-    # outcome distribution run_qutrit samples from in each classical context.
-    unitaries = np.array([[_qutrit_pair_unitary(x0, x1).data for x1 in (0, 1)] for x0 in (0, 1)])
-    return np.array(
-        [projections(unitaries @ qutrit_entangled_state(a).amplitudes, qutrit_measurement(a))[1] for a in (0, 1)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _qutrit_decode_table() -> dict:
-    # The honest outcome distribution is deterministic in every classical
-    # context, which pins a unique outcome -> bit map; building the map from
-    # the simulated distributions avoids hand-picking a phase convention.
-    table = {}
-    for a in (0, 1):
-        for outcome in (0, 1):
-            values = set()
-            for x0 in (0, 1):
-                for x1 in (0, 1):
-                    probs = _qutrit_weights()[a, x0, x1]
-                    if abs(probs[outcome] - 1.0) > 1e-12 and abs(probs[outcome]) > 1e-12:
-                        raise RuntimeError("honest qutrit measurement is not deterministic")
-                    if probs[outcome] > 0.5:
-                        values.add(x0 if a == 0 else x1)
-            if len(values) != 1:
-                raise RuntimeError("qutrit decode map is ambiguous")
-            table[(a, outcome)] = values.pop()
-    return table
-
-
-def qutrit_decode(a: int, outcome: int) -> int:
-    """Bit value Alice infers from her measurement outcome."""
-    return _qutrit_decode_table()[(a, outcome)]
 
 
 # --------------------------------------------------------------------------
@@ -366,21 +343,20 @@ def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
 
 
 @lru_cache(maxsize=None)
-def _qutrit_tables() -> tuple[np.ndarray, np.ndarray]:
-    # Born weights of Alice's measurement, per (a, y, z_dummy, p); and her
-    # decoded bit, per (a, outcome).
-    weights = np.empty((2, 2, 2, 2, 2))
-    for a, y, z_dummy, p in itertools.product((0, 1), repeat=4):
-        pair = OtPair.draw(y, z_dummy, p)
-        weights[a, y, z_dummy, p] = _qutrit_weights()[a, pair.x0, pair.x1]
-    decoded = np.array([[qutrit_decode(a, outcome) for outcome in (0, 1)] for a in (0, 1)])
-    return weights, decoded
+def _qutrit_weights() -> np.ndarray:
+    # Born weights of Alice's measurement, per (a, y, z_dummy, p, outcome):
+    # the outcome distribution run_qutrit samples from in each classical context.
+    unitaries = np.array([_qutrit_pair_unitary(*divmod(pair, 2)).data for pair in range(4)])
+    by_pair = np.array(
+        [projections(unitaries @ qutrit_entangled_state(a).amplitudes, qutrit_measurement(a))[1] for a in (0, 1)]
+    )
+    return by_pair[:, OT_PAIR_INDEX]
 
 
 @lru_cache(maxsize=None)
 def _qutrit_thresholds() -> np.ndarray:
     # Alice's outcome-1 threshold, per (a, y, z_dummy, p).
-    return cumulative_thresholds(_qutrit_tables()[0])[..., 0]
+    return cumulative_thresholds(_qutrit_weights())[..., 0]
 
 
 def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -396,9 +372,10 @@ def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
 
 
 def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
+    # Bob's phase flips the |aa> term of Alice's probe exactly when x_a = 1,
+    # so her outcome is x_a: the bit she receives.
     a, y, _, p, outcome = _qutrit_draws(seeds)
-    _, decoded = _qutrit_tables()
-    return RotOutcomeBlock(g_hat=decoded[a, outcome], assert_bit=(a != p).astype(np.intp), bob_bit=y)
+    return RotOutcomeBlock(g_hat=outcome, assert_bit=(a != p).astype(np.intp), bob_bit=y)
 
 
 # --------------------------------------------------------------------------
@@ -476,8 +453,9 @@ def _measure_qubits_block(pairs, first_basis, second_basis, rand1, rand2):
     return m1, m2
 
 
-def _pair_bit(pairs: np.ndarray, index) -> np.ndarray:
-    # Bit ``index`` of each pair: x0 at index 0, x1 at index 1.
+def pair_bit(pairs: np.ndarray, index) -> np.ndarray:
+    """Bit ``index`` of each pair index 2 * x0 + x1: x0 at index 0, x1 at
+    index 1."""
     return (pairs >> (1 - np.asarray(index))) & 1
 
 
@@ -517,8 +495,8 @@ def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np
     sent = np.take_along_axis(sent, tested, axis=0)
     announced = np.take_along_axis(announced, tested, axis=0)
     rand = alice.randoms(2 * len(tested))
-    basis = _pair_bit(announced, 0) ^ _pair_bit(announced, 1)
-    expected = _pair_bit(announced, 0)
+    basis = pair_bit(announced, 0) ^ pair_bit(announced, 1)
+    expected = pair_bit(announced, 0)
     m1, m2 = _measure_qubits_block(sent, basis, basis, rand[0::2], rand[1::2])
     fails = (m1 != expected) | (m2 != expected)
     first = fails.argmax(axis=0)
@@ -546,7 +524,7 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     outcomes = RotOutcomeBlock(
         g_hat=learned_value,
         assert_bit=(learned_index != declared).astype(np.intp),
-        bob_bit=_pair_bit(sent, declared),
+        bob_bit=pair_bit(sent, declared),
     )
     return SequenceBlock(setup.pairs, setup.tested, failed, declared, outcomes, setup.rejected)
 
@@ -595,7 +573,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
     transcript.record("B", "permutation", {"p": p})
     if a == p:
-        return transcript, RotOutcome.received(qutrit_decode(a, outcome), y)
+        return transcript, RotOutcome.received(outcome, y)
     return transcript, RotOutcome.null(y)
 
 

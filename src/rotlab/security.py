@@ -67,6 +67,12 @@ def advantage(p_a: float, p_b: float) -> CheatProfile:
     )
 
 
+# The two single-message strawmen, at certainty: in the classical one Bob
+# always knows whether Alice got the bit, in the qubit one she can always read it.
+BAD_CLASSICAL_PROFILE = advantage(IDEAL_ALICE, 1.0)
+BAD_QUBIT_PROFILE = advantage(1.0, IDEAL_BOB)
+
+
 @dataclass(frozen=True)
 class BalanceResult:
     """Equalised advantage of two protocols composed through an ideal
@@ -183,12 +189,10 @@ def reproduce_headline_table() -> HeadlineReport:
     """
     from . import adversary  # imported late: adversary depends on this module
 
-    classical_profile = advantage(IDEAL_ALICE, 1.0)
-    qubit_profile = advantage(1.0, IDEAL_BOB)
-    _cross_check("protocol_1_gamma", classical_profile.gamma, 2.0)
-    _cross_check("protocol_2_gamma", qubit_profile.gamma, 4.0 / 3.0)
+    _cross_check("protocol_1_gamma", BAD_CLASSICAL_PROFILE.gamma, 2.0)
+    _cross_check("protocol_2_gamma", BAD_QUBIT_PROFILE.gamma, 4.0 / 3.0)
 
-    balanced_bad = balance(qubit_profile, classical_profile)
+    balanced_bad = balance(BAD_QUBIT_PROFILE, BAD_CLASSICAL_PROFILE)
     _cross_check("theorem_1_gamma", balanced_bad.gamma, 1.25)
     _cross_check("theorem_1_z", balanced_bad.z_bias, 0.25)
 
@@ -200,7 +204,7 @@ def reproduce_headline_table() -> HeadlineReport:
     _cross_check("lemma_2_gamma_a", qutrit_profile.gamma_a, 1.138)
     _cross_check("lemma_2_gamma", qutrit_profile.gamma, 1.5)
 
-    balanced_refined = balance(qubit_profile, qutrit_profile)
+    balanced_refined = balance(BAD_QUBIT_PROFILE, qutrit_profile)
     _cross_check("theorem_2_gamma", balanced_refined.gamma, 1.239)
 
     bound = kitaev_min_advantage(IDEAL_ALICE, IDEAL_BOB)
@@ -209,8 +213,8 @@ def reproduce_headline_table() -> HeadlineReport:
     if not bound < balanced_refined.gamma:
         raise ConsistencyError("lower bound does not sit below the best upper value")
     return HeadlineReport(
-        protocol_1_gamma=classical_profile.gamma,
-        protocol_2_gamma=qubit_profile.gamma,
+        protocol_1_gamma=BAD_CLASSICAL_PROFILE.gamma,
+        protocol_2_gamma=BAD_QUBIT_PROFILE.gamma,
         theorem_1_gamma=balanced_bad.gamma,
         lemma_2_profile=qutrit_profile,
         theorem_2_gamma=balanced_refined.gamma,

@@ -34,7 +34,6 @@ from rotlab.linalg import (
     PureState,
     ValidationError,
     helstrom_prob,
-    projections,
 )
 from rotlab.protocols import (
     _QUBIT1,
@@ -47,7 +46,6 @@ from rotlab.protocols import (
     Transcript,
     _qutrit_pair_unitary,
     _state_payload,
-    qutrit_decode,
     qutrit_entangled_state,
     qutrit_measurement,
 )
@@ -132,13 +130,11 @@ def measure(state, measurement, rand: float) -> int:
 
 def measure_pure(state, measurement, rand: float) -> tuple[int, np.ndarray]:
     """Sample a projective measurement of a ``PureState`` with the checks of
-    :func:`measure`: the outcome, by the sampling rule on the Born weights
-    of ``linalg.projections``, and the post-measurement amplitudes
-    ``P_k psi / ||P_k psi||``."""
+    :func:`measure`: the outcome, by the sampling rule on the one-state
+    :func:`born_weights`, and its :func:`post_measurement` amplitudes."""
     measurement = _checked(measurement, state.dim, rand)
-    projected, weights = projections(state.amplitudes, measurement)
-    outcome = invert_cumulative(weights.tolist(), rand)
-    return outcome, projected[outcome] / math.sqrt(weights[outcome])
+    outcome = invert_cumulative(born_weights(state.amplitudes, measurement), rand)
+    return outcome, post_measurement(state.amplitudes, measurement, outcome)
 
 
 # --------------------------------------------------------------------------
@@ -271,8 +267,8 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
 
-    outcome_index, _ = measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
-    learned = qutrit_decode(a, outcome_index)
+    # Outcome 1 means Bob's phase flipped the |aa> term: x_a = 1.
+    learned, _ = measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
 
     transcript.record("B", "permutation", {"p": p})
     if a == p:

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import rotlab
 from rotlab import cli, security
 from rotlab.cli import main, render_json
 
@@ -103,6 +108,23 @@ def test_headline_consistency_exit_code(capsys, monkeypatch):
     code, out, err = run_cli(capsys, "headline")
     assert code == 2
     assert "consistency" in err
+
+
+def test_closed_stdout_exits_one_quietly():
+    # ``rotlab ... | head -1``: the reader is gone before the output is
+    # written.  The read end is closed before the process starts, so every
+    # write to its stdout fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    source = str(Path(rotlab.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")])))
+    try:
+        argv = [sys.executable, "-m", "rotlab.cli", "simulate", "--protocol", "qutrit", "--trials", "5000"]
+        result = subprocess.run(argv, stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+    finally:
+        os.close(write_end)
+    assert result.stderr == b""
+    assert result.returncode == 1
 
 
 def test_json_round_trip_is_byte_identical(capsys):

@@ -195,6 +195,21 @@ def test_estimators_take_numpy_integers_as_python_ints():
         assert estimate(trials=np.int32(1000)) == estimate(trials=1000)
     cheat = _estimators()["cheat"]
     assert cheat(trial_offset=np.uint64(7)) == cheat(trial_offset=7)
+    # The sequence batch size too, wherever it is given, and a strategy
+    # stores it as a Python int, which its JSON cache key needs.
+    plain = CheatStrategy("alice", "sequence", {"n_states": 9})
+    for n_states in (np.int64(9), np.uint16(9)):
+        assert type(SequenceConfig(n_states).n_states) is int
+        completeness = estimate_completeness("sequence", 1000, 3, n_states=n_states)
+        assert completeness == estimate_completeness("sequence", 1000, 3, n_states=9)
+        detection = sequence_detection_experiment(n_states, "honest", 10, 3)
+        assert detection == sequence_detection_experiment(9, "honest", 10, 3)
+        strategy = CheatStrategy("alice", "sequence", {"n_states": n_states})
+        assert type(strategy.parameters["n_states"]) is int and strategy == plain
+        assert estimate_cheat(strategy, 100, 3) == estimate_cheat(plain, 100, 3)
+    # A bool is not a declared bit, as it is not a trial count.
+    with pytest.raises(ValidationError, match="declared_bit"):
+        adversary.alice_sequence_cheat_prob(True)
 
 
 def test_threshold_tables_are_built_once(monkeypatch):
@@ -209,8 +224,9 @@ def test_threshold_tables_are_built_once(monkeypatch):
 
     for module in (protocols, adversary):
         monkeypatch.setattr(module, "cumulative_thresholds", counting)
-    for cached in (protocols._bad_qubit_thresholds, protocols._qutrit_thresholds, protocols._sequence_thresholds):
-        cached.cache_clear()
+    cached = (protocols._bad_qubit_thresholds, protocols._qutrit_weights, protocols._qutrit_thresholds)
+    for builder in cached + (protocols._sequence_thresholds,):
+        builder.cache_clear()
     adversary._compiled.cache_clear()
     flows = [lambda p=p: estimate_completeness(p, 1000, 3, n_states=9) for p in ("bad_qubit", "qutrit", "sequence")]
     strategies = list(_block_strategies())

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from rotlab import protocols
+from rotlab import adversary, protocols
 from rotlab.adversary import CheatStrategy, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.protocols import (
@@ -15,7 +15,7 @@ from rotlab.protocols import (
     OtPair,
     RotOutcome,
     SequenceConfig,
-    qutrit_decode,
+    qutrit_unitary,
     run_bad_classical,
     run_bad_qubit,
     run_coinflip_reduction,
@@ -59,6 +59,31 @@ def test_ot_pair_permutation_invariant():
     assert (pair.x0, pair.x1) == (0, 1)
     with pytest.raises(ValidationError):
         OtPair(x0=1, x1=1, p=0, z_dummy=0, y=1)
+
+
+def test_pair_index_table_is_ot_pair_draw():
+    # The one permutation table both modules gather through, read-only.
+    for y in (0, 1):
+        for z_dummy in (0, 1):
+            for p in (0, 1):
+                pair = OtPair.draw(y, z_dummy, p)
+                assert protocols.OT_PAIR_INDEX[y, z_dummy, p] == 2 * pair.x0 + pair.x1
+    assert protocols.OT_PAIR_INDEX.shape == (2, 2, 2)
+    assert not protocols.OT_PAIR_INDEX.flags.writeable
+
+
+def test_encoding_signs_are_the_unitary_diagonals():
+    # One read-only sign array: qutrit_unitary's diagonal per pair index,
+    # and the very object the cheating analysis reads.
+    signs = protocols.QUTRIT_ENCODING_SIGNS
+    for x0 in (0, 1):
+        for x1 in (0, 1):
+            unitary = qutrit_unitary(x0, x1).data
+            assert np.array_equal(unitary, np.diag(np.diag(unitary)))
+            assert np.array_equal(np.diag(unitary), signs[2 * x0 + x1])
+            assert np.array_equal(signs[2 * x0 + x1], [(-1.0) ** x0, (-1.0) ** x1, 1.0])
+    assert adversary.QUTRIT_ENCODING_SIGNS is signs
+    assert not signs.flags.writeable
 
 
 def test_sequence_config_validation():
@@ -129,36 +154,45 @@ def test_qutrit_born_rule_is_deterministic_everywhere():
                 assert abs(p0 + p1 - 1.0) < 1e-12
 
 
-def test_qutrit_decode_inverts_encoding():
+def test_qutrit_outcome_is_the_selected_bit():
+    # Alice outputs her outcome as the received bit, so the library's own
+    # table must make that outcome the bit at her position in every one of
+    # the 16 contexts: within 1e-12 of certain, as the weight of the
+    # certain outcome is 0.9999999999999996 in floating point, not 1.0.
+    weights = protocols._qutrit_weights()
     for a in (0, 1):
-        for outcome in (0, 1):
-            assert qutrit_decode(a, outcome) == outcome
+        for y in (0, 1):
+            for z_dummy in (0, 1):
+                for p in (0, 1):
+                    pair = OtPair.draw(y, z_dummy, p)
+                    selected = (pair.x0, pair.x1)[a]
+                    row = weights[a, y, z_dummy, p]
+                    assert abs(row[selected] - 1.0) < 1e-12, (a, y, z_dummy, p)
+                    assert abs(row[1 - selected]) < 1e-12, (a, y, z_dummy, p)
 
 
 def test_qutrit_all_sixteen_classical_contexts():
     # Analytic walk through every (a, x0, x1, p) assignment: the certain
-    # outcome decodes to the bit at Alice's position, and agreement of a
-    # and p hands her exactly Bob's data bit.
+    # outcome is the bit at Alice's position, and agreement of a and p
+    # hands her exactly Bob's data bit.
     for a in (0, 1):
         for x0 in (0, 1):
             for x1 in (0, 1):
                 probs = qutrit_born_probabilities(a, x0, x1)
                 outcome = 0 if probs[0] > 0.5 else 1
-                decoded = qutrit_decode(a, outcome)
-                assert decoded == (x0 if a == 0 else x1)
+                assert outcome == (x0 if a == 0 else x1)
                 for p in (0, 1):
                     y = x0 if p == 0 else x1
-                    g_hat = decoded if a == p else None
+                    g_hat = outcome if a == p else None
                     if a == p:
                         assert g_hat == y
 
 
 def test_qutrit_hand_traced_context():
     # Context a=0, (x0, x1) = (1, 0), p=0: the phase flip moves the probe
-    # into the orthogonal outcome, so Alice decodes x0 = 1 and outputs it.
+    # into the orthogonal outcome 1, which is x0 = 1, and Alice outputs it.
     p0, p1 = qutrit_born_probabilities(0, 1, 0)
     assert (p0, p1) == pytest.approx((0.0, 1.0), abs=1e-12)
-    assert qutrit_decode(0, 1) == 1
 
     def is_traced_context(seed):
         transcript, outcome = run_qutrit(seed)
@@ -393,7 +427,7 @@ def test_born_tables_equal_one_state_references():
     # The stacked tables the honest flows sample from hold exactly (==) the
     # floats the one-state formula gives.
     assert np.array_equal(protocols._bad_qubit_weights(), oracle.bad_qubit_weights())
-    assert np.array_equal(protocols._qutrit_tables()[0], oracle.qutrit_weights())
+    assert np.array_equal(protocols._qutrit_weights(), oracle.qutrit_weights())
     for got, want in zip(protocols._sequence_tables(), oracle.sequence_tables(), strict=True):
         assert np.array_equal(got, want)
 
