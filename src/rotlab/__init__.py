@@ -20,17 +20,13 @@ from .adversary import (
 )
 from .linalg import (
     ComplexMatrix,
-    DensityMatrix,
     DimensionError,
     NumericError,
     ProjectiveMeasurement,
-    PureState,
     ValidationError,
     helstrom_prob,
     helstrom_projectors,
     hermitian_eigenvalues,
-    kron,
-    partial_trace,
     trace_norm,
 )
 from .montecarlo import (

@@ -33,15 +33,10 @@ import numpy as np
 
 from .linalg import (
     ComplexMatrix,
-    DensityMatrix,
     ProjectiveMeasurement,
-    PureState,
     ValidationError,
     cumulative_thresholds,
-    helstrom_prob,
-    helstrom_projectors,
-    kron,
-    partial_trace,
+    helstrom_measurement,
     projections,
     trace_norms,
 )
@@ -133,10 +128,16 @@ def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
     return _SIGN_PATTERNS * (vectors[:, None, :, None] * vectors[:, None, None, :])
 
 
+def _helstrom_values(operators: np.ndarray) -> np.ndarray:
+    """The optimal success (1 + ||p0 rho0 - p1 rho1||_1) / 2 of each
+    operator p0 rho0 - p1 rho1 of a stack, from one eigensolve."""
+    return 0.5 * (1.0 + trace_norms(operators))
+
+
 def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
     """:func:`alice_qutrit_cheat_prob` of each row of an (m, 3) array: all 2m
     trace norms from one eigensolve, averaged over the permutation value."""
-    values = 0.5 * (1.0 + trace_norms(_qutrit_cheat_operators(vectors)))
+    values = _helstrom_values(_qutrit_cheat_operators(vectors))
     return 0.5 * (values[:, 0] + values[:, 1])
 
 
@@ -203,17 +204,20 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
 
 
 @lru_cache(maxsize=None)
-def _bob_qutrit_reduced_states() -> tuple[DensityMatrix, DensityMatrix]:
-    red0 = partial_trace(DensityMatrix.from_pure(qutrit_entangled_state(0)), 3, 3, keep="B")
-    red1 = partial_trace(DensityMatrix.from_pure(qutrit_entangled_state(1)), 3, 3, keep="B")
-    return red0, red1
+def _bob_qutrit_reduced_states() -> np.ndarray:
+    # The qutrit Bob receives, per Alice's choice bit: her probe's partial
+    # trace over her own qutrit, the first factor, read-only.
+    probes = np.array([qutrit_entangled_state(a) for a in (0, 1)]).reshape(2, 3, 3)
+    reduced = np.einsum("aki,akj->aij", probes, probes.conj())
+    reduced.setflags(write=False)
+    return reduced
 
 
 def bob_qutrit_cheat_prob() -> float:
     """Bob's best chance of reading Alice's choice bit off the qutrit he
     receives: minimum-error discrimination of the two reduced states."""
     red0, red1 = _bob_qutrit_reduced_states()
-    return helstrom_prob(0.5, red0, 0.5, red1)
+    return float(_helstrom_values(0.5 * red0 - 0.5 * red1))
 
 
 # --------------------------------------------------------------------------
@@ -221,13 +225,13 @@ def bob_qutrit_cheat_prob() -> float:
 # --------------------------------------------------------------------------
 
 
-def _bit_mixtures(states_by_pair: dict, index: int) -> tuple[DensityMatrix, DensityMatrix]:
-    """The two equal-weight mixtures of ``states_by_pair[(x0, x1)]`` whose
-    bit ``index`` is 0 and 1, each summed in the dictionary's order."""
-    return tuple(
-        DensityMatrix.mixture([(0.5, s) for bits, s in states_by_pair.items() if bits[index] == bit])
-        for bit in (0, 1)
-    )
+def _bit_operator(states: np.ndarray, index: int) -> np.ndarray:
+    """0.5 rho_0 - 0.5 rho_1 for a (4, d) stack of states, one per pair
+    index 2 * x0 + x1: rho_b is the equal-weight mixture of the states whose
+    bit ``index`` is b, summed in pair-index order."""
+    bits = pair_bit(np.arange(4), index)
+    mixtures = [0.5 * np.einsum("ki,kj->ij", states[bits == bit], states[bits == bit].conj()) for bit in (0, 1)]
+    return 0.5 * mixtures[0] - 0.5 * mixtures[1]
 
 
 def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
@@ -236,8 +240,7 @@ def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
     independent of the batch size."""
     if isinstance(declared_bit, bool) or declared_bit not in (0, 1):
         raise ValidationError(f"declared_bit must be 0 or 1, got {declared_bit}")
-    rho0, rho1 = _bit_mixtures(SEQUENCE_STATES, declared_bit)
-    return helstrom_prob(0.5, rho0, 0.5, rho1)
+    return float(_helstrom_values(_bit_operator(SEQUENCE_STATES, declared_bit)))
 
 
 def bob_sequence_cheat_prob() -> float:
@@ -309,10 +312,6 @@ class CheatStrategy:
         return f"CheatStrategy({self.party!r}, {self.protocol!r}, {self.parameters!r})"
 
 
-def _equal_prior_measurement(rho0: DensityMatrix, rho1: DensityMatrix) -> ProjectiveMeasurement:
-    return ProjectiveMeasurement(helstrom_projectors(0.5, rho0, 0.5, rho1))
-
-
 def _strategy_triple(params: dict) -> AmplitudeTriple:
     if "triple" in params:
         return AmplitudeTriple(*params["triple"])
@@ -320,21 +319,18 @@ def _strategy_triple(params: dict) -> AmplitudeTriple:
 
 
 def _alice_qutrit_tables(params: dict):
-    # The probe after Bob's phase encoding, per bit pair, and Alice's
+    # The probe after Bob's phase encoding, per pair index, and Alice's
     # Helstrom measurement, per announced permutation value: the one that
     # tells apart the encodings whose selected bit is 0 and 1.
-    amplitudes = np.array(_strategy_triple(params).as_tuple())
-    encoded = {divmod(pair, 2): PureState(signs * amplitudes) for pair, signs in enumerate(QUTRIT_ENCODING_SIGNS)}
-    measurements = {perm: _equal_prior_measurement(*_bit_mixtures(encoded, perm)) for perm in (0, 1)}
-    return encoded, measurements
+    encoded = (QUTRIT_ENCODING_SIGNS * np.array(_strategy_triple(params).as_tuple())).astype(np.complex128)
+    return encoded, tuple(helstrom_measurement(_bit_operator(encoded, perm)) for perm in (0, 1))
 
 
 def _alice_qutrit_weights(params: dict) -> np.ndarray:
     # Born weights of Alice's measurement for the announced permutation
     # value on Bob's encoding, per Bob's (y, z_dummy, p).
     encoded, measurements = _alice_qutrit_tables(params)
-    states = np.array([state.amplitudes for state in encoded.values()])
-    by_perm = np.array([projections(states, measurements[p])[1] for p in (0, 1)])
+    by_perm = np.array([projections(encoded, measurements[p])[1] for p in (0, 1)])
     return by_perm[[0, 1], OT_PAIR_INDEX]
 
 
@@ -362,16 +358,15 @@ def _alice_qutrit_block(params: dict):
     return run
 
 
-def _alice_sequence_measurements() -> dict[int, ProjectiveMeasurement]:
+def _alice_sequence_measurements() -> tuple[ProjectiveMeasurement, ...]:
     # Alice's Helstrom measurement on a stored state, per declared bit.
-    return {bit: _equal_prior_measurement(*_bit_mixtures(SEQUENCE_STATES, bit)) for bit in (0, 1)}
+    return tuple(helstrom_measurement(_bit_operator(SEQUENCE_STATES, bit)) for bit in (0, 1))
 
 
 def _alice_sequence_weights() -> np.ndarray:
     # Born weights of that measurement, per (pair index, declared bit).
     measurements = _alice_sequence_measurements()
-    states = np.array([state.amplitudes for state in SEQUENCE_STATES.values()])
-    return np.stack([projections(states, measurements[bit])[1] for bit in (0, 1)], axis=1)
+    return np.stack([projections(SEQUENCE_STATES, measurements[bit])[1] for bit in (0, 1)], axis=1)
 
 
 def _alice_sequence_block(params: dict):
@@ -411,17 +406,16 @@ def _alice_coinflip_block(params: dict):
 
 
 def _helstrom_on_bob_side() -> ProjectiveMeasurement:
+    # Bob's Helstrom measurement of his qutrit, lifted to both qutrits.
     red0, red1 = _bob_qutrit_reduced_states()
-    identity3 = ComplexMatrix.identity(3)
-    return ProjectiveMeasurement(
-        tuple(kron(identity3, pi) for pi in helstrom_projectors(0.5, red0, 0.5, red1))
-    )
+    on_bob = helstrom_measurement(0.5 * red0 - 0.5 * red1).stack
+    return ProjectiveMeasurement(tuple(map(ComplexMatrix, np.kron(np.eye(3), on_bob))))
 
 
 def _bob_qutrit_weights() -> np.ndarray:
     # Born weights of Bob's Helstrom measurement on his half of Alice's
     # probe, per her choice bit.
-    probes = np.array([qutrit_entangled_state(a).amplitudes for a in (0, 1)])
+    probes = np.array([qutrit_entangled_state(a) for a in (0, 1)])
     return projections(probes, _helstrom_on_bob_side())[1]
 
 

@@ -1,29 +1,37 @@
 """Dense complex linear algebra for Hilbert spaces of dimension at most 16.
 
-Everything a two-party quantum protocol simulation needs and nothing more:
-tensor products, partial traces, Hermitian spectra via LAPACK (numpy's
-``eigvalsh`` / ``eigh``), trace norms, minimum-error (Helstrom)
-discrimination, and projective measurements whose completeness and
-orthogonality are checked once, at construction.  Two stacked primitives
-carry the numerics: :func:`trace_norms` takes the trace norms of a stack of
-operators in one eigensolve, and :func:`projections` gives the projected
-vectors and Born weights of a stack of pure states under a measurement;
-:func:`cumulative_thresholds` turns a table of such weights, once, into
-the thresholds its outcomes are sampled from, one comparison per
-two-outcome draw.  All values are immutable after construction and all
+Everything a two-party quantum protocol simulation needs and nothing more.
+States and mixtures are plain arrays: a pure state is a ``(..., d)`` array
+of amplitudes, a mixture a ``(d, d)`` array.  On them: Hermitian spectra
+via LAPACK (numpy's ``eigvalsh`` / ``eigh``), trace norms, minimum-error
+(Helstrom) discrimination, and projective measurements whose completeness
+and orthogonality are checked once, at construction.  Two stacked
+primitives carry the numerics: :func:`trace_norms` takes the trace norms of
+a stack of operators in one eigensolve, and :func:`projections` gives the
+projected vectors and Born weights of a stack of pure states under a
+measurement; :func:`cumulative_thresholds` turns a table of such weights,
+once, into the thresholds its outcomes are sampled from, one comparison
+per two-outcome draw.  All values are immutable after construction and all
 operations are pure functions, so they are safe to share between threads.
+
+:class:`ComplexMatrix` is the one validated operator type.
+:func:`helstrom_prob` and :func:`helstrom_projectors` take their states as
+``ComplexMatrix`` operands and check, at that boundary, that each is a
+density matrix.  The stacked primitives and :func:`helstrom_measurement`
+check nothing: they take operators that are valid by construction.
 
 Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
 invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
-guards derived quantities (positivity, projector completeness).
+guards derived quantities (positivity, projector completeness, outcome
+weights that are rounding residues of 0).
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import InitVar, dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
@@ -52,16 +60,10 @@ def as_integer(name: str, value) -> int:
     return operator.index(value)
 
 
-def _as_complex_array(values, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.complex128)
-    if arr.ndim != ndim:
-        raise ValidationError(f"expected a {ndim}-dimensional array, got shape {arr.shape}")
-    return arr
-
-
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
-    """Dense complex matrix, at most 16x16, immutable after construction.
+    """Dense complex matrix, at most 16x16, of finite entries, immutable
+    after construction.
 
     Equality is entrywise within ``STRUCTURAL_TOL``; instances are therefore
     unhashable.
@@ -70,10 +72,14 @@ class ComplexMatrix:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_complex_array(self.data, 2)
+        arr = np.array(self.data, dtype=np.complex128)
+        if arr.ndim != 2:
+            raise ValidationError(f"expected a 2-dimensional array, got shape {arr.shape}")
         rows, cols = arr.shape
         if not (1 <= rows <= MAX_DIM) or not (1 <= cols <= MAX_DIM):
             raise DimensionError(f"matrix shape {rows}x{cols} outside 1..{MAX_DIM}")
+        if not np.isfinite(arr).all():
+            raise ValidationError("matrix entries must be finite")
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
@@ -112,142 +118,6 @@ class ComplexMatrix:
 
     def __repr__(self) -> str:
         return f"ComplexMatrix({self.rows}x{self.cols})"
-
-
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Unit vector of complex amplitudes (norm 1 within ``STRUCTURAL_TOL``)."""
-
-    amplitudes: np.ndarray
-
-    def __post_init__(self):
-        arr = _as_complex_array(self.amplitudes, 1)
-        if not (1 <= arr.size <= MAX_DIM):
-            raise DimensionError(f"state dimension {arr.size} outside 1..{MAX_DIM}")
-        norm = float(np.linalg.norm(arr))
-        if not abs(norm - 1.0) <= STRUCTURAL_TOL:
-            raise ValidationError(f"state norm {norm!r} is not 1 within {STRUCTURAL_TOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "amplitudes", arr)
-
-    @property
-    def dim(self) -> int:
-        return int(self.amplitudes.size)
-
-    @classmethod
-    def basis(cls, dim: int, index: int) -> "PureState":
-        amps = np.zeros(dim)
-        amps[index] = 1.0
-        return cls(amps)
-
-    def projector(self) -> ComplexMatrix:
-        return ComplexMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PureState):
-            return NotImplemented
-        if self.dim != other.dim:
-            return False
-        return bool(np.max(np.abs(self.amplitudes - other.amplitudes)) <= STRUCTURAL_TOL)
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"PureState(dim={self.dim})"
-
-
-@dataclass(frozen=True, eq=False)
-class DensityMatrix:
-    """Hermitian, unit-trace, positive-semidefinite operator.
-
-    Construction validates hermiticity and trace within ``STRUCTURAL_TOL``
-    and eigenvalue positivity down to -``DERIVED_TOL``.  Pass
-    ``validate=False`` only for operators that are valid by construction
-    (pure-state projectors, convex mixtures of them); it skips the
-    eigensolve.
-    """
-
-    matrix: ComplexMatrix
-    validate: InitVar[bool] = True
-
-    def __post_init__(self, validate: bool):
-        if self.matrix.rows != self.matrix.cols:
-            raise DimensionError("density matrix must be square")
-        if not validate:
-            return
-        if not self.matrix.is_hermitian():
-            raise ValidationError("density matrix must be Hermitian within 1e-12")
-        tr = self.matrix.trace()
-        if not abs(tr - 1.0) <= STRUCTURAL_TOL:
-            raise ValidationError(f"density matrix trace {tr!r} is not 1 within {STRUCTURAL_TOL}")
-        smallest = hermitian_eigenvalues(self.matrix)[0]
-        if not smallest >= -DERIVED_TOL:
-            raise ValidationError(f"density matrix has eigenvalue {smallest} < -{DERIVED_TOL}")
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.rows
-
-    @classmethod
-    def from_pure(cls, state: PureState) -> "DensityMatrix":
-        return cls(state.projector(), validate=False)
-
-    @classmethod
-    def mixture(cls, components: Iterable[tuple[float, PureState]]) -> "DensityMatrix":
-        """Convex mixture of pure states; weights must sum to 1."""
-        components = list(components)
-        if not components:
-            raise ValidationError("a mixture needs at least one component")
-        weights = np.array([w for w, _ in components], dtype=float)
-        if not np.all(weights >= -STRUCTURAL_TOL):
-            raise ValidationError("mixture weights must be finite and nonnegative")
-        if not abs(weights.sum() - 1.0) <= STRUCTURAL_TOL:
-            raise ValidationError(f"mixture weights sum to {weights.sum()!r}, expected 1")
-        dim = components[0][1].dim
-        acc = np.zeros((dim, dim), dtype=np.complex128)
-        for weight, state in components:
-            if state.dim != dim:
-                raise DimensionError("all mixture components must share one dimension")
-            acc += weight * np.outer(state.amplitudes, state.amplitudes.conj())
-        return cls(ComplexMatrix(acc), validate=False)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DensityMatrix):
-            return NotImplemented
-        return self.matrix == other.matrix
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"DensityMatrix(dim={self.dim})"
-
-
-def kron(a: ComplexMatrix, b: ComplexMatrix) -> ComplexMatrix:
-    """Tensor product; the result must still fit in the 16-dim budget."""
-    rows = a.rows * b.rows
-    cols = a.cols * b.cols
-    if rows > MAX_DIM or cols > MAX_DIM:
-        raise DimensionError(f"tensor product shape {rows}x{cols} exceeds {MAX_DIM}")
-    return ComplexMatrix(np.kron(a.data, b.data))
-
-
-def partial_trace(rho: DensityMatrix, dim_a: int, dim_b: int, keep: str) -> DensityMatrix:
-    """Reduced state of a bipartite system.
-
-    ``keep`` selects the surviving subsystem, "A" (first factor) or "B"
-    (second factor).  Requires dim_a * dim_b == rho.dim.
-    """
-    if dim_a < 1 or dim_b < 1 or dim_a * dim_b != rho.dim:
-        raise DimensionError(f"factorisation {dim_a}x{dim_b} does not match dimension {rho.dim}")
-    if keep not in ("A", "B"):
-        raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
-    blocks = rho.matrix.data.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep == "A":
-        reduced = np.einsum("ikjk->ij", blocks)
-    else:
-        reduced = np.einsum("kikj->ij", blocks)
-    # The reduced operator of a valid state is valid; skip the eigensolve.
-    return DensityMatrix(ComplexMatrix(reduced), validate=False)
 
 
 def _require_hermitian(m: ComplexMatrix) -> None:
@@ -302,39 +172,54 @@ def _check_priors(p0: float, p1: float) -> None:
         raise ValidationError(f"priors must sum to 1 within {STRUCTURAL_TOL}, got {p0 + p1!r}")
 
 
-def _discrimination_operator(p0, rho0, p1, rho1) -> ComplexMatrix:
+def _discrimination_operator(p0: float, rho0: ComplexMatrix, p1: float, rho1: ComplexMatrix) -> np.ndarray:
+    # p0 rho0 - p1 rho1, once the priors and both states are checked: each
+    # state square, of one shared dimension, Hermitian, of unit trace and
+    # with no eigenvalue below -DERIVED_TOL.
     _check_priors(p0, p1)
-    if rho0.dim != rho1.dim:
-        raise DimensionError("states to discriminate must share a dimension")
-    return ComplexMatrix(p0 * rho0.matrix.data - p1 * rho1.matrix.data)
+    if rho0.data.shape != rho1.data.shape or rho0.rows != rho0.cols:
+        raise DimensionError("states to discriminate must be square and share a dimension")
+    for rho in (rho0, rho1):
+        if not rho.is_hermitian():
+            raise ValidationError("density matrix must be Hermitian within 1e-12")
+        tr = rho.trace()
+        if not abs(tr - 1.0) <= STRUCTURAL_TOL:
+            raise ValidationError(f"density matrix trace {tr!r} is not 1 within {STRUCTURAL_TOL}")
+        smallest = _eigenvalues(rho.data)[0]
+        if not smallest >= -DERIVED_TOL:
+            raise ValidationError(f"density matrix has eigenvalue {smallest} < -{DERIVED_TOL}")
+    return p0 * rho0.data - p1 * rho1.data
 
 
-def helstrom_prob(p0: float, rho0: DensityMatrix, p1: float, rho1: DensityMatrix) -> float:
-    """Optimal success probability of distinguishing rho0 (prior p0) from
-    rho1 (prior p1): (1 + ||p0 rho0 - p1 rho1||_1) / 2."""
-    return 0.5 * (1.0 + trace_norm(_discrimination_operator(p0, rho0, p1, rho1)))
+def helstrom_prob(p0: float, rho0: ComplexMatrix, p1: float, rho1: ComplexMatrix) -> float:
+    """Optimal success probability of distinguishing the density matrix
+    rho0 (prior p0) from rho1 (prior p1): (1 + ||p0 rho0 - p1 rho1||_1) / 2."""
+    return 0.5 * (1.0 + float(trace_norms(_discrimination_operator(p0, rho0, p1, rho1))))
 
 
 def helstrom_projectors(
-    p0: float, rho0: DensityMatrix, p1: float, rho1: DensityMatrix
+    p0: float, rho0: ComplexMatrix, p1: float, rho1: ComplexMatrix
 ) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """Projector pair realising the optimal discrimination.
+    """Projector pair realising the optimal discrimination of the density
+    matrices rho0 (prior p0) and rho1 (prior p1): the projectors of
+    :func:`helstrom_measurement` on p0 rho0 - p1 rho1."""
+    return helstrom_measurement(_discrimination_operator(p0, rho0, p1, rho1)).projectors
 
-    Outcome 0 spans the strictly positive eigenspace of p0 rho0 - p1 rho1
+
+def helstrom_measurement(operator: np.ndarray) -> ProjectiveMeasurement:
+    """The measurement realising the optimal discrimination of p0 rho0 from
+    p1 rho1, given ``operator`` = p0 rho0 - p1 rho1.
+
+    Outcome 0 spans the strictly positive eigenspace of the operator
     together with its null space (ties go to outcome 0, which keeps sampled
     runs deterministic); outcome 1 gets the strictly negative eigenspace.
+    Like :func:`trace_norms` it takes the operator as given, so pass only
+    one built from valid states; :func:`helstrom_projectors` checks them.
     """
-    operator = _discrimination_operator(p0, rho0, p1, rho1)
-    w, v = _hermitian_eigh(operator)
-    negative = w < -STRUCTURAL_TOL
-    dim = operator.rows
-    if not negative.any():
-        pi1 = np.zeros((dim, dim), dtype=np.complex128)
-    else:
-        cols = v[:, negative]
-        pi1 = cols @ cols.conj().T
-    pi0 = np.eye(dim, dtype=np.complex128) - pi1
-    return ComplexMatrix(pi0), ComplexMatrix(pi1)
+    w, v = _hermitian_eigh(ComplexMatrix(operator))
+    negative = v[:, w < -STRUCTURAL_TOL]
+    pi1 = negative @ negative.conj().T
+    return ProjectiveMeasurement((ComplexMatrix(np.eye(len(w)) - pi1), ComplexMatrix(pi1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -389,21 +274,24 @@ class ProjectiveMeasurement:
 
 def cumulative_thresholds(weights: np.ndarray) -> np.ndarray:
     """The sampling thresholds of an ``(..., k)`` table of outcome weights,
-    read-only, same shape: the cumulative sums of the weights, negative
-    weights counting as 0, with the last outcome of positive weight (the
-    last outcome, where none is positive) and every outcome after it raised
-    to ``+inf``.
+    read-only, same shape: the cumulative sums of the weights, each weight
+    at or below ``DERIVED_TOL`` counting as 0, with the last outcome of
+    weight above it (the last outcome, where none is) and every outcome
+    after it raised to ``+inf``.
 
-    The outcome of a row at a uniform ``r`` in [0, 1) is the number of its
-    thresholds at or below ``r``: the first outcome whose cumulative weight
-    exceeds ``r``, an ``r`` on a boundary going to the next outcome, and
-    the last outcome of positive weight when rounding leaves the total at
-    or below ``r``.  A two-outcome row thus gives outcome 1 exactly when
-    ``r >= row[0]``.
+    A weight within ``DERIVED_TOL`` of 0 is the rounding residue of an
+    impossible outcome, so an outcome whose weight is within it of 1 is
+    drawn at every ``r``.  The outcome of a row at a uniform ``r`` in
+    [0, 1) is the number of its thresholds at or below ``r``: the first
+    outcome whose cumulative weight exceeds ``r``, an ``r`` on a boundary
+    going to the next outcome, and the last outcome kept when rounding
+    leaves the total at or below ``r``.  A two-outcome row thus gives
+    outcome 1 exactly when ``r >= row[0]``.
     """
-    thresholds = np.cumsum(np.maximum(weights, 0.0), axis=-1)
+    kept = np.where(weights > DERIVED_TOL, weights, 0.0)
+    thresholds = np.cumsum(kept, axis=-1)
     k = thresholds.shape[-1]
-    last = k - 1 - (weights[..., ::-1] > 0.0).argmax(axis=-1)
+    last = k - 1 - (kept[..., ::-1] > 0.0).argmax(axis=-1)
     thresholds[np.arange(k) >= last[..., None]] = np.inf
     thresholds.setflags(write=False)
     return thresholds

@@ -52,11 +52,9 @@ import numpy as np
 from .linalg import (
     ComplexMatrix,
     ProjectiveMeasurement,
-    PureState,
     ValidationError,
     as_integer,
     cumulative_thresholds,
-    kron,
     projections,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
@@ -227,12 +225,14 @@ class SequenceConfig:
 
 
 @lru_cache(maxsize=None)
-def qutrit_entangled_state(a: int) -> PureState:
-    """Alice's probe: equal superposition of |aa> and |22> on two qutrits."""
-    amps = np.zeros(9)
+def qutrit_entangled_state(a: int) -> np.ndarray:
+    """Alice's probe: equal superposition of |aa> and |22> on two qutrits,
+    as read-only amplitudes."""
+    amps = np.zeros(9, dtype=np.complex128)
     amps[3 * a + a] = 1.0 / math.sqrt(2.0)
     amps[3 * 2 + 2] = 1.0 / math.sqrt(2.0)
-    return PureState(amps)
+    amps.setflags(write=False)
+    return amps
 
 
 # Bob's phase encoding diag((-1)^x0, (-1)^x1, 1), per pair index 2 * x0 + x1.
@@ -247,28 +247,32 @@ def qutrit_unitary(x0: int, x1: int) -> ComplexMatrix:
 
 
 @lru_cache(maxsize=None)
-def _qutrit_pair_unitary(x0: int, x1: int) -> ComplexMatrix:
-    return kron(ComplexMatrix.identity(3), qutrit_unitary(x0, x1))
+def _qutrit_pair_unitary(x0: int, x1: int) -> np.ndarray:
+    # Bob's phase encoding on both qutrits, read-only: the identity on Alice's.
+    unitary = np.kron(np.eye(3), qutrit_unitary(x0, x1).data)
+    unitary.setflags(write=False)
+    return unitary
 
 
 @lru_cache(maxsize=None)
 def qutrit_measurement(a: int) -> ProjectiveMeasurement:
     """Alice's two-outcome check: projector onto her probe state vs the rest."""
-    pi0 = qutrit_entangled_state(a).projector()
-    pi1 = ComplexMatrix(np.eye(9) - pi0.data)
-    return ProjectiveMeasurement((pi0, pi1))
+    probe = qutrit_entangled_state(a)
+    pi0 = np.outer(probe, probe.conj())
+    return ProjectiveMeasurement((ComplexMatrix(pi0), ComplexMatrix(np.eye(9) - pi0)))
 
 
 # --------------------------------------------------------------------------
 # Sequence protocol building blocks
 # --------------------------------------------------------------------------
 
-SEQUENCE_STATES: dict[tuple[int, int], PureState] = {
-    (0, 0): PureState([1.0, 0.0, 0.0, 0.0]),
-    (0, 1): PureState([0.5, 0.5, 0.5, 0.5]),
-    (1, 0): PureState([0.5, -0.5, -0.5, 0.5]),
-    (1, 1): PureState([0.0, 0.0, 0.0, 1.0]),
-}
+# Bob's state per bit pair (x0, x1), in row 2 * x0 + x1: |00>, |++>, |-->
+# and |11>, as read-only amplitudes.
+SEQUENCE_STATES = np.array(
+    [[1.0, 0.0, 0.0, 0.0], [0.5, 0.5, 0.5, 0.5], [0.5, -0.5, -0.5, 0.5], [0.0, 0.0, 0.0, 1.0]],
+    dtype=np.complex128,
+)
+SEQUENCE_STATES.setflags(write=False)
 
 _Z_PROJS = ProjectiveMeasurement(
     (ComplexMatrix(np.diag([1.0, 0.0])), ComplexMatrix(np.diag([0.0, 1.0])))
@@ -276,15 +280,13 @@ _Z_PROJS = ProjectiveMeasurement(
 _X_PROJS = ProjectiveMeasurement(
     (ComplexMatrix(np.full((2, 2), 0.5)), ComplexMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]])))
 )
-_I2 = ComplexMatrix.identity(2)
-
 # Single-qubit measurements lifted to the two-qubit space, per qubit and basis.
 _QUBIT1 = {
-    basis: ProjectiveMeasurement(tuple(kron(p, _I2) for p in projs))
+    basis: ProjectiveMeasurement(tuple(map(ComplexMatrix, np.kron(projs.stack, np.eye(2)))))
     for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
 }
 _QUBIT2 = {
-    basis: ProjectiveMeasurement(tuple(kron(_I2, p) for p in projs))
+    basis: ProjectiveMeasurement(tuple(map(ComplexMatrix, np.kron(np.eye(2), projs.stack))))
     for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
 }
 
@@ -346,10 +348,8 @@ def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
 def _qutrit_weights() -> np.ndarray:
     # Born weights of Alice's measurement, per (a, y, z_dummy, p, outcome):
     # the outcome distribution run_qutrit samples from in each classical context.
-    unitaries = np.array([_qutrit_pair_unitary(*divmod(pair, 2)).data for pair in range(4)])
-    by_pair = np.array(
-        [projections(unitaries @ qutrit_entangled_state(a).amplitudes, qutrit_measurement(a))[1] for a in (0, 1)]
-    )
+    unitaries = np.array([_qutrit_pair_unitary(*divmod(pair, 2)) for pair in range(4)])
+    by_pair = np.array([projections(unitaries @ qutrit_entangled_state(a), qutrit_measurement(a))[1] for a in (0, 1)])
     return by_pair[:, OT_PAIR_INDEX]
 
 
@@ -382,7 +382,7 @@ def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
 # Block forms of the sequence flow
 # --------------------------------------------------------------------------
 #
-# A bit pair (x0, x1) is the index 2 * x0 + x1 into SEQUENCE_STATES, and a
+# A bit pair (x0, x1) is the row 2 * x0 + x1 of SEQUENCE_STATES, and a
 # basis is 0 for Z and 1 for X, so the test basis of a pair is x0 ^ x1.
 
 
@@ -424,8 +424,7 @@ def _sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # and Alice's untested-slot decode, per (m1, m2), as (learned index,
     # learned value).  An outcome of weight 0 is never sampled; it leaves
     # no state, and its second weights are 0.
-    states = np.array([state.amplitudes for state in SEQUENCE_STATES.values()])
-    by_basis = [projections(states, _QUBIT1[basis]) for basis in "ZX"]
+    by_basis = [projections(SEQUENCE_STATES, _QUBIT1[basis]) for basis in "ZX"]
     projected = np.stack([vectors for vectors, _ in by_basis], axis=1)
     first = np.stack([weights for _, weights in by_basis], axis=1)
     norms = np.sqrt(first)[..., None]
@@ -558,7 +557,7 @@ def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
     """Bob sends |y>; Alice's coin decides between measuring and discarding."""
     out = _bad_qubit_block(seed_array(seed))
     transcript = Transcript()
-    transcript.record("B", "qubit", _state_payload(PureState.basis(2, int(out.bob_bit[0])).amplitudes))
+    transcript.record("B", "qubit", _state_payload(np.eye(2)[out.bob_bit[0]]))
     return transcript, _outcome(out, 0)
 
 
@@ -566,10 +565,10 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     """The two-qutrit exchange with a permuted phase-encoded bit pair."""
     a, y, z_dummy, p, outcome = (int(draw[0]) for draw in _qutrit_draws(seed_array(seed)))
     transcript = Transcript()
-    psi = qutrit_entangled_state(a).amplitudes
+    psi = qutrit_entangled_state(a)
     transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
     pair = OtPair.draw(y, z_dummy, p)
-    psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
+    psi = _qutrit_pair_unitary(pair.x0, pair.x1) @ psi
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
     transcript.record("B", "permutation", {"p": p})
     if a == p:
@@ -584,14 +583,14 @@ def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOu
     a single abort sentinel.
     """
     block = play_sequence_block(cfg, seed_array(seed))
-    pairs = [divmod(index, 2) for index in block.pairs[:, 0].tolist()]
+    pairs = block.pairs[:, 0].tolist()
     tested = block.tested[:, 0].tolist()
     transcript = Transcript()
-    for slot, bits in enumerate(pairs):
-        transcript.record("B", "state", _state_payload(SEQUENCE_STATES[bits].amplitudes, slot=slot))
+    for slot, pair in enumerate(pairs):
+        transcript.record("B", "state", _state_payload(SEQUENCE_STATES[pair], slot=slot))
     transcript.record("A", "test_set", {"slots": tested})
     for slot in tested:
-        transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
+        transcript.record("B", "announce", {"slot": slot, "bits": list(divmod(pairs[slot], 2))})
         if slot == block.failed[0]:
             transcript.record("A", "abort", {"slot": slot})
             return transcript, [RotOutcome.abort_sentinel()]

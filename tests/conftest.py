@@ -10,6 +10,8 @@ library's stacked evaluator, which in turn must equal the density path in
 import numpy as np
 import pytest
 
+from rotlab.linalg import DERIVED_TOL
+
 from oracle import invert_cumulative
 
 
@@ -77,20 +79,20 @@ def threshold_outcomes(thresholds: np.ndarray, rand) -> np.ndarray:
 
 def assert_thresholds_pin(weights: np.ndarray, thresholds: np.ndarray) -> None:
     """Check a threshold table against its weight table, row by row: its
-    finite entries equal (==) the cumulative sums of ``max(w, 0)``, ``+inf``
-    fills exactly the last outcome of positive weight (the last outcome,
-    where none is) and those after it, and on a grid of uniforms, each
-    finite threshold, 0.0 and 1 - 2**-53 it samples the scalar rule's
-    outcome."""
+    finite entries equal (==) the cumulative sums of the weights, each
+    weight at or below ``DERIVED_TOL`` counting as 0, ``+inf`` fills exactly
+    the last outcome of weight above it (the last outcome, where none is)
+    and those after it, and on a grid of uniforms, each finite threshold,
+    0.0 and 1 - 2**-53 it samples the scalar rule's outcome."""
     assert thresholds.shape == weights.shape
     k = weights.shape[-1]
     grid = np.linspace(0.0, 1.0, 257)[:-1]
     for row, row_thresholds in zip(weights.reshape(-1, k), thresholds.reshape(-1, k)):
-        positive = np.flatnonzero(row > 0.0)
-        last = positive[-1] if positive.size else k - 1
+        kept = row > DERIVED_TOL
+        last = np.flatnonzero(kept)[-1] if kept.any() else k - 1
         assert np.isinf(row_thresholds).tolist() == [j >= last for j in range(k)], row
         finite = row_thresholds[:last]
-        assert np.array_equal(finite, np.cumsum(np.maximum(row, 0.0))[:last]), row
+        assert np.array_equal(finite, np.cumsum(np.where(kept, row, 0.0))[:last]), row
         uniforms = np.concatenate((grid, finite[finite < 1.0], [0.0, 1.0 - 2.0**-53]))
         expected = [invert_cumulative(row.tolist(), r) for r in uniforms]
         assert threshold_outcomes(row_thresholds, uniforms).tolist() == expected, row

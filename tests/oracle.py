@@ -9,13 +9,14 @@ measurement is sampled by ``measure_pure``, one state and one uniform at a
 time.  The library's flows must give these outcomes and transcripts trial
 by trial.  Nothing here draws from ``BlockStream`` or ``philox_block``.
 
-It also holds two references built one object at a time: every Born table
+It also holds two references built one state at a time: every Born table
 the library samples from, each weight ``||P_k psi||^2`` taken with
 ``np.vdot`` from ``proj.data @ psi``, which the library's stacked tables
 must equal exactly; and the density path of cheating Alice's qutrit
-objective, from public ``linalg`` objects (``PureState``,
-``DensityMatrix.mixture``, ``helstrom_prob``), whose values the library's
-stacked evaluator must give exactly.
+objective, from its own checked states, mixtures summed one outer product
+at a time, and the public ``helstrom_prob``, whose values the library's
+stacked evaluator must give exactly.  Its partial trace, one index sum at
+a time, is the reference for Bob's reduced qutrit states.
 """
 
 import itertools
@@ -28,10 +29,10 @@ from numpy.random.bit_generator import ISeedSequence
 
 from rotlab.adversary import _alice_qutrit_tables, _alice_sequence_measurements, _helstrom_on_bob_side
 from rotlab.linalg import (
-    DensityMatrix,
+    DERIVED_TOL,
+    ComplexMatrix,
     DimensionError,
     ProjectiveMeasurement,
-    PureState,
     ValidationError,
     helstrom_prob,
 )
@@ -90,16 +91,57 @@ def trial_seed(master_seed: int, trial_index: int) -> int:
 
 
 # --------------------------------------------------------------------------
+# States, mixtures and the partial trace
+# --------------------------------------------------------------------------
+
+
+def pure_state(amplitudes) -> np.ndarray:
+    """A unit vector of 1 to 16 finite complex amplitudes."""
+    psi = np.array(amplitudes, dtype=np.complex128)
+    if psi.ndim != 1 or not 1 <= psi.size <= 16:
+        raise DimensionError(f"a state is 1 to 16 amplitudes, not shape {psi.shape}")
+    if not abs(float(np.linalg.norm(psi)) - 1.0) <= 1e-12:
+        raise ValidationError("a state has unit norm")
+    return psi
+
+
+def basis_state(dim: int, index: int) -> np.ndarray:
+    return pure_state(np.eye(dim)[index])
+
+
+def mixture(components) -> np.ndarray:
+    """The density matrix of ``(weight, amplitudes)`` pairs, summed one
+    outer product at a time, in order."""
+    return sum(weight * np.outer(psi, psi.conj()) for weight, psi in components)
+
+
+def partial_trace(rho: np.ndarray, dim_a: int, dim_b: int, keep: str) -> np.ndarray:
+    """The reduced state of subsystem ``keep``, "A" (the first factor) or
+    "B", of a state on dim_a x dim_b, summed one index at a time."""
+    if dim_a * dim_b != len(rho):
+        raise DimensionError(f"factorisation {dim_a}x{dim_b} does not match dimension {len(rho)}")
+    if keep not in ("A", "B"):
+        raise ValidationError(f"keep must be 'A' or 'B', got {keep!r}")
+    kept, traced = (dim_a, dim_b) if keep == "A" else (dim_b, dim_a)
+    reduced = np.zeros((kept, kept), dtype=np.complex128)
+    for i, j, k in itertools.product(range(kept), range(kept), range(traced)):
+        row, col = (i * dim_b + k, j * dim_b + k) if keep == "A" else (k * dim_b + i, k * dim_b + j)
+        reduced[i, j] += rho[row, col]
+    return reduced
+
+
+# --------------------------------------------------------------------------
 # Measurement sampling
 # --------------------------------------------------------------------------
 
 
 def invert_cumulative(weights: list[float], rand: float) -> int:
     """The sampling rule: the first outcome, in ascending order, whose
-    cumulative weight exceeds ``rand``, negative weights counting as 0; the
-    last outcome of positive weight when rounding leaves the total below."""
+    cumulative weight exceeds ``rand``, weights at or below ``DERIVED_TOL``
+    counting as 0; the last outcome of weight above it when rounding leaves
+    the total below."""
     cumulative = 0.0
-    positive = [k for k, weight in enumerate(weights) if weight > 0.0]
+    positive = [k for k, weight in enumerate(weights) if weight > DERIVED_TOL]
     for k in positive:
         cumulative += weights[k]
         if rand < cumulative:
@@ -118,23 +160,23 @@ def _checked(measurement, dim: int, rand: float) -> ProjectiveMeasurement:
     return measurement
 
 
-def measure(state, measurement, rand: float) -> int:
-    """Sample a projective measurement of a ``DensityMatrix``: outcome k
-    has weight ``tr(P_k rho)``.  A plain projector sequence is wrapped in a
+def measure(rho, measurement, rand: float) -> int:
+    """Sample a projective measurement of a density matrix: outcome k has
+    weight ``tr(P_k rho)``.  A plain projector sequence is wrapped in a
     :class:`ProjectiveMeasurement`, so it is checked on every call, and so
     are ``rand`` and the state's dimension."""
-    measurement = _checked(measurement, state.dim, rand)
-    rho = state.matrix.data
+    measurement = _checked(measurement, len(rho), rand)
     return invert_cumulative([float(np.einsum("ij,ji->", proj.data, rho).real) for proj in measurement], rand)
 
 
-def measure_pure(state, measurement, rand: float) -> tuple[int, np.ndarray]:
-    """Sample a projective measurement of a ``PureState`` with the checks of
-    :func:`measure`: the outcome, by the sampling rule on the one-state
-    :func:`born_weights`, and its :func:`post_measurement` amplitudes."""
-    measurement = _checked(measurement, state.dim, rand)
-    outcome = invert_cumulative(born_weights(state.amplitudes, measurement), rand)
-    return outcome, post_measurement(state.amplitudes, measurement, outcome)
+def measure_pure(psi, measurement, rand: float) -> tuple[int, np.ndarray]:
+    """Sample a projective measurement of the amplitudes ``psi`` with the
+    checks of :func:`measure`: the outcome, by the sampling rule on the
+    one-state :func:`born_weights`, and its :func:`post_measurement`
+    amplitudes."""
+    measurement = _checked(measurement, len(psi), rand)
+    outcome = invert_cumulative(born_weights(psi, measurement), rand)
+    return outcome, post_measurement(psi, measurement, outcome)
 
 
 # --------------------------------------------------------------------------
@@ -156,14 +198,14 @@ def post_measurement(amplitudes, measurement, outcome: int) -> np.ndarray:
 def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
     """Outcome distribution of honest Alice's qutrit measurement in one
     classical context."""
-    evolved = _qutrit_pair_unitary(x0, x1).data @ qutrit_entangled_state(a).amplitudes
+    evolved = _qutrit_pair_unitary(x0, x1) @ qutrit_entangled_state(a)
     p0, p1 = born_weights(evolved, qutrit_measurement(a))
     return p0, p1
 
 
 def bad_qubit_weights() -> np.ndarray:
     """Alice's Z measurement, per Bob's bit."""
-    return np.array([born_weights(PureState.basis(2, y).amplitudes, _Z_PROJS) for y in (0, 1)])
+    return np.array([born_weights(basis_state(2, y), _Z_PROJS) for y in (0, 1)])
 
 
 def qutrit_weights() -> np.ndarray:
@@ -181,12 +223,12 @@ def sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     0; and the untested-slot decode, per (m1, m2)."""
     first = np.zeros((4, 2, 2))
     second = np.zeros((4, 2, 2, 2, 2))
-    for pair, state in enumerate(SEQUENCE_STATES.values()):
+    for pair, state in enumerate(SEQUENCE_STATES):
         for basis, name in enumerate("ZX"):
-            first[pair, basis] = born_weights(state.amplitudes, _QUBIT1[name])
+            first[pair, basis] = born_weights(state, _QUBIT1[name])
             for m1 in (0, 1):
                 if first[pair, basis, m1] > 0.0:
-                    after = post_measurement(state.amplitudes, _QUBIT1[name], m1)
+                    after = post_measurement(state, _QUBIT1[name], m1)
                     for second_basis, second_name in enumerate("ZX"):
                         second[pair, basis, m1, second_basis] = born_weights(after, _QUBIT2[second_name])
     decode = np.array([[sequence_decode(m1, m2) for m2 in (0, 1)] for m1 in (0, 1)])
@@ -199,7 +241,7 @@ def alice_qutrit_weights(params: dict) -> np.ndarray:
     weights = np.empty((2, 2, 2, 2))
     for y, z_dummy, p in itertools.product((0, 1), repeat=3):
         pair = OtPair.draw(y, z_dummy, p)
-        weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)].amplitudes, measurements[p])
+        weights[y, z_dummy, p] = born_weights(encoded[2 * pair.x0 + pair.x1], measurements[p])
     return weights
 
 
@@ -207,13 +249,13 @@ def alice_sequence_weights() -> np.ndarray:
     """Cheating Alice's measurement of a stored state, per (pair, declared bit)."""
     measurements = _alice_sequence_measurements()
     return np.array(
-        [[born_weights(s.amplitudes, measurements[bit]) for bit in (0, 1)] for s in SEQUENCE_STATES.values()]
+        [[born_weights(state, measurements[bit]) for bit in (0, 1)] for state in SEQUENCE_STATES]
     )
 
 
 def bob_qutrit_weights() -> np.ndarray:
     """Cheating Bob's measurement of his half of the probe, per Alice's bit."""
-    return np.array([born_weights(qutrit_entangled_state(a).amplitudes, _helstrom_on_bob_side()) for a in (0, 1)])
+    return np.array([born_weights(qutrit_entangled_state(a), _helstrom_on_bob_side()) for a in (0, 1)])
 
 
 # --------------------------------------------------------------------------
@@ -240,8 +282,8 @@ def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
     bob = party_stream(seed, BOB)
     alice = party_stream(seed, ALICE)
     y = draw_bit(bob)
-    state = PureState.basis(2, y)
-    transcript.record("B", "qubit", _state_payload(state.amplitudes))
+    state = basis_state(2, y)
+    transcript.record("B", "qubit", _state_payload(state))
     discard = draw_bit(alice)  # 0 -> measure, 1 -> accept NULL
     if discard == 0:
         outcome_bit, _ = measure_pure(state, _Z_PROJS, alice.random())
@@ -257,18 +299,18 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     bob = party_stream(seed, BOB)
 
     a = draw_bit(alice)
-    psi = qutrit_entangled_state(a).amplitudes
+    psi = qutrit_entangled_state(a)
     transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
 
     y = draw_bit(bob)
     z_dummy = draw_bit(bob)
     p = draw_bit(bob)
     pair = OtPair.draw(y, z_dummy, p)
-    psi = _qutrit_pair_unitary(pair.x0, pair.x1).data @ psi
+    psi = _qutrit_pair_unitary(pair.x0, pair.x1) @ psi
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
 
     # Outcome 1 means Bob's phase flipped the |aa> term: x_a = 1.
-    learned, _ = measure_pure(PureState(psi), qutrit_measurement(a), alice.random())
+    learned, _ = measure_pure(psi, qutrit_measurement(a), alice.random())
 
     transcript.record("B", "permutation", {"p": p})
     if a == p:
@@ -276,6 +318,11 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     else:
         outcome = RotOutcome.null(y)
     return transcript, outcome
+
+
+def sequence_state(bits: tuple[int, int]) -> np.ndarray:
+    """Bob's state for the bit pair ``bits``."""
+    return SEQUENCE_STATES[2 * bits[0] + bits[1]]
 
 
 def sequence_test_basis(x0: int, x1: int) -> str:
@@ -315,8 +362,8 @@ def sequence_spot_check(alice, tested, sent, announced) -> int | None:
         x0, x1 = announced[slot]
         basis = sequence_test_basis(x0, x1)
         expected = sequence_expected_outcome(x0, x1)
-        m1, amps = measure_pure(SEQUENCE_STATES[sent[slot]], _QUBIT1[basis], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2[basis], alice.random())
+        m1, amps = measure_pure(sequence_state(sent[slot]), _QUBIT1[basis], alice.random())
+        m2, _ = measure_pure(amps, _QUBIT2[basis], alice.random())
         if m1 != expected or m2 != expected:
             return slot
     return None
@@ -342,8 +389,8 @@ def play_sequence(cfg: SequenceConfig, seed: int):
     for slot in range(cfg.n_states):
         if slot in tested_set:
             continue
-        m1, amps = measure_pure(SEQUENCE_STATES[pairs[slot]], _QUBIT1["Z"], alice.random())
-        m2, _ = measure_pure(PureState(amps), _QUBIT2["X"], alice.random())
+        m1, amps = measure_pure(sequence_state(pairs[slot]), _QUBIT1["Z"], alice.random())
+        m2, _ = measure_pure(amps, _QUBIT2["X"], alice.random())
         learned_index, learned_value = sequence_decode(m1, m2)
         declared = draw_bit(bob)
         declarations.append((slot, declared))
@@ -359,7 +406,7 @@ def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOu
     pairs, tested, failed, declarations, outcomes = play_sequence(cfg, seed)
     transcript = Transcript()
     for slot, bits in enumerate(pairs):
-        transcript.record("B", "state", _state_payload(SEQUENCE_STATES[bits].amplitudes, slot=slot))
+        transcript.record("B", "state", _state_payload(sequence_state(bits), slot=slot))
     transcript.record("A", "test_set", {"slots": tested})
     for slot in tested:
         transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
@@ -394,19 +441,19 @@ def encoding_signs(x0: int, x1: int) -> np.ndarray:
     return np.array(((-1.0) ** x0, (-1.0) ** x1, 1.0))
 
 
-def _bit_mixtures(encoded: dict[tuple[int, int], PureState]) -> list[tuple[DensityMatrix, DensityMatrix]]:
+def _bit_mixtures(encoded: dict[tuple[int, int], np.ndarray]) -> list[tuple[ComplexMatrix, ComplexMatrix]]:
     # Per permutation value, the two equal-weight mixtures of the encodings
     # whose selected bit (x0, then x1) is 0 and 1.
     pairs = []
     for perm in (0, 1):
-        groups: dict[int, list[PureState]] = {0: [], 1: []}
+        groups: dict[int, list[np.ndarray]] = {0: [], 1: []}
         for bits, state in encoded.items():
             groups[bits[perm]].append(state)
-        pairs.append(tuple(DensityMatrix.mixture([(0.5, s) for s in groups[bit]]) for bit in (0, 1)))
+        pairs.append(tuple(ComplexMatrix(mixture([(0.5, s) for s in groups[bit]])) for bit in (0, 1)))
     return pairs
 
 
-def probe_cheat_prob(encoded: dict[tuple[int, int], PureState]) -> float:
+def probe_cheat_prob(encoded: dict[tuple[int, int], np.ndarray]) -> float:
     """Alice's Helstrom success, averaged over the permutation value, given
     Bob's four encodings ``encoded[(x0, x1)]`` of her probe: per value, the
     equal-prior discrimination of the two equal-weight mixtures of the
@@ -414,9 +461,9 @@ def probe_cheat_prob(encoded: dict[tuple[int, int], PureState]) -> float:
     return float(np.mean([helstrom_prob(0.5, rho0, 0.5, rho1) for rho0, rho1 in _bit_mixtures(encoded)]))
 
 
-def _encoded_probes(triple) -> dict[tuple[int, int], PureState]:
+def _encoded_probes(triple) -> dict[tuple[int, int], np.ndarray]:
     amplitudes = np.array(triple.as_tuple())
-    return {(x0, x1): PureState(encoding_signs(x0, x1) * amplitudes) for x0 in (0, 1) for x1 in (0, 1)}
+    return {(x0, x1): pure_state(encoding_signs(x0, x1) * amplitudes) for x0 in (0, 1) for x1 in (0, 1)}
 
 
 def alice_qutrit_cheat_prob(triple) -> float:
@@ -428,7 +475,7 @@ def qutrit_cheat_operators(triple) -> np.ndarray:
     """The density path's (2, 3, 3) complex operators 0.5 rho_0 - 0.5 rho_1
     per permutation value, whose trace norms ``helstrom_prob`` takes."""
     mixtures = _bit_mixtures(_encoded_probes(triple))
-    return np.array([0.5 * rho0.matrix.data - 0.5 * rho1.matrix.data for rho0, rho1 in mixtures])
+    return np.array([0.5 * rho0.data - 0.5 * rho1.data for rho0, rho1 in mixtures])
 
 
 # --------------------------------------------------------------------------
@@ -443,7 +490,7 @@ def _alice_qutrit_runner(params: dict):
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
+        guess, _ = measure_pure(encoded[2 * pair.x0 + pair.x1], measurements[pair.p], alice.random())
         return guess == pair.y
 
     return run
@@ -459,7 +506,7 @@ def _alice_sequence_runner(params: dict):
         alice, bob, pairs, tested = sequence_setup(cfg, seed)
         slot = next(j for j in range(cfg.n_states) if j not in tested)
         declared = draw_bit(bob)
-        guess, _ = measure_pure(SEQUENCE_STATES[pairs[slot]], measurements[declared], alice.random())
+        guess, _ = measure_pure(sequence_state(pairs[slot]), measurements[declared], alice.random())
         return guess == pairs[slot][declared]
 
     return run
@@ -530,7 +577,7 @@ def run_detection_trial(cfg: SequenceConfig, seed: int, variant: str) -> bool:
         sent[corrupt] = (1 - pairs[corrupt][0], 1 - pairs[corrupt][1])
     elif variant == "announce-wrong-state":
         slot = tested[int(bob.integers(0, cfg.test_size))]
-        alternatives = [bits for bits in SEQUENCE_STATES if bits != pairs[slot]]
+        alternatives = [divmod(pair, 2) for pair in range(4) if divmod(pair, 2) != pairs[slot]]
         announced = list(pairs)
         announced[slot] = alternatives[int(bob.integers(0, len(alternatives)))]
     return sequence_spot_check(alice, tested, sent, announced) is not None

@@ -20,15 +20,7 @@ from rotlab.adversary import (
     execute_cheat,
     optimize_alice_qutrit,
 )
-from rotlab.linalg import (
-    ComplexMatrix,
-    DensityMatrix,
-    PureState,
-    ValidationError,
-    helstrom_prob,
-    kron,
-    partial_trace,
-)
+from rotlab.linalg import ComplexMatrix, ValidationError, helstrom_prob
 from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage
 
@@ -124,19 +116,16 @@ def test_entangled_probes_reach_their_reduced_triple(rng):
     # of his reduced state: any entangled probe reaches exactly the objective
     # of the triple sqrt(diag rho_B), and the real nonnegative triples lose
     # no generality.
-    alice_side = ComplexMatrix.identity(3)
     for _ in range(300):
         raw = rng.normal(size=9) + 1j * rng.normal(size=9)
-        probe = PureState(raw / np.linalg.norm(raw))
+        probe = oracle.pure_state(raw / np.linalg.norm(raw))
         encoded = {
-            (x0, x1): PureState(
-                kron(alice_side, ComplexMatrix.diagonal(oracle.encoding_signs(x0, x1))).data @ probe.amplitudes
-            )
+            (x0, x1): oracle.pure_state(np.kron(np.eye(3), np.diag(oracle.encoding_signs(x0, x1))) @ probe)
             for x0 in (0, 1)
             for x1 in (0, 1)
         }
-        rho_b = partial_trace(DensityMatrix.from_pure(probe), 3, 3, keep="B")
-        triple = AmplitudeTriple(*map(float, np.sqrt(np.diag(rho_b.matrix.data).real)))
+        rho_b = oracle.partial_trace(oracle.mixture([(1.0, probe)]), 3, 3, keep="B")
+        triple = AmplitudeTriple(*map(float, np.sqrt(np.diag(rho_b).real)))
         assert abs(oracle.probe_cheat_prob(encoded) - alice_qutrit_cheat_prob(triple)) < 1e-12
 
 
@@ -205,7 +194,7 @@ def test_grid_matches_pointwise_evaluator():
 
 
 def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
-    # One stacked eigvalsh per value or per optimizer grid, and no state
+    # One stacked eigvalsh per value or per optimizer grid, and no matrix
     # objects built on the way.
     counts = Counter()
     eigvalsh = np.linalg.eigvalsh
@@ -227,8 +216,7 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    for cls in (PureState, DensityMatrix):
-        monkeypatch.setattr(cls, "__post_init__", counting_post_init(cls))
+    monkeypatch.setattr(ComplexMatrix, "__post_init__", counting_post_init(ComplexMatrix))
     alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
     assert counts == {"eigvalsh": 1}
 
@@ -255,6 +243,25 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     # A 5x narrower window per step: 13 steps from pi/2 to below 1e-9.
     assert len(steps) == 13
     assert sum(matrices) == 3148
+
+
+def test_analytic_values_take_one_eigensolve_each(monkeypatch):
+    # Bob's qutrit value and the stored-state values are trace norms of
+    # operators built from arrays valid by construction: one eigvalsh each,
+    # and no eigensolve to check the states they mix.
+    adversary._bob_qutrit_reduced_states()  # cached
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording_eigvalsh(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording_eigvalsh)
+    bob_qutrit_cheat_prob()
+    alice_sequence_cheat_prob(0)
+    alice_sequence_cheat_prob(1)
+    assert shapes == [(3, 3), (4, 4), (4, 4)]
 
 
 @pytest.mark.parametrize("points", [adversary.GRID_POINTS, 10, 12])
@@ -302,7 +309,7 @@ def test_bob_qutrit_cheat_prob_exact():
 
 def test_bob_discrimination_sanity_hook():
     # Identical reduced states carry no information.
-    rho = DensityMatrix.mixture([(0.5, PureState.basis(3, 0)), (0.5, PureState.basis(3, 2))])
+    rho = ComplexMatrix(oracle.mixture([(0.5, oracle.basis_state(3, 0)), (0.5, oracle.basis_state(3, 2))]))
     assert abs(helstrom_prob(0.5, rho, 0.5, rho) - 0.5) < 1e-12
 
 
@@ -314,8 +321,7 @@ def test_alice_sequence_cheat_prob_both_variants():
 
 
 def test_sequence_degenerate_single_state_mixtures():
-    rho0 = DensityMatrix.from_pure(PureState([1.0, 0.0, 0.0, 0.0]))
-    rho1 = DensityMatrix.from_pure(PureState([0.0, 0.0, 0.0, 1.0]))
+    rho0, rho1 = (ComplexMatrix(oracle.mixture([(1.0, oracle.basis_state(4, k))])) for k in (0, 3))
     assert abs(helstrom_prob(0.5, rho0, 0.5, rho1) - 1.0) < 1e-12
 
 

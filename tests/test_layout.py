@@ -259,3 +259,14 @@ def test_unused_definition_finder_sees_modules_exports_and_self_use():
         "b.py": ast.parse("from . import a\na.caller()\n"),
     }
     assert _unused_definitions(trees) == ["a.py: recursive", "a.py: Unused"]
+
+
+def test_states_and_mixtures_are_plain_arrays():
+    # States and mixtures are plain arrays; the validated operator and the
+    # measurement are the only classes besides the error types.
+    tree = ast.parse((PACKAGE / "linalg.py").read_text())
+    classes = {node.name for node in tree.body if isinstance(node, ast.ClassDef)}
+    assert classes == {"ComplexMatrix", "ProjectiveMeasurement", "ValidationError", "DimensionError", "NumericError"}
+    retired = {"PureState", "DensityMatrix", "kron", "partial_trace"}
+    assert not retired & set(vars(rotlab)), retired & set(vars(rotlab))
+    assert not retired & set(vars(rotlab.linalg)), retired & set(vars(rotlab.linalg))

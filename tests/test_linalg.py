@@ -3,26 +3,24 @@ import math
 import numpy as np
 import pytest
 
+from rotlab import adversary, protocols
 from rotlab.linalg import (
+    DERIVED_TOL,
     ComplexMatrix,
-    DensityMatrix,
     DimensionError,
     NumericError,
     ProjectiveMeasurement,
-    PureState,
     ValidationError,
     _hermitian_eigh,
     cumulative_thresholds,
+    helstrom_measurement,
     helstrom_prob,
     helstrom_projectors,
     hermitian_eigenvalues,
-    kron,
-    partial_trace,
     projections,
     trace_norm,
     trace_norms,
 )
-from rotlab.protocols import SEQUENCE_STATES
 
 from conftest import (
     assert_thresholds_pin,
@@ -32,7 +30,16 @@ from conftest import (
     random_unitary,
     threshold_outcomes,
 )
-from oracle import born_weights, invert_cumulative, measure, measure_pure
+from oracle import (
+    basis_state,
+    born_weights,
+    invert_cumulative,
+    measure,
+    measure_pure,
+    mixture,
+    partial_trace,
+    pure_state,
+)
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -41,15 +48,30 @@ def cm(rows):
     return ComplexMatrix(np.array(rows, dtype=complex))
 
 
+def density(psi):
+    return mixture([(1.0, psi)])
+
+
 def basis_projector(dim, index):
-    return PureState.basis(dim, index).projector()
+    return ComplexMatrix(density(basis_state(dim, index)))
 
 
 def entangled_pair(a):
     amps = np.zeros(9)
     amps[3 * a + a] = SQRT_HALF
     amps[8] = SQRT_HALF
-    return PureState(amps)
+    return pure_state(amps)
+
+
+def assert_rejected(error, rho, other=None):
+    # Both Helstrom functions reject the state rho with ``error``, in either
+    # position, against a valid state of its dimension or ``other``.
+    if other is None:
+        other = ComplexMatrix(np.eye(rho.rows) / rho.rows)
+    for function in (helstrom_prob, helstrom_projectors):
+        for pair in ((rho, other), (other, rho)):
+            with pytest.raises(error):
+                function(0.5, pair[0], 0.5, pair[1])
 
 
 # ---------------------------------------------------------------------------
@@ -79,101 +101,124 @@ def test_matrix_data_is_immutable():
 
 
 def test_pure_state_norm_validated():
-    with pytest.raises(ValidationError):
-        PureState([1.0, 1.0])
-    PureState([SQRT_HALF, SQRT_HALF])
+    # A pure state enters the library as its projector; one of norm 2 has
+    # trace 2, which the Helstrom boundary rejects.
+    assert_rejected(ValidationError, ComplexMatrix(np.ones((2, 2))))
+    plus = ComplexMatrix(density(pure_state([SQRT_HALF, SQRT_HALF])))
+    assert helstrom_prob(0.5, plus, 0.5, basis_projector(2, 0)) > 0.5
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_pure_state_rejects_non_finite_amplitudes(bad):
-    with pytest.raises(ValidationError):
-        PureState([bad, 0.0])
+    # ComplexMatrix, the operand type of the Helstrom boundary, takes only
+    # finite entries.
+    with np.errstate(invalid="ignore"):
+        projector = np.outer([bad, 0.0], [bad, 0.0])
+    with pytest.raises(ValidationError, match="finite"):
+        ComplexMatrix(projector)
+    with pytest.raises(ValidationError, match="finite"):
+        cm([[1.0, complex(0.0, bad)], [0.0, 1.0]])
 
 
 def test_density_matrix_validation():
-    with pytest.raises(ValidationError):
-        DensityMatrix(cm([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
-    with pytest.raises(ValidationError):
-        DensityMatrix(cm([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
-    with pytest.raises(ValidationError):
-        DensityMatrix(cm([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
-    DensityMatrix(cm([[0.5, 0.0], [0.0, 0.5]]))
+    # What DensityMatrix checked at construction, each Helstrom function now
+    # checks of each state it is given.
+    assert_rejected(ValidationError, cm([[0.5, 0.1], [0.3, 0.5]]))  # not Hermitian
+    assert_rejected(ValidationError, cm([[0.7, 0.0], [0.0, 0.7]]))  # trace != 1
+    assert_rejected(ValidationError, cm([[1.5, 0.0], [0.0, -0.5]]))  # negative eigenvalue
+    assert_rejected(DimensionError, cm([[0.5, 0.0, 0.0], [0.0, 0.5, 0.0]]))  # not square
+    assert_rejected(DimensionError, basis_projector(3, 0), basis_projector(2, 0))  # mismatched
+    half = cm([[0.5, 0.0], [0.0, 0.5]])
+    assert helstrom_prob(0.5, half, 0.5, half) == 0.5
+    assert helstrom_projectors(0.5, half, 0.5, half)[0] == ComplexMatrix.identity(2)
 
 
 def test_mixture_weights_validated():
-    state = PureState.basis(2, 0)
+    # A mixture whose weights do not sum to 1 has that trace, and a NaN
+    # weight a non-finite entry; an empty one has no dimension.
+    state = basis_state(2, 0)
+    assert_rejected(ValidationError, ComplexMatrix(mixture([(0.7, state), (0.7, state)])))
     with pytest.raises(ValidationError):
-        DensityMatrix.mixture([(0.7, state), (0.7, state)])
+        ComplexMatrix(mixture([(math.nan, state), (1.0, state)]))
     with pytest.raises(ValidationError):
-        DensityMatrix.mixture([(math.nan, state), (1.0, state)])
+        ComplexMatrix(mixture([(math.nan, state)]))
     with pytest.raises(ValidationError):
-        DensityMatrix.mixture([(math.nan, state)])
-    with pytest.raises(ValidationError):
-        DensityMatrix.mixture([])
+        ComplexMatrix(np.zeros((0, 0)))
 
 
 # ---------------------------------------------------------------------------
-# kron
+# tensor products: the two-qubit and two-qutrit lifts
 
 
 def test_kron_identity():
-    assert kron(ComplexMatrix.identity(2), ComplexMatrix.identity(2)) == ComplexMatrix.identity(4)
+    assert np.array_equal(protocols._qutrit_pair_unitary(0, 0), np.eye(9))
+    lifted = adversary._helstrom_on_bob_side()
+    assert np.array_equal(lifted.stack.sum(axis=0), np.eye(9))
 
 
 def test_kron_basis_projectors():
-    result = kron(basis_projector(2, 0), basis_projector(2, 1))
-    assert result == ComplexMatrix.diagonal([0.0, 1.0, 0.0, 0.0])
+    assert protocols._QUBIT1["Z"][0] == ComplexMatrix.diagonal([1.0, 1.0, 0.0, 0.0])
+    assert protocols._QUBIT2["Z"][1] == ComplexMatrix.diagonal([0.0, 1.0, 0.0, 1.0])
+    assert np.array_equal(protocols._qutrit_pair_unitary(1, 0), np.diag(np.tile([-1.0, 1.0, 1.0], 3)))
 
 
 def test_kron_dimension_overflow():
-    five = ComplexMatrix(np.eye(5))
+    five = np.eye(5)
     with pytest.raises(DimensionError):
-        kron(five, five)  # 25 > 16
-    kron(ComplexMatrix.identity(4), ComplexMatrix.identity(4))  # 16 accepted
+        ComplexMatrix(np.kron(five, five))  # 25 > 16
+    ComplexMatrix(np.kron(np.eye(4), np.eye(4)))  # 16 accepted
 
 
-def test_kron_mixed_product_property(rng):
-    for _ in range(20):
-        a, b, c, d = (random_hermitian(rng, 3) for _ in range(4))
-        left = kron(ComplexMatrix(a), ComplexMatrix(b)).data @ kron(ComplexMatrix(c), ComplexMatrix(d)).data
-        right = kron(ComplexMatrix(a @ c), ComplexMatrix(b @ d)).data
-        assert np.max(np.abs(left - right)) < 1e-12
+def test_kron_mixed_product_property():
+    # A lifted projector of qubit 1 times one of qubit 2 is their tensor
+    # product, in either order.
+    single = {"Z": protocols._Z_PROJS, "X": protocols._X_PROJS}
+    for b1, b2, j, k in np.ndindex(2, 2, 2, 2):
+        first, second = "ZX"[b1], "ZX"[b2]
+        product = np.kron(single[first][j].data, single[second][k].data)
+        lifted1, lifted2 = protocols._QUBIT1[first][j].data, protocols._QUBIT2[second][k].data
+        assert np.max(np.abs(lifted1 @ lifted2 - product)) < 1e-15
+        assert np.max(np.abs(lifted2 @ lifted1 - product)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
-# partial trace
+# partial trace: Bob's reduced qutrit states and the reference
 
 
 def test_partial_trace_entangled_probe():
-    reduced = partial_trace(DensityMatrix.from_pure(entangled_pair(0)), 3, 3, keep="B")
-    expected = np.diag([0.5, 0.0, 0.5])
-    assert np.max(np.abs(reduced.matrix.data - expected)) < 1e-12
+    reduced = adversary._bob_qutrit_reduced_states()
+    assert not reduced.flags.writeable
+    assert np.max(np.abs(reduced - [np.diag([0.5, 0.0, 0.5]), np.diag([0.0, 0.5, 0.5])])) < 1e-15
+    for a in (0, 1):
+        reference = partial_trace(density(protocols.qutrit_entangled_state(a)), 3, 3, keep="B")
+        assert np.array_equal(reduced[a], reference)
+        assert np.max(np.abs(partial_trace(density(entangled_pair(a)), 3, 3, keep="B") - reduced[a])) < 1e-12
 
 
 def test_partial_trace_product_state(rng):
     rho_a = random_density(rng, 2)
     rho_b = random_density(rng, 3)
-    joint = DensityMatrix(ComplexMatrix(np.kron(rho_a, rho_b)))
-    reduced = partial_trace(joint, 2, 3, keep="A")
-    assert np.max(np.abs(reduced.matrix.data - rho_a)) < 1e-12
+    joint = np.kron(rho_a, rho_b)
+    assert np.max(np.abs(partial_trace(joint, 2, 3, keep="A") - rho_a)) < 1e-12
+    assert np.max(np.abs(partial_trace(joint, 2, 3, keep="B") - rho_b)) < 1e-12
 
 
 def test_partial_trace_maximally_entangled():
-    bell = PureState([SQRT_HALF, 0.0, 0.0, SQRT_HALF])
-    reduced = partial_trace(DensityMatrix.from_pure(bell), 2, 2, keep="B")
-    assert np.max(np.abs(reduced.matrix.data - np.eye(2) / 2.0)) < 1e-12
+    bell = pure_state([SQRT_HALF, 0.0, 0.0, SQRT_HALF])
+    reduced = partial_trace(density(bell), 2, 2, keep="B")
+    assert np.max(np.abs(reduced - np.eye(2) / 2.0)) < 1e-12
 
 
 def test_partial_trace_preserves_trace(rng):
     for _ in range(25):
-        rho = DensityMatrix(ComplexMatrix(random_density(rng, 6)))
+        rho = random_density(rng, 6)
         for keep, dims in (("A", (2, 3)), ("B", (3, 2))):
             reduced = partial_trace(rho, dims[0], dims[1], keep)
-            assert abs(reduced.matrix.trace() - 1.0) < 1e-10
+            assert abs(np.trace(reduced) - 1.0) < 1e-10
 
 
 def test_partial_trace_dimension_mismatch():
-    rho = DensityMatrix(ComplexMatrix(np.eye(4) / 4.0))
+    rho = np.eye(4) / 4.0
     with pytest.raises(DimensionError):
         partial_trace(rho, 3, 2, keep="A")
     with pytest.raises(ValidationError):
@@ -261,10 +306,12 @@ def test_eigensolver_failure_raises_numeric_error(monkeypatch):
         hermitian_eigenvalues(ComplexMatrix.diagonal([1.0, -1.0]))
     with pytest.raises(NumericError):
         trace_norms(np.eye(2)[None])
-    rho0 = DensityMatrix.from_pure(PureState.basis(2, 0))
-    rho1 = DensityMatrix.from_pure(PureState.basis(2, 1))
+    rho0 = basis_projector(2, 0)
+    rho1 = basis_projector(2, 1)
     with pytest.raises(NumericError):
         helstrom_projectors(0.5, rho0, 0.5, rho1)
+    with pytest.raises(NumericError):
+        helstrom_measurement(np.diag([0.5, -0.5]))
 
 
 def test_trace_norm_signature_matrix():
@@ -313,29 +360,29 @@ def test_trace_norm_unitary_invariance(rng):
 
 
 def test_helstrom_indistinguishable_states():
-    rho = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    rho = ComplexMatrix((np.eye(2) / 2.0))
     assert abs(helstrom_prob(0.5, rho, 0.5, rho) - 0.5) < 1e-14
 
 
 def test_helstrom_orthogonal_pure_states():
-    rho0 = DensityMatrix.from_pure(PureState.basis(2, 0))
-    rho1 = DensityMatrix.from_pure(PureState.basis(2, 1))
+    rho0 = basis_projector(2, 0)
+    rho1 = basis_projector(2, 1)
     assert abs(helstrom_prob(0.5, rho0, 0.5, rho1) - 1.0) < 1e-14
 
 
 def test_helstrom_stored_state_mixtures():
-    zero = PureState([1.0, 0.0, 0.0, 0.0])
-    plus = PureState([0.5, 0.5, 0.5, 0.5])
-    one = PureState([0.0, 0.0, 0.0, 1.0])
-    minus = PureState([0.5, -0.5, -0.5, 0.5])
-    rho0 = DensityMatrix.mixture([(0.5, zero), (0.5, plus)])
-    rho1 = DensityMatrix.mixture([(0.5, one), (0.5, minus)])
+    zero = pure_state([1.0, 0.0, 0.0, 0.0])
+    plus = pure_state([0.5, 0.5, 0.5, 0.5])
+    one = pure_state([0.0, 0.0, 0.0, 1.0])
+    minus = pure_state([0.5, -0.5, -0.5, 0.5])
+    rho0 = ComplexMatrix(mixture([(0.5, zero), (0.5, plus)]))
+    rho1 = ComplexMatrix(mixture([(0.5, one), (0.5, minus)]))
     expected = (2.0 + math.sqrt(2.0)) / 4.0
     assert abs(helstrom_prob(0.5, rho0, 0.5, rho1) - expected) < 1e-12
 
 
 def test_helstrom_prior_validation():
-    rho = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    rho = ComplexMatrix((np.eye(2) / 2.0))
     with pytest.raises(ValidationError):
         helstrom_prob(0.6, rho, 0.6, rho)
     with pytest.raises(ValidationError):
@@ -344,8 +391,8 @@ def test_helstrom_prior_validation():
 
 def test_helstrom_symmetry(rng):
     for _ in range(10):
-        rho0 = DensityMatrix(ComplexMatrix(random_density(rng, 3)))
-        rho1 = DensityMatrix(ComplexMatrix(random_density(rng, 3)))
+        rho0 = ComplexMatrix((random_density(rng, 3)))
+        rho1 = ComplexMatrix((random_density(rng, 3)))
         p = rng.uniform(0.1, 0.9)
         forward = helstrom_prob(p, rho0, 1.0 - p, rho1)
         backward = helstrom_prob(1.0 - p, rho1, p, rho0)
@@ -353,38 +400,37 @@ def test_helstrom_symmetry(rng):
 
 
 def test_helstrom_projectors_basis_states():
-    rho0 = DensityMatrix.from_pure(PureState.basis(2, 0))
-    rho1 = DensityMatrix.from_pure(PureState.basis(2, 1))
+    rho0 = basis_projector(2, 0)
+    rho1 = basis_projector(2, 1)
     pi0, pi1 = helstrom_projectors(0.5, rho0, 0.5, rho1)
     assert pi0 == basis_projector(2, 0)
     assert pi1 == basis_projector(2, 1)
 
 
 def test_helstrom_projectors_tie_break_to_outcome_zero():
-    rho = DensityMatrix(ComplexMatrix(np.eye(3) / 3.0))
+    rho = ComplexMatrix((np.eye(3) / 3.0))
     pi0, pi1 = helstrom_projectors(0.5, rho, 0.5, rho)
     assert pi0 == ComplexMatrix.identity(3)
     assert pi1 == ComplexMatrix(np.zeros((3, 3)))
 
 
 def test_helstrom_projectors_reduced_probe_states():
-    red0 = partial_trace(DensityMatrix.from_pure(entangled_pair(0)), 3, 3, keep="B")
-    red1 = partial_trace(DensityMatrix.from_pure(entangled_pair(1)), 3, 3, keep="B")
+    red0, red1 = (ComplexMatrix(partial_trace(density(entangled_pair(a)), 3, 3, keep="B")) for a in (0, 1))
     pi0, pi1 = helstrom_projectors(0.5, red0, 0.5, red1)
-    success = 0.5 * np.trace(pi0.data @ red0.matrix.data).real
-    success += 0.5 * np.trace(pi1.data @ red1.matrix.data).real
+    success = 0.5 * np.trace(pi0.data @ red0.data).real
+    success += 0.5 * np.trace(pi1.data @ red1.data).real
     assert abs(success - 0.75) < 1e-12
 
 
 def test_helstrom_projectors_match_closed_form(rng):
     for _ in range(100):
-        rho0 = DensityMatrix(ComplexMatrix(random_density(rng, 4)))
-        rho1 = DensityMatrix(ComplexMatrix(random_density(rng, 4)))
+        rho0 = ComplexMatrix((random_density(rng, 4)))
+        rho1 = ComplexMatrix((random_density(rng, 4)))
         p0 = rng.uniform(0.05, 0.95)
         p1 = 1.0 - p0
         pi0, pi1 = helstrom_projectors(p0, rho0, p1, rho1)
-        success = p0 * np.trace(pi0.data @ rho0.matrix.data).real
-        success += p1 * np.trace(pi1.data @ rho1.matrix.data).real
+        success = p0 * np.trace(pi0.data @ rho0.data).real
+        success += p1 * np.trace(pi1.data @ rho1.data).real
         closed = helstrom_prob(p0, rho0, p1, rho1)
         assert abs(success - closed) < 1e-10
         assert max(p0, p1) - 1e-12 <= closed <= 1.0 + 1e-12
@@ -398,43 +444,43 @@ def test_helstrom_projectors_match_closed_form(rng):
 
 
 def test_measure_deterministic_on_eigenstate():
-    state = DensityMatrix.from_pure(PureState.basis(2, 0))
+    state = density(basis_state(2, 0))
     projectors = [basis_projector(2, 0), basis_projector(2, 1)]
     for rand in (0.0, 0.3, 0.99):
         assert measure(state, projectors, rand) == 0
 
 
 def test_measure_cumulative_inversion():
-    mixed = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    mixed = np.eye(2) / 2.0
     projectors = [basis_projector(2, 0), basis_projector(2, 1)]
     assert measure(mixed, projectors, 0.3) == 0
     assert measure(mixed, projectors, 0.7) == 1
 
 
 def test_measure_requires_complete_projectors():
-    state = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    state = np.eye(2) / 2.0
     with pytest.raises(ValidationError):
         measure(state, [basis_projector(2, 0)], 0.2)
     with pytest.raises(ValidationError):
-        measure_pure(PureState.basis(2, 0), [basis_projector(2, 0)], 0.2)
+        measure_pure(basis_state(2, 0), [basis_projector(2, 0)], 0.2)
 
 
 def test_measure_requires_orthogonal_projectors():
-    state = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    state = np.eye(2) / 2.0
     half = ComplexMatrix(np.eye(2) * 0.5)
     with pytest.raises(ValidationError):
         measure(state, [half, half], 0.2)
     with pytest.raises(ValidationError):
-        measure_pure(PureState.basis(2, 0), [half, half], 0.2)
+        measure_pure(basis_state(2, 0), [half, half], 0.2)
 
 
 def test_measure_rejects_bad_rand():
-    state = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    state = np.eye(2) / 2.0
     projectors = [basis_projector(2, 0), basis_projector(2, 1)]
     with pytest.raises(ValidationError):
         measure(state, projectors, 1.0)
     with pytest.raises(ValidationError):
-        measure_pure(PureState.basis(2, 0), projectors, 1.0)
+        measure_pure(basis_state(2, 0), projectors, 1.0)
 
 
 def _random_measurement(rng, dim):
@@ -472,18 +518,18 @@ def test_projective_measurement_rejects_malformed_sets():
 
 def test_measure_checks_rand_and_dimension_on_every_call():
     measurement = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
-    mixed = DensityMatrix(ComplexMatrix(np.eye(2) / 2.0))
+    mixed = np.eye(2) / 2.0
     for bad in (-0.1, 1.0, math.nan):
         with pytest.raises(ValidationError):
             measure(mixed, measurement, bad)
         with pytest.raises(ValidationError):
-            measure_pure(PureState.basis(2, 0), measurement, bad)
+            measure_pure(basis_state(2, 0), measurement, bad)
     with pytest.raises(DimensionError):
-        measure(DensityMatrix.from_pure(PureState.basis(3, 0)), measurement, 0.5)
+        measure(density(basis_state(3, 0)), measurement, 0.5)
     with pytest.raises(DimensionError):
-        measure_pure(PureState.basis(4, 0), measurement, 0.5)
+        measure_pure(basis_state(4, 0), measurement, 0.5)
     with pytest.raises(ValidationError):
-        measure_pure(PureState.basis(2, 0), [basis_projector(2, 0)], 0.5)
+        measure_pure(basis_state(2, 0), [basis_projector(2, 0)], 0.5)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 9])
@@ -499,36 +545,38 @@ def test_measure_pure_matches_density_reference(rng, dim):
         for row in range(3):
             assert weights[row].tolist() == born_weights(amplitudes[row], measurement)
             assert (projected[row] == projections(amplitudes[row], measurement)[0]).all()
-        state = PureState(amplitudes[0])
-        reference = DensityMatrix.from_pure(state)
+        state = pure_state(amplitudes[0])
+        reference = density(state)
         # The thresholds of the same Born weights give the same outcomes.
         block = threshold_outcomes(cumulative_thresholds(weights[0]), rands)
         for rand, block_outcome in zip(rands, block):
             outcome, post = measure_pure(state, measurement, rand)
             assert outcome == measure(reference, measurement, rand) == block_outcome
-            projected = measurement[outcome].data @ state.amplitudes
+            projected = measurement[outcome].data @ state
             assert np.allclose(post, projected / np.linalg.norm(projected), atol=1e-12)
     # Zero-weight outcomes are never sampled from an eigenstate.
     measurement = ProjectiveMeasurement(tuple(basis_projector(dim, k) for k in range(dim)))
     for k in range(dim):
         for rand in (0.0, 0.5, 1.0 - 2.0**-53):
-            assert measure_pure(PureState.basis(dim, k), measurement, rand)[0] == k
+            assert measure_pure(basis_state(dim, k), measurement, rand)[0] == k
 
 
 def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
     # Sampling from cumulative thresholds, row by row against the scalar
-    # rule: negative weights (clamped at 0), totals below rand (the last
-    # outcome of positive weight) and rand on a cumulative boundary.
+    # rule: negative weights and rounding residues (counted as 0), totals
+    # below rand (the last outcome kept) and rand on a cumulative boundary.
     weights = rng.normal(0.3, 0.3, size=(4000, 4))
-    weights[:5] = [
+    weights[:7] = [
         [0.5, 0.5, 0.0, 0.0],
         [-0.1, 0.2, 0.3, 0.1],
         [0.0, 0.0, 0.0, 0.0],
         [0.25, 0.25, 0.25, 0.25],
         [1.0, -1.0, 0.0, 0.0],
+        [0.9999999999999996, 2.465e-32, 0.0, 0.0],
+        [0.5, DERIVED_TOL, 0.5 - DERIVED_TOL, 2.0 * DERIVED_TOL],
     ]
     rand = rng.random(4000)
-    rand[:5] = [0.5, 0.2, 0.0, 0.75, 0.999]
+    rand[:7] = [0.5, 0.2, 0.0, 0.75, 0.999, 1.0 - 2.0**-53, 0.5]
     expected = [invert_cumulative(list(row), r) for row, r in zip(weights, rand)]
     assert threshold_outcomes(cumulative_thresholds(weights), rand).tolist() == expected
     # Rows of two, three and four outcomes, with one positive weight or none,
@@ -538,24 +586,25 @@ def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
         rows = rng.normal(0.3, 0.3, size=(120, k))
         rows[:4] = 0.0
         rows[1, 0] = rows[2, -1] = rows[3, k // 2] = 1.0
+        rows[4:8] = rng.uniform(-DERIVED_TOL, DERIVED_TOL, size=(4, k))
+        rows[5, 0] = rows[6, -1] = 1.0 - 4.0e-16
         assert_thresholds_pin(rows, cumulative_thresholds(rows))
     qubit = ProjectiveMeasurement((basis_projector(2, 0), basis_projector(2, 1)))
     with pytest.raises(DimensionError):
-        projections(PureState.basis(3, 0).amplitudes, qubit)
+        projections(basis_state(3, 0), qubit)
 
 
 def test_rounding_short_total_never_samples_a_zero_weight_outcome():
     # The sequence protocol's untested-slot decode of the pair (0, 1): qubit
     # 1 in Z, then qubit 2 in X, whose weights sum to 1 - 2**-52.  The
     # uniforms above that total fall to the last outcome of positive weight.
-    identity = ComplexMatrix.identity(2)
-    z_basis = (cm([[1.0, 0.0], [0.0, 0.0]]), cm([[0.0, 0.0], [0.0, 1.0]]))
-    x_basis = (cm([[0.5, 0.5], [0.5, 0.5]]), cm([[0.5, -0.5], [-0.5, 0.5]]))
-    qubit1_z = ProjectiveMeasurement(tuple(kron(p, identity) for p in z_basis))
-    qubit2_x = ProjectiveMeasurement(tuple(kron(identity, p) for p in x_basis))
-    _, amps = measure_pure(SEQUENCE_STATES[(0, 1)], qubit1_z, 0.0)
-    state = PureState(amps)
-    weights = projections(state.amplitudes, qubit2_x)[1].tolist()
+    identity = np.eye(2)
+    z_basis = (np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))
+    x_basis = (np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]]))
+    qubit1_z = ProjectiveMeasurement(tuple(ComplexMatrix(np.kron(p, identity)) for p in z_basis))
+    qubit2_x = ProjectiveMeasurement(tuple(ComplexMatrix(np.kron(identity, p)) for p in x_basis))
+    _, state = measure_pure(protocols.SEQUENCE_STATES[1], qubit1_z, 0.0)
+    weights = projections(state, qubit2_x)[1].tolist()
     assert weights == [0.9999999999999998, 0.0]
     top = 1.0 - 2.0**-53
     outcome, post = measure_pure(state, qubit2_x, top)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import oracle
-from rotlab import adversary, protocols
+from rotlab import adversary, linalg, protocols
 from rotlab.adversary import CheatStrategy, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.protocols import (
@@ -229,10 +229,12 @@ def test_qutrit_completeness_sample():
 
 
 def test_sequence_states_agree_with_bit_table():
-    assert np.allclose(SEQUENCE_STATES[(0, 0)].amplitudes, [1, 0, 0, 0])
-    assert np.allclose(SEQUENCE_STATES[(1, 1)].amplitudes, [0, 0, 0, 1])
-    assert np.allclose(SEQUENCE_STATES[(0, 1)].amplitudes, [0.5, 0.5, 0.5, 0.5])
-    assert np.allclose(SEQUENCE_STATES[(1, 0)].amplitudes, [0.5, -0.5, -0.5, 0.5])
+    # One read-only row per bit pair, in row 2 * x0 + x1.
+    assert SEQUENCE_STATES.shape == (4, 4) and not SEQUENCE_STATES.flags.writeable
+    assert np.allclose(SEQUENCE_STATES[0], [1, 0, 0, 0])
+    assert np.allclose(SEQUENCE_STATES[3], [0, 0, 0, 1])
+    assert np.allclose(SEQUENCE_STATES[1], [0.5, 0.5, 0.5, 0.5])
+    assert np.allclose(SEQUENCE_STATES[2], [0.5, -0.5, -0.5, 0.5])
 
 
 def test_sequence_decode_table_exhaustive():
@@ -243,11 +245,12 @@ def test_sequence_decode_table_exhaustive():
         0: np.array([1.0, 1.0]) / math.sqrt(2),
         1: np.array([1.0, -1.0]) / math.sqrt(2),
     }
-    for bits, state in SEQUENCE_STATES.items():
+    for pair, state in enumerate(SEQUENCE_STATES):
+        bits = divmod(pair, 2)
         for m1 in (0, 1):
             for m2 in (0, 1):
                 outcome_vec = np.kron(z_states[m1], x_states[m2])
-                prob = abs(np.vdot(outcome_vec, state.amplitudes)) ** 2
+                prob = abs(np.vdot(outcome_vec, state)) ** 2
                 if prob < 1e-12:
                     continue
                 index, value = sequence_decode(m1, m2)
@@ -448,6 +451,39 @@ def test_threshold_tables_pin_their_born_tables():
     first, second, _ = oracle.sequence_tables()
     for weights, thresholds in zip((first, second), protocols._sequence_thresholds(), strict=True):
         assert_thresholds_pin(weights, two_outcome(thresholds))
+
+
+def test_certain_outcomes_are_drawn_at_every_uniform():
+    # In every row of every table the library samples from, an outcome of
+    # weight within DERIVED_TOL of 1 is drawn at the lowest and the highest
+    # uniform: the honest tables through the thresholds the flows compare
+    # against, the cheating ones through cumulative_thresholds.
+    first, second, _ = protocols._sequence_tables()
+    honest = [
+        (protocols._bad_qubit_weights(), protocols._bad_qubit_thresholds()),
+        (protocols._qutrit_weights(), protocols._qutrit_thresholds()),
+        (first, protocols._sequence_thresholds()[0]),
+        (second, protocols._sequence_thresholds()[1]),
+    ]
+    tables = [(weights, two_outcome(thresholds)) for weights, thresholds in honest]
+    cheating = [adversary._alice_sequence_weights(), adversary._bob_qutrit_weights()]
+    for params in ({}, {"triple": [1.0, 0.0, 0.0]}, {"triple": [0.0, 0.0, 1.0]}):
+        cheating.append(adversary._alice_qutrit_weights(params))
+    tables += [(weights, linalg.cumulative_thresholds(weights)) for weights in cheating]
+    certain = 0
+    for weights, thresholds in tables:
+        k = weights.shape[-1]
+        for row, row_thresholds in zip(weights.reshape(-1, k), thresholds.reshape(-1, k)):
+            for outcome in np.flatnonzero(np.abs(row - 1.0) <= linalg.DERIVED_TOL):
+                certain += 1
+                for rand in (0.0, 1.0 - 2.0**-53):
+                    assert (row_thresholds <= rand).sum() == outcome, (row, rand)
+    assert certain >= 16  # one per honest qutrit context at least
+    # Honest qutrit Alice's outcome is x_a in all 16 contexts, at any uniform.
+    for a, y, z_dummy, p in np.ndindex(2, 2, 2, 2):
+        pair = OtPair.draw(y, z_dummy, p)
+        for rand in (0.0, 0.5, 1.0 - 2.0**-53):
+            assert int(rand >= protocols._qutrit_thresholds()[a, y, z_dummy, p]) == (pair.x0, pair.x1)[a]
 
 
 def test_qubit_measurements_sample_the_scalar_rule():
