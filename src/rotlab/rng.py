@@ -15,17 +15,25 @@ output for arrays of seeds, streams and counters, and :class:`BlockStream`
 hands its words out the way the numpy generator consumes them.  A stream's
 words depend only on (seed, stream, counter), however streams are grouped
 into calls, so :func:`block_streams` keys all of a flow's party streams in
-one kernel call.  Every flow evaluates an array of seeds at once; a single
-run is the same flow on a one-element array.  Bounded draws (``integers``
-and ``choice``) use Lemire's multiply-shift, which draws again with
-probability below ``high / 2**32``.  A one-seed stream draws again
-exactly as numpy does; a stream over many seeds flags those seeds instead,
-for a replay of the flow on each of them alone.
+one kernel call.  Of the ten Philox rounds, round 1 never reads the seed
+and round 2 reads it through one product, so the kernel computes their
+(stream, counter) half, the seed-free prologue, apart from the seeds and
+keeps it as read-only arrays keyed by the stream and counter values: a
+flow's fixed layout of (stream, counter) rows costs it once per process,
+the seed half costs one product per seed, and only rounds 3 to 10 run on
+every (seed, stream, counter) cell.  Every flow evaluates an array of
+seeds at once; a single run is the same flow on a one-element array, whose
+one-block streams run all ten rounds on Python ints.  Bounded draws
+(``integers`` and ``choice``) use Lemire's multiply-shift, which draws
+again with probability below ``high / 2**32``.  A one-seed stream draws
+again exactly as numpy does; a stream over many seeds flags those seeds
+instead, for a replay of the flow on each of them alone.
 """
 
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 
 import numpy as np
 
@@ -44,21 +52,26 @@ _SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
 
-# Philox4x64 round multipliers, each with its 32-bit halves, and Weyl key
-# increments (Salmon et al., SC'11).
+# Philox4x64 round multipliers and Weyl key increments (Salmon et al.,
+# SC'11), as Python ints for the one-block rounds.
 _PHILOX_ROUNDS = 10
-_PHILOX_MUL = tuple(
-    (np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32))
-    for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-)
-_PHILOX_WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
+_MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
+_WEYL = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Each multiplier with its 32-bit halves, as _mulhilo takes it.
+_PHILOX_MUL = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)) for m in _MULTIPLIERS)
+# The key increments as uint64, and twice them: round r runs under the key
+# [s + (r - 1) W0, t + (r - 1) W1], mod 2**64.
+_KEY_STEP = tuple(np.uint64(w) for w in _WEYL)
+_KEY_STEP2 = tuple(np.uint64(2 * w & _MASK64) for w in _WEYL)
 # The same constants stacked as columns, one row per lane pair: row 0
 # multiplies c0 and bumps k0, row 1 multiplies c2 and bumps k1.
 _STACKED_MUL = tuple(np.array([[a], [b]], dtype=np.uint64) for a, b in zip(*_PHILOX_MUL))
-_STACKED_WEYL = np.array([[w] for w in _PHILOX_WEYL], dtype=np.uint64)
+_STACKED_WEYL = np.array([[w] for w in _KEY_STEP], dtype=np.uint64)
 # Columns per pass of the stacked rounds: wide enough to spread each ufunc
 # call's fixed cost, narrow enough to keep a round's temporaries in cache.
 _COLUMNS = 4096
+# Distinct (stream, counter) layouts, and seed-free prologues, kept cached.
+_LAYOUTS = 32
 
 
 def seed_array(seed: int) -> np.ndarray:
@@ -112,56 +125,116 @@ def philox_block(seeds: np.ndarray, stream, counter=1) -> np.ndarray:
     as its words ``4b .. 4b + 3``, so counter 1 is a fresh generator's first
     ``random_raw(4)``.  ``stream`` and ``counter`` broadcast against
     ``seeds``; the shape is ``(4,)`` followed by the broadcast shape.
+
+    Rounds 1 and 2 are split by what they depend on.  Round 1 never reads
+    the seed and round 2 reads it through one product, so their
+    (stream, counter) half, the seed-free prologue, is computed over the
+    broadcast stream and counter arrays alone, and the seed half once per
+    seed; only rounds 3 to 10 run on every (seed, stream, counter) cell.
+    The prologue is cached as read-only arrays, keyed by the stream and
+    counter values, so the fixed layouts of :func:`block_streams` and
+    :class:`BlockStream` compute it once.  A single block runs all ten
+    rounds on Python ints.
     """
     k0 = np.asarray(seeds, dtype=np.uint64)
     k1 = np.asarray(stream, dtype=np.uint64)
     counter = np.asarray(counter, dtype=np.uint64)
-    shape = np.broadcast_shapes(k0.shape, k1.shape, counter.shape)
     if k0.size == k1.size == counter.size == 1:
-        # A single block runs its rounds on numpy scalars, at a fifth of
-        # the stacked rounds' cost.
-        block = _single_rounds(k0.ravel()[0], k1.ravel()[0], counter.ravel()[0])
-        return np.stack(block).reshape((4,) + shape)
-    key = np.stack([np.broadcast_to(k, shape).ravel() for k in (k0, k1)])
-    counter = np.broadcast_to(counter, shape).ravel()
-    out = np.empty((4, counter.size), dtype=np.uint64)
-    for start in range(0, counter.size, _COLUMNS):
-        columns = slice(start, start + _COLUMNS)
-        out[0::2, columns], out[1::2, columns] = _stacked_rounds(key[:, columns], counter[columns])
-    return out.reshape((4,) + shape)
+        # A single block runs its rounds on Python ints, at a twentieth of
+        # the stacked rounds' cost; every axis of its shape is 1.
+        block = _single_rounds(int(k0.ravel()[0]), int(k1.ravel()[0]), int(counter.ravel()[0]))
+        return np.array(block, dtype=np.uint64).reshape((4,) + (1,) * max(k0.ndim, k1.ndim, counter.ndim))
+    return _seeded_rounds(k0, _prologue(k1.shape, k1.tobytes(), counter.shape, counter.tobytes()))
 
 
-def _single_rounds(k0, k1, c0) -> tuple:
+def _single_rounds(k0: int, k1: int, c0: int) -> tuple[int, int, int, int]:
     # The ten rounds on one block's words c0..c3.
-    (mul0, mul1), (weyl0, weyl1) = _PHILOX_MUL, _PHILOX_WEYL
-    c1 = c2 = c3 = np.uint64(0)
-    with np.errstate(over="ignore"):
-        for round_index in range(_PHILOX_ROUNDS):
-            if round_index:
-                k0, k1 = k0 + weyl0, k1 + weyl1
-            hi0, lo0 = _mulhilo(mul0, c0)
-            hi1, lo1 = _mulhilo(mul1, c2)
-            c0, c1, c2, c3 = hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0
+    (mul0, mul1), (weyl0, weyl1) = _MULTIPLIERS, _WEYL
+    c1 = c2 = c3 = 0
+    for round_index in range(_PHILOX_ROUNDS):
+        if round_index:
+            k0, k1 = (k0 + weyl0) & _MASK64, (k1 + weyl1) & _MASK64
+        p0, p1 = mul0 * c0, mul1 * c2
+        c0, c1, c2, c3 = (p1 >> 64) ^ c1 ^ k0, p1 & _MASK64, (p0 >> 64) ^ c3 ^ k1, p0 & _MASK64
     return c0, c1, c2, c3
 
 
-def _stacked_rounds(key: np.ndarray, counter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The ten rounds on the lane pairs even = (c0, c2) and odd = (c1, c3),
-    # each shaped (2, columns) like key = (k0, k1).  A round multiplies c0
-    # and c2 by their own multipliers in one stacked product, then sets
-    # (c0, c2) = (hi(c2) ^ c1 ^ k0, hi(c0) ^ c3 ^ k1) and
+@lru_cache(maxsize=_LAYOUTS)
+def _prologue(stream_shape, stream_bytes, counter_shape, counter_bytes) -> tuple[np.ndarray, ...]:
+    # The seed-free half of rounds 1 and 2, broadcast over the uint64
+    # stream ids t and counters c given by their shapes and bytes, and
+    # read-only, since every call with these values shares it.  Round 1 on
+    # [c, 0, 0, 0] under key [s, t] leaves the lanes
+    # (s, 0, hi(M0 c) ^ t, lo(M0 c)), so round 2 leaves
+    #   (hi(M1 x) ^ (s + W0), lo(M1 x), hi(M0 s) ^ lo(M0 c) ^ (t + W1), lo(M0 s))
+    # for x = hi(M0 c) ^ t.  Returns hi(M1 x), lo(M1 x), lo(M0 c) ^ (t + W1)
+    # and round 3's key word t + 2 W1.
+    t, c = np.broadcast_arrays(
+        np.frombuffer(stream_bytes, dtype=np.uint64).reshape(stream_shape),
+        np.frombuffer(counter_bytes, dtype=np.uint64).reshape(counter_shape),
+    )
+    with np.errstate(over="ignore"):
+        hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c)
+        hi1, lo1 = _mulhilo(_PHILOX_MUL[1], hi0 ^ t)
+        rows = tuple(np.asarray(row) for row in (hi1, lo1, lo0 ^ (t + _KEY_STEP[1]), t + _KEY_STEP2[1]))
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+@lru_cache(maxsize=_LAYOUTS)
+def _layout(runs: tuple[tuple[int, int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    # The (stream, counter) rows of runs of blocks, one row per block and in
+    # order: a run (stream, first, count) holds blocks first .. first +
+    # count - 1 of its stream.  Shaped (rows, 1) to broadcast against
+    # seeds, and read-only, since every call with these runs shares them.
+    streams = np.repeat(np.array([stream for stream, _, _ in runs], dtype=np.uint64), [n for _, _, n in runs])
+    counters = np.concatenate([np.arange(n, dtype=np.uint64) + np.uint64(first + 1) for _, first, n in runs])
+    rows = streams[:, None], counters[:, None]
+    for row in rows:
+        row.flags.writeable = False
+    return rows
+
+
+def _seeded_rounds(seeds: np.ndarray, prologue: tuple) -> np.ndarray:
+    # Rounds 2 to 10 for every cell of seeds broadcast against a prologue.
+    # Round 2's seed product is taken once per seed, and its lanes are
+    # written straight into the output, where rounds 3 to 10 then run a
+    # column pass at a time.
+    shape = np.broadcast_shapes(seeds.shape, prologue[0].shape)
+    out = np.empty((4,) + shape, dtype=np.uint64)
+    key = np.empty((2,) + shape, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        hi, lo = _mulhilo(_PHILOX_MUL[0], seeds)
+        np.bitwise_xor(prologue[0], seeds + _KEY_STEP[0], out=out[0])
+        out[1] = prologue[1]
+        np.bitwise_xor(prologue[2], hi, out=out[2])
+        out[3] = lo
+        np.add(seeds, _KEY_STEP2[0], out=key[0])
+        key[1] = prologue[3]
+    lanes, key = out.reshape(4, out[0].size), key.reshape(2, out[0].size)
+    for start in range(0, lanes.shape[1], _COLUMNS):
+        columns = slice(start, start + _COLUMNS)
+        lanes[0::2, columns], lanes[1::2, columns] = _stacked_rounds(
+            key[:, columns], lanes[0::2, columns], lanes[1::2, columns]
+        )
+    return out
+
+
+def _stacked_rounds(key: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Rounds 3 to 10 on the lane pairs even = (c0, c2) and odd = (c1, c3),
+    # each shaped (2, columns) like round 3's key = (k0, k1).  A round
+    # multiplies c0 and c2 by their own multipliers in one stacked product,
+    # then sets (c0, c2) = (hi(c2) ^ c1 ^ k0, hi(c0) ^ c3 ^ k1) and
     # (c1, c3) = (lo(c2), lo(c0)).  The constants are spread to full rows:
     # numpy multiplies two contiguous arrays about twice as fast as it
     # broadcasts a column against one.
     width = key.shape[1]
     mul = tuple(np.repeat(c, width, axis=1) for c in _STACKED_MUL)
     weyl = np.repeat(_STACKED_WEYL, width, axis=1)
-    even = np.zeros_like(key)
-    even[0] = counter
-    odd = np.zeros_like(key)
     with np.errstate(over="ignore"):
-        for round_index in range(_PHILOX_ROUNDS):
-            if round_index:
+        for round_index in range(2, _PHILOX_ROUNDS):
+            if round_index > 2:
                 key = key + weyl
             hi, lo = _mulhilo(mul, even)
             even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
@@ -211,7 +284,7 @@ class BlockStream:
         if count <= 1:
             # One block needs no counter axis.
             return philox_block(self._seeds, self._stream, first + 1)
-        counters = np.arange(first + 1, first + count + 1, dtype=np.uint64)[:, None]
+        _, counters = _layout(((self._stream, first, count),))
         out = philox_block(self._seeds, self._stream, counters)
         return out.swapaxes(0, 1).reshape(4 * count, out.shape[-1])
 
@@ -298,21 +371,21 @@ def block_streams(seeds: np.ndarray, streams) -> tuple[BlockStream, ...]:
     Over many seeds, every stream's blocks are computed in one
     :func:`philox_block` call: each stream contributes its own rows of
     (stream, counter), as many as its ``words`` need, so no stream is padded
-    to the longest.  A stream's words depend only on (seed, stream,
+    to the longest.  These rows depend on ``streams`` alone, so they are
+    built once per layout, and the kernel's seed-free prologue for them is
+    cached with them.  A stream's words depend only on (seed, stream,
     counter), so each is the :class:`BlockStream` built on its own.  A
     single seed builds its streams one by one, so a one-block stream keeps
     the kernel's scalar rounds.
     """
     if seeds.size == 1:
         return tuple(BlockStream(seeds, stream, words) for stream, words in streams)
-    blocks = [-(-words // 4) for _, words in streams]
-    ids = np.repeat(np.array([stream for stream, _ in streams], dtype=np.uint64), blocks)
-    counters = np.concatenate([np.arange(1, count + 1, dtype=np.uint64) for count in blocks])
-    out = philox_block(seeds, ids[:, None], counters[:, None])
+    runs = tuple((stream, 0, -(-words // 4)) for stream, words in streams)
+    out = philox_block(seeds, *_layout(runs))
     # Rows 4r .. 4r + 3 hold block row r: each stream's words are one slice.
-    words = out.swapaxes(0, 1).reshape(4 * ids.size, seeds.size)
-    ends = 4 * np.cumsum(blocks)
+    words = out.swapaxes(0, 1).reshape(4 * out.shape[1], seeds.size)
+    ends = 4 * np.cumsum([count for _, _, count in runs])
     return tuple(
         BlockStream._holding(seeds, stream, words[end - 4 * count : end])
-        for (stream, _), count, end in zip(streams, blocks, ends.tolist())
+        for (stream, _, count), end in zip(runs, ends.tolist())
     )

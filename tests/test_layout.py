@@ -209,6 +209,74 @@ def test_eigensolver_finder_sees_attributes_and_imports():
     assert _eigensolver_uses(ast.parse(source)) == ["<module>: eigh", "f: eigvalsh", "C: eigh"]
 
 
+ROUND_NAMES = {"_MULTIPLIERS", "_PHILOX_MUL", "_STACKED_MUL", "_mulhilo"}
+ROUND_NAMES |= {"_single_rounds", "_prologue", "_seeded_rounds", "_stacked_rounds"}
+ROUND_MULTIPLIERS = {0xD2E7470EE14C6C93, 0xCA5A826395121157}
+
+
+def _round_uses(tree: ast.Module) -> list[str]:
+    # Each read of the Philox round multipliers, the 64-bit product and the
+    # round functions, as a name, attribute, import or literal, labelled
+    # with the top-level definition that holds it.
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in ROUND_NAMES:
+                found.append(f"{owner}: {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in ROUND_NAMES:
+                found.append(f"{owner}: {node.attr}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{owner}: {alias.name}" for alias in node.names if alias.name in ROUND_NAMES]
+            elif isinstance(node, ast.Constant) and type(node.value) is int and node.value in ROUND_MULTIPLIERS:
+                found.append(f"{owner}: {node.value:#x}")
+    return found
+
+
+def test_philox_rounds_live_only_in_the_kernel():
+    # The rounds run in philox_block: on Python ints in _single_rounds, or
+    # as the cached prologue plus the stacked rounds, and nowhere else, so
+    # a second kernel cannot appear beside them.
+    offences = _offences(_round_uses)
+    in_rng = offences.pop("rng.py", [])
+    assert not offences, offences
+    assert sorted(in_rng) == sorted([
+        "<module>: 0xd2e7470ee14c6c93",
+        "<module>: 0xca5a826395121157",
+        "<module>: _MULTIPLIERS",
+        "<module>: _PHILOX_MUL",
+        "philox_block: _single_rounds",
+        "philox_block: _seeded_rounds",
+        "philox_block: _prologue",
+        "_single_rounds: _MULTIPLIERS",
+        "_prologue: _mulhilo",
+        "_prologue: _PHILOX_MUL",
+        "_prologue: _mulhilo",
+        "_prologue: _PHILOX_MUL",
+        "_seeded_rounds: _mulhilo",
+        "_seeded_rounds: _PHILOX_MUL",
+        "_seeded_rounds: _stacked_rounds",
+        "_stacked_rounds: _STACKED_MUL",
+        "_stacked_rounds: _mulhilo",
+    ])
+
+
+def test_round_finder_sees_names_attributes_imports_and_literals():
+    source = (
+        "from .rng import _mulhilo, philox_block\n"
+        "M = 0xCA5A826395121157\n"
+        "def f(x):\n"
+        "    _stacked_rounds = None\n"
+        "    return rng._single_rounds(x, 0xD2E7470EE14C6C93, 1.0)\n"
+    )
+    assert _round_uses(ast.parse(source)) == [
+        "<module>: _mulhilo",
+        "<module>: 0xca5a826395121157",
+        "f: _single_rounds",
+        "f: 0xd2e7470ee14c6c93",
+    ]
+
+
 def _names_read(nodes) -> set[str]:
     # Every name the nodes read, import or take as an attribute.
     found = set()

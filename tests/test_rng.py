@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 from oracle import draw_bit, party_stream, trial_seed
@@ -117,6 +118,163 @@ def test_philox_block_with_array_streams_matches_numpy(offset):
     for row, (stream, counter) in enumerate(rows.tolist()):
         for index, key in enumerate(keys[:9].tolist()):
             assert block[:, row, index].tolist() == _numpy_block(key, stream, counter)
+
+
+def _numpy_words(seed: int, stream: int, first: int, blocks: int) -> list[int]:
+    # The generator's words of blocks first .. first + blocks - 1.
+    key = np.array([seed, stream], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=first).random_raw(4 * blocks).tolist()
+
+
+def _wrapping(step: int) -> list[int]:
+    # Key words at and around those where adding step or 2 * step wraps mod 2**64.
+    return sorted({(-k * step + d) & MASK64 for k in (1, 2) for d in (-1, 0, 1)})
+
+
+SEED_WRAPS = _wrapping(rng._WEYL[0])
+STREAM_WRAPS = _wrapping(rng._WEYL[1])
+
+
+def test_prologue_where_the_key_words_wrap():
+    # Round 2 adds W0 to the seed and round 3 starts from s + 2 W0; the
+    # prologue adds W1 and 2 W1 to the stream id.  Each sum wraps mod 2**64
+    # at the seeds and streams chosen here, on every path to the kernel.
+    seeds = np.array(SEED_WRAPS, dtype=np.uint64)
+    streams = np.array(STREAM_WRAPS, dtype=np.uint64)
+    block = philox_block(seeds, streams[:, None, None], np.array([1, 2, 9], dtype=np.uint64)[:, None])
+    assert block.shape == (4, streams.size, 3, seeds.size)
+    for (i, stream), (j, counter), (k, seed) in itertools.product(
+        enumerate(STREAM_WRAPS), enumerate((1, 2, 9)), enumerate(SEED_WRAPS)
+    ):
+        assert block[:, i, j, k].tolist() == _numpy_block(seed, stream, counter), (seed, stream, counter)
+    specs = tuple((stream, 8) for stream in STREAM_WRAPS)
+    for grouped_seeds in (seeds, seeds[:1]):
+        for stream, (stream_id, words) in zip(block_streams(grouped_seeds, specs), specs):
+            for index, seed in enumerate(grouped_seeds.tolist()):
+                assert stream._words[:, index].tolist() == _numpy_words(seed, stream_id, 0, 2), (seed, stream_id)
+
+
+@pytest.mark.parametrize("first", ((1 << 63) - 2, MASK64 - 3))
+def test_cached_rows_at_the_top_counters(first):
+    # A stream's counter range through the cached (stream, counter) rows,
+    # up to counter 2**63 + 1 and to the last counter, 2**64 - 1.
+    keys = _keys(12)
+    for seeds in (keys, keys[:1]):
+        for stream in (rng.BOB, MASK64):
+            words = BlockStream(seeds, stream)._blocks(first, 3)
+            assert words.shape == (12, seeds.size)
+            for index, seed in enumerate(seeds.tolist()):
+                assert words[:, index].tolist() == _numpy_words(seed, stream, first, 3), (seed, stream, first)
+
+
+@pytest.mark.parametrize("count", (1, 7, rng._COLUMNS - 1, rng._COLUMNS + 1))
+def test_cached_layout_words_equal_the_cold_words(count):
+    # One layout over many seed counts: the words of a call that finds its
+    # rows and prologue cached are the words of a call that built them,
+    # and both are numpy's, across one column pass or several.
+    runs = ((rng.ALICE, 0, 3), (rng.BOB, 0, 1), (MASK64, 5, 2))
+    seeds = _keys(count)[-count:]
+    rng._layout.cache_clear()
+    rng._prologue.cache_clear()
+    cold = philox_block(seeds, *rng._layout(runs))
+    before = rng._layout.cache_info().misses, rng._prologue.cache_info().misses
+    warm = philox_block(seeds, *rng._layout(runs))
+    assert (rng._layout.cache_info().misses, rng._prologue.cache_info().misses) == before
+    assert warm.shape == cold.shape == (4, 6, count)
+    assert np.array_equal(warm, cold)
+    row = 0
+    for stream, first, blocks in runs:
+        words = cold[:, row : row + blocks].swapaxes(0, 1).reshape(4 * blocks, count)
+        for index, seed in enumerate(seeds.tolist()):
+            assert words[:, index].tolist() == _numpy_words(seed, stream, first, blocks), (seed, stream)
+        row += blocks
+    specs = ((rng.ALICE, 12), (rng.BOB, 4))
+    rng._layout.cache_clear()
+    cold_streams = block_streams(seeds, specs)
+    for warm_stream, cold_stream in zip(block_streams(seeds, specs), cold_streams):
+        assert np.array_equal(warm_stream._words, cold_stream._words)
+
+
+def test_cached_rows_are_read_only():
+    streams, counters = rng._layout(((rng.ALICE, 0, 3), (rng.BOB, 2, 1)))
+    prologue = rng._prologue(streams.shape, streams.tobytes(), counters.shape, counters.tobytes())
+    assert len(prologue) == 4
+    for array in (streams, counters) + prologue:
+        assert array.shape == (4, 1) and not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # A scalar stream and counter, as a one-block stream asks for them.
+    for array in rng._prologue((), np.uint64(1).tobytes(), (), np.uint64(1).tobytes()):
+        assert array.shape == () and not array.flags.writeable
+
+
+def test_one_seed_stream_extends_past_its_blocks_after_redraws():
+    # Sixteen draws that reject about a quarter of all 32-bit values, over
+    # a stream that holds exactly the 8 words they take without a redraw:
+    # every redraw reads one more block, past the two the stream computed
+    # through its cached rows.
+    high = 3 << 30
+    held = []
+    for key in _keys(40).tolist():
+        gen = party_stream(key, rng.BOB)
+        block = BlockStream(np.array([key], dtype=np.uint64), rng.BOB, words=8)
+        values, rejected = block.bounded([high] * 16)
+        assert values[:, 0].tolist() == [gen.integers(0, high + 1) for _ in range(16)] and not rejected[0], key
+        held.append(len(block._words))
+        if held[-1] > 8:
+            # Later draws go on reading blocks as the generator does.
+            assert block.randoms(3)[:, 0].tolist() == [gen.random() for _ in range(3)], key
+            assert block.draw_bits(5)[:, 0].tolist() == [draw_bit(gen) for _ in range(5)], key
+    assert sum(words > 8 for words in held) > 30 and max(held) > 12
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, MASK64),
+    stream=st.integers(0, MASK64),
+    counter=st.integers(1, MASK64),
+)
+def test_every_path_to_the_kernel_matches_numpy(seed, stream, counter):
+    expected = _numpy_block(seed, stream, counter)
+    pair = np.array([seed, seed ^ 1], dtype=np.uint64)
+    assert philox_block(np.array([seed], dtype=np.uint64), stream, counter)[:, 0].tolist() == expected
+    assert philox_block(pair, stream, counter)[:, 0].tolist() == expected
+    rows = np.full((1, 1), counter, dtype=np.uint64)
+    assert philox_block(pair, np.uint64(stream), rows)[:, 0, 0].tolist() == expected
+    if counter < MASK64:
+        # Two blocks through the cached rows, on two seeds and on one.
+        following = _numpy_block(seed, stream, counter + 1)
+        for seeds in (pair, pair[:1]):
+            words = BlockStream(seeds, stream)._blocks(counter - 1, 2)
+            assert words[:, 0].tolist() == expected + following
+
+
+@pytest.mark.parametrize("count", (1000, 3000))
+def test_warm_block_streams_runs_only_the_seeded_rounds(monkeypatch, count):
+    # A warm many-seed call finds its rows and their prologue cached: it
+    # takes the seed product once per seed and the eight stacked rounds
+    # once per column pass, and does no row-side arithmetic.
+    shapes = []
+    mulhilo = rng._mulhilo
+
+    def counting(multiplier, x):
+        shapes.append(np.shape(x))
+        return mulhilo(multiplier, x)
+
+    monkeypatch.setattr(rng, "_mulhilo", counting)
+    seeds = trial_seeds(17, 0, count)
+    specs = ((rng.BOB_AUX, 4), (rng.ALICE, 4), (rng.BOB, 4))
+    widths = [min(rng._COLUMNS, 3 * count - start) for start in range(0, 3 * count, rng._COLUMNS)]
+    seeded = [(count,)] + [(2, width) for width in widths for _ in range(8)]
+    rng._layout.cache_clear()
+    rng._prologue.cache_clear()
+    block_streams(seeds, specs)
+    assert shapes == [(3, 1), (3, 1)] + seeded
+    shapes.clear()
+    misses = rng._layout.cache_info().misses, rng._prologue.cache_info().misses
+    block_streams(seeds, specs)
+    assert shapes == seeded
+    assert (rng._layout.cache_info().misses, rng._prologue.cache_info().misses) == misses
 
 
 def test_block_streams_hold_the_words_of_streams_built_alone():
