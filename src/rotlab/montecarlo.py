@@ -85,8 +85,8 @@ def _seed_blocks(seed: int, offset: int, trials: int, size: int):
         yield trial_seeds(seed, offset + start, min(size, trials - start))
 
 
-def _runs_per_block(cfg: SequenceConfig) -> int:
-    return max(1, BLOCK_TRIALS // cfg.n_states)
+def _runs_per_block(n_states: int) -> int:
+    return max(1, BLOCK_TRIALS // n_states)
 
 
 def _sequence_masks(block: SequenceBlock) -> tuple[np.ndarray, ...]:
@@ -148,7 +148,7 @@ def estimate_completeness(
         run_index = 0
         while collected < trials:
             # Whole runs, as many as the remaining trials need if none aborts.
-            runs = min(_runs_per_block(cfg), -(-(trials - collected) // per_run))
+            runs = min(_runs_per_block(cfg.n_states), -(-(trials - collected) // per_run))
             asserted, correct = _sequence_outcomes(cfg, trial_seeds(seed, run_index, runs))
             run_index += runs
             asserted, correct = asserted[: trials - collected], correct[: trials - collected]
@@ -181,7 +181,7 @@ def estimate_cheat(
         raise ValidationError("need at least one trial")
     block = cheat_block(strategy)
     n_states = strategy.parameters.get("n_states")
-    size = BLOCK_TRIALS if n_states is None else _runs_per_block(SequenceConfig(n_states))
+    size = BLOCK_TRIALS if n_states is None else _runs_per_block(n_states)
     blocks = _seed_blocks(seed, trial_offset, trials, size)
     successes = sum(int(np.count_nonzero(block(seeds))) for seeds in blocks)
     return TrialReport.from_counts(trials, successes, target=target)
@@ -236,7 +236,7 @@ def sequence_detection_experiment(
     cfg = SequenceConfig(n_states)
     aborts = sum(
         int(np.count_nonzero(_detection_block(cfg, seeds, dishonesty)))
-        for seeds in _seed_blocks(seed, 0, trials, _runs_per_block(cfg))
+        for seeds in _seed_blocks(seed, 0, trials, _runs_per_block(cfg.n_states))
     )
     if dishonesty == "send-orthogonal":
         target = cfg.test_size / cfg.n_states

@@ -317,7 +317,7 @@ class RotOutcomeBlock(NamedTuple):
 
 
 def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
-    bob = BlockStream(seeds, BOB)
+    (bob,) = block_streams(seeds, ((BOB, 4),))
     y = bob.draw_bit()
     keep = bob.draw_bit()
     return RotOutcomeBlock(g_hat=y, assert_bit=keep, bob_bit=y)
@@ -636,7 +636,8 @@ def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome
     transcript.extend_from(sub_transcript)
 
     a = outcome.assert_bit
-    b = int(BlockStream(seed_array(seed), BOB_AUX).draw_bit()[0])
+    (aux,) = block_streams(seed_array(seed), ((BOB_AUX, 4),))
+    b = int(aux.draw_bit()[0])
     transcript.record("B", "coin_bit", {"b": b})
     transcript.record("A", "reveal", {"assert_bit": a, "g": outcome.g_hat})
 

@@ -10,19 +10,17 @@ across workers and recombined exactly.
 The draw contract is numpy's: stream ``(seed, stream)`` gives the draws a
 numpy generator over ``Philox(key=[seed, stream])`` makes.  Because Philox
 is counter-based, a trial's draws are a pure function of (trial seed,
-stream, counter): :func:`philox_block` computes numpy's Philox4x64-10
-output for arrays of seeds, streams and counters, and :class:`BlockStream`
-hands its words out the way the numpy generator consumes them.  A stream's
-words depend only on (seed, stream, counter), however streams are grouped
-into calls, so :func:`block_streams` keys all of a flow's party streams in
-one kernel call.  Of the ten Philox rounds, round 1 never reads the seed
-and round 2 reads it through one product, so the kernel computes their
-(stream, counter) half, the seed-free prologue, apart from the seeds and
-keeps it as read-only arrays keyed by the stream and counter values: a
-flow's fixed layout of (stream, counter) rows costs it once per process,
-the seed half costs one product per seed, and only rounds 3 to 10 run on
-every (seed, stream, counter) cell.  Every flow evaluates an array of
-seeds at once; a single run is the same flow on a one-element array, whose
+stream, counter).  :func:`philox_block` is the one way into the
+Philox4x64-10 kernel: for an array of seeds it computes the blocks named by
+runs ``(stream, first, count)``, and :func:`block_streams` turns one such
+call into a flow's party streams, each a :class:`BlockStream` that hands
+its words out the way the numpy generator consumes them.  Of the ten Philox
+rounds, round 1 never reads the seed and round 2 reads it through one
+product, so their (stream, counter) half, the seed-free prologue, is cached
+per layout of runs: a flow's fixed runs cost it once per process, the seed
+half costs one product per seed, and only rounds 3 to 10 run on every
+(seed, stream, counter) cell.  Every flow evaluates an array of seeds at
+once; a single run is the same flow on a one-element array, whose
 one-block streams run all ten rounds on Python ints.  Bounded draws
 (``integers`` and ``choice``) use Lemire's multiply-shift, which draws
 again with probability below ``high / 2**32``.  A one-seed stream draws
@@ -70,7 +68,7 @@ _STACKED_WEYL = np.array([[w] for w in _KEY_STEP], dtype=np.uint64)
 # Columns per pass of the stacked rounds: wide enough to spread each ufunc
 # call's fixed cost, narrow enough to keep a round's temporaries in cache.
 _COLUMNS = 4096
-# Distinct (stream, counter) layouts, and seed-free prologues, kept cached.
+# Distinct layouts of runs kept cached, each with its seed-free prologue.
 _LAYOUTS = 32
 
 
@@ -117,34 +115,32 @@ def _mulhilo(multiplier, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return m_hi * x_hi + (middle >> _SHIFT32) + (cross >> _SHIFT32), m * x
 
 
-def philox_block(seeds: np.ndarray, stream, counter=1) -> np.ndarray:
-    """Philox4x64-10 output block at counter ``[counter, 0, 0, 0]`` under the
-    key ``[seed, stream]``, for every seed.
+def philox_block(seeds: np.ndarray, runs: tuple[tuple[int, int, int], ...]) -> np.ndarray:
+    """The Philox4x64-10 words of the blocks ``runs`` names, under the key
+    ``[seed, stream]`` for every seed: shape ``(4 * blocks, len(seeds))``.
 
-    ``Philox(key=[seed, stream])`` hands out the block at counter ``b + 1``
-    as its words ``4b .. 4b + 3``, so counter 1 is a fresh generator's first
-    ``random_raw(4)``.  ``stream`` and ``counter`` broadcast against
-    ``seeds``; the shape is ``(4,)`` followed by the broadcast shape.
+    A run ``(stream, first, count)`` names the blocks of its stream at
+    counters ``first + 1 .. first + count``, in order, and the runs follow
+    each other.  ``Philox(key=[seed, stream])`` hands out the block at
+    counter ``b + 1`` as its words ``4b .. 4b + 3``, so a run
+    ``(stream, 0, count)`` holds a fresh generator's first ``4 * count``
+    words.
 
     Rounds 1 and 2 are split by what they depend on.  Round 1 never reads
     the seed and round 2 reads it through one product, so their
-    (stream, counter) half, the seed-free prologue, is computed over the
-    broadcast stream and counter arrays alone, and the seed half once per
-    seed; only rounds 3 to 10 run on every (seed, stream, counter) cell.
-    The prologue is cached as read-only arrays, keyed by the stream and
-    counter values, so the fixed layouts of :func:`block_streams` and
-    :class:`BlockStream` compute it once.  A single block runs all ten
-    rounds on Python ints.
+    (stream, counter) half, the seed-free prologue, is computed once per
+    layout of runs and cached with it, and the seed half once per seed;
+    only rounds 3 to 10 run on every (seed, stream, counter) cell.  One
+    seed whose runs are each one block runs all ten rounds on Python ints.
     """
-    k0 = np.asarray(seeds, dtype=np.uint64)
-    k1 = np.asarray(stream, dtype=np.uint64)
-    counter = np.asarray(counter, dtype=np.uint64)
-    if k0.size == k1.size == counter.size == 1:
-        # A single block runs its rounds on Python ints, at a twentieth of
-        # the stacked rounds' cost; every axis of its shape is 1.
-        block = _single_rounds(int(k0.ravel()[0]), int(k1.ravel()[0]), int(counter.ravel()[0]))
-        return np.array(block, dtype=np.uint64).reshape((4,) + (1,) * max(k0.ndim, k1.ndim, counter.ndim))
-    return _seeded_rounds(k0, _prologue(k1.shape, k1.tobytes(), counter.shape, counter.tobytes()))
+    if seeds.size == 1 and all(count == 1 for _, _, count in runs):
+        # At a twentieth of the stacked rounds' cost per block.
+        seed = int(seeds[0])
+        blocks = [_single_rounds(seed, stream, first + 1) for stream, first, _ in runs]
+        return np.array(blocks, dtype=np.uint64).reshape(4 * len(runs), 1)
+    out = _seeded_rounds(seeds, _layout(runs))
+    # Rows 4r .. 4r + 3 hold block r.
+    return out.swapaxes(0, 1).reshape(4 * out.shape[1], seeds.size)
 
 
 def _single_rounds(k0: int, k1: int, c0: int) -> tuple[int, int, int, int]:
@@ -160,37 +156,21 @@ def _single_rounds(k0: int, k1: int, c0: int) -> tuple[int, int, int, int]:
 
 
 @lru_cache(maxsize=_LAYOUTS)
-def _prologue(stream_shape, stream_bytes, counter_shape, counter_bytes) -> tuple[np.ndarray, ...]:
-    # The seed-free half of rounds 1 and 2, broadcast over the uint64
-    # stream ids t and counters c given by their shapes and bytes, and
-    # read-only, since every call with these values shares it.  Round 1 on
-    # [c, 0, 0, 0] under key [s, t] leaves the lanes
-    # (s, 0, hi(M0 c) ^ t, lo(M0 c)), so round 2 leaves
+def _layout(runs: tuple[tuple[int, int, int], ...]) -> tuple[np.ndarray, ...]:
+    # The seed-free prologue of the blocks runs name, one row per block and
+    # in order, shaped (rows, 1) to broadcast against seeds, and read-only,
+    # since every call with these runs shares it.  Round 1 on [c, 0, 0, 0]
+    # under key [s, t] leaves the lanes (s, 0, hi(M0 c) ^ t, lo(M0 c)), so
+    # round 2 leaves
     #   (hi(M1 x) ^ (s + W0), lo(M1 x), hi(M0 s) ^ lo(M0 c) ^ (t + W1), lo(M0 s))
     # for x = hi(M0 c) ^ t.  Returns hi(M1 x), lo(M1 x), lo(M0 c) ^ (t + W1)
     # and round 3's key word t + 2 W1.
-    t, c = np.broadcast_arrays(
-        np.frombuffer(stream_bytes, dtype=np.uint64).reshape(stream_shape),
-        np.frombuffer(counter_bytes, dtype=np.uint64).reshape(counter_shape),
-    )
+    t = np.repeat(np.array([stream for stream, _, _ in runs], dtype=np.uint64), [n for _, _, n in runs])[:, None]
+    c = np.concatenate([np.arange(n, dtype=np.uint64) + np.uint64(first + 1) for _, first, n in runs])[:, None]
     with np.errstate(over="ignore"):
         hi0, lo0 = _mulhilo(_PHILOX_MUL[0], c)
         hi1, lo1 = _mulhilo(_PHILOX_MUL[1], hi0 ^ t)
-        rows = tuple(np.asarray(row) for row in (hi1, lo1, lo0 ^ (t + _KEY_STEP[1]), t + _KEY_STEP2[1]))
-    for row in rows:
-        row.flags.writeable = False
-    return rows
-
-
-@lru_cache(maxsize=_LAYOUTS)
-def _layout(runs: tuple[tuple[int, int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    # The (stream, counter) rows of runs of blocks, one row per block and in
-    # order: a run (stream, first, count) holds blocks first .. first +
-    # count - 1 of its stream.  Shaped (rows, 1) to broadcast against
-    # seeds, and read-only, since every call with these runs shares them.
-    streams = np.repeat(np.array([stream for stream, _, _ in runs], dtype=np.uint64), [n for _, _, n in runs])
-    counters = np.concatenate([np.arange(n, dtype=np.uint64) + np.uint64(first + 1) for _, first, n in runs])
-    rows = streams[:, None], counters[:, None]
+        rows = hi1, lo1, lo0 ^ (t + _KEY_STEP[1]), t + _KEY_STEP2[1]
     for row in rows:
         row.flags.writeable = False
     return rows
@@ -244,13 +224,12 @@ def _stacked_rounds(key: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tuple
 class BlockStream:
     """The draws of stream ``(seed, stream)`` for an array of seeds.
 
-    Holds the first ``words`` 64-bit words of each seed's stream, rounded up
-    to whole Philox blocks and computed in one :func:`philox_block` call
-    (with a flow's other streams, when :func:`block_streams` builds it),
-    and hands them out the way numpy's generator consumes them.  A 32-bit
-    value comes from the buffered high half of the last word split, if there
-    is one, and otherwise from the low half of a fresh word, whose high half
-    is then buffered.  :meth:`draw_bit` is ``integers(0, 2)``, the top bit
+    Holds the first whole Philox blocks of each seed's stream, which
+    :func:`block_streams` computes with a flow's other streams in one
+    :func:`philox_block` call, and hands their words out the way numpy's
+    generator consumes them.  A 32-bit value comes from the buffered high
+    half of the last word split, if there is one, and otherwise from the
+    low half of a fresh word, whose high half is then buffered.  :meth:`draw_bit` is ``integers(0, 2)``, the top bit
     of a 32-bit value.  :meth:`bounded` is ``integers(0, high + 1)`` and the
     draws of ``choice``: Lemire's multiply-shift on one 32-bit value each.
     :meth:`random` is ``random()``: the next whole word as
@@ -259,41 +238,22 @@ class BlockStream:
     has drawn again: it then extends itself by whole Philox blocks.
     """
 
-    def __init__(self, seeds: np.ndarray, stream: int, words: int = 4):
+    def __init__(self, seeds: np.ndarray, stream: int, words: np.ndarray):
+        # words: the stream's first blocks, shape (4 * blocks, len(seeds)).
         self._seeds = seeds
         self._stream = stream
-        self._hold(self._blocks(0, -(-words // 4)))
-
-    @classmethod
-    def _holding(cls, seeds: np.ndarray, stream: int, words: np.ndarray) -> "BlockStream":
-        # The stream over words already computed, shape (4 * blocks, len(seeds)).
-        self = cls.__new__(cls)
-        self._seeds = seeds
-        self._stream = stream
-        self._hold(words)
-        return self
-
-    def _hold(self, words: np.ndarray) -> None:
         self._words = words
         self._used = 0
         self._buffered: np.ndarray | None = None  # the word whose high half is next
         self._extends = False
-
-    def _blocks(self, first: int, count: int) -> np.ndarray:
-        # Philox blocks first .. first + count - 1 as words, shape (4 * count, len(seeds)).
-        if count <= 1:
-            # One block needs no counter axis.
-            return philox_block(self._seeds, self._stream, first + 1)
-        _, counters = _layout(((self._stream, first, count),))
-        out = philox_block(self._seeds, self._stream, counters)
-        return out.swapaxes(0, 1).reshape(4 * count, out.shape[-1])
 
     def _take(self, count: int) -> np.ndarray:
         held = len(self._words)
         if self._used + count > held:
             if not self._extends:
                 raise IndexError(f"stream holds {held} words, asked for word {self._used + count}")
-            extra = self._blocks(held // 4, -(-(self._used + count - held) // 4))
+            blocks = -(-(self._used + count - held) // 4)
+            extra = philox_block(self._seeds, ((self._stream, held // 4, blocks),))
             self._words = np.concatenate((self._words, extra))
         words = self._words[self._used : self._used + count]
         self._used += count
@@ -366,26 +326,19 @@ class BlockStream:
 
 def block_streams(seeds: np.ndarray, streams) -> tuple[BlockStream, ...]:
     """One :class:`BlockStream` per ``(stream, words)`` pair of ``streams``,
-    all over ``seeds``, in order.
+    all over ``seeds``, in order, each holding at least its ``words``.
 
-    Over many seeds, every stream's blocks are computed in one
-    :func:`philox_block` call: each stream contributes its own rows of
-    (stream, counter), as many as its ``words`` need, so no stream is padded
-    to the longest.  These rows depend on ``streams`` alone, so they are
-    built once per layout, and the kernel's seed-free prologue for them is
-    cached with them.  A stream's words depend only on (seed, stream,
-    counter), so each is the :class:`BlockStream` built on its own.  A
-    single seed builds its streams one by one, so a one-block stream keeps
-    the kernel's scalar rounds.
+    Every stream's blocks come from one :func:`philox_block` call: stream
+    ``s`` needing ``words`` is the run ``(s, 0, ceil(words / 4))``, so no
+    stream is padded to the longest, and the flow's runs, fixed by
+    ``streams``, find their prologue cached after the first call.  A
+    stream's words depend only on (seed, stream, counter), so each is the
+    stream a call for it alone would give.
     """
-    if seeds.size == 1:
-        return tuple(BlockStream(seeds, stream, words) for stream, words in streams)
     runs = tuple((stream, 0, -(-words // 4)) for stream, words in streams)
-    out = philox_block(seeds, *_layout(runs))
-    # Rows 4r .. 4r + 3 hold block row r: each stream's words are one slice.
-    words = out.swapaxes(0, 1).reshape(4 * out.shape[1], seeds.size)
+    words = philox_block(seeds, runs)
     ends = 4 * np.cumsum([count for _, _, count in runs])
     return tuple(
-        BlockStream._holding(seeds, stream, words[end - 4 * count : end])
+        BlockStream(seeds, stream, words[end - 4 * count : end])
         for (stream, _, count), end in zip(runs, ends.tolist())
     )

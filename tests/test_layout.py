@@ -210,7 +210,7 @@ def test_eigensolver_finder_sees_attributes_and_imports():
 
 
 ROUND_NAMES = {"_MULTIPLIERS", "_PHILOX_MUL", "_STACKED_MUL", "_mulhilo"}
-ROUND_NAMES |= {"_single_rounds", "_prologue", "_seeded_rounds", "_stacked_rounds"}
+ROUND_NAMES |= {"_single_rounds", "_layout", "_seeded_rounds", "_stacked_rounds"}
 ROUND_MULTIPLIERS = {0xD2E7470EE14C6C93, 0xCA5A826395121157}
 
 
@@ -235,8 +235,8 @@ def _round_uses(tree: ast.Module) -> list[str]:
 
 def test_philox_rounds_live_only_in_the_kernel():
     # The rounds run in philox_block: on Python ints in _single_rounds, or
-    # as the cached prologue plus the stacked rounds, and nowhere else, so
-    # a second kernel cannot appear beside them.
+    # as the prologue _layout caches plus the stacked rounds, and nowhere
+    # else, so a second kernel cannot appear beside them.
     offences = _offences(_round_uses)
     in_rng = offences.pop("rng.py", [])
     assert not offences, offences
@@ -247,12 +247,12 @@ def test_philox_rounds_live_only_in_the_kernel():
         "<module>: _PHILOX_MUL",
         "philox_block: _single_rounds",
         "philox_block: _seeded_rounds",
-        "philox_block: _prologue",
+        "philox_block: _layout",
         "_single_rounds: _MULTIPLIERS",
-        "_prologue: _mulhilo",
-        "_prologue: _PHILOX_MUL",
-        "_prologue: _mulhilo",
-        "_prologue: _PHILOX_MUL",
+        "_layout: _mulhilo",
+        "_layout: _PHILOX_MUL",
+        "_layout: _mulhilo",
+        "_layout: _PHILOX_MUL",
         "_seeded_rounds: _mulhilo",
         "_seeded_rounds: _PHILOX_MUL",
         "_seeded_rounds: _stacked_rounds",

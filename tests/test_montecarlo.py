@@ -307,26 +307,26 @@ def _sequence_block_flows(cfg):
 
 
 def test_block_flows_key_each_stream_once(monkeypatch):
-    # Each many-seed block flow computes every Philox word it draws, from
-    # all of its party streams, in a single philox_block call, which keys
-    # each (stream, counter) once.
+    # Each block flow, over many seeds or over one, computes every Philox
+    # word it draws, from all of its party streams, in a single
+    # philox_block call, which keys each (stream, counter) once.  No seed
+    # here draws again, which would extend a one-seed stream.
     calls = []
     philox_block = rng.philox_block
 
-    def counting(seeds, stream, counter=1):
-        rows = np.broadcast_arrays(np.asarray(stream), np.asarray(counter))
-        calls.append(Counter(zip(*(row.ravel().tolist() for row in rows))))
-        return philox_block(seeds, stream, counter)
+    def counting(seeds, runs):
+        calls.append(Counter((stream, first + 1 + block) for stream, first, count in runs for block in range(count)))
+        return philox_block(seeds, runs)
 
     monkeypatch.setattr(rng, "philox_block", counting)
-    seeds = trial_seeds(0, 0, 16)
     flows = list(ROT_BLOCKS.values()) + [cheat_block(s) for s in _block_strategies()]
     flows += list(_sequence_block_flows(SequenceConfig(16)).values())
-    for flow in flows:
-        calls.clear()
-        flow(seeds)
-        assert len(calls) == 1, flow
-        assert calls[0] and max(calls[0].values()) == 1, flow
+    for seeds in (trial_seeds(0, 0, 16), trial_seeds(0, 0, 1)):
+        for flow in flows:
+            calls.clear()
+            flow(seeds)
+            assert len(calls) == 1, (flow, seeds.size)
+            assert calls[0] and max(calls[0].values()) == 1, (flow, seeds.size)
 
 
 def _refuse_one_seed(seeds, *args):
@@ -408,21 +408,22 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
     target_seed = trial_seed(master, target)
     opened = []  # (party, seed) of every one-seed stream opened
 
-    def forced(seeds, party, counter=1):
+    def forced(seeds, runs):
         # The value is forced in the block pass only: the run of the target
         # seed alone must see its real draws, which the oracle sees too.
-        # A one-seed stream asks for its blocks at counters 1, 2, ... in one
-        # call; a block pass asks for every party's blocks in one call, one
-        # (party, counter) row each.
-        out = PHILOX_BLOCK(seeds, party, counter)
-        seeds = np.asarray(seeds)
+        # A one-seed flow opens its streams with the runs from block 0 in
+        # one call, and a redraw extends a stream by later blocks; a block
+        # pass asks for every party's blocks in one call.
+        out = PHILOX_BLOCK(seeds, runs)
         if seeds.size == 1:
-            if np.asarray(counter).min() == 1:
-                opened.append((party, int(seeds[0])))
+            opened.extend((party, int(seeds[0])) for party, first, _ in runs if first == 0)
         else:
             keep = np.uint64(0xFFFFFFFF << 32 if half == "low" else 0xFFFFFFFF)
-            row = (np.asarray(party) == stream) & (np.asarray(counter) == word // 4 + 1)
-            out[word % 4][row & (seeds == np.uint64(target_seed))] &= keep
+            row = 0
+            for party, first, count in runs:
+                if party == stream and first <= word // 4 < first + count:
+                    out[row + word - 4 * first, seeds == np.uint64(target_seed)] &= keep
+                row += 4 * count
         return out
 
     strategy = CheatStrategy("alice", "sequence", {"n_states": 100})

@@ -45,85 +45,64 @@ def test_trial_seeds_match_trial_seed():
     assert trial_seeds(5, 0, 0).shape == (0,)
 
 
-@pytest.mark.parametrize("stream", range(4))
-def test_philox_block_matches_numpy(stream):
-    keys = _keys(300)
-    block = philox_block(keys, stream)
-    assert block.shape == (4, keys.size) and block.dtype == np.uint64
-    for index, key in enumerate(keys):
-        expected = np.random.Philox(key=np.array([key, stream], dtype=np.uint64)).random_raw(4)
-        assert block[:, index].tolist() == expected.tolist(), (int(key), stream)
-
-
-@pytest.mark.parametrize("stream", (0, 3))
-def test_philox_block_at_any_counter(stream):
-    # Counter c holds the generator's words 4(c - 1) .. 4c - 1.
-    keys = _keys(20)
-    blocks = 9
-    block = philox_block(keys, stream, np.arange(1, blocks + 1, dtype=np.uint64)[:, None])
-    assert block.shape == (4, blocks, keys.size)
-    for index, key in enumerate(keys):
-        expected = np.random.Philox(key=np.array([key, stream], dtype=np.uint64)).random_raw(4 * blocks)
-        assert block[:, :, index].T.ravel().tolist() == expected.tolist(), int(key)
-    for counter in (1 << 32, (1 << 63) + 7, MASK64):
-        block = philox_block(keys, stream, counter)
-        for index, key in enumerate(keys):
-            philox = np.random.Philox(key=np.array([key, stream], dtype=np.uint64), counter=counter - 1)
-            assert block[:, index].tolist() == philox.random_raw(4).tolist(), (int(key), counter)
-
-
-def test_philox_block_on_one_seed_matches_numpy():
-    # One seed at one counter runs the rounds on numpy scalars; it must give
-    # numpy's words at any counter, with the shapes of the many-seed path.
-    keys = _keys(40)
-    counters = np.array([1, 2, 9, 1 << 32, (1 << 63) + 7, MASK64], dtype=np.uint64)
-    for stream in (0, 3, MASK64):
-        for key in keys.tolist():
-            seed = np.array([key], dtype=np.uint64)
-            many = philox_block(seed, stream, counters[:, None])
-            assert many.shape == (4, counters.size, 1)
-            for index, counter in enumerate(counters.tolist()):
-                key_words = np.array([key, stream & MASK64], dtype=np.uint64)
-                expected = np.random.Philox(key=key_words, counter=counter - 1).random_raw(4).tolist()
-                assert many[:, index, 0].tolist() == expected, (key, stream, counter)
-                one = philox_block(seed, stream, counter)
-                assert one.shape == (4, 1) and one.dtype == np.uint64
-                assert one[:, 0].tolist() == expected, (key, stream, counter)
-                assert philox_block(np.uint64(key), stream, counter).tolist() == expected
-
-
 def _numpy_block(seed: int, stream: int, counter: int) -> list[int]:
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Philox(key=key, counter=counter - 1).random_raw(4).tolist()
-
-
-@pytest.mark.parametrize("offset", (-1, 0, 1))
-def test_philox_block_with_array_streams_matches_numpy(offset):
-    # Every (seed, stream, counter) cell of the stacked rounds is numpy's
-    # block, with the seed, stream and counter arrays broadcast together and
-    # the cells spanning one column pass less, exactly, or one more.
-    count = rng._COLUMNS + offset
-    keys = _keys(count - len(EDGE_SEEDS))
-    streams = np.resize(np.array([0, 1, 2, 3, MASK64], dtype=np.uint64), count)
-    counters = np.resize(np.array([1, 2, 9, 1 << 32, MASK64], dtype=np.uint64), count)
-    np.random.default_rng(count).shuffle(counters)
-    block = philox_block(keys, streams, counters)
-    assert block.shape == (4, count) and block.dtype == np.uint64
-    for index, cell in enumerate(zip(keys.tolist(), streams.tolist(), counters.tolist())):
-        assert block[:, index].tolist() == _numpy_block(*cell), cell
-    # Rows of (stream, counter) against a row of seeds, the layout flows use.
-    rows = np.array([[0, 1], [3, 2], [MASK64, 7]], dtype=np.uint64)
-    block = philox_block(keys[:9], rows[:, :1], rows[:, 1:])
-    assert block.shape == (4, 3, 9)
-    for row, (stream, counter) in enumerate(rows.tolist()):
-        for index, key in enumerate(keys[:9].tolist()):
-            assert block[:, row, index].tolist() == _numpy_block(key, stream, counter)
 
 
 def _numpy_words(seed: int, stream: int, first: int, blocks: int) -> list[int]:
     # The generator's words of blocks first .. first + blocks - 1.
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Philox(key=key, counter=first).random_raw(4 * blocks).tolist()
+
+
+def _assert_numpy_runs(seeds: np.ndarray, runs) -> np.ndarray:
+    # philox_block's words of runs are the generator's, run after run, for
+    # every seed.
+    words = philox_block(seeds, runs)
+    assert words.shape == (4 * sum(count for _, _, count in runs), seeds.size) and words.dtype == np.uint64
+    for index, seed in enumerate(seeds.tolist()):
+        expected = [word for run in runs for word in _numpy_words(seed, *run)]
+        assert words[:, index].tolist() == expected, (seed, runs)
+    return words
+
+
+def _one_stream(seeds: np.ndarray, stream: int, words: int = 4) -> BlockStream:
+    (alone,) = block_streams(seeds, ((stream, words),))
+    return alone
+
+
+@pytest.mark.parametrize("stream", range(4))
+def test_philox_block_matches_numpy(stream):
+    # One block per seed, over a column pass less, exactly, or one more.
+    keys = _keys(rng._COLUMNS + 1 - len(EDGE_SEEDS))
+    expected = np.array([_numpy_words(key, stream, 0, 1) for key in keys.tolist()], dtype=np.uint64).T
+    for count in (rng._COLUMNS - 1, rng._COLUMNS, rng._COLUMNS + 1):
+        block = philox_block(keys[:count], ((stream, 0, 1),))
+        assert block.shape == (4, count) and block.dtype == np.uint64
+        assert np.array_equal(block, expected[:, :count]), count
+
+
+@pytest.mark.parametrize("stream", (0, 3))
+def test_philox_block_at_any_counter(stream):
+    # Run (stream, first, count) holds the generator's words 4 first ..
+    # 4 (first + count) - 1.
+    keys = _keys(20)
+    _assert_numpy_runs(keys, ((stream, 0, 9),))
+    _assert_numpy_runs(keys, tuple((stream, counter - 1, 1) for counter in (1 << 32, (1 << 63) + 7, MASK64)))
+
+
+def test_philox_block_on_one_seed_matches_numpy():
+    # One seed runs one-block runs on Python ints, and any runs with a
+    # longer one through the stacked rounds; both must give numpy's words at
+    # any counter.
+    counters = (1, 2, 9, 1 << 32, (1 << 63) + 7, MASK64)
+    for stream in (0, 3, MASK64):
+        one_block = tuple((stream, counter - 1, 1) for counter in counters)
+        for key in _keys(40).tolist():
+            seed = np.array([key], dtype=np.uint64)
+            _assert_numpy_runs(seed, one_block)
+            _assert_numpy_runs(seed, one_block + ((stream, 0, 2),))
 
 
 def _wrapping(step: int) -> list[int]:
@@ -138,56 +117,45 @@ STREAM_WRAPS = _wrapping(rng._WEYL[1])
 def test_prologue_where_the_key_words_wrap():
     # Round 2 adds W0 to the seed and round 3 starts from s + 2 W0; the
     # prologue adds W1 and 2 W1 to the stream id.  Each sum wraps mod 2**64
-    # at the seeds and streams chosen here, on every path to the kernel.
+    # at the seeds and streams chosen here, on every path to the kernel:
+    # many seeds, one seed with multi-block runs, one seed with one-block
+    # runs.
     seeds = np.array(SEED_WRAPS, dtype=np.uint64)
-    streams = np.array(STREAM_WRAPS, dtype=np.uint64)
-    block = philox_block(seeds, streams[:, None, None], np.array([1, 2, 9], dtype=np.uint64)[:, None])
-    assert block.shape == (4, streams.size, 3, seeds.size)
-    for (i, stream), (j, counter), (k, seed) in itertools.product(
-        enumerate(STREAM_WRAPS), enumerate((1, 2, 9)), enumerate(SEED_WRAPS)
-    ):
-        assert block[:, i, j, k].tolist() == _numpy_block(seed, stream, counter), (seed, stream, counter)
-    specs = tuple((stream, 8) for stream in STREAM_WRAPS)
-    for grouped_seeds in (seeds, seeds[:1]):
-        for stream, (stream_id, words) in zip(block_streams(grouped_seeds, specs), specs):
-            for index, seed in enumerate(grouped_seeds.tolist()):
+    multi_block = tuple((stream, 0, 9) for stream in STREAM_WRAPS)
+    one_block = tuple((stream, counter - 1, 1) for stream in STREAM_WRAPS for counter in (1, 2, 9))
+    for group in [seeds] + [seeds[index : index + 1] for index in range(seeds.size)]:
+        _assert_numpy_runs(group, multi_block)
+        _assert_numpy_runs(group, one_block)
+        specs = tuple((stream, 8) for stream in STREAM_WRAPS)
+        for stream, (stream_id, _) in zip(block_streams(group, specs), specs):
+            for index, seed in enumerate(group.tolist()):
                 assert stream._words[:, index].tolist() == _numpy_words(seed, stream_id, 0, 2), (seed, stream_id)
 
 
 @pytest.mark.parametrize("first", ((1 << 63) - 2, MASK64 - 3))
 def test_cached_rows_at_the_top_counters(first):
-    # A stream's counter range through the cached (stream, counter) rows,
-    # up to counter 2**63 + 1 and to the last counter, 2**64 - 1.
+    # A stream's blocks up to counter 2**63 + 1 and to the last counter,
+    # 2**64 - 1, as one run or as one-block runs, on many seeds and on one.
     keys = _keys(12)
     for seeds in (keys, keys[:1]):
         for stream in (rng.BOB, MASK64):
-            words = BlockStream(seeds, stream)._blocks(first, 3)
-            assert words.shape == (12, seeds.size)
-            for index, seed in enumerate(seeds.tolist()):
-                assert words[:, index].tolist() == _numpy_words(seed, stream, first, 3), (seed, stream, first)
+            _assert_numpy_runs(seeds, ((stream, first, 3),))
+            _assert_numpy_runs(seeds, tuple((stream, first + block, 1) for block in range(3)))
 
 
 @pytest.mark.parametrize("count", (1, 7, rng._COLUMNS - 1, rng._COLUMNS + 1))
 def test_cached_layout_words_equal_the_cold_words(count):
     # One layout over many seed counts: the words of a call that finds its
-    # rows and prologue cached are the words of a call that built them,
-    # and both are numpy's, across one column pass or several.
+    # prologue cached are the words of a call that built it, and both are
+    # numpy's, across one column pass or several.
     runs = ((rng.ALICE, 0, 3), (rng.BOB, 0, 1), (MASK64, 5, 2))
     seeds = _keys(count)[-count:]
     rng._layout.cache_clear()
-    rng._prologue.cache_clear()
-    cold = philox_block(seeds, *rng._layout(runs))
-    before = rng._layout.cache_info().misses, rng._prologue.cache_info().misses
-    warm = philox_block(seeds, *rng._layout(runs))
-    assert (rng._layout.cache_info().misses, rng._prologue.cache_info().misses) == before
-    assert warm.shape == cold.shape == (4, 6, count)
+    cold = _assert_numpy_runs(seeds, runs)
+    misses = rng._layout.cache_info().misses
+    warm = philox_block(seeds, runs)
+    assert rng._layout.cache_info().misses == misses
     assert np.array_equal(warm, cold)
-    row = 0
-    for stream, first, blocks in runs:
-        words = cold[:, row : row + blocks].swapaxes(0, 1).reshape(4 * blocks, count)
-        for index, seed in enumerate(seeds.tolist()):
-            assert words[:, index].tolist() == _numpy_words(seed, stream, first, blocks), (seed, stream)
-        row += blocks
     specs = ((rng.ALICE, 12), (rng.BOB, 4))
     rng._layout.cache_clear()
     cold_streams = block_streams(seeds, specs)
@@ -196,28 +164,24 @@ def test_cached_layout_words_equal_the_cold_words(count):
 
 
 def test_cached_rows_are_read_only():
-    streams, counters = rng._layout(((rng.ALICE, 0, 3), (rng.BOB, 2, 1)))
-    prologue = rng._prologue(streams.shape, streams.tobytes(), counters.shape, counters.tobytes())
+    prologue = rng._layout(((rng.ALICE, 0, 3), (rng.BOB, 2, 1)))
     assert len(prologue) == 4
-    for array in (streams, counters) + prologue:
+    for array in prologue:
         assert array.shape == (4, 1) and not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 0
-    # A scalar stream and counter, as a one-block stream asks for them.
-    for array in rng._prologue((), np.uint64(1).tobytes(), (), np.uint64(1).tobytes()):
-        assert array.shape == () and not array.flags.writeable
 
 
 def test_one_seed_stream_extends_past_its_blocks_after_redraws():
     # Sixteen draws that reject about a quarter of all 32-bit values, over
     # a stream that holds exactly the 8 words they take without a redraw:
     # every redraw reads one more block, past the two the stream computed
-    # through its cached rows.
+    # in its first kernel call.
     high = 3 << 30
     held = []
     for key in _keys(40).tolist():
         gen = party_stream(key, rng.BOB)
-        block = BlockStream(np.array([key], dtype=np.uint64), rng.BOB, words=8)
+        block = _one_stream(np.array([key], dtype=np.uint64), rng.BOB, words=8)
         values, rejected = block.bounded([high] * 16)
         assert values[:, 0].tolist() == [gen.integers(0, high + 1) for _ in range(16)] and not rejected[0], key
         held.append(len(block._words))
@@ -235,23 +199,29 @@ def test_one_seed_stream_extends_past_its_blocks_after_redraws():
     counter=st.integers(1, MASK64),
 )
 def test_every_path_to_the_kernel_matches_numpy(seed, stream, counter):
+    # One seed with one-block runs, one seed with a multi-block run, and
+    # many seeds.
     expected = _numpy_block(seed, stream, counter)
+    one = np.array([seed], dtype=np.uint64)
     pair = np.array([seed, seed ^ 1], dtype=np.uint64)
-    assert philox_block(np.array([seed], dtype=np.uint64), stream, counter)[:, 0].tolist() == expected
-    assert philox_block(pair, stream, counter)[:, 0].tolist() == expected
-    rows = np.full((1, 1), counter, dtype=np.uint64)
-    assert philox_block(pair, np.uint64(stream), rows)[:, 0, 0].tolist() == expected
+    run = (stream, counter - 1, 1)
+    longer = (stream ^ 1, 0, 2)
+    longer_words = _numpy_words(seed, *longer)
+    assert philox_block(one, (run,))[:, 0].tolist() == expected
+    assert philox_block(one, (run, run))[:, 0].tolist() == expected + expected
+    for seeds in (one, pair):
+        assert philox_block(seeds, (run, longer))[:, 0].tolist() == expected + longer_words
+    assert philox_block(pair, (run,))[:, 0].tolist() == expected
     if counter < MASK64:
-        # Two blocks through the cached rows, on two seeds and on one.
+        # Two blocks of one run.
         following = _numpy_block(seed, stream, counter + 1)
-        for seeds in (pair, pair[:1]):
-            words = BlockStream(seeds, stream)._blocks(counter - 1, 2)
-            assert words[:, 0].tolist() == expected + following
+        for seeds in (pair, one):
+            assert philox_block(seeds, ((stream, counter - 1, 2),))[:, 0].tolist() == expected + following
 
 
 @pytest.mark.parametrize("count", (1000, 3000))
 def test_warm_block_streams_runs_only_the_seeded_rounds(monkeypatch, count):
-    # A warm many-seed call finds its rows and their prologue cached: it
+    # A warm many-seed call finds its runs' prologue cached: it
     # takes the seed product once per seed and the eight stacked rounds
     # once per column pass, and does no row-side arithmetic.
     shapes = []
@@ -267,14 +237,13 @@ def test_warm_block_streams_runs_only_the_seeded_rounds(monkeypatch, count):
     widths = [min(rng._COLUMNS, 3 * count - start) for start in range(0, 3 * count, rng._COLUMNS)]
     seeded = [(count,)] + [(2, width) for width in widths for _ in range(8)]
     rng._layout.cache_clear()
-    rng._prologue.cache_clear()
     block_streams(seeds, specs)
     assert shapes == [(3, 1), (3, 1)] + seeded
     shapes.clear()
-    misses = rng._layout.cache_info().misses, rng._prologue.cache_info().misses
+    misses = rng._layout.cache_info().misses
     block_streams(seeds, specs)
     assert shapes == seeded
-    assert (rng._layout.cache_info().misses, rng._prologue.cache_info().misses) == misses
+    assert rng._layout.cache_info().misses == misses
 
 
 def test_block_streams_hold_the_words_of_streams_built_alone():
@@ -285,7 +254,7 @@ def test_block_streams_hold_the_words_of_streams_built_alone():
         grouped = block_streams(seeds, specs)
         assert len(grouped) == len(specs)
         for stream, (stream_id, words) in zip(grouped, specs):
-            alone = BlockStream(seeds, stream_id, words)
+            alone = _one_stream(seeds, stream_id, words)
             assert stream._words.shape == (4 * -(-words // 4), seeds.size)
             assert np.array_equal(stream._words, alone._words), (stream_id, seeds.size)
 
@@ -296,7 +265,7 @@ def test_block_stream_spans_blocks():
     keys = _keys(60)
     highs = [5, 99, 1, 12, 1000]
     for stream in (0, 1):
-        block = BlockStream(keys, stream, words=23)
+        block = _one_stream(keys, stream, words=23)
         bits_a = block.draw_bits(7)
         uniforms = block.randoms(5)
         bounded, rejected = block.bounded(highs)
@@ -310,7 +279,7 @@ def test_block_stream_spans_blocks():
             assert bounded[:, index].tolist() == [int(gen.integers(0, high + 1)) for high in highs]
             assert bits_b[:, index].tolist() == [draw_bit(gen) for _ in range(4)]
             assert last[index] == gen.random()
-    block = BlockStream(keys, 0, words=6)  # rounded up to two whole blocks
+    block = _one_stream(keys, 0, words=6)  # rounded up to two whole blocks
     block.randoms(8)
     with pytest.raises(IndexError):
         block.draw_bit()
@@ -323,7 +292,7 @@ def test_bounded_flags_exactly_the_lemire_redraws():
     # and has used one word of its block.
     high = 3 << 30
     keys = _keys(300)
-    values, rejected = BlockStream(keys, 0).bounded([high])
+    values, rejected = _one_stream(keys, 0).bounded([high])
     assert 20 < np.count_nonzero(rejected) < 150
     for index, key in enumerate(keys):
         gen = party_stream(int(key), 0)
@@ -342,12 +311,12 @@ def test_one_seed_bounded_redraws_as_generator():
     # into a fourth block.
     high = 3 << 30
     keys = _keys(300)
-    planned = BlockStream(keys, 0, words=12)
+    planned = _one_stream(keys, 0, words=12)
     planned.randoms(6)
     _, redrawn = planned.bounded([high])
     assert 20 < np.count_nonzero(redrawn) < 150
     one_seed_streams = (
-        lambda seed: BlockStream(seed, 0, words=12),
+        lambda seed: _one_stream(seed, 0, words=12),
         lambda seed: block_streams(seed, ((rng.BOB, 4), (0, 12)))[1],
     )
     for key, make in itertools.product(keys.tolist(), one_seed_streams):
@@ -366,7 +335,7 @@ def test_one_seed_bounded_redraws_as_generator():
         assert block.random()[0] == gen.random()
 
 
-def test_bounded_redraws_strictly_below_the_threshold(monkeypatch):
+def test_bounded_redraws_strictly_below_the_threshold():
     # Synthetic words whose low half u makes u * (high + 1) mod 2**32 equal
     # the threshold (kept) or one less (redrawn).  Odd ranges make u unique.
     for high in (2, 90, 3 << 30):
@@ -375,8 +344,7 @@ def test_bounded_redraws_strictly_below_the_threshold(monkeypatch):
         u = np.array([leftover * pow(span, -1, 2**32) % 2**32 for leftover in (threshold - 1, threshold)])
         words = np.zeros((4, u.size), dtype=np.uint64)
         words[0] = u
-        monkeypatch.setattr(rng, "philox_block", lambda seeds, stream, counter=1: words)
-        values, rejected = BlockStream(np.zeros(u.size, dtype=np.uint64), 0).bounded([high])
+        values, rejected = BlockStream(np.zeros(u.size, dtype=np.uint64), 0, words).bounded([high])
         assert rejected.tolist() == [True, False], high
         assert values[0].tolist() == [int(v) * span >> 32 for v in u]
 
@@ -387,13 +355,13 @@ def test_block_stream_maps_words_as_generator():
     keys = _keys(200)
     order = ("bit", "random", "bit", "bit", "random")
     for stream in range(4):
-        block = BlockStream(keys, stream)
+        block = _one_stream(keys, stream)
         drawn = [block.draw_bit() if kind == "bit" else block.random() for kind in order]
         for index, key in enumerate(keys):
             gen = party_stream(int(key), stream)
             expected = [draw_bit(gen) if kind == "bit" else gen.random() for kind in order]
             assert [values[index].item() for values in drawn] == expected
-    block = BlockStream(keys, 0)
+    block = _one_stream(keys, 0)
     for _ in range(4):
         block.random()
     with pytest.raises(IndexError):
@@ -453,7 +421,7 @@ def test_block_draws_match_generator(monkeypatch, flow):
         logs.clear()
         SCALAR_FLOWS[flow](seed)
         for stream, log in logs.items():
-            block = BlockStream(np.array([seed], dtype=np.uint64), stream)  # raises past its fourth word
+            block = _one_stream(np.array([seed], dtype=np.uint64), stream)  # raises past its fourth word
             replayed = [block.draw_bit() if kind == "bit" else block.random() for kind, _ in log]
             assert [(kind, value[0].item()) for (kind, _), value in zip(log, replayed)] == log
             orders.add((stream, tuple(kind for kind, _ in log)))
