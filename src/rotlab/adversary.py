@@ -41,6 +41,7 @@ from .linalg import (
     trace_norms,
 )
 from .protocols import (
+    MIN_SEQUENCE_STATES,
     OT_PAIR_INDEX,
     QUTRIT_ENCODING_SIGNS,
     SEQUENCE_STATES,
@@ -272,9 +273,10 @@ class CheatStrategy:
 
     ``parameters`` is strategy-specific: the probe amplitudes for the
     qutrit and coin-flip Alice attacks, the batch size for the sequence
-    attack.  Unknown parameter names are rejected.  The parameters are
-    fixed at construction, when the cache key that selects the strategy's
-    block form, built once per key, is computed.
+    attack, which defaults to the smallest batch.  Unknown
+    parameter names are rejected.  The parameters are fixed at
+    construction, defaults included, when the cache key that selects the
+    strategy's block form, built once per key, is computed.
     """
 
     def __init__(self, party: str, protocol: str, parameters: dict | None = None):
@@ -290,8 +292,8 @@ class CheatStrategy:
             raise ValidationError(f"unknown strategy parameters: {sorted(unknown)}")
         if "triple" in parameters:
             parameters["triple"] = [float(v) for v in AmplitudeTriple.coerce(parameters["triple"]).as_tuple()]
-        if "n_states" in parameters:
-            parameters["n_states"] = SequenceConfig(parameters["n_states"]).n_states
+        if "n_states" in _STRATEGIES[(party, protocol)][0]:
+            parameters["n_states"] = SequenceConfig(parameters.get("n_states", MIN_SEQUENCE_STATES)).n_states
         self.party = party
         self.protocol = protocol
         self.parameters = parameters
@@ -373,15 +375,15 @@ def _alice_sequence_block(params: dict):
     # Alice stores the first untested slot's state and measures it with the
     # Helstrom measurement for Bob's declared bit.  Bob declares the slots in
     # order, so only his first declaration is drawn.
-    cfg = SequenceConfig(params.get("n_states", 4))
+    cfg = SequenceConfig(params["n_states"])
     thresholds = cumulative_thresholds(_alice_sequence_weights())[..., 0]
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
-        # The test set is sorted, so the first untested slot is the number
-        # of slots j that hold tested[j] == j.
-        slot = (setup.tested == np.arange(cfg.test_size)[:, None]).sum(axis=0)
-        pair = setup.pairs[slot, np.arange(seeds.size)]
+        # The first untested slot, and its pair: slot s of seed i is entry
+        # s * len(seeds) + i of the flattened pairs.
+        slot = setup.is_tested.argmin(axis=0)
+        pair = setup.pairs.take(slot * seeds.size + np.arange(seeds.size))
         declared = setup.bob.draw_bit()
         guess = setup.alice.random() >= thresholds[pair, declared]
         success = guess == pair_bit(pair, declared)

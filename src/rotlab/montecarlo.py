@@ -24,7 +24,6 @@ from .adversary import CheatStrategy, cheat_block
 from .linalg import ValidationError, as_integer
 from .protocols import (
     ROT_EXECUTORS,
-    SequenceBlock,
     SequenceConfig,
     play_sequence_block,
     sequence_setup_block,
@@ -89,29 +88,32 @@ def _runs_per_block(n_states: int) -> int:
     return max(1, BLOCK_TRIALS // n_states)
 
 
-def _sequence_masks(block: SequenceBlock) -> tuple[np.ndarray, ...]:
-    # Per untested slot and run: whether the outcome asserted a receipt,
-    # whether it is correct (not an abort sentinel, and a receipt of Bob's
-    # actual bit), and whether the run has it.  A failed run has one
-    # outcome, its abort sentinel.
-    out = block.outcomes
-    passed = block.failed < 0
-    asserted = passed & (out.assert_bit == 0)
-    correct = passed & ((out.assert_bit == 1) | (out.g_hat == out.bob_bit))
-    kept = passed | (np.arange(len(out.assert_bit))[:, None] == 0)
-    return asserted, correct, kept
-
-
-def _sequence_outcomes(cfg: SequenceConfig, seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The outcomes of the runs at ``seeds``, run after run: whether each
-    # asserted receipt, and whether it is correct.
+def _sequence_counts(cfg: SequenceConfig, seeds: np.ndarray, limit: int) -> tuple[int, int, bool]:
+    # The outcomes of the runs at ``seeds``, run after run, up to ``limit``
+    # of them: how many there are, how many asserted a receipt, and whether
+    # each is correct, not an abort sentinel and, where it asserted, a
+    # receipt of Bob's actual bit.  A failed run has one outcome, its abort
+    # sentinel.
     block = play_sequence_block(cfg, seeds)
-    asserted, correct, kept = _sequence_masks(block)
+    out = block.outcomes
     for lane in np.flatnonzero(block.rejected):
-        alone = _sequence_masks(play_sequence_block(cfg, seeds[lane : lane + 1]))
-        for mask, column in zip((asserted, correct, kept), alone):
-            mask[:, lane] = column[:, 0]
-    return asserted.T[kept.T], correct.T[kept.T]
+        alone = play_sequence_block(cfg, seeds[lane : lane + 1])
+        block.failed[lane] = alone.failed[0]
+        for mine, its in zip(out, alone.outcomes):
+            mine[:, lane] = its[:, 0]
+    received = out.assert_bit == 0
+    wrong = received & (out.g_hat != out.bob_bit)
+    failed = block.failed >= 0
+    if failed.any():
+        # Each failed run keeps its first row, as its sentinel.
+        received[:, failed] = False
+        wrong[0, failed] = True
+        kept = ~failed | (np.arange(len(received))[:, None] == 0)
+        received, wrong = received.T[kept.T], wrong.T[kept.T]
+    else:
+        received, wrong = received.T.ravel(), wrong.T.ravel()
+    received, wrong = received[:limit], wrong[:limit]
+    return received.size, int(np.count_nonzero(received)), not wrong.any()
 
 
 def estimate_completeness(
@@ -149,12 +151,11 @@ def estimate_completeness(
         while collected < trials:
             # Whole runs, as many as the remaining trials need if none aborts.
             runs = min(_runs_per_block(cfg.n_states), -(-(trials - collected) // per_run))
-            asserted, correct = _sequence_outcomes(cfg, trial_seeds(seed, run_index, runs))
+            count, received, correct = _sequence_counts(cfg, trial_seeds(seed, run_index, runs), trials - collected)
             run_index += runs
-            asserted, correct = asserted[: trials - collected], correct[: trials - collected]
-            collected += asserted.size
-            asserts += int(np.count_nonzero(asserted))
-            conditional_ok &= bool(correct.all())
+            collected += count
+            asserts += received
+            conditional_ok &= correct
 
     return TrialReport.from_counts(trials, asserts, target=0.5), conditional_ok
 
@@ -200,16 +201,17 @@ def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np
     lanes = np.arange(seeds.size)
     sent = announced = setup.pairs
     rejected = setup.rejected
+    # Slot s of seed i is entry s * len(seeds) + i of the flattened pairs.
     if variant == "send-orthogonal":
         (corrupt,), bob_rejected = setup.bob.bounded([cfg.n_states - 1])
         sent = setup.pairs.copy()
-        sent[corrupt, lanes] ^= 3
+        sent.ravel()[corrupt * seeds.size + lanes] ^= 3
         rejected = rejected | bob_rejected
     elif variant == "announce-wrong-state":
         (pick, alternative), bob_rejected = setup.bob.bounded([cfg.test_size - 1, 2])
-        slot = setup.tested[pick, lanes]
+        at = setup.tested.take(pick * seeds.size + lanes) * seeds.size + lanes
         announced = setup.pairs.copy()
-        announced[slot, lanes] = alternative + (alternative >= setup.pairs[slot, lanes])
+        announced.ravel()[at] = alternative + (alternative >= setup.pairs.take(at))
         rejected = rejected | bob_rejected
     aborted = sequence_spot_check_block(setup.alice, setup.tested, sent, announced) >= 0
     for lane in np.flatnonzero(rejected):

@@ -28,7 +28,11 @@ the three single-transfer forms in ``ROT_EXECUTORS``, and
 detection runs share.  They draw from :class:`~rotlab.rng.BlockStream` and
 sample each measurement with one comparison, against the thresholds that
 :func:`~rotlab.linalg.cumulative_thresholds` builds once from a table of
-its Born weights.  A run is its block form on one seed, with the
+its Born weights.  The sequence forms step through no slot or draw one
+at a time: Alice's test set, Floyd's picks, is settled for all of its
+draws at once (see :func:`sequence_setup_block`), and her spot check and
+untested-slot decode each look their thresholds and outputs up in flat
+tables, by pair index.  A run is its block form on one seed, with the
 transcript rendered from the bits it drew; the Monte-Carlo harness calls
 the block forms and builds no transcript.
 
@@ -195,8 +199,10 @@ class CoinOutcome:
             raise ValidationError("HEADS exactly when no abort and a == b")
 
 
-# The largest sequence batch.  One run holds about 2 * n_states words per
-# party, so this keeps a single run as small as a default engine block.
+# The smallest sequence batch, and the largest.  One run holds about
+# 2 * n_states words per party, so the largest keeps a single run as small
+# as a default engine block.
+MIN_SEQUENCE_STATES = 4
 MAX_SEQUENCE_STATES = 1 << 16
 
 
@@ -208,8 +214,8 @@ class SequenceConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "n_states", as_integer("n_states", self.n_states))
-        if self.n_states < 4:
-            raise ValidationError("sequence protocol needs at least 4 states")
+        if self.n_states < MIN_SEQUENCE_STATES:
+            raise ValidationError(f"sequence protocol needs at least {MIN_SEQUENCE_STATES} states")
         if self.n_states > MAX_SEQUENCE_STATES:
             raise ValidationError(f"sequence protocol takes at most {MAX_SEQUENCE_STATES} states")
 
@@ -389,15 +395,17 @@ def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
 class SequenceSetupBlock(NamedTuple):
     """The start every sequence flow shares, over a block of seeds: both
     party streams, ``pairs``, Bob's pair index per slot, shape
-    ``(n_states, seeds)``, and ``tested``, Alice's sorted test set, shape
-    ``(test_size, seeds)``.  ``rejected`` marks the seeds whose ``choice``
-    hit a Lemire rejection: nothing drawn for them is the generator's, so
-    the flow must be run again on each of them alone."""
+    ``(n_states, seeds)``, ``tested``, Alice's sorted test set, shape
+    ``(test_size, seeds)``, and ``is_tested``, the same set as a mask shaped
+    like ``pairs``.  ``rejected`` marks the seeds whose ``choice`` hit a
+    Lemire rejection: nothing drawn for them is the generator's, so the
+    flow must be run again on each of them alone."""
 
     alice: BlockStream
     bob: BlockStream
     pairs: np.ndarray
     tested: np.ndarray
+    is_tested: np.ndarray
     rejected: np.ndarray
 
 
@@ -442,20 +450,115 @@ def _sequence_thresholds() -> tuple[np.ndarray, np.ndarray]:
     return cumulative_thresholds(first)[..., 0], cumulative_thresholds(second)[..., 0]
 
 
-def _measure_qubits_block(pairs, first_basis, second_basis, rand1, rand2):
-    # A measurement of qubit 1, then of qubit 2 on the state it leaves, for
-    # arrays of pair indices, bases and uniforms that broadcast together:
-    # (m1, m2).
-    first, second = _sequence_thresholds()
-    m1 = (rand1 >= first[pairs, first_basis]).astype(np.intp)
-    m2 = (rand2 >= second[pairs, first_basis, m1, second_basis]).astype(np.intp)
-    return m1, m2
-
-
 def pair_bit(pairs: np.ndarray, index) -> np.ndarray:
     """Bit ``index`` of each pair index 2 * x0 + x1: x0 at index 0, x1 at
     index 1."""
     return (pairs >> (1 - np.asarray(index))) & 1
+
+
+@lru_cache(maxsize=None)
+def _spot_check_tables() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    # Alice's check of a tested slot, per 4 * sent + announced pair index:
+    # the outcome-1 thresholds of qubit 1 and of qubit 2, both read in the
+    # announced pair's test basis x0 ^ x1, and the outcome both must show,
+    # the announced x0.  Qubit 2's outcome only counts where qubit 1 showed
+    # that one, so its threshold is the one on the state that outcome leaves.
+    first, second = _sequence_thresholds()
+    sent, announced = np.divmod(np.arange(16), 4)
+    basis = pair_bit(announced, 0) ^ pair_bit(announced, 1)
+    expected = pair_bit(announced, 0)
+    return (first[sent, basis], second[sent, basis, expected, basis]), expected.astype(bool)
+
+
+def _tested_fails(sent: np.ndarray, announced: np.ndarray, rand: np.ndarray) -> np.ndarray:
+    # Whether each tested slot fails Alice's check, for the pair indices
+    # sent and announced, shape (test_size, seeds), and her uniforms, two
+    # per slot in order: a slot passes when both qubits show the expected
+    # outcome.
+    (first, second), expected = _spot_check_tables()
+    index = 4 * sent
+    index += announced
+    expected = expected.take(index)
+    fails = rand[0::2] >= first.take(index)
+    fails ^= expected
+    second_fails = rand[1::2] >= second.take(index)
+    second_fails ^= expected
+    fails |= second_fails
+    return fails
+
+
+@lru_cache(maxsize=None)
+def _decode_tables() -> tuple[np.ndarray, np.ndarray, RotOutcomeBlock]:
+    # Alice's untested-slot reading, qubit 1 in Z and qubit 2 in X, as flat
+    # tables: qubit 1's outcome-1 threshold, per pair; qubit 2's, per
+    # 2 * pair + m1; and her outputs, per 2 * (4 * pair + 2 * m1 + m2) +
+    # declared, from the decode of (m1, m2).
+    first, second = _sequence_thresholds()
+    *_, decode = _sequence_tables()
+    pair, m1, m2, declared = np.indices((4, 2, 2, 2)).reshape(4, -1)
+    learned_index, learned_value = decode[m1, m2].T
+    outputs = RotOutcomeBlock(learned_value, (learned_index != declared).astype(np.intp), pair_bit(pair, declared))
+    return first[:, 0], second[:, 0, :, 1].ravel(), outputs
+
+
+def _untested_outcomes(sent: np.ndarray, declared: np.ndarray, rand: np.ndarray) -> RotOutcomeBlock:
+    # Alice's outputs on the untested slots, for the pair indices sent and
+    # Bob's declared indices, shape (n_states - test_size, seeds), and her
+    # uniforms, two per slot in order.
+    first, second, outputs = _decode_tables()
+    code = 2 * sent
+    code += rand[0::2] >= first.take(sent)
+    m2 = rand[1::2] >= second.take(code)
+    code <<= 2
+    code += 2 * m2 + declared
+    return RotOutcomeBlock(*(table.take(code) for table in outputs))
+
+
+@lru_cache(maxsize=32)
+def _choice_highs(n: int, k: int) -> tuple[int, ...]:
+    # The ranges [0, high] of choice(n, k, replace=False)'s draws: Floyd's
+    # j from n - k to n - 1, then the shuffle's i from k - 1 down to 1.
+    return tuple(range(n - k, n)) + tuple(range(k - 1, 0, -1))
+
+
+@lru_cache(maxsize=None)
+def _earlier(k: int) -> np.ndarray:
+    # [t, s, 0] is True where s < t: the draws before draw t.
+    return np.tri(k, k, -1, dtype=bool)[..., None]
+
+
+def _floyd_test_sets(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    # Floyd's picks from its k draws per seed, draws shape (k, seeds): each
+    # seed's sorted, shape (k, seeds), and as a mask, shape (n, seeds).
+    # Draw t lies in [0, j] for j = n - k + t, and gives way to j when it is
+    # already picked, that is when an earlier draw equals it, or when it
+    # equals the j of an earlier draw that gave way.  A draw d >= n - k
+    # links to draw d - (n - k), the one whose j is d (itself when d = j),
+    # and a smaller draw to draw 0, which never gives way, so the draws
+    # that gave way are the repeats and the draws whose chain of links
+    # reaches one.  Each pass follows every link one step, over all draws
+    # at once, until no more give way: one pass more than the longest chain
+    # that matters, at most k.
+    k, width = draws.shape
+    lanes = np.arange(width)
+    gave_way = ((draws[:, None] == draws) & _earlier(k)).any(axis=1)
+    links = np.maximum(draws, n - k)
+    links -= n - k
+    links *= width
+    links += lanes
+    before, count = -1, np.count_nonzero(gave_way)
+    while count > before:
+        gave_way |= gave_way.take(links)
+        before, count = count, np.count_nonzero(gave_way)
+    picks = np.where(gave_way, np.arange(n - k, n)[:, None], draws)
+    # Each seed's picks as a row of a (seeds, n) mask, whose set entries,
+    # row after row, are the test sets, sorted.
+    offsets = n * lanes
+    picks += offsets
+    chosen = np.zeros(width * n, dtype=bool)
+    chosen[picks] = True
+    tested = (np.flatnonzero(chosen).reshape(width, k) - offsets[:, None]).T
+    return np.ascontiguousarray(tested), chosen.reshape(width, n).T
 
 
 def sequence_setup_block(
@@ -466,23 +569,22 @@ def sequence_setup_block(
     ``alice_words`` and ``bob_words`` 64-bit words each party draws after
     them.
 
-    ``choice(n, k, replace=False)`` is Floyd's algorithm, one Lemire draw
-    in ``[0, j]`` for each j from n - k to n - 1, a draw already picked
-    giving way to j itself, followed by a Fisher-Yates shuffle of the k
-    picks, one draw in ``[0, i]`` for each i from k - 1 down to 1.  The
-    test set is sorted, so the shuffle draws are taken but their order is
-    unused.  Those 2k - 1 32-bit values fill k words.
+    Bob's pair at a slot is two bits, the top bits of one word's halves.
+    Alice's test set is ``choice(n, k, replace=False)``: Floyd's algorithm,
+    one Lemire draw in ``[0, j]`` for each j from n - k to n - 1, a draw
+    already picked giving way to j itself, followed by a Fisher-Yates
+    shuffle of the k picks, one draw in ``[0, i]`` for each i from k - 1
+    down to 1.  The test set is sorted, so the shuffle draws are taken but
+    their order is unused.  Those 2k - 1 32-bit values fill k words.
+    Floyd's steps are not run one after another: which draws gave way is
+    decided for all of them at once, from the draws they equal and the
+    chains of draws that equal an earlier step's j.
     """
     n, k = cfg.n_states, cfg.test_size
     alice, bob = block_streams(seeds, ((ALICE, k + alice_words), (BOB, n + bob_words)))
-    bits = bob.draw_bits(2 * n)
-    pairs = 2 * bits[0::2] + bits[1::2]
-    draws, rejected = alice.bounded(np.concatenate((np.arange(n - k, n), np.arange(k - 1, 0, -1))))
-    picks = np.empty((k, draws.shape[1]), dtype=np.intp)
-    for t, j in enumerate(range(n - k, n)):
-        taken = (picks[:t] == draws[t]).any(axis=0)
-        picks[t] = np.where(taken, j, draws[t])
-    return SequenceSetupBlock(alice, bob, pairs, np.sort(picks, axis=0), rejected)
+    pairs = bob.draw_bit_pairs(n)
+    draws, rejected = alice.bounded(_choice_highs(n, k))
+    return SequenceSetupBlock(alice, bob, pairs, *_floyd_test_sets(draws[:k], n), rejected)
 
 
 def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np.ndarray:
@@ -491,15 +593,12 @@ def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np
     slot whose state Bob sent, ``announced`` the one he announces for it.
     Every tested slot takes its two uniforms; the outcomes after the first
     failure are not used, as the check stops there."""
-    sent = np.take_along_axis(sent, tested, axis=0)
-    announced = np.take_along_axis(announced, tested, axis=0)
-    rand = alice.randoms(2 * len(tested))
-    basis = pair_bit(announced, 0) ^ pair_bit(announced, 1)
-    expected = pair_bit(announced, 0)
-    m1, m2 = _measure_qubits_block(sent, basis, basis, rand[0::2], rand[1::2])
-    fails = (m1 != expected) | (m2 != expected)
-    first = fails.argmax(axis=0)
-    return np.where(fails.any(axis=0), tested[first, np.arange(tested.shape[1])], -1)
+    width = tested.shape[1]
+    at = tested * width + np.arange(width)
+    sent, announced = sent.take(at), announced.take(at)
+    fails = _tested_fails(sent, announced, alice.randoms(2 * len(tested)))
+    first = np.where(fails, tested, MAX_SEQUENCE_STATES).min(axis=0)
+    return np.where(first < MAX_SEQUENCE_STATES, first, -1)
 
 
 def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock:
@@ -511,20 +610,11 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     n, k = cfg.n_states, cfg.test_size
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
     failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs)
-    is_tested = np.zeros(setup.pairs.shape, dtype=bool)
-    is_tested[setup.tested, np.arange(setup.pairs.shape[1])] = True
     # Each seed's untested slots, in order: n - k of them for every seed.
-    sent = setup.pairs.T[~is_tested.T].reshape(-1, n - k).T
+    sent = np.ascontiguousarray(setup.pairs.T[~setup.is_tested.T].reshape(seeds.size, n - k).T)
     rand = setup.alice.randoms(2 * (n - k))
-    m1, m2 = _measure_qubits_block(sent, 0, 1, rand[0::2], rand[1::2])
-    *_, decode = _sequence_tables()
-    learned_index, learned_value = np.moveaxis(decode[m1, m2], -1, 0)
     declared = setup.bob.draw_bits(n - k)
-    outcomes = RotOutcomeBlock(
-        g_hat=learned_value,
-        assert_bit=(learned_index != declared).astype(np.intp),
-        bob_bit=pair_bit(sent, declared),
-    )
+    outcomes = _untested_outcomes(sent, declared, rand)
     return SequenceBlock(setup.pairs, setup.tested, failed, declared, outcomes, setup.rejected)
 
 
@@ -602,7 +692,7 @@ def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOu
 
 def _run_sequence_single(seed: int) -> tuple[Transcript, RotOutcome]:
     # Coin-flip adapter: smallest valid batch, first surviving outcome.
-    transcript, outcomes = run_sequence(SequenceConfig(4), seed)
+    transcript, outcomes = run_sequence(SequenceConfig(MIN_SEQUENCE_STATES), seed)
     return transcript, outcomes[0]
 
 

@@ -49,6 +49,9 @@ _SPLITMIX_MUL = (0xBF58476D1CE4E5B9, 0x94D049BB133111EB)
 
 _LOW32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+# The shifts that bring a word's low and high 32-bit halves down, as a
+# column to broadcast against words.
+_HALF_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
 
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al.,
 # SC'11), as Python ints for the one-block rounds.
@@ -68,8 +71,10 @@ _STACKED_WEYL = np.array([[w] for w in _KEY_STEP], dtype=np.uint64)
 # Columns per pass of the stacked rounds: wide enough to spread each ufunc
 # call's fixed cost, narrow enough to keep a round's temporaries in cache.
 _COLUMNS = 4096
-# Distinct layouts of runs kept cached, each with its seed-free prologue.
+# Distinct layouts of runs kept cached, each with its seed-free prologue,
+# and distinct lists of bounded draws' ranges, each with its Lemire bounds.
 _LAYOUTS = 32
+_RANGES = 32
 
 
 def seed_array(seed: int) -> np.ndarray:
@@ -229,9 +234,13 @@ class BlockStream:
     :func:`philox_block` call, and hands their words out the way numpy's
     generator consumes them.  A 32-bit value comes from the buffered high
     half of the last word split, if there is one, and otherwise from the
-    low half of a fresh word, whose high half is then buffered.  :meth:`draw_bit` is ``integers(0, 2)``, the top bit
-    of a 32-bit value.  :meth:`bounded` is ``integers(0, high + 1)`` and the
-    draws of ``choice``: Lemire's multiply-shift on one 32-bit value each.
+    low half of a fresh word, whose high half is then buffered.
+
+    :meth:`draw_bit` is ``integers(0, 2)``, the top bit of a 32-bit value,
+    and :meth:`draw_bit_pairs` takes such bits two at a time, both from one
+    word when none is buffered.  :meth:`bounded` is ``integers(0, high + 1)``
+    and the draws of ``choice``: Lemire's multiply-shift on one 32-bit value
+    each.
     :meth:`random` is ``random()``: the next whole word as
     ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.  Asking for
     more words than it holds raises IndexError, unless a one-seed stream
@@ -272,12 +281,23 @@ class BlockStream:
         words = self._take((count + 1) // 2)
         if count % 2:
             self._buffered = words[-1]
-        split = np.stack((words & _LOW32, words >> _SHIFT32), axis=1).reshape(2 * len(words), words.shape[-1])
+        split = ((words[:, None] >> _HALF_SHIFTS) & _LOW32).reshape(2 * len(words), words.shape[-1])
         parts.append(split[:count])
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def draw_bits(self, count: int) -> np.ndarray:
         return (self._halves(count) >> np.uint64(31)).astype(np.intp)
+
+    def draw_bit_pairs(self, count: int) -> np.ndarray:
+        """The next ``2 * count`` bits as ``count`` pair indices ``2 * b + c``
+        of consecutive bits ``b, c``, shape ``(count, len(seeds))``.  With no
+        half word buffered, a pair is the top bits of one word's two halves,
+        its bits 31 and 63."""
+        if self._buffered is not None:
+            bits = self.draw_bits(2 * count)
+            return 2 * bits[0::2] + bits[1::2]
+        words = self._take(count)
+        return (((words >> np.uint64(30)) & np.uint64(2)) | (words >> np.uint64(63))).astype(np.intp)
 
     def draw_bit(self) -> np.ndarray:
         if self._buffered is not None:
@@ -288,8 +308,9 @@ class BlockStream:
         return bits.astype(np.intp)
 
     def bounded(self, highs) -> tuple[np.ndarray, np.ndarray]:
-        """One draw in ``[0, high]`` per entry of ``highs`` (each at least 1),
-        in order: ``(values, rejected)``, values shaped ``(len(highs), len(seeds))``.
+        """One draw in ``[0, high]`` per entry of ``highs``, a sequence of
+        ints each at least 1, in order: ``(values, rejected)``, values shaped
+        ``(len(highs), len(seeds))``.
 
         Lemire's method takes ``(u * (high + 1)) >> 32`` of a 32-bit value
         ``u`` and draws again while the low 32 bits of that product fall
@@ -301,8 +322,7 @@ class BlockStream:
         not the generator's, so the flow must be run again on each of them
         alone.
         """
-        span = np.asarray(highs, dtype=np.uint64)[:, None] + np.uint64(1)
-        threshold = (_LOW32 - (span - np.uint64(1))) % span
+        span, threshold = _lemire_bounds(tuple(highs))
         start = self._used, self._buffered
         product = self._halves(len(span)) * span
         rejected = ((product & _LOW32) < threshold).any(axis=0)
@@ -322,6 +342,16 @@ class BlockStream:
 
     def random(self) -> np.ndarray:
         return (self._next_word() >> np.uint64(11)) * 2.0**-53
+
+
+@lru_cache(maxsize=_RANGES)
+def _lemire_bounds(highs: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # Lemire's span high + 1 and rejection threshold per entry of highs,
+    # shaped (len(highs), 1) to broadcast against seeds, and read-only.
+    span = np.array(highs, dtype=np.uint64)[:, None] + np.uint64(1)
+    threshold = (_LOW32 - (span - np.uint64(1))) % span
+    span.flags.writeable = threshold.flags.writeable = False
+    return span, threshold
 
 
 def block_streams(seeds: np.ndarray, streams) -> tuple[BlockStream, ...]:

@@ -497,7 +497,7 @@ def _alice_qutrit_runner(params: dict):
 
 
 def _alice_sequence_runner(params: dict):
-    cfg = SequenceConfig(params.get("n_states", 4))
+    cfg = SequenceConfig(params["n_states"])
     measurements = _alice_sequence_measurements()
 
     def run(seed: int) -> bool:

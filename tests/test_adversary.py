@@ -419,7 +419,8 @@ def test_cheat_threshold_tables_pin_their_born_tables(monkeypatch, rng):
     assert {key for key, _, _ in cases} == set(adversary._STRATEGIES)
     for key, params, weights in cases:
         built.clear()
-        adversary._STRATEGIES[key][1](params)
+        # A factory takes a strategy's parameters, its defaults filled in.
+        adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
         assert len(built) == 1, key
         assert np.array_equal(built[0][0], weights), (key, params)
         assert_thresholds_pin(weights, built[0][1])

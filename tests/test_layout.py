@@ -338,3 +338,56 @@ def test_states_and_mixtures_are_plain_arrays():
     retired = {"PureState", "DensityMatrix", "kron", "partial_trace"}
     assert not retired & set(vars(rotlab)), retired & set(vars(rotlab))
     assert not retired & set(vars(rotlab.linalg)), retired & set(vars(rotlab.linalg))
+
+
+# The sequence block flows, by module: each runs over all seeds and slots at
+# once, so none of them steps through slots or draws in a Python loop.
+VECTORISED = {
+    "protocols.py": {"sequence_setup_block", "sequence_spot_check_block", "play_sequence_block"},
+    "montecarlo.py": {"_detection_block"},
+}
+
+
+def _range_loops(tree: ast.Module, names: set[str]) -> list[str]:
+    # Each ``for`` loop or comprehension over an iterable that calls
+    # ``range``, in the top-level functions called ``names``.
+    found = []
+    for top in tree.body:
+        if not isinstance(top, ast.FunctionDef) or top.name not in names:
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, (ast.For, ast.comprehension)) and any(
+                isinstance(call, ast.Call) and isinstance(call.func, ast.Name) and call.func.id == "range"
+                for call in ast.walk(node.iter)
+            ):
+                found.append(f"{top.name}: for ... in {ast.unparse(node.iter)}")
+    return found
+
+
+def test_sequence_block_flows_loop_over_no_range():
+    # Rejected lanes are run again one at a time, by iterating
+    # np.flatnonzero, which the rule allows.
+    for module, names in VECTORISED.items():
+        tree = ast.parse((PACKAGE / module).read_text())
+        assert names <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, module
+        assert _range_loops(tree, names) == [], module
+
+
+def test_range_loop_finder_sees_loops_comprehensions_and_wrapped_ranges():
+    source = (
+        "def flow(seeds, k):\n"
+        "    for t, j in enumerate(range(k)):\n"
+        "        pass\n"
+        "    rows = [t for t in range(k)]\n"
+        "    for lane in np.flatnonzero(seeds):\n"
+        "        pass\n"
+        "    while k:\n"
+        "        k -= 1\n"
+        "def other(k):\n"
+        "    for t in range(k):\n"
+        "        pass\n"
+    )
+    assert _range_loops(ast.parse(source), {"flow"}) == [
+        "flow: for ... in enumerate(range(k))",
+        "flow: for ... in range(k)",
+    ]

@@ -139,6 +139,37 @@ def test_sequence_completeness_counts_run_sequence_outcomes(n_states, trials):
     assert (report.successes, flag) == (asserts, conditional)
 
 
+def test_sequence_completeness_counts_failed_runs_as_one_abort(monkeypatch):
+    # Honest runs pass their spot check; making both flows fail it, at the
+    # second tested slot, on every run whose first tested slot is even
+    # gives blocks that mix failed and passed runs.  A failed run adds one
+    # outcome, its abort sentinel, which is never correct.
+    check, scalar_check = protocols.sequence_spot_check_block, oracle.sequence_spot_check
+
+    def failing(alice, tested, sent, announced):
+        return np.where(tested[0] % 2 == 0, tested[1], check(alice, tested, sent, announced))
+
+    def scalar_failing(alice, tested, sent, announced):
+        slot = scalar_check(alice, tested, sent, announced)
+        return tested[1] if tested[0] % 2 == 0 else slot
+
+    monkeypatch.setattr(protocols, "sequence_spot_check_block", failing)
+    monkeypatch.setattr(oracle, "sequence_spot_check", scalar_failing)
+    monkeypatch.setattr(montecarlo, "BLOCK_TRIALS", 5 * 9)
+    cfg = SequenceConfig(9)
+    for trials, seed in ((1003, 6), (1000, 8)):
+        outcomes = []
+        run_index = 0
+        while len(outcomes) < trials:
+            outcomes += oracle.run_sequence(cfg, trial_seed(seed, run_index))[1]
+            run_index += 1
+        outcomes = outcomes[:trials]
+        assert any(outcome.aborted for outcome in outcomes)
+        asserts = sum(outcome.assert_bit == 0 for outcome in outcomes)
+        report, flag = estimate_completeness("sequence", trials, seed=seed, n_states=9)
+        assert (report.successes, flag) == (asserts, False), (trials, seed)
+
+
 def test_detection_experiment_honest_control():
     report = sequence_detection_experiment(16, "honest", 300, seed=2)
     assert report.successes == 0
@@ -225,7 +256,9 @@ def test_threshold_tables_are_built_once(monkeypatch):
     for module in (protocols, adversary):
         monkeypatch.setattr(module, "cumulative_thresholds", counting)
     cached = (protocols._bad_qubit_thresholds, protocols._qutrit_weights, protocols._qutrit_thresholds)
-    for builder in cached + (protocols._sequence_thresholds,):
+    # The sequence flow's flat tables are built from its thresholds, once.
+    derived = (protocols._spot_check_tables, protocols._decode_tables)
+    for builder in cached + (protocols._sequence_thresholds,) + derived:
         builder.cache_clear()
     adversary._compiled.cache_clear()
     flows = [lambda p=p: estimate_completeness(p, 1000, 3, n_states=9) for p in ("bad_qubit", "qutrit", "sequence")]
@@ -451,6 +484,25 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
         # The target lane alone is run again, once: one stream per party.
         assert sorted(opened) == [(rng.ALICE, target_seed), (rng.BOB, target_seed)], (draw, flow)
         assert report.successes == expected, (draw, flow)
+
+
+def test_sequence_cheat_blocks_default_to_the_smallest_batch(monkeypatch):
+    # The strategy without n_states is the one with the smallest batch, 4
+    # states, and its blocks hold BLOCK_TRIALS // 4 runs, as that one's do.
+    default = CheatStrategy("alice", "sequence")
+    smallest = CheatStrategy("alice", "sequence", {"n_states": 4})
+    assert default == smallest and default.parameters == {"n_states": 4}
+    sizes = []
+
+    def recording(seeds):
+        sizes.append(seeds.size)
+        return np.zeros(seeds.size, dtype=bool)
+
+    monkeypatch.setattr(montecarlo, "cheat_block", lambda _: recording)
+    for strategy in (default, smallest):
+        sizes.clear()
+        assert estimate_cheat(strategy, 100_000, 1).trials == 100_000
+        assert sizes == [16384] * 6 + [1696], strategy
 
 
 def test_sequence_runs_straddling_chunks_match_unchunked(monkeypatch):

@@ -3,9 +3,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
-from rotlab import adversary, linalg, protocols
+from rotlab import adversary, linalg, protocols, rng
 from rotlab.adversary import CheatStrategy, execute_cheat
 from rotlab.linalg import ValidationError
 from rotlab.protocols import (
@@ -24,7 +25,7 @@ from rotlab.protocols import (
     sequence_setup_block,
     sequence_spot_check_block,
 )
-from rotlab.rng import trial_seeds
+from rotlab.rng import BlockStream, trial_seeds
 
 from conftest import assert_thresholds_pin
 from oracle import qutrit_born_probabilities, sequence_decode, sequence_expected_outcome, sequence_test_basis
@@ -264,6 +265,76 @@ def test_sequence_test_step_consistency_table():
     assert sequence_test_basis(1, 0) == "X" and sequence_expected_outcome(1, 0) == 1
 
 
+MASK64 = (1 << 64) - 1
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(
+    seed=st.integers(0, MASK64),
+    n_states=st.one_of(st.integers(4, 120), st.integers(4, MAX_SEQUENCE_STATES)),
+)
+def test_block_test_sets_are_numpy_choice(seed, n_states):
+    # Each seed's test set, sorted and as a mask, is numpy's choice on
+    # Alice's stream, unless the seed hit a Lemire rejection, which the
+    # block flags instead.
+    cfg = SequenceConfig(n_states)
+    seeds = np.array([seed, (seed + 1) & MASK64], dtype=np.uint64)
+    block = sequence_setup_block(cfg, seeds)
+    for lane, lane_seed in enumerate(seeds.tolist()):
+        key = np.array([lane_seed, rng.ALICE], dtype=np.uint64)
+        gen = np.random.Generator(np.random.Philox(key=key))
+        expected = sorted(gen.choice(n_states, cfg.test_size, replace=False).tolist())
+        if not block.rejected[lane]:
+            assert block.tested[:, lane].tolist() == expected, (lane_seed, n_states)
+            assert np.flatnonzero(block.is_tested[:, lane]).tolist() == expected, (lane_seed, n_states)
+
+
+def _lemire_value(value: int, high: int) -> int:
+    # A 32-bit value that Lemire's method maps to ``value`` in [0, high],
+    # with the product's low half near 2**31, far from a rejection.
+    return ((2 * value + 1) << 31) // (high + 1)
+
+
+def _floyd(draws: list[int], n: int) -> list[int]:
+    # Floyd's algorithm, one step after another: each draw in [0, j] is
+    # picked, or gives way to j when it is already picked.
+    picked = []
+    for j, draw in zip(range(n - len(draws), n), draws):
+        picked.append(j if draw in picked else draw)
+    return sorted(picked)
+
+
+def test_floyd_steps_follow_chains_of_collisions(monkeypatch):
+    # n = 25 draws for j = 20 .. 24.  Lane 0 chains three links: draw 1
+    # repeats draw 0 and gives way to 21, draw 2 is 21 and gives way to
+    # 22, draw 3 is 22 and gives way to 23, draw 4 is 23 and gives way to
+    # 24.  In lane 1 draw 1 picks its own j, 21, and draw 3 is 22, the j
+    # of draw 2, which repeated draw 0.  In lane 2 draw 2 repeats 20, which
+    # draw 0 picked as its own j, and draw 3 is 21, the j of draw 1, which
+    # did not give way; lane 3 takes no collision at all.
+    cfg = SequenceConfig(25)
+    n, k = cfg.n_states, cfg.test_size
+    floyd_draws = [[7, 7, 21, 22, 23], [3, 21, 3, 22, 4], [20, 5, 20, 21, 9], [0, 1, 2, 3, 4]]
+    highs = protocols._choice_highs(n, k)
+    values = [[_lemire_value(d, high) for d, high in zip(lane + [0] * (k - 1), highs)] for lane in floyd_draws]
+    values = [lane + [0] for lane in values]  # 2k - 1 values fill k words
+    words = np.array([[lane[2 * i] | lane[2 * i + 1] << 32 for lane in values] for i in range(k)], dtype=np.uint64)
+    words = np.concatenate((words, np.zeros((-k % 4, len(floyd_draws)), dtype=np.uint64)))
+    streams = protocols.block_streams
+
+    def synthetic(seeds, specs):
+        alice, bob = streams(seeds, specs)
+        return BlockStream(seeds, rng.ALICE, words), bob
+
+    monkeypatch.setattr(protocols, "block_streams", synthetic)
+    setup = sequence_setup_block(cfg, np.arange(len(floyd_draws), dtype=np.uint64))
+    assert not setup.rejected.any()
+    for lane, draws in enumerate(floyd_draws):
+        assert all(draw <= j for draw, j in zip(draws, range(n - k, n)))
+        assert setup.tested[:, lane].tolist() == _floyd(draws, n), lane
+    assert _floyd(floyd_draws[0], n) == [7, 21, 22, 23, 24]
+
+
 def test_sequence_spot_check_passes_honest_states():
     cfg = SequenceConfig(16)
     setup = sequence_setup_block(cfg, np.arange(40, dtype=np.uint64), alice_words=2 * cfg.test_size)
@@ -487,21 +558,43 @@ def test_certain_outcomes_are_drawn_at_every_uniform():
 
 
 def test_qubit_measurements_sample_the_scalar_rule():
-    # Both measurements of the sequence flow, for every pair and pair of
-    # bases, at uniforms on a grid, on each threshold, at 0.0 and at
-    # 1 - 2**-53: the scalar rule on the one-state Born tables.
+    # Both readings of the sequence flow, at uniforms on a grid, on each
+    # threshold, at 0.0 and at 1 - 2**-53: the spot check, for every sent
+    # and announced pair, and the untested-slot decode, for every sent pair
+    # and declared index, each from its flat tables, against the scalar
+    # rule on the one-state Born tables.
     first, second, _ = oracle.sequence_tables()
     edges = np.concatenate([t[np.isfinite(t)] for t in protocols._sequence_thresholds()])
     uniforms = np.unique(np.concatenate((np.linspace(0.0, 1.0, 17), edges, [0.0, 1.0 - 2.0**-53])))
     uniforms = uniforms[uniforms < 1.0]
-    grids = np.meshgrid(np.arange(4), [0, 1], [0, 1], uniforms, uniforms, indexing="ij")
-    pairs, basis1, basis2, rand1, rand2 = (grid.ravel() for grid in grids)
-    m1, m2 = protocols._measure_qubits_block(pairs, basis1, basis2, rand1, rand2)
-    for case in zip(pairs, basis1, basis2, rand1, rand2, m1, m2):
-        pair, b1, b2, r1, r2, got1, got2 = case
-        want1 = oracle.invert_cumulative(first[pair, b1].tolist(), r1)
-        want2 = oracle.invert_cumulative(second[pair, b1, want1, b2].tolist(), r2)
-        assert (got1, got2) == (want1, want2), case
+
+    def measure(pair, basis1, basis2, rand1, rand2):
+        m1 = oracle.invert_cumulative(first[pair, basis1].tolist(), rand1)
+        return m1, oracle.invert_cumulative(second[pair, basis1, m1, basis2].tolist(), rand2)
+
+    def column(*arrays):
+        # The cases as one seed's rows: a (cases, 1) array per input, and
+        # the uniforms two per case, in order.
+        *values, rand1, rand2 = (grid.ravel() for grid in np.meshgrid(*arrays, indexing="ij"))
+        rand = np.stack((rand1, rand2), axis=1).reshape(-1, 1)
+        return [value[:, None] for value in values] + [rand], list(zip(*values, rand1, rand2))
+
+    (sent, announced, rand), cases = column(np.arange(4), np.arange(4), uniforms, uniforms)
+    fails = protocols._tested_fails(sent, announced, rand)[:, 0]
+    for case, got in zip(cases, fails.tolist()):
+        pair, claim, r1, r2 = case
+        x0, x1 = divmod(int(claim), 2)
+        basis = "ZX".index(oracle.sequence_test_basis(x0, x1))
+        expected = oracle.sequence_expected_outcome(x0, x1)
+        assert got == (measure(pair, basis, basis, r1, r2) != (expected, expected)), case
+
+    (sent, declared, rand), cases = column(np.arange(4), [0, 1], uniforms, uniforms)
+    out = protocols._untested_outcomes(sent, declared, rand)
+    for index, case in enumerate(cases):
+        pair, bit, r1, r2 = case
+        learned_index, learned_value = oracle.sequence_decode(*measure(pair, 0, 1, r1, r2))
+        want = (learned_value, int(learned_index != bit), divmod(int(pair), 2)[bit])
+        assert (out.g_hat[index, 0], out.assert_bit[index, 0], out.bob_bit[index, 0]) == want, case
 
 
 def test_aborted_sequence_run_renders_as_the_oracle_does(monkeypatch):

@@ -285,6 +285,23 @@ def test_block_stream_spans_blocks():
         block.draw_bit()
 
 
+def test_bit_pairs_are_consecutive_bits():
+    # Pairs 2 * b + c of the generator's bits, from fresh words and after a
+    # buffered half word, with later draws unmoved.
+    keys = _keys(30)
+    for lead in (0, 1, 3):
+        block = _one_stream(keys, 1, words=12)
+        leading = block.draw_bits(lead)
+        pairs = block.draw_bit_pairs(7)
+        after = block.draw_bits(3)
+        assert pairs.shape == (7, keys.size) and pairs.dtype == np.intp
+        for index, key in enumerate(keys.tolist()):
+            gen = party_stream(key, 1)
+            assert leading[:, index].tolist() == [draw_bit(gen) for _ in range(lead)]
+            assert pairs[:, index].tolist() == [2 * draw_bit(gen) + draw_bit(gen) for _ in range(7)], (lead, key)
+            assert after[:, index].tolist() == [draw_bit(gen) for _ in range(3)], (lead, key)
+
+
 def test_bounded_flags_exactly_the_lemire_redraws():
     # A range of 3 * 2**30 + 1 values rejects about a quarter of all 32-bit
     # draws, so numpy's own generator shows which draws it took again: after
