@@ -19,15 +19,10 @@ from .adversary import (
     optimize_alice_qutrit,
 )
 from .linalg import (
-    ComplexMatrix,
     DimensionError,
     NumericError,
-    ProjectiveMeasurement,
     ValidationError,
-    helstrom_prob,
-    helstrom_projectors,
     hermitian_eigenvalues,
-    trace_norm,
 )
 from .montecarlo import (
     TrialReport,

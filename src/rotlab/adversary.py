@@ -32,12 +32,11 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
-    ComplexMatrix,
-    ProjectiveMeasurement,
     ValidationError,
     cumulative_thresholds,
     helstrom_measurement,
     projections,
+    projective_measurement,
     trace_norms,
 )
 from .protocols import (
@@ -360,7 +359,7 @@ def _alice_qutrit_block(params: dict):
     return run
 
 
-def _alice_sequence_measurements() -> tuple[ProjectiveMeasurement, ...]:
+def _alice_sequence_measurements() -> tuple[np.ndarray, ...]:
     # Alice's Helstrom measurement on a stored state, per declared bit.
     return tuple(helstrom_measurement(_bit_operator(SEQUENCE_STATES, bit)) for bit in (0, 1))
 
@@ -407,11 +406,10 @@ def _alice_coinflip_block(params: dict):
     return run
 
 
-def _helstrom_on_bob_side() -> ProjectiveMeasurement:
+def _helstrom_on_bob_side() -> np.ndarray:
     # Bob's Helstrom measurement of his qutrit, lifted to both qutrits.
     red0, red1 = _bob_qutrit_reduced_states()
-    on_bob = helstrom_measurement(0.5 * red0 - 0.5 * red1).stack
-    return ProjectiveMeasurement(tuple(map(ComplexMatrix, np.kron(np.eye(3), on_bob))))
+    return projective_measurement(np.kron(np.eye(3), helstrom_measurement(0.5 * red0 - 0.5 * red1)))
 
 
 def _bob_qutrit_weights() -> np.ndarray:

@@ -1,37 +1,38 @@
 """Dense complex linear algebra for Hilbert spaces of dimension at most 16.
 
 Everything a two-party quantum protocol simulation needs and nothing more.
-States and mixtures are plain arrays: a pure state is a ``(..., d)`` array
-of amplitudes, a mixture a ``(d, d)`` array.  On them: Hermitian spectra
-via LAPACK (numpy's ``eigvalsh`` / ``eigh``), trace norms, minimum-error
-(Helstrom) discrimination, and projective measurements whose completeness
-and orthogonality are checked once, at construction.  Two stacked
-primitives carry the numerics: :func:`trace_norms` takes the trace norms of
-a stack of operators in one eigensolve, and :func:`projections` gives the
-projected vectors and Born weights of a stack of pure states under a
-measurement; :func:`cumulative_thresholds` turns a table of such weights,
-once, into the thresholds its outcomes are sampled from, one comparison
-per two-outcome draw.  All values are immutable after construction and all
-operations are pure functions, so they are safe to share between threads.
+States, mixtures and measurements are plain arrays: a pure state is a
+``(..., d)`` array of amplitudes, a mixture a ``(d, d)`` array, and a
+projective measurement the read-only ``(outcomes, d, d)`` stack of its
+projectors that :func:`projective_measurement` returns once it has checked
+them (square, one shared dimension, finite, complete, pairwise orthogonal).
+Three stacked primitives carry the numerics: :func:`trace_norms` takes the
+trace norms of a stack of operators in one LAPACK ``eigvalsh`` call,
+:func:`helstrom_measurement` builds the minimum-error (Helstrom)
+measurement of one operator p0 rho0 - p1 rho1, and :func:`projections`
+gives the projected vectors and Born weights of a stack of pure states
+under a measurement; :func:`cumulative_thresholds` turns a table of such
+weights, once, into the thresholds its outcomes are sampled from, one
+comparison per two-outcome draw.  The stacked primitives check nothing:
+they take operators that are valid by construction.  All values are
+read-only after construction and all operations are pure functions, so
+they are safe to share between threads.
 
-:class:`ComplexMatrix` is the one validated operator type.
-:func:`helstrom_prob` and :func:`helstrom_projectors` take their states as
-``ComplexMatrix`` operands and check, at that boundary, that each is a
-density matrix.  The stacked primitives and :func:`helstrom_measurement`
-check nothing: they take operators that are valid by construction.
+:class:`ComplexMatrix` and :func:`hermitian_eigenvalues`, a checked
+operand and the spectrum of one Hermitian matrix, serve callers outside
+the package; the package itself uses neither.
 
-Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards construction
-invariants (hermiticity, normalisation, priors, equality), ``DERIVED_TOL``
-guards derived quantities (positivity, projector completeness, outcome
-weights that are rounding residues of 0).
+Tolerances are fixed package-wide: ``STRUCTURAL_TOL`` guards hermiticity
+and decides which eigenvalues of a Helstrom operator are negative,
+``DERIVED_TOL`` guards derived quantities (projector completeness and
+orthogonality, outcome weights that are rounding residues of 0).
 """
 
 from __future__ import annotations
 
 import numbers
 import operator
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,12 +63,8 @@ def as_integer(name: str, value) -> int:
 
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
-    """Dense complex matrix, at most 16x16, of finite entries, immutable
-    after construction.
-
-    Equality is entrywise within ``STRUCTURAL_TOL``; instances are therefore
-    unhashable.
-    """
+    """Dense complex matrix, at most 16x16, of finite entries, read-only
+    after construction: the operand of :func:`hermitian_eigenvalues`."""
 
     data: np.ndarray
 
@@ -83,47 +80,6 @@ class ComplexMatrix:
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
 
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def identity(cls, dim: int) -> "ComplexMatrix":
-        return cls(np.eye(dim))
-
-    @classmethod
-    def diagonal(cls, entries: Sequence[complex]) -> "ComplexMatrix":
-        return cls(np.diag(np.asarray(entries, dtype=np.complex128)))
-
-    def trace(self) -> complex:
-        return complex(np.trace(self.data))
-
-    def is_hermitian(self, tol: float = STRUCTURAL_TOL) -> bool:
-        return self.rows == self.cols and bool(
-            np.max(np.abs(self.data - self.data.conj().T)) <= tol
-        )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexMatrix):
-            return NotImplemented
-        if self.data.shape != other.data.shape:
-            return False
-        return bool(np.max(np.abs(self.data - other.data)) <= STRUCTURAL_TOL)
-
-    __hash__ = None  # tolerance-based equality
-
-    def __repr__(self) -> str:
-        return f"ComplexMatrix({self.rows}x{self.cols})"
-
-
-def _require_hermitian(m: ComplexMatrix) -> None:
-    if not m.is_hermitian():
-        raise ValidationError("eigensolver requires a Hermitian matrix (tolerance 1e-12)")
-
 
 def _eigenvalues(operators: np.ndarray) -> np.ndarray:
     # Ascending eigenvalues of each matrix of a stack, from one LAPACK call.
@@ -135,14 +91,16 @@ def _eigenvalues(operators: np.ndarray) -> np.ndarray:
 
 def hermitian_eigenvalues(m: ComplexMatrix) -> np.ndarray:
     """Eigenvalues of a Hermitian matrix, ascending (LAPACK ``eigvalsh``)."""
-    _require_hermitian(m)
-    return _eigenvalues(m.data)
+    data = m.data
+    if data.shape[0] != data.shape[1] or not np.max(np.abs(data - data.conj().T)) <= STRUCTURAL_TOL:
+        raise ValidationError("eigensolver requires a Hermitian matrix (tolerance 1e-12)")
+    return _eigenvalues(data)
 
 
-def _hermitian_eigh(m: ComplexMatrix) -> tuple[np.ndarray, np.ndarray]:
-    _require_hermitian(m)
+def _hermitian_eigh(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Ascending eigenvalues and eigenvectors of one matrix, from LAPACK.
     try:
-        return np.linalg.eigh(m.data)
+        return np.linalg.eigh(operator)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
@@ -154,122 +112,57 @@ def trace_norms(operators: np.ndarray) -> np.ndarray:
     Like numpy's ``eigvalsh``, it does not check that the operators are
     Hermitian: it reads only their lower triangles, and a non-Hermitian
     input gives meaningless values.  Pass only operators that are Hermitian
-    by construction; :func:`trace_norm` checks its argument.
+    by construction.
     """
     return np.abs(_eigenvalues(operators)).sum(axis=-1)
 
 
-def trace_norm(m: ComplexMatrix) -> float:
-    """Sum of absolute eigenvalues of a Hermitian matrix."""
-    _require_hermitian(m)
-    return float(trace_norms(m.data))
-
-
-def _check_priors(p0: float, p1: float) -> None:
-    if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
-        raise ValidationError(f"priors must lie in [0, 1], got ({p0}, {p1})")
-    if not abs(p0 + p1 - 1.0) <= STRUCTURAL_TOL:
-        raise ValidationError(f"priors must sum to 1 within {STRUCTURAL_TOL}, got {p0 + p1!r}")
-
-
-def _discrimination_operator(p0: float, rho0: ComplexMatrix, p1: float, rho1: ComplexMatrix) -> np.ndarray:
-    # p0 rho0 - p1 rho1, once the priors and both states are checked: each
-    # state square, of one shared dimension, Hermitian, of unit trace and
-    # with no eigenvalue below -DERIVED_TOL.
-    _check_priors(p0, p1)
-    if rho0.data.shape != rho1.data.shape or rho0.rows != rho0.cols:
-        raise DimensionError("states to discriminate must be square and share a dimension")
-    for rho in (rho0, rho1):
-        if not rho.is_hermitian():
-            raise ValidationError("density matrix must be Hermitian within 1e-12")
-        tr = rho.trace()
-        if not abs(tr - 1.0) <= STRUCTURAL_TOL:
-            raise ValidationError(f"density matrix trace {tr!r} is not 1 within {STRUCTURAL_TOL}")
-        smallest = _eigenvalues(rho.data)[0]
-        if not smallest >= -DERIVED_TOL:
-            raise ValidationError(f"density matrix has eigenvalue {smallest} < -{DERIVED_TOL}")
-    return p0 * rho0.data - p1 * rho1.data
-
-
-def helstrom_prob(p0: float, rho0: ComplexMatrix, p1: float, rho1: ComplexMatrix) -> float:
-    """Optimal success probability of distinguishing the density matrix
-    rho0 (prior p0) from rho1 (prior p1): (1 + ||p0 rho0 - p1 rho1||_1) / 2."""
-    return 0.5 * (1.0 + float(trace_norms(_discrimination_operator(p0, rho0, p1, rho1))))
-
-
-def helstrom_projectors(
-    p0: float, rho0: ComplexMatrix, p1: float, rho1: ComplexMatrix
-) -> tuple[ComplexMatrix, ComplexMatrix]:
-    """Projector pair realising the optimal discrimination of the density
-    matrices rho0 (prior p0) and rho1 (prior p1): the projectors of
-    :func:`helstrom_measurement` on p0 rho0 - p1 rho1."""
-    return helstrom_measurement(_discrimination_operator(p0, rho0, p1, rho1)).projectors
-
-
-def helstrom_measurement(operator: np.ndarray) -> ProjectiveMeasurement:
+def helstrom_measurement(operator: np.ndarray) -> np.ndarray:
     """The measurement realising the optimal discrimination of p0 rho0 from
-    p1 rho1, given ``operator`` = p0 rho0 - p1 rho1.
+    p1 rho1, given ``operator`` = p0 rho0 - p1 rho1, as a
+    :func:`projective_measurement` stack.
 
     Outcome 0 spans the strictly positive eigenspace of the operator
     together with its null space (ties go to outcome 0, which keeps sampled
     runs deterministic); outcome 1 gets the strictly negative eigenspace.
     Like :func:`trace_norms` it takes the operator as given, so pass only
-    one built from valid states; :func:`helstrom_projectors` checks them.
+    one built from valid states.
     """
-    w, v = _hermitian_eigh(ComplexMatrix(operator))
+    w, v = _hermitian_eigh(operator)
     negative = v[:, w < -STRUCTURAL_TOL]
     pi1 = negative @ negative.conj().T
-    return ProjectiveMeasurement((ComplexMatrix(np.eye(len(w)) - pi1), ComplexMatrix(pi1)))
+    return projective_measurement((np.eye(len(w)) - pi1, pi1))
 
 
-@dataclass(frozen=True, eq=False)
-class ProjectiveMeasurement:
-    """Complete set of pairwise-orthogonal projectors, validated once.
+def projective_measurement(projectors) -> np.ndarray:
+    """A complete set of pairwise-orthogonal projectors as one read-only
+    ``(outcomes, dim, dim)`` complex array, validated once: outcome ``k``
+    is the ``k``-th projector.
 
-    Construction checks that the set is non-empty, that every projector is
-    square with one shared dimension, and that the projectors sum to the
-    identity and are pairwise orthogonal within ``DERIVED_TOL``.  Outcome
-    ``k`` is the ``k``-th projector; indexing and iteration give the
-    projectors in outcome order.
+    It checks that the set is non-empty, that every projector is square
+    with one shared dimension in 1..16, that every entry is finite, and
+    that the projectors sum to the identity and are pairwise orthogonal
+    within ``DERIVED_TOL``.
     """
-
-    projectors: tuple[ComplexMatrix, ...]
-    # The projectors as one read-only (outcomes, dim, dim) array.
-    stack: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        projectors = tuple(self.projectors)
-        if not projectors:
-            raise ValidationError("a measurement needs at least one projector")
-        dim = projectors[0].rows
-        if any(proj.rows != dim or proj.cols != dim for proj in projectors):
-            raise DimensionError("projectors must be square and share one dimension")
-        stack = np.array([proj.data for proj in projectors])
-        if not np.max(np.abs(stack.sum(axis=0) - np.eye(dim))) <= DERIVED_TOL:
-            raise ValidationError("projector set is not complete (sum differs from identity)")
-        for i in range(len(projectors)):
-            for j in range(i + 1, len(projectors)):
-                if not np.max(np.abs(stack[i] @ stack[j])) <= DERIVED_TOL:
-                    raise ValidationError(f"projectors {i} and {j} are not orthogonal")
-        stack.setflags(write=False)
-        object.__setattr__(self, "projectors", projectors)
-        object.__setattr__(self, "stack", stack)
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].rows
-
-    def __len__(self) -> int:
-        return len(self.projectors)
-
-    def __getitem__(self, outcome: int) -> ComplexMatrix:
-        return self.projectors[outcome]
-
-    def __iter__(self):
-        return iter(self.projectors)
-
-    def __repr__(self) -> str:
-        return f"ProjectiveMeasurement({len(self)} outcomes, dim={self.dim})"
+    arrays = [np.asarray(proj, dtype=np.complex128) for proj in projectors]
+    if not arrays:
+        raise ValidationError("a measurement needs at least one projector")
+    shape = arrays[0].shape
+    if not (len(shape) == 2 and shape[0] == shape[1] and 1 <= shape[0] <= MAX_DIM) or any(
+        proj.shape != shape for proj in arrays
+    ):
+        raise DimensionError(f"projectors must be square and share one dimension in 1..{MAX_DIM}")
+    stack = np.array(arrays)
+    if not np.isfinite(stack).all():
+        raise ValidationError("projector entries must be finite")
+    if not np.max(np.abs(stack.sum(axis=0) - np.eye(shape[0]))) <= DERIVED_TOL:
+        raise ValidationError("projector set is not complete (sum differs from identity)")
+    for i in range(len(stack)):
+        for j in range(i + 1, len(stack)):
+            if not np.max(np.abs(stack[i] @ stack[j])) <= DERIVED_TOL:
+                raise ValidationError(f"projectors {i} and {j} are not orthogonal")
+    stack.setflags(write=False)
+    return stack
 
 
 def cumulative_thresholds(weights: np.ndarray) -> np.ndarray:
@@ -297,17 +190,18 @@ def cumulative_thresholds(weights: np.ndarray) -> np.ndarray:
     return thresholds
 
 
-def projections(amplitudes: np.ndarray, measurement: ProjectiveMeasurement) -> tuple[np.ndarray, np.ndarray]:
+def projections(amplitudes: np.ndarray, measurement: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The projected vectors ``P_k psi`` of an ``(..., d)`` stack of pure
-    states, shape ``(..., k, d)``, and their Born weights ``||P_k psi||^2``,
-    shape ``(..., k)``.
+    states under a :func:`projective_measurement` stack, shape
+    ``(..., k, d)``, and their Born weights ``||P_k psi||^2``, shape
+    ``(..., k)``.
 
     The amplitudes are taken as given, unit norm or not.  A post-measurement
     state is a projected vector over the square root of its weight.
     """
-    if amplitudes.shape[-1] != measurement.dim:
+    if amplitudes.shape[-1] != measurement.shape[-1]:
         raise DimensionError("projector dimensions must match the state")
-    projected = np.matmul(measurement.stack, amplitudes[..., None, :, None])[..., 0]
+    projected = np.matmul(measurement, amplitudes[..., None, :, None])[..., 0]
     # The inner product as a matmul gives np.vdot's floats, which the seeded
     # counts rest on; an einsum or a sum of |v|^2 can differ in the last bit.
     weights = np.matmul(projected.conj()[..., None, :], projected[..., :, None])[..., 0, 0].real

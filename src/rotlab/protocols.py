@@ -54,12 +54,11 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (
-    ComplexMatrix,
-    ProjectiveMeasurement,
     ValidationError,
     as_integer,
     cumulative_thresholds,
     projections,
+    projective_measurement,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 
@@ -247,25 +246,27 @@ QUTRIT_ENCODING_SIGNS.setflags(write=False)
 
 
 @lru_cache(maxsize=None)
-def qutrit_unitary(x0: int, x1: int) -> ComplexMatrix:
-    """Bob's phase encoding: diag((-1)^x0, (-1)^x1, 1) on his qutrit."""
-    return ComplexMatrix.diagonal(QUTRIT_ENCODING_SIGNS[2 * x0 + x1])
-
-
-@lru_cache(maxsize=None)
-def _qutrit_pair_unitary(x0: int, x1: int) -> np.ndarray:
-    # Bob's phase encoding on both qutrits, read-only: the identity on Alice's.
-    unitary = np.kron(np.eye(3), qutrit_unitary(x0, x1).data)
+def qutrit_unitary(x0: int, x1: int) -> np.ndarray:
+    """Bob's phase encoding: diag((-1)^x0, (-1)^x1, 1) on his qutrit, read-only."""
+    unitary = np.diag(QUTRIT_ENCODING_SIGNS[2 * x0 + x1]).astype(np.complex128)
     unitary.setflags(write=False)
     return unitary
 
 
 @lru_cache(maxsize=None)
-def qutrit_measurement(a: int) -> ProjectiveMeasurement:
+def _qutrit_pair_unitary(x0: int, x1: int) -> np.ndarray:
+    # Bob's phase encoding on both qutrits, read-only: the identity on Alice's.
+    unitary = np.kron(np.eye(3), qutrit_unitary(x0, x1))
+    unitary.setflags(write=False)
+    return unitary
+
+
+@lru_cache(maxsize=None)
+def qutrit_measurement(a: int) -> np.ndarray:
     """Alice's two-outcome check: projector onto her probe state vs the rest."""
     probe = qutrit_entangled_state(a)
     pi0 = np.outer(probe, probe.conj())
-    return ProjectiveMeasurement((ComplexMatrix(pi0), ComplexMatrix(np.eye(9) - pi0)))
+    return projective_measurement((pi0, np.eye(9) - pi0))
 
 
 # --------------------------------------------------------------------------
@@ -280,19 +281,15 @@ SEQUENCE_STATES = np.array(
 )
 SEQUENCE_STATES.setflags(write=False)
 
-_Z_PROJS = ProjectiveMeasurement(
-    (ComplexMatrix(np.diag([1.0, 0.0])), ComplexMatrix(np.diag([0.0, 1.0])))
-)
-_X_PROJS = ProjectiveMeasurement(
-    (ComplexMatrix(np.full((2, 2), 0.5)), ComplexMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]])))
-)
+_Z_PROJS = projective_measurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
+_X_PROJS = projective_measurement((np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])))
 # Single-qubit measurements lifted to the two-qubit space, per qubit and basis.
 _QUBIT1 = {
-    basis: ProjectiveMeasurement(tuple(map(ComplexMatrix, np.kron(projs.stack, np.eye(2)))))
+    basis: projective_measurement(np.kron(projs, np.eye(2)))
     for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
 }
 _QUBIT2 = {
-    basis: ProjectiveMeasurement(tuple(map(ComplexMatrix, np.kron(np.eye(2), projs.stack))))
+    basis: projective_measurement(np.kron(np.eye(2), projs))
     for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
 }
 

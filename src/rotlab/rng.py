@@ -102,10 +102,9 @@ def trial_seeds(master_seed: int, offset: int, count: int) -> np.ndarray:
     reproducible.
     """
     start = (splitmix64(master_seed & _MASK64) + offset) & _MASK64
-    with np.errstate(over="ignore"):
-        z = np.uint64(start) + np.arange(count, dtype=np.uint64) + np.uint64(_SPLITMIX_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_SPLITMIX_MUL[0])
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_SPLITMIX_MUL[1])
+    z = np.uint64(start) + np.arange(count, dtype=np.uint64) + np.uint64(_SPLITMIX_GAMMA)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_SPLITMIX_MUL[0])
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_SPLITMIX_MUL[1])
     return z ^ (z >> np.uint64(31))
 
 

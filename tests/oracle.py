@@ -11,12 +11,14 @@ by trial.  Nothing here draws from ``BlockStream`` or ``philox_block``.
 
 It also holds two references built one state at a time: every Born table
 the library samples from, each weight ``||P_k psi||^2`` taken with
-``np.vdot`` from ``proj.data @ psi``, which the library's stacked tables
-must equal exactly; and the density path of cheating Alice's qutrit
-objective, from its own checked states, mixtures summed one outer product
-at a time, and the public ``helstrom_prob``, whose values the library's
-stacked evaluator must give exactly.  Its partial trace, one index sum at
-a time, is the reference for Bob's reduced qutrit states.
+``np.vdot`` from ``proj @ psi``, which the library's stacked tables must
+equal exactly; and the density path of cheating Alice's qutrit objective,
+from its own checked states, mixtures summed one outer product at a time,
+and its own checked ``helstrom_prob`` (priors in [0, 1] summing to 1, each
+state Hermitian, of unit trace and positive semidefinite) on numpy's
+``eigvalsh``, whose values the library's stacked evaluator must give
+exactly.  Its partial trace, one index sum at a time, is the reference for
+Bob's reduced qutrit states.
 """
 
 import itertools
@@ -30,11 +32,11 @@ from numpy.random.bit_generator import ISeedSequence
 from rotlab.adversary import _alice_qutrit_tables, _alice_sequence_measurements, _helstrom_on_bob_side
 from rotlab.linalg import (
     DERIVED_TOL,
-    ComplexMatrix,
+    MAX_DIM,
+    STRUCTURAL_TOL,
     DimensionError,
-    ProjectiveMeasurement,
     ValidationError,
-    helstrom_prob,
+    projective_measurement,
 )
 from rotlab.protocols import (
     _QUBIT1,
@@ -149,24 +151,36 @@ def invert_cumulative(weights: list[float], rand: float) -> int:
     return positive[-1] if positive else len(weights) - 1
 
 
-def _checked(measurement, dim: int, rand: float) -> ProjectiveMeasurement:
-    # The per-call checks; a plain projector sequence is validated here.
+# The projectors of each read-only stack measured so far, as a tuple of
+# arrays, by the stack's id.  Each entry holds its stack, so no id is reused.
+_PROJECTORS: dict[int, tuple[np.ndarray, tuple[np.ndarray, ...]]] = {}
+
+
+def _checked(measurement, dim: int, rand: float) -> tuple[np.ndarray, ...]:
+    # The per-call checks, and the projectors as a tuple.  A read-only stack
+    # is taken as projective_measurement returned it; any other projectors
+    # are validated here.
     if not (0.0 <= rand < 1.0):
         raise ValidationError(f"rand must lie in [0, 1), got {rand}")
-    if not isinstance(measurement, ProjectiveMeasurement):
-        measurement = ProjectiveMeasurement(measurement)
-    if measurement.dim != dim:
+    if isinstance(measurement, np.ndarray) and not measurement.flags.writeable:
+        stack, projectors = _PROJECTORS.get(id(measurement), (None, ()))
+        if stack is not measurement:
+            projectors = tuple(measurement)
+            _PROJECTORS[id(measurement)] = (measurement, projectors)
+    else:
+        projectors = tuple(projective_measurement(measurement))
+    if len(projectors[0]) != dim:
         raise DimensionError("projector dimensions must match the state")
-    return measurement
+    return projectors
 
 
 def measure(rho, measurement, rand: float) -> int:
     """Sample a projective measurement of a density matrix: outcome k has
-    weight ``tr(P_k rho)``.  A plain projector sequence is wrapped in a
-    :class:`ProjectiveMeasurement`, so it is checked on every call, and so
-    are ``rand`` and the state's dimension."""
+    weight ``tr(P_k rho)``.  Projectors given as a sequence or a writable
+    array go through ``projective_measurement``, so they are checked on
+    every call, and so are ``rand`` and the state's dimension."""
     measurement = _checked(measurement, len(rho), rand)
-    return invert_cumulative([float(np.einsum("ij,ji->", proj.data, rho).real) for proj in measurement], rand)
+    return invert_cumulative([float(np.einsum("ij,ji->", proj, rho).real) for proj in measurement], rand)
 
 
 def measure_pure(psi, measurement, rand: float) -> tuple[int, np.ndarray]:
@@ -185,13 +199,13 @@ def measure_pure(psi, measurement, rand: float) -> tuple[int, np.ndarray]:
 
 
 def born_weights(amplitudes, measurement) -> list[float]:
-    """The Born weights of one state: ``np.vdot`` of each ``proj.data @ psi``."""
-    return [float(np.vdot(v, v).real) for v in (proj.data @ amplitudes for proj in measurement)]
+    """The Born weights of one state: ``np.vdot`` of each ``proj @ psi``."""
+    return [float(np.vdot(v, v).real) for v in (proj @ amplitudes for proj in measurement)]
 
 
 def post_measurement(amplitudes, measurement, outcome: int) -> np.ndarray:
     """The state outcome ``outcome`` leaves: ``P_k psi / ||P_k psi||``."""
-    v = measurement[outcome].data @ amplitudes
+    v = measurement[outcome] @ amplitudes
     return v / math.sqrt(float(np.vdot(v, v).real))
 
 
@@ -432,6 +446,71 @@ def coin_bit(seed: int) -> int:
 
 
 # --------------------------------------------------------------------------
+# The checked density path: trace norms and Helstrom discrimination
+# --------------------------------------------------------------------------
+
+
+def _hermitian(m) -> np.ndarray:
+    # m as a complex array, once checked square, of side 1 to 16, finite
+    # and Hermitian within STRUCTURAL_TOL.
+    m = np.array(m, dtype=np.complex128)
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or not 1 <= len(m) <= MAX_DIM:
+        raise DimensionError(f"an operator is square, of side 1 to {MAX_DIM}, not shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValidationError("operator entries must be finite")
+    if not np.max(np.abs(m - m.conj().T)) <= STRUCTURAL_TOL:
+        raise ValidationError(f"operator must be Hermitian within {STRUCTURAL_TOL}")
+    return m
+
+
+def trace_norm(m) -> float:
+    """The sum of the absolute eigenvalues of a Hermitian matrix."""
+    return float(np.abs(np.linalg.eigvalsh(_hermitian(m))).sum())
+
+
+def _density_matrix(rho) -> np.ndarray:
+    # rho once checked Hermitian, of unit trace and with no eigenvalue
+    # below -DERIVED_TOL.
+    rho = _hermitian(rho)
+    tr = complex(np.trace(rho))
+    if not abs(tr - 1.0) <= STRUCTURAL_TOL:
+        raise ValidationError(f"density matrix trace {tr!r} is not 1 within {STRUCTURAL_TOL}")
+    smallest = np.linalg.eigvalsh(rho)[0]
+    if not smallest >= -DERIVED_TOL:
+        raise ValidationError(f"density matrix has eigenvalue {smallest} < -{DERIVED_TOL}")
+    return rho
+
+
+def _discrimination_operator(p0: float, rho0, p1: float, rho1) -> np.ndarray:
+    # p0 rho0 - p1 rho1, once the priors and both states are checked.
+    if not (0.0 <= p0 <= 1.0 and 0.0 <= p1 <= 1.0):
+        raise ValidationError(f"priors must lie in [0, 1], got ({p0}, {p1})")
+    if not abs(p0 + p1 - 1.0) <= STRUCTURAL_TOL:
+        raise ValidationError(f"priors must sum to 1 within {STRUCTURAL_TOL}, got {p0 + p1!r}")
+    rho0, rho1 = _density_matrix(rho0), _density_matrix(rho1)
+    if rho0.shape != rho1.shape:
+        raise DimensionError("states to discriminate must share a dimension")
+    return p0 * rho0 - p1 * rho1
+
+
+def helstrom_prob(p0: float, rho0, p1: float, rho1) -> float:
+    """Optimal success probability of distinguishing the density matrix
+    rho0 (prior p0) from rho1 (prior p1): (1 + ||p0 rho0 - p1 rho1||_1) / 2."""
+    operator = _discrimination_operator(p0, rho0, p1, rho1)
+    return 0.5 * (1.0 + float(np.abs(np.linalg.eigvalsh(operator)).sum()))
+
+
+def helstrom_projectors(p0: float, rho0, p1: float, rho1) -> tuple[np.ndarray, np.ndarray]:
+    """Projector pair realising that optimum: outcome 1 on the strictly
+    negative eigenspace of p0 rho0 - p1 rho1, outcome 0 on the rest, its
+    null space included."""
+    w, v = np.linalg.eigh(_discrimination_operator(p0, rho0, p1, rho1))
+    negative = v[:, w < -STRUCTURAL_TOL]
+    pi1 = negative @ negative.conj().T
+    return np.eye(len(w)) - pi1, pi1
+
+
+# --------------------------------------------------------------------------
 # Cheating Alice's qutrit objective
 # --------------------------------------------------------------------------
 
@@ -441,7 +520,7 @@ def encoding_signs(x0: int, x1: int) -> np.ndarray:
     return np.array(((-1.0) ** x0, (-1.0) ** x1, 1.0))
 
 
-def _bit_mixtures(encoded: dict[tuple[int, int], np.ndarray]) -> list[tuple[ComplexMatrix, ComplexMatrix]]:
+def _bit_mixtures(encoded: dict[tuple[int, int], np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:
     # Per permutation value, the two equal-weight mixtures of the encodings
     # whose selected bit (x0, then x1) is 0 and 1.
     pairs = []
@@ -449,7 +528,7 @@ def _bit_mixtures(encoded: dict[tuple[int, int], np.ndarray]) -> list[tuple[Comp
         groups: dict[int, list[np.ndarray]] = {0: [], 1: []}
         for bits, state in encoded.items():
             groups[bits[perm]].append(state)
-        pairs.append(tuple(ComplexMatrix(mixture([(0.5, s) for s in groups[bit]])) for bit in (0, 1)))
+        pairs.append(tuple(mixture([(0.5, s) for s in groups[bit]]) for bit in (0, 1)))
     return pairs
 
 
@@ -475,7 +554,7 @@ def qutrit_cheat_operators(triple) -> np.ndarray:
     """The density path's (2, 3, 3) complex operators 0.5 rho_0 - 0.5 rho_1
     per permutation value, whose trace norms ``helstrom_prob`` takes."""
     mixtures = _bit_mixtures(_encoded_probes(triple))
-    return np.array([0.5 * rho0.data - 0.5 * rho1.data for rho0, rho1 in mixtures])
+    return np.array([0.5 * rho0 - 0.5 * rho1 for rho0, rho1 in mixtures])
 
 
 # --------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from rotlab.adversary import (
     execute_cheat,
     optimize_alice_qutrit,
 )
-from rotlab.linalg import ComplexMatrix, ValidationError, helstrom_prob
+from rotlab.linalg import ValidationError
 from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage
 
@@ -194,8 +194,8 @@ def test_grid_matches_pointwise_evaluator():
 
 
 def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
-    # One stacked eigvalsh per value or per optimizer grid, and no matrix
-    # objects built on the way.
+    # One stacked eigvalsh per value or per optimizer grid, and no
+    # eigenvectors or measurement built on the way.
     counts = Counter()
     eigvalsh = np.linalg.eigvalsh
 
@@ -206,17 +206,18 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
         matrices.append(int(np.prod(np.shape(a)[:-2])))
         return eigvalsh(a, *args, **kwargs)
 
-    def counting_post_init(cls):
-        post_init = cls.__post_init__
-
-        def wrapper(self, *args):
-            counts[cls.__name__] += 1
-            post_init(self, *args)
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
 
         return wrapper
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(ComplexMatrix, "__post_init__", counting_post_init(ComplexMatrix))
+    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
+    for module in (linalg, adversary):
+        measurement = counting("projective_measurement", linalg.projective_measurement)
+        monkeypatch.setattr(module, "projective_measurement", measurement)
     alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
     assert counts == {"eigvalsh": 1}
 
@@ -309,8 +310,8 @@ def test_bob_qutrit_cheat_prob_exact():
 
 def test_bob_discrimination_sanity_hook():
     # Identical reduced states carry no information.
-    rho = ComplexMatrix(oracle.mixture([(0.5, oracle.basis_state(3, 0)), (0.5, oracle.basis_state(3, 2))]))
-    assert abs(helstrom_prob(0.5, rho, 0.5, rho) - 0.5) < 1e-12
+    rho = oracle.mixture([(0.5, oracle.basis_state(3, 0)), (0.5, oracle.basis_state(3, 2))])
+    assert abs(oracle.helstrom_prob(0.5, rho, 0.5, rho) - 0.5) < 1e-12
 
 
 def test_alice_sequence_cheat_prob_both_variants():
@@ -321,8 +322,8 @@ def test_alice_sequence_cheat_prob_both_variants():
 
 
 def test_sequence_degenerate_single_state_mixtures():
-    rho0, rho1 = (ComplexMatrix(oracle.mixture([(1.0, oracle.basis_state(4, k))])) for k in (0, 3))
-    assert abs(helstrom_prob(0.5, rho0, 0.5, rho1) - 1.0) < 1e-12
+    rho0, rho1 = (oracle.mixture([(1.0, oracle.basis_state(4, k))]) for k in (0, 3))
+    assert abs(oracle.helstrom_prob(0.5, rho0, 0.5, rho1) - 1.0) < 1e-12
 
 
 def test_bob_sequence_limit_constant():

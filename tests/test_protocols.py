@@ -79,7 +79,8 @@ def test_encoding_signs_are_the_unitary_diagonals():
     signs = protocols.QUTRIT_ENCODING_SIGNS
     for x0 in (0, 1):
         for x1 in (0, 1):
-            unitary = qutrit_unitary(x0, x1).data
+            unitary = qutrit_unitary(x0, x1)
+            assert not unitary.flags.writeable
             assert np.array_equal(unitary, np.diag(np.diag(unitary)))
             assert np.array_equal(np.diag(unitary), signs[2 * x0 + x1])
             assert np.array_equal(signs[2 * x0 + x1], [(-1.0) ** x0, (-1.0) ** x1, 1.0])

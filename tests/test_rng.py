@@ -8,7 +8,7 @@ import oracle
 from oracle import draw_bit, party_stream, trial_seed
 from rotlab import rng
 from rotlab.adversary import CheatStrategy
-from rotlab.rng import BlockStream, block_streams, philox_block, trial_seeds
+from rotlab.rng import BlockStream, block_streams, philox_block, splitmix64, trial_seeds
 
 MASK64 = (1 << 64) - 1
 EDGE_SEEDS = (0, MASK64, (1 << 63) + 5)
@@ -43,6 +43,17 @@ def test_trial_seeds_match_trial_seed():
             expected = [trial_seed(master, offset + i) for i in range(9)]
             assert trial_seeds(master, offset, 9).tolist() == expected
     assert trial_seeds(5, 0, 0).shape == (0,)
+
+
+def test_trial_seeds_where_the_start_plus_index_wraps():
+    # Starts at and just below 2**64, where adding the trial index wraps,
+    # against the scalar splitmix64 one trial at a time.
+    for master in (0, 2027):
+        for start in (0, MASK64, MASK64 - 5):
+            offset = (start - splitmix64(master)) & MASK64
+            for count in (0, 1, 3, 1024):
+                expected = [splitmix64((start + i) & MASK64) for i in range(count)]
+                assert trial_seeds(master, offset, count).tolist() == expected, (master, start, count)
 
 
 def _numpy_block(seed: int, stream: int, counter: int) -> list[int]:
