@@ -14,7 +14,6 @@ from .adversary import (
     alice_sequence_cheat_prob,
     bob_qutrit_cheat_prob,
     bob_sequence_cheat_prob,
-    coin_forcing_probs,
     execute_cheat,
     optimize_alice_qutrit,
 )
@@ -52,6 +51,7 @@ from .security import (
     advantage,
     balance,
     check_kitaev_product,
+    coin_forcing_probs,
     kitaev_min_advantage,
     reproduce_headline_table,
 )

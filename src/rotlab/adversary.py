@@ -1,24 +1,31 @@
 """Optimal-cheating evaluators and executable cheating strategies.
 
-The evaluators compute each dishonest party's best success probability
-analytically (trace-norm discrimination of the relevant state mixtures).
-Cheating Alice's qutrit objective has one stacked evaluator: each
-discrimination operator is one of two fixed sign patterns, built once from
-Bob's encodings (``protocols.QUTRIT_ENCODING_SIGNS``, which the strategies
-also read), times the probe's outer product v v^T, and all the trace
-norms of many triples come from one :func:`~rotlab.linalg.trace_norms` call.
-It serves single triples and the optimizer's grid alike; its reference, the
-density-matrix path one triple at a time, is in ``tests/oracle.py``.
+Every cheating value but Bob's large-batch sequence limit, a literal, is a
+Helstrom value (1 + ||p0 rho0 - p1 rho1||_1) / 2 of one discrimination
+operator per classical context, and each executable
+strategy samples the Helstrom measurement of that same operator, so a value
+and its strategy read one definition.  Each operator is 0.5 rho_0 -
+0.5 rho_1 of two equal-weight mixtures: of the states a protocol sends,
+split by one bit of the pair (:func:`_bit_operator`, on
+``protocols.pair_bit``), or of the two qutrits Bob can receive.  Cheating
+Alice's qutrit objective has one stacked evaluator: Bob's phase encoding
+makes each of its operators one of two fixed sign patterns, the bit
+operators of ``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the
+probe's outer product v v^T.  Those operators serve single triples, the
+optimizer's grid and the strategy alike, and all the trace norms of many
+triples come from one :func:`~rotlab.linalg.trace_norms` call; their
+reference, the density-matrix path one triple at a time, is in
+``tests/oracle.py``.
 
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
 cross-check every analytic value empirically; ``execute_cheat`` runs it on
 one seed.  Each samples its measurement with one comparison, against
 thresholds its factory builds once with
-:func:`~rotlab.linalg.cumulative_thresholds` from a table of Born weights
-that :func:`~rotlab.linalg.projections` gives for all the states it can
-measure at once, gathered per classical context through the protocol's own
-tables (``protocols.OT_PAIR_INDEX``, ``protocols.pair_bit``).
+:func:`~rotlab.linalg.cumulative_thresholds` from the Born weights
+:func:`_helstrom_weights` gives for all the states it can measure at once,
+gathered per classical context through the protocol's own tables
+(``protocols.OT_PAIR_INDEX``, ``protocols.pair_bit``).
 """
 
 from __future__ import annotations
@@ -36,7 +43,6 @@ from .linalg import (
     cumulative_thresholds,
     helstrom_measurement,
     projections,
-    projective_measurement,
     trace_norms,
 )
 from .protocols import (
@@ -50,7 +56,6 @@ from .protocols import (
     sequence_setup_block,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
-from .security import CheatProfile
 
 GRID_POINTS = 11
 OPTIMIZER_TOLERANCE = 1e-9  # one value for every caller: one cached optimum
@@ -109,15 +114,42 @@ class AmplitudeTriple:
 
 
 # --------------------------------------------------------------------------
+# Discrimination operators
+# --------------------------------------------------------------------------
+
+
+def _bit_operator(states: np.ndarray, index: int) -> np.ndarray:
+    """0.5 rho_0 - 0.5 rho_1 for a (4, d) stack of states, one per pair
+    index 2 * x0 + x1: rho_b is the equal-weight mixture of the states whose
+    bit ``index`` is b, summed in pair-index order."""
+    bits = pair_bit(np.arange(4), index)
+    mixtures = [0.5 * np.einsum("ki,kj->ij", states[bits == bit], states[bits == bit].conj()) for bit in (0, 1)]
+    return 0.5 * mixtures[0] - 0.5 * mixtures[1]
+
+
+def _helstrom_values(operators: np.ndarray) -> np.ndarray:
+    """The optimal success (1 + ||p0 rho0 - p1 rho1||_1) / 2 of each
+    operator p0 rho0 - p1 rho1 of a stack, from one eigensolve."""
+    return 0.5 * (1.0 + trace_norms(operators))
+
+
+def _helstrom_weights(operators: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The Born weights of the Helstrom measurement of each operator of a
+    (k, d, d) stack on each state of an (..., d) stack, shape (..., k, 2):
+    outcome b guesses that the state came from rho_b."""
+    measurements = np.array([helstrom_measurement(operator) for operator in operators])
+    return projections(states[..., None, :], measurements)[1]
+
+
+# --------------------------------------------------------------------------
 # Qutrit protocol: cheating Alice
 # --------------------------------------------------------------------------
 
 
-# Encoding x maps v v^T to (s_x s_x^T) * v v^T, so each operator is a fixed
-# pattern times v v^T: its formula on the sign outer products, (o00 + o01) -
-# (o10 + o11) for p = 0 and (o00 + o10) - (o01 + o11) for p = 1.
-_SIGN_OUTERS = np.einsum("ki,kj->kij", QUTRIT_ENCODING_SIGNS, QUTRIT_ENCODING_SIGNS)
-_SIGN_PATTERNS = 0.25 * ((_SIGN_OUTERS[0:1] + _SIGN_OUTERS[1:3]) - (_SIGN_OUTERS[2:0:-1] + _SIGN_OUTERS[3:4]))
+# Encoding x maps the probe v to s_x * v, and v v^T to (s_x s_x^T) * v v^T,
+# so each operator is a fixed pattern times v v^T: the bit operator of the
+# sign vectors themselves, per permutation value p.
+_SIGN_PATTERNS = np.stack([_bit_operator(QUTRIT_ENCODING_SIGNS, p) for p in (0, 1)])
 
 
 def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
@@ -126,12 +158,6 @@ def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
     Each entry is 0 or +-fl(v_i v_j), exactly the density path's, so the
     operators are real and exactly symmetric."""
     return _SIGN_PATTERNS * (vectors[:, None, :, None] * vectors[:, None, None, :])
-
-
-def _helstrom_values(operators: np.ndarray) -> np.ndarray:
-    """The optimal success (1 + ||p0 rho0 - p1 rho1||_1) / 2 of each
-    operator p0 rho0 - p1 rho1 of a stack, from one eigensolve."""
-    return 0.5 * (1.0 + trace_norms(operators))
 
 
 def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
@@ -203,21 +229,19 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _bob_qutrit_reduced_states() -> np.ndarray:
-    # The qutrit Bob receives, per Alice's choice bit: her probe's partial
-    # trace over her own qutrit, the first factor, read-only.
-    probes = np.array([qutrit_entangled_state(a) for a in (0, 1)]).reshape(2, 3, 3)
-    reduced = np.einsum("aki,akj->aij", probes, probes.conj())
-    reduced.setflags(write=False)
-    return reduced
+# Alice's probe per choice bit as a 3 x 3 array whose row i is the
+# unnormalised qutrit Bob holds beside her |i>: the qutrit he receives is the
+# mixture of the rows, her probe's partial trace over her own qutrit.
+_BOB_QUTRIT_ROWS = np.array([qutrit_entangled_state(a) for a in (0, 1)]).reshape(2, 3, 3)
+# 0.5 rho_0 - 0.5 rho_1 of the two qutrits Bob can receive.
+_BOB_QUTRIT_OPERATOR = np.subtract(*(0.5 * np.einsum("aki,akj->aij", _BOB_QUTRIT_ROWS, _BOB_QUTRIT_ROWS.conj())))
+_BOB_QUTRIT_OPERATOR.setflags(write=False)
 
 
 def bob_qutrit_cheat_prob() -> float:
     """Bob's best chance of reading Alice's choice bit off the qutrit he
     receives: minimum-error discrimination of the two reduced states."""
-    red0, red1 = _bob_qutrit_reduced_states()
-    return float(_helstrom_values(0.5 * red0 - 0.5 * red1))
+    return float(_helstrom_values(_BOB_QUTRIT_OPERATOR))
 
 
 # --------------------------------------------------------------------------
@@ -225,13 +249,9 @@ def bob_qutrit_cheat_prob() -> float:
 # --------------------------------------------------------------------------
 
 
-def _bit_operator(states: np.ndarray, index: int) -> np.ndarray:
-    """0.5 rho_0 - 0.5 rho_1 for a (4, d) stack of states, one per pair
-    index 2 * x0 + x1: rho_b is the equal-weight mixture of the states whose
-    bit ``index`` is b, summed in pair-index order."""
-    bits = pair_bit(np.arange(4), index)
-    mixtures = [0.5 * np.einsum("ki,kj->ij", states[bits == bit], states[bits == bit].conj()) for bit in (0, 1)]
-    return 0.5 * mixtures[0] - 0.5 * mixtures[1]
+# 0.5 rho_0 - 0.5 rho_1 of a stored state, per declared bit.
+_SEQUENCE_OPERATORS = np.stack([_bit_operator(SEQUENCE_STATES, bit) for bit in (0, 1)])
+_SEQUENCE_OPERATORS.setflags(write=False)
 
 
 def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
@@ -240,7 +260,7 @@ def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
     independent of the batch size."""
     if isinstance(declared_bit, bool) or declared_bit not in (0, 1):
         raise ValidationError(f"declared_bit must be 0 or 1, got {declared_bit}")
-    return float(_helstrom_values(_bit_operator(SEQUENCE_STATES, declared_bit)))
+    return float(_helstrom_values(_SEQUENCE_OPERATORS[declared_bit]))
 
 
 def bob_sequence_cheat_prob() -> float:
@@ -248,18 +268,6 @@ def bob_sequence_cheat_prob() -> float:
     large-batch limit.  This is a limit value only: no finite-batch
     optimality is claimed."""
     return 0.75
-
-
-# --------------------------------------------------------------------------
-# Coin-flip forcing
-# --------------------------------------------------------------------------
-
-
-def coin_forcing_probs(rot_profile: CheatProfile) -> tuple[float, float]:
-    """HEADS-forcing probabilities of the coin flip built on a transfer with
-    the given cheating profile: Alice forces with (1 + P_A*)/2, Bob with
-    P_B*."""
-    return 0.5 + 0.5 * rot_profile.p_a_star, rot_profile.p_b_star
 
 
 # --------------------------------------------------------------------------
@@ -319,27 +327,15 @@ def _strategy_triple(params: dict) -> AmplitudeTriple:
     return AmplitudeTriple.balanced()
 
 
-def _alice_qutrit_tables(params: dict):
-    # The probe after Bob's phase encoding, per pair index, and Alice's
-    # Helstrom measurement, per announced permutation value: the one that
-    # tells apart the encodings whose selected bit is 0 and 1.
-    encoded = (QUTRIT_ENCODING_SIGNS * np.array(_strategy_triple(params).as_tuple())).astype(np.complex128)
-    return encoded, tuple(helstrom_measurement(_bit_operator(encoded, perm)) for perm in (0, 1))
-
-
-def _alice_qutrit_weights(params: dict) -> np.ndarray:
-    # Born weights of Alice's measurement for the announced permutation
-    # value on Bob's encoding, per Bob's (y, z_dummy, p).
-    encoded, measurements = _alice_qutrit_tables(params)
-    by_perm = np.array([projections(encoded, measurements[p])[1] for p in (0, 1)])
-    return by_perm[[0, 1], OT_PAIR_INDEX]
-
-
 def _alice_recovers_bit(params: dict):
     # Alice measures Bob's encoding of her probe with the Helstrom
-    # measurement for the announced permutation value and guesses his data
-    # bit: whether the guess is right, from both party streams.
-    thresholds = cumulative_thresholds(_alice_qutrit_weights(params))[..., 0]
+    # measurement of the evaluator's operator for the announced permutation
+    # value, and guesses his data bit: whether the guess is right, from both
+    # party streams.  Her Born weights per pair index and value are gathered
+    # per Bob's (y, z_dummy, p).
+    vector = np.array([_strategy_triple(params).as_tuple()])
+    weights = _helstrom_weights(_qutrit_cheat_operators(vector)[0], QUTRIT_ENCODING_SIGNS * vector)
+    thresholds = cumulative_thresholds(weights[OT_PAIR_INDEX, [0, 1]])[..., 0]
 
     def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:
         y = bob.draw_bit()
@@ -359,23 +355,13 @@ def _alice_qutrit_block(params: dict):
     return run
 
 
-def _alice_sequence_measurements() -> tuple[np.ndarray, ...]:
-    # Alice's Helstrom measurement on a stored state, per declared bit.
-    return tuple(helstrom_measurement(_bit_operator(SEQUENCE_STATES, bit)) for bit in (0, 1))
-
-
-def _alice_sequence_weights() -> np.ndarray:
-    # Born weights of that measurement, per (pair index, declared bit).
-    measurements = _alice_sequence_measurements()
-    return np.stack([projections(SEQUENCE_STATES, measurements[bit])[1] for bit in (0, 1)], axis=1)
-
-
 def _alice_sequence_block(params: dict):
     # Alice stores the first untested slot's state and measures it with the
-    # Helstrom measurement for Bob's declared bit.  Bob declares the slots in
-    # order, so only his first declaration is drawn.
+    # Helstrom measurement of the operator for Bob's declared bit, sampled
+    # per (pair index, declared bit).  Bob declares the slots in order, so
+    # only his first declaration is drawn.
     cfg = SequenceConfig(params["n_states"])
-    thresholds = cumulative_thresholds(_alice_sequence_weights())[..., 0]
+    thresholds = cumulative_thresholds(_helstrom_weights(_SEQUENCE_OPERATORS, SEQUENCE_STATES))[..., 0]
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
@@ -406,25 +392,14 @@ def _alice_coinflip_block(params: dict):
     return run
 
 
-def _helstrom_on_bob_side() -> np.ndarray:
-    # Bob's Helstrom measurement of his qutrit, lifted to both qutrits.
-    red0, red1 = _bob_qutrit_reduced_states()
-    return projective_measurement(np.kron(np.eye(3), helstrom_measurement(0.5 * red0 - 0.5 * red1)))
-
-
-def _bob_qutrit_weights() -> np.ndarray:
-    # Born weights of Bob's Helstrom measurement on his half of Alice's
-    # probe, per her choice bit.
-    probes = np.array([qutrit_entangled_state(a) for a in (0, 1)])
-    return projections(probes, _helstrom_on_bob_side())[1]
-
-
 def _bob_qutrit_block(params: dict):
     # Bob guesses Alice's choice bit a from his half of her probe and aligns
     # the permutation with his guess.  Honest Alice asserts receipt exactly
     # when a == p, so he calls her assert bit, and in the coin flip he
-    # announces b = 0 and lands HEADS, exactly when his guess is right.
-    thresholds = cumulative_thresholds(_bob_qutrit_weights())[..., 0]
+    # announces b = 0 and lands HEADS, exactly when his guess is right.  His
+    # Born weights per Alice's choice bit sum those of the rows of her probe.
+    weights = _helstrom_weights(_BOB_QUTRIT_OPERATOR[None], _BOB_QUTRIT_ROWS).sum(axis=1)[:, 0]
+    thresholds = cumulative_thresholds(weights)[..., 0]
 
     def run(seeds: np.ndarray) -> np.ndarray:
         # Bob's data and dummy bits, drawn after his measurement, do not

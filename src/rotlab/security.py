@@ -4,9 +4,11 @@ A transfer protocol's security is summarised by the pair of optimal cheating
 probabilities (P_A*, P_B*).  Dividing each by its ideal value (3/4 for
 Alice, 1/2 for Bob) gives the per-party advantages, whose maximum is the
 protocol's cheating advantage.  This module turns that bookkeeping, the
+HEADS-forcing probabilities of a coin flip built on a transfer, the
 coin-flip balancing construction, and the product lower bound for coin
-flipping into plain computations, and reproduces the headline numbers from
-primitive operations with internal cross-checks.
+flipping into plain profile arithmetic.  It reproduces the headline numbers
+from primitive operations with internal cross-checks, reading the cheating
+values from :mod:`rotlab.adversary`, which imports nothing from this module.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import adversary
 from .linalg import ValidationError
 
 IDEAL_ALICE = 0.75
@@ -142,6 +145,13 @@ def check_kitaev_product(p_a0: float, p_b0: float) -> bool:
     return p_a0 * p_b0 >= 0.5 - _KITAEV_SLACK
 
 
+def coin_forcing_probs(rot_profile: CheatProfile) -> tuple[float, float]:
+    """HEADS-forcing probabilities of the coin flip built on a transfer with
+    the given cheating profile: Alice forces with (1 + P_A*)/2, Bob with
+    P_B*."""
+    return 0.5 + 0.5 * rot_profile.p_a_star, rot_profile.p_b_star
+
+
 @dataclass(frozen=True)
 class HeadlineReport:
     """The named security figures, recomputed from primitive operations."""
@@ -187,8 +197,6 @@ def reproduce_headline_table() -> HeadlineReport:
     discrimination machinery, the balancing composition, and the closed-form
     bound.
     """
-    from . import adversary  # imported late: adversary depends on this module
-
     _cross_check("protocol_1_gamma", BAD_CLASSICAL_PROFILE.gamma, 2.0)
     _cross_check("protocol_2_gamma", BAD_QUBIT_PROFILE.gamma, 4.0 / 3.0)
 

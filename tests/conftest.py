@@ -7,10 +7,13 @@ library's stacked evaluator, which in turn must equal the density path in
 ``oracle.py`` exactly).
 """
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
-from rotlab.linalg import DERIVED_TOL
+from rotlab import adversary
+from rotlab.linalg import DERIVED_TOL, cumulative_thresholds
 
 from oracle import invert_cumulative
 
@@ -96,6 +99,21 @@ def assert_thresholds_pin(weights: np.ndarray, thresholds: np.ndarray) -> None:
         uniforms = np.concatenate((grid, finite[finite < 1.0], [0.0, 1.0 - 2.0**-53]))
         expected = [invert_cumulative(row.tolist(), r) for r in uniforms]
         assert threshold_outcomes(row_thresholds, uniforms).tolist() == expected, row
+
+
+def strategy_born_table(key: tuple[str, str], params: dict | None = None) -> np.ndarray:
+    """The Born table a strategy's factory cumulates into its thresholds,
+    caught on its one call of ``cumulative_thresholds``."""
+    built = []
+
+    def recording(weights):
+        built.append(weights)
+        return cumulative_thresholds(weights)
+
+    with mock.patch.object(adversary, "cumulative_thresholds", recording):
+        adversary._STRATEGIES[key][1](adversary.CheatStrategy(*key, params).parameters)
+    (weights,) = built
+    return weights
 
 
 @pytest.fixture

@@ -12,13 +12,15 @@ by trial.  Nothing here draws from ``BlockStream`` or ``philox_block``.
 It also holds two references built one state at a time: every Born table
 the library samples from, each weight ``||P_k psi||^2`` taken with
 ``np.vdot`` from ``proj @ psi``, which the library's stacked tables must
-equal exactly; and the density path of cheating Alice's qutrit objective,
-from its own checked states, mixtures summed one outer product at a time,
-and its own checked ``helstrom_prob`` (priors in [0, 1] summing to 1, each
-state Hermitian, of unit trace and positive semidefinite) on numpy's
-``eigvalsh``, whose values the library's stacked evaluator must give
-exactly.  Its partial trace, one index sum at a time, is the reference for
-Bob's reduced qutrit states.
+equal exactly; and the density path of the cheating parties, from its own
+checked states, mixtures summed one outer product at a time, and its own
+checked ``helstrom_prob`` and ``helstrom_projectors`` (priors in [0, 1]
+summing to 1, each state Hermitian, of unit trace and positive
+semidefinite) on numpy's ``eigvalsh`` and ``eigh``.  The library's stacked
+evaluator must give its qutrit values exactly, and the cheating Born
+tables and runs here measure with its projectors, not the library's.  Its
+partial trace, one index sum at a time, is the reference for Bob's reduced
+qutrit states.
 """
 
 import itertools
@@ -29,7 +31,7 @@ from functools import lru_cache
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
-from rotlab.adversary import _alice_qutrit_tables, _alice_sequence_measurements, _helstrom_on_bob_side
+from rotlab.adversary import AmplitudeTriple
 from rotlab.linalg import (
     DERIVED_TOL,
     MAX_DIM,
@@ -249,27 +251,37 @@ def sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, decode
 
 
-def alice_qutrit_weights(params: dict) -> np.ndarray:
-    """Cheating Alice's Helstrom measurement, per Bob's (y, z_dummy, p)."""
-    encoded, measurements = _alice_qutrit_tables(params)
+def alice_qutrit_weights(params: dict, measurements=None) -> np.ndarray:
+    """Cheating Alice's measurement per permutation value, her own
+    :func:`alice_qutrit_measurements` unless given, per Bob's (y, z_dummy, p)."""
+    encoded = _encoded_probes(_strategy_triple(params))
+    if measurements is None:
+        measurements = alice_qutrit_measurements(params)
     weights = np.empty((2, 2, 2, 2))
     for y, z_dummy, p in itertools.product((0, 1), repeat=3):
         pair = OtPair.draw(y, z_dummy, p)
-        weights[y, z_dummy, p] = born_weights(encoded[2 * pair.x0 + pair.x1], measurements[p])
+        weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)], measurements[p])
     return weights
 
 
-def alice_sequence_weights() -> np.ndarray:
-    """Cheating Alice's measurement of a stored state, per (pair, declared bit)."""
-    measurements = _alice_sequence_measurements()
+def alice_sequence_weights(measurements=None) -> np.ndarray:
+    """Cheating Alice's measurement of a stored state per declared bit, her
+    own :func:`alice_sequence_measurements` unless given, per (pair, declared
+    bit)."""
+    if measurements is None:
+        measurements = alice_sequence_measurements()
     return np.array(
         [[born_weights(state, measurements[bit]) for bit in (0, 1)] for state in SEQUENCE_STATES]
     )
 
 
-def bob_qutrit_weights() -> np.ndarray:
-    """Cheating Bob's measurement of his half of the probe, per Alice's bit."""
-    return np.array([born_weights(qutrit_entangled_state(a), _helstrom_on_bob_side()) for a in (0, 1)])
+def bob_qutrit_weights(measurement=None) -> np.ndarray:
+    """Cheating Bob's measurement of his half of the probe, his own
+    :func:`bob_qutrit_measurement` unless given, per Alice's bit."""
+    if measurement is None:
+        measurement = bob_qutrit_measurement()
+    lifted = lift_to_bob(measurement)
+    return np.array([born_weights(qutrit_entangled_state(a), lifted) for a in (0, 1)])
 
 
 # --------------------------------------------------------------------------
@@ -550,6 +562,40 @@ def alice_qutrit_cheat_prob(triple) -> float:
     return probe_cheat_prob(_encoded_probes(triple))
 
 
+def _helstrom_measurements(encoded: dict[tuple[int, int], np.ndarray]) -> list[np.ndarray]:
+    # Per bit index, the Helstrom measurement telling apart the two
+    # equal-weight mixtures of the states whose bit at that index is 0 and 1.
+    return [projective_measurement(helstrom_projectors(0.5, rho0, 0.5, rho1)) for rho0, rho1 in _bit_mixtures(encoded)]
+
+
+def _strategy_triple(params: dict):
+    return AmplitudeTriple.coerce(params.get("triple", AmplitudeTriple.balanced()))
+
+
+def alice_qutrit_measurements(params: dict) -> list[np.ndarray]:
+    """Cheating Alice's Helstrom measurement of Bob's encoding of her probe,
+    per permutation value."""
+    return _helstrom_measurements(_encoded_probes(_strategy_triple(params)))
+
+
+def alice_sequence_measurements() -> list[np.ndarray]:
+    """Cheating Alice's Helstrom measurement of a stored state, per declared
+    bit."""
+    return _helstrom_measurements({bits: sequence_state(bits) for bits in itertools.product((0, 1), repeat=2)})
+
+
+def bob_qutrit_measurement() -> tuple[np.ndarray, np.ndarray]:
+    """Cheating Bob's Helstrom measurement of the qutrit he receives: of
+    Alice's two probes, each traced over her own qutrit."""
+    red0, red1 = (partial_trace(mixture([(1.0, qutrit_entangled_state(a))]), 3, 3, keep="B") for a in (0, 1))
+    return helstrom_projectors(0.5, red0, 0.5, red1)
+
+
+def lift_to_bob(measurement) -> np.ndarray:
+    """A measurement of Bob's qutrit, the second factor, as one of both."""
+    return projective_measurement([np.kron(np.eye(3), proj) for proj in measurement])
+
+
 def qutrit_cheat_operators(triple) -> np.ndarray:
     """The density path's (2, 3, 3) complex operators 0.5 rho_0 - 0.5 rho_1
     per permutation value, whose trace norms ``helstrom_prob`` takes."""
@@ -563,13 +609,14 @@ def qutrit_cheat_operators(triple) -> np.ndarray:
 
 
 def _alice_qutrit_runner(params: dict):
-    encoded, measurements = _alice_qutrit_tables(params)
+    encoded = _encoded_probes(_strategy_triple(params))
+    measurements = alice_qutrit_measurements(params)
 
     def run(seed: int) -> bool:
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        guess, _ = measure_pure(encoded[2 * pair.x0 + pair.x1], measurements[pair.p], alice.random())
+        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
         return guess == pair.y
 
     return run
@@ -577,7 +624,7 @@ def _alice_qutrit_runner(params: dict):
 
 def _alice_sequence_runner(params: dict):
     cfg = SequenceConfig(params["n_states"])
-    measurements = _alice_sequence_measurements()
+    measurements = alice_sequence_measurements()
 
     def run(seed: int) -> bool:
         # Alice attacks the first untested slot.  Bob declares the slots in
@@ -608,7 +655,7 @@ def _bob_qutrit_runner(params: dict):
     # the permutation with his guess.  Honest Alice asserts receipt exactly
     # when a == p, so he calls her assert bit, and in the coin flip he
     # announces b = 0 and lands HEADS, exactly when his guess is right.
-    lifted = _helstrom_on_bob_side()
+    lifted = lift_to_bob(bob_qutrit_measurement())
 
     def run(seed: int) -> bool:
         alice = party_stream(seed, ALICE)

@@ -19,11 +19,10 @@ from rotlab.adversary import (
     alice_qutrit_cheat_prob,
     alice_sequence_cheat_prob,
     bob_qutrit_cheat_prob,
-    coin_forcing_probs,
     optimize_alice_qutrit,
 )
 from rotlab.protocols import SequenceConfig, play_sequence_block
-from rotlab.security import advantage, balance, check_kitaev_product, kitaev_min_advantage
+from rotlab.security import advantage, balance, check_kitaev_product, coin_forcing_probs, kitaev_min_advantage
 
 from conftest import closed_form_objective, random_triple
 

@@ -16,16 +16,15 @@ from rotlab.adversary import (
     bob_qutrit_cheat_prob,
     bob_sequence_cheat_prob,
     cheat_block,
-    coin_forcing_probs,
     execute_cheat,
     optimize_alice_qutrit,
 )
 from rotlab.linalg import ValidationError
 from rotlab.montecarlo import estimate_cheat
-from rotlab.security import advantage
+from rotlab.security import advantage, coin_forcing_probs
 
 import oracle
-from conftest import assert_thresholds_pin, closed_form_objective, random_triple
+from conftest import assert_thresholds_pin, closed_form_objective, random_triple, strategy_born_table
 
 BEST = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -215,9 +214,8 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    for module in (linalg, adversary):
-        measurement = counting("projective_measurement", linalg.projective_measurement)
-        monkeypatch.setattr(module, "projective_measurement", measurement)
+    measurement = counting("projective_measurement", linalg.projective_measurement)
+    monkeypatch.setattr(linalg, "projective_measurement", measurement)
     alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
     assert counts == {"eigvalsh": 1}
 
@@ -250,7 +248,6 @@ def test_analytic_values_take_one_eigensolve_each(monkeypatch):
     # Bob's qutrit value and the stored-state values are trace norms of
     # operators built from arrays valid by construction: one eigvalsh each,
     # and no eigensolve to check the states they mix.
-    adversary._bob_qutrit_reduced_states()  # cached
     shapes = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -392,9 +389,10 @@ def test_cheat_born_tables_equal_one_state_references(rng):
     triples += [list(random_triple(rng)) for _ in range(120)]
     for triple in triples:
         params = {} if triple is None else {"triple": triple}
-        assert np.array_equal(adversary._alice_qutrit_weights(params), oracle.alice_qutrit_weights(params)), triple
-    assert np.array_equal(adversary._alice_sequence_weights(), oracle.alice_sequence_weights())
-    assert np.array_equal(adversary._bob_qutrit_weights(), oracle.bob_qutrit_weights())
+        table = strategy_born_table(("alice", "qutrit"), params)
+        assert np.array_equal(table, oracle.alice_qutrit_weights(params)), triple
+    assert np.array_equal(strategy_born_table(("alice", "sequence")), oracle.alice_sequence_weights())
+    assert np.array_equal(strategy_born_table(("bob", "qutrit")), oracle.bob_qutrit_weights())
 
 
 def test_cheat_threshold_tables_pin_their_born_tables(monkeypatch, rng):
@@ -425,6 +423,60 @@ def test_cheat_threshold_tables_pin_their_born_tables(monkeypatch, rng):
         assert len(built) == 1, key
         assert np.array_equal(built[0][0], weights), (key, params)
         assert_thresholds_pin(weights, built[0][1])
+
+
+def _recording(monkeypatch, name):
+    # Wraps adversary.<name> to record the first argument of each call.
+    record, function = [], getattr(adversary, name)
+
+    def wrapper(first, *rest):
+        record.append(first)
+        return function(first, *rest)
+
+    monkeypatch.setattr(adversary, name, wrapper)
+    return record
+
+
+def _analytic_values(key, params):
+    # A strategy's analytic values, one per call, and the Born table of given
+    # measurements over its states and contexts, one state at a time.
+    if key[0] == "bob":
+        return [bob_qutrit_cheat_prob()], lambda measurements: oracle.bob_qutrit_weights(measurements[0])
+    if key[1] == "sequence":
+        return [alice_sequence_cheat_prob(bit) for bit in (0, 1)], oracle.alice_sequence_weights
+    probe = AmplitudeTriple.coerce(params.get("triple", AmplitudeTriple.balanced()))
+    return [alice_qutrit_cheat_prob(probe)], lambda measurements: oracle.alice_qutrit_weights(params, measurements)
+
+
+def test_each_strategy_measures_the_operators_its_value_takes_the_trace_norms_of(monkeypatch, rng):
+    # Each analytic value is the mean Helstrom value of the operators it
+    # takes the trace norms of, one per classical context, and its strategy
+    # samples the Helstrom measurements of those very operators, from
+    # thresholds cumulated from their Born weights.
+    triples = [None, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
+    triples += [list(optimize_alice_qutrit(tolerance)[0].as_tuple()) for tolerance in (1e-3, 1e-9)]
+    triples += [list(random_triple(rng)) for _ in range(10)]
+    cases = [(("alice", "sequence"), {}), (("bob", "qutrit"), {}), (("bob", "coinflip"), {})]
+    for triple in triples:
+        params = {} if triple is None else {"triple": triple}
+        cases += [(("alice", protocol), params) for protocol in ("qutrit", "coinflip")]
+    assert {key for key, _ in cases} == set(adversary._STRATEGIES)
+
+    records = [_recording(monkeypatch, name) for name in ("trace_norms", "_helstrom_weights", "cumulative_thresholds")]
+    normed, measured, cumulated = records
+    for key, params in cases:
+        for record in records:
+            record.clear()
+        values, born_table = _analytic_values(key, params)
+        adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
+        (operators,) = measured
+        d = operators.shape[-1]
+        assert np.array_equal(np.concatenate([ops.reshape(-1, d, d) for ops in normed]), operators), key
+        assert values == [float(np.mean(0.5 * (1.0 + linalg.trace_norms(ops)))) for ops in normed], (key, params)
+        measurements = [linalg.helstrom_measurement(operator) for operator in operators]
+        (weights,) = cumulated
+        expected = linalg.cumulative_thresholds(born_table(measurements))
+        assert np.array_equal(linalg.cumulative_thresholds(weights), expected), (key, params)
 
 
 def test_every_strategy_has_a_block_form():

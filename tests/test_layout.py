@@ -69,6 +69,52 @@ def test_private_use_finder_sees_imports_and_attributes():
     ]
 
 
+def _adversary_private_uses(tree: ast.Module) -> list[str]:
+    # Underscore names taken from rotlab.adversary: imported by name, or read
+    # as an attribute of the module bound by an import.
+    found = []
+    bound = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "rotlab.adversary":
+            found += [f"from rotlab.adversary import {a.name}" for a in node.names if a.name.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "rotlab":
+            bound |= {a.asname or a.name for a in node.names if a.name == "adversary"}
+        elif isinstance(node, ast.Import):
+            bound |= {a.asname or a.name for a in node.names if a.name == "rotlab.adversary"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in bound:
+            found.append(ast.unparse(node))
+    return found
+
+
+def test_oracle_reads_no_private_name_of_the_adversary():
+    # The reference flows build their cheating measurements from their own
+    # mixtures, so none of the library's tables can agree with itself.
+    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
+    assert _adversary_private_uses(tree) == []
+
+
+def test_adversary_private_use_finder_sees_imports_and_attributes():
+    source = (
+        "from rotlab.adversary import _alice_qutrit_tables, AmplitudeTriple\n"
+        "from rotlab import adversary, linalg\n"
+        "import rotlab.adversary\n"
+        "import rotlab.adversary as adv\n"
+        "from rotlab.protocols import _QUBIT1\n"
+        "adversary._STRATEGIES\n"
+        "rotlab.adversary._bit_operator\n"
+        "adv._compiled\n"
+        "adversary.execute_cheat\n"
+        "linalg._eigenvalues\n"
+    )
+    assert _adversary_private_uses(ast.parse(source)) == [
+        "from rotlab.adversary import _alice_qutrit_tables",
+        "adversary._STRATEGIES",
+        "rotlab.adversary._bit_operator",
+        "adv._compiled",
+    ]
+
+
 FORBIDDEN_NAMES = {"Generator", "party_stream"}
 
 

@@ -29,10 +29,12 @@ from conftest import (
 )
 from oracle import (
     basis_state,
+    bob_qutrit_measurement,
     born_weights,
     helstrom_prob,
     helstrom_projectors,
     invert_cumulative,
+    lift_to_bob,
     measure,
     measure_pure,
     mixture,
@@ -151,7 +153,7 @@ def test_mixture_weights_validated():
 
 def test_kron_identity():
     assert np.array_equal(protocols._qutrit_pair_unitary(0, 0), np.eye(9))
-    lifted = adversary._helstrom_on_bob_side()
+    lifted = lift_to_bob(bob_qutrit_measurement())
     assert np.array_equal(lifted.sum(axis=0), np.eye(9))
 
 
@@ -188,13 +190,15 @@ def test_kron_mixed_product_property():
 
 
 def test_partial_trace_entangled_probe():
-    reduced = adversary._bob_qutrit_reduced_states()
-    assert not reduced.flags.writeable
-    assert np.max(np.abs(reduced - [np.diag([0.5, 0.0, 0.5]), np.diag([0.0, 0.5, 0.5])])) < 1e-15
-    for a in (0, 1):
-        reference = partial_trace(density(protocols.qutrit_entangled_state(a)), 3, 3, keep="B")
-        assert np.array_equal(reduced[a], reference)
-        assert np.max(np.abs(partial_trace(density(entangled_pair(a)), 3, 3, keep="B") - reduced[a])) < 1e-12
+    # Bob's operator 0.5 rho_0 - 0.5 rho_1 mixes the rows of Alice's probe:
+    # the partial trace over her qutrit, summed one index at a time here.
+    operator = adversary._BOB_QUTRIT_OPERATOR
+    assert not operator.flags.writeable
+    assert np.max(np.abs(operator - np.diag([0.25, -0.25, 0.0]))) < 1e-15
+    reference = [partial_trace(density(protocols.qutrit_entangled_state(a)), 3, 3, keep="B") for a in (0, 1)]
+    assert np.array_equal(operator, 0.5 * reference[0] - 0.5 * reference[1])
+    approximate = [partial_trace(density(entangled_pair(a)), 3, 3, keep="B") for a in (0, 1)]
+    assert np.max(np.abs(0.5 * approximate[0] - 0.5 * approximate[1] - operator)) < 1e-12
 
 
 def test_partial_trace_product_state(rng):

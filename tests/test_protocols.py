@@ -27,7 +27,7 @@ from rotlab.protocols import (
 )
 from rotlab.rng import BlockStream, trial_seeds
 
-from conftest import assert_thresholds_pin
+from conftest import assert_thresholds_pin, strategy_born_table
 from oracle import qutrit_born_probabilities, sequence_decode, sequence_expected_outcome, sequence_test_basis
 
 DATA = Path(__file__).parent / "data"
@@ -538,9 +538,9 @@ def test_certain_outcomes_are_drawn_at_every_uniform():
         (second, protocols._sequence_thresholds()[1]),
     ]
     tables = [(weights, two_outcome(thresholds)) for weights, thresholds in honest]
-    cheating = [adversary._alice_sequence_weights(), adversary._bob_qutrit_weights()]
+    cheating = [strategy_born_table(("alice", "sequence")), strategy_born_table(("bob", "qutrit"))]
     for params in ({}, {"triple": [1.0, 0.0, 0.0]}, {"triple": [0.0, 0.0, 1.0]}):
-        cheating.append(adversary._alice_qutrit_weights(params))
+        cheating.append(strategy_born_table(("alice", "qutrit"), params))
     tables += [(weights, linalg.cumulative_thresholds(weights)) for weights in cheating]
     certain = 0
     for weights, thresholds in tables:
