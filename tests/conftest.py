@@ -7,13 +7,14 @@ library's stacked evaluator, which in turn must equal the density path in
 ``oracle.py`` exactly).
 """
 
+import contextlib
 from unittest import mock
 
 import numpy as np
 import pytest
 
 from rotlab import adversary
-from rotlab.linalg import DERIVED_TOL, cumulative_thresholds
+from rotlab.linalg import DERIVED_TOL
 
 from oracle import invert_cumulative
 
@@ -101,19 +102,29 @@ def assert_thresholds_pin(weights: np.ndarray, thresholds: np.ndarray) -> None:
         assert threshold_outcomes(row_thresholds, uniforms).tolist() == expected, row
 
 
-def strategy_born_table(key: tuple[str, str], params: dict | None = None) -> np.ndarray:
-    """The Born table a strategy's factory cumulates into its thresholds,
-    caught on its one call of ``cumulative_thresholds``."""
-    built = []
+@contextlib.contextmanager
+def recording(module, name: str):
+    """Within the block, ``module.<name>`` records the first argument and
+    the result of each call, in order, in the list yielded."""
+    calls, function = [], getattr(module, name)
 
-    def recording(weights):
-        built.append(weights)
-        return cumulative_thresholds(weights)
+    def wrapper(first, *rest):
+        result = function(first, *rest)
+        calls.append((first, result))
+        return result
 
-    with mock.patch.object(adversary, "cumulative_thresholds", recording):
+    with mock.patch.object(module, name, wrapper):
+        yield calls
+
+
+def strategy_tables(key: tuple[str, str], params: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """The Born table a strategy's factory cumulates and the thresholds it
+    builds from it, caught on its one call of ``cumulative_thresholds``."""
+    with recording(adversary, "cumulative_thresholds") as built:
+        # A factory takes a strategy's parameters, its defaults filled in.
         adversary._STRATEGIES[key][1](adversary.CheatStrategy(*key, params).parameters)
-    (weights,) = built
-    return weights
+    (tables,) = built
+    return tables
 
 
 @pytest.fixture

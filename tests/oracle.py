@@ -251,12 +251,11 @@ def sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return first, second, decode
 
 
-def alice_qutrit_weights(params: dict, measurements=None) -> np.ndarray:
-    """Cheating Alice's measurement per permutation value, her own
-    :func:`alice_qutrit_measurements` unless given, per Bob's (y, z_dummy, p)."""
+def alice_qutrit_weights(params: dict) -> np.ndarray:
+    """Cheating Alice's :func:`alice_qutrit_measurements`, per Bob's
+    (y, z_dummy, p)."""
     encoded = _encoded_probes(_strategy_triple(params))
-    if measurements is None:
-        measurements = alice_qutrit_measurements(params)
+    measurements = alice_qutrit_measurements(params)
     weights = np.empty((2, 2, 2, 2))
     for y, z_dummy, p in itertools.product((0, 1), repeat=3):
         pair = OtPair.draw(y, z_dummy, p)
@@ -264,23 +263,19 @@ def alice_qutrit_weights(params: dict, measurements=None) -> np.ndarray:
     return weights
 
 
-def alice_sequence_weights(measurements=None) -> np.ndarray:
-    """Cheating Alice's measurement of a stored state per declared bit, her
-    own :func:`alice_sequence_measurements` unless given, per (pair, declared
-    bit)."""
-    if measurements is None:
-        measurements = alice_sequence_measurements()
+def alice_sequence_weights() -> np.ndarray:
+    """Cheating Alice's :func:`alice_sequence_measurements` of a stored
+    state, per (pair, declared bit)."""
+    measurements = alice_sequence_measurements()
     return np.array(
         [[born_weights(state, measurements[bit]) for bit in (0, 1)] for state in SEQUENCE_STATES]
     )
 
 
-def bob_qutrit_weights(measurement=None) -> np.ndarray:
-    """Cheating Bob's measurement of his half of the probe, his own
-    :func:`bob_qutrit_measurement` unless given, per Alice's bit."""
-    if measurement is None:
-        measurement = bob_qutrit_measurement()
-    lifted = lift_to_bob(measurement)
+def bob_qutrit_weights() -> np.ndarray:
+    """Cheating Bob's :func:`bob_qutrit_measurement` of his half of the
+    probe, per Alice's bit."""
+    lifted = lift_to_bob(bob_qutrit_measurement())
     return np.array([born_weights(qutrit_entangled_state(a), lifted) for a in (0, 1)])
 
 

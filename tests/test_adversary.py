@@ -24,7 +24,7 @@ from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage, coin_forcing_probs
 
 import oracle
-from conftest import assert_thresholds_pin, closed_form_objective, random_triple, strategy_born_table
+from conftest import assert_thresholds_pin, closed_form_objective, random_triple, recording, strategy_tables
 
 BEST = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -381,102 +381,67 @@ def test_strategy_equality_and_defaults():
     assert CheatStrategy("bob", "qutrit") != CheatStrategy("bob", "coinflip")
 
 
-def test_cheat_born_tables_equal_one_state_references(rng):
-    # The stacked tables the cheating blocks sample from hold exactly (==)
-    # the floats the one-state formula gives, for the default probe, the
-    # edge probes and 120 random ones.
-    triples = [None, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    triples += [list(random_triple(rng)) for _ in range(120)]
-    for triple in triples:
-        params = {} if triple is None else {"triple": triple}
-        table = strategy_born_table(("alice", "qutrit"), params)
-        assert np.array_equal(table, oracle.alice_qutrit_weights(params)), triple
-    assert np.array_equal(strategy_born_table(("alice", "sequence")), oracle.alice_sequence_weights())
-    assert np.array_equal(strategy_born_table(("bob", "qutrit")), oracle.bob_qutrit_weights())
-
-
-def test_cheat_threshold_tables_pin_their_born_tables(monkeypatch, rng):
-    # Each strategy factory builds one threshold table, from the Born table
-    # of the one-state formula, for the default probe, the edge probes and
-    # 20 random ones.
-    built = []
-
-    def recording(weights):
-        thresholds = linalg.cumulative_thresholds(weights)
-        built.append((weights, thresholds))
-        return thresholds
-
-    monkeypatch.setattr(adversary, "cumulative_thresholds", recording)
-    triples = [None, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    triples += [list(random_triple(rng)) for _ in range(20)]
-    cases = [(("bob", protocol), {}, oracle.bob_qutrit_weights()) for protocol in ("qutrit", "coinflip")]
-    cases.append((("alice", "sequence"), {}, oracle.alice_sequence_weights()))
-    for triple in triples:
-        params = {} if triple is None else {"triple": triple}
-        weights = oracle.alice_qutrit_weights(params)
-        cases += [(("alice", protocol), params, weights) for protocol in ("qutrit", "coinflip")]
-    assert {key for key, _, _ in cases} == set(adversary._STRATEGIES)
-    for key, params, weights in cases:
-        built.clear()
-        # A factory takes a strategy's parameters, its defaults filled in.
-        adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
-        assert len(built) == 1, key
-        assert np.array_equal(built[0][0], weights), (key, params)
-        assert_thresholds_pin(weights, built[0][1])
-
-
-def _recording(monkeypatch, name):
-    # Wraps adversary.<name> to record the first argument of each call.
-    record, function = [], getattr(adversary, name)
-
-    def wrapper(first, *rest):
-        record.append(first)
-        return function(first, *rest)
-
-    monkeypatch.setattr(adversary, name, wrapper)
-    return record
-
-
-def _analytic_values(key, params):
-    # A strategy's analytic values, one per call, and the Born table of given
-    # measurements over its states and contexts, one state at a time.
-    if key[0] == "bob":
-        return [bob_qutrit_cheat_prob()], lambda measurements: oracle.bob_qutrit_weights(measurements[0])
-    if key[1] == "sequence":
-        return [alice_sequence_cheat_prob(bit) for bit in (0, 1)], oracle.alice_sequence_weights
-    probe = AmplitudeTriple.coerce(params.get("triple", AmplitudeTriple.balanced()))
-    return [alice_qutrit_cheat_prob(probe)], lambda measurements: oracle.alice_qutrit_weights(params, measurements)
-
-
-def test_each_strategy_measures_the_operators_its_value_takes_the_trace_norms_of(monkeypatch, rng):
-    # Each analytic value is the mean Helstrom value of the operators it
-    # takes the trace norms of, one per classical context, and its strategy
-    # samples the Helstrom measurements of those very operators, from
-    # thresholds cumulated from their Born weights.
-    triples = [None, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
-    triples += [list(optimize_alice_qutrit(tolerance)[0].as_tuple()) for tolerance in (1e-3, 1e-9)]
-    triples += [list(random_triple(rng)) for _ in range(10)]
+def _strategy_cases(triples):
+    # Every strategy with its default parameters, the two Alice qutrit
+    # strategies at each probe triple (None is the default probe).
     cases = [(("alice", "sequence"), {}), (("bob", "qutrit"), {}), (("bob", "coinflip"), {})]
     for triple in triples:
         params = {} if triple is None else {"triple": triple}
         cases += [(("alice", protocol), params) for protocol in ("qutrit", "coinflip")]
     assert {key for key, _ in cases} == set(adversary._STRATEGIES)
+    return cases
 
-    records = [_recording(monkeypatch, name) for name in ("trace_norms", "_helstrom_weights", "cumulative_thresholds")]
-    normed, measured, cumulated = records
-    for key, params in cases:
-        for record in records:
-            record.clear()
-        values, born_table = _analytic_values(key, params)
-        adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
-        (operators,) = measured
+
+def test_cheat_born_tables_equal_one_state_references(rng):
+    # The stacked table each strategy factory cumulates holds exactly (==)
+    # the floats the one-state formula gives, for the default probe, the
+    # edge probes and 120 random ones.
+    triples = [None, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    triples += [list(random_triple(rng)) for _ in range(120)]
+    references = {("alice", "sequence"): oracle.alice_sequence_weights(), ("bob", "qutrit"): oracle.bob_qutrit_weights()}
+    references["bob", "coinflip"] = references["bob", "qutrit"]
+    for key, params in _strategy_cases(triples):
+        weights, _ = strategy_tables(key, params)
+        reference = references[key] if key[0] == "bob" or key[1] == "sequence" else oracle.alice_qutrit_weights(params)
+        assert np.array_equal(weights, reference), (key, params)
+
+
+def test_cheat_threshold_tables_pin_their_born_tables(rng):
+    # Each strategy factory builds one threshold table, which pins the Born
+    # table it was built from, for the default probe, the edge probes and
+    # 20 random ones.
+    triples = [None, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    triples += [list(random_triple(rng)) for _ in range(20)]
+    for key, params in _strategy_cases(triples):
+        assert_thresholds_pin(*strategy_tables(key, params))
+
+
+def _analytic_values(key, params):
+    # A strategy's analytic values, one per call.
+    if key[0] == "bob":
+        return [bob_qutrit_cheat_prob()]
+    if key[1] == "sequence":
+        return [alice_sequence_cheat_prob(bit) for bit in (0, 1)]
+    return [alice_qutrit_cheat_prob(AmplitudeTriple.coerce(params.get("triple", AmplitudeTriple.balanced())))]
+
+
+def test_each_strategy_measures_the_operators_its_value_takes_the_trace_norms_of(rng):
+    # Each analytic value is the mean Helstrom value of the operators it
+    # takes the trace norms of, one per classical context, and its strategy
+    # measures the Helstrom measurements of those very operators.  The two
+    # tests above tie the thresholds it samples from to their Born weights.
+    triples = [None, [1.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.6, 0.8, 0.0]]
+    triples += [list(optimize_alice_qutrit(tolerance)[0].as_tuple()) for tolerance in (1e-3, 1e-9)]
+    triples += [list(random_triple(rng)) for _ in range(10)]
+    for key, params in _strategy_cases(triples):
+        with recording(adversary, "trace_norms") as normed:
+            values = _analytic_values(key, params)
+        with recording(adversary, "_helstrom_weights") as measured:
+            adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
+        ((operators, _),) = measured
         d = operators.shape[-1]
-        assert np.array_equal(np.concatenate([ops.reshape(-1, d, d) for ops in normed]), operators), key
-        assert values == [float(np.mean(0.5 * (1.0 + linalg.trace_norms(ops)))) for ops in normed], (key, params)
-        measurements = [linalg.helstrom_measurement(operator) for operator in operators]
-        (weights,) = cumulated
-        expected = linalg.cumulative_thresholds(born_table(measurements))
-        assert np.array_equal(linalg.cumulative_thresholds(weights), expected), (key, params)
+        assert np.array_equal(np.concatenate([ops.reshape(-1, d, d) for ops, _ in normed]), operators), key
+        assert values == [float(np.mean(0.5 * (1.0 + norms))) for _, norms in normed], (key, params)
 
 
 def test_every_strategy_has_a_block_form():

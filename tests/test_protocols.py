@@ -27,7 +27,7 @@ from rotlab.protocols import (
 )
 from rotlab.rng import BlockStream, trial_seeds
 
-from conftest import assert_thresholds_pin, strategy_born_table
+from conftest import assert_thresholds_pin, strategy_tables
 from oracle import qutrit_born_probabilities, sequence_decode, sequence_expected_outcome, sequence_test_basis
 
 DATA = Path(__file__).parent / "data"
@@ -538,10 +538,9 @@ def test_certain_outcomes_are_drawn_at_every_uniform():
         (second, protocols._sequence_thresholds()[1]),
     ]
     tables = [(weights, two_outcome(thresholds)) for weights, thresholds in honest]
-    cheating = [strategy_born_table(("alice", "sequence")), strategy_born_table(("bob", "qutrit"))]
+    tables += [strategy_tables(("alice", "sequence")), strategy_tables(("bob", "qutrit"))]
     for params in ({}, {"triple": [1.0, 0.0, 0.0]}, {"triple": [0.0, 0.0, 1.0]}):
-        cheating.append(strategy_born_table(("alice", "qutrit"), params))
-    tables += [(weights, linalg.cumulative_thresholds(weights)) for weights in cheating]
+        tables.append(strategy_tables(("alice", "qutrit"), params))
     certain = 0
     for weights, thresholds in tables:
         k = weights.shape[-1]
