@@ -372,7 +372,7 @@ def _alice_sequence_block(params: dict):
         declared = setup.bob.draw_bit()
         guess = setup.alice.random() >= thresholds[pair, declared]
         success = guess == pair_bit(pair, declared)
-        for lane in np.flatnonzero(setup.rejected):
+        for lane in np.flatnonzero(setup.alice.rejected):
             success[lane] = run(seeds[lane : lane + 1])[0]
         return success
 

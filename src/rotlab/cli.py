@@ -111,14 +111,6 @@ def _profile_dict(profile: security.CheatProfile) -> dict:
     }
 
 
-def _qutrit_profile() -> security.CheatProfile:
-    # The qutrit protocol's profile at the balanced probe triple.
-    return security.advantage(
-        adversary.alice_qutrit_cheat_prob(adversary.AmplitudeTriple.balanced()),
-        adversary.bob_qutrit_cheat_prob(),
-    )
-
-
 def _analyze(config: RunConfig) -> dict:
     if config.protocol == "bad_classical":
         return _profile_dict(security.BAD_CLASSICAL_PROFILE)
@@ -126,7 +118,7 @@ def _analyze(config: RunConfig) -> dict:
         return _profile_dict(security.BAD_QUBIT_PROFILE)
     if config.protocol == "qutrit":
         triple, optimized = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
-        payload = _profile_dict(_qutrit_profile())
+        payload = _profile_dict(security.qutrit_profile())
         payload["p_a_star_optimized"] = optimized
         payload["optimal_triple"] = list(triple.as_tuple())
         return payload
@@ -139,7 +131,7 @@ def _analyze(config: RunConfig) -> dict:
 
 def _balance(config: RunConfig) -> dict:
     bad_pair = security.balance(security.BAD_QUBIT_PROFILE, security.BAD_CLASSICAL_PROFILE)
-    refined = security.balance(security.BAD_QUBIT_PROFILE, _qutrit_profile())
+    refined = security.balance(security.BAD_QUBIT_PROFILE, security.qutrit_profile())
     return {
         "bad_pair": {"z_bias": bad_pair.z_bias, "gamma": bad_pair.gamma},
         "qubit_qutrit": {"z_bias": refined.z_bias, "gamma": refined.gamma},

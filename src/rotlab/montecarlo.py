@@ -9,8 +9,9 @@ deterministic end to end.
 Every estimator evaluates a block of trial seeds at a time, on the same
 block forms that the single runs call on one seed.  A sequence trial whose
 ``choice`` or ``integers`` draw hit a Lemire rejection (probability below
-n_states / 2**32 per draw) is flagged by the block form and run again on
-its seed alone, where the draw is taken again as numpy does.
+n_states / 2**32 per draw) is marked in its party stream's ``rejected``;
+the block form that drew it runs itself again on that seed alone, where
+the draw is taken again as numpy does.
 """
 
 from __future__ import annotations
@@ -96,11 +97,6 @@ def _sequence_counts(cfg: SequenceConfig, seeds: np.ndarray, limit: int) -> tupl
     # sentinel.
     block = play_sequence_block(cfg, seeds)
     out = block.outcomes
-    for lane in np.flatnonzero(block.rejected):
-        alone = play_sequence_block(cfg, seeds[lane : lane + 1])
-        block.failed[lane] = alone.failed[0]
-        for mine, its in zip(out, alone.outcomes):
-            mine[:, lane] = its[:, 0]
     received = out.assert_bit == 0
     wrong = received & (out.g_hat != out.bob_bit)
     failed = block.failed >= 0
@@ -200,21 +196,18 @@ def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size, bob_words=1)
     lanes = np.arange(seeds.size)
     sent = announced = setup.pairs
-    rejected = setup.rejected
     # Slot s of seed i is entry s * len(seeds) + i of the flattened pairs.
     if variant == "send-orthogonal":
-        (corrupt,), bob_rejected = setup.bob.bounded([cfg.n_states - 1])
+        (corrupt,) = setup.bob.bounded([cfg.n_states - 1])
         sent = setup.pairs.copy()
         sent.ravel()[corrupt * seeds.size + lanes] ^= 3
-        rejected = rejected | bob_rejected
     elif variant == "announce-wrong-state":
-        (pick, alternative), bob_rejected = setup.bob.bounded([cfg.test_size - 1, 2])
+        pick, alternative = setup.bob.bounded([cfg.test_size - 1, 2])
         at = setup.tested.take(pick * seeds.size + lanes) * seeds.size + lanes
         announced = setup.pairs.copy()
         announced.ravel()[at] = alternative + (alternative >= setup.pairs.take(at))
-        rejected = rejected | bob_rejected
     aborted = sequence_spot_check_block(setup.alice, setup.tested, sent, announced) >= 0
-    for lane in np.flatnonzero(rejected):
+    for lane in np.flatnonzero(setup.alice.rejected | setup.bob.rejected):
         aborted[lane] = _detection_block(cfg, seeds[lane : lane + 1], variant)[0]
     return aborted
 

@@ -394,16 +394,14 @@ class SequenceSetupBlock(NamedTuple):
     party streams, ``pairs``, Bob's pair index per slot, shape
     ``(n_states, seeds)``, ``tested``, Alice's sorted test set, shape
     ``(test_size, seeds)``, and ``is_tested``, the same set as a mask shaped
-    like ``pairs``.  ``rejected`` marks the seeds whose ``choice`` hit a
-    Lemire rejection: nothing drawn for them is the generator's, so the
-    flow must be run again on each of them alone."""
+    like ``pairs``.  Where ``alice.rejected`` marks a seed, its ``choice``
+    hit a Lemire rejection and nothing drawn for it is the generator's."""
 
     alice: BlockStream
     bob: BlockStream
     pairs: np.ndarray
     tested: np.ndarray
     is_tested: np.ndarray
-    rejected: np.ndarray
 
 
 class SequenceBlock(NamedTuple):
@@ -411,15 +409,13 @@ class SequenceBlock(NamedTuple):
     ``tested`` are as in :class:`SequenceSetupBlock`; ``failed`` is the
     first failing tested slot, or -1; ``declared`` holds Bob's declared bit
     index and ``outcomes`` Alice's output, one row per untested slot, in
-    order, meaningful only where ``failed`` is -1; ``rejected`` marks the
-    seeds to run again alone."""
+    order, meaningful only where ``failed`` is -1."""
 
     pairs: np.ndarray
     tested: np.ndarray
     failed: np.ndarray
     declared: np.ndarray
     outcomes: RotOutcomeBlock
-    rejected: np.ndarray
 
 
 @lru_cache(maxsize=None)
@@ -580,8 +576,8 @@ def sequence_setup_block(
     n, k = cfg.n_states, cfg.test_size
     alice, bob = block_streams(seeds, ((ALICE, k + alice_words), (BOB, n + bob_words)))
     pairs = bob.draw_bit_pairs(n)
-    draws, rejected = alice.bounded(_choice_highs(n, k))
-    return SequenceSetupBlock(alice, bob, pairs, *_floyd_test_sets(draws[:k], n), rejected)
+    draws = alice.bounded(_choice_highs(n, k))
+    return SequenceSetupBlock(alice, bob, pairs, *_floyd_test_sets(draws[:k], n))
 
 
 def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np.ndarray:
@@ -603,7 +599,8 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     test set and failed slot and, where it passed, Bob's declarations and
     Alice's outcomes.  Alice draws two uniforms per tested slot and then two
     per untested slot; Bob declares after his pairs, one bit per untested
-    slot."""
+    slot.  A seed whose ``choice`` hit a Lemire rejection is played again
+    alone, and its run replaces every field of its lane."""
     n, k = cfg.n_states, cfg.test_size
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
     failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs)
@@ -612,7 +609,12 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     rand = setup.alice.randoms(2 * (n - k))
     declared = setup.bob.draw_bits(n - k)
     outcomes = _untested_outcomes(sent, declared, rand)
-    return SequenceBlock(setup.pairs, setup.tested, failed, declared, outcomes, setup.rejected)
+    fields = (setup.pairs, setup.tested, failed, declared, *outcomes)
+    for lane in np.flatnonzero(setup.alice.rejected):
+        alone = play_sequence_block(cfg, seeds[lane : lane + 1])
+        for mine, its in zip(fields, (*alone[:4], *alone.outcomes)):
+            mine[..., lane] = its[..., 0]
+    return SequenceBlock(setup.pairs, setup.tested, failed, declared, outcomes)
 
 
 # --------------------------------------------------------------------------

@@ -24,8 +24,9 @@ once; a single run is the same flow on a one-element array, whose
 one-block streams run all ten rounds on Python ints.  Bounded draws
 (``integers`` and ``choice``) use Lemire's multiply-shift, which draws
 again with probability below ``high / 2**32``.  A one-seed stream draws
-again exactly as numpy does; a stream over many seeds flags those seeds
-instead, for a replay of the flow on each of them alone.
+again exactly as numpy does; a stream over many seeds marks those seeds
+in its ``rejected`` instead, since every later draw of theirs is off too,
+and the flow that drew them runs itself again on each of them alone.
 """
 
 from __future__ import annotations
@@ -37,11 +38,10 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 
-# Stream identifiers.  The *_AUX streams cover draws made outside the core
-# exchange, e.g. the coin-flip wrapper's announced bit.
+# Stream identifiers.  BOB_AUX covers Bob's draws made outside the core
+# exchange: the coin-flip wrapper's announced bit.
 ALICE = 0
 BOB = 1
-ALICE_AUX = 2
 BOB_AUX = 3
 
 _SPLITMIX_GAMMA = 0x9E3779B97F4A7C15
@@ -244,6 +244,11 @@ class BlockStream:
     ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.  Asking for
     more words than it holds raises IndexError, unless a one-seed stream
     has drawn again: it then extends itself by whole Philox blocks.
+
+    ``rejected`` marks the seeds where a stream over many seeds met a
+    Lemire rejection: nothing it hands out for them from then on is the
+    generator's, so the flow reading it runs again on each of them alone.
+    A one-seed stream draws again instead and never marks its seed.
     """
 
     def __init__(self, seeds: np.ndarray, stream: int, words: np.ndarray):
@@ -254,6 +259,7 @@ class BlockStream:
         self._used = 0
         self._buffered: np.ndarray | None = None  # the word whose high half is next
         self._extends = False
+        self.rejected = np.zeros(seeds.size, dtype=bool)
 
     def _take(self, count: int) -> np.ndarray:
         held = len(self._words)
@@ -306,20 +312,17 @@ class BlockStream:
             bits, self._buffered = (word >> np.uint64(31)) & np.uint64(1), word
         return bits.astype(np.intp)
 
-    def bounded(self, highs) -> tuple[np.ndarray, np.ndarray]:
+    def bounded(self, highs) -> np.ndarray:
         """One draw in ``[0, high]`` per entry of ``highs``, a sequence of
-        ints each at least 1, in order: ``(values, rejected)``, values shaped
-        ``(len(highs), len(seeds))``.
+        ints each at least 1, in order, shaped ``(len(highs), len(seeds))``.
 
         Lemire's method takes ``(u * (high + 1)) >> 32`` of a 32-bit value
         ``u`` and draws again while the low 32 bits of that product fall
         below ``(2**32 - 1 - high) mod (high + 1)``, which happens with
         probability below ``high / 2**32``.  A one-seed stream draws again,
-        so its values and later draws are the generator's, and ``rejected``
-        is False.  Over many seeds, ``rejected`` marks the seeds where a
-        draw fell below the threshold; their values and every later draw are
-        not the generator's, so the flow must be run again on each of them
-        alone.
+        so its values and later draws are the generator's.  Over many
+        seeds, the seeds where a draw fell below the threshold are marked
+        in ``rejected``, where they stay.
         """
         span, threshold = _lemire_bounds(tuple(highs))
         start = self._used, self._buffered
@@ -333,8 +336,9 @@ class BlockStream:
                 product[index] = self._halves(1)[0] * span[index]
                 while (product[index, 0] & _LOW32) < threshold[index, 0]:
                     product[index] = self._halves(1)[0] * span[index]
-            rejected[0] = False
-        return (product >> _SHIFT32).astype(np.intp), rejected
+        else:
+            self.rejected |= rejected
+        return (product >> _SHIFT32).astype(np.intp)
 
     def randoms(self, count: int) -> np.ndarray:
         return (self._take(count) >> np.uint64(11)) * 2.0**-53

@@ -187,6 +187,13 @@ def _cross_check(name: str, computed: float, reference: float) -> None:
         )
 
 
+def qutrit_profile() -> CheatProfile:
+    """The qutrit protocol's profile: P_A* from the optimizer, P_B* from
+    Bob's minimum-error discrimination."""
+    _, p_a_opt = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
+    return advantage(p_a_opt, adversary.bob_qutrit_cheat_prob())
+
+
 def reproduce_headline_table() -> HeadlineReport:
     """Recompute every named figure from primitive operations and verify each
     against its published cross-check value (drift gate 1e-3).
@@ -204,15 +211,13 @@ def reproduce_headline_table() -> HeadlineReport:
     _cross_check("theorem_1_gamma", balanced_bad.gamma, 1.25)
     _cross_check("theorem_1_z", balanced_bad.z_bias, 0.25)
 
-    _, p_a_opt = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
-    p_b_qutrit = adversary.bob_qutrit_cheat_prob()
-    qutrit_profile = advantage(p_a_opt, p_b_qutrit)
-    _cross_check("lemma_2_p_a", qutrit_profile.p_a_star, 0.853)
-    _cross_check("lemma_2_p_b", qutrit_profile.p_b_star, 0.75)
-    _cross_check("lemma_2_gamma_a", qutrit_profile.gamma_a, 1.138)
-    _cross_check("lemma_2_gamma", qutrit_profile.gamma, 1.5)
+    lemma_2 = qutrit_profile()
+    _cross_check("lemma_2_p_a", lemma_2.p_a_star, 0.853)
+    _cross_check("lemma_2_p_b", lemma_2.p_b_star, 0.75)
+    _cross_check("lemma_2_gamma_a", lemma_2.gamma_a, 1.138)
+    _cross_check("lemma_2_gamma", lemma_2.gamma, 1.5)
 
-    balanced_refined = balance(BAD_QUBIT_PROFILE, qutrit_profile)
+    balanced_refined = balance(BAD_QUBIT_PROFILE, lemma_2)
     _cross_check("theorem_2_gamma", balanced_refined.gamma, 1.239)
 
     bound = kitaev_min_advantage(IDEAL_ALICE, IDEAL_BOB)
@@ -224,7 +229,7 @@ def reproduce_headline_table() -> HeadlineReport:
         protocol_1_gamma=BAD_CLASSICAL_PROFILE.gamma,
         protocol_2_gamma=BAD_QUBIT_PROFILE.gamma,
         theorem_1_gamma=balanced_bad.gamma,
-        lemma_2_profile=qutrit_profile,
+        lemma_2_profile=lemma_2,
         theorem_2_gamma=balanced_refined.gamma,
         theorem_3_bound=bound,
         interval=(bound, balanced_refined.gamma),

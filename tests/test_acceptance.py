@@ -151,10 +151,7 @@ def test_criterion_7_completeness(protocol, seed, capsys):
 def test_criterion_7_honest_sequence_never_aborts(capsys):
     cfg = SequenceConfig(100)
     block = play_sequence_block(cfg, np.arange(1000, dtype=np.uint64))
-    aborted = block.failed >= 0
-    for seed in np.flatnonzero(block.rejected):
-        aborted[seed] = play_sequence_block(cfg, np.array([seed], dtype=np.uint64)).failed[0] >= 0
-    assert not aborted.any()
+    assert not (block.failed >= 0).any()
     with capsys.disabled():
         report("criterion 7: zero aborts across 1000 honest batched runs at n_states=100")
 

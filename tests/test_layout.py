@@ -419,8 +419,8 @@ def _range_loops(tree: ast.Module, names: set[str]) -> list[str]:
 
 
 def test_sequence_block_flows_loop_over_no_range():
-    # Rejected lanes are run again one at a time, by iterating
-    # np.flatnonzero, which the rule allows.
+    # A lane its streams mark rejected is run again alone, by iterating
+    # np.flatnonzero of the streams' flags, which the rule allows.
     for module, names in VECTORISED.items():
         tree = ast.parse((PACKAGE / module).read_text())
         assert names <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, module
@@ -444,4 +444,65 @@ def test_range_loop_finder_sees_loops_comprehensions_and_wrapped_ranges():
     assert _range_loops(ast.parse(source), {"flow"}) == [
         "flow: for ... in enumerate(range(k))",
         "flow: for ... in range(k)",
+    ]
+
+
+# The flows that run a lane again alone when a stream marks it rejected.
+REJECTED_READERS = {
+    "protocols.py": {"play_sequence_block"},
+    "adversary.py": {"_alice_sequence_block"},
+    "montecarlo.py": {"_detection_block"},
+}
+
+
+def _rejected_uses(tree: ast.Module) -> list[str]:
+    # Each read or assignment of an attribute called ``rejected``, and each
+    # class field of that name, labelled with the top-level definition
+    # that holds it.
+    found = []
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Attribute) and node.attr == "rejected":
+                found.append(f"{owner}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ClassDef):
+                fields = [field.target for field in node.body if isinstance(field, ast.AnnAssign)]
+                fields += [target for field in node.body if isinstance(field, ast.Assign) for target in field.targets]
+                found += [f"{owner}: field rejected" for f in fields if isinstance(f, ast.Name) and f.id == "rejected"]
+    return found
+
+
+def test_only_the_replaying_flows_touch_the_rejection_flag():
+    # A Lemire rejection lives on the stream that drew it; only the flows
+    # that replay a marked lane read the mark, so no block or setup carries
+    # one to a caller that might forget it.
+    offences = _offences(_rejected_uses)
+    offences.pop("rng.py", None)
+    outside = {
+        module: [use for use in uses if use.split(":")[0] not in REJECTED_READERS.get(module, set())]
+        for module, uses in offences.items()
+    }
+    assert not any(outside.values()), outside
+    assert {module: {use.split(":")[0] for use in uses} for module, uses in offences.items()} == REJECTED_READERS
+
+
+def test_rejected_use_finder_sees_attributes_assignments_and_fields():
+    source = (
+        "class Block(NamedTuple):\n"
+        "    pairs: np.ndarray\n"
+        "    rejected: np.ndarray\n"
+        "class Old:\n"
+        "    rejected = None\n"
+        "def flow(setup):\n"
+        "    rejected = setup.alice.rejected | setup.bob.rejected\n"
+        "    return rejected\n"
+        "def counts(block):\n"
+        "    block.rejected = None\n"
+    )
+    assert _rejected_uses(ast.parse(source)) == [
+        "Block: field rejected",
+        "Old: field rejected",
+        "flow: setup.alice.rejected",
+        "flow: setup.bob.rejected",
+        "counts: block.rejected",
     ]

@@ -396,20 +396,28 @@ def test_sequence_blocks_match_scalar_runs_trial_by_trial(monkeypatch, n_states)
             block = flows["play"](seeds)
             got = {variant: flows[variant](seeds).tolist() for variant in DETECTION_VARIANTS}
             got["cheat"] = cheat_block(cheat)(seeds).tolist()
-        assert not setup.rejected.any() and not block.rejected.any()
+        assert not setup.alice.rejected.any()
         assert got == expected, (n_states, master)
-        for lane, (pairs, tested, failed, declarations, outcomes) in enumerate(runs):
-            assert setup.pairs[:, lane].tolist() == [2 * x0 + x1 for x0, x1 in pairs]
-            assert setup.tested[:, lane].tolist() == tested
-            assert block.failed[lane] == (-1 if failed is None else failed)
-            if failed is None:
-                assert block.declared[:, lane].tolist() == [declared for _, declared in declarations]
-                assert block.outcomes.assert_bit[:, lane].tolist() == [o.assert_bit for o in outcomes]
-                assert block.outcomes.bob_bit[:, lane].tolist() == [o.bob_bit for o in outcomes]
-                received = block.outcomes.assert_bit[:, lane] == 0
-                assert block.outcomes.g_hat[received, lane].tolist() == [
-                    o.g_hat for o in outcomes if o.assert_bit == 0
-                ]
+        for lane, run in enumerate(runs):
+            assert setup.pairs[:, lane].tolist() == block.pairs[:, lane].tolist()
+            assert setup.tested[:, lane].tolist() == block.tested[:, lane].tolist()
+            _assert_lane_is_run(block, lane, run)
+
+
+def _assert_lane_is_run(block, lane, run):
+    # The lane of a sequence block holds the run oracle.play_sequence gives
+    # for its seed: pairs, test set, failed slot and, where it passed, Bob's
+    # declarations and Alice's outcomes.
+    pairs, tested, failed, declarations, outcomes = run
+    assert block.pairs[:, lane].tolist() == [2 * x0 + x1 for x0, x1 in pairs]
+    assert block.tested[:, lane].tolist() == tested
+    assert block.failed[lane] == (-1 if failed is None else failed)
+    if failed is None:
+        assert block.declared[:, lane].tolist() == [declared for _, declared in declarations]
+        assert block.outcomes.assert_bit[:, lane].tolist() == [o.assert_bit for o in outcomes]
+        assert block.outcomes.bob_bit[:, lane].tolist() == [o.bob_bit for o in outcomes]
+        received = block.outcomes.assert_bit[:, lane] == 0
+        assert block.outcomes.g_hat[received, lane].tolist() == [o.g_hat for o in outcomes if o.assert_bit == 0]
 
 
 def _lemire_threshold(high: int) -> int:
@@ -484,6 +492,13 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
         # The target lane alone is run again, once: one stream per party.
         assert sorted(opened) == [(rng.ALICE, target_seed), (rng.BOB, target_seed)], (draw, flow)
         assert report.successes == expected, (draw, flow)
+    if stream == rng.ALICE:
+        # The played block's forced lane is the lone run in every field.
+        seeds = np.array([trial_seed(master, index) for index in range(target + 2)], dtype=np.uint64)
+        with monkeypatch.context() as patch:
+            patch.setattr(rng, "philox_block", forced)
+            block = play_sequence_block(cfg, seeds)
+        _assert_lane_is_run(block, target, oracle.play_sequence(cfg, target_seed))
 
 
 def test_sequence_cheat_blocks_default_to_the_smallest_batch(monkeypatch):

@@ -193,8 +193,8 @@ def test_one_seed_stream_extends_past_its_blocks_after_redraws():
     for key in _keys(40).tolist():
         gen = party_stream(key, rng.BOB)
         block = _one_stream(np.array([key], dtype=np.uint64), rng.BOB, words=8)
-        values, rejected = block.bounded([high] * 16)
-        assert values[:, 0].tolist() == [gen.integers(0, high + 1) for _ in range(16)] and not rejected[0], key
+        values = block.bounded([high] * 16)
+        assert values[:, 0].tolist() == [gen.integers(0, high + 1) for _ in range(16)] and not block.rejected[0], key
         held.append(len(block._words))
         if held[-1] > 8:
             # Later draws go on reading blocks as the generator does.
@@ -279,10 +279,10 @@ def test_block_stream_spans_blocks():
         block = _one_stream(keys, stream, words=23)
         bits_a = block.draw_bits(7)
         uniforms = block.randoms(5)
-        bounded, rejected = block.bounded(highs)
+        bounded = block.bounded(highs)
         bits_b = block.draw_bits(4)
         last = block.random()
-        assert not rejected.any()
+        assert not block.rejected.any()
         for index, key in enumerate(keys):
             gen = party_stream(int(key), stream)
             assert bits_a[:, index].tolist() == [draw_bit(gen) for _ in range(7)]
@@ -317,11 +317,17 @@ def test_bounded_flags_exactly_the_lemire_redraws():
     # A range of 3 * 2**30 + 1 values rejects about a quarter of all 32-bit
     # draws, so numpy's own generator shows which draws it took again: after
     # a single 32-bit draw a fresh generator holds one buffered half word
-    # and has used one word of its block.
+    # and has used one word of its block.  A range of 2 has a threshold of
+    # 0, so a later draw in it rejects nothing and every mark stays.
     high = 3 << 30
     keys = _keys(300)
-    values, rejected = _one_stream(keys, 0).bounded([high])
+    stream = _one_stream(keys, 0)
+    values = stream.bounded([high])
+    rejected = stream.rejected.copy()
     assert 20 < np.count_nonzero(rejected) < 150
+    assert rng._lemire_bounds((1,))[1].tolist() == [[0]]
+    stream.bounded([1, 1])
+    assert np.array_equal(stream.rejected, rejected)
     for index, key in enumerate(keys):
         gen = party_stream(int(key), 0)
         value = int(gen.integers(0, high + 1))
@@ -341,8 +347,8 @@ def test_one_seed_bounded_redraws_as_generator():
     keys = _keys(300)
     planned = _one_stream(keys, 0, words=12)
     planned.randoms(6)
-    _, redrawn = planned.bounded([high])
-    assert 20 < np.count_nonzero(redrawn) < 150
+    planned.bounded([high])
+    assert 20 < np.count_nonzero(planned.rejected) < 150
     one_seed_streams = (
         lambda seed: _one_stream(seed, 0, words=12),
         lambda seed: block_streams(seed, ((rng.BOB, 4), (0, 12)))[1],
@@ -351,14 +357,14 @@ def test_one_seed_bounded_redraws_as_generator():
         gen = party_stream(key, 0)
         block = make(np.array([key], dtype=np.uint64))
         assert block.randoms(6)[:, 0].tolist() == [gen.random() for _ in range(6)]
-        values, rejected = block.bounded([high])
-        assert values[0, 0] == gen.integers(0, high + 1) and not rejected[0], key
+        values = block.bounded([high])
+        assert values[0, 0] == gen.integers(0, high + 1) and not block.rejected[0], key
         assert block.random()[0] == gen.random()
         assert block.draw_bit()[0] == draw_bit(gen)
         assert block.random()[0] == gen.random()
         # Several ranges in one call, each taken again on its own.
-        values, rejected = block.bounded([high, 90, high])
-        assert values[:, 0].tolist() == [gen.integers(0, r + 1) for r in (high, 90, high)] and not rejected[0]
+        values = block.bounded([high, 90, high])
+        assert values[:, 0].tolist() == [gen.integers(0, r + 1) for r in (high, 90, high)] and not block.rejected[0]
         assert block.draw_bit()[0] == draw_bit(gen)
         assert block.random()[0] == gen.random()
 
@@ -372,8 +378,9 @@ def test_bounded_redraws_strictly_below_the_threshold():
         u = np.array([leftover * pow(span, -1, 2**32) % 2**32 for leftover in (threshold - 1, threshold)])
         words = np.zeros((4, u.size), dtype=np.uint64)
         words[0] = u
-        values, rejected = BlockStream(np.zeros(u.size, dtype=np.uint64), 0, words).bounded([high])
-        assert rejected.tolist() == [True, False], high
+        stream = BlockStream(np.zeros(u.size, dtype=np.uint64), 0, words)
+        values = stream.bounded([high])
+        assert stream.rejected.tolist() == [True, False], high
         assert values[0].tolist() == [int(v) * span >> 32 for v in u]
 
 
