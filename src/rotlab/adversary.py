@@ -20,9 +20,9 @@ reference, the density-matrix path one triple at a time, is in
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
 cross-check every analytic value empirically; ``execute_cheat`` runs it on
-one seed.  Each samples its measurement with one comparison, against
-thresholds its factory builds once with
-:func:`~rotlab.linalg.cumulative_thresholds` from the Born weights
+one seed.  Each samples its two-outcome measurement with one comparison,
+against thresholds its factory builds once with
+:func:`~rotlab.linalg.sampling_thresholds` from the Born weights
 :func:`_helstrom_weights` gives for all the states it can measure at once,
 gathered per classical context through the protocol's own tables
 (``protocols.OT_PAIR_INDEX``, ``protocols.pair_bit``).
@@ -40,9 +40,9 @@ import numpy as np
 
 from .linalg import (
     ValidationError,
-    cumulative_thresholds,
     helstrom_measurement,
     projections,
+    sampling_thresholds,
     trace_norms,
 )
 from .protocols import (
@@ -279,11 +279,12 @@ class CheatStrategy:
     """One dishonest party's tactic for one protocol.
 
     ``parameters`` is strategy-specific: the probe amplitudes for the
-    qutrit and coin-flip Alice attacks, the batch size for the sequence
-    attack, which defaults to the smallest batch.  Unknown
-    parameter names are rejected.  The parameters are fixed at
-    construction, defaults included, when the cache key that selects the
-    strategy's block form, built once per key, is computed.
+    qutrit and coin-flip Alice attacks, which default to the balanced
+    triple, and the batch size for the sequence attack, which defaults to
+    the smallest batch.  Unknown parameter names are rejected.  The
+    parameters are fixed at construction, defaults included, when the
+    cache key that selects the strategy's block form, built once per key,
+    is computed.
     """
 
     def __init__(self, party: str, protocol: str, parameters: dict | None = None):
@@ -294,12 +295,14 @@ class CheatStrategy:
         if parameters is not None and not isinstance(parameters, dict):
             raise ValidationError("parameters must be an object")
         parameters = dict(parameters or {})
-        unknown = set(parameters) - _STRATEGIES[(party, protocol)][0]
+        names = _STRATEGIES[(party, protocol)][0]
+        unknown = set(parameters) - names
         if unknown:
             raise ValidationError(f"unknown strategy parameters: {sorted(unknown)}")
-        if "triple" in parameters:
-            parameters["triple"] = [float(v) for v in AmplitudeTriple.coerce(parameters["triple"]).as_tuple()]
-        if "n_states" in _STRATEGIES[(party, protocol)][0]:
+        if "triple" in names:
+            triple = AmplitudeTriple.coerce(parameters.get("triple", AmplitudeTriple.balanced()))
+            parameters["triple"] = [float(v) for v in triple.as_tuple()]
+        if "n_states" in names:
             parameters["n_states"] = SequenceConfig(parameters.get("n_states", MIN_SEQUENCE_STATES)).n_states
         self.party = party
         self.protocol = protocol
@@ -321,21 +324,15 @@ class CheatStrategy:
         return f"CheatStrategy({self.party!r}, {self.protocol!r}, {self.parameters!r})"
 
 
-def _strategy_triple(params: dict) -> AmplitudeTriple:
-    if "triple" in params:
-        return AmplitudeTriple(*params["triple"])
-    return AmplitudeTriple.balanced()
-
-
 def _alice_recovers_bit(params: dict):
     # Alice measures Bob's encoding of her probe with the Helstrom
     # measurement of the evaluator's operator for the announced permutation
     # value, and guesses his data bit: whether the guess is right, from both
     # party streams.  Her Born weights per pair index and value are gathered
     # per Bob's (y, z_dummy, p).
-    vector = np.array([_strategy_triple(params).as_tuple()])
+    vector = np.array([params["triple"]])
     weights = _helstrom_weights(_qutrit_cheat_operators(vector)[0], QUTRIT_ENCODING_SIGNS * vector)
-    thresholds = cumulative_thresholds(weights[OT_PAIR_INDEX, [0, 1]])[..., 0]
+    thresholds = sampling_thresholds(weights[OT_PAIR_INDEX, [0, 1]])
 
     def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:
         y = bob.draw_bit()
@@ -361,7 +358,7 @@ def _alice_sequence_block(params: dict):
     # per (pair index, declared bit).  Bob declares the slots in order, so
     # only his first declaration is drawn.
     cfg = SequenceConfig(params["n_states"])
-    thresholds = cumulative_thresholds(_helstrom_weights(_SEQUENCE_OPERATORS, SEQUENCE_STATES))[..., 0]
+    thresholds = sampling_thresholds(_helstrom_weights(_SEQUENCE_OPERATORS, SEQUENCE_STATES))
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
@@ -399,7 +396,7 @@ def _bob_qutrit_block(params: dict):
     # announces b = 0 and lands HEADS, exactly when his guess is right.  His
     # Born weights per Alice's choice bit sum those of the rows of her probe.
     weights = _helstrom_weights(_BOB_QUTRIT_OPERATOR[None], _BOB_QUTRIT_ROWS).sum(axis=1)[:, 0]
-    thresholds = cumulative_thresholds(weights)[..., 0]
+    thresholds = sampling_thresholds(weights)
 
     def run(seeds: np.ndarray) -> np.ndarray:
         # Bob's data and dummy bits, drawn after his measurement, do not

@@ -11,12 +11,12 @@ trace norms of a stack of operators in one LAPACK ``eigvalsh`` call,
 :func:`helstrom_measurement` builds the minimum-error (Helstrom)
 measurement of one operator p0 rho0 - p1 rho1, and :func:`projections`
 gives the projected vectors and Born weights of a stack of pure states
-under a measurement; :func:`cumulative_thresholds` turns a table of such
-weights, once, into the thresholds its outcomes are sampled from, one
-comparison per two-outcome draw.  The stacked primitives check nothing:
-they take operators that are valid by construction.  All values are
-read-only after construction and all operations are pure functions, so
-they are safe to share between threads.
+under a measurement.  Every measurement sampled has two outcomes, and
+:func:`sampling_thresholds` turns a table of their weights, once, into the
+uniforms at or above which outcome 1 is drawn: one comparison per draw.
+The stacked primitives check nothing: they take operators that are valid
+by construction.  All values are read-only after construction and all
+operations are pure functions, so they are safe to share between threads.
 
 :class:`ComplexMatrix` and :func:`hermitian_eigenvalues`, a checked
 operand and the spectrum of one Hermitian matrix, serve callers outside
@@ -165,27 +165,20 @@ def projective_measurement(projectors) -> np.ndarray:
     return stack
 
 
-def cumulative_thresholds(weights: np.ndarray) -> np.ndarray:
-    """The sampling thresholds of an ``(..., k)`` table of outcome weights,
-    read-only, same shape: the cumulative sums of the weights, each weight
-    at or below ``DERIVED_TOL`` counting as 0, with the last outcome of
-    weight above it (the last outcome, where none is) and every outcome
-    after it raised to ``+inf``.
+def sampling_thresholds(weights: np.ndarray) -> np.ndarray:
+    """The sampling thresholds of an ``(..., 2)`` table of two-outcome
+    weights, read-only, shape ``(...)``: outcome 1 is drawn at a uniform
+    ``r`` in [0, 1) exactly when ``r`` is at or above its row's threshold.
 
-    A weight within ``DERIVED_TOL`` of 0 is the rounding residue of an
-    impossible outcome, so an outcome whose weight is within it of 1 is
-    drawn at every ``r``.  The outcome of a row at a uniform ``r`` in
-    [0, 1) is the number of its thresholds at or below ``r``: the first
-    outcome whose cumulative weight exceeds ``r``, an ``r`` on a boundary
-    going to the next outcome, and the last outcome kept when rounding
-    leaves the total at or below ``r``.  A two-outcome row thus gives
-    outcome 1 exactly when ``r >= row[0]``.
+    A weight at or below ``DERIVED_TOL`` is the rounding residue of an
+    impossible outcome.  The threshold is the weight of outcome 0; 0 where
+    that weight is such a residue, so outcome 1 is drawn at every ``r``;
+    and ``+inf`` where only the weight of outcome 1 is, so outcome 0 is.
+    An ``r`` on the boundary goes to outcome 1, and a row whose weights
+    rounding leaves short of 1 keeps outcome 1 above their total.
     """
-    kept = np.where(weights > DERIVED_TOL, weights, 0.0)
-    thresholds = np.cumsum(kept, axis=-1)
-    k = thresholds.shape[-1]
-    last = k - 1 - (kept[..., ::-1] > 0.0).argmax(axis=-1)
-    thresholds[np.arange(k) >= last[..., None]] = np.inf
+    w0, w1 = weights[..., 0], weights[..., 1]
+    thresholds = np.where(w0 > DERIVED_TOL, np.where(w1 > DERIVED_TOL, w0, np.inf), 0.0)
     thresholds.setflags(write=False)
     return thresholds
 

@@ -26,19 +26,21 @@ the three single-transfer forms in ``ROT_EXECUTORS``, and
 ``sequence_setup_block``, ``sequence_spot_check_block`` and
 ``play_sequence_block`` for the sequence flow, which the cheating and
 detection runs share.  They draw from :class:`~rotlab.rng.BlockStream` and
-sample each measurement with one comparison, against the thresholds that
-:func:`~rotlab.linalg.cumulative_thresholds` builds once from a table of
-its Born weights.  The sequence forms step through no slot or draw one
-at a time: Alice's test set, Floyd's picks, is settled for all of its
-draws at once (see :func:`sequence_setup_block`), and her spot check and
-untested-slot decode each look their thresholds and outputs up in flat
-tables, by pair index.  A run is its block form on one seed, with the
-transcript rendered from the bits it drew; the Monte-Carlo harness calls
-the block forms and builds no transcript.
+sample each two-outcome measurement with one comparison, against the
+thresholds that :func:`~rotlab.linalg.sampling_thresholds` builds from a
+table of its Born weights.  Those tables depend on nothing else, so they
+are read-only module constants, built at import.  The sequence forms step
+through no slot or draw one at a time: Alice's test set, Floyd's picks, is
+settled for all of its draws at once (see :func:`sequence_setup_block`),
+and her spot check and untested-slot decode each look their thresholds
+and outputs up in flat tables, by pair index.  A run is its block form on
+one seed, with the transcript rendered from the bits it drew; the
+Monte-Carlo harness calls the block forms and builds no transcript.
 
 Each protocol fact the cheating strategies share is defined here once:
-Bob's phase encoding (``QUTRIT_ENCODING_SIGNS``), his permutation of the
-bit pair (``OT_PAIR_INDEX``, from :meth:`OtPair.draw`) and the bit a
+Bob's phase encoding (``QUTRIT_ENCODING_SIGNS``, signs that multiply the
+amplitudes of his qutrit), his permutation of the bit pair
+(``OT_PAIR_INDEX``, from :meth:`OtPair.draw`) and the bit a
 sequence pair holds at a declared index (:func:`pair_bit`).
 """
 
@@ -56,11 +58,17 @@ import numpy as np
 from .linalg import (
     ValidationError,
     as_integer,
-    cumulative_thresholds,
     projections,
     projective_measurement,
+    sampling_thresholds,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
+    # The table, made read-only: every run shares it.
+    table.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True)
@@ -115,7 +123,8 @@ class Transcript:
 def _state_payload(amplitudes, subsystem: str | None = None, **extra) -> dict:
     payload = dict(extra)
     payload["dim"] = len(amplitudes)
-    payload["amplitudes"] = [[float(z.real), float(z.imag)] for z in np.asarray(amplitudes)]
+    # + 0.0 renders a -0.0 part, which Bob's sign flips leave, as 0.0.
+    payload["amplitudes"] = [[float(z.real) + 0.0, float(z.imag) + 0.0] for z in np.asarray(amplitudes)]
     if subsystem is not None:
         payload["subsystem"] = subsystem
     return payload
@@ -245,20 +254,11 @@ QUTRIT_ENCODING_SIGNS = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 1.0], [-1.0, 1.0,
 QUTRIT_ENCODING_SIGNS.setflags(write=False)
 
 
-@lru_cache(maxsize=None)
-def qutrit_unitary(x0: int, x1: int) -> np.ndarray:
-    """Bob's phase encoding: diag((-1)^x0, (-1)^x1, 1) on his qutrit, read-only."""
-    unitary = np.diag(QUTRIT_ENCODING_SIGNS[2 * x0 + x1]).astype(np.complex128)
-    unitary.setflags(write=False)
-    return unitary
-
-
-@lru_cache(maxsize=None)
-def _qutrit_pair_unitary(x0: int, x1: int) -> np.ndarray:
-    # Bob's phase encoding on both qutrits, read-only: the identity on Alice's.
-    unitary = np.kron(np.eye(3), qutrit_unitary(x0, x1))
-    unitary.setflags(write=False)
-    return unitary
+def _encode_qutrit(pairs, amplitudes: np.ndarray) -> np.ndarray:
+    # Bob's phase encoding of the pair indices on two-qutrit amplitudes,
+    # index 3 * i + j for Alice's |i> and his |j>: each amplitude times the
+    # sign of his j.
+    return np.tile(QUTRIT_ENCODING_SIGNS[pairs], 3) * amplitudes
 
 
 @lru_cache(maxsize=None)
@@ -326,16 +326,10 @@ def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
     return RotOutcomeBlock(g_hat=y, assert_bit=keep, bob_bit=y)
 
 
-def _bad_qubit_weights() -> np.ndarray:
-    # Born weights of Alice's Z measurement, per Bob's bit: on the rows of
-    # the identity, the basis states |0> and |1>.
-    return projections(np.eye(2), _Z_PROJS)[1]
-
-
-@lru_cache(maxsize=None)
-def _bad_qubit_thresholds() -> np.ndarray:
-    # Alice's outcome-1 threshold, per Bob's bit.
-    return cumulative_thresholds(_bad_qubit_weights())[..., 0]
+# Born weights of Alice's Z measurement, per Bob's bit: on the rows of the
+# identity, the basis states |0> and |1>; and her outcome-1 threshold.
+_BAD_QUBIT_WEIGHTS = _read_only(projections(np.eye(2), _Z_PROJS)[1])
+_BAD_QUBIT_THRESHOLDS = sampling_thresholds(_BAD_QUBIT_WEIGHTS)
 
 
 def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
@@ -343,23 +337,19 @@ def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
     y = bob.draw_bit()
     discard = alice.draw_bit()
     # Drawn for every trial; it is Alice's last draw, used only where she measures.
-    outcome = (alice.random() >= _bad_qubit_thresholds()[y]).astype(np.intp)
+    outcome = (alice.random() >= _BAD_QUBIT_THRESHOLDS[y]).astype(np.intp)
     return RotOutcomeBlock(g_hat=outcome, assert_bit=discard, bob_bit=y)
 
 
-@lru_cache(maxsize=None)
-def _qutrit_weights() -> np.ndarray:
-    # Born weights of Alice's measurement, per (a, y, z_dummy, p, outcome):
-    # the outcome distribution run_qutrit samples from in each classical context.
-    unitaries = np.array([_qutrit_pair_unitary(*divmod(pair, 2)) for pair in range(4)])
-    by_pair = np.array([projections(unitaries @ qutrit_entangled_state(a), qutrit_measurement(a))[1] for a in (0, 1)])
-    return by_pair[:, OT_PAIR_INDEX]
-
-
-@lru_cache(maxsize=None)
-def _qutrit_thresholds() -> np.ndarray:
-    # Alice's outcome-1 threshold, per (a, y, z_dummy, p).
-    return cumulative_thresholds(_qutrit_weights())[..., 0]
+# Born weights of Alice's measurement, per (a, y, z_dummy, p, outcome): the
+# outcome distribution run_qutrit samples from in each classical context;
+# and her outcome-1 threshold, per (a, y, z_dummy, p).
+_QUTRIT_WEIGHTS = _read_only(
+    np.array(
+        [projections(_encode_qutrit(np.arange(4), qutrit_entangled_state(a)), qutrit_measurement(a))[1] for a in (0, 1)]
+    )[:, OT_PAIR_INDEX]
+)
+_QUTRIT_THRESHOLDS = sampling_thresholds(_QUTRIT_WEIGHTS)
 
 
 def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -370,7 +360,7 @@ def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     y = bob.draw_bit()
     z_dummy = bob.draw_bit()
     p = bob.draw_bit()
-    outcome = (alice.random() >= _qutrit_thresholds()[a, y, z_dummy, p]).astype(np.intp)
+    outcome = (alice.random() >= _QUTRIT_THRESHOLDS[a, y, z_dummy, p]).astype(np.intp)
     return a, y, z_dummy, p, outcome
 
 
@@ -418,29 +408,29 @@ class SequenceBlock(NamedTuple):
     outcomes: RotOutcomeBlock
 
 
-@lru_cache(maxsize=None)
-def _sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    # Born weights of qubit 1, per (pair, basis); of qubit 2 on the state
-    # qubit 1's outcome m1 leaves, per (pair, basis, m1, basis of qubit 2);
-    # and Alice's untested-slot decode, per (m1, m2), as (learned index,
-    # learned value).  An outcome of weight 0 is never sampled; it leaves
-    # no state, and its second weights are 0.
-    by_basis = [projections(SEQUENCE_STATES, _QUBIT1[basis]) for basis in "ZX"]
+def _two_qubit_weights(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Born weights of qubit 1, per (state, basis), and of qubit 2 on the
+    # state qubit 1's outcome m1 leaves, per (state, basis, m1, basis of
+    # qubit 2).  An outcome of weight 0 is never sampled; it leaves no
+    # state, and its second weights are 0.
+    by_basis = [projections(states, _QUBIT1[basis]) for basis in "ZX"]
     projected = np.stack([vectors for vectors, _ in by_basis], axis=1)
     first = np.stack([weights for _, weights in by_basis], axis=1)
     norms = np.sqrt(first)[..., None]
     after = np.divide(projected, norms, out=np.zeros_like(projected), where=norms > 0.0)
     second = np.stack([projections(after, _QUBIT2[b])[1] for b in "ZX"], axis=-2)
-    decode = np.array([[SEQUENCE_DECODE[(m1, m2)] for m2 in (0, 1)] for m1 in (0, 1)])
-    return first, second, decode
+    return _read_only(first), _read_only(second)
 
 
-@lru_cache(maxsize=None)
-def _sequence_thresholds() -> tuple[np.ndarray, np.ndarray]:
-    # The outcome-1 thresholds of qubit 1, per (pair, basis), and of qubit
-    # 2, per (pair, basis, m1, basis of qubit 2).
-    first, second, _ = _sequence_tables()
-    return cumulative_thresholds(first)[..., 0], cumulative_thresholds(second)[..., 0]
+# The Born weights of the two qubits of each pair's state, and Alice's
+# untested-slot decode, per (m1, m2), as (learned index, learned value).
+_SEQUENCE_TABLES = (
+    *_two_qubit_weights(SEQUENCE_STATES),
+    _read_only(np.array([[SEQUENCE_DECODE[(m1, m2)] for m2 in (0, 1)] for m1 in (0, 1)])),
+)
+# The outcome-1 thresholds of qubit 1, per (pair, basis), and of qubit 2,
+# per (pair, basis, m1, basis of qubit 2).
+_SEQUENCE_THRESHOLDS = tuple(sampling_thresholds(weights) for weights in _SEQUENCE_TABLES[:2])
 
 
 def pair_bit(pairs: np.ndarray, index) -> np.ndarray:
@@ -449,18 +439,21 @@ def pair_bit(pairs: np.ndarray, index) -> np.ndarray:
     return (pairs >> (1 - np.asarray(index))) & 1
 
 
-@lru_cache(maxsize=None)
-def _spot_check_tables() -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    # Alice's check of a tested slot, per 4 * sent + announced pair index:
-    # the outcome-1 thresholds of qubit 1 and of qubit 2, both read in the
-    # announced pair's test basis x0 ^ x1, and the outcome both must show,
-    # the announced x0.  Qubit 2's outcome only counts where qubit 1 showed
-    # that one, so its threshold is the one on the state that outcome leaves.
-    first, second = _sequence_thresholds()
+def _spot_check_tables(first: np.ndarray, second: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
+    # Alice's check of a tested slot, per 4 * sent + announced pair index,
+    # from the sequence thresholds of qubit 1 and of qubit 2: both read in
+    # the announced pair's test basis x0 ^ x1, and the outcome both must
+    # show, the announced x0.  Qubit 2's outcome only counts where qubit 1
+    # showed that one, so its threshold is the one on the state that
+    # outcome leaves.
     sent, announced = np.divmod(np.arange(16), 4)
     basis = pair_bit(announced, 0) ^ pair_bit(announced, 1)
     expected = pair_bit(announced, 0)
-    return (first[sent, basis], second[sent, basis, expected, basis]), expected.astype(bool)
+    thresholds = (_read_only(first[sent, basis]), _read_only(second[sent, basis, expected, basis]))
+    return thresholds, _read_only(expected.astype(bool))
+
+
+_SPOT_CHECK_TABLES = _spot_check_tables(*_SEQUENCE_THRESHOLDS)
 
 
 def _tested_fails(sent: np.ndarray, announced: np.ndarray, rand: np.ndarray) -> np.ndarray:
@@ -468,7 +461,7 @@ def _tested_fails(sent: np.ndarray, announced: np.ndarray, rand: np.ndarray) -> 
     # sent and announced, shape (test_size, seeds), and her uniforms, two
     # per slot in order: a slot passes when both qubits show the expected
     # outcome.
-    (first, second), expected = _spot_check_tables()
+    (first, second), expected = _SPOT_CHECK_TABLES
     index = 4 * sent
     index += announced
     expected = expected.take(index)
@@ -480,25 +473,26 @@ def _tested_fails(sent: np.ndarray, announced: np.ndarray, rand: np.ndarray) -> 
     return fails
 
 
-@lru_cache(maxsize=None)
-def _decode_tables() -> tuple[np.ndarray, np.ndarray, RotOutcomeBlock]:
+def _decode_tables(first, second, decode) -> tuple[np.ndarray, np.ndarray, RotOutcomeBlock]:
     # Alice's untested-slot reading, qubit 1 in Z and qubit 2 in X, as flat
-    # tables: qubit 1's outcome-1 threshold, per pair; qubit 2's, per
-    # 2 * pair + m1; and her outputs, per 2 * (4 * pair + 2 * m1 + m2) +
-    # declared, from the decode of (m1, m2).
-    first, second = _sequence_thresholds()
-    *_, decode = _sequence_tables()
+    # tables, from the sequence thresholds and decode: qubit 1's outcome-1
+    # threshold, per pair; qubit 2's, per 2 * pair + m1; and her outputs,
+    # per 2 * (4 * pair + 2 * m1 + m2) + declared, from the decode of
+    # (m1, m2).
     pair, m1, m2, declared = np.indices((4, 2, 2, 2)).reshape(4, -1)
     learned_index, learned_value = decode[m1, m2].T
-    outputs = RotOutcomeBlock(learned_value, (learned_index != declared).astype(np.intp), pair_bit(pair, declared))
-    return first[:, 0], second[:, 0, :, 1].ravel(), outputs
+    outputs = (learned_value, (learned_index != declared).astype(np.intp), pair_bit(pair, declared))
+    return first[:, 0], _read_only(second[:, 0, :, 1].ravel()), RotOutcomeBlock(*map(_read_only, outputs))
+
+
+_DECODE_TABLES = _decode_tables(*_SEQUENCE_THRESHOLDS, _SEQUENCE_TABLES[2])
 
 
 def _untested_outcomes(sent: np.ndarray, declared: np.ndarray, rand: np.ndarray) -> RotOutcomeBlock:
     # Alice's outputs on the untested slots, for the pair indices sent and
     # Bob's declared indices, shape (n_states - test_size, seeds), and her
     # uniforms, two per slot in order.
-    first, second, outputs = _decode_tables()
+    first, second, outputs = _DECODE_TABLES
     code = 2 * sent
     code += rand[0::2] >= first.take(sent)
     m2 = rand[1::2] >= second.take(code)
@@ -656,8 +650,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     transcript = Transcript()
     psi = qutrit_entangled_state(a)
     transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
-    pair = OtPair.draw(y, z_dummy, p)
-    psi = _qutrit_pair_unitary(pair.x0, pair.x1) @ psi
+    psi = _encode_qutrit(OT_PAIR_INDEX[y, z_dummy, p], psi)
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
     transcript.record("B", "permutation", {"p": p})
     if a == p:

@@ -64,10 +64,6 @@ _PHILOX_MUL = tuple((np.uint64(m), np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
 # [s + (r - 1) W0, t + (r - 1) W1], mod 2**64.
 _KEY_STEP = tuple(np.uint64(w) for w in _WEYL)
 _KEY_STEP2 = tuple(np.uint64(2 * w & _MASK64) for w in _WEYL)
-# The same constants stacked as columns, one row per lane pair: row 0
-# multiplies c0 and bumps k0, row 1 multiplies c2 and bumps k1.
-_STACKED_MUL = tuple(np.array([[a], [b]], dtype=np.uint64) for a, b in zip(*_PHILOX_MUL))
-_STACKED_WEYL = np.array([[w] for w in _KEY_STEP], dtype=np.uint64)
 # Columns per pass of the stacked rounds: wide enough to spread each ufunc
 # call's fixed cost, narrow enough to keep a round's temporaries in cache.
 _COLUMNS = 4096
@@ -75,6 +71,22 @@ _COLUMNS = 4096
 # and distinct lists of bounded draws' ranges, each with its Lemire bounds.
 _LAYOUTS = 32
 _RANGES = 32
+
+
+def _spread(row0: np.uint64, row1: np.uint64) -> np.ndarray:
+    # _COLUMNS copies of row0 and then of row1, read-only.  The middle
+    # 2 * width entries are the rows of a pass of width columns, contiguous:
+    # numpy multiplies two contiguous arrays about twice as fast as it
+    # broadcasts a column against one or steps through a strided view.
+    spread = np.repeat(np.array((row0, row1), dtype=np.uint64), _COLUMNS)
+    spread.setflags(write=False)
+    return spread
+
+
+# The same constants spread for a pass over both lane pairs: row 0
+# multiplies c0 and bumps k0, row 1 multiplies c2 and bumps k1.
+_STACKED_MUL = tuple(_spread(*pair) for pair in zip(*_PHILOX_MUL))
+_STACKED_WEYL = _spread(*_KEY_STEP)
 
 
 def seed_array(seed: int) -> np.ndarray:
@@ -210,12 +222,11 @@ def _stacked_rounds(key: np.ndarray, even: np.ndarray, odd: np.ndarray) -> tuple
     # each shaped (2, columns) like round 3's key = (k0, k1).  A round
     # multiplies c0 and c2 by their own multipliers in one stacked product,
     # then sets (c0, c2) = (hi(c2) ^ c1 ^ k0, hi(c0) ^ c3 ^ k1) and
-    # (c1, c3) = (lo(c2), lo(c0)).  The constants are spread to full rows:
-    # numpy multiplies two contiguous arrays about twice as fast as it
-    # broadcasts a column against one.
+    # (c1, c3) = (lo(c2), lo(c0)), against the stacked constants' rows.
     width = key.shape[1]
-    mul = tuple(np.repeat(c, width, axis=1) for c in _STACKED_MUL)
-    weyl = np.repeat(_STACKED_WEYL, width, axis=1)
+    middle = slice(_COLUMNS - width, _COLUMNS + width)
+    mul = tuple(c[middle].reshape(2, width) for c in _STACKED_MUL)
+    weyl = _STACKED_WEYL[middle].reshape(2, width)
     with np.errstate(over="ignore"):
         for round_index in range(2, _PHILOX_ROUNDS):
             if round_index > 2:

@@ -76,30 +76,26 @@ def closed_form_objective(alpha: float, beta: float, gamma_amp: float) -> float:
 
 
 def threshold_outcomes(thresholds: np.ndarray, rand) -> np.ndarray:
-    """The outcome of each row of sampling thresholds at its uniform: the
-    number of the row's thresholds at or below the uniform."""
-    return (thresholds <= np.asarray(rand)[..., None]).sum(axis=-1)
+    """The outcome of each two-outcome row at its uniform: 1 exactly when
+    the uniform is at or above the row's sampling threshold."""
+    return (np.asarray(rand) >= thresholds).astype(np.intp)
 
 
 def assert_thresholds_pin(weights: np.ndarray, thresholds: np.ndarray) -> None:
-    """Check a threshold table against its weight table, row by row: its
-    finite entries equal (==) the cumulative sums of the weights, each
-    weight at or below ``DERIVED_TOL`` counting as 0, ``+inf`` fills exactly
-    the last outcome of weight above it (the last outcome, where none is)
-    and those after it, and on a grid of uniforms, each finite threshold,
-    0.0 and 1 - 2**-53 it samples the scalar rule's outcome."""
-    assert thresholds.shape == weights.shape
-    k = weights.shape[-1]
+    """Check a table of sampling thresholds against its ``(..., 2)`` table
+    of two-outcome weights, row by row: each threshold equals (==) the
+    weight of outcome 0, is 0 where that weight is at or below
+    ``DERIVED_TOL`` and ``+inf`` where only the weight of outcome 1 is, and
+    on a grid of uniforms, the threshold, 0.0 and 1 - 2**-53 it samples the
+    scalar rule's outcome."""
+    assert weights.shape[-1] == 2 and thresholds.shape == weights.shape[:-1]
     grid = np.linspace(0.0, 1.0, 257)[:-1]
-    for row, row_thresholds in zip(weights.reshape(-1, k), thresholds.reshape(-1, k)):
+    for row, threshold in zip(weights.reshape(-1, 2), thresholds.reshape(-1)):
         kept = row > DERIVED_TOL
-        last = np.flatnonzero(kept)[-1] if kept.any() else k - 1
-        assert np.isinf(row_thresholds).tolist() == [j >= last for j in range(k)], row
-        finite = row_thresholds[:last]
-        assert np.array_equal(finite, np.cumsum(np.where(kept, row, 0.0))[:last]), row
-        uniforms = np.concatenate((grid, finite[finite < 1.0], [0.0, 1.0 - 2.0**-53]))
+        assert threshold == ((row[0] if kept[1] else np.inf) if kept[0] else 0.0), row
+        uniforms = np.concatenate((grid, [threshold] if threshold < 1.0 else [], [0.0, 1.0 - 2.0**-53]))
         expected = [invert_cumulative(row.tolist(), r) for r in uniforms]
-        assert threshold_outcomes(row_thresholds, uniforms).tolist() == expected, row
+        assert threshold_outcomes(threshold, uniforms).tolist() == expected, row
 
 
 @contextlib.contextmanager
@@ -118,9 +114,9 @@ def recording(module, name: str):
 
 
 def strategy_tables(key: tuple[str, str], params: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The Born table a strategy's factory cumulates and the thresholds it
-    builds from it, caught on its one call of ``cumulative_thresholds``."""
-    with recording(adversary, "cumulative_thresholds") as built:
+    """The Born table a strategy's factory samples from and the thresholds
+    it builds from it, caught on its one call of ``sampling_thresholds``."""
+    with recording(adversary, "sampling_thresholds") as built:
         # A factory takes a strategy's parameters, its defaults filled in.
         adversary._STRATEGIES[key][1](adversary.CheatStrategy(*key, params).parameters)
     (tables,) = built

@@ -20,7 +20,9 @@ semidefinite) on numpy's ``eigvalsh`` and ``eigh``.  The library's stacked
 evaluator must give its qutrit values exactly, and the cheating Born
 tables and runs here measure with its projectors, not the library's.  Its
 partial trace, one index sum at a time, is the reference for Bob's reduced
-qutrit states.
+qutrit states.  Bob's phase encoding is applied here as a 9 x 9 ``kron``
+matrix of its own signs, where the library multiplies the amplitudes of his
+qutrit by ``QUTRIT_ENCODING_SIGNS``.
 """
 
 import itertools
@@ -49,7 +51,6 @@ from rotlab.protocols import (
     RotOutcome,
     SequenceConfig,
     Transcript,
-    _qutrit_pair_unitary,
     _state_payload,
     qutrit_entangled_state,
     qutrit_measurement,
@@ -214,7 +215,7 @@ def post_measurement(amplitudes, measurement, outcome: int) -> np.ndarray:
 def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
     """Outcome distribution of honest Alice's qutrit measurement in one
     classical context."""
-    evolved = _qutrit_pair_unitary(x0, x1) @ qutrit_entangled_state(a)
+    evolved = encoding_unitary(x0, x1) @ qutrit_entangled_state(a)
     p0, p1 = born_weights(evolved, qutrit_measurement(a))
     return p0, p1
 
@@ -327,7 +328,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     z_dummy = draw_bit(bob)
     p = draw_bit(bob)
     pair = OtPair.draw(y, z_dummy, p)
-    psi = _qutrit_pair_unitary(pair.x0, pair.x1) @ psi
+    psi = encoding_unitary(pair.x0, pair.x1) @ psi
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
 
     # Outcome 1 means Bob's phase flipped the |aa> term: x_a = 1.
@@ -525,6 +526,13 @@ def helstrom_projectors(p0: float, rho0, p1: float, rho1) -> tuple[np.ndarray, n
 def encoding_signs(x0: int, x1: int) -> np.ndarray:
     """The diagonal of Bob's phase encoding diag((-1)^x0, (-1)^x1, 1)."""
     return np.array(((-1.0) ** x0, (-1.0) ** x1, 1.0))
+
+
+def encoding_unitary(x0: int, x1: int) -> np.ndarray:
+    """Bob's phase encoding on both qutrits, as a 9 x 9 matrix: the
+    identity on Alice's qutrit, the first factor, and diag(encoding_signs)
+    on his."""
+    return np.kron(np.eye(3), np.diag(encoding_signs(x0, x1)))
 
 
 def _bit_mixtures(encoded: dict[tuple[int, int], np.ndarray]) -> list[tuple[np.ndarray, np.ndarray]]:

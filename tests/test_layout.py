@@ -506,3 +506,64 @@ def test_rejected_use_finder_sees_attributes_assignments_and_fields():
         "flow: setup.bob.rejected",
         "counts: block.rejected",
     ]
+
+
+CACHE_DECORATORS = {"lru_cache", "cache"}
+
+
+def _argumentless_caches(tree: ast.Module) -> list[str]:
+    # Each function or method that takes no argument and carries lru_cache
+    # or cache, bare, called, or as an attribute of functools.
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        args = node.args
+        if args.posonlyargs or args.args or args.vararg or args.kwonlyargs or args.kwarg:
+            continue
+        for decorator in node.decorator_list:
+            target = decorator.func if isinstance(decorator, ast.Call) else decorator
+            name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+            if name in CACHE_DECORATORS:
+                found.append(node.name)
+    return found
+
+
+def test_no_function_of_no_argument_is_cached():
+    # A table that depends on nothing is a module constant, built at
+    # import, not a cached function of no argument.
+    offences = _offences(_argumentless_caches)
+    assert not offences, offences
+
+
+def test_argumentless_cache_finder_sees_bare_called_and_attribute_decorators():
+    source = (
+        "import functools\n"
+        "from functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\n"
+        "def table():\n"
+        "    return 1\n"
+        "@functools.cache\n"
+        "def other():\n"
+        "    return 2\n"
+        "@lru_cache\n"
+        "def keyed(n):\n"
+        "    return n\n"
+        "class Holder:\n"
+        "    @staticmethod\n"
+        "    @functools.lru_cache()\n"
+        "    def built():\n"
+        "        return 3\n"
+        "    @cache\n"
+        "    def method(self):\n"
+        "        return 4\n"
+        "def outer():\n"
+        "    @cache\n"
+        "    def inner(*args):\n"
+        "        return args\n"
+        "    @property\n"
+        "    def plain():\n"
+        "        return 5\n"
+        "    return inner, plain\n"
+    )
+    assert sorted(_argumentless_caches(ast.parse(source))) == ["built", "other", "table"]

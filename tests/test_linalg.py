@@ -11,11 +11,11 @@ from rotlab.linalg import (
     NumericError,
     ValidationError,
     _hermitian_eigh,
-    cumulative_thresholds,
     helstrom_measurement,
     hermitian_eigenvalues,
     projections,
     projective_measurement,
+    sampling_thresholds,
     trace_norms,
 )
 
@@ -31,6 +31,7 @@ from oracle import (
     basis_state,
     bob_qutrit_measurement,
     born_weights,
+    encoding_unitary,
     helstrom_prob,
     helstrom_projectors,
     invert_cumulative,
@@ -92,7 +93,7 @@ def test_matrix_dimension_bounds():
 
 def test_matrix_data_is_immutable():
     # So are the matrices the package hands out.
-    for data in (ComplexMatrix(np.eye(2)).data, protocols.qutrit_unitary(0, 1), protocols._Z_PROJS):
+    for data in (ComplexMatrix(np.eye(2)).data, protocols._QUTRIT_THRESHOLDS, protocols._Z_PROJS):
         with pytest.raises(ValueError):
             data[0, 0] = 5.0
 
@@ -152,7 +153,7 @@ def test_mixture_weights_validated():
 
 
 def test_kron_identity():
-    assert np.array_equal(protocols._qutrit_pair_unitary(0, 0), np.eye(9))
+    assert np.array_equal(encoding_unitary(0, 0), np.eye(9))
     lifted = lift_to_bob(bob_qutrit_measurement())
     assert np.array_equal(lifted.sum(axis=0), np.eye(9))
 
@@ -160,7 +161,7 @@ def test_kron_identity():
 def test_kron_basis_projectors():
     assert np.array_equal(protocols._QUBIT1["Z"][0], np.diag([1.0, 1.0, 0.0, 0.0]))
     assert np.array_equal(protocols._QUBIT2["Z"][1], np.diag([0.0, 1.0, 0.0, 1.0]))
-    assert np.array_equal(protocols._qutrit_pair_unitary(1, 0), np.diag(np.tile([-1.0, 1.0, 1.0], 3)))
+    assert np.array_equal(encoding_unitary(1, 0), np.diag(np.tile([-1.0, 1.0, 1.0], 3)))
 
 
 def test_kron_dimension_overflow():
@@ -555,6 +556,7 @@ def test_measure_checks_rand_and_dimension_on_every_call():
 @pytest.mark.parametrize("dim", [2, 3, 4, 9])
 def test_measure_pure_matches_density_reference(rng, dim):
     rands = np.linspace(0.0, 1.0, 64, endpoint=False)
+    two_outcome = 0
     for _ in range(20):
         measurement = _random_measurement(rng, dim)
         raw = rng.normal(size=(3, dim)) + 1j * rng.normal(size=(3, dim))
@@ -567,13 +569,19 @@ def test_measure_pure_matches_density_reference(rng, dim):
             assert (projected[row] == projections(amplitudes[row], measurement)[0]).all()
         state = pure_state(amplitudes[0])
         reference = density(state)
-        # The thresholds of the same Born weights give the same outcomes.
-        block = threshold_outcomes(cumulative_thresholds(weights[0]), rands)
-        for rand, block_outcome in zip(rands, block):
+        outcomes = []
+        for rand in rands:
             outcome, post = measure_pure(state, measurement, rand)
-            assert outcome == measure(reference, measurement, rand) == block_outcome
+            assert outcome == measure(reference, measurement, rand)
             projected = measurement[outcome] @ state
             assert np.allclose(post, projected / np.linalg.norm(projected), atol=1e-12)
+            outcomes.append(outcome)
+        # The thresholds of the same Born weights give the same outcomes,
+        # where the measurement has two.
+        if len(measurement) == 2:
+            two_outcome += 1
+            assert threshold_outcomes(sampling_thresholds(weights[0]), rands).tolist() == outcomes
+    assert two_outcome > 0
     # Zero-weight outcomes are never sampled from an eigenstate.
     measurement = projective_measurement([basis_projector(dim, k) for k in range(dim)])
     for k in range(dim):
@@ -582,33 +590,31 @@ def test_measure_pure_matches_density_reference(rng, dim):
 
 
 def test_invert_cumulative_block_keeps_the_scalar_rules(rng):
-    # Sampling from cumulative thresholds, row by row against the scalar
+    # Sampling from two-outcome thresholds, row by row against the scalar
     # rule: negative weights and rounding residues (counted as 0), totals
     # below rand (the last outcome kept) and rand on a cumulative boundary.
-    weights = rng.normal(0.3, 0.3, size=(4000, 4))
+    weights = rng.normal(0.3, 0.3, size=(4000, 2))
     weights[:7] = [
-        [0.5, 0.5, 0.0, 0.0],
-        [-0.1, 0.2, 0.3, 0.1],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.25, 0.25, 0.25, 0.25],
-        [1.0, -1.0, 0.0, 0.0],
-        [0.9999999999999996, 2.465e-32, 0.0, 0.0],
-        [0.5, DERIVED_TOL, 0.5 - DERIVED_TOL, 2.0 * DERIVED_TOL],
+        [0.5, 0.5],
+        [-0.1, 0.2],
+        [0.0, 0.0],
+        [0.25, 0.75],
+        [1.0, -1.0],
+        [0.9999999999999996, 2.465e-32],
+        [0.5, DERIVED_TOL],
     ]
     rand = rng.random(4000)
     rand[:7] = [0.5, 0.2, 0.0, 0.75, 0.999, 1.0 - 2.0**-53, 0.5]
     expected = [invert_cumulative(list(row), r) for row, r in zip(weights, rand)]
-    assert threshold_outcomes(cumulative_thresholds(weights), rand).tolist() == expected
-    # Rows of two, three and four outcomes, with one positive weight or none,
-    # each sampled at the uniforms exactly on each of its finite thresholds,
-    # at 0.0, at 1 - 2**-53 and on a grid.
-    for k in (2, 3, 4):
-        rows = rng.normal(0.3, 0.3, size=(120, k))
-        rows[:4] = 0.0
-        rows[1, 0] = rows[2, -1] = rows[3, k // 2] = 1.0
-        rows[4:8] = rng.uniform(-DERIVED_TOL, DERIVED_TOL, size=(4, k))
-        rows[5, 0] = rows[6, -1] = 1.0 - 4.0e-16
-        assert_thresholds_pin(rows, cumulative_thresholds(rows))
+    assert threshold_outcomes(sampling_thresholds(weights), rand).tolist() == expected
+    # Rows with one positive weight or none, each sampled at the uniform
+    # exactly on its threshold, at 0.0, at 1 - 2**-53 and on a grid.
+    rows = rng.normal(0.3, 0.3, size=(120, 2))
+    rows[:4] = 0.0
+    rows[1, 0] = rows[2, -1] = 1.0
+    rows[4:8] = rng.uniform(-DERIVED_TOL, DERIVED_TOL, size=(4, 2))
+    rows[5, 0] = rows[6, -1] = 1.0 - 4.0e-16
+    assert_thresholds_pin(rows, sampling_thresholds(rows))
     qubit = projective_measurement((basis_projector(2, 0), basis_projector(2, 1)))
     with pytest.raises(DimensionError):
         projections(basis_state(3, 0), qubit)
@@ -629,8 +635,8 @@ def test_rounding_short_total_never_samples_a_zero_weight_outcome():
     top = 1.0 - 2.0**-53
     outcome, post = measure_pure(state, qubit2_x, top)
     assert outcome == 0 and np.all(np.isfinite(post))
-    assert threshold_outcomes(cumulative_thresholds(np.array([weights])), np.array([top])).tolist() == [0]
-    # Zero weights after the last positive one, and rows with none.
-    rows = np.array([[0.5, 0.0, 0.25, 0.0], [0.0, 0.0, 0.0, 0.0], [0.0, -0.5, 0.0, 0.0]])
-    assert threshold_outcomes(cumulative_thresholds(rows), np.full(3, 0.9)).tolist() == [2, 3, 3]
-    assert [invert_cumulative(list(row), 0.9) for row in rows] == [2, 3, 3]
+    assert threshold_outcomes(sampling_thresholds(np.array([weights])), np.array([top])).tolist() == [0]
+    # A zero weight after the last positive one, and rows with none.
+    rows = np.array([[0.5, 0.0], [0.0, 0.0], [0.0, -0.5]])
+    assert threshold_outcomes(sampling_thresholds(rows), np.full(3, 0.9)).tolist() == [0, 1, 1]
+    assert [invert_cumulative(list(row), 0.9) for row in rows] == [0, 1, 1]

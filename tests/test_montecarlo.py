@@ -244,35 +244,31 @@ def test_estimators_take_numpy_integers_as_python_ints():
 
 
 def test_threshold_tables_are_built_once(monkeypatch):
-    # Every flow samples from threshold tables built on first use; calling
-    # an estimator again builds none.
+    # The honest flows sample from threshold tables built at import, so no
+    # estimator call builds one; each strategy samples from the one table
+    # its factory builds, on its first estimate and never again.
     built = []
-    cumulative_thresholds = linalg.cumulative_thresholds
+    sampling_thresholds = linalg.sampling_thresholds
 
     def counting(weights):
         built.append(weights.shape)
-        return cumulative_thresholds(weights)
+        return sampling_thresholds(weights)
 
     for module in (protocols, adversary):
-        monkeypatch.setattr(module, "cumulative_thresholds", counting)
-    cached = (protocols._bad_qubit_thresholds, protocols._qutrit_weights, protocols._qutrit_thresholds)
-    # The sequence flow's flat tables are built from its thresholds, once.
-    derived = (protocols._spot_check_tables, protocols._decode_tables)
-    for builder in cached + (protocols._sequence_thresholds,) + derived:
-        builder.cache_clear()
+        monkeypatch.setattr(module, "sampling_thresholds", counting)
+    for protocol in ("bad_qubit", "qutrit", "sequence"):
+        estimate_completeness(protocol, 1000, 3, n_states=9)
+    for variant in DETECTION_VARIANTS:
+        sequence_detection_experiment(9, variant, 20, 3)
+    assert built == []
     adversary._compiled.cache_clear()
-    flows = [lambda p=p: estimate_completeness(p, 1000, 3, n_states=9) for p in ("bad_qubit", "qutrit", "sequence")]
     strategies = list(_block_strategies())
-    flows += [lambda s=s: estimate_cheat(s, 100, 3) for s in strategies]
-    flows += [lambda v=v: sequence_detection_experiment(9, v, 20, 3) for v in DETECTION_VARIANTS]
-    for flow in flows:
-        flow()
-        count = len(built)
-        flow()
-        assert len(built) == count, flow
-    # One table per honest measurement (the sequence flow has two) and one
-    # per strategy.
-    assert len(built) == 4 + len(strategies)
+    for strategy in strategies:
+        estimate_cheat(strategy, 100, 3)
+        assert len(built) == 1, strategy
+        estimate_cheat(strategy, 100, 3)
+        assert len(built) == 1, strategy
+        built.clear()
 
 
 def test_estimate_cheat_rejects_foreign_strategy():
@@ -518,6 +514,16 @@ def test_sequence_cheat_blocks_default_to_the_smallest_batch(monkeypatch):
         sizes.clear()
         assert estimate_cheat(strategy, 100_000, 1).trials == 100_000
         assert sizes == [16384] * 6 + [1696], strategy
+
+
+def test_qutrit_cheat_strategies_default_to_the_balanced_triple():
+    # The strategy without a triple is the one with the balanced triple,
+    # filled at construction, and both share one block form.
+    for protocol in ("qutrit", "coinflip"):
+        default = CheatStrategy("alice", protocol)
+        balanced = CheatStrategy("alice", protocol, {"triple": [0.5, 0.5, math.sqrt(0.5)]})
+        assert default == balanced and default.parameters == {"triple": [0.5, 0.5, math.sqrt(0.5)]}
+        assert cheat_block(default) is cheat_block(balanced)
 
 
 def test_sequence_runs_straddling_chunks_match_unchunked(monkeypatch):

@@ -16,7 +16,6 @@ from rotlab.protocols import (
     OtPair,
     RotOutcome,
     SequenceConfig,
-    qutrit_unitary,
     run_bad_classical,
     run_bad_qubit,
     run_coinflip_reduction,
@@ -74,16 +73,20 @@ def test_pair_index_table_is_ot_pair_draw():
 
 
 def test_encoding_signs_are_the_unitary_diagonals():
-    # One read-only sign array: qutrit_unitary's diagonal per pair index,
-    # and the very object the cheating analysis reads.
+    # One read-only sign array, the very object the cheating analysis
+    # reads: multiplying the amplitudes of Bob's qutrit by it, one pair
+    # index or all four at once, gives each probe exactly (==) as the
+    # oracle's 9 x 9 unitary of its own signs does.
     signs = protocols.QUTRIT_ENCODING_SIGNS
-    for x0 in (0, 1):
-        for x1 in (0, 1):
-            unitary = qutrit_unitary(x0, x1)
-            assert not unitary.flags.writeable
-            assert np.array_equal(unitary, np.diag(np.diag(unitary)))
-            assert np.array_equal(np.diag(unitary), signs[2 * x0 + x1])
-            assert np.array_equal(signs[2 * x0 + x1], [(-1.0) ** x0, (-1.0) ** x1, 1.0])
+    for a in (0, 1):
+        probe = protocols.qutrit_entangled_state(a)
+        encoded = protocols._encode_qutrit(np.arange(4), probe)
+        for x0 in (0, 1):
+            for x1 in (0, 1):
+                assert np.array_equal(signs[2 * x0 + x1], oracle.encoding_signs(x0, x1))
+                want = oracle.encoding_unitary(x0, x1) @ probe
+                assert np.array_equal(protocols._encode_qutrit(2 * x0 + x1, probe), want), (a, x0, x1)
+                assert np.array_equal(encoded[2 * x0 + x1], want), (a, x0, x1)
     assert adversary.QUTRIT_ENCODING_SIGNS is signs
     assert not signs.flags.writeable
 
@@ -161,7 +164,7 @@ def test_qutrit_outcome_is_the_selected_bit():
     # table must make that outcome the bit at her position in every one of
     # the 16 contexts: within 1e-12 of certain, as the weight of the
     # certain outcome is 0.9999999999999996 in floating point, not 1.0.
-    weights = protocols._qutrit_weights()
+    weights = protocols._QUTRIT_WEIGHTS
     for a in (0, 1):
         for y in (0, 1):
             for z_dummy in (0, 1):
@@ -484,77 +487,76 @@ RUN_SEEDS = [0, 3, 7, MASK64] + trial_seeds(2027, 0, 120).tolist()
 
 def test_runs_match_oracle_runs_trial_by_trial():
     # Each run is its block form on one seed; its transcript and outcome
-    # must be the oracle's, message by message.
+    # must be the oracle's, message by message, and its transcript's JSON
+    # lines byte for byte: == holds between 0.0 and -0.0, the bytes do not.
     runs = {"bad_classical": run_bad_classical, "bad_qubit": run_bad_qubit, "qutrit": run_qutrit}
     for protocol, run in runs.items():
         for seed in RUN_SEEDS:
-            assert run(seed) == oracle.ROT_RUNS[protocol](seed), (protocol, seed)
+            got, want = run(seed), oracle.ROT_RUNS[protocol](seed)
+            assert got == want, (protocol, seed)
+            assert got[0].to_jsonl() == want[0].to_jsonl(), (protocol, seed)
     for n_states in (4, 9, 16, 100):
         cfg = SequenceConfig(n_states)
         for seed in RUN_SEEDS[:40]:
-            assert run_sequence(cfg, seed) == oracle.run_sequence(cfg, seed), (n_states, seed)
+            got, want = run_sequence(cfg, seed), oracle.run_sequence(cfg, seed)
+            assert got == want, (n_states, seed)
+            assert got[0].to_jsonl() == want[0].to_jsonl(), (n_states, seed)
+    # The coin flip's transcript opens with its transfer's, rendered alike.
     for seed in RUN_SEEDS[:40]:
         transcript, _ = run_coinflip_reduction("qutrit", seed)
         assert transcript.messages[3].payload == {"b": oracle.coin_bit(seed)}
+        assert transcript.to_jsonl().startswith(oracle.run_qutrit(seed)[0].to_jsonl()), seed
 
 
 def test_born_tables_equal_one_state_references():
     # The stacked tables the honest flows sample from hold exactly (==) the
     # floats the one-state formula gives.
-    assert np.array_equal(protocols._bad_qubit_weights(), oracle.bad_qubit_weights())
-    assert np.array_equal(protocols._qutrit_weights(), oracle.qutrit_weights())
-    for got, want in zip(protocols._sequence_tables(), oracle.sequence_tables(), strict=True):
+    assert np.array_equal(protocols._BAD_QUBIT_WEIGHTS, oracle.bad_qubit_weights())
+    assert np.array_equal(protocols._QUTRIT_WEIGHTS, oracle.qutrit_weights())
+    for got, want in zip(protocols._SEQUENCE_TABLES, oracle.sequence_tables(), strict=True):
         assert np.array_equal(got, want)
-
-
-def two_outcome(thresholds):
-    # A table of outcome-1 thresholds as the full two-outcome table: the
-    # last threshold of a two-outcome row is always +inf.
-    return np.stack((thresholds, np.full_like(thresholds, np.inf)), axis=-1)
 
 
 def test_threshold_tables_pin_their_born_tables():
     # The thresholds the honest flows sample from, against the one-state
-    # Born tables: finite entries are their cumulative sums, +inf sits at
-    # and after the last positive outcome, and every row samples the
-    # scalar rule's outcome.
-    assert_thresholds_pin(oracle.bad_qubit_weights(), two_outcome(protocols._bad_qubit_thresholds()))
-    assert_thresholds_pin(oracle.qutrit_weights(), two_outcome(protocols._qutrit_thresholds()))
+    # Born tables: each is the weight of outcome 0, 0 or +inf where one
+    # weight is a rounding residue, and every row samples the scalar rule's
+    # outcome.
+    assert_thresholds_pin(oracle.bad_qubit_weights(), protocols._BAD_QUBIT_THRESHOLDS)
+    assert_thresholds_pin(oracle.qutrit_weights(), protocols._QUTRIT_THRESHOLDS)
     first, second, _ = oracle.sequence_tables()
-    for weights, thresholds in zip((first, second), protocols._sequence_thresholds(), strict=True):
-        assert_thresholds_pin(weights, two_outcome(thresholds))
+    for weights, thresholds in zip((first, second), protocols._SEQUENCE_THRESHOLDS, strict=True):
+        assert_thresholds_pin(weights, thresholds)
 
 
 def test_certain_outcomes_are_drawn_at_every_uniform():
     # In every row of every table the library samples from, an outcome of
     # weight within DERIVED_TOL of 1 is drawn at the lowest and the highest
     # uniform: the honest tables through the thresholds the flows compare
-    # against, the cheating ones through cumulative_thresholds.
-    first, second, _ = protocols._sequence_tables()
-    honest = [
-        (protocols._bad_qubit_weights(), protocols._bad_qubit_thresholds()),
-        (protocols._qutrit_weights(), protocols._qutrit_thresholds()),
-        (first, protocols._sequence_thresholds()[0]),
-        (second, protocols._sequence_thresholds()[1]),
+    # against, the cheating ones through those their factories build.
+    first, second, _ = protocols._SEQUENCE_TABLES
+    tables = [
+        (protocols._BAD_QUBIT_WEIGHTS, protocols._BAD_QUBIT_THRESHOLDS),
+        (protocols._QUTRIT_WEIGHTS, protocols._QUTRIT_THRESHOLDS),
+        (first, protocols._SEQUENCE_THRESHOLDS[0]),
+        (second, protocols._SEQUENCE_THRESHOLDS[1]),
     ]
-    tables = [(weights, two_outcome(thresholds)) for weights, thresholds in honest]
     tables += [strategy_tables(("alice", "sequence")), strategy_tables(("bob", "qutrit"))]
     for params in ({}, {"triple": [1.0, 0.0, 0.0]}, {"triple": [0.0, 0.0, 1.0]}):
         tables.append(strategy_tables(("alice", "qutrit"), params))
     certain = 0
     for weights, thresholds in tables:
-        k = weights.shape[-1]
-        for row, row_thresholds in zip(weights.reshape(-1, k), thresholds.reshape(-1, k)):
+        for row, threshold in zip(weights.reshape(-1, 2), thresholds.reshape(-1)):
             for outcome in np.flatnonzero(np.abs(row - 1.0) <= linalg.DERIVED_TOL):
                 certain += 1
                 for rand in (0.0, 1.0 - 2.0**-53):
-                    assert (row_thresholds <= rand).sum() == outcome, (row, rand)
+                    assert int(rand >= threshold) == outcome, (row, rand)
     assert certain >= 16  # one per honest qutrit context at least
     # Honest qutrit Alice's outcome is x_a in all 16 contexts, at any uniform.
     for a, y, z_dummy, p in np.ndindex(2, 2, 2, 2):
         pair = OtPair.draw(y, z_dummy, p)
         for rand in (0.0, 0.5, 1.0 - 2.0**-53):
-            assert int(rand >= protocols._qutrit_thresholds()[a, y, z_dummy, p]) == (pair.x0, pair.x1)[a]
+            assert int(rand >= protocols._QUTRIT_THRESHOLDS[a, y, z_dummy, p]) == (pair.x0, pair.x1)[a]
 
 
 def test_qubit_measurements_sample_the_scalar_rule():
@@ -564,7 +566,7 @@ def test_qubit_measurements_sample_the_scalar_rule():
     # and declared index, each from its flat tables, against the scalar
     # rule on the one-state Born tables.
     first, second, _ = oracle.sequence_tables()
-    edges = np.concatenate([t[np.isfinite(t)] for t in protocols._sequence_thresholds()])
+    edges = np.concatenate([t[np.isfinite(t)] for t in protocols._SEQUENCE_THRESHOLDS])
     uniforms = np.unique(np.concatenate((np.linspace(0.0, 1.0, 17), edges, [0.0, 1.0 - 2.0**-53])))
     uniforms = uniforms[uniforms < 1.0]
 
