@@ -49,10 +49,10 @@ from .protocols import (
     MIN_SEQUENCE_STATES,
     OT_PAIR_INDEX,
     QUTRIT_ENCODING_SIGNS,
+    QUTRIT_PROBES,
     SEQUENCE_STATES,
     SequenceConfig,
     pair_bit,
-    qutrit_entangled_state,
     sequence_setup_block,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
@@ -150,6 +150,7 @@ def _helstrom_weights(operators: np.ndarray, states: np.ndarray) -> np.ndarray:
 # so each operator is a fixed pattern times v v^T: the bit operator of the
 # sign vectors themselves, per permutation value p.
 _SIGN_PATTERNS = np.stack([_bit_operator(QUTRIT_ENCODING_SIGNS, p) for p in (0, 1)])
+_SIGN_PATTERNS.setflags(write=False)
 
 
 def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
@@ -232,7 +233,7 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
 # Alice's probe per choice bit as a 3 x 3 array whose row i is the
 # unnormalised qutrit Bob holds beside her |i>: the qutrit he receives is the
 # mixture of the rows, her probe's partial trace over her own qutrit.
-_BOB_QUTRIT_ROWS = np.array([qutrit_entangled_state(a) for a in (0, 1)]).reshape(2, 3, 3)
+_BOB_QUTRIT_ROWS = QUTRIT_PROBES.reshape(2, 3, 3)
 # 0.5 rho_0 - 0.5 rho_1 of the two qutrits Bob can receive.
 _BOB_QUTRIT_OPERATOR = np.subtract(*(0.5 * np.einsum("aki,akj->aij", _BOB_QUTRIT_ROWS, _BOB_QUTRIT_ROWS.conj())))
 _BOB_QUTRIT_OPERATOR.setflags(write=False)
@@ -335,10 +336,8 @@ def _alice_recovers_bit(params: dict):
     thresholds = sampling_thresholds(weights[OT_PAIR_INDEX, [0, 1]])
 
     def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:
-        y = bob.draw_bit()
-        z_dummy = bob.draw_bit()
-        p = bob.draw_bit()
-        return (alice.random() >= thresholds[y, z_dummy, p]) == y
+        y, z_dummy, p = bob.draw_bits(3)
+        return (alice.randoms(1)[0] >= thresholds[y, z_dummy, p]) == y
 
     return recovers_bit
 
@@ -366,8 +365,8 @@ def _alice_sequence_block(params: dict):
         # s * len(seeds) + i of the flattened pairs.
         slot = setup.is_tested.argmin(axis=0)
         pair = setup.pairs.take(slot * seeds.size + np.arange(seeds.size))
-        declared = setup.bob.draw_bit()
-        guess = setup.alice.random() >= thresholds[pair, declared]
+        (declared,) = setup.bob.draw_bits(1)
+        guess = setup.alice.randoms(1)[0] >= thresholds[pair, declared]
         success = guess == pair_bit(pair, declared)
         for lane in np.flatnonzero(setup.alice.rejected):
             success[lane] = run(seeds[lane : lane + 1])[0]
@@ -384,7 +383,7 @@ def _alice_coinflip_block(params: dict):
 
     def run(seeds: np.ndarray) -> np.ndarray:
         aux, alice, bob = block_streams(seeds, ((BOB_AUX, 4), (ALICE, 4), (BOB, 4)))
-        return (aux.draw_bit() == 1) | recovers_bit(alice, bob)
+        return (aux.draw_bits(1)[0] == 1) | recovers_bit(alice, bob)
 
     return run
 
@@ -402,8 +401,8 @@ def _bob_qutrit_block(params: dict):
         # Bob's data and dummy bits, drawn after his measurement, do not
         # change whether his guess is right.
         alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
-        a = alice.draw_bit()
-        return (bob.random() >= thresholds[a]) == a
+        (a,) = alice.draw_bits(1)
+        return (bob.randoms(1)[0] >= thresholds[a]) == a
 
     return run
 

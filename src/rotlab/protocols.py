@@ -25,8 +25,9 @@ Each flow is written once, as a block form over an array of trial seeds:
 the three single-transfer forms in ``ROT_EXECUTORS``, and
 ``sequence_setup_block``, ``sequence_spot_check_block`` and
 ``play_sequence_block`` for the sequence flow, which the cheating and
-detection runs share.  They draw from :class:`~rotlab.rng.BlockStream` and
-sample each two-outcome measurement with one comparison, against the
+detection runs share.  They draw from :class:`~rotlab.rng.BlockStream`,
+taking a party's consecutive draws of one kind in one call, and sample
+each two-outcome measurement with one comparison, against the
 thresholds that :func:`~rotlab.linalg.sampling_thresholds` builds from a
 table of its Born weights.  Those tables depend on nothing else, so they
 are read-only module constants, built at import.  The sequence forms step
@@ -38,7 +39,8 @@ one seed, with the transcript rendered from the bits it drew; the
 Monte-Carlo harness calls the block forms and builds no transcript.
 
 Each protocol fact the cheating strategies share is defined here once:
-Bob's phase encoding (``QUTRIT_ENCODING_SIGNS``, signs that multiply the
+Alice's qutrit probe (``QUTRIT_PROBES``, one row per choice bit), Bob's
+phase encoding (``QUTRIT_ENCODING_SIGNS``, signs that multiply the
 amplitudes of his qutrit), his permutation of the bit pair
 (``OT_PAIR_INDEX``, from :meth:`OtPair.draw`) and the bit a
 sequence pair holds at a declared index (:func:`pair_bit`).
@@ -87,10 +89,6 @@ class Transcript:
 
     def record(self, sender: str, label: str, payload) -> None:
         self._messages.append(Message(len(self._messages), sender, label, payload))
-
-    def extend_from(self, other: "Transcript") -> None:
-        for msg in other.messages:
-            self.record(msg.sender, msg.label, msg.payload)
 
     @property
     def messages(self) -> tuple[Message, ...]:
@@ -238,15 +236,12 @@ class SequenceConfig:
 # --------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def qutrit_entangled_state(a: int) -> np.ndarray:
-    """Alice's probe: equal superposition of |aa> and |22> on two qutrits,
-    as read-only amplitudes."""
-    amps = np.zeros(9, dtype=np.complex128)
-    amps[3 * a + a] = 1.0 / math.sqrt(2.0)
-    amps[3 * 2 + 2] = 1.0 / math.sqrt(2.0)
-    amps.setflags(write=False)
-    return amps
+# Alice's probe per choice bit a: the equal superposition of |aa> and |22>
+# on two qutrits, amplitude 3 * i + j for her |i> and Bob's |j>.
+QUTRIT_PROBES = np.zeros((2, 9), dtype=np.complex128)
+QUTRIT_PROBES[[0, 1], [0, 4]] = 1.0 / math.sqrt(2.0)
+QUTRIT_PROBES[:, 8] = 1.0 / math.sqrt(2.0)
+QUTRIT_PROBES.setflags(write=False)
 
 
 # Bob's phase encoding diag((-1)^x0, (-1)^x1, 1), per pair index 2 * x0 + x1.
@@ -261,12 +256,16 @@ def _encode_qutrit(pairs, amplitudes: np.ndarray) -> np.ndarray:
     return np.tile(QUTRIT_ENCODING_SIGNS[pairs], 3) * amplitudes
 
 
-@lru_cache(maxsize=None)
-def qutrit_measurement(a: int) -> np.ndarray:
-    """Alice's two-outcome check: projector onto her probe state vs the rest."""
-    probe = qutrit_entangled_state(a)
-    pi0 = np.outer(probe, probe.conj())
-    return projective_measurement((pi0, np.eye(9) - pi0))
+# Alice's two-outcome check per choice bit: the projector onto her probe
+# against the rest.
+QUTRIT_CHECKS = _read_only(
+    np.array(
+        [
+            projective_measurement((pi0, np.eye(9) - pi0))
+            for pi0 in QUTRIT_PROBES[:, :, None] * QUTRIT_PROBES[:, None].conj()
+        ]
+    )
+)
 
 
 # --------------------------------------------------------------------------
@@ -321,8 +320,7 @@ class RotOutcomeBlock(NamedTuple):
 
 def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
     (bob,) = block_streams(seeds, ((BOB, 4),))
-    y = bob.draw_bit()
-    keep = bob.draw_bit()
+    y, keep = bob.draw_bits(2)
     return RotOutcomeBlock(g_hat=y, assert_bit=keep, bob_bit=y)
 
 
@@ -334,10 +332,10 @@ _BAD_QUBIT_THRESHOLDS = sampling_thresholds(_BAD_QUBIT_WEIGHTS)
 
 def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
     alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
-    y = bob.draw_bit()
-    discard = alice.draw_bit()
+    (y,) = bob.draw_bits(1)
+    (discard,) = alice.draw_bits(1)
     # Drawn for every trial; it is Alice's last draw, used only where she measures.
-    outcome = (alice.random() >= _BAD_QUBIT_THRESHOLDS[y]).astype(np.intp)
+    outcome = (alice.randoms(1)[0] >= _BAD_QUBIT_THRESHOLDS[y]).astype(np.intp)
     return RotOutcomeBlock(g_hat=outcome, assert_bit=discard, bob_bit=y)
 
 
@@ -345,9 +343,7 @@ def _bad_qubit_block(seeds: np.ndarray) -> RotOutcomeBlock:
 # outcome distribution run_qutrit samples from in each classical context;
 # and her outcome-1 threshold, per (a, y, z_dummy, p).
 _QUTRIT_WEIGHTS = _read_only(
-    np.array(
-        [projections(_encode_qutrit(np.arange(4), qutrit_entangled_state(a)), qutrit_measurement(a))[1] for a in (0, 1)]
-    )[:, OT_PAIR_INDEX]
+    projections(_encode_qutrit(np.arange(4), QUTRIT_PROBES[:, None]), QUTRIT_CHECKS[:, None])[1][:, OT_PAIR_INDEX]
 )
 _QUTRIT_THRESHOLDS = sampling_thresholds(_QUTRIT_WEIGHTS)
 
@@ -356,11 +352,9 @@ def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
     # Alice's choice bit a, Bob's (y, z_dummy, p) and Alice's measurement
     # outcome, per seed.
     alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
-    a = alice.draw_bit()
-    y = bob.draw_bit()
-    z_dummy = bob.draw_bit()
-    p = bob.draw_bit()
-    outcome = (alice.random() >= _QUTRIT_THRESHOLDS[a, y, z_dummy, p]).astype(np.intp)
+    (a,) = alice.draw_bits(1)
+    y, z_dummy, p = bob.draw_bits(3)
+    outcome = (alice.randoms(1)[0] >= _QUTRIT_THRESHOLDS[a, y, z_dummy, p]).astype(np.intp)
     return a, y, z_dummy, p, outcome
 
 
@@ -510,8 +504,9 @@ def _choice_highs(n: int, k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=None)
 def _earlier(k: int) -> np.ndarray:
-    # [t, s, 0] is True where s < t: the draws before draw t.
-    return np.tri(k, k, -1, dtype=bool)[..., None]
+    # [t, s, 0] is True where s < t: the draws before draw t; read-only,
+    # since every call with k shares it.
+    return _read_only(np.tri(k, k, -1, dtype=bool)[..., None])
 
 
 def _floyd_test_sets(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -648,7 +643,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     """The two-qutrit exchange with a permuted phase-encoded bit pair."""
     a, y, z_dummy, p, outcome = (int(draw[0]) for draw in _qutrit_draws(seed_array(seed)))
     transcript = Transcript()
-    psi = qutrit_entangled_state(a)
+    psi = QUTRIT_PROBES[a]
     transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
     psi = _encode_qutrit(OT_PAIR_INDEX[y, z_dummy, p], psi)
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
@@ -713,13 +708,10 @@ def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome
         run = COINFLIP_TRANSFERS[rot]
     except KeyError:
         raise ValidationError(f"unknown protocol id {rot!r}") from None
-    transcript = Transcript()
-    sub_transcript, outcome = run(seed)
-    transcript.extend_from(sub_transcript)
-
+    transcript, outcome = run(seed)
     a = outcome.assert_bit
     (aux,) = block_streams(seed_array(seed), ((BOB_AUX, 4),))
-    b = int(aux.draw_bit()[0])
+    b = int(aux.draw_bits(1)[0, 0])
     transcript.record("B", "coin_bit", {"b": b})
     transcript.record("A", "reveal", {"assert_bit": a, "g": outcome.g_hat})
 

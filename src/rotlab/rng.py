@@ -14,7 +14,9 @@ stream, counter).  :func:`philox_block` is the one way into the
 Philox4x64-10 kernel: for an array of seeds it computes the blocks named by
 runs ``(stream, first, count)``, and :func:`block_streams` turns one such
 call into a flow's party streams, each a :class:`BlockStream` that hands
-its words out the way the numpy generator consumes them.  Of the ten Philox
+its words out the way the numpy generator consumes them, through four
+draws that each take a run of values in one call: ``draw_bits``,
+``draw_bit_pairs``, ``bounded`` and ``randoms``.  Of the ten Philox
 rounds, round 1 never reads the seed and round 2 reads it through one
 product, so their (stream, counter) half, the seed-free prologue, is cached
 per layout of runs: a flow's fixed runs cost it once per process, the seed
@@ -52,6 +54,7 @@ _SHIFT32 = np.uint64(32)
 # The shifts that bring a word's low and high 32-bit halves down, as a
 # column to broadcast against words.
 _HALF_SHIFTS = np.array([[0], [32]], dtype=np.uint64)
+_HALF_SHIFTS.setflags(write=False)
 
 # Philox4x64 round multipliers and Weyl key increments (Salmon et al.,
 # SC'11), as Python ints for the one-block rounds.
@@ -246,15 +249,17 @@ class BlockStream:
     half of the last word split, if there is one, and otherwise from the
     low half of a fresh word, whose high half is then buffered.
 
-    :meth:`draw_bit` is ``integers(0, 2)``, the top bit of a 32-bit value,
-    and :meth:`draw_bit_pairs` takes such bits two at a time, both from one
-    word when none is buffered.  :meth:`bounded` is ``integers(0, high + 1)``
-    and the draws of ``choice``: Lemire's multiply-shift on one 32-bit value
-    each.
-    :meth:`random` is ``random()``: the next whole word as
-    ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.  Asking for
-    more words than it holds raises IndexError, unless a one-seed stream
-    has drawn again: it then extends itself by whole Philox blocks.
+    It hands values out through four draws, each taking ``count`` values,
+    or one per range, in one call, shaped ``(count, len(seeds))``:
+    :meth:`draw_bits` is ``integers(0, 2)``, the top bit of a 32-bit value;
+    :meth:`draw_bit_pairs` takes such bits two at a time, both from one
+    word when none is buffered; :meth:`bounded` is ``integers(0, high + 1)``
+    and the draws of ``choice``, Lemire's multiply-shift on one 32-bit
+    value each; and :meth:`randoms` is ``random()``, the next whole word as
+    ``(word >> 11) * 2**-53``, leaving the 32-bit buffer alone.  A single
+    value is a call for one.  Asking for more words than it holds raises
+    IndexError, unless a one-seed stream has drawn again: it then extends
+    itself by whole Philox blocks.
 
     ``rejected`` marks the seeds where a stream over many seeds met a
     Lemire rejection: nothing it hands out for them from then on is the
@@ -284,9 +289,6 @@ class BlockStream:
         self._used += count
         return words
 
-    def _next_word(self) -> np.ndarray:
-        return self._take(1)[0]
-
     def _halves(self, count: int) -> np.ndarray:
         """The next ``count`` 32-bit values, shape ``(count, len(seeds))``."""
         parts = []
@@ -297,8 +299,8 @@ class BlockStream:
         words = self._take((count + 1) // 2)
         if count % 2:
             self._buffered = words[-1]
-        split = ((words[:, None] >> _HALF_SHIFTS) & _LOW32).reshape(2 * len(words), words.shape[-1])
-        parts.append(split[:count])
+        split = (words[:, None] >> _HALF_SHIFTS).reshape(2 * len(words), words.shape[-1])
+        parts.append(split[:count] & _LOW32)
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def draw_bits(self, count: int) -> np.ndarray:
@@ -314,14 +316,6 @@ class BlockStream:
             return 2 * bits[0::2] + bits[1::2]
         words = self._take(count)
         return (((words >> np.uint64(30)) & np.uint64(2)) | (words >> np.uint64(63))).astype(np.intp)
-
-    def draw_bit(self) -> np.ndarray:
-        if self._buffered is not None:
-            bits, self._buffered = self._buffered >> np.uint64(63), None
-        else:
-            word = self._next_word()
-            bits, self._buffered = (word >> np.uint64(31)) & np.uint64(1), word
-        return bits.astype(np.intp)
 
     def bounded(self, highs) -> np.ndarray:
         """One draw in ``[0, high]`` per entry of ``highs``, a sequence of
@@ -353,9 +347,6 @@ class BlockStream:
 
     def randoms(self, count: int) -> np.ndarray:
         return (self._take(count) >> np.uint64(11)) * 2.0**-53
-
-    def random(self) -> np.ndarray:
-        return (self._next_word() >> np.uint64(11)) * 2.0**-53
 
 
 @lru_cache(maxsize=_RANGES)

@@ -46,14 +46,14 @@ from rotlab.protocols import (
     _QUBIT1,
     _QUBIT2,
     _Z_PROJS,
+    QUTRIT_CHECKS,
+    QUTRIT_PROBES,
     SEQUENCE_STATES,
     OtPair,
     RotOutcome,
     SequenceConfig,
     Transcript,
     _state_payload,
-    qutrit_entangled_state,
-    qutrit_measurement,
 )
 from rotlab.rng import ALICE, BOB, BOB_AUX, splitmix64
 
@@ -215,8 +215,8 @@ def post_measurement(amplitudes, measurement, outcome: int) -> np.ndarray:
 def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
     """Outcome distribution of honest Alice's qutrit measurement in one
     classical context."""
-    evolved = encoding_unitary(x0, x1) @ qutrit_entangled_state(a)
-    p0, p1 = born_weights(evolved, qutrit_measurement(a))
+    evolved = encoding_unitary(x0, x1) @ QUTRIT_PROBES[a]
+    p0, p1 = born_weights(evolved, QUTRIT_CHECKS[a])
     return p0, p1
 
 
@@ -277,7 +277,7 @@ def bob_qutrit_weights() -> np.ndarray:
     """Cheating Bob's :func:`bob_qutrit_measurement` of his half of the
     probe, per Alice's bit."""
     lifted = lift_to_bob(bob_qutrit_measurement())
-    return np.array([born_weights(qutrit_entangled_state(a), lifted) for a in (0, 1)])
+    return np.array([born_weights(QUTRIT_PROBES[a], lifted) for a in (0, 1)])
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +321,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     bob = party_stream(seed, BOB)
 
     a = draw_bit(alice)
-    psi = qutrit_entangled_state(a)
+    psi = QUTRIT_PROBES[a]
     transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
 
     y = draw_bit(bob)
@@ -332,7 +332,7 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
 
     # Outcome 1 means Bob's phase flipped the |aa> term: x_a = 1.
-    learned, _ = measure_pure(psi, qutrit_measurement(a), alice.random())
+    learned, _ = measure_pure(psi, QUTRIT_CHECKS[a], alice.random())
 
     transcript.record("B", "permutation", {"p": p})
     if a == p:
@@ -590,7 +590,7 @@ def alice_sequence_measurements() -> list[np.ndarray]:
 def bob_qutrit_measurement() -> tuple[np.ndarray, np.ndarray]:
     """Cheating Bob's Helstrom measurement of the qutrit he receives: of
     Alice's two probes, each traced over her own qutrit."""
-    red0, red1 = (partial_trace(mixture([(1.0, qutrit_entangled_state(a))]), 3, 3, keep="B") for a in (0, 1))
+    red0, red1 = (partial_trace(mixture([(1.0, QUTRIT_PROBES[a])]), 3, 3, keep="B") for a in (0, 1))
     return helstrom_projectors(0.5, red0, 0.5, red1)
 
 
@@ -664,7 +664,7 @@ def _bob_qutrit_runner(params: dict):
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
         a = draw_bit(alice)
-        a_guess, _ = measure_pure(qutrit_entangled_state(a), lifted, bob.random())
+        a_guess, _ = measure_pure(QUTRIT_PROBES[a], lifted, bob.random())
         pair = OtPair.draw(draw_bit(bob), draw_bit(bob), a_guess)
         return a == pair.p
 

@@ -2,12 +2,17 @@
 fresh interpreter."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+from typing import NamedTuple
+
+import numpy as np
 
 import rotlab
+from rotlab import protocols, rng
 
 PACKAGE = Path(rotlab.__file__).parent
 
@@ -567,3 +572,60 @@ def test_argumentless_cache_finder_sees_bare_called_and_attribute_decorators():
         "    return inner, plain\n"
     )
     assert sorted(_argumentless_caches(ast.parse(source))) == ["built", "other", "table"]
+
+
+def _writable_arrays(namespace: dict) -> list[str]:
+    # The path of each writable numpy array reachable from a name of
+    # ``namespace``, through tuples (NamedTuples among them), lists and
+    # dicts; dunder names are skipped.
+    found = []
+
+    def visit(path, value):
+        if isinstance(value, np.ndarray):
+            if value.flags.writeable:
+                found.append(path)
+        elif isinstance(value, (tuple, list)):
+            for index, item in enumerate(value):
+                visit(f"{path}[{index}]", item)
+        elif isinstance(value, dict):
+            for key, item in value.items():
+                visit(f"{path}[{key!r}]", item)
+
+    for name, value in namespace.items():
+        if not name.startswith("__"):
+            visit(name, value)
+    return found
+
+
+def test_every_module_level_array_is_read_only():
+    # Tables are built once and shared by every run, so a caller writing
+    # into one would silently change every later value read from it.
+    offences = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "rotlab" if path.stem == "__init__" else f"rotlab.{path.stem}"
+        writable = _writable_arrays(vars(importlib.import_module(name)))
+        if writable:
+            offences[path.name] = writable
+    assert not offences, offences
+    # Tables cached per argument reach no module name: one of each cache.
+    cached = (protocols._earlier(4), *rng._layout(((0, 0, 1),)), *rng._lemire_bounds((5,)))
+    assert not any(table.flags.writeable for table in cached)
+
+
+def test_writable_array_finder_sees_nested_tables():
+    class Pair(NamedTuple):
+        first: np.ndarray
+        second: np.ndarray
+
+    frozen = np.zeros(2)
+    frozen.setflags(write=False)
+    namespace = {
+        "__builtins__": {"table": np.zeros(1)},
+        "TABLE": np.zeros(3),
+        "FROZEN": frozen,
+        "_PAIR": Pair(frozen, np.ones(2)),
+        "_BY_KEY": {"Z": (frozen, [np.eye(2)]), "X": frozen},
+        "SCALAR": np.uint64(1),
+        "ROWS": [frozen, np.arange(2)],
+    }
+    assert _writable_arrays(namespace) == ["TABLE", "_PAIR[1]", "_BY_KEY['Z'][1][0]", "ROWS[1]"]

@@ -198,7 +198,7 @@ def test_partial_trace_entangled_probe():
     assert np.max(np.abs(operator - np.diag([0.25, -0.25, 0.0]))) < 1e-15
     # Bob's Born weights sum over those rows, so each reduced state is
     # checked against the test's own probe, not only their difference.
-    reference = [partial_trace(density(protocols.qutrit_entangled_state(a)), 3, 3, keep="B") for a in (0, 1)]
+    reference = [partial_trace(density(protocols.QUTRIT_PROBES[a]), 3, 3, keep="B") for a in (0, 1)]
     assert np.max(np.abs(np.array(reference) - [np.diag([0.5, 0.0, 0.5]), np.diag([0.0, 0.5, 0.5])])) < 1e-15
     assert np.array_equal(operator, 0.5 * reference[0] - 0.5 * reference[1])
     approximate = [partial_trace(density(entangled_pair(a)), 3, 3, keep="B") for a in (0, 1)]

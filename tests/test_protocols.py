@@ -79,7 +79,7 @@ def test_encoding_signs_are_the_unitary_diagonals():
     # oracle's 9 x 9 unitary of its own signs does.
     signs = protocols.QUTRIT_ENCODING_SIGNS
     for a in (0, 1):
-        probe = protocols.qutrit_entangled_state(a)
+        probe = protocols.QUTRIT_PROBES[a]
         encoded = protocols._encode_qutrit(np.arange(4), probe)
         for x0 in (0, 1):
             for x1 in (0, 1):

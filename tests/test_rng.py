@@ -281,7 +281,7 @@ def test_block_stream_spans_blocks():
         uniforms = block.randoms(5)
         bounded = block.bounded(highs)
         bits_b = block.draw_bits(4)
-        last = block.random()
+        (last,) = block.randoms(1)
         assert not block.rejected.any()
         for index, key in enumerate(keys):
             gen = party_stream(int(key), stream)
@@ -293,7 +293,7 @@ def test_block_stream_spans_blocks():
     block = _one_stream(keys, 0, words=6)  # rounded up to two whole blocks
     block.randoms(8)
     with pytest.raises(IndexError):
-        block.draw_bit()
+        block.draw_bits(1)
 
 
 def test_bit_pairs_are_consecutive_bits():
@@ -359,14 +359,14 @@ def test_one_seed_bounded_redraws_as_generator():
         assert block.randoms(6)[:, 0].tolist() == [gen.random() for _ in range(6)]
         values = block.bounded([high])
         assert values[0, 0] == gen.integers(0, high + 1) and not block.rejected[0], key
-        assert block.random()[0] == gen.random()
-        assert block.draw_bit()[0] == draw_bit(gen)
-        assert block.random()[0] == gen.random()
+        assert block.randoms(1)[0, 0] == gen.random()
+        assert block.draw_bits(1)[0, 0] == draw_bit(gen)
+        assert block.randoms(1)[0, 0] == gen.random()
         # Several ranges in one call, each taken again on its own.
         values = block.bounded([high, 90, high])
         assert values[:, 0].tolist() == [gen.integers(0, r + 1) for r in (high, 90, high)] and not block.rejected[0]
-        assert block.draw_bit()[0] == draw_bit(gen)
-        assert block.random()[0] == gen.random()
+        assert block.draw_bits(1)[0, 0] == draw_bit(gen)
+        assert block.randoms(1)[0, 0] == gen.random()
 
 
 def test_bounded_redraws_strictly_below_the_threshold():
@@ -385,22 +385,23 @@ def test_bounded_redraws_strictly_below_the_threshold():
 
 
 def test_block_stream_maps_words_as_generator():
-    # Bits take the low half of a fresh word, then its buffered high half;
-    # random() takes a whole word and leaves the buffer alone.
+    # Bits drawn one at a time take the low half of a fresh word, then its
+    # buffered high half; a uniform takes a whole word and leaves the buffer
+    # alone.
     keys = _keys(200)
     order = ("bit", "random", "bit", "bit", "random")
     for stream in range(4):
         block = _one_stream(keys, stream)
-        drawn = [block.draw_bit() if kind == "bit" else block.random() for kind in order]
+        drawn = [block.draw_bits(1)[0] if kind == "bit" else block.randoms(1)[0] for kind in order]
         for index, key in enumerate(keys):
             gen = party_stream(int(key), stream)
             expected = [draw_bit(gen) if kind == "bit" else gen.random() for kind in order]
             assert [values[index].item() for values in drawn] == expected
     block = _one_stream(keys, 0)
     for _ in range(4):
-        block.random()
+        block.randoms(1)
     with pytest.raises(IndexError):
-        block.draw_bit()
+        block.draw_bits(1)
 
 
 class _RecordingGenerator:
@@ -440,8 +441,10 @@ SCALAR_FLOWS = {
 @pytest.mark.parametrize("flow", sorted(SCALAR_FLOWS))
 def test_block_draws_match_generator(monkeypatch, flow):
     """Every draw a covered oracle flow makes from party_stream, in the
-    flow's order, is what a BlockStream over the same seed hands out, and no
-    flow needs more than one Philox block per stream."""
+    flow's order, is what a BlockStream over the same seed hands out, one
+    value per call or, as the library's flows draw, one call per run of
+    consecutive draws of one kind; and no flow needs more than one Philox
+    block per stream."""
     logs: dict[int, list] = {}
 
     def recording_stream(seed, stream):
@@ -457,8 +460,14 @@ def test_block_draws_match_generator(monkeypatch, flow):
         SCALAR_FLOWS[flow](seed)
         for stream, log in logs.items():
             block = _one_stream(np.array([seed], dtype=np.uint64), stream)  # raises past its fourth word
-            replayed = [block.draw_bit() if kind == "bit" else block.random() for kind, _ in log]
+            replayed = [block.draw_bits(1)[0] if kind == "bit" else block.randoms(1)[0] for kind, _ in log]
             assert [(kind, value[0].item()) for (kind, _), value in zip(log, replayed)] == log
+            block = _one_stream(np.array([seed], dtype=np.uint64), stream)
+            runs = [(kind, len(list(group))) for kind, group in itertools.groupby(kind for kind, _ in log)]
+            grouped = [block.draw_bits(count) if kind == "bit" else block.randoms(count) for kind, count in runs]
+            batched = [value for values in grouped for value in values[:, 0].tolist()]
+            assert [(kind, value) for (kind, _), value in zip(log, batched)] == log
+            assert batched == [value[0].item() for value in replayed]
             orders.add((stream, tuple(kind for kind, _ in log)))
     if flow.startswith("cheat/bob/"):
         assert orders == {(rng.ALICE, ("bit",)), (rng.BOB, ("random", "bit", "bit"))}
