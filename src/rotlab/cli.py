@@ -14,7 +14,9 @@ Output is a human-readable table by default or a single canonical JSON
 document with ``--output json`` (sorted keys, probabilities at six
 decimals; parsing and re-emitting is byte-identical).  Exit codes: 0 on
 success, 1 on validation/usage errors or when the reader closes stdout
-early, 2 when the headline cross-checks drift.
+early, 2 when the headline cross-checks drift.  The parser is built once,
+at import, and ``main`` only parses with it, so ``main`` may be called
+repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -237,9 +239,12 @@ def build_parser() -> _Parser:
     return parser
 
 
+# Parsing leaves the parser as it found it, so one serves every call.
+_PARSER = build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         config = RunConfig(**vars(args))
         payload = _COMMANDS[config.command](config)

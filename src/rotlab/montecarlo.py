@@ -206,7 +206,8 @@ def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np
         at = setup.tested.take(pick * seeds.size + lanes) * seeds.size + lanes
         announced = setup.pairs.copy()
         announced.ravel()[at] = alternative + (alternative >= setup.pairs.take(at))
-    aborted = sequence_spot_check_block(setup.alice, setup.tested, sent, announced) >= 0
+    rand = setup.alice.randoms(2 * cfg.test_size)
+    aborted = sequence_spot_check_block(rand, setup.tested, sent, announced) >= 0
     for lane in np.flatnonzero(setup.alice.rejected | setup.bob.rejected):
         aborted[lane] = _detection_block(cfg, seeds[lane : lane + 1], variant)[0]
     return aborted

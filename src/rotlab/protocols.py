@@ -34,9 +34,12 @@ are read-only module constants, built at import.  The sequence forms step
 through no slot or draw one at a time: Alice's test set, Floyd's picks, is
 settled for all of its draws at once (see :func:`sequence_setup_block`),
 and her spot check and untested-slot decode each look their thresholds
-and outputs up in flat tables, by pair index.  A run is its block form on
-one seed, with the transcript rendered from the bits it drew; the
-Monte-Carlo harness calls the block forms and builds no transcript.
+and outputs up in flat tables, by pair index.  The spot check draws
+nothing itself but takes the tested slots' uniforms, so the honest flow
+draws all of Alice's uniforms in one call, and a detection run only the
+tested slots' ones.  A run is its block form on one seed, with the
+transcript rendered from the bits it drew; the Monte-Carlo harness calls
+the block forms and builds no transcript.
 
 Each protocol fact the cheating strategies share is defined here once:
 Alice's qutrit probe (``QUTRIT_PROBES``, one row per choice bit), Bob's
@@ -569,16 +572,18 @@ def sequence_setup_block(
     return SequenceSetupBlock(alice, bob, pairs, *_floyd_test_sets(draws[:k], n))
 
 
-def sequence_spot_check_block(alice: BlockStream, tested, sent, announced) -> np.ndarray:
+def sequence_spot_check_block(rand: np.ndarray, tested, sent, announced) -> np.ndarray:
     """Alice's consistency check of the tested slots, in order: the first
-    failing tested slot per seed, or -1.  ``sent`` holds the pair index per
-    slot whose state Bob sent, ``announced`` the one he announces for it.
-    Every tested slot takes its two uniforms; the outcomes after the first
-    failure are not used, as the check stops there."""
+    failing tested slot per seed, or -1.  ``rand`` holds her uniforms for
+    the tested slots, two per slot in order, shape ``(2 * test_size,
+    seeds)``; ``sent`` holds the pair index per slot whose state Bob sent,
+    ``announced`` the one he announces for it.  Every tested slot takes its
+    two uniforms; the outcomes after the first failure are not used, as the
+    check stops there."""
     width = tested.shape[1]
     at = tested * width + np.arange(width)
     sent, announced = sent.take(at), announced.take(at)
-    fails = _tested_fails(sent, announced, alice.randoms(2 * len(tested)))
+    fails = _tested_fails(sent, announced, rand)
     first = np.where(fails, tested, MAX_SEQUENCE_STATES).min(axis=0)
     return np.where(first < MAX_SEQUENCE_STATES, first, -1)
 
@@ -587,17 +592,17 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     """The honest sequence flow for an array of seeds: each seed's pairs,
     test set and failed slot and, where it passed, Bob's declarations and
     Alice's outcomes.  Alice draws two uniforms per tested slot and then two
-    per untested slot; Bob declares after his pairs, one bit per untested
-    slot.  A seed whose ``choice`` hit a Lemire rejection is played again
-    alone, and its run replaces every field of its lane."""
+    per untested slot, in one call; Bob declares after his pairs, one bit
+    per untested slot.  A seed whose ``choice`` hit a Lemire rejection is
+    played again alone, and its run replaces every field of its lane."""
     n, k = cfg.n_states, cfg.test_size
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
-    failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs)
+    rand = setup.alice.randoms(2 * n)
+    failed = sequence_spot_check_block(rand[: 2 * k], setup.tested, setup.pairs, setup.pairs)
     # Each seed's untested slots, in order: n - k of them for every seed.
     sent = np.ascontiguousarray(setup.pairs.T[~setup.is_tested.T].reshape(seeds.size, n - k).T)
-    rand = setup.alice.randoms(2 * (n - k))
     declared = setup.bob.draw_bits(n - k)
-    outcomes = _untested_outcomes(sent, declared, rand)
+    outcomes = _untested_outcomes(sent, declared, rand[2 * k :])
     fields = (setup.pairs, setup.tested, failed, declared, *outcomes)
     for lane in np.flatnonzero(setup.alice.rejected):
         alone = play_sequence_block(cfg, seeds[lane : lane + 1])

@@ -5,15 +5,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import rotlab
-from rotlab import cli, security
+from rotlab import adversary, cli, security
 from rotlab.cli import main, render_json
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    # The exit code, stdout and stderr of one call, whether main returns
+    # its code or argparse raises SystemExit with it.
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -276,3 +282,57 @@ def test_simulate_trials_validation(capsys):
 def test_render_json_formats():
     text = render_json({"b": 0.5, "a": [1, 2.0, None, True], "c": "x"})
     assert text == '{"a": [1, 2.000000, null, true], "b": 0.500000, "c": "x"}'
+
+
+def test_repeated_calls_share_no_state(capsys, monkeypatch, tmp_path):
+    # One parser serves every call in a process: a call must see it as the
+    # first call did, whatever ran in between, usage errors and help
+    # included.
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"party": "bob", "protocol": "qutrit"}))
+    verbs = [
+        ("analyze", "--protocol", "qutrit", "--output", "json"),
+        ("simulate", "--protocol", "sequence", "--trials", "1000", "--seed", "3", "--n-states", "9"),
+        ("balance",),
+        ("cheat", "--strategy", str(path), "--trials", "1000", "--output", "json"),
+        ("bound", "--output", "json"),
+        ("headline",),
+        ("analyze", "--protocol", "bad_qubit"),
+        ("simulate", "--protocol", "qutrit", "--trials", "1000", "--output", "json"),
+        ("headline", "--output", "json"),
+    ]
+    first = [run_cli(capsys, *argv) for argv in verbs]
+    assert all(code == 0 and out and err == "" for code, out, err in first)
+    code, out, err = run_cli(capsys, "analyze", "--wat")
+    assert code == 1 and out == "" and err.startswith("usage: rotlab analyze") and "error: " in err
+    code, out, err = run_cli(capsys, "--help")
+    assert code == 0 and out.startswith("usage: rotlab") and err == ""
+    code, out, err = run_cli(capsys, "simulate", "--protocol", "qutrit", "--trials", "0")
+    assert (code, out, err) == (1, "", "error: --trials must be positive\n")
+    assert [run_cli(capsys, *argv) for argv in verbs] == first
+
+    def unbuilt():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", unbuilt)
+    assert run_cli(capsys, "bound", "--output", "json") == first[4]
+
+
+def test_cold_headline_runs_the_full_search(capsys, monkeypatch):
+    # 13 narrowing grids of 242 operators, the optimum's 2 operators and
+    # Bob's qutrit value: every cold headline makes these eigensolves, so
+    # nothing on the headline path may serve them from a cache.
+    eigvalsh = np.linalg.eigvalsh
+    solves = []
+
+    def counted(operators):
+        solves.append(math.prod(np.shape(operators)[:-2]))
+        return eigvalsh(operators)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    for _ in range(2):
+        adversary.optimize_alice_qutrit.cache_clear()
+        solves.clear()
+        code, out, _ = run_cli(capsys, "headline", "--output", "json")
+        assert code == 0 and out == PINNED_JSON[("headline",)]
+        assert sorted(solves) == [1, 2] + [242] * 13  # 15 calls, 3149 matrices

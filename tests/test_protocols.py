@@ -343,7 +343,8 @@ def test_sequence_spot_check_passes_honest_states():
     cfg = SequenceConfig(16)
     setup = sequence_setup_block(cfg, np.arange(40, dtype=np.uint64), alice_words=2 * cfg.test_size)
     assert not setup.alice.rejected.any()
-    assert (sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, setup.pairs) == -1).all()
+    rand = setup.alice.randoms(2 * cfg.test_size)
+    assert (sequence_spot_check_block(rand, setup.tested, setup.pairs, setup.pairs) == -1).all()
 
 
 def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
@@ -357,7 +358,7 @@ def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
         slot = setup.tested[position]
         sent = setup.pairs.copy()
         sent[slot, lanes] ^= 3
-        failed = sequence_spot_check_block(setup.alice, setup.tested, sent, setup.pairs)
+        failed = sequence_spot_check_block(setup.alice.randoms(2 * cfg.test_size), setup.tested, sent, setup.pairs)
         assert failed.tolist() == slot.tolist()
 
 
@@ -370,7 +371,7 @@ def test_sequence_spot_check_block_stops_where_the_scalar_check_does():
     announced[:, ::3] = -1  # every third run announces honestly
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size)
     announced = np.where(announced < 0, setup.pairs, announced)
-    failed = sequence_spot_check_block(setup.alice, setup.tested, setup.pairs, announced)
+    failed = sequence_spot_check_block(setup.alice.randoms(2 * cfg.test_size), setup.tested, setup.pairs, announced)
     positions = set()
     for lane, seed in enumerate(seeds.tolist()):
         alice, _, pairs, tested = oracle.sequence_setup(cfg, seed)
@@ -602,7 +603,7 @@ def test_qubit_measurements_sample_the_scalar_rule():
 def test_aborted_sequence_run_renders_as_the_oracle_does(monkeypatch):
     # Honest runs pass their spot check; making both flows fail it at the
     # second tested slot reaches the abort branch of the transcript.
-    monkeypatch.setattr(protocols, "sequence_spot_check_block", lambda alice, tested, sent, announced: tested[1])
+    monkeypatch.setattr(protocols, "sequence_spot_check_block", lambda rand, tested, sent, announced: tested[1])
     monkeypatch.setattr(oracle, "sequence_spot_check", lambda alice, tested, sent, announced: tested[1])
     cfg = SequenceConfig(9)
     for seed in RUN_SEEDS[:20]:
