@@ -32,7 +32,6 @@ from .montecarlo import (
 from .protocols import (
     CoinOutcome,
     CoinResult,
-    OtPair,
     RotOutcome,
     SequenceConfig,
     Transcript,

@@ -41,12 +41,14 @@ tested slots' ones.  A run is its block form on one seed, with the
 transcript rendered from the bits it drew; the Monte-Carlo harness calls
 the block forms and builds no transcript.
 
-Each protocol fact the cheating strategies share is defined here once:
-Alice's qutrit probe (``QUTRIT_PROBES``, one row per choice bit), Bob's
-phase encoding (``QUTRIT_ENCODING_SIGNS``, signs that multiply the
-amplitudes of his qutrit), his permutation of the bit pair
-(``OT_PAIR_INDEX``, from :meth:`OtPair.draw`) and the bit a
-sequence pair holds at a declared index (:func:`pair_bit`).
+Each protocol fact is defined here once, in the form the flows read.  The
+cheating strategies share Alice's qutrit probe (``QUTRIT_PROBES``, one row
+per choice bit), Bob's phase encoding (``QUTRIT_ENCODING_SIGNS``, signs
+that multiply the amplitudes of his qutrit), his permutation of the bit
+pair (``OT_PAIR_INDEX``, the pair index per (y, z_dummy, p)) and the bit a
+sequence pair holds at a declared index (:func:`pair_bit`).  Alice's Z and
+X bases are one stack indexed like the tables, 0 for Z and 1 for X, and
+her untested-slot decode is the table ``SEQUENCE_DECODE``.
 """
 
 from __future__ import annotations
@@ -162,32 +164,9 @@ class RotOutcome:
         return cls(g_hat=None, assert_bit=1, bob_bit=None, aborted=True)
 
 
-@dataclass(frozen=True)
-class OtPair:
-    """Bob's permuted bit pair: the data bit hides at position p."""
-
-    x0: int
-    x1: int
-    p: int
-    z_dummy: int
-    y: int
-
-    def __post_init__(self):
-        expected = (self.y, self.z_dummy) if self.p == 0 else (self.z_dummy, self.y)
-        if (self.x0, self.x1) != expected:
-            raise ValidationError("(x0, x1) must equal the permuted (y, z_dummy)")
-
-    @classmethod
-    def draw(cls, y: int, z_dummy: int, p: int) -> "OtPair":
-        x0, x1 = (y, z_dummy) if p == 0 else (z_dummy, y)
-        return cls(x0=x0, x1=x1, p=p, z_dummy=z_dummy, y=y)
-
-
-# Bob's bit pair as the index 2 * x0 + x1, per (y, z_dummy, p).
-OT_PAIR_INDEX = np.array(
-    [2 * pair.x0 + pair.x1 for pair in (OtPair.draw(*context) for context in np.ndindex(2, 2, 2))]
-).reshape(2, 2, 2)
-OT_PAIR_INDEX.setflags(write=False)
+# Bob's bit pair (x0, x1) as the index 2 * x0 + x1, per (y, z_dummy, p): his
+# data bit y at position p and z_dummy at the other.
+OT_PAIR_INDEX = _read_only(np.array([[[2 * y + z_dummy, 2 * z_dummy + y] for z_dummy in (0, 1)] for y in (0, 1)]))
 
 
 class CoinResult(Enum):
@@ -283,27 +262,23 @@ SEQUENCE_STATES = np.array(
 )
 SEQUENCE_STATES.setflags(write=False)
 
-_Z_PROJS = projective_measurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-_X_PROJS = projective_measurement((np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]])))
-# Single-qubit measurements lifted to the two-qubit space, per qubit and basis.
-_QUBIT1 = {
-    basis: projective_measurement(np.kron(projs, np.eye(2)))
-    for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
-}
-_QUBIT2 = {
-    basis: projective_measurement(np.kron(np.eye(2), projs))
-    for basis, projs in (("Z", _Z_PROJS), ("X", _X_PROJS))
-}
+# Alice's single-qubit measurements, per basis, 0 for Z and 1 for X, and
+# outcome; and their lifts to the two-qubit space, per qubit, basis and
+# outcome.
+_QUBIT_BASES = _read_only(
+    np.array(
+        [
+            projective_measurement((np.diag([1.0, 0.0]), np.diag([0.0, 1.0]))),
+            projective_measurement((np.full((2, 2), 0.5), np.array([[0.5, -0.5], [-0.5, 0.5]]))),
+        ]
+    )
+)
+_QUBIT_LIFTS = _read_only(np.array([np.kron(_QUBIT_BASES, np.eye(2)), np.kron(np.eye(2), _QUBIT_BASES)]))
 
 # Untested-index decode: qubit 1 read in Z, qubit 2 in X.  Each outcome pair
 # rules out two of the four states and pins one bit of the pair:
-# (m1, m2) -> (which bit is learned, its value).
-SEQUENCE_DECODE: dict[tuple[int, int], tuple[int, int]] = {
-    (0, 0): (0, 0),
-    (0, 1): (1, 0),
-    (1, 0): (1, 1),
-    (1, 1): (0, 1),
-}
+# [m1, m2] -> (which bit is learned, its value).
+SEQUENCE_DECODE = _read_only(np.array([[[0, 0], [1, 0]], [[1, 1], [0, 1]]]))
 
 
 # --------------------------------------------------------------------------
@@ -329,7 +304,7 @@ def _bad_classical_block(seeds: np.ndarray) -> RotOutcomeBlock:
 
 # Born weights of Alice's Z measurement, per Bob's bit: on the rows of the
 # identity, the basis states |0> and |1>; and her outcome-1 threshold.
-_BAD_QUBIT_WEIGHTS = _read_only(projections(np.eye(2), _Z_PROJS)[1])
+_BAD_QUBIT_WEIGHTS = _read_only(projections(np.eye(2), _QUBIT_BASES[0])[1])
 _BAD_QUBIT_THRESHOLDS = sampling_thresholds(_BAD_QUBIT_WEIGHTS)
 
 
@@ -351,21 +326,19 @@ _QUTRIT_WEIGHTS = _read_only(
 _QUTRIT_THRESHOLDS = sampling_thresholds(_QUTRIT_WEIGHTS)
 
 
-def _qutrit_draws(seeds: np.ndarray) -> tuple[np.ndarray, ...]:
-    # Alice's choice bit a, Bob's (y, z_dummy, p) and Alice's measurement
-    # outcome, per seed.
+def _qutrit_draws(seeds: np.ndarray) -> tuple[tuple[np.ndarray, ...], RotOutcomeBlock]:
+    # Alice's choice bit a and Bob's (y, z_dummy, p), per seed, and honest
+    # Alice's outputs.  Bob's phase flips the |aa> term of her probe exactly
+    # when x_a = 1, so her outcome is x_a, the bit she receives when a = p.
     alice, bob = block_streams(seeds, ((ALICE, 4), (BOB, 4)))
     (a,) = alice.draw_bits(1)
     y, z_dummy, p = bob.draw_bits(3)
     outcome = (alice.randoms(1)[0] >= _QUTRIT_THRESHOLDS[a, y, z_dummy, p]).astype(np.intp)
-    return a, y, z_dummy, p, outcome
+    return (a, y, z_dummy, p), RotOutcomeBlock(g_hat=outcome, assert_bit=(a != p).astype(np.intp), bob_bit=y)
 
 
 def _qutrit_block(seeds: np.ndarray) -> RotOutcomeBlock:
-    # Bob's phase flips the |aa> term of Alice's probe exactly when x_a = 1,
-    # so her outcome is x_a: the bit she receives.
-    a, y, _, p, outcome = _qutrit_draws(seeds)
-    return RotOutcomeBlock(g_hat=outcome, assert_bit=(a != p).astype(np.intp), bob_bit=y)
+    return _qutrit_draws(seeds)[1]
 
 
 # --------------------------------------------------------------------------
@@ -410,21 +383,16 @@ def _two_qubit_weights(states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # state qubit 1's outcome m1 leaves, per (state, basis, m1, basis of
     # qubit 2).  An outcome of weight 0 is never sampled; it leaves no
     # state, and its second weights are 0.
-    by_basis = [projections(states, _QUBIT1[basis]) for basis in "ZX"]
-    projected = np.stack([vectors for vectors, _ in by_basis], axis=1)
-    first = np.stack([weights for _, weights in by_basis], axis=1)
+    projected, first = projections(states[:, None], _QUBIT_LIFTS[0])
     norms = np.sqrt(first)[..., None]
     after = np.divide(projected, norms, out=np.zeros_like(projected), where=norms > 0.0)
-    second = np.stack([projections(after, _QUBIT2[b])[1] for b in "ZX"], axis=-2)
+    second = projections(after[..., None, :], _QUBIT_LIFTS[1])[1]
     return _read_only(first), _read_only(second)
 
 
 # The Born weights of the two qubits of each pair's state, and Alice's
 # untested-slot decode, per (m1, m2), as (learned index, learned value).
-_SEQUENCE_TABLES = (
-    *_two_qubit_weights(SEQUENCE_STATES),
-    _read_only(np.array([[SEQUENCE_DECODE[(m1, m2)] for m2 in (0, 1)] for m1 in (0, 1)])),
-)
+_SEQUENCE_TABLES = (*_two_qubit_weights(SEQUENCE_STATES), SEQUENCE_DECODE)
 # The outcome-1 thresholds of qubit 1, per (pair, basis), and of qubit 2,
 # per (pair, basis, m1, basis of qubit 2).
 _SEQUENCE_THRESHOLDS = tuple(sampling_thresholds(weights) for weights in _SEQUENCE_TABLES[:2])
@@ -482,7 +450,7 @@ def _decode_tables(first, second, decode) -> tuple[np.ndarray, np.ndarray, RotOu
     return first[:, 0], _read_only(second[:, 0, :, 1].ravel()), RotOutcomeBlock(*map(_read_only, outputs))
 
 
-_DECODE_TABLES = _decode_tables(*_SEQUENCE_THRESHOLDS, _SEQUENCE_TABLES[2])
+_DECODE_TABLES = _decode_tables(*_SEQUENCE_THRESHOLDS, SEQUENCE_DECODE)
 
 
 def _untested_outcomes(sent: np.ndarray, declared: np.ndarray, rand: np.ndarray) -> RotOutcomeBlock:
@@ -646,16 +614,14 @@ def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
 
 def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
     """The two-qutrit exchange with a permuted phase-encoded bit pair."""
-    a, y, z_dummy, p, outcome = (int(draw[0]) for draw in _qutrit_draws(seed_array(seed)))
+    (a, y, z_dummy, p), out = _qutrit_draws(seed_array(seed))
     transcript = Transcript()
-    psi = QUTRIT_PROBES[a]
+    psi = QUTRIT_PROBES[a[0]]
     transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
-    psi = _encode_qutrit(OT_PAIR_INDEX[y, z_dummy, p], psi)
+    psi = _encode_qutrit(OT_PAIR_INDEX[y[0], z_dummy[0], p[0]], psi)
     transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
-    transcript.record("B", "permutation", {"p": p})
-    if a == p:
-        return transcript, RotOutcome.received(outcome, y)
-    return transcript, RotOutcome.null(y)
+    transcript.record("B", "permutation", {"p": int(p[0])})
+    return transcript, _outcome(out, 0)
 
 
 def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOutcome]]:

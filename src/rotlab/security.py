@@ -82,12 +82,11 @@ class BalanceResult:
     biased weak coin flip.
 
     ``z_bias`` is the coin weight assigned to the second (Bob-preferred)
-    profile; the first profile carries the remaining 1 - z_bias.
+    profile; the first profile carries the remaining 1 - z_bias.  ``gamma``
+    is the advantage both parties then share.
     """
 
     z_bias: float
-    gamma_a: float
-    gamma_b: float
     gamma: float
     strict_improvement: bool
 
@@ -117,13 +116,7 @@ def balance(prof1: CheatProfile, prof2: CheatProfile) -> BalanceResult:
         raise PreconditionError(f"coin weight {weight_first} falls outside (0, 1)")
     gamma = (prof1.gamma_a * prof2.gamma_b - prof1.gamma_b * prof2.gamma_a) / denominator
     strict = prof1.gamma_a > prof2.gamma_a and prof1.gamma_b < prof2.gamma_b
-    return BalanceResult(
-        z_bias=1.0 - weight_first,
-        gamma_a=gamma,
-        gamma_b=gamma,
-        gamma=gamma,
-        strict_improvement=strict,
-    )
+    return BalanceResult(z_bias=1.0 - weight_first, gamma=gamma, strict_improvement=strict)
 
 
 def kitaev_min_advantage(ideal_a: float, ideal_b: float) -> float:

@@ -23,6 +23,15 @@ partial trace, one index sum at a time, is the reference for Bob's reduced
 qutrit states.  Bob's phase encoding is applied here as a 9 x 9 ``kron``
 matrix of its own signs, where the library multiplies the amplitudes of his
 qutrit by ``QUTRIT_ENCODING_SIGNS``.
+
+From ``rotlab.protocols`` it takes only the protocol's definitions, Alice's
+probes and Bob's sequence states, and the types results come in; a layout
+rule holds this.  Every protocol fact derived from them is derived here
+again: Bob's permuted bit pair (:func:`ot_pair`), Alice's Z and X
+measurements from the Pauli matrices, lifted to two qubits by ``np.kron``,
+her qutrit checks from her probes, her untested-slot decode
+(:func:`sequence_decode`) and the payload a state is sent as
+(:func:`state_payload`).
 """
 
 import itertools
@@ -42,19 +51,7 @@ from rotlab.linalg import (
     ValidationError,
     projective_measurement,
 )
-from rotlab.protocols import (
-    _QUBIT1,
-    _QUBIT2,
-    _Z_PROJS,
-    QUTRIT_CHECKS,
-    QUTRIT_PROBES,
-    SEQUENCE_STATES,
-    OtPair,
-    RotOutcome,
-    SequenceConfig,
-    Transcript,
-    _state_payload,
-)
+from rotlab.protocols import QUTRIT_PROBES, SEQUENCE_STATES, RotOutcome, SequenceConfig, Transcript
 from rotlab.rng import ALICE, BOB, BOB_AUX, splitmix64
 
 _MASK64 = (1 << 64) - 1
@@ -212,6 +209,55 @@ def post_measurement(amplitudes, measurement, outcome: int) -> np.ndarray:
     return v / math.sqrt(float(np.vdot(v, v).real))
 
 
+# --------------------------------------------------------------------------
+# Protocol facts, derived here
+# --------------------------------------------------------------------------
+
+
+def ot_pair(y: int, z_dummy: int, p: int) -> tuple[int, int]:
+    """Bob's permuted bit pair (x0, x1): y at position p, z_dummy at the other."""
+    return (y, z_dummy) if p == 0 else (z_dummy, y)
+
+
+# Alice's one-qubit measurement per basis, outcome m the projector
+# (I + (-1)^m sigma) / 2 of the basis's Pauli matrix sigma; and lifted to
+# the two-qubit space by ``np.kron``, on qubit 1 (the first factor) and on
+# qubit 2.
+_PAULIS = {"Z": np.diag([1.0, -1.0]), "X": np.array([[0.0, 1.0], [1.0, 0.0]])}
+QUBIT_MEASUREMENTS = {
+    basis: projective_measurement([(np.eye(2) + sign * pauli) / 2.0 for sign in (1.0, -1.0)])
+    for basis, pauli in _PAULIS.items()
+}
+QUBIT1 = {
+    basis: projective_measurement([np.kron(proj, np.eye(2)) for proj in m])
+    for basis, m in QUBIT_MEASUREMENTS.items()
+}
+QUBIT2 = {
+    basis: projective_measurement([np.kron(np.eye(2), proj) for proj in m])
+    for basis, m in QUBIT_MEASUREMENTS.items()
+}
+
+
+# Honest Alice's check of Bob's reply, per choice bit: the projector onto
+# her probe, and the rest.
+QUTRIT_CHECKS = [
+    projective_measurement((onto, np.eye(9) - onto))
+    for onto in (np.outer(probe, probe.conj()) for probe in QUTRIT_PROBES)
+]
+
+
+def state_payload(amplitudes, subsystem: str | None = None, slot: int | None = None) -> dict:
+    """A state as a transcript payload: its slot, if it has one, its
+    dimension, each amplitude as [real, imaginary] with -0.0 written 0.0,
+    and the subsystem it travels as, if named."""
+    payload = {} if slot is None else {"slot": slot}
+    payload["dim"] = len(amplitudes)
+    payload["amplitudes"] = [[float(z.real) or 0.0, float(z.imag) or 0.0] for z in amplitudes]
+    if subsystem is not None:
+        payload["subsystem"] = subsystem
+    return payload
+
+
 def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
     """Outcome distribution of honest Alice's qutrit measurement in one
     classical context."""
@@ -222,15 +268,14 @@ def qutrit_born_probabilities(a: int, x0: int, x1: int) -> tuple[float, float]:
 
 def bad_qubit_weights() -> np.ndarray:
     """Alice's Z measurement, per Bob's bit."""
-    return np.array([born_weights(basis_state(2, y), _Z_PROJS) for y in (0, 1)])
+    return np.array([born_weights(basis_state(2, y), QUBIT_MEASUREMENTS["Z"]) for y in (0, 1)])
 
 
 def qutrit_weights() -> np.ndarray:
     """Honest Alice's qutrit measurement, per (a, y, z_dummy, p)."""
     weights = np.empty((2, 2, 2, 2, 2))
     for a, y, z_dummy, p in itertools.product((0, 1), repeat=4):
-        pair = OtPair.draw(y, z_dummy, p)
-        weights[a, y, z_dummy, p] = qutrit_born_probabilities(a, pair.x0, pair.x1)
+        weights[a, y, z_dummy, p] = qutrit_born_probabilities(a, *ot_pair(y, z_dummy, p))
     return weights
 
 
@@ -242,12 +287,12 @@ def sequence_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     second = np.zeros((4, 2, 2, 2, 2))
     for pair, state in enumerate(SEQUENCE_STATES):
         for basis, name in enumerate("ZX"):
-            first[pair, basis] = born_weights(state, _QUBIT1[name])
+            first[pair, basis] = born_weights(state, QUBIT1[name])
             for m1 in (0, 1):
                 if first[pair, basis, m1] > 0.0:
-                    after = post_measurement(state, _QUBIT1[name], m1)
+                    after = post_measurement(state, QUBIT1[name], m1)
                     for second_basis, second_name in enumerate("ZX"):
-                        second[pair, basis, m1, second_basis] = born_weights(after, _QUBIT2[second_name])
+                        second[pair, basis, m1, second_basis] = born_weights(after, QUBIT2[second_name])
     decode = np.array([[sequence_decode(m1, m2) for m2 in (0, 1)] for m1 in (0, 1)])
     return first, second, decode
 
@@ -259,8 +304,7 @@ def alice_qutrit_weights(params: dict) -> np.ndarray:
     measurements = alice_qutrit_measurements(params)
     weights = np.empty((2, 2, 2, 2))
     for y, z_dummy, p in itertools.product((0, 1), repeat=3):
-        pair = OtPair.draw(y, z_dummy, p)
-        weights[y, z_dummy, p] = born_weights(encoded[(pair.x0, pair.x1)], measurements[p])
+        weights[y, z_dummy, p] = born_weights(encoded[ot_pair(y, z_dummy, p)], measurements[p])
     return weights
 
 
@@ -305,10 +349,10 @@ def run_bad_qubit(seed: int) -> tuple[Transcript, RotOutcome]:
     alice = party_stream(seed, ALICE)
     y = draw_bit(bob)
     state = basis_state(2, y)
-    transcript.record("B", "qubit", _state_payload(state))
+    transcript.record("B", "qubit", state_payload(state))
     discard = draw_bit(alice)  # 0 -> measure, 1 -> accept NULL
     if discard == 0:
-        outcome_bit, _ = measure_pure(state, _Z_PROJS, alice.random())
+        outcome_bit, _ = measure_pure(state, QUBIT_MEASUREMENTS["Z"], alice.random())
         outcome = RotOutcome.received(outcome_bit, y)
     else:
         outcome = RotOutcome.null(y)
@@ -322,14 +366,13 @@ def run_qutrit(seed: int) -> tuple[Transcript, RotOutcome]:
 
     a = draw_bit(alice)
     psi = QUTRIT_PROBES[a]
-    transcript.record("A", "qutrit_to_bob", _state_payload(psi, subsystem="B"))
+    transcript.record("A", "qutrit_to_bob", state_payload(psi, subsystem="B"))
 
     y = draw_bit(bob)
     z_dummy = draw_bit(bob)
     p = draw_bit(bob)
-    pair = OtPair.draw(y, z_dummy, p)
-    psi = encoding_unitary(pair.x0, pair.x1) @ psi
-    transcript.record("B", "qutrit_to_alice", _state_payload(psi, subsystem="B"))
+    psi = encoding_unitary(*ot_pair(y, z_dummy, p)) @ psi
+    transcript.record("B", "qutrit_to_alice", state_payload(psi, subsystem="B"))
 
     # Outcome 1 means Bob's phase flipped the |aa> term: x_a = 1.
     learned, _ = measure_pure(psi, QUTRIT_CHECKS[a], alice.random())
@@ -384,8 +427,8 @@ def sequence_spot_check(alice, tested, sent, announced) -> int | None:
         x0, x1 = announced[slot]
         basis = sequence_test_basis(x0, x1)
         expected = sequence_expected_outcome(x0, x1)
-        m1, amps = measure_pure(sequence_state(sent[slot]), _QUBIT1[basis], alice.random())
-        m2, _ = measure_pure(amps, _QUBIT2[basis], alice.random())
+        m1, amps = measure_pure(sequence_state(sent[slot]), QUBIT1[basis], alice.random())
+        m2, _ = measure_pure(amps, QUBIT2[basis], alice.random())
         if m1 != expected or m2 != expected:
             return slot
     return None
@@ -411,8 +454,8 @@ def play_sequence(cfg: SequenceConfig, seed: int):
     for slot in range(cfg.n_states):
         if slot in tested_set:
             continue
-        m1, amps = measure_pure(sequence_state(pairs[slot]), _QUBIT1["Z"], alice.random())
-        m2, _ = measure_pure(amps, _QUBIT2["X"], alice.random())
+        m1, amps = measure_pure(sequence_state(pairs[slot]), QUBIT1["Z"], alice.random())
+        m2, _ = measure_pure(amps, QUBIT2["X"], alice.random())
         learned_index, learned_value = sequence_decode(m1, m2)
         declared = draw_bit(bob)
         declarations.append((slot, declared))
@@ -428,7 +471,7 @@ def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOu
     pairs, tested, failed, declarations, outcomes = play_sequence(cfg, seed)
     transcript = Transcript()
     for slot, bits in enumerate(pairs):
-        transcript.record("B", "state", _state_payload(sequence_state(bits), slot=slot))
+        transcript.record("B", "state", state_payload(sequence_state(bits), slot=slot))
     transcript.record("A", "test_set", {"slots": tested})
     for slot in tested:
         transcript.record("B", "announce", {"slot": slot, "bits": list(pairs[slot])})
@@ -618,9 +661,9 @@ def _alice_qutrit_runner(params: dict):
     def run(seed: int) -> bool:
         alice = party_stream(seed, ALICE)
         bob = party_stream(seed, BOB)
-        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), draw_bit(bob))
-        guess, _ = measure_pure(encoded[(pair.x0, pair.x1)], measurements[pair.p], alice.random())
-        return guess == pair.y
+        y, z_dummy, p = draw_bit(bob), draw_bit(bob), draw_bit(bob)
+        guess, _ = measure_pure(encoded[ot_pair(y, z_dummy, p)], measurements[p], alice.random())
+        return guess == y
 
     return run
 
@@ -665,8 +708,8 @@ def _bob_qutrit_runner(params: dict):
         bob = party_stream(seed, BOB)
         a = draw_bit(alice)
         a_guess, _ = measure_pure(QUTRIT_PROBES[a], lifted, bob.random())
-        pair = OtPair.draw(draw_bit(bob), draw_bit(bob), a_guess)
-        return a == pair.p
+        y, z_dummy, p = draw_bit(bob), draw_bit(bob), a_guess
+        return a == p
 
     return run
 

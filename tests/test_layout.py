@@ -61,42 +61,87 @@ def test_modules_use_no_private_names_of_other_modules():
 def test_private_use_finder_sees_imports_and_attributes():
     source = (
         "from __future__ import annotations\n"
-        "from .protocols import _QUBIT1, SEQUENCE_STATES\n"
+        "from .protocols import _QUBIT_LIFTS, SEQUENCE_STATES\n"
         "from rotlab.rng import _PhiloxKey\n"
         "from . import adversary\n"
         "adversary._compiled\n"
         "adversary.execute_cheat\n"
     )
     assert _private_uses(ast.parse(source)) == [
-        "from .protocols import _QUBIT1",
+        "from .protocols import _QUBIT_LIFTS",
         "from rotlab.rng import _PhiloxKey",
         "adversary._compiled",
     ]
 
 
-def _adversary_private_uses(tree: ast.Module) -> list[str]:
-    # Underscore names taken from rotlab.adversary: imported by name, or read
-    # as an attribute of the module bound by an import.
+def _taken_from(tree: ast.Module, module: str) -> list[tuple[str, str]]:
+    # Each name taken from rotlab.<module>, as written and bare: imported by
+    # name, or read as an attribute of the module bound by an import.
     found = []
     bound = set()
+    full = f"rotlab.{module}"
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "rotlab.adversary":
-            found += [f"from rotlab.adversary import {a.name}" for a in node.names if a.name.startswith("_")]
+        if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == full:
+            found += [(f"from {full} import {a.name}", a.name) for a in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0 and node.module == "rotlab":
-            bound |= {a.asname or a.name for a in node.names if a.name == "adversary"}
+            bound |= {a.asname or a.name for a in node.names if a.name == module}
         elif isinstance(node, ast.Import):
-            bound |= {a.asname or a.name for a in node.names if a.name == "rotlab.adversary"}
+            bound |= {a.asname or a.name for a in node.names if a.name == full}
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_") and ast.unparse(node.value) in bound:
-            found.append(ast.unparse(node))
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) in bound:
+            found.append((ast.unparse(node), node.attr))
     return found
+
+
+def _adversary_private_uses(tree: ast.Module) -> list[str]:
+    # Underscore names taken from rotlab.adversary.
+    return [use for use, name in _taken_from(tree, "adversary") if name.startswith("_")]
+
+
+# What the reference flows may take from rotlab.protocols: the protocol's
+# definitions and the types its results come in.
+ORACLE_PROTOCOL_NAMES = {"QUTRIT_PROBES", "SEQUENCE_STATES", "RotOutcome", "SequenceConfig", "Transcript"}
+
+
+def _derived_protocol_uses(tree: ast.Module) -> list[str]:
+    # Names taken from rotlab.protocols outside ORACLE_PROTOCOL_NAMES.
+    return [use for use, name in _taken_from(tree, "protocols") if name not in ORACLE_PROTOCOL_NAMES]
+
+
+def _oracle_tree() -> ast.Module:
+    return ast.parse((Path(__file__).parent / "oracle.py").read_text())
 
 
 def test_oracle_reads_no_private_name_of_the_adversary():
     # The reference flows build their cheating measurements from their own
     # mixtures, so none of the library's tables can agree with itself.
-    tree = ast.parse((Path(__file__).parent / "oracle.py").read_text())
-    assert _adversary_private_uses(tree) == []
+    assert _adversary_private_uses(_oracle_tree()) == []
+
+
+def test_oracle_derives_every_protocol_fact_itself():
+    # Bob's permutation, Alice's measurements and decode, and the transcript
+    # payloads are written again in the oracle, so a fault in the library's
+    # form of one cannot hide in a trial-by-trial comparison.
+    assert _derived_protocol_uses(_oracle_tree()) == []
+
+
+def test_derived_protocol_use_finder_sees_tables_helpers_and_attributes():
+    source = (
+        "from rotlab.protocols import QUTRIT_PROBES, QUTRIT_CHECKS, RotOutcome, _state_payload\n"
+        "from rotlab import protocols, linalg\n"
+        "import rotlab.protocols as proto\n"
+        "from rotlab.adversary import _bit_operator\n"
+        "protocols._QUBIT_LIFTS\n"
+        "protocols.SEQUENCE_STATES\n"
+        "proto.run_qutrit\n"
+        "linalg.projections\n"
+    )
+    assert _derived_protocol_uses(ast.parse(source)) == [
+        "from rotlab.protocols import QUTRIT_CHECKS",
+        "from rotlab.protocols import _state_payload",
+        "protocols._QUBIT_LIFTS",
+        "proto.run_qutrit",
+    ]
 
 
 def test_adversary_private_use_finder_sees_imports_and_attributes():
@@ -105,7 +150,7 @@ def test_adversary_private_use_finder_sees_imports_and_attributes():
         "from rotlab import adversary, linalg\n"
         "import rotlab.adversary\n"
         "import rotlab.adversary as adv\n"
-        "from rotlab.protocols import _QUBIT1\n"
+        "from rotlab.protocols import _QUBIT_LIFTS\n"
         "adversary._STRATEGIES\n"
         "rotlab.adversary._bit_operator\n"
         "adv._compiled\n"
@@ -214,7 +259,7 @@ def test_foreign_import_finder_sees_packages_and_submodules():
         "from sympy import Matrix\n"
         "from . import linalg\n"
         "from .rng import seed_array\n"
-        "from rotlab.protocols import OtPair\n"
+        "from rotlab.protocols import OT_PAIR_INDEX\n"
         "def f():\n"
         "    import numba\n"
     )

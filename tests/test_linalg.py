@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import oracle
 from rotlab import adversary, protocols
 from rotlab.linalg import (
     DERIVED_TOL,
@@ -93,7 +94,7 @@ def test_matrix_dimension_bounds():
 
 def test_matrix_data_is_immutable():
     # So are the matrices the package hands out.
-    for data in (ComplexMatrix(np.eye(2)).data, protocols._QUTRIT_THRESHOLDS, protocols._Z_PROJS):
+    for data in (ComplexMatrix(np.eye(2)).data, protocols._QUTRIT_THRESHOLDS, protocols._QUBIT_BASES):
         with pytest.raises(ValueError):
             data[0, 0] = 5.0
 
@@ -159,8 +160,9 @@ def test_kron_identity():
 
 
 def test_kron_basis_projectors():
-    assert np.array_equal(protocols._QUBIT1["Z"][0], np.diag([1.0, 1.0, 0.0, 0.0]))
-    assert np.array_equal(protocols._QUBIT2["Z"][1], np.diag([0.0, 1.0, 0.0, 1.0]))
+    # Indexed (qubit, basis, outcome), 0 for Z and 1 for X.
+    assert np.array_equal(protocols._QUBIT_LIFTS[0, 0, 0], np.diag([1.0, 1.0, 0.0, 0.0]))
+    assert np.array_equal(protocols._QUBIT_LIFTS[1, 0, 1], np.diag([0.0, 1.0, 0.0, 1.0]))
     assert np.array_equal(encoding_unitary(1, 0), np.diag(np.tile([-1.0, 1.0, 1.0], 3)))
 
 
@@ -177,13 +179,22 @@ def test_kron_dimension_overflow():
 def test_kron_mixed_product_property():
     # A lifted projector of qubit 1 times one of qubit 2 is their tensor
     # product, in either order.
-    single = {"Z": protocols._Z_PROJS, "X": protocols._X_PROJS}
+    single, lifts = protocols._QUBIT_BASES, protocols._QUBIT_LIFTS
     for b1, b2, j, k in np.ndindex(2, 2, 2, 2):
-        first, second = "ZX"[b1], "ZX"[b2]
-        product = np.kron(single[first][j], single[second][k])
-        lifted1, lifted2 = protocols._QUBIT1[first][j], protocols._QUBIT2[second][k]
+        product = np.kron(single[b1, j], single[b2, k])
+        lifted1, lifted2 = lifts[0, b1, j], lifts[1, b2, k]
         assert np.max(np.abs(lifted1 @ lifted2 - product)) < 1e-15
         assert np.max(np.abs(lifted2 @ lifted1 - product)) < 1e-15
+
+
+def test_measurements_equal_the_oracle_derivations():
+    # Alice's Z and X measurements, one qubit and lifted to each qubit of
+    # the pair, and her qutrit checks, against the oracle's own.
+    for basis, name in enumerate("ZX"):
+        assert np.array_equal(protocols._QUBIT_BASES[basis], oracle.QUBIT_MEASUREMENTS[name]), name
+        for qubit, lifted in enumerate((oracle.QUBIT1, oracle.QUBIT2)):
+            assert np.array_equal(protocols._QUBIT_LIFTS[qubit, basis], lifted[name]), (qubit, name)
+    assert np.array_equal(protocols.QUTRIT_CHECKS, oracle.QUTRIT_CHECKS)
 
 
 # ---------------------------------------------------------------------------

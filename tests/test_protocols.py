@@ -13,7 +13,6 @@ from rotlab.protocols import (
     MAX_SEQUENCE_STATES,
     SEQUENCE_STATES,
     CoinResult,
-    OtPair,
     RotOutcome,
     SequenceConfig,
     run_bad_classical,
@@ -52,22 +51,12 @@ def test_rot_outcome_assert_bit_invariant():
     assert sentinel.aborted and sentinel.assert_bit == 1 and sentinel.g_hat is None
 
 
-def test_ot_pair_permutation_invariant():
-    pair = OtPair.draw(y=1, z_dummy=0, p=0)
-    assert (pair.x0, pair.x1) == (1, 0)
-    pair = OtPair.draw(y=1, z_dummy=0, p=1)
-    assert (pair.x0, pair.x1) == (0, 1)
-    with pytest.raises(ValidationError):
-        OtPair(x0=1, x1=1, p=0, z_dummy=0, y=1)
-
-
 def test_pair_index_table_is_ot_pair_draw():
-    # The one permutation table both modules gather through, read-only.
-    for y in (0, 1):
-        for z_dummy in (0, 1):
-            for p in (0, 1):
-                pair = OtPair.draw(y, z_dummy, p)
-                assert protocols.OT_PAIR_INDEX[y, z_dummy, p] == 2 * pair.x0 + pair.x1
+    # The one permutation table both modules gather through, read-only,
+    # against the oracle's own pair.
+    for y, z_dummy, p in np.ndindex(2, 2, 2):
+        x0, x1 = oracle.ot_pair(y, z_dummy, p)
+        assert protocols.OT_PAIR_INDEX[y, z_dummy, p] == 2 * x0 + x1
     assert protocols.OT_PAIR_INDEX.shape == (2, 2, 2)
     assert not protocols.OT_PAIR_INDEX.flags.writeable
 
@@ -165,15 +154,11 @@ def test_qutrit_outcome_is_the_selected_bit():
     # the 16 contexts: within 1e-12 of certain, as the weight of the
     # certain outcome is 0.9999999999999996 in floating point, not 1.0.
     weights = protocols._QUTRIT_WEIGHTS
-    for a in (0, 1):
-        for y in (0, 1):
-            for z_dummy in (0, 1):
-                for p in (0, 1):
-                    pair = OtPair.draw(y, z_dummy, p)
-                    selected = (pair.x0, pair.x1)[a]
-                    row = weights[a, y, z_dummy, p]
-                    assert abs(row[selected] - 1.0) < 1e-12, (a, y, z_dummy, p)
-                    assert abs(row[1 - selected]) < 1e-12, (a, y, z_dummy, p)
+    for a, y, z_dummy, p in np.ndindex(2, 2, 2, 2):
+        selected = oracle.ot_pair(y, z_dummy, p)[a]
+        row = weights[a, y, z_dummy, p]
+        assert abs(row[selected] - 1.0) < 1e-12, (a, y, z_dummy, p)
+        assert abs(row[1 - selected]) < 1e-12, (a, y, z_dummy, p)
 
 
 def test_qutrit_all_sixteen_classical_contexts():
@@ -260,6 +245,20 @@ def test_sequence_decode_table_exhaustive():
                     continue
                 index, value = sequence_decode(m1, m2)
                 assert bits[index] == value
+
+
+def test_sequence_decode_names_a_bit_each_pair_holds():
+    # Every outcome pair of Alice's untested-slot reading, qubit 1 in Z and
+    # qubit 2 in X, that the library's own Born weights give a nonzero
+    # chance decodes to a bit the sent pair really holds: two per pair.
+    first, second, _ = protocols._SEQUENCE_TABLES
+    seen = 0
+    for pair, m1, m2 in np.ndindex(4, 2, 2):
+        if first[pair, 0, m1] * second[pair, 0, m1, 1, m2] > linalg.DERIVED_TOL:
+            learned_index, learned_value = protocols.SEQUENCE_DECODE[m1, m2]
+            assert protocols.pair_bit(pair, learned_index) == learned_value, (pair, m1, m2)
+            seen += 1
+    assert seen == 8
 
 
 def test_sequence_test_step_consistency_table():
@@ -555,9 +554,8 @@ def test_certain_outcomes_are_drawn_at_every_uniform():
     assert certain >= 16  # one per honest qutrit context at least
     # Honest qutrit Alice's outcome is x_a in all 16 contexts, at any uniform.
     for a, y, z_dummy, p in np.ndindex(2, 2, 2, 2):
-        pair = OtPair.draw(y, z_dummy, p)
         for rand in (0.0, 0.5, 1.0 - 2.0**-53):
-            assert int(rand >= protocols._QUTRIT_THRESHOLDS[a, y, z_dummy, p]) == (pair.x0, pair.x1)[a]
+            assert int(rand >= protocols._QUTRIT_THRESHOLDS[a, y, z_dummy, p]) == oracle.ot_pair(y, z_dummy, p)[a]
 
 
 def test_qubit_measurements_sample_the_scalar_rule():
