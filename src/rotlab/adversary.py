@@ -8,14 +8,18 @@ and its strategy read one definition.  Each operator is 0.5 rho_0 -
 0.5 rho_1 of two equal-weight mixtures: of the states a protocol sends,
 split by one bit of the pair (:func:`_bit_operator`, on
 ``protocols.pair_bit``), or of the two qutrits Bob can receive.  Cheating
-Alice's qutrit objective has one stacked evaluator: Bob's phase encoding
+Alice's qutrit objective has one operator builder: Bob's phase encoding
 makes each of its operators one of two fixed sign patterns, the bit
 operators of ``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the
-probe's outer product v v^T.  Those operators serve single triples, the
-optimizer's grid and the strategy alike, and all the trace norms of many
-triples come from one :func:`~rotlab.linalg.trace_norms` call; their
-reference, the density-matrix path one triple at a time, is in
-``tests/oracle.py``.
+probe's outer product v v^T, for one triple or a stack of them alike.
+Those operators serve single triples, the optimizer's grid and the
+strategy, and all the trace norms of many triples come from one
+:func:`~rotlab.linalg.trace_norms` call; their reference, the
+density-matrix path one triple at a time, is in ``tests/oracle.py``.  One
+Helstrom formula, :func:`_helstrom_value`, and one mean over the
+permutation value turn trace norms into values, on arrays for a grid and
+on Python floats for a single value, which finishes in floats after its
+one ``trace_norms`` call: both do the same IEEE double arithmetic.
 
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
@@ -127,10 +131,10 @@ def _bit_operator(states: np.ndarray, index: int) -> np.ndarray:
     return 0.5 * mixtures[0] - 0.5 * mixtures[1]
 
 
-def _helstrom_values(operators: np.ndarray) -> np.ndarray:
-    """The optimal success (1 + ||p0 rho0 - p1 rho1||_1) / 2 of each
-    operator p0 rho0 - p1 rho1 of a stack, from one eigensolve."""
-    return 0.5 * (1.0 + trace_norms(operators))
+def _helstrom_value(norm):
+    """The optimal success (1 + ||p0 rho0 - p1 rho1||_1) / 2 from the trace
+    norm of p0 rho0 - p1 rho1: an array of norms or one Python float."""
+    return 0.5 * (1.0 + norm)
 
 
 def _helstrom_weights(operators: np.ndarray, states: np.ndarray) -> np.ndarray:
@@ -154,18 +158,25 @@ _SIGN_PATTERNS.setflags(write=False)
 
 
 def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
-    """The (m, 2, 3, 3) operators 0.5 rho_0 - 0.5 rho_1 of an (m, 3) array of
-    amplitudes, per value p, rho_b mixing equally the encodings with x_p = b.
-    Each entry is 0 or +-fl(v_i v_j), exactly the density path's, so the
-    operators are real and exactly symmetric."""
-    return _SIGN_PATTERNS * (vectors[:, None, :, None] * vectors[:, None, None, :])
+    """The (..., 2, 3, 3) operators 0.5 rho_0 - 0.5 rho_1 of a (..., 3) stack
+    of amplitudes, per value p, rho_b mixing equally the encodings with
+    x_p = b.  Each entry is 0 or +-fl(v_i v_j), exactly the density path's,
+    so the operators are real and exactly symmetric."""
+    return _SIGN_PATTERNS * (vectors[..., None, :, None] * vectors[..., None, None, :])
+
+
+def _qutrit_mean(norm0, norm1):
+    """:func:`alice_qutrit_cheat_prob` from the trace norms of its operators
+    for p = 0 and p = 1: the mean of their Helstrom values, on arrays or on
+    Python floats."""
+    return 0.5 * (_helstrom_value(norm0) + _helstrom_value(norm1))
 
 
 def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
-    """:func:`alice_qutrit_cheat_prob` of each row of an (m, 3) array: all 2m
-    trace norms from one eigensolve, averaged over the permutation value."""
-    values = _helstrom_values(_qutrit_cheat_operators(vectors))
-    return 0.5 * (values[:, 0] + values[:, 1])
+    """:func:`alice_qutrit_cheat_prob` of each row of an (m, 3) array, from
+    all 2m trace norms of one eigensolve."""
+    norms = trace_norms(_qutrit_cheat_operators(vectors))
+    return _qutrit_mean(norms[:, 0], norms[:, 1])
 
 
 def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
@@ -174,10 +185,14 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
 
     The Helstrom value of the two bit mixtures, from their trace-norm
     distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
-    cross-check.
+    cross-check.  The triple's two operators come from the builder the
+    optimizer's grid uses, and its value from the same Helstrom formula
+    and mean, finished on Python floats after its one ``trace_norms``
+    call, so it equals the triple's row of a stacked evaluation bit for bit.
     """
     triple = AmplitudeTriple.coerce(triple)
-    return float(_qutrit_cheat_values(np.array([triple.as_tuple()], dtype=float))[0])
+    norms = trace_norms(_qutrit_cheat_operators(np.array(triple.as_tuple(), dtype=float)))
+    return _qutrit_mean(*norms.tolist())
 
 
 def _qutrit_cheat_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
@@ -242,7 +257,7 @@ _BOB_QUTRIT_OPERATOR.setflags(write=False)
 def bob_qutrit_cheat_prob() -> float:
     """Bob's best chance of reading Alice's choice bit off the qutrit he
     receives: minimum-error discrimination of the two reduced states."""
-    return float(_helstrom_values(_BOB_QUTRIT_OPERATOR))
+    return _helstrom_value(trace_norms(_BOB_QUTRIT_OPERATOR).tolist())
 
 
 # --------------------------------------------------------------------------
@@ -261,7 +276,7 @@ def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
     independent of the batch size."""
     if isinstance(declared_bit, bool) or declared_bit not in (0, 1):
         raise ValidationError(f"declared_bit must be 0 or 1, got {declared_bit}")
-    return float(_helstrom_values(_SEQUENCE_OPERATORS[declared_bit]))
+    return _helstrom_value(trace_norms(_SEQUENCE_OPERATORS[declared_bit]).tolist())
 
 
 def bob_sequence_cheat_prob() -> float:
@@ -331,8 +346,8 @@ def _alice_recovers_bit(params: dict):
     # value, and guesses his data bit: whether the guess is right, from both
     # party streams.  Her Born weights per pair index and value are gathered
     # per Bob's (y, z_dummy, p).
-    vector = np.array([params["triple"]])
-    weights = _helstrom_weights(_qutrit_cheat_operators(vector)[0], QUTRIT_ENCODING_SIGNS * vector)
+    vector = np.array(params["triple"])
+    weights = _helstrom_weights(_qutrit_cheat_operators(vector), QUTRIT_ENCODING_SIGNS * vector)
     thresholds = sampling_thresholds(weights[OT_PAIR_INDEX, [0, 1]])
 
     def recovers_bit(alice: BlockStream, bob: BlockStream) -> np.ndarray:

@@ -290,17 +290,23 @@ class BlockStream:
         return words
 
     def _halves(self, count: int) -> np.ndarray:
-        """The next ``count`` 32-bit values, shape ``(count, len(seeds))``."""
+        """The next ``count`` 32-bit values, shape ``(count, len(seeds))``.
+        A lone value splits off no half it does not return: it is the
+        buffered high half, or a fresh word's low half."""
         parts = []
         if count and self._buffered is not None:
             parts.append(self._buffered[None] >> _SHIFT32)
             count -= 1
             self._buffered = None
-        words = self._take((count + 1) // 2)
-        if count % 2:
-            self._buffered = words[-1]
-        split = (words[:, None] >> _HALF_SHIFTS).reshape(2 * len(words), words.shape[-1])
-        parts.append(split[:count] & _LOW32)
+        if count or not parts:  # unless the buffered half was all it asked for
+            words = self._take((count + 1) // 2)
+            if count % 2:
+                self._buffered = words[-1]
+            if count == 1:
+                parts.append(words & _LOW32)
+            else:
+                split = (words[:, None] >> _HALF_SHIFTS).reshape(2 * len(words), words.shape[-1])
+                parts.append(split[:count] & _LOW32)
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
     def draw_bits(self, count: int) -> np.ndarray:

@@ -31,7 +31,10 @@ again: Bob's permuted bit pair (:func:`ot_pair`), Alice's Z and X
 measurements from the Pauli matrices, lifted to two qubits by ``np.kron``,
 her qutrit checks from her probes, her untested-slot decode
 (:func:`sequence_decode`) and the payload a state is sent as
-(:func:`state_payload`).
+(:func:`state_payload`).  It also writes its own trial-seed mixer,
+:func:`splitmix64` on Python ints, and its own default cheating probe,
+:data:`BALANCED_TRIPLE`: from ``rotlab.adversary`` it takes only
+``AmplitudeTriple``, the type a triple is checked and passed in.
 """
 
 import itertools
@@ -52,7 +55,7 @@ from rotlab.linalg import (
     projective_measurement,
 )
 from rotlab.protocols import QUTRIT_PROBES, SEQUENCE_STATES, RotOutcome, SequenceConfig, Transcript
-from rotlab.rng import ALICE, BOB, BOB_AUX, splitmix64
+from rotlab.rng import ALICE, BOB, BOB_AUX
 
 _MASK64 = (1 << 64) - 1
 
@@ -83,6 +86,15 @@ def party_stream(seed: int, stream: int) -> np.random.Generator:
 
 def draw_bit(gen: np.random.Generator) -> int:
     return int(gen.integers(0, 2))
+
+
+def splitmix64(value: int) -> int:
+    """Vigna's splitmix64 output for the state ``value``: the state
+    advanced by the golden-ratio increment, then mixed."""
+    z = (value + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return z ^ (z >> 31)
 
 
 def trial_seed(master_seed: int, trial_index: int) -> int:
@@ -614,8 +626,13 @@ def _helstrom_measurements(encoded: dict[tuple[int, int], np.ndarray]) -> list[n
     return [projective_measurement(helstrom_projectors(0.5, rho0, 0.5, rho1)) for rho0, rho1 in _bit_mixtures(encoded)]
 
 
+# The equal-weight probe (1/2, 1/2, 1/sqrt 2), the cheating strategies'
+# default triple.
+BALANCED_TRIPLE = (0.5, 0.5, math.sqrt(0.5))
+
+
 def _strategy_triple(params: dict):
-    return AmplitudeTriple.coerce(params.get("triple", AmplitudeTriple.balanced()))
+    return AmplitudeTriple.coerce(params.get("triple", BALANCED_TRIPLE))
 
 
 def alice_qutrit_measurements(params: dict) -> list[np.ndarray]:

@@ -85,8 +85,13 @@ def test_cheat_prob_equals_the_density_path_exactly(rng):
     triples += [AmplitudeTriple(1.0, 0.0, 0.0), AmplitudeTriple(0.0, 1.0, 0.0), AmplitudeTriple(0.0, 0.0, 1.0)]
     triples += [AmplitudeTriple.balanced()]
     triples += [optimize_alice_qutrit(tolerance)[0] for tolerance in (1e-3, 1e-6, 1e-9)]
-    for triple in triples:
-        assert alice_qutrit_cheat_prob(triple) == oracle.alice_qutrit_cheat_prob(triple), triple
+    # A single value, finished on Python floats, is its row of the stacked
+    # evaluation bit for bit.
+    rows = adversary._qutrit_cheat_values(np.array([triple.as_tuple() for triple in triples])).tolist()
+    for triple, row in zip(triples, rows):
+        value = alice_qutrit_cheat_prob(triple)
+        assert value == oracle.alice_qutrit_cheat_prob(triple), triple
+        assert type(value) is float and value == row, triple
 
 
 def test_operators_equal_the_density_path_exactly(rng, monkeypatch):

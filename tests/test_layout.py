@@ -103,9 +103,20 @@ def _adversary_private_uses(tree: ast.Module) -> list[str]:
 ORACLE_PROTOCOL_NAMES = {"QUTRIT_PROBES", "SEQUENCE_STATES", "RotOutcome", "SequenceConfig", "Transcript"}
 
 
-def _derived_protocol_uses(tree: ast.Module) -> list[str]:
-    # Names taken from rotlab.protocols outside ORACLE_PROTOCOL_NAMES.
-    return [use for use, name in _taken_from(tree, "protocols") if name not in ORACLE_PROTOCOL_NAMES]
+def _derived_uses(tree: ast.Module) -> list[str]:
+    # Names taken from rotlab.protocols outside ORACLE_PROTOCOL_NAMES, the
+    # library's splitmix64, and the balanced triple read off AmplitudeTriple
+    # by name or through its module.
+    found = [use for use, name in _taken_from(tree, "protocols") if name not in ORACLE_PROTOCOL_NAMES]
+    found += [use for use, name in _taken_from(tree, "rng") if name == "splitmix64"]
+    found += [
+        ast.unparse(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "balanced"
+        and ast.unparse(node.value).endswith("AmplitudeTriple")
+    ]
+    return found
 
 
 def _oracle_tree() -> ast.Module:
@@ -119,10 +130,11 @@ def test_oracle_reads_no_private_name_of_the_adversary():
 
 
 def test_oracle_derives_every_protocol_fact_itself():
-    # Bob's permutation, Alice's measurements and decode, and the transcript
-    # payloads are written again in the oracle, so a fault in the library's
-    # form of one cannot hide in a trial-by-trial comparison.
-    assert _derived_protocol_uses(_oracle_tree()) == []
+    # Bob's permutation, Alice's measurements and decode, the transcript
+    # payloads, the trial-seed mixer and the default cheating triple are
+    # written again in the oracle, so a fault in the library's form of one
+    # cannot hide in a trial-by-trial comparison.
+    assert _derived_uses(_oracle_tree()) == []
 
 
 def test_derived_protocol_use_finder_sees_tables_helpers_and_attributes():
@@ -130,17 +142,22 @@ def test_derived_protocol_use_finder_sees_tables_helpers_and_attributes():
         "from rotlab.protocols import QUTRIT_PROBES, QUTRIT_CHECKS, RotOutcome, _state_payload\n"
         "from rotlab import protocols, linalg\n"
         "import rotlab.protocols as proto\n"
-        "from rotlab.adversary import _bit_operator\n"
+        "from rotlab.adversary import _bit_operator, AmplitudeTriple\n"
+        "from rotlab.rng import ALICE, splitmix64\n"
         "protocols._QUBIT_LIFTS\n"
         "protocols.SEQUENCE_STATES\n"
         "proto.run_qutrit\n"
         "linalg.projections\n"
+        "AmplitudeTriple.balanced()\n"
+        "AmplitudeTriple.coerce((1.0, 0.0, 0.0))\n"
     )
-    assert _derived_protocol_uses(ast.parse(source)) == [
+    assert _derived_uses(ast.parse(source)) == [
         "from rotlab.protocols import QUTRIT_CHECKS",
         "from rotlab.protocols import _state_payload",
         "protocols._QUBIT_LIFTS",
         "proto.run_qutrit",
+        "from rotlab.rng import splitmix64",
+        "AmplitudeTriple.balanced",
     ]
 
 

@@ -56,6 +56,25 @@ def test_trial_seeds_where_the_start_plus_index_wraps():
                 assert trial_seeds(master, offset, count).tolist() == expected, (master, start, count)
 
 
+# The first five outputs of Vigna's splitmix64.c seeded with 1234567.
+SPLITMIX64_REFERENCE = [
+    6457827717110365317,
+    3203168211198807973,
+    9817491932198370423,
+    4593380528125082431,
+    16408922859458223821,
+]
+
+
+@pytest.mark.parametrize("mix", (splitmix64, oracle.splitmix64), ids=("library", "oracle"))
+def test_splitmix64_gives_the_reference_outputs(mix):
+    # splitmix64.c advances its state by the golden-ratio increment before
+    # each mix, which the function adds itself: output i mixes the state
+    # seed + i increments.
+    states = [(1234567 + i * 0x9E3779B97F4A7C15) & MASK64 for i in range(5)]
+    assert [mix(state) for state in states] == SPLITMIX64_REFERENCE
+
+
 def _numpy_block(seed: int, stream: int, counter: int) -> list[int]:
     key = np.array([seed, stream], dtype=np.uint64)
     return np.random.Philox(key=key, counter=counter - 1).random_raw(4).tolist()
@@ -387,16 +406,18 @@ def test_bounded_redraws_strictly_below_the_threshold():
 def test_block_stream_maps_words_as_generator():
     # Bits drawn one at a time take the low half of a fresh word, then its
     # buffered high half; a uniform takes a whole word and leaves the buffer
-    # alone.
+    # alone.  A lone bit straight after an odd run of bits takes the run's
+    # buffered half, and straight after an even run a fresh word's low half.
     keys = _keys(200)
-    order = ("bit", "random", "bit", "bit", "random")
+    order = (1, "random", 1, 1, "random", 1, 3, 1, 2, 1)  # runs of bits, and uniforms
     for stream in range(4):
-        block = _one_stream(keys, stream)
-        drawn = [block.draw_bits(1)[0] if kind == "bit" else block.randoms(1)[0] for kind in order]
+        block = _one_stream(keys, stream, words=8)
+        drawn = [block.randoms(1) if kind == "random" else block.draw_bits(kind) for kind in order]
         for index, key in enumerate(keys):
             gen = party_stream(int(key), stream)
-            expected = [draw_bit(gen) if kind == "bit" else gen.random() for kind in order]
-            assert [values[index].item() for values in drawn] == expected
+            expected = [[gen.random()] if kind == "random" else [draw_bit(gen) for _ in range(kind)] for kind in order]
+            assert [values[:, index].tolist() for values in drawn] == expected
+        assert block._used == 8
     block = _one_stream(keys, 0)
     for _ in range(4):
         block.randoms(1)
