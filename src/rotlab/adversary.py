@@ -29,7 +29,10 @@ against thresholds its factory builds once with
 :func:`~rotlab.linalg.sampling_thresholds` from the Born weights
 :func:`_helstrom_weights` gives for all the states it can measure at once,
 gathered per classical context through the protocol's own tables
-(``protocols.OT_PAIR_INDEX``, ``protocols.pair_bit``).
+(``protocols.OT_PAIR_INDEX``, ``protocols.pair_bit``).  Both coin-flip
+strategies take their result from the rule the honest coin flip reads,
+``protocols.coin_flip_results``; Bob's plays his qutrit attack and
+announces b = 0.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 
 from .linalg import (
     ValidationError,
+    as_integer,
     helstrom_measurement,
     projections,
     sampling_thresholds,
@@ -55,7 +59,9 @@ from .protocols import (
     QUTRIT_ENCODING_SIGNS,
     QUTRIT_PROBES,
     SEQUENCE_STATES,
+    CoinResult,
     SequenceConfig,
+    coin_flip_results,
     pair_bit,
     sequence_setup_block,
 )
@@ -274,7 +280,7 @@ def alice_sequence_cheat_prob(declared_bit: int = 0) -> float:
     """Success probability of storing a batch state and measuring only after
     Bob declares which bit counts; identical for either declared bit and
     independent of the batch size."""
-    if isinstance(declared_bit, bool) or declared_bit not in (0, 1):
+    if as_integer("declared_bit", declared_bit) not in (0, 1):
         raise ValidationError(f"declared_bit must be 0 or 1, got {declared_bit}")
     return _helstrom_value(trace_norms(_SEQUENCE_OPERATORS[declared_bit]).tolist())
 
@@ -390,25 +396,28 @@ def _alice_sequence_block(params: dict):
     return run
 
 
+_HEADS = list(CoinResult).index(CoinResult.HEADS)  # coin_flip_results' index of HEADS
+
+
 def _alice_coinflip_block(params: dict):
-    # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
-    # NULL (always accepted), on b = 0 she must pass Bob's check, which
-    # succeeds exactly when her measurement recovers his data bit.
+    # Alice wants HEADS, so she reveals a = b.  She defers her measurement:
+    # Bob accepts her NULL on b = 1 always, and her claimed receipt on b = 0
+    # exactly when her measurement recovers his data bit.
     recovers_bit = _alice_recovers_bit(params)
 
     def run(seeds: np.ndarray) -> np.ndarray:
         aux, alice, bob = block_streams(seeds, ((BOB_AUX, 4), (ALICE, 4), (BOB, 4)))
-        return (aux.draw_bits(1)[0] == 1) | recovers_bit(alice, bob)
+        (b,) = aux.draw_bits(1)
+        return coin_flip_results(b, (b == 1) | recovers_bit(alice, bob), b) == _HEADS
 
     return run
 
 
 def _bob_qutrit_block(params: dict):
     # Bob guesses Alice's choice bit a from his half of her probe and aligns
-    # the permutation with his guess.  Honest Alice asserts receipt exactly
-    # when a == p, so he calls her assert bit, and in the coin flip he
-    # announces b = 0 and lands HEADS, exactly when his guess is right.  His
-    # Born weights per Alice's choice bit sum those of the rows of her probe.
+    # the permutation with it; honest Alice asserts receipt exactly when
+    # a == p, so he calls her assert bit where his guess is right.  His Born
+    # weights per choice bit sum those of the rows of her probe.
     weights = _helstrom_weights(_BOB_QUTRIT_OPERATOR[None], _BOB_QUTRIT_ROWS).sum(axis=1)[:, 0]
     thresholds = sampling_thresholds(weights)
 
@@ -422,6 +431,13 @@ def _bob_qutrit_block(params: dict):
     return run
 
 
+def _bob_coinflip_block(params: dict):
+    # Bob plays his qutrit attack, so honest Alice's assert bit is 0 exactly
+    # where his guess is right; he announces b = 0 and accepts any reveal.
+    guess_is_right = _bob_qutrit_block(params)
+    return lambda seeds: coin_flip_results(~guess_is_right(seeds), True, 0) == _HEADS
+
+
 # (party, protocol) -> (parameter names, block factory).  A block form maps
 # a uint64 array of trial seeds to whether each trial's cheat succeeds.
 _STRATEGIES = {
@@ -429,7 +445,7 @@ _STRATEGIES = {
     ("bob", "qutrit"): (set(), _bob_qutrit_block),
     ("alice", "sequence"): ({"n_states"}, _alice_sequence_block),
     ("alice", "coinflip"): ({"triple"}, _alice_coinflip_block),
-    ("bob", "coinflip"): (set(), _bob_qutrit_block),
+    ("bob", "coinflip"): (set(), _bob_coinflip_block),
 }
 
 

@@ -124,7 +124,7 @@ def estimate_completeness(
     protocol a block of whole runs at a time, with the outcomes of their
     single runs; the last run is cut off after the requested trial count.
     """
-    if protocol != "sequence" and protocol not in ROT_EXECUTORS:
+    if not isinstance(protocol, str) or protocol not in (*ROT_EXECUTORS, "sequence"):
         raise ValidationError(f"unknown protocol id {protocol!r}")
     trials, seed = as_integer("trials", trials), as_integer("seed", seed)
     if trials < MIN_COMPLETENESS_TRIALS:

@@ -18,8 +18,9 @@ The five flows:
 * ``run_sequence``       - Bob ships a batch of two-qubit states, Alice
   spot-checks a square-root-sized sample and decodes one bit per remaining
   state; Bob declares per state which bit counts.
-* ``run_coinflip_reduction`` - wraps any of the above into a coin flip with
-  a consistency check on Alice's claimed output.
+* ``run_coinflip_reduction`` - wraps any of the above into a coin flip:
+  Bob checks Alice's claimed output, and :func:`coin_flip_results`, the
+  rule the coin-flip cheating strategies read too, decides the result.
 
 Each flow is written once, as a block form over an array of trial seeds:
 the three single-transfer forms in ``ROT_EXECUTORS``, and
@@ -648,12 +649,6 @@ def run_sequence(cfg: SequenceConfig, seed: int) -> tuple[Transcript, list[RotOu
     return transcript, [_outcome(block.outcomes, (row, 0)) for row in range(len(untested))]
 
 
-def _run_sequence_single(seed: int) -> tuple[Transcript, RotOutcome]:
-    # Coin-flip adapter: smallest valid batch, first surviving outcome.
-    transcript, outcomes = run_sequence(SequenceConfig(MIN_SEQUENCE_STATES), seed)
-    return transcript, outcomes[0]
-
-
 # Each single-transfer protocol's run and the block form of its outcomes,
 # which the Monte-Carlo harness evaluates.  The sequence protocol's block
 # form is play_sequence_block, which also takes the batch size.
@@ -663,41 +658,30 @@ ROT_EXECUTORS = {
     "qutrit": (run_qutrit, _qutrit_block),
 }
 
-# The transfer a coin flip can wrap, per protocol.
-COINFLIP_TRANSFERS = {name: run for name, (run, _) in ROT_EXECUTORS.items()}
-COINFLIP_TRANSFERS["sequence"] = _run_sequence_single
+
+def coin_flip_results(assert_bit, accepted, b) -> np.ndarray:
+    """The coin flip's rule, on arrays or single values: each flip's index
+    into ``CoinResult``, ABORT where Bob rejected Alice's reveal, else HEADS
+    where her assert bit a equals his coin bit b, else TAILS."""
+    return np.where(accepted, assert_bit != b, 2)
 
 
 def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome]:
-    """Coin flip built on one transfer: HEADS when Alice's assert bit matches
-    Bob's announced bit, with Bob checking the claimed output first.
-
-    A claimed receipt must match Bob's data bit, and a claimed NULL must come
-    with no bit at all; anything else aborts.
-    """
-    try:
-        run = COINFLIP_TRANSFERS[rot]
-    except KeyError:
-        raise ValidationError(f"unknown protocol id {rot!r}") from None
-    transcript, outcome = run(seed)
+    """Coin flip built on one transfer: Bob accepts Alice's reveal of a
+    NULL, which ``RotOutcome`` lets carry no bit, or of a receipt of his
+    data bit, and :func:`coin_flip_results` decides.  The sequence transfer
+    is the first untested slot of a ``MIN_SEQUENCE_STATES`` batch."""
+    if not isinstance(rot, str) or rot not in (*ROT_EXECUTORS, "sequence"):
+        raise ValidationError(f"unknown protocol id {rot!r}")
+    if rot == "sequence":
+        transcript, (outcome, *_) = run_sequence(SequenceConfig(MIN_SEQUENCE_STATES), seed)
+    else:
+        transcript, outcome = ROT_EXECUTORS[rot][0](seed)
     a = outcome.assert_bit
     (aux,) = block_streams(seed_array(seed), ((BOB_AUX, 4),))
     b = int(aux.draw_bits(1)[0, 0])
     transcript.record("B", "coin_bit", {"b": b})
     transcript.record("A", "reveal", {"assert_bit": a, "g": outcome.g_hat})
-
-    if outcome.aborted:
-        aborted = True
-    elif a == 0:
-        aborted = outcome.g_hat != outcome.bob_bit
-    else:
-        aborted = outcome.g_hat is not None
-    transcript.record("B", "verdict", {"accept": not aborted})
-
-    if aborted:
-        result = CoinResult.ABORT
-    elif a == b:
-        result = CoinResult.HEADS
-    else:
-        result = CoinResult.TAILS
-    return transcript, CoinOutcome(result, a, b)
+    accepted = not outcome.aborted and (a == 1 or outcome.g_hat == outcome.bob_bit)
+    transcript.record("B", "verdict", {"accept": accepted})
+    return transcript, CoinOutcome(list(CoinResult)[coin_flip_results(a, accepted, b)], a, b)

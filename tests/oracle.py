@@ -30,11 +30,13 @@ rule holds this.  Every protocol fact derived from them is derived here
 again: Bob's permuted bit pair (:func:`ot_pair`), Alice's Z and X
 measurements from the Pauli matrices, lifted to two qubits by ``np.kron``,
 her qutrit checks from her probes, her untested-slot decode
-(:func:`sequence_decode`) and the payload a state is sent as
-(:func:`state_payload`).  It also writes its own trial-seed mixer,
-:func:`splitmix64` on Python ints, and its own default cheating probe,
-:data:`BALANCED_TRIPLE`: from ``rotlab.adversary`` it takes only
-``AmplitudeTriple``, the type a triple is checked and passed in.
+(:func:`sequence_decode`), the payload a state is sent as
+(:func:`state_payload`) and the coin flip's rule (:func:`coin_result`),
+which its scalar coin flip and both coin-flip runners read.  It also
+writes its own trial-seed mixer, :func:`splitmix64` on Python ints, and
+its own default cheating probe, :data:`BALANCED_TRIPLE`: from
+``rotlab.adversary`` it takes only ``AmplitudeTriple``, the type a triple
+is checked and passed in.
 """
 
 import itertools
@@ -54,7 +56,15 @@ from rotlab.linalg import (
     ValidationError,
     projective_measurement,
 )
-from rotlab.protocols import QUTRIT_PROBES, SEQUENCE_STATES, RotOutcome, SequenceConfig, Transcript
+from rotlab.protocols import (
+    QUTRIT_PROBES,
+    SEQUENCE_STATES,
+    CoinOutcome,
+    CoinResult,
+    RotOutcome,
+    SequenceConfig,
+    Transcript,
+)
 from rotlab.rng import ALICE, BOB, BOB_AUX
 
 _MASK64 = (1 << 64) - 1
@@ -508,6 +518,37 @@ def coin_bit(seed: int) -> int:
     return draw_bit(party_stream(seed, BOB_AUX))
 
 
+def coin_result(a: int, accepted: bool, b: int) -> CoinResult:
+    """The coin flip's result: ABORT where Bob rejects Alice's reveal, else
+    HEADS where her assert bit a equals his coin bit b, else TAILS."""
+    if not accepted:
+        return CoinResult.ABORT
+    return CoinResult.HEADS if a == b else CoinResult.TAILS
+
+
+def run_coinflip(rot: str, seed: int) -> tuple[Transcript, CoinOutcome]:
+    """The coin flip built on one transfer, the sequence transfer being the
+    first outcome of a run at the smallest batch, 4 states.  Bob announces
+    his coin bit, Alice reveals her assert bit and claimed bit, and Bob
+    accepts a NULL with no bit or a receipt of his data bit."""
+    if rot == "sequence":
+        transcript, outcomes = run_sequence(SequenceConfig(4), seed)
+        outcome = outcomes[0]
+    else:
+        transcript, outcome = ROT_RUNS[rot](seed)
+    a, b = outcome.assert_bit, coin_bit(seed)
+    transcript.record("B", "coin_bit", {"b": b})
+    transcript.record("A", "reveal", {"assert_bit": a, "g": outcome.g_hat})
+    if outcome.aborted:
+        accepted = False
+    elif a == 1:
+        accepted = outcome.g_hat is None
+    else:
+        accepted = outcome.g_hat == outcome.bob_bit
+    transcript.record("B", "verdict", {"accept": accepted})
+    return transcript, CoinOutcome(coin_result(a, accepted, b), a, b)
+
+
 # --------------------------------------------------------------------------
 # The checked density path: trace norms and Helstrom discrimination
 # --------------------------------------------------------------------------
@@ -702,13 +743,14 @@ def _alice_sequence_runner(params: dict):
 
 
 def _alice_coinflip_runner(params: dict):
-    # Alice wants HEADS.  She defers her measurement; on b = 1 she claims
-    # NULL (always accepted), on b = 0 she must pass Bob's check, which
-    # succeeds exactly when her measurement recovers his data bit.
+    # Alice wants HEADS, so she reveals a = b.  She defers her measurement:
+    # Bob accepts her NULL on b = 1 always, and her claimed receipt on b = 0
+    # exactly when her measurement recovers his data bit.
     recovers_bit = _alice_qutrit_runner(params)
 
     def run(seed: int) -> bool:
-        return draw_bit(party_stream(seed, BOB_AUX)) == 1 or recovers_bit(seed)
+        b = coin_bit(seed)
+        return coin_result(b, b == 1 or recovers_bit(seed), b) is CoinResult.HEADS
 
     return run
 
@@ -716,8 +758,8 @@ def _alice_coinflip_runner(params: dict):
 def _bob_qutrit_runner(params: dict):
     # Bob guesses Alice's choice bit a from his half of her probe and aligns
     # the permutation with his guess.  Honest Alice asserts receipt exactly
-    # when a == p, so he calls her assert bit, and in the coin flip he
-    # announces b = 0 and lands HEADS, exactly when his guess is right.
+    # when a == p, so he calls her assert bit exactly when his guess is
+    # right.
     lifted = lift_to_bob(bob_qutrit_measurement())
 
     def run(seed: int) -> bool:
@@ -731,13 +773,25 @@ def _bob_qutrit_runner(params: dict):
     return run
 
 
+def _bob_coinflip_runner(params: dict):
+    # Bob plays his qutrit attack, so honest Alice's assert bit is 0 exactly
+    # where he calls it right; he announces b = 0 and accepts any reveal.
+    calls_assert_bit = _bob_qutrit_runner(params)
+
+    def run(seed: int) -> bool:
+        a = 0 if calls_assert_bit(seed) else 1
+        return coin_result(a, True, 0) is CoinResult.HEADS
+
+    return run
+
+
 # (party, protocol) -> runner factory, one per library strategy.
 RUNNERS = {
     ("alice", "qutrit"): _alice_qutrit_runner,
     ("bob", "qutrit"): _bob_qutrit_runner,
     ("alice", "sequence"): _alice_sequence_runner,
     ("alice", "coinflip"): _alice_coinflip_runner,
-    ("bob", "coinflip"): _bob_qutrit_runner,
+    ("bob", "coinflip"): _bob_coinflip_runner,
 }
 
 

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from rotlab import adversary, cli, montecarlo
+from rotlab import adversary, cli, montecarlo, protocols
 from rotlab.adversary import (
     AmplitudeTriple,
     CheatStrategy,
@@ -21,7 +21,8 @@ from rotlab.adversary import (
     bob_qutrit_cheat_prob,
     optimize_alice_qutrit,
 )
-from rotlab.protocols import SequenceConfig, play_sequence_block
+from rotlab.linalg import ValidationError
+from rotlab.protocols import SequenceConfig, play_sequence_block, run_coinflip_reduction
 from rotlab.security import advantage, balance, check_kitaev_product, coin_forcing_probs, kitaev_min_advantage
 
 from conftest import closed_form_objective, random_triple
@@ -111,19 +112,30 @@ def test_criterion_5_lower_bound_and_headline_interval(capsys, monkeypatch):
         report(f"criterion 5: bound {bound:.12f}; interval [{lo:.4f}, {hi:.4f}]; drift exits 2")
 
 
-def test_criterion_6_coin_forcing_values_and_simulation(capsys):
+def _coin_forcing_probs():
     profile = advantage(alice_qutrit_cheat_prob(AmplitudeTriple.balanced()), bob_qutrit_cheat_prob())
-    p_a0, p_b0 = coin_forcing_probs(profile)
-    assert abs(p_a0 - 0.926777) < 1e-6
-    assert abs(p_b0 - 0.75) < 1e-6
-    assert check_kitaev_product(p_a0, p_b0)
+    return coin_forcing_probs(profile)
 
+
+def _criterion_6_gates():
+    # The two coin-flip gates of criterion 6, at their seeds and trial counts.
+    p_a0, p_b0 = _coin_forcing_probs()
     alice_report = montecarlo.estimate_cheat(
         CheatStrategy("alice", "coinflip"), 100_000, seed=1009, target=p_a0
     )
     bob_report = montecarlo.estimate_cheat(
         CheatStrategy("bob", "coinflip"), 100_000, seed=1013, target=p_b0
     )
+    return alice_report, bob_report
+
+
+def test_criterion_6_coin_forcing_values_and_simulation(capsys):
+    p_a0, p_b0 = _coin_forcing_probs()
+    assert abs(p_a0 - 0.926777) < 1e-6
+    assert abs(p_b0 - 0.75) < 1e-6
+    assert check_kitaev_product(p_a0, p_b0)
+
+    alice_report, bob_report = _criterion_6_gates()
     assert abs(alice_report.z_score) < 3.0, alice_report
     assert abs(bob_report.z_score) < 3.0, bob_report
     with capsys.disabled():
@@ -131,6 +143,29 @@ def test_criterion_6_coin_forcing_values_and_simulation(capsys):
             f"criterion 6: forcing ({p_a0:.6f}, {p_b0:.6f}); product ok; "
             f"simulated z=({alice_report.z_score:.2f}, {bob_report.z_score:.2f}) at 1e5 trials"
         )
+
+
+def test_criterion_6_catches_heads_where_a_differs_from_b(monkeypatch):
+    # A planted defect of the coin-flip rule, HEADS exactly where Alice's
+    # assert bit differs from Bob's coin bit, read by every module that
+    # reads the rule: both gates fail at their own seeds, and the scalar
+    # coin flip fails CoinOutcome's own check.  Unpatched, all of it passes.
+    def heads_where_a_differs(assert_bit, accepted, b):
+        return np.where(accepted, assert_bit == b, 2)
+
+    for planted in (False, True):
+        with monkeypatch.context() as patch:
+            if planted:
+                for module in (protocols, adversary):
+                    patch.setattr(module, "coin_flip_results", heads_where_a_differs)
+            gates = _criterion_6_gates()
+            assert [abs(report.z_score) >= 3.0 for report in gates] == [planted, planted], gates
+            for rot in ("bad_classical", "bad_qubit", "qutrit", "sequence"):
+                if planted:
+                    with pytest.raises(ValidationError, match="HEADS exactly when"):
+                        run_coinflip_reduction(rot, 11)
+                else:
+                    run_coinflip_reduction(rot, 11)
 
 
 @pytest.mark.parametrize(

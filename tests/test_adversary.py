@@ -319,8 +319,10 @@ def test_bob_discrimination_sanity_hook():
 def test_alice_sequence_cheat_prob_both_variants():
     assert abs(alice_sequence_cheat_prob() - BEST) < 1e-12
     assert abs(alice_sequence_cheat_prob(declared_bit=1) - BEST) < 1e-12
-    with pytest.raises(ValidationError):
-        alice_sequence_cheat_prob(declared_bit=2)
+    assert alice_sequence_cheat_prob(np.int64(1)) == alice_sequence_cheat_prob(1)
+    for bad in (2, 1.0, "1", None, True):
+        with pytest.raises(ValidationError):
+            alice_sequence_cheat_prob(declared_bit=bad)
 
 
 def test_sequence_degenerate_single_state_mixtures():

@@ -100,7 +100,15 @@ def _adversary_private_uses(tree: ast.Module) -> list[str]:
 
 # What the reference flows may take from rotlab.protocols: the protocol's
 # definitions and the types its results come in.
-ORACLE_PROTOCOL_NAMES = {"QUTRIT_PROBES", "SEQUENCE_STATES", "RotOutcome", "SequenceConfig", "Transcript"}
+ORACLE_PROTOCOL_NAMES = {
+    "QUTRIT_PROBES",
+    "SEQUENCE_STATES",
+    "CoinOutcome",
+    "CoinResult",
+    "RotOutcome",
+    "SequenceConfig",
+    "Transcript",
+}
 
 
 def _derived_uses(tree: ast.Module) -> list[str]:

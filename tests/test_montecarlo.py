@@ -92,8 +92,9 @@ def test_estimate_cheat_deterministic():
 def test_estimate_completeness_contracts():
     with pytest.raises(ValidationError):
         estimate_completeness("qutrit", 999, seed=1)
-    with pytest.raises(ValidationError):
-        estimate_completeness("unknown", 2000, seed=1)
+    for protocol in ("unknown", ["qutrit"]):
+        with pytest.raises(ValidationError):
+            estimate_completeness(protocol, 2000, seed=1)
 
 
 @pytest.mark.parametrize("protocol", ["bad_classical", "bad_qubit", "qutrit", "sequence"])
@@ -313,6 +314,15 @@ def test_block_outcomes_match_scalar_runs_trial_by_trial():
                 want = [oracle.execute_cheat(strategy, seed) for seed in seeds.tolist()]
                 assert cheat_block(strategy)(seeds).tolist() == want, (strategy, master)
                 assert [execute_cheat(strategy, seed) for seed in seeds.tolist()] == want, (strategy, master)
+
+
+def test_bob_coinflip_lands_heads_exactly_where_his_qutrit_call_is_right():
+    # Two blocks, one identity: bob/coinflip runs the coin-flip rule on
+    # bob/qutrit's guesses, so the two agree trial by trial.
+    coinflip, qutrit = (cheat_block(CheatStrategy("bob", protocol)) for protocol in ("coinflip", "qutrit"))
+    for master in MASTERS:
+        seeds = trial_seeds(master, 0, 20_000)
+        assert np.array_equal(coinflip(seeds), qutrit(seeds)), master
 
 
 def test_block_runs_straddling_chunks_match_scalar_counts(monkeypatch):

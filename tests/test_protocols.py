@@ -438,8 +438,9 @@ def test_coinflip_honest_completeness_sample():
 
 
 def test_coinflip_unknown_protocol():
-    with pytest.raises(ValidationError):
-        run_coinflip_reduction("nonsense", 1)
+    for rot in ("nonsense", ["qutrit"]):
+        with pytest.raises(ValidationError):
+            run_coinflip_reduction(rot, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -501,11 +502,11 @@ def test_runs_match_oracle_runs_trial_by_trial():
             got, want = run_sequence(cfg, seed), oracle.run_sequence(cfg, seed)
             assert got == want, (n_states, seed)
             assert got[0].to_jsonl() == want[0].to_jsonl(), (n_states, seed)
-    # The coin flip's transcript opens with its transfer's, rendered alike.
-    for seed in RUN_SEEDS[:40]:
-        transcript, _ = run_coinflip_reduction("qutrit", seed)
-        assert transcript.messages[3].payload == {"b": oracle.coin_bit(seed)}
-        assert transcript.to_jsonl().startswith(oracle.run_qutrit(seed)[0].to_jsonl()), seed
+    for rot in ("bad_classical", "bad_qubit", "qutrit", "sequence"):
+        for seed in RUN_SEEDS[:40]:
+            got, want = run_coinflip_reduction(rot, seed), oracle.run_coinflip(rot, seed)
+            assert got == want, (rot, seed)
+            assert got[0].to_jsonl() == want[0].to_jsonl(), (rot, seed)
 
 
 def test_born_tables_equal_one_state_references():
