@@ -8,12 +8,15 @@ and its strategy read one definition.  Each operator is 0.5 rho_0 -
 0.5 rho_1 of two equal-weight mixtures: of the states a protocol sends,
 split by one bit of the pair (:func:`_bit_operator`, on
 ``protocols.pair_bit``), or of the two qutrits Bob can receive.  Cheating
-Alice's qutrit objective has one operator builder: Bob's phase encoding
+Alice's qutrit objective has one block builder: Bob's phase encoding
 makes each of its operators one of two fixed sign patterns, the bit
 operators of ``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the
 probe's outer product v v^T, for one triple or a stack of them alike.
-Those operators serve single triples, the optimizer's grid and the
-strategy, and all the trace norms of many triples come from one
+Each pattern couples two levels and is 0 on the third, so a value takes
+the trace norm of each operator's 2 x 2 block on its coupled levels, and
+the strategy measures those blocks written into 3 x 3 zeros.  The blocks
+serve single triples, the optimizer's grid and the strategy, and all the
+trace norms of many triples come from one
 :func:`~rotlab.linalg.trace_norms` call; their reference, the
 density-matrix path one triple at a time, is in ``tests/oracle.py``.  One
 Helstrom formula, :func:`_helstrom_value`, and one mean over the
@@ -163,12 +166,35 @@ _SIGN_PATTERNS = np.stack([_bit_operator(QUTRIT_ENCODING_SIGNS, p) for p in (0, 
 _SIGN_PATTERNS.setflags(write=False)
 
 
+# Each pattern couples two levels, (0, 2) for p = 0 and (1, 2) for p = 1,
+# and is 0 on the third, so an operator's trace norm is its 2 x 2 block's on
+# those levels.  _BLOCKS indexes the blocks of a (..., 2, 3, 3) stack.
+_SUPPORT = np.array([np.flatnonzero(pattern.any(axis=0)) for pattern in _SIGN_PATTERNS])
+_SUPPORT.setflags(write=False)
+_PATTERN_INDEX = np.arange(2)[:, None, None]
+_PATTERN_INDEX.setflags(write=False)
+_BLOCKS = (_PATTERN_INDEX, _SUPPORT[:, :, None], _SUPPORT[:, None, :])
+_BLOCK_PATTERNS = _SIGN_PATTERNS[_BLOCKS]
+_BLOCK_PATTERNS.setflags(write=False)
+
+
+def _qutrit_cheat_blocks(vectors: np.ndarray) -> np.ndarray:
+    """The (..., 2, 2, 2) blocks on the coupled levels of the operators
+    0.5 rho_0 - 0.5 rho_1 of a (..., 3) stack of amplitudes, per value p,
+    rho_b mixing equally the encodings with x_p = b.  Each entry is 0 or
+    +-fl(v_i v_j), exactly the density path's, so the blocks are real and
+    exactly symmetric."""
+    coupled = vectors.take(_SUPPORT, axis=-1)
+    return _BLOCK_PATTERNS * (coupled[..., :, None] * coupled[..., None, :])
+
+
 def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
-    """The (..., 2, 3, 3) operators 0.5 rho_0 - 0.5 rho_1 of a (..., 3) stack
-    of amplitudes, per value p, rho_b mixing equally the encodings with
-    x_p = b.  Each entry is 0 or +-fl(v_i v_j), exactly the density path's,
-    so the operators are real and exactly symmetric."""
-    return _SIGN_PATTERNS * (vectors[..., None, :, None] * vectors[..., None, None, :])
+    """The (..., 2, 3, 3) operators whose blocks :func:`_qutrit_cheat_blocks`
+    gives: those blocks written into zeros."""
+    blocks = _qutrit_cheat_blocks(vectors)
+    operators = np.zeros(blocks.shape[:-2] + (3, 3))
+    operators[(..., *_BLOCKS)] = blocks
+    return operators
 
 
 def _qutrit_mean(norm0, norm1):
@@ -180,8 +206,8 @@ def _qutrit_mean(norm0, norm1):
 
 def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
     """:func:`alice_qutrit_cheat_prob` of each row of an (m, 3) array, from
-    all 2m trace norms of one eigensolve."""
-    norms = trace_norms(_qutrit_cheat_operators(vectors))
+    all 2m trace norms of one eigensolve on the blocks."""
+    norms = trace_norms(_qutrit_cheat_blocks(vectors))
     return _qutrit_mean(norms[:, 0], norms[:, 1])
 
 
@@ -191,13 +217,15 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
 
     The Helstrom value of the two bit mixtures, from their trace-norm
     distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
-    cross-check.  The triple's two operators come from the builder the
-    optimizer's grid uses, and its value from the same Helstrom formula
-    and mean, finished on Python floats after its one ``trace_norms``
-    call, so it equals the triple's row of a stacked evaluation bit for bit.
+    cross-check.  Each operator is 0 off the two levels its sign pattern
+    couples, so its trace norm is that of its 2 x 2 block on them.  The
+    triple's two blocks come from the builder the optimizer's grid uses,
+    and its value from the same Helstrom formula and mean, finished on
+    Python floats after its one ``trace_norms`` call, so it equals the
+    triple's row of a stacked evaluation bit for bit.
     """
     triple = AmplitudeTriple.coerce(triple)
-    norms = trace_norms(_qutrit_cheat_operators(np.array(triple.as_tuple(), dtype=float)))
+    norms = trace_norms(_qutrit_cheat_blocks(np.array(triple.as_tuple(), dtype=float)))
     return _qutrit_mean(*norms.tolist())
 
 
@@ -221,6 +249,8 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
     each time, until its step drops below ``tolerance``.  The value
     returned is :func:`alice_qutrit_cheat_prob` at the final triple.
     """
+    if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
+        raise ValidationError(f"tolerance must be a real number, not {type(tolerance).__name__}")
     if not (0.0 < tolerance <= 1e-3):
         raise ValidationError(f"tolerance must lie in (0, 1e-3], got {tolerance}")
     # The objective is 1/2 + g(theta) h(phi) / 2 with g = sin(theta) cos(theta)
@@ -231,12 +261,15 @@ def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
     # maximum.
     half_pi = math.pi / 2.0
     lo, hi = np.zeros(2), np.full(2, half_pi)
+    index = np.arange(GRID_POINTS, dtype=float)
     while True:
+        # Both axes at once, as np.linspace(lo, hi, GRID_POINTS) builds each.
         step = (hi - lo) / (GRID_POINTS - 1)
-        thetas = np.linspace(lo[0], hi[0], GRID_POINTS)
-        phis = np.linspace(lo[1], hi[1], GRID_POINTS)
+        axes = lo[:, None] + index * step[:, None]
+        axes[:, -1] = hi
+        thetas, phis = axes
         values = _qutrit_cheat_grid(thetas, phis)
-        i, j = np.unravel_index(int(np.argmax(values)), values.shape)
+        i, j = divmod(int(values.argmax()), GRID_POINTS)
         best = np.array([thetas[i], phis[j]])
         if step.max() < tolerance:
             break

@@ -173,6 +173,8 @@ def _load_strategy(path: str) -> adversary.CheatStrategy:
             raw = json.load(handle)
     except OSError as exc:
         raise ValidationError(f"cannot read strategy file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"strategy file is not valid UTF-8: {exc.reason} at position {exc.start}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"strategy file is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):

@@ -94,24 +94,59 @@ def test_cheat_prob_equals_the_density_path_exactly(rng):
         assert type(value) is float and value == row, triple
 
 
-def test_operators_equal_the_density_path_exactly(rng, monkeypatch):
-    # Each operator goes to trace_norms unchecked: it must be the density
-    # path's 0.5 rho_0 - 0.5 rho_1, real, and exactly symmetric.
+def _objective_vectors(rng, monkeypatch) -> np.ndarray:
+    # 2000 random triples, the unit and balanced triples, and the vectors of
+    # the first grid of every cold search.
     vectors = [random_triple(rng) for _ in range(2000)]
     vectors += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), AmplitudeTriple.balanced().as_tuple()]
     grids = []
     values = adversary._qutrit_cheat_values
     monkeypatch.setattr(adversary, "_qutrit_cheat_values", lambda v: grids.append(v) or values(v))
     angles = np.linspace(0.0, math.pi / 2.0, adversary.GRID_POINTS)
-    adversary._qutrit_cheat_grid(angles, angles)  # the first grid of every cold search
+    adversary._qutrit_cheat_grid(angles, angles)
     vectors = np.concatenate([np.array(vectors), *grids])
     assert len(vectors) == 2004 + adversary.GRID_POINTS**2
+    return vectors
+
+
+def _coupled_levels() -> np.ndarray:
+    # True on the 2 x 2 block of the levels each pattern couples, per p.
+    levels = [np.isin(np.arange(3), support) for support in adversary._SUPPORT]
+    return np.array([rows[:, None] & rows[None, :] for rows in levels])
+
+
+def _on_coupled_levels(operators: np.ndarray) -> np.ndarray:
+    # The (..., 2, 2, 2) blocks of a (..., 2, 3, 3) stack on the coupled levels.
+    return operators[..., _coupled_levels()].reshape(operators.shape[:-3] + (2, 2, 2))
+
+
+def test_operators_equal_the_density_path_exactly(rng, monkeypatch):
+    # Each operator the strategy measures must be the density path's
+    # 0.5 rho_0 - 0.5 rho_1, real, and exactly symmetric.
+    vectors = _objective_vectors(rng, monkeypatch)
     operators = adversary._qutrit_cheat_operators(vectors)
     assert operators.shape == (len(vectors), 2, 3, 3)
     assert np.array_equal(operators, operators.swapaxes(-1, -2))
     for row, ops in zip(vectors, operators):
         reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*row))
         assert np.array_equal(ops, reference.real) and not reference.imag.any(), row
+
+
+def test_blocks_are_the_density_path_on_the_coupled_levels(rng, monkeypatch):
+    # Each block goes to trace_norms unchecked: it must be the density
+    # path's operator on the two levels its pattern couples, real, and
+    # exactly symmetric, and the operator must vanish on every other entry,
+    # so the block's trace norm is the operator's.
+    assert adversary._SUPPORT.tolist() == [[0, 2], [1, 2]]
+    vectors = _objective_vectors(rng, monkeypatch)
+    blocks = adversary._qutrit_cheat_blocks(vectors)
+    assert blocks.shape == (len(vectors), 2, 2, 2)
+    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
+    coupled = _coupled_levels()
+    for row, block in zip(vectors, blocks):
+        reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*row))
+        assert not reference.imag.any() and not reference[~coupled].any(), row
+        assert np.array_equal(block, _on_coupled_levels(reference.real)), row
 
 
 def test_entangled_probes_reach_their_reduced_triple(rng):
@@ -203,11 +238,11 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     counts = Counter()
     eigvalsh = np.linalg.eigvalsh
 
-    matrices = []
+    shapes = []
 
     def counting_eigvalsh(a, *args, **kwargs):
         counts["eigvalsh"] += 1
-        matrices.append(int(np.prod(np.shape(a)[:-2])))
+        shapes.append(np.shape(a))
         return eigvalsh(a, *args, **kwargs)
 
     def counting(name, function):
@@ -223,6 +258,8 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     monkeypatch.setattr(linalg, "projective_measurement", measurement)
     alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
     assert counts == {"eigvalsh": 1}
+    # The blocks on the coupled levels, not the 3 x 3 operators.
+    assert shapes == [(2, 2, 2)]
 
     steps = []
     grid = adversary._qutrit_cheat_grid
@@ -237,16 +274,17 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     for tolerance in (1e-3, 1e-6, 1e-9):
         counts.clear()
         steps.clear()
-        matrices.clear()
+        shapes.clear()
         optimize_alice_qutrit.__wrapped__(tolerance)  # past the cache
         assert steps and steps == [1] * len(steps), tolerance
         # One per narrowing step, and one for the value at the final triple.
         assert counts == {"eigvalsh": len(steps) + 1}, tolerance
-        # Two operators per grid triple, and two for the final value.
-        assert matrices == [2 * adversary.GRID_POINTS**2] * len(steps) + [2], tolerance
+        # Two 2 x 2 blocks per grid triple, and two for the final value.
+        blocks = (adversary.GRID_POINTS**2, 2, 2, 2)
+        assert shapes == [blocks] * len(steps) + [(2, 2, 2)], tolerance
     # A 5x narrower window per step: 13 steps from pi/2 to below 1e-9.
     assert len(steps) == 13
-    assert sum(matrices) == 3148
+    assert sum(math.prod(shape[:-2]) for shape in shapes) == 3148
 
 
 def test_analytic_values_take_one_eigensolve_each(monkeypatch):
@@ -267,6 +305,17 @@ def test_analytic_values_take_one_eigensolve_each(monkeypatch):
     assert shapes == [(3, 3), (4, 4), (4, 4)]
 
 
+def _search_grids(monkeypatch, points: int, tolerance: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    # The (thetas, phis) of each grid of a cold search with `points` per axis.
+    grids = []
+    grid = adversary._qutrit_cheat_grid
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, "GRID_POINTS", points)
+        patch.setattr(adversary, "_qutrit_cheat_grid", lambda t, p: grids.append((t.copy(), p.copy())) or grid(t, p))
+        optimize_alice_qutrit.__wrapped__(tolerance)
+    return grids
+
+
 @pytest.mark.parametrize("points", [adversary.GRID_POINTS, 10, 12])
 def test_optimizer_windows_keep_the_peak(monkeypatch, points):
     # Every grid of a cold search spans pi/4, the peak of both factors of
@@ -275,30 +324,31 @@ def test_optimizer_windows_keep_the_peak(monkeypatch, points):
     # windows rest on the margin alone.  Below a width of about 1e-8 the
     # grid values tie within rounding, so the 1e-9 search is covered by
     # test_optimizer_finds_the_maximum instead.
-    monkeypatch.setattr(adversary, "GRID_POINTS", points)
-    grids = []
-    grid = adversary._qutrit_cheat_grid
-
-    def recording_grid(thetas, phis):
-        grids.append((thetas.copy(), phis.copy()))
-        return grid(thetas, phis)
-
-    monkeypatch.setattr(adversary, "_qutrit_cheat_grid", recording_grid)
     peak = math.pi / 4.0
     for tolerance in (1e-3, 1e-6):
-        grids.clear()
-        optimize_alice_qutrit.__wrapped__(tolerance)
+        grids = _search_grids(monkeypatch, points, tolerance)
         assert grids, tolerance
         for thetas, phis in grids:
             assert thetas[0] <= peak <= thetas[-1], (tolerance, thetas[0], thetas[-1])
             assert phis[0] <= peak <= phis[-1], (tolerance, phis[0], phis[-1])
 
 
+@pytest.mark.parametrize("points", [10, 11, 12])
+def test_optimizer_axes_are_linspace_exactly(monkeypatch, points):
+    # The search builds both axes of a grid in one op; each must equal
+    # np.linspace over its window bit for bit, or the pinned optimum moves.
+    for tolerance in (1e-3, 1e-6, 1e-9):
+        grids = _search_grids(monkeypatch, points, tolerance)
+        assert grids, tolerance
+        for axes in grids:
+            for axis in axes:
+                assert np.array_equal(axis, np.linspace(axis[0], axis[-1], points)), (tolerance, axis)
+
+
 def test_optimizer_tolerance_validation():
-    with pytest.raises(ValidationError):
-        optimize_alice_qutrit(0.0)
-    with pytest.raises(ValidationError):
-        optimize_alice_qutrit(1e-2)
+    for bad in (0.0, 1e-2, math.nan, None, "1e-4", True):
+        with pytest.raises(ValidationError):
+            optimize_alice_qutrit(bad)
 
 
 def test_optimized_value_beats_honest_floor():
@@ -446,8 +496,15 @@ def test_each_strategy_measures_the_operators_its_value_takes_the_trace_norms_of
         with recording(adversary, "_helstrom_weights") as measured:
             adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
         ((operators, _),) = measured
-        d = operators.shape[-1]
-        assert np.array_equal(np.concatenate([ops.reshape(-1, d, d) for ops, _ in normed]), operators), key
+        if key[0] == "alice" and key[1] != "sequence":
+            # Alice's qutrit values take the trace norms of the blocks on the
+            # levels each pattern couples; her operators vanish elsewhere.
+            ((blocks, _),) = normed
+            assert np.array_equal(blocks, _on_coupled_levels(operators)), (key, params)
+            assert not operators[..., ~_coupled_levels()].any(), (key, params)
+        else:
+            d = operators.shape[-1]
+            assert np.array_equal(np.concatenate([ops.reshape(-1, d, d) for ops, _ in normed]), operators), key
         assert values == [float(np.mean(0.5 * (1.0 + norms))) for _, norms in normed], (key, params)
 
 

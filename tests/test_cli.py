@@ -257,6 +257,15 @@ def test_cheat_missing_file(capsys, tmp_path):
     assert "cannot read" in err
 
 
+def test_cheat_rejects_a_strategy_file_that_is_not_utf8(capsys, tmp_path):
+    path = tmp_path / "strategy.json"
+    path.write_bytes(b"\xff\xfe")
+    code, out, err = run_cli(capsys, "cheat", "--strategy", str(path))
+    assert code == 1
+    assert out == ""
+    assert err == "error: strategy file is not valid UTF-8: invalid start byte at position 0\n"
+
+
 def test_unknown_verb_exits_one(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["nonsense"])
