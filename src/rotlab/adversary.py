@@ -14,15 +14,16 @@ operators of ``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the
 probe's outer product v v^T, for one triple or a stack of them alike.
 Each pattern couples two levels and is 0 on the third, so a value takes
 the trace norm of each operator's 2 x 2 block on its coupled levels, and
-the strategy measures those blocks written into 3 x 3 zeros.  The blocks
-serve single triples, the optimizer's grid and the strategy, and all the
-trace norms of many triples come from one
-:func:`~rotlab.linalg.trace_norms` call; their reference, the
-density-matrix path one triple at a time, is in ``tests/oracle.py``.  One
-Helstrom formula, :func:`_helstrom_value`, and one mean over the
-permutation value turn trace norms into values, on arrays for a grid and
-on Python floats for a single value, which finishes in floats after its
-one ``trace_norms`` call: both do the same IEEE double arithmetic.
+the strategy measures those blocks written into 3 x 3 zeros.  A value
+takes both trace norms from one :func:`~rotlab.linalg.trace_norms` call
+and finishes on Python floats through one Helstrom formula,
+:func:`_helstrom_value`, and one mean over the permutation value; its
+reference, the density-matrix path, is in ``tests/oracle.py``.  The best
+probe is not searched for but certified: the value depends on the probe
+only through its weights w = v^2, and :func:`optimize_alice_qutrit`
+ascends over them on the full 3 x 3 patterns until a weak-duality bound,
+read off the same eigendecomposition (:func:`_qutrit_certificate`),
+meets the value.
 
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
@@ -49,9 +50,11 @@ from functools import lru_cache
 import numpy as np
 
 from .linalg import (
+    NumericError,
     ValidationError,
     as_integer,
     helstrom_measurement,
+    positive_parts,
     projections,
     sampling_thresholds,
     trace_norms,
@@ -70,8 +73,8 @@ from .protocols import (
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 
-GRID_POINTS = 11
 OPTIMIZER_TOLERANCE = 1e-9  # one value for every caller: one cached optimum
+_ASCENT_STEPS = 1000  # the most steps the certified ascent may take
 
 
 class UnsupportedStrategyError(ValueError):
@@ -107,15 +110,6 @@ class AmplitudeTriple:
         except (TypeError, ValueError):
             raise ValidationError("triple must be a list of three amplitudes") from None
         return cls(alpha, beta, gamma_amp)
-
-    @classmethod
-    def from_angles(cls, theta: float, phi: float) -> "AmplitudeTriple":
-        """Spherical chart of the nonnegative octant, theta/phi in [0, pi/2]."""
-        return cls(
-            alpha=math.sin(theta) * math.cos(phi),
-            beta=math.sin(theta) * math.sin(phi),
-            gamma_amp=math.cos(theta),
-        )
 
     @classmethod
     def balanced(cls) -> "AmplitudeTriple":
@@ -197,20 +191,6 @@ def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
     return operators
 
 
-def _qutrit_mean(norm0, norm1):
-    """:func:`alice_qutrit_cheat_prob` from the trace norms of its operators
-    for p = 0 and p = 1: the mean of their Helstrom values, on arrays or on
-    Python floats."""
-    return 0.5 * (_helstrom_value(norm0) + _helstrom_value(norm1))
-
-
-def _qutrit_cheat_values(vectors: np.ndarray) -> np.ndarray:
-    """:func:`alice_qutrit_cheat_prob` of each row of an (m, 3) array, from
-    all 2m trace norms of one eigensolve on the blocks."""
-    norms = trace_norms(_qutrit_cheat_blocks(vectors))
-    return _qutrit_mean(norms[:, 0], norms[:, 1])
-
-
 def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     """Success probability of the probe-state attack on the qutrit protocol,
     averaged over the uniform permutation value.
@@ -218,64 +198,76 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     The Helstrom value of the two bit mixtures, from their trace-norm
     distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
     cross-check.  Each operator is 0 off the two levels its sign pattern
-    couples, so its trace norm is that of its 2 x 2 block on them.  The
-    triple's two blocks come from the builder the optimizer's grid uses,
-    and its value from the same Helstrom formula and mean, finished on
-    Python floats after its one ``trace_norms`` call, so it equals the
-    triple's row of a stacked evaluation bit for bit.
+    couples, so its trace norm is that of its 2 x 2 block on them; both
+    come from one ``trace_norms`` call, and the value is finished on
+    Python floats.
     """
     triple = AmplitudeTriple.coerce(triple)
-    norms = trace_norms(_qutrit_cheat_blocks(np.array(triple.as_tuple(), dtype=float)))
-    return _qutrit_mean(*norms.tolist())
+    norm0, norm1 = trace_norms(_qutrit_cheat_blocks(np.array(triple.as_tuple(), dtype=float))).tolist()
+    return 0.5 * (_helstrom_value(norm0) + _helstrom_value(norm1))
 
 
-def _qutrit_cheat_grid(thetas: np.ndarray, phis: np.ndarray) -> np.ndarray:
-    """:func:`alice_qutrit_cheat_prob` on a theta x phi grid of
-    :meth:`AmplitudeTriple.from_angles`, in one evaluator call."""
-    sin_t = np.sin(thetas)[:, None]
-    vectors = np.empty((thetas.size, phis.size, 3))
-    vectors[..., 0] = sin_t * np.cos(phis)
-    vectors[..., 1] = sin_t * np.sin(phis)
-    vectors[..., 2] = np.cos(thetas)[:, None]
-    return _qutrit_cheat_values(vectors.reshape(-1, 3)).reshape(thetas.size, phis.size)
+# Bob's encodings are diagonal, so the encoded ensemble, and with it the
+# attack's value, depends only on the probe's weights w = v^2: it is
+# 1/2 + f(w) / 2 with f(w) = avg_p ||D S_p D||_1, D = diag(sqrt w) and S_p
+# the sign pattern of value p.  f is concave on the simplex (the value of
+# an SDP whose feasible set is jointly convex in its variables and W =
+# diag w), and any split S_p = A_p - B_p with A_p, B_p PSD bounds its
+# maximum by max_i avg_p (A_p + B_p)_ii: weak duality.  The split
+# A_p = D^-1 (D S_p D)_+ D^-1 makes that bound max_i g_i, where
+# g_i = avg_p |D S_p D|_ii / w_i is the gradient of f and sum_i w_i g_i = f.
+
+
+def _qutrit_step(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positive parts (D S_p D)_+, shape (2, 3, 3), and the gradient g
+    of f at the weights, both from one stacked eigendecomposition."""
+    root = np.sqrt(weights)
+    operators = _SIGN_PATTERNS * (root[:, None] * root[None, :])
+    positive = positive_parts(operators)
+    absolute = 2.0 * positive - operators
+    return positive, np.diagonal(absolute, axis1=-2, axis2=-1).mean(axis=0) / weights
+
+
+def _qutrit_certificate(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """The split S_p = A_p - B_p at positive weights, A_p = D^-1 (D S_p
+    D)_+ D^-1 and B_p = A_p - S_p, each of shape (2, 3, 3), and the upper
+    bound 1/2 + max_i avg_p (A_p + B_p)_ii / 2 on the attack's value over
+    every probe that it proves."""
+    positive, gradient = _qutrit_step(weights)
+    inverse = 1.0 / np.sqrt(weights)
+    upper = positive * (inverse[:, None] * inverse[None, :])
+    return upper, upper - _SIGN_PATTERNS, _helstrom_value(float(gradient.max()))
 
 
 @lru_cache(maxsize=8)
 def optimize_alice_qutrit(tolerance: float) -> tuple[AmplitudeTriple, float]:
-    """Maximise the probe-state attack over the amplitude octant.
+    """Maximise the probe-state attack over every probe, certified from
+    above.
 
-    A ``GRID_POINTS`` x ``GRID_POINTS`` grid over the two spherical angles
-    narrows to one step either side of its best point, a 5x smaller window
-    each time, until its step drops below ``tolerance``.  The value
-    returned is :func:`alice_qutrit_cheat_prob` at the final triple.
+    From uniform weights, a multiplicative ascent w <- w g / f
+    (Silvey-Titterington-Torsney) climbs f, and each step's
+    eigendecomposition gives both the value 1/2 + f / 2 and the
+    weak-duality bound 1/2 + max_i g_i / 2 of :func:`_qutrit_certificate`.
+    The ascent stops once the bound is within ``tolerance`` of the value,
+    so the optimum is proved, not assumed; it raises
+    :class:`~rotlab.linalg.NumericError` if ``_ASCENT_STEPS`` steps do not
+    get there.  The triple returned is sqrt(w), and the value
+    :func:`alice_qutrit_cheat_prob` at it.
     """
     if isinstance(tolerance, bool) or not isinstance(tolerance, numbers.Real):
         raise ValidationError(f"tolerance must be a real number, not {type(tolerance).__name__}")
     if not (0.0 < tolerance <= 1e-3):
         raise ValidationError(f"tolerance must lie in (0, 1e-3], got {tolerance}")
-    # The objective is 1/2 + g(theta) h(phi) / 2 with g = sin(theta) cos(theta)
-    # and h = cos(phi) + sin(phi): two nonnegative factors, each with one peak
-    # on [0, pi/2].  The grid's argmax is therefore the pair of the per-axis
-    # argmaxes, and the best sample of a one-peaked factor lies within one
-    # step of its peak, so a window one step either side of it keeps the
-    # maximum.
-    half_pi = math.pi / 2.0
-    lo, hi = np.zeros(2), np.full(2, half_pi)
-    index = np.arange(GRID_POINTS, dtype=float)
-    while True:
-        # Both axes at once, as np.linspace(lo, hi, GRID_POINTS) builds each.
-        step = (hi - lo) / (GRID_POINTS - 1)
-        axes = lo[:, None] + index * step[:, None]
-        axes[:, -1] = hi
-        thetas, phis = axes
-        values = _qutrit_cheat_grid(thetas, phis)
-        i, j = divmod(int(values.argmax()), GRID_POINTS)
-        best = np.array([thetas[i], phis[j]])
-        if step.max() < tolerance:
+    weights = np.full(3, 1.0 / 3.0)
+    for _ in range(_ASCENT_STEPS):
+        gradient = _qutrit_step(weights)[1]
+        value = weights @ gradient
+        if 0.5 * (gradient.max() - value) <= tolerance:
             break
-        lo = np.maximum(best - step, 0.0)
-        hi = np.minimum(best + step, half_pi)
-    triple = AmplitudeTriple.from_angles(*best)
+        weights = weights * gradient / value
+    else:
+        raise NumericError(f"the ascent did not certify its optimum within {tolerance} in {_ASCENT_STEPS} steps")
+    triple = AmplitudeTriple(*np.sqrt(weights).tolist())
     return triple, alice_qutrit_cheat_prob(triple)
 
 

@@ -6,8 +6,9 @@ States, mixtures and measurements are plain arrays: a pure state is a
 projective measurement the read-only ``(outcomes, d, d)`` stack of its
 projectors that :func:`projective_measurement` returns once it has checked
 them (square, one shared dimension, finite, complete, pairwise orthogonal).
-Three stacked primitives carry the numerics: :func:`trace_norms` takes the
+Four stacked primitives carry the numerics: :func:`trace_norms` takes the
 trace norms of a stack of operators in one LAPACK ``eigvalsh`` call,
+:func:`positive_parts` their positive parts in one ``eigh`` call,
 :func:`helstrom_measurement` builds the minimum-error (Helstrom)
 measurement of one operator p0 rho0 - p1 rho1, and :func:`projections`
 gives the projected vectors and Born weights of a stack of pure states
@@ -97,10 +98,11 @@ def hermitian_eigenvalues(m: ComplexMatrix) -> np.ndarray:
     return _eigenvalues(data)
 
 
-def _hermitian_eigh(operator: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Ascending eigenvalues and eigenvectors of one matrix, from LAPACK.
+def _hermitian_eigh(operators: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # Ascending eigenvalues and eigenvectors of each matrix of a stack, from
+    # one LAPACK call.
     try:
-        return np.linalg.eigh(operator)
+        return np.linalg.eigh(operators)
     except np.linalg.LinAlgError as exc:
         raise NumericError(f"eigensolver did not converge: {exc}") from exc
 
@@ -115,6 +117,18 @@ def trace_norms(operators: np.ndarray) -> np.ndarray:
     by construction.
     """
     return np.abs(_eigenvalues(operators)).sum(axis=-1)
+
+
+def positive_parts(operators: np.ndarray) -> np.ndarray:
+    """Positive part V max(L, 0) V^dagger of each operator of an
+    ``(..., d, d)`` stack, all from one ``eigh`` call.  An operator's
+    absolute value is 2 H_+ - H, so its trace norm is 2 tr H_+ - tr H.
+
+    Like :func:`trace_norms` it reads only the lower triangles: pass only
+    operators that are Hermitian by construction.
+    """
+    w, v = _hermitian_eigh(operators)
+    return (v * np.maximum(w, 0.0)[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def helstrom_measurement(operator: np.ndarray) -> np.ndarray:

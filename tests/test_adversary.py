@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +9,6 @@ from rotlab.adversary import (
     AmplitudeTriple,
     CheatStrategy,
     UnsupportedStrategyError,
-    _qutrit_cheat_grid,
     alice_qutrit_cheat_prob,
     alice_sequence_cheat_prob,
     bob_qutrit_cheat_prob,
@@ -19,7 +17,7 @@ from rotlab.adversary import (
     execute_cheat,
     optimize_alice_qutrit,
 )
-from rotlab.linalg import ValidationError
+from rotlab.linalg import DERIVED_TOL, NumericError, ValidationError, helstrom_measurement
 from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage, coin_forcing_probs
 
@@ -85,28 +83,19 @@ def test_cheat_prob_equals_the_density_path_exactly(rng):
     triples += [AmplitudeTriple(1.0, 0.0, 0.0), AmplitudeTriple(0.0, 1.0, 0.0), AmplitudeTriple(0.0, 0.0, 1.0)]
     triples += [AmplitudeTriple.balanced()]
     triples += [optimize_alice_qutrit(tolerance)[0] for tolerance in (1e-3, 1e-6, 1e-9)]
-    # A single value, finished on Python floats, is its row of the stacked
-    # evaluation bit for bit.
-    rows = adversary._qutrit_cheat_values(np.array([triple.as_tuple() for triple in triples])).tolist()
-    for triple, row in zip(triples, rows):
+    for triple in triples:
         value = alice_qutrit_cheat_prob(triple)
-        assert value == oracle.alice_qutrit_cheat_prob(triple), triple
-        assert type(value) is float and value == row, triple
+        assert type(value) is float and value == oracle.alice_qutrit_cheat_prob(triple), triple
 
 
-def _objective_vectors(rng, monkeypatch) -> np.ndarray:
-    # 2000 random triples, the unit and balanced triples, and the vectors of
-    # the first grid of every cold search.
+def _objective_vectors(rng) -> np.ndarray:
+    # 2000 random triples, the unit and balanced triples, and an 11 x 11
+    # grid over the spherical chart of the octant, its edges included.
     vectors = [random_triple(rng) for _ in range(2000)]
     vectors += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), AmplitudeTriple.balanced().as_tuple()]
-    grids = []
-    values = adversary._qutrit_cheat_values
-    monkeypatch.setattr(adversary, "_qutrit_cheat_values", lambda v: grids.append(v) or values(v))
-    angles = np.linspace(0.0, math.pi / 2.0, adversary.GRID_POINTS)
-    adversary._qutrit_cheat_grid(angles, angles)
-    vectors = np.concatenate([np.array(vectors), *grids])
-    assert len(vectors) == 2004 + adversary.GRID_POINTS**2
-    return vectors
+    theta, phi = np.meshgrid(*[np.linspace(0.0, math.pi / 2.0, 11)] * 2, indexing="ij")
+    chart = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    return np.concatenate([np.array(vectors), chart.reshape(-1, 3)])
 
 
 def _coupled_levels() -> np.ndarray:
@@ -120,10 +109,10 @@ def _on_coupled_levels(operators: np.ndarray) -> np.ndarray:
     return operators[..., _coupled_levels()].reshape(operators.shape[:-3] + (2, 2, 2))
 
 
-def test_operators_equal_the_density_path_exactly(rng, monkeypatch):
+def test_operators_equal_the_density_path_exactly(rng):
     # Each operator the strategy measures must be the density path's
     # 0.5 rho_0 - 0.5 rho_1, real, and exactly symmetric.
-    vectors = _objective_vectors(rng, monkeypatch)
+    vectors = _objective_vectors(rng)
     operators = adversary._qutrit_cheat_operators(vectors)
     assert operators.shape == (len(vectors), 2, 3, 3)
     assert np.array_equal(operators, operators.swapaxes(-1, -2))
@@ -132,13 +121,13 @@ def test_operators_equal_the_density_path_exactly(rng, monkeypatch):
         assert np.array_equal(ops, reference.real) and not reference.imag.any(), row
 
 
-def test_blocks_are_the_density_path_on_the_coupled_levels(rng, monkeypatch):
+def test_blocks_are_the_density_path_on_the_coupled_levels(rng):
     # Each block goes to trace_norms unchecked: it must be the density
     # path's operator on the two levels its pattern couples, real, and
     # exactly symmetric, and the operator must vanish on every other entry,
     # so the block's trace norm is the operator's.
     assert adversary._SUPPORT.tolist() == [[0, 2], [1, 2]]
-    vectors = _objective_vectors(rng, monkeypatch)
+    vectors = _objective_vectors(rng)
     blocks = adversary._qutrit_cheat_blocks(vectors)
     assert blocks.shape == (len(vectors), 2, 2, 2)
     assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
@@ -175,6 +164,15 @@ def test_cheat_prob_matches_closed_form(rng):
         assert abs(density_path - closed_form_objective(*triple.as_tuple())) < 1e-10
 
 
+def test_cheat_prob_is_the_closed_form_to_the_last_bits(rng):
+    # The eigensolver path against the closed form 1/2 + (alpha + beta)
+    # gamma_amp / 2 on 2000 random triples: not bit for bit, but within an
+    # ulp or so of the value.
+    for _ in range(2000):
+        triple = random_triple(rng)
+        assert abs(alice_qutrit_cheat_prob(triple) - closed_form_objective(*triple)) <= 1e-15, triple
+
+
 def test_cheat_prob_symmetric_in_alpha_beta(rng):
     for _ in range(25):
         alpha, beta, gamma_amp = random_triple(rng)
@@ -194,14 +192,16 @@ def test_optimizer_finds_the_maximum():
 @pytest.mark.parametrize(
     "tolerance, triple",
     [
-        (1e-3, (0.5, 0.4999999999999999, 0.7071067811865476)),
-        (1e-6, (0.5, 0.4999999999999999, 0.7071067811865476)),
-        (1e-9, (0.49999999871320355, 0.49999998584524025, 0.7071067921053765)),
+        (1e-3, (0.5, 0.5, 0.7071067811865476)),
+        (1e-6, (0.5, 0.5, 0.7071067811865476)),
+        (1e-9, (0.5, 0.5, 0.7071067811865476)),
+        (1e-12, (0.5, 0.5, 0.7071067811865476)),
     ],
 )
 def test_optimum_is_pinned_at_full_precision(tolerance, triple):
     # The CLI's pinned JSON keeps 6 decimals; a change to the search or the
-    # evaluator that moves the optimum by one ulp shows here.
+    # evaluator that moves the optimum by one ulp shows here.  One update
+    # from uniform weights lands on w = (1/4, 1/4, 1/2) exactly.
     found, value = optimize_alice_qutrit(tolerance)
     assert value == 0.8535533905932737
     assert found.as_tuple() == triple
@@ -222,69 +222,30 @@ def test_optimizer_dominates_grid_oracle():
     assert value >= oracle.max() - 1e-9
 
 
-def test_grid_matches_pointwise_evaluator():
-    thetas = np.linspace(0.1, 1.4, 7)
-    phis = np.linspace(0.05, 1.5, 7)
-    grid = _qutrit_cheat_grid(thetas, phis)
-    for i, theta in enumerate(thetas):
-        for j, phi in enumerate(phis):
-            triple = AmplitudeTriple.from_angles(theta, phi)
-            assert grid[i, j] == oracle.alice_qutrit_cheat_prob(triple)
-
-
 def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
-    # One stacked eigvalsh per value or per optimizer grid, and no
-    # eigenvectors or measurement built on the way.
-    counts = Counter()
-    eigvalsh = np.linalg.eigvalsh
+    # One stacked eigvalsh per value and one stacked eigh per ascent step,
+    # and no measurement built on the way.
+    calls = []
 
-    shapes = []
-
-    def counting_eigvalsh(a, *args, **kwargs):
-        counts["eigvalsh"] += 1
-        shapes.append(np.shape(a))
-        return eigvalsh(a, *args, **kwargs)
-
-    def counting(name, function):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return function(*args, **kwargs)
+    def recording(name, function):
+        def wrapper(a, *args, **kwargs):
+            calls.append((name, np.shape(a)))
+            return function(a, *args, **kwargs)
 
         return wrapper
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
-    monkeypatch.setattr(np.linalg, "eigh", counting("eigh", np.linalg.eigh))
-    measurement = counting("projective_measurement", linalg.projective_measurement)
-    monkeypatch.setattr(linalg, "projective_measurement", measurement)
+    for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (linalg, "projective_measurement")):
+        monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
-    assert counts == {"eigvalsh": 1}
     # The blocks on the coupled levels, not the 3 x 3 operators.
-    assert shapes == [(2, 2, 2)]
-
-    steps = []
-    grid = adversary._qutrit_cheat_grid
-
-    def counting_grid(thetas, phis):
-        before = counts["eigvalsh"]
-        values = grid(thetas, phis)
-        steps.append(counts["eigvalsh"] - before)
-        return values
-
-    monkeypatch.setattr(adversary, "_qutrit_cheat_grid", counting_grid)
-    for tolerance in (1e-3, 1e-6, 1e-9):
-        counts.clear()
-        steps.clear()
-        shapes.clear()
+    assert calls == [("eigvalsh", (2, 2, 2))]
+    # The ascent takes the full 3 x 3 operators: one update from uniform
+    # weights lands on the optimum, one more step certifies it, and the
+    # value at the final triple takes its blocks.
+    for tolerance in (1e-3, 1e-6, 1e-9, 1e-12):
+        calls.clear()
         optimize_alice_qutrit.__wrapped__(tolerance)  # past the cache
-        assert steps and steps == [1] * len(steps), tolerance
-        # One per narrowing step, and one for the value at the final triple.
-        assert counts == {"eigvalsh": len(steps) + 1}, tolerance
-        # Two 2 x 2 blocks per grid triple, and two for the final value.
-        blocks = (adversary.GRID_POINTS**2, 2, 2, 2)
-        assert shapes == [blocks] * len(steps) + [(2, 2, 2)], tolerance
-    # A 5x narrower window per step: 13 steps from pi/2 to below 1e-9.
-    assert len(steps) == 13
-    assert sum(math.prod(shape[:-2]) for shape in shapes) == 3148
+        assert calls == [("eigh", (2, 3, 3))] * 2 + [("eigvalsh", (2, 2, 2))], tolerance
 
 
 def test_analytic_values_take_one_eigensolve_each(monkeypatch):
@@ -305,44 +266,46 @@ def test_analytic_values_take_one_eigensolve_each(monkeypatch):
     assert shapes == [(3, 3), (4, 4), (4, 4)]
 
 
-def _search_grids(monkeypatch, points: int, tolerance: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    # The (thetas, phis) of each grid of a cold search with `points` per axis.
-    grids = []
-    grid = adversary._qutrit_cheat_grid
-    with monkeypatch.context() as patch:
-        patch.setattr(adversary, "GRID_POINTS", points)
-        patch.setattr(adversary, "_qutrit_cheat_grid", lambda t, p: grids.append((t.copy(), p.copy())) or grid(t, p))
-        optimize_alice_qutrit.__wrapped__(tolerance)
-    return grids
+def test_ascent_certifies_the_optimum():
+    # At its final weights the split S_p = A_p - B_p holds exactly, both
+    # parts are PSD, and the bound it proves meets the value returned.
+    triple, value = optimize_alice_qutrit(1e-12)
+    weights = np.array(triple.as_tuple()) ** 2
+    assert np.max(np.abs(weights - [0.25, 0.25, 0.5])) <= 1e-9
+    upper, lower, bound = adversary._qutrit_certificate(weights)
+    assert np.array_equal(upper - lower, adversary._SIGN_PATTERNS)
+    for part in (*upper, *lower):
+        assert np.array_equal(part, part.T)
+        assert np.linalg.eigvalsh(part).min() >= -DERIVED_TOL
+    # The bound is max_i avg_p (A_p + B_p)_ii, read off the split itself.
+    assert bound == 0.5 + 0.5 * np.diagonal(upper + lower, axis1=-2, axis2=-1).mean(axis=0).max()
+    assert value == BEST and 0.0 <= bound - value <= 1e-12
 
 
-@pytest.mark.parametrize("points", [adversary.GRID_POINTS, 10, 12])
-def test_optimizer_windows_keep_the_peak(monkeypatch, points):
-    # Every grid of a cold search spans pi/4, the peak of both factors of
-    # the objective, so the one-step margin never drops the maximum.  An odd
-    # grid keeps pi/4 at its centre; an even one never samples it, so its
-    # windows rest on the margin alone.  Below a width of about 1e-8 the
-    # grid values tie within rounding, so the 1e-9 search is covered by
-    # test_optimizer_finds_the_maximum instead.
-    peak = math.pi / 4.0
-    for tolerance in (1e-3, 1e-6):
-        grids = _search_grids(monkeypatch, points, tolerance)
-        assert grids, tolerance
-        for thetas, phis in grids:
-            assert thetas[0] <= peak <= thetas[-1], (tolerance, thetas[0], thetas[-1])
-            assert phis[0] <= peak <= phis[-1], (tolerance, phis[0], phis[-1])
+def test_every_certificate_bounds_every_probe(rng):
+    # Weak duality: the split at any weights bounds the value of every probe,
+    # the optimum's included.
+    triples = np.array([random_triple(rng) for _ in range(2000)])
+    closed = closed_form_objective(*triples.T)
+    bounds = [adversary._qutrit_certificate(triple**2)[2] for triple in triples]
+    assert min(bounds) >= max(closed.max(), BEST)
+    optimum = np.array(optimize_alice_qutrit(1e-12)[0].as_tuple())
+    assert adversary._qutrit_certificate(optimum**2)[2] >= closed.max()
 
 
-@pytest.mark.parametrize("points", [10, 11, 12])
-def test_optimizer_axes_are_linspace_exactly(monkeypatch, points):
-    # The search builds both axes of a grid in one op; each must equal
-    # np.linspace over its window bit for bit, or the pinned optimum moves.
-    for tolerance in (1e-3, 1e-6, 1e-9):
-        grids = _search_grids(monkeypatch, points, tolerance)
-        assert grids, tolerance
-        for axes in grids:
-            for axis in axes:
-                assert np.array_equal(axis, np.linspace(axis[0], axis[-1], points)), (tolerance, axis)
+def test_an_ascent_that_never_certifies_raises_within_its_cap(monkeypatch):
+    # A step whose bound stays 1/3 above its value: the search must give up
+    # after _ASCENT_STEPS steps rather than run on.
+    steps = []
+
+    def stuck(weights):
+        steps.append(weights)
+        return None, 1.0 + (np.arange(3) == weights.argmin())
+
+    monkeypatch.setattr(adversary, "_qutrit_step", stuck)
+    with pytest.raises(NumericError, match="did not certify"):
+        optimize_alice_qutrit.__wrapped__(1e-9)
+    assert len(steps) == adversary._ASCENT_STEPS
 
 
 def test_optimizer_tolerance_validation():
@@ -358,6 +321,24 @@ def test_optimized_value_beats_honest_floor():
 
 def test_bob_qutrit_cheat_prob_exact():
     assert abs(bob_qutrit_cheat_prob() - 0.75) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "operator, value",
+    [
+        (adversary._BOB_QUTRIT_OPERATOR, bob_qutrit_cheat_prob),
+        (adversary._SEQUENCE_OPERATORS[0], lambda: alice_sequence_cheat_prob(0)),
+        (adversary._SEQUENCE_OPERATORS[1], lambda: alice_sequence_cheat_prob(1)),
+    ],
+    ids=["bob-qutrit", "alice-sequence-0", "alice-sequence-1"],
+)
+def test_helstrom_measurement_attains_the_trace_norm_value(operator, value):
+    # Guessing b from outcome b of the Helstrom measurement of
+    # 0.5 rho_0 - 0.5 rho_1 succeeds with 1/2 + tr(Pi_0 (0.5 rho_0 -
+    # 0.5 rho_1)), which must be the value the trace norm gives: the
+    # measurement is optimal, not only bounded by it.
+    projectors = helstrom_measurement(operator)
+    assert abs(0.5 + np.trace(projectors[0] @ operator).real - value()) <= 1e-12
 
 
 def test_bob_discrimination_sanity_hook():

@@ -302,16 +302,20 @@ def test_repeated_calls_share_no_state(capsys):
 
 
 def test_cold_headline_runs_the_full_search(capsys, monkeypatch):
-    # Every cold headline solves the same eigenproblems again, so nothing
-    # on the headline path may serve them from a cache.
-    eigvalsh = np.linalg.eigvalsh
+    # Every cold headline solves the same eigenproblems again, the
+    # optimizer's eigh steps among them, so nothing on the headline path
+    # may serve them from a cache.
     solves = []
 
-    def counted(operators):
-        solves.append(math.prod(np.shape(operators)[:-2]))
-        return eigvalsh(operators)
+    def counted(name, solver):
+        def wrapper(operators):
+            solves.append((name, math.prod(np.shape(operators)[:-2])))
+            return solver(operators)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        return wrapper
+
+    for name in ("eigvalsh", "eigh"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     work = []
     for _ in range(2):
         adversary.optimize_alice_qutrit.cache_clear()
@@ -319,4 +323,4 @@ def test_cold_headline_runs_the_full_search(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, "headline", "--output", "json")
         assert code == 0 and out == PINNED_JSON[("headline",)]
         work.append(sorted(solves))
-    assert work[0] == work[1] and sum(work[0]) > 0
+    assert work[0] == work[1] and {name for name, _ in work[0]} == {"eigvalsh", "eigh"}

@@ -14,6 +14,7 @@ from rotlab.linalg import (
     _hermitian_eigh,
     helstrom_measurement,
     hermitian_eigenvalues,
+    positive_parts,
     projections,
     projective_measurement,
     sampling_thresholds,
@@ -324,6 +325,23 @@ def test_eigh_reconstructs_and_is_unitary(rng):
         assert np.all(np.diff(w) >= -1e-15)
 
 
+def test_positive_parts_split_each_operator_into_psd_parts(rng):
+    # H = H_+ - H_-, both PSD and mutually orthogonal, and 2 tr H_+ - tr H
+    # is the trace norm, for every operator of a stack.
+    for dim in (2, 3, 4, 9, 16):
+        stack = np.array([random_hermitian(rng, dim) for _ in range(6)]).reshape(2, 3, dim, dim)
+        positive = positive_parts(stack)
+        assert positive.shape == stack.shape
+        negative = positive - stack
+        for index in np.ndindex(2, 3):
+            for part in (positive[index], negative[index]):
+                assert np.max(np.abs(part - part.conj().T)) < 1e-12, (dim, index)
+                assert np.linalg.eigvalsh(part).min() > -1e-12, (dim, index)
+            assert np.max(np.abs(positive[index] @ negative[index])) < 1e-12, (dim, index)
+            absolute = 2.0 * np.trace(positive[index]).real - np.trace(stack[index]).real
+            assert abs(absolute - trace_norm(stack[index])) < 1e-12, (dim, index)
+
+
 def test_eigensolver_failure_raises_numeric_error(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
@@ -336,6 +354,8 @@ def test_eigensolver_failure_raises_numeric_error(monkeypatch):
         trace_norms(np.eye(2)[None])
     with pytest.raises(NumericError):
         helstrom_measurement(np.diag([0.5, -0.5]))
+    with pytest.raises(NumericError):
+        positive_parts(np.eye(2)[None])
 
 
 def test_trace_norm_signature_matrix():

@@ -205,6 +205,17 @@ def test_headline_table_values():
     assert report.interval == (report.theorem_3_bound, report.theorem_2_gamma)
 
 
+def test_headline_table_meets_its_closed_forms():
+    # Each figure against its closed form, to the last few bits: P_A* of
+    # Lemma 2, the two balanced compositions and the Kitaev-type bound.
+    report = reproduce_headline_table()
+    sqrt2 = math.sqrt(2.0)
+    assert abs(report.lemma_2_profile.p_a_star - (2.0 + sqrt2) / 4.0) <= 1e-12
+    assert abs(report.theorem_1_gamma - 5.0 / 4.0) <= 1e-12
+    assert abs(report.theorem_2_gamma - (48.0 + 2.0 * sqrt2) / 41.0) <= 1e-12
+    assert abs(report.theorem_3_bound - 2.0 * (math.sqrt(7.0) - 1.0) / 3.0) <= 1e-12
+
+
 def test_headline_dict_field_names():
     payload = reproduce_headline_table().to_dict()
     assert set(payload) == {
