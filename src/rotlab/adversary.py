@@ -11,13 +11,14 @@ split by one bit of the pair (:func:`_bit_operator`, on
 Alice's qutrit objective has one block builder: Bob's phase encoding
 makes each of its operators one of two fixed sign patterns, the bit
 operators of ``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the
-probe's outer product v v^T, for one triple or a stack of them alike.
+probe's outer product v v^T, built for one triple on Python floats.
 Each pattern couples two levels and is 0 on the third, so a value takes
 the trace norm of each operator's 2 x 2 block on its coupled levels, and
 the strategy measures those blocks written into 3 x 3 zeros.  A value
-takes both trace norms from one :func:`~rotlab.linalg.trace_norms` call
-and finishes on Python floats through one Helstrom formula,
-:func:`_helstrom_value`, and one mean over the permutation value; its
+takes each trace norm in closed form with
+:func:`~rotlab.linalg.trace_norm_2x2`, with no eigensolve and no array,
+and finishes through one Helstrom formula, :func:`_helstrom_value`, and
+one mean over the permutation value; its
 reference, the density-matrix path, is in ``tests/oracle.py``.  The best
 probe is not searched for but certified: the value depends on the probe
 only through its weights w = v^2, and :func:`optimize_alice_qutrit`
@@ -57,6 +58,7 @@ from .linalg import (
     positive_parts,
     projections,
     sampling_thresholds,
+    trace_norm_2x2,
     trace_norms,
 )
 from .protocols import (
@@ -77,8 +79,9 @@ OPTIMIZER_TOLERANCE = 1e-9  # one value for every caller: one cached optimum
 _ASCENT_STEPS = 1000  # the most steps the certified ascent may take
 
 
-class UnsupportedStrategyError(ValueError):
-    """The (party, protocol) pair has no implemented cheating strategy."""
+class UnsupportedStrategyError(ValidationError):
+    """No implemented cheating strategy: a (party, protocol) pair without
+    one, or a strategy that is not a :class:`CheatStrategy`."""
 
 
 @dataclass(frozen=True)
@@ -136,7 +139,7 @@ def _bit_operator(states: np.ndarray, index: int) -> np.ndarray:
 
 def _helstrom_value(norm):
     """The optimal success (1 + ||p0 rho0 - p1 rho1||_1) / 2 from the trace
-    norm of p0 rho0 - p1 rho1: an array of norms or one Python float."""
+    norm of p0 rho0 - p1 rho1, a Python float."""
     return 0.5 * (1.0 + norm)
 
 
@@ -162,32 +165,39 @@ _SIGN_PATTERNS.setflags(write=False)
 
 # Each pattern couples two levels, (0, 2) for p = 0 and (1, 2) for p = 1,
 # and is 0 on the third, so an operator's trace norm is its 2 x 2 block's on
-# those levels.  _BLOCKS indexes the blocks of a (..., 2, 3, 3) stack.
+# those levels.  _BLOCKS indexes the blocks of a (2, 3, 3) stack, and
+# _BLOCK_TERMS holds each block's pattern entries and coupled levels as
+# Python numbers.
 _SUPPORT = np.array([np.flatnonzero(pattern.any(axis=0)) for pattern in _SIGN_PATTERNS])
 _SUPPORT.setflags(write=False)
 _PATTERN_INDEX = np.arange(2)[:, None, None]
 _PATTERN_INDEX.setflags(write=False)
 _BLOCKS = (_PATTERN_INDEX, _SUPPORT[:, :, None], _SUPPORT[:, None, :])
-_BLOCK_PATTERNS = _SIGN_PATTERNS[_BLOCKS]
-_BLOCK_PATTERNS.setflags(write=False)
+_BLOCK_TERMS = tuple(
+    (tuple(map(tuple, block)), tuple(levels))
+    for block, levels in zip(_SIGN_PATTERNS[_BLOCKS].tolist(), _SUPPORT.tolist())
+)
 
 
-def _qutrit_cheat_blocks(vectors: np.ndarray) -> np.ndarray:
-    """The (..., 2, 2, 2) blocks on the coupled levels of the operators
-    0.5 rho_0 - 0.5 rho_1 of a (..., 3) stack of amplitudes, per value p,
-    rho_b mixing equally the encodings with x_p = b.  Each entry is 0 or
-    +-fl(v_i v_j), exactly the density path's, so the blocks are real and
-    exactly symmetric."""
-    coupled = vectors.take(_SUPPORT, axis=-1)
-    return _BLOCK_PATTERNS * (coupled[..., :, None] * coupled[..., None, :])
+def _qutrit_cheat_blocks(triple) -> list:
+    """The two 2 x 2 blocks, as nested tuples of Python floats, on the
+    coupled levels of the operators 0.5 rho_0 - 0.5 rho_1 of one triple of
+    amplitudes, per value p, rho_b mixing equally the encodings with x_p =
+    b.  Each entry is 0 or +-fl(v_i v_j), exactly the density path's, so
+    the blocks are real and exactly symmetric."""
+    v = list(map(float, triple))
+    blocks = []
+    for ((s00, s01), (s10, s11)), (i, j) in _BLOCK_TERMS:
+        vi, vj = v[i], v[j]
+        blocks.append(((s00 * (vi * vi), s01 * (vi * vj)), (s10 * (vj * vi), s11 * (vj * vj))))
+    return blocks
 
 
-def _qutrit_cheat_operators(vectors: np.ndarray) -> np.ndarray:
-    """The (..., 2, 3, 3) operators whose blocks :func:`_qutrit_cheat_blocks`
+def _qutrit_cheat_operators(triple) -> np.ndarray:
+    """The (2, 3, 3) operators whose blocks :func:`_qutrit_cheat_blocks`
     gives: those blocks written into zeros."""
-    blocks = _qutrit_cheat_blocks(vectors)
-    operators = np.zeros(blocks.shape[:-2] + (3, 3))
-    operators[(..., *_BLOCKS)] = blocks
+    operators = np.zeros((2, 3, 3))
+    operators[_BLOCKS] = _qutrit_cheat_blocks(triple)
     return operators
 
 
@@ -198,13 +208,13 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     The Helstrom value of the two bit mixtures, from their trace-norm
     distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
     cross-check.  Each operator is 0 off the two levels its sign pattern
-    couples, so its trace norm is that of its 2 x 2 block on them; both
-    come from one ``trace_norms`` call, and the value is finished on
-    Python floats.
+    couples, so its trace norm is that of its 2 x 2 block on them, taken
+    in closed form by ``trace_norm_2x2``; the value is built and finished
+    on Python floats, with no eigensolve and no array.
     """
     triple = AmplitudeTriple.coerce(triple)
-    norm0, norm1 = trace_norms(_qutrit_cheat_blocks(np.array(triple.as_tuple(), dtype=float))).tolist()
-    return 0.5 * (_helstrom_value(norm0) + _helstrom_value(norm1))
+    ((a0, _), (b0, d0)), ((a1, _), (b1, d1)) = _qutrit_cheat_blocks(triple.as_tuple())
+    return 0.5 * (_helstrom_value(trace_norm_2x2(a0, b0, d0)) + _helstrom_value(trace_norm_2x2(a1, b1, d1)))
 
 
 # Bob's encodings are diagonal, so the encoded ensemble, and with it the
@@ -488,9 +498,8 @@ def cheat_block(strategy: CheatStrategy):
     holding, trial by trial, what ``execute_cheat`` returns for each seed.
     Its outcome tables are built on first use.
     """
-    key = (strategy.party, strategy.protocol)
-    if key not in _STRATEGIES:
-        raise UnsupportedStrategyError(f"no strategy for party/protocol pair {key!r}")
+    if not isinstance(strategy, CheatStrategy):
+        raise UnsupportedStrategyError(f"strategy must be a CheatStrategy, not {type(strategy).__name__}")
     return _compiled(strategy.cache_key())
 
 

@@ -15,9 +15,12 @@ gives the projected vectors and Born weights of a stack of pure states
 under a measurement.  Every measurement sampled has two outcomes, and
 :func:`sampling_thresholds` turns a table of their weights, once, into the
 uniforms at or above which outcome 1 is drawn: one comparison per draw.
-The stacked primitives check nothing: they take operators that are valid
-by construction.  All values are read-only after construction and all
-operations are pure functions, so they are safe to share between threads.
+One exact primitive, :func:`trace_norm_2x2`, takes the trace norm of a
+single 2 x 2 Hermitian block given as Python numbers in closed form, with
+no LAPACK call.  None of these primitives checks anything: they take
+operators that are valid by construction.  All values are read-only after
+construction and all operations are pure functions, so they are safe to
+share between threads.
 
 :class:`ComplexMatrix` and :func:`hermitian_eigenvalues`, a checked
 operand and the spectrum of one Hermitian matrix, serve callers outside
@@ -31,6 +34,7 @@ orthogonality, outcome weights that are rounding residues of 0).
 
 from __future__ import annotations
 
+import math
 import numbers
 import operator
 from dataclasses import dataclass
@@ -117,6 +121,19 @@ def trace_norms(operators: np.ndarray) -> np.ndarray:
     by construction.
     """
     return np.abs(_eigenvalues(operators)).sum(axis=-1)
+
+
+def trace_norm_2x2(a, b, d) -> float:
+    """Trace norm of the 2 x 2 Hermitian block ((a, conj b), (b, d)) given
+    as Python numbers, a and d real: like :func:`trace_norms` it reads the
+    lower triangle.
+
+    The eigenvalues are (t +- r) / 2 with t = a + d and r = hypot(a - d,
+    2 |b|), so the norm is r where their signs differ (r >= |t|) and |t|
+    where they agree: no iteration and no LAPACK call.  Like
+    :func:`trace_norms` it checks nothing.
+    """
+    return max(abs(a + d), math.hypot(a - d, 2 * abs(b)))
 
 
 def positive_parts(operators: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ the draw is taken again as numpy does.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -171,11 +172,19 @@ def estimate_cheat(
     :func:`~rotlab.adversary.execute_cheat` gives for its seed; a strategy
     with an ``n_states`` parameter plays a sequence run per trial, so its
     blocks hold as many runs as a sequence completeness block.
+
+    ``strategy`` must be a :class:`~rotlab.adversary.CheatStrategy` and
+    ``target``, when given, a real number in [0, 1] but not a bool: the
+    success rate the z-score is taken against.
     """
     trials, seed = as_integer("trials", trials), as_integer("seed", seed)
     trial_offset = as_integer("trial_offset", trial_offset)
     if trials < 1:
         raise ValidationError("need at least one trial")
+    if target is not None:
+        if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0.0 <= target <= 1.0:
+            raise ValidationError(f"target must be a success rate in [0, 1], got {target!r}")
+        target = float(target)
     block = cheat_block(strategy)
     n_states = strategy.parameters.get("n_states")
     size = BLOCK_TRIALS if n_states is None else _runs_per_block(n_states)

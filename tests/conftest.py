@@ -3,11 +3,12 @@
 The oracles here deliberately avoid the library's own code paths: the
 characteristic-polynomial eigensolver checks the LAPACK-backed spectra,
 and the closed-form objective checks the qutrit cheating objective (the
-library's stacked evaluator, which in turn must equal the density path in
+library's evaluator, which in turn must equal the density path in
 ``oracle.py`` exactly).
 """
 
 import contextlib
+import math
 from unittest import mock
 
 import numpy as np
@@ -68,6 +69,17 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_triple(rng: np.random.Generator):
     vec = np.abs(rng.normal(size=3))
     return tuple(vec / np.linalg.norm(vec))
+
+
+def objective_vectors(rng: np.random.Generator) -> np.ndarray:
+    """2000 random triples, the unit and balanced triples, and an 11 x 11
+    grid over the spherical chart of the octant, its edges included: the
+    rows the qutrit objective's exact checks loop over."""
+    vectors = [random_triple(rng) for _ in range(2000)]
+    vectors += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), adversary.AmplitudeTriple.balanced().as_tuple()]
+    theta, phi = np.meshgrid(*[np.linspace(0.0, math.pi / 2.0, 11)] * 2, indexing="ij")
+    chart = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
+    return np.concatenate([np.array(vectors), chart.reshape(-1, 3)])
 
 
 def closed_form_objective(alpha: float, beta: float, gamma_amp: float) -> float:

@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,7 +23,14 @@ from rotlab.montecarlo import estimate_cheat
 from rotlab.security import advantage, coin_forcing_probs
 
 import oracle
-from conftest import assert_thresholds_pin, closed_form_objective, random_triple, recording, strategy_tables
+from conftest import (
+    assert_thresholds_pin,
+    closed_form_objective,
+    objective_vectors,
+    random_triple,
+    recording,
+    strategy_tables,
+)
 
 BEST = (2.0 + math.sqrt(2.0)) / 4.0
 
@@ -68,6 +76,28 @@ def test_triple_coercion_accepts_sequences_numpy_rows_and_fractions(triple):
     assert CheatStrategy("alice", "qutrit", {"triple": triple}).parameters == {"triple": balanced}
 
 
+@pytest.mark.parametrize(
+    "triple, floats",
+    [
+        (tuple(map(np.float64, AmplitudeTriple.balanced().as_tuple())), AmplitudeTriple.balanced().as_tuple()),
+        (AmplitudeTriple(*map(np.float64, (0.6, 0.8, 0.0))), (0.6, 0.8, 0.0)),
+        (np.array([0.36, 0.48, 0.8]), (0.36, 0.48, 0.8)),
+        ((np.float32(0.5), np.float32(0.5), math.sqrt(0.5)), (0.5, 0.5, math.sqrt(0.5))),
+        ((np.float32(0.0), np.float32(0.0), np.float32(1.0)), (0.0, 0.0, 1.0)),
+        ((1, 0, 0), (1.0, 0.0, 0.0)),
+        ((0, 0, 1), (0.0, 0.0, 1.0)),
+        ([0.6, 0.0, 0.8], (0.6, 0.0, 0.8)),
+    ],
+    ids=["float64", "float64-triple", "float64-row", "float32-exact", "float32-unit", "ints", "ints-gamma", "list"],
+)
+def test_cheat_prob_is_the_python_float_of_the_float_triple(triple, floats):
+    # The value converts each amplitude to a Python float first, so numpy
+    # scalars, ints and lists give exactly the float triple's value, as a
+    # Python float.
+    value = alice_qutrit_cheat_prob(triple)
+    assert type(value) is float and value == alice_qutrit_cheat_prob(AmplitudeTriple(*floats))
+
+
 def test_cheat_prob_balanced_probe_hits_best_value():
     assert abs(alice_qutrit_cheat_prob(AmplitudeTriple.balanced()) - BEST) < 1e-12
 
@@ -88,16 +118,6 @@ def test_cheat_prob_equals_the_density_path_exactly(rng):
         assert type(value) is float and value == oracle.alice_qutrit_cheat_prob(triple), triple
 
 
-def _objective_vectors(rng) -> np.ndarray:
-    # 2000 random triples, the unit and balanced triples, and an 11 x 11
-    # grid over the spherical chart of the octant, its edges included.
-    vectors = [random_triple(rng) for _ in range(2000)]
-    vectors += [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0), AmplitudeTriple.balanced().as_tuple()]
-    theta, phi = np.meshgrid(*[np.linspace(0.0, math.pi / 2.0, 11)] * 2, indexing="ij")
-    chart = np.stack([np.sin(theta) * np.cos(phi), np.sin(theta) * np.sin(phi), np.cos(theta)], axis=-1)
-    return np.concatenate([np.array(vectors), chart.reshape(-1, 3)])
-
-
 def _coupled_levels() -> np.ndarray:
     # True on the 2 x 2 block of the levels each pattern couples, per p.
     levels = [np.isin(np.arange(3), support) for support in adversary._SUPPORT]
@@ -112,30 +132,30 @@ def _on_coupled_levels(operators: np.ndarray) -> np.ndarray:
 def test_operators_equal_the_density_path_exactly(rng):
     # Each operator the strategy measures must be the density path's
     # 0.5 rho_0 - 0.5 rho_1, real, and exactly symmetric.
-    vectors = _objective_vectors(rng)
-    operators = adversary._qutrit_cheat_operators(vectors)
-    assert operators.shape == (len(vectors), 2, 3, 3)
-    assert np.array_equal(operators, operators.swapaxes(-1, -2))
-    for row, ops in zip(vectors, operators):
+    for row in objective_vectors(rng):
+        operators = adversary._qutrit_cheat_operators(row)
+        assert operators.shape == (2, 3, 3), row
+        assert np.array_equal(operators, operators.swapaxes(-1, -2)), row
         reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*row))
-        assert np.array_equal(ops, reference.real) and not reference.imag.any(), row
+        assert np.array_equal(operators, reference.real) and not reference.imag.any(), row
 
 
 def test_blocks_are_the_density_path_on_the_coupled_levels(rng):
-    # Each block goes to trace_norms unchecked: it must be the density
+    # Each block goes to trace_norm_2x2 unchecked: it must be the density
     # path's operator on the two levels its pattern couples, real, and
     # exactly symmetric, and the operator must vanish on every other entry,
-    # so the block's trace norm is the operator's.
+    # so the block's trace norm is the operator's.  The blocks are Python
+    # floats, whatever the amplitudes' type.
     assert adversary._SUPPORT.tolist() == [[0, 2], [1, 2]]
-    vectors = _objective_vectors(rng)
-    blocks = adversary._qutrit_cheat_blocks(vectors)
-    assert blocks.shape == (len(vectors), 2, 2, 2)
-    assert np.array_equal(blocks, blocks.swapaxes(-1, -2))
     coupled = _coupled_levels()
-    for row, block in zip(vectors, blocks):
+    for row in objective_vectors(rng):
+        blocks = adversary._qutrit_cheat_blocks(row)
+        assert all(type(entry) is float for block in blocks for line in block for entry in line), row
+        blocks = np.array(blocks)
+        assert blocks.shape == (2, 2, 2) and np.array_equal(blocks, blocks.swapaxes(-1, -2)), row
         reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*row))
         assert not reference.imag.any() and not reference[~coupled].any(), row
-        assert np.array_equal(block, _on_coupled_levels(reference.real)), row
+        assert np.array_equal(blocks, _on_coupled_levels(reference.real)), row
 
 
 def test_entangled_probes_reach_their_reduced_triple(rng):
@@ -174,11 +194,13 @@ def test_cheat_prob_is_the_closed_form_to_the_last_bits(rng):
 
 
 def test_cheat_prob_symmetric_in_alpha_beta(rng):
+    # Swapping alpha and beta swaps the two trace norms, and a sum of two
+    # floats does not depend on their order.
     for _ in range(25):
         alpha, beta, gamma_amp = random_triple(rng)
         value = alice_qutrit_cheat_prob(AmplitudeTriple(alpha, beta, gamma_amp))
         swapped = alice_qutrit_cheat_prob(AmplitudeTriple(beta, alpha, gamma_amp))
-        assert abs(value - swapped) < 1e-12
+        assert value == swapped
 
 
 def test_optimizer_finds_the_maximum():
@@ -223,8 +245,8 @@ def test_optimizer_dominates_grid_oracle():
 
 
 def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
-    # One stacked eigvalsh per value and one stacked eigh per ascent step,
-    # and no measurement built on the way.
+    # No eigensolve per value, one stacked eigh per ascent step, and no
+    # measurement built on the way.
     calls = []
 
     def recording(name, function):
@@ -237,15 +259,24 @@ def test_qutrit_objective_takes_one_eigensolve_per_evaluation(monkeypatch):
     for module, name in ((np.linalg, "eigvalsh"), (np.linalg, "eigh"), (linalg, "projective_measurement")):
         monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
     alice_qutrit_cheat_prob(AmplitudeTriple.balanced())
-    # The blocks on the coupled levels, not the 3 x 3 operators.
-    assert calls == [("eigvalsh", (2, 2, 2))]
+    # The 2 x 2 blocks' trace norms are taken in closed form.
+    assert calls == []
     # The ascent takes the full 3 x 3 operators: one update from uniform
-    # weights lands on the optimum, one more step certifies it, and the
-    # value at the final triple takes its blocks.
+    # weights lands on the optimum, and one more step certifies it.
     for tolerance in (1e-3, 1e-6, 1e-9, 1e-12):
         calls.clear()
         optimize_alice_qutrit.__wrapped__(tolerance)  # past the cache
-        assert calls == [("eigh", (2, 3, 3))] * 2 + [("eigvalsh", (2, 2, 2))], tolerance
+        assert calls == [("eigh", (2, 3, 3))] * 2, tolerance
+
+
+def test_qutrit_value_builds_no_numpy_array(monkeypatch):
+    # A value's blocks and trace norms are Python floats: with numpy out of
+    # reach of adversary and linalg, it still gives the same floats.
+    triples = [AmplitudeTriple.balanced(), (0.6, 0.8, 0.0), (1, 0, 0)]
+    expected = [alice_qutrit_cheat_prob(triple) for triple in triples]
+    for module in (adversary, linalg):
+        monkeypatch.setattr(module, "np", None)
+    assert [alice_qutrit_cheat_prob(triple) for triple in triples] == expected
 
 
 def test_analytic_values_take_one_eigensolve_each(monkeypatch):
@@ -409,6 +440,8 @@ def test_strategy_validation():
             CheatStrategy("alice", "sequence", {"n_states": n_states})
     with pytest.raises(ValidationError, match="n_states must be an integer"):
         CheatStrategy("alice", "sequence", {"n_states": 4.0})
+    with pytest.raises(ValidationError, match="must be a CheatStrategy"):
+        execute_cheat("alice/qutrit", 1)
 
 
 def test_strategy_equality_and_defaults():
@@ -472,21 +505,28 @@ def test_each_strategy_measures_the_operators_its_value_takes_the_trace_norms_of
     triples += [list(optimize_alice_qutrit(tolerance)[0].as_tuple()) for tolerance in (1e-3, 1e-9)]
     triples += [list(random_triple(rng)) for _ in range(10)]
     for key, params in _strategy_cases(triples):
-        with recording(adversary, "trace_norms") as normed:
-            values = _analytic_values(key, params)
         with recording(adversary, "_helstrom_weights") as measured:
             adversary._STRATEGIES[key][1](CheatStrategy(*key, params).parameters)
         ((operators, _),) = measured
         if key[0] == "alice" and key[1] != "sequence":
             # Alice's qutrit values take the trace norms of the blocks on the
-            # levels each pattern couples; her operators vanish elsewhere.
-            ((blocks, _),) = normed
-            assert np.array_equal(blocks, _on_coupled_levels(operators)), (key, params)
+            # levels each pattern couples, one closed-form call per block
+            # on its lower triangle; her operators vanish elsewhere.
+            with mock.patch.object(adversary, "trace_norm_2x2", wraps=linalg.trace_norm_2x2) as normed:
+                values = _analytic_values(key, params)
+            lower = [call.args for call in normed.call_args_list]
+            blocks = _on_coupled_levels(operators)
+            assert lower == [(block[0, 0], block[1, 0], block[1, 1]) for block in blocks], (key, params)
+            assert np.array_equal(blocks, blocks.swapaxes(-1, -2)), (key, params)
             assert not operators[..., ~_coupled_levels()].any(), (key, params)
+            norms = [np.array([linalg.trace_norm_2x2(*args) for args in lower])]
         else:
+            with recording(adversary, "trace_norms") as normed:
+                values = _analytic_values(key, params)
             d = operators.shape[-1]
             assert np.array_equal(np.concatenate([ops.reshape(-1, d, d) for ops, _ in normed]), operators), key
-        assert values == [float(np.mean(0.5 * (1.0 + norms))) for _, norms in normed], (key, params)
+            norms = [norm for _, norm in normed]
+        assert values == [float(np.mean(0.5 * (1.0 + norm))) for norm in norms], (key, params)
 
 
 def test_every_strategy_has_a_block_form():

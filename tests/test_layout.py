@@ -303,21 +303,25 @@ def test_the_optimizer_keeps_the_cache_handles_the_benchmark_uses():
     assert optimizer.cache_info().currsize == 1
 
 
-EIGENSOLVERS = {"eigvalsh", "eigh"}
+def _attribute_finder(names: set[str]):
+    # A finder of each use of ``names``, as an attribute or an imported
+    # name, labelled with the top-level definition that holds it.
+    def find(tree: ast.Module) -> list[str]:
+        found = []
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute) and node.attr in names:
+                    found.append(f"{owner}: {node.attr}")
+                elif isinstance(node, ast.ImportFrom):
+                    found += [f"{owner}: {alias.name}" for alias in node.names if alias.name in names]
+        return found
+
+    return find
 
 
-def _eigensolver_uses(tree: ast.Module) -> list[str]:
-    # Each use of numpy's Hermitian eigensolvers, as an attribute or an
-    # imported name, labelled with the top-level definition that holds it.
-    found = []
-    for top in tree.body:
-        owner = getattr(top, "name", "<module>")
-        for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr in EIGENSOLVERS:
-                found.append(f"{owner}: {node.attr}")
-            elif isinstance(node, ast.ImportFrom):
-                found += [f"{owner}: {alias.name}" for alias in node.names if alias.name in EIGENSOLVERS]
-    return found
+# numpy's Hermitian eigensolvers.
+_eigensolver_uses = _attribute_finder({"eigvalsh", "eigh"})
 
 
 def test_only_linalg_calls_the_eigensolvers():
@@ -340,6 +344,31 @@ def test_eigensolver_finder_sees_attributes_and_imports():
         "    solve = np.linalg.eigh\n"
     )
     assert _eigensolver_uses(ast.parse(source)) == ["<module>: eigh", "f: eigvalsh", "C: eigh"]
+
+
+# math.hypot, the root of the closed-form 2 x 2 trace norm.
+_hypot_uses = _attribute_finder({"hypot"})
+
+
+def test_only_linalg_calls_hypot():
+    # The closed-form 2 x 2 trace norm lives once, in linalg.trace_norm_2x2.
+    offences = _offences(_hypot_uses)
+    in_linalg = offences.pop("linalg.py", [])
+    assert not offences, offences
+    assert in_linalg == ["trace_norm_2x2: hypot"]
+
+
+def test_hypot_finder_sees_attributes_and_imports():
+    source = (
+        "import math\n"
+        "from math import hypot, sqrt\n"
+        "def f(a, b):\n"
+        "    '''Calls hypot.'''\n"
+        "    return math.hypot(a, b)\n"
+        "class C:\n"
+        "    norm = np.hypot\n"
+    )
+    assert _hypot_uses(ast.parse(source)) == ["<module>: hypot", "f: hypot", "C: hypot"]
 
 
 ROUND_NAMES = {"_MULTIPLIERS", "_PHILOX_MUL", "_STACKED_MUL", "_mulhilo"}

@@ -18,12 +18,14 @@ from rotlab.linalg import (
     projections,
     projective_measurement,
     sampling_thresholds,
+    trace_norm_2x2,
     trace_norms,
 )
 
 from conftest import (
     assert_thresholds_pin,
     charpoly_eigenvalues,
+    objective_vectors,
     random_density,
     random_hermitian,
     random_unitary,
@@ -314,6 +316,57 @@ def test_trace_norms_equal_trace_norm_row_by_row(rng):
         assert norms.shape == (2, 3)
         for index in np.ndindex(2, 3):
             assert norms[index] == trace_norm(stack[index]), (dim, index)
+
+
+def _random_blocks(rng, kind: str, count: int) -> list[tuple[float, complex, float]]:
+    # ``count`` 2 x 2 Hermitian blocks ((a, conj b), (b, d)) of one kind as
+    # (a, b, d), with entries spread over 16 orders of magnitude.
+    blocks = []
+    for _ in range(count):
+        scale = 10.0 ** int(rng.integers(-8, 9))
+        if kind == "indefinite":
+            a, d = rng.normal(size=2)
+            b = complex(*rng.normal(size=2))
+        elif kind == "real":
+            a, b, d = rng.normal(size=3).tolist()
+        elif kind in ("definite", "singular"):
+            g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            if kind == "singular":
+                g[:, 1] = 0.0
+            m = rng.choice([-1.0, 1.0]) * (g @ g.conj().T)
+            a, b, d = m[0, 0].real, m[1, 0], m[1, 1].real
+        elif kind == "diagonal":
+            (a, d), b = rng.normal(size=2), 0.0
+        else:
+            a = b = d = 0.0
+        blocks.append((float(a) * scale, b * scale, float(d) * scale))
+    return blocks
+
+
+@pytest.mark.parametrize("kind", ["indefinite", "real", "definite", "singular", "diagonal", "zero"])
+def test_trace_norm_2x2_agrees_with_trace_norms(rng, kind):
+    # The closed form against the eigensolver, within 1e-15 of the sum of
+    # the block's absolute entries, on real and complex blocks.
+    for a, b, d in _random_blocks(rng, kind, 400):
+        norm = trace_norm_2x2(a, b, d)
+        reference = trace_norms(np.array([[a, np.conj(b)], [b, d]])[None])[0]
+        assert abs(norm - reference) <= 1e-15 * (abs(a) + 2 * abs(b) + abs(d)), (a, b, d)
+        assert type(norm) is float
+
+
+def test_trace_norm_2x2_of_a_hollow_block_is_twice_its_entry(rng):
+    # Eigenvalues +-|x|: hypot(0, 2|x|) is exactly 2|x|, subnormals included.
+    for x in [*rng.normal(size=500) * 10.0 ** rng.integers(-300, 300, size=500), 5e-324, -0.0, 1e300]:
+        assert trace_norm_2x2(0.0, float(x), 0.0) == 2.0 * abs(float(x)), x
+
+
+def test_trace_norm_2x2_is_trace_norms_on_every_qutrit_objective_block(rng):
+    # The qutrit objective's blocks are hollow, and there the closed form
+    # and the eigensolver agree bit for bit.
+    for row in objective_vectors(rng):
+        blocks = adversary._qutrit_cheat_blocks(row)
+        norms = [trace_norm_2x2(a, b, d) for (a, _), (b, d) in blocks]
+        assert norms == trace_norms(np.array(blocks)).tolist(), row
 
 
 def test_eigh_reconstructs_and_is_unitary(rng):

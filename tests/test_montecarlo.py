@@ -97,6 +97,22 @@ def test_estimate_completeness_contracts():
             estimate_completeness(protocol, 2000, seed=1)
 
 
+def test_estimate_cheat_contracts():
+    # A strategy is a CheatStrategy, and a target a success rate: a real
+    # number in [0, 1] that is not a bool.
+    for foreign in ("alice/qutrit", ("alice", "qutrit"), None):
+        with pytest.raises(ValidationError, match="must be a CheatStrategy"):
+            estimate_cheat(foreign, 10, 1)
+    strategy = CheatStrategy("bob", "qutrit")
+    for target in ("x", 2.0, -0.1, math.nan, math.inf, True, 1j, [0.5]):
+        with pytest.raises(ValidationError, match="target must be a success rate"):
+            estimate_cheat(strategy, 10, 1, target=target)
+    report = estimate_cheat(strategy, 10, 1, target=np.float64(0.75))
+    assert type(report.target) is float and report == estimate_cheat(strategy, 10, 1, target=0.75)
+    for target in (0, 1, 0.0, 1.0):
+        assert estimate_cheat(strategy, 10, 1, target=target).target == target
+
+
 @pytest.mark.parametrize("protocol", ["bad_classical", "bad_qubit", "qutrit", "sequence"])
 def test_estimate_completeness_small(protocol):
     report, conditional = estimate_completeness(protocol, 2000, seed=11, n_states=16)
