@@ -8,23 +8,23 @@ and its strategy read one definition.  Each operator is 0.5 rho_0 -
 0.5 rho_1 of two equal-weight mixtures: of the states a protocol sends,
 split by one bit of the pair (:func:`_bit_operator`, on
 ``protocols.pair_bit``), or of the two qutrits Bob can receive.  Cheating
-Alice's qutrit objective has one block builder: Bob's phase encoding
-makes each of its operators one of two fixed sign patterns, the bit
-operators of ``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the
-probe's outer product v v^T, built for one triple on Python floats.
-Each pattern couples two levels and is 0 on the third, so a value takes
-the trace norm of each operator's 2 x 2 block on its coupled levels, and
-the strategy measures those blocks written into 3 x 3 zeros.  A value
-takes each trace norm in closed form with
-:func:`~rotlab.linalg.trace_norm_2x2`, with no eigensolve and no array,
-and finishes through one Helstrom formula, :func:`_helstrom_value`, and
-one mean over the permutation value; its
-reference, the density-matrix path, is in ``tests/oracle.py``.  The best
-probe is not searched for but certified: the value depends on the probe
-only through its weights w = v^2, and :func:`optimize_alice_qutrit`
-ascends over them on the full 3 x 3 patterns until a weak-duality bound,
-read off the same eigendecomposition (:func:`_qutrit_certificate`),
-meets the value.
+Alice's qutrit operators have one builder: Bob's phase encoding makes
+each of them one of two fixed sign patterns, the bit operators of
+``protocols.QUTRIT_ENCODING_SIGNS`` themselves, times the probe's outer
+product v v^T (:func:`_qutrit_cheat_operators`), which her strategy
+measures and the optimizer's ascent splits.  Each pattern couples two
+levels and is 0 on the third, so a value takes the trace norm of each
+operator's 2 x 2 block on its coupled levels, the same products of the
+pattern's entries and fl(v_i v_j) on Python floats.  A value takes each
+trace norm in closed form with :func:`~rotlab.linalg.trace_norm_2x2`,
+with no eigensolve and no array, and finishes through one Helstrom
+formula, :func:`_helstrom_value`, and one mean over the permutation
+value; its reference, the density-matrix path, is in ``tests/oracle.py``.
+The best probe is not searched for but certified: the value depends on
+the probe only through its weights w = v^2, and
+:func:`optimize_alice_qutrit` ascends over them on the operators of
+sqrt(w) until a weak-duality bound, read off the same eigendecomposition
+(:func:`_qutrit_certificate`), meets the value.
 
 Each executable strategy is written once, as a block form over an array
 of trial seeds (``cheat_block``), so the Monte-Carlo harness can
@@ -163,42 +163,23 @@ _SIGN_PATTERNS = np.stack([_bit_operator(QUTRIT_ENCODING_SIGNS, p) for p in (0, 
 _SIGN_PATTERNS.setflags(write=False)
 
 
+def _qutrit_cheat_operators(v) -> np.ndarray:
+    """The (2, 3, 3) operators 0.5 rho_0 - 0.5 rho_1 of the probe v, per
+    value p, rho_b mixing equally the encodings with x_p = b: each is its
+    sign pattern times v v^T, entry by entry, so each is exactly the
+    density path's, real and exactly symmetric."""
+    return _SIGN_PATTERNS * np.multiply.outer(v, v)
+
+
 # Each pattern couples two levels, (0, 2) for p = 0 and (1, 2) for p = 1,
-# and is 0 on the third, so an operator's trace norm is its 2 x 2 block's on
-# those levels.  _BLOCKS indexes the blocks of a (2, 3, 3) stack, and
-# _BLOCK_TERMS holds each block's pattern entries and coupled levels as
-# Python numbers.
-_SUPPORT = np.array([np.flatnonzero(pattern.any(axis=0)) for pattern in _SIGN_PATTERNS])
-_SUPPORT.setflags(write=False)
-_PATTERN_INDEX = np.arange(2)[:, None, None]
-_PATTERN_INDEX.setflags(write=False)
-_BLOCKS = (_PATTERN_INDEX, _SUPPORT[:, :, None], _SUPPORT[:, None, :])
+# and is 0 on the third, so an operator's trace norm is that of its 2 x 2
+# block on those levels.  Per pattern: the lower triangle (a, b, d) of its
+# block, as Python floats, and the coupled levels (i, j), its nonzero
+# columns.
 _BLOCK_TERMS = tuple(
-    (tuple(map(tuple, block)), tuple(levels))
-    for block, levels in zip(_SIGN_PATTERNS[_BLOCKS].tolist(), _SUPPORT.tolist())
+    ((pattern[i][i], pattern[j][i], pattern[j][j]), (i, j))
+    for pattern, (i, j) in ((s.tolist(), np.flatnonzero(s.any(axis=0)).tolist()) for s in _SIGN_PATTERNS)
 )
-
-
-def _qutrit_cheat_blocks(triple) -> list:
-    """The two 2 x 2 blocks, as nested tuples of Python floats, on the
-    coupled levels of the operators 0.5 rho_0 - 0.5 rho_1 of one triple of
-    amplitudes, per value p, rho_b mixing equally the encodings with x_p =
-    b.  Each entry is 0 or +-fl(v_i v_j), exactly the density path's, so
-    the blocks are real and exactly symmetric."""
-    v = list(map(float, triple))
-    blocks = []
-    for ((s00, s01), (s10, s11)), (i, j) in _BLOCK_TERMS:
-        vi, vj = v[i], v[j]
-        blocks.append(((s00 * (vi * vi), s01 * (vi * vj)), (s10 * (vj * vi), s11 * (vj * vj))))
-    return blocks
-
-
-def _qutrit_cheat_operators(triple) -> np.ndarray:
-    """The (2, 3, 3) operators whose blocks :func:`_qutrit_cheat_blocks`
-    gives: those blocks written into zeros."""
-    operators = np.zeros((2, 3, 3))
-    operators[_BLOCKS] = _qutrit_cheat_blocks(triple)
-    return operators
 
 
 def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
@@ -208,13 +189,16 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
     The Helstrom value of the two bit mixtures, from their trace-norm
     distance; the closed form 1/2 + (alpha + beta) * gamma_amp / 2 is its
     cross-check.  Each operator is 0 off the two levels its sign pattern
-    couples, so its trace norm is that of its 2 x 2 block on them, taken
-    in closed form by ``trace_norm_2x2``; the value is built and finished
-    on Python floats, with no eigensolve and no array.
+    couples, so its trace norm is that of its 2 x 2 block on them, the
+    pattern's entries times fl(v_i v_j), taken in closed form by
+    ``trace_norm_2x2``; the value is built and finished on Python floats,
+    with no eigensolve and no array.
     """
-    triple = AmplitudeTriple.coerce(triple)
-    ((a0, _), (b0, d0)), ((a1, _), (b1, d1)) = _qutrit_cheat_blocks(triple.as_tuple())
-    return 0.5 * (_helstrom_value(trace_norm_2x2(a0, b0, d0)) + _helstrom_value(trace_norm_2x2(a1, b1, d1)))
+    v = list(map(float, AmplitudeTriple.coerce(triple).as_tuple()))
+    norm0, norm1 = [
+        trace_norm_2x2(a * (v[i] * v[i]), b * (v[j] * v[i]), d * (v[j] * v[j])) for (a, b, d), (i, j) in _BLOCK_TERMS
+    ]
+    return 0.5 * (_helstrom_value(norm0) + _helstrom_value(norm1))
 
 
 # Bob's encodings are diagonal, so the encoded ensemble, and with it the
@@ -231,8 +215,7 @@ def alice_qutrit_cheat_prob(triple: AmplitudeTriple) -> float:
 def _qutrit_step(weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positive parts (D S_p D)_+, shape (2, 3, 3), and the gradient g
     of f at the weights, both from one stacked eigendecomposition."""
-    root = np.sqrt(weights)
-    operators = _SIGN_PATTERNS * (root[:, None] * root[None, :])
+    operators = _qutrit_cheat_operators(np.sqrt(weights))
     positive = positive_parts(operators)
     absolute = 2.0 * positive - operators
     return positive, np.diagonal(absolute, axis1=-2, axis2=-1).mean(axis=0) / weights

@@ -155,9 +155,8 @@ def _bound(config: RunConfig) -> dict:
 
 
 def _simulate(config: RunConfig) -> dict:
-    batch = {} if config.n_states is None else {"n_states": config.n_states}
     report, conditional = montecarlo.estimate_completeness(
-        config.protocol, config.trials, config.seed, **batch
+        config.protocol, config.trials, config.seed, config.n_states
     )
     return {
         "protocol": config.protocol,

@@ -114,19 +114,22 @@ def _sequence_counts(cfg: SequenceConfig, seeds: np.ndarray, limit: int) -> tupl
 
 
 def estimate_completeness(
-    protocol: str, trials: int, seed: int, n_states: int = 100
+    protocol: str, trials: int, seed: int, n_states: int | None = None
 ) -> tuple[TrialReport, bool]:
     """Assert-rate report (target 1/2) plus an exact conditional-correctness
     flag: True only if every asserting trial received Bob's actual bit.
 
     For the sequence protocol each decoded index counts as one trial;
-    ``n_states`` sets the batch size per run.  The single-transfer
-    protocols are evaluated a block of trials at a time, the sequence
+    ``n_states`` sets the batch size per run, 100 when None.  The
+    single-transfer protocols have no batch, so they reject an ``n_states``
+    given.  They are evaluated a block of trials at a time, the sequence
     protocol a block of whole runs at a time, with the outcomes of their
     single runs; the last run is cut off after the requested trial count.
     """
     if not isinstance(protocol, str) or protocol not in (*ROT_EXECUTORS, "sequence"):
         raise ValidationError(f"unknown protocol id {protocol!r}")
+    if n_states is not None and protocol != "sequence":
+        raise ValidationError(f"n_states applies only to the sequence protocol, not {protocol!r}")
     trials, seed = as_integer("trials", trials), as_integer("seed", seed)
     if trials < MIN_COMPLETENESS_TRIALS:
         raise ValidationError(f"need at least {MIN_COMPLETENESS_TRIALS} trials, got {trials}")
@@ -141,7 +144,7 @@ def estimate_completeness(
             asserts += int(np.count_nonzero(asserted))
             conditional_ok &= bool(np.all(outcome.g_hat[asserted] == outcome.bob_bit[asserted]))
     else:
-        cfg = SequenceConfig(n_states)
+        cfg = SequenceConfig(100 if n_states is None else n_states)
         per_run = cfg.n_states - cfg.test_size
         collected = 0
         run_index = 0

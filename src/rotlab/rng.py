@@ -33,10 +33,11 @@ and the flow that drew them runs itself again on each of them alone.
 
 from __future__ import annotations
 
-import operator
 from functools import lru_cache
 
 import numpy as np
+
+from .linalg import as_integer
 
 _MASK64 = (1 << 64) - 1
 
@@ -94,8 +95,9 @@ _STACKED_WEYL = _spread(*_KEY_STEP)
 
 def seed_array(seed: int) -> np.ndarray:
     """A run's seed, reduced mod 2**64, as the one-element uint64 array the
-    flows take."""
-    return np.array([operator.index(seed) & _MASK64], dtype=np.uint64)
+    flows take: any integer but a bool, else
+    :class:`~rotlab.linalg.ValidationError`."""
+    return np.array([as_integer("seed", seed) & _MASK64], dtype=np.uint64)
 
 
 def splitmix64(value: int) -> int:

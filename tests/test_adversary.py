@@ -120,7 +120,7 @@ def test_cheat_prob_equals_the_density_path_exactly(rng):
 
 def _coupled_levels() -> np.ndarray:
     # True on the 2 x 2 block of the levels each pattern couples, per p.
-    levels = [np.isin(np.arange(3), support) for support in adversary._SUPPORT]
+    levels = [np.isin(np.arange(3), coupled) for _, coupled in adversary._BLOCK_TERMS]
     return np.array([rows[:, None] & rows[None, :] for rows in levels])
 
 
@@ -144,18 +144,38 @@ def test_blocks_are_the_density_path_on_the_coupled_levels(rng):
     # Each block goes to trace_norm_2x2 unchecked: it must be the density
     # path's operator on the two levels its pattern couples, real, and
     # exactly symmetric, and the operator must vanish on every other entry,
-    # so the block's trace norm is the operator's.  The blocks are Python
-    # floats, whatever the amplitudes' type.
-    assert adversary._SUPPORT.tolist() == [[0, 2], [1, 2]]
+    # so the block's trace norm is the operator's.  A value hands
+    # trace_norm_2x2 each block's lower triangle as Python floats, whatever
+    # the amplitudes' type.
+    assert [levels for _, levels in adversary._BLOCK_TERMS] == [(0, 2), (1, 2)]
+    assert all(type(entry) is float for terms, _ in adversary._BLOCK_TERMS for entry in terms)
     coupled = _coupled_levels()
     for row in objective_vectors(rng):
-        blocks = adversary._qutrit_cheat_blocks(row)
-        assert all(type(entry) is float for block in blocks for line in block for entry in line), row
-        blocks = np.array(blocks)
-        assert blocks.shape == (2, 2, 2) and np.array_equal(blocks, blocks.swapaxes(-1, -2)), row
+        operators = adversary._qutrit_cheat_operators(row)
+        blocks = _on_coupled_levels(operators)
+        assert np.array_equal(blocks, blocks.swapaxes(-1, -2)) and not operators[~coupled].any(), row
         reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*row))
         assert not reference.imag.any() and not reference[~coupled].any(), row
         assert np.array_equal(blocks, _on_coupled_levels(reference.real)), row
+        with mock.patch.object(adversary, "trace_norm_2x2", wraps=linalg.trace_norm_2x2) as normed:
+            alice_qutrit_cheat_prob(row)
+        lower = [call.args for call in normed.call_args_list]
+        assert all(type(entry) is float for args in lower for entry in args), row
+        assert lower == [(block[0, 0], block[1, 0], block[1, 1]) for block in blocks], row
+
+
+def test_the_ascent_splits_the_operators_the_strategy_measures(rng):
+    # Each ascent step hands positive_parts exactly the builder's operators
+    # of the probe sqrt(w), the density path's, so the ascent, the strategy
+    # and the value read one builder.
+    for row in objective_vectors(rng):
+        weights = row**2
+        with recording(adversary, "positive_parts") as split, np.errstate(divide="ignore", invalid="ignore"):
+            adversary._qutrit_step(weights)
+        ((operators, _),) = split
+        assert np.array_equal(operators, adversary._qutrit_cheat_operators(np.sqrt(weights))), row
+        reference = oracle.qutrit_cheat_operators(AmplitudeTriple(*np.sqrt(weights)))
+        assert np.array_equal(operators, reference.real), row
 
 
 def test_entangled_probes_reach_their_reduced_triple(rng):

@@ -371,6 +371,78 @@ def test_hypot_finder_sees_attributes_and_imports():
     assert _hypot_uses(ast.parse(source)) == ["<module>: hypot", "f: hypot", "C: hypot"]
 
 
+def _top_level_name(top: ast.stmt) -> str:
+    # The name a top-level statement defines: a function's or class's, an
+    # assignment's one target, or X for X.setflags(...), which freezes what
+    # X's assignment built; "<module>" for any other statement.
+    if isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return top.name
+    targets = top.targets if isinstance(top, ast.Assign) else [top.target] if isinstance(top, ast.AnnAssign) else []
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        return targets[0].id
+    call = top.value if isinstance(top, ast.Expr) else None
+    if isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute) and call.func.attr == "setflags":
+        return ast.unparse(call.func.value)
+    return "<module>"
+
+
+def _sign_pattern_reads(tree: ast.Module) -> list[str]:
+    # Each read of _SIGN_PATTERNS, as a name, attribute or import, labelled
+    # with the name its top-level statement defines.
+    found = []
+    for top in tree.body:
+        owner = _top_level_name(top)
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id == "_SIGN_PATTERNS":
+                found.append(f"{owner}: _SIGN_PATTERNS")
+            elif isinstance(node, ast.Attribute) and node.attr == "_SIGN_PATTERNS":
+                found.append(f"{owner}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom):
+                found += [f"{owner}: import _SIGN_PATTERNS" for a in node.names if a.name == "_SIGN_PATTERNS"]
+    return found
+
+
+def test_one_builder_reads_the_qutrit_sign_patterns():
+    # Cheating Alice's qutrit operators are built once, by
+    # _qutrit_cheat_operators, which her strategy and the ascent call; the
+    # value reads the patterns' entries off _BLOCK_TERMS, and the
+    # certificate subtracts the patterns from its upper part.  No other
+    # code reads the patterns, so no second builder can grow back.
+    offences = _offences(_sign_pattern_reads)
+    in_adversary = offences.pop("adversary.py", [])
+    assert not offences, offences
+    assert {use.split(":")[0] for use in in_adversary} == {
+        "_SIGN_PATTERNS",
+        "_BLOCK_TERMS",
+        "_qutrit_cheat_operators",
+        "_qutrit_certificate",
+    }
+
+
+def test_sign_pattern_finder_sees_names_attributes_and_imports():
+    source = (
+        "from .adversary import _SIGN_PATTERNS, _BLOCK_TERMS\n"
+        "_SIGN_PATTERNS = build()\n"
+        "_SIGN_PATTERNS.setflags(write=False)\n"
+        "TERMS = [p.tolist() for p in _SIGN_PATTERNS]\n"
+        "print(_SIGN_PATTERNS)\n"
+        "def f(v):\n"
+        "    '''Reads _SIGN_PATTERNS.'''\n"
+        "    _SIGN_PATTERNS = None\n"
+        "    return adversary._SIGN_PATTERNS * v\n"
+        "class C:\n"
+        "    patterns = _SIGN_PATTERNS\n"
+    )
+    assert _sign_pattern_reads(ast.parse(source)) == [
+        "<module>: import _SIGN_PATTERNS",
+        "_SIGN_PATTERNS: _SIGN_PATTERNS",
+        "TERMS: _SIGN_PATTERNS",
+        "<module>: _SIGN_PATTERNS",
+        "f: adversary._SIGN_PATTERNS",
+        "C: _SIGN_PATTERNS",
+    ]
+
+
 ROUND_NAMES = {"_MULTIPLIERS", "_PHILOX_MUL", "_STACKED_MUL", "_mulhilo"}
 ROUND_NAMES |= {"_single_rounds", "_layout", "_seeded_rounds", "_stacked_rounds"}
 ROUND_MULTIPLIERS = {0xD2E7470EE14C6C93, 0xCA5A826395121157}

@@ -361,12 +361,14 @@ def test_trace_norm_2x2_of_a_hollow_block_is_twice_its_entry(rng):
 
 
 def test_trace_norm_2x2_is_trace_norms_on_every_qutrit_objective_block(rng):
-    # The qutrit objective's blocks are hollow, and there the closed form
-    # and the eigensolver agree bit for bit.
+    # The qutrit objective's blocks, on the levels each pattern couples, are
+    # hollow, and there the closed form, on their lower triangles as Python
+    # floats, and the eigensolver agree bit for bit.
     for row in objective_vectors(rng):
-        blocks = adversary._qutrit_cheat_blocks(row)
-        norms = [trace_norm_2x2(a, b, d) for (a, _), (b, d) in blocks]
-        assert norms == trace_norms(np.array(blocks)).tolist(), row
+        operators = adversary._qutrit_cheat_operators(row)
+        blocks = np.array([op[np.ix_(levels, levels)] for op, (_, levels) in zip(operators, adversary._BLOCK_TERMS)])
+        norms = [trace_norm_2x2(*block[[0, 1, 1], [0, 0, 1]].tolist()) for block in blocks]
+        assert norms == trace_norms(blocks).tolist(), row
 
 
 def test_eigh_reconstructs_and_is_unitary(rng):

@@ -70,7 +70,8 @@ def test_seeded_counts_replay_exactly():
     ]
     assert cheat == [count for *_, count in CHEAT_COUNTS]
     for protocol, count in COMPLETENESS_COUNTS.items():
-        report, conditional = estimate_completeness(protocol, 1000, REPLAY_SEED, n_states=16)
+        n_states = 16 if protocol == "sequence" else None
+        report, conditional = estimate_completeness(protocol, 1000, REPLAY_SEED, n_states=n_states)
         assert (report.successes, conditional) == (count, True), protocol
     for variant, count in DETECTION_COUNTS.items():
         assert sequence_detection_experiment(16, variant, 200, REPLAY_SEED).successes == count, variant
@@ -97,6 +98,19 @@ def test_estimate_completeness_contracts():
             estimate_completeness(protocol, 2000, seed=1)
 
 
+def test_estimate_completeness_takes_a_batch_size_only_for_sequences():
+    # A single transfer has no batch, so an n_states given is refused rather
+    # than ignored, whatever its value; None keeps the sequence default.
+    for protocol in ("bad_classical", "bad_qubit", "qutrit"):
+        for n_states in (2, 16, 100):
+            with pytest.raises(ValidationError, match="n_states applies only to the sequence protocol"):
+                estimate_completeness(protocol, 1000, 1, n_states=n_states)
+        assert estimate_completeness(protocol, 1000, 1, n_states=None) == estimate_completeness(protocol, 1000, 1)
+    default = estimate_completeness("sequence", 1000, 1)
+    assert default == estimate_completeness("sequence", 1000, 1, n_states=None)
+    assert default == estimate_completeness("sequence", 1000, 1, n_states=100)
+
+
 def test_estimate_cheat_contracts():
     # A strategy is a CheatStrategy, and a target a success rate: a real
     # number in [0, 1] that is not a bool.
@@ -115,7 +129,8 @@ def test_estimate_cheat_contracts():
 
 @pytest.mark.parametrize("protocol", ["bad_classical", "bad_qubit", "qutrit", "sequence"])
 def test_estimate_completeness_small(protocol):
-    report, conditional = estimate_completeness(protocol, 2000, seed=11, n_states=16)
+    n_states = 16 if protocol == "sequence" else None
+    report, conditional = estimate_completeness(protocol, 2000, seed=11, n_states=n_states)
     assert conditional is True
     assert report.trials == 2000
     assert abs(report.z_score) < 3.0
@@ -273,8 +288,9 @@ def test_threshold_tables_are_built_once(monkeypatch):
 
     for module in (protocols, adversary):
         monkeypatch.setattr(module, "sampling_thresholds", counting)
-    for protocol in ("bad_qubit", "qutrit", "sequence"):
-        estimate_completeness(protocol, 1000, 3, n_states=9)
+    for protocol in ("bad_qubit", "qutrit"):
+        estimate_completeness(protocol, 1000, 3)
+    estimate_completeness("sequence", 1000, 3, n_states=9)
     for variant in DETECTION_VARIANTS:
         sequence_detection_experiment(9, variant, 20, 3)
     assert built == []

@@ -611,15 +611,30 @@ def test_aborted_sequence_run_renders_as_the_oracle_does(monkeypatch):
         assert transcript.messages[-1].label == "abort" and outcomes == [RotOutcome.abort_sentinel()]
 
 
-@pytest.mark.parametrize("offset", [0, 1, 2, 1000003])
-def test_entry_points_reduce_seeds_mod_2_64(offset):
-    # Any Python int is a seed; -1 - k is 2**64 - 1 - k and 2**64 + k is k.
+def _entry_points() -> list:
+    # Every run of one seed: each protocol, the coin flip on the qutrit and
+    # sequence transfers, and each cheating strategy.
     strategies = [CheatStrategy(party, protocol) for party, protocol in oracle.RUNNERS]
     entry_points = [run_bad_classical, run_bad_qubit, run_qutrit]
     entry_points += [lambda seed: run_sequence(SequenceConfig(9), seed)]
     entry_points += [lambda seed, rot=rot: run_coinflip_reduction(rot, seed) for rot in ("qutrit", "sequence")]
     entry_points += [lambda seed, s=s: execute_cheat(s, seed) for s in strategies]
-    for run in entry_points:
+    return entry_points
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 1000003])
+def test_entry_points_reduce_seeds_mod_2_64(offset):
+    # Any Python int is a seed; -1 - k is 2**64 - 1 - k and 2**64 + k is k.
+    for run in _entry_points():
         assert run(-1 - offset) == run(MASK64 - offset)
         assert run((1 << 64) + offset) == run(offset)
         assert run(offset) == run(offset - (5 << 64))
+
+
+@pytest.mark.parametrize("seed", [True, 1.5, "3"], ids=["bool", "float", "str"])
+def test_entry_points_reject_seeds_that_are_not_integers(seed):
+    # A bool is not taken for seed 1, nor a float or a string passed on to
+    # fail inside numpy: each run validates its seed as estimate_* do.
+    for run in _entry_points():
+        with pytest.raises(ValidationError, match="seed must be an integer"):
+            run(seed)
