@@ -29,9 +29,8 @@ from dataclasses import dataclass
 
 from . import adversary, montecarlo, security
 from .linalg import ValidationError
+from .protocols import PROTOCOL_IDS
 from .security import ConsistencyError
-
-_PROTOCOLS = ("bad_classical", "bad_qubit", "qutrit", "sequence")
 
 _STRATEGY_FIELDS = {"party", "protocol", "parameters"}
 
@@ -221,7 +220,7 @@ def build_parser() -> _Parser:
     def add(name, help_text, protocol=False, trials=False, strategy=False):
         sub = commands.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
         if protocol:
-            sub.add_argument("--protocol", choices=_PROTOCOLS, required=True)
+            sub.add_argument("--protocol", choices=PROTOCOL_IDS, required=True)
         if trials:
             sub.add_argument("--trials", type=int)
             sub.add_argument("--seed", type=int)

@@ -7,11 +7,7 @@ so any block split reproduces the concatenated run exactly and reports are
 deterministic end to end.
 
 Every estimator evaluates a block of trial seeds at a time, on the same
-block forms that the single runs call on one seed.  A sequence trial whose
-``choice`` or ``integers`` draw hit a Lemire rejection (probability below
-n_states / 2**32 per draw) is marked in its party stream's ``rejected``;
-the block form that drew it runs itself again on that seed alone, where
-the draw is taken again as numpy does.
+block forms that the single runs call on one seed.
 """
 
 from __future__ import annotations
@@ -25,6 +21,7 @@ import numpy as np
 from .adversary import CheatStrategy, cheat_block
 from .linalg import ValidationError, as_integer
 from .protocols import (
+    PROTOCOL_IDS,
     ROT_EXECUTORS,
     SequenceConfig,
     play_sequence_block,
@@ -126,7 +123,7 @@ def estimate_completeness(
     protocol a block of whole runs at a time, with the outcomes of their
     single runs; the last run is cut off after the requested trial count.
     """
-    if not isinstance(protocol, str) or protocol not in (*ROT_EXECUTORS, "sequence"):
+    if not isinstance(protocol, str) or protocol not in PROTOCOL_IDS:
         raise ValidationError(f"unknown protocol id {protocol!r}")
     if n_states is not None and protocol != "sequence":
         raise ValidationError(f"n_states applies only to the sequence protocol, not {protocol!r}")
@@ -219,10 +216,7 @@ def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np
         announced = setup.pairs.copy()
         announced.ravel()[at] = alternative + (alternative >= setup.pairs.take(at))
     rand = setup.alice.randoms(2 * cfg.test_size)
-    aborted = sequence_spot_check_block(rand, setup.tested, sent, announced) >= 0
-    for lane in np.flatnonzero(setup.alice.rejected | setup.bob.rejected):
-        aborted[lane] = _detection_block(cfg, seeds[lane : lane + 1], variant)[0]
-    return aborted
+    return sequence_spot_check_block(rand, setup.tested, sent, announced) >= 0
 
 
 def sequence_detection_experiment(

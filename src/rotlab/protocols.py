@@ -355,8 +355,7 @@ class SequenceSetupBlock(NamedTuple):
     party streams, ``pairs``, Bob's pair index per slot, shape
     ``(n_states, seeds)``, ``tested``, Alice's sorted test set, shape
     ``(test_size, seeds)``, and ``is_tested``, the same set as a mask shaped
-    like ``pairs``.  Where ``alice.rejected`` marks a seed, its ``choice``
-    hit a Lemire rejection and nothing drawn for it is the generator's."""
+    like ``pairs``."""
 
     alice: BlockStream
     bob: BlockStream
@@ -562,8 +561,7 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     test set and failed slot and, where it passed, Bob's declarations and
     Alice's outcomes.  Alice draws two uniforms per tested slot and then two
     per untested slot, in one call; Bob declares after his pairs, one bit
-    per untested slot.  A seed whose ``choice`` hit a Lemire rejection is
-    played again alone, and its run replaces every field of its lane."""
+    per untested slot."""
     n, k = cfg.n_states, cfg.test_size
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
     rand = setup.alice.randoms(2 * n)
@@ -572,11 +570,6 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     sent = np.ascontiguousarray(setup.pairs.T[~setup.is_tested.T].reshape(seeds.size, n - k).T)
     declared = setup.bob.draw_bits(n - k)
     outcomes = _untested_outcomes(sent, declared, rand[2 * k :])
-    fields = (setup.pairs, setup.tested, failed, declared, *outcomes)
-    for lane in np.flatnonzero(setup.alice.rejected):
-        alone = play_sequence_block(cfg, seeds[lane : lane + 1])
-        for mine, its in zip(fields, (*alone[:4], *alone.outcomes)):
-            mine[..., lane] = its[..., 0]
     return SequenceBlock(setup.pairs, setup.tested, failed, declared, outcomes)
 
 
@@ -657,6 +650,8 @@ ROT_EXECUTORS = {
     "bad_qubit": (run_bad_qubit, _bad_qubit_block),
     "qutrit": (run_qutrit, _qutrit_block),
 }
+# Every protocol id, the single transfers' and then the sequence protocol's.
+PROTOCOL_IDS = (*ROT_EXECUTORS, "sequence")
 
 
 def coin_flip_results(assert_bit, accepted, b) -> np.ndarray:
@@ -671,7 +666,7 @@ def run_coinflip_reduction(rot: str, seed: int) -> tuple[Transcript, CoinOutcome
     NULL, which ``RotOutcome`` lets carry no bit, or of a receipt of his
     data bit, and :func:`coin_flip_results` decides.  The sequence transfer
     is the first untested slot of a ``MIN_SEQUENCE_STATES`` batch."""
-    if not isinstance(rot, str) or rot not in (*ROT_EXECUTORS, "sequence"):
+    if not isinstance(rot, str) or rot not in PROTOCOL_IDS:
         raise ValidationError(f"unknown protocol id {rot!r}")
     if rot == "sequence":
         transcript, (outcome, *_) = run_sequence(SequenceConfig(MIN_SEQUENCE_STATES), seed)

@@ -26,9 +26,9 @@ once; a single run is the same flow on a one-element array, whose
 one-block streams run all ten rounds on Python ints.  Bounded draws
 (``integers`` and ``choice``) use Lemire's multiply-shift, which draws
 again with probability below ``high / 2**32``.  A one-seed stream draws
-again exactly as numpy does; a stream over many seeds marks those seeds
-in its ``rejected`` instead, since every later draw of theirs is off too,
-and the flow that drew them runs itself again on each of them alone.
+again exactly as numpy does; a stream over many seeds hands each seed that
+drew again to a one-seed stream of its own, so every seed of every stream
+gets the generator's values and no flow sees a redraw.
 """
 
 from __future__ import annotations
@@ -263,10 +263,11 @@ class BlockStream:
     IndexError, unless a one-seed stream has drawn again: it then extends
     itself by whole Philox blocks.
 
-    ``rejected`` marks the seeds where a stream over many seeds met a
-    Lemire rejection: nothing it hands out for them from then on is the
-    generator's, so the flow reading it runs again on each of them alone.
-    A one-seed stream draws again instead and never marks its seed.
+    Where a stream over many seeds meets a Lemire rejection, the seed's
+    lane gets a one-seed stream of its own, its words fresh from the
+    kernel, which takes the call again from where it started and draws
+    again as the generator does; from then on every draw splices that
+    lane's values from its own stream.
     """
 
     def __init__(self, seeds: np.ndarray, stream: int, words: np.ndarray):
@@ -275,9 +276,9 @@ class BlockStream:
         self._stream = stream
         self._words = words
         self._used = 0
-        self._buffered: np.ndarray | None = None  # the word whose high half is next
+        self._buffered: int | None = None  # the word whose high half is next
         self._extends = False
-        self.rejected = np.zeros(seeds.size, dtype=bool)
+        self._alone: dict[int, BlockStream] = {}  # the lanes that drew again
 
     def _take(self, count: int) -> np.ndarray:
         held = len(self._words)
@@ -297,13 +298,13 @@ class BlockStream:
         buffered high half, or a fresh word's low half."""
         parts = []
         if count and self._buffered is not None:
-            parts.append(self._buffered[None] >> _SHIFT32)
+            parts.append(self._words[self._buffered][None] >> _SHIFT32)
             count -= 1
             self._buffered = None
         if count or not parts:  # unless the buffered half was all it asked for
             words = self._take((count + 1) // 2)
             if count % 2:
-                self._buffered = words[-1]
+                self._buffered = self._used - 1
             if count == 1:
                 parts.append(words & _LOW32)
             else:
@@ -311,8 +312,18 @@ class BlockStream:
                 parts.append(split[:count] & _LOW32)
         return np.concatenate(parts) if len(parts) > 1 else parts[0]
 
-    def draw_bits(self, count: int) -> np.ndarray:
+    def _splice(self, values: np.ndarray, draw, arg) -> np.ndarray:
+        # values, with each lane that drew again taking draw(arg) from its
+        # own stream.
+        for lane, alone in self._alone.items():
+            values[:, lane] = draw(alone, arg)[:, 0]
+        return values
+
+    def _bits(self, count: int) -> np.ndarray:
         return (self._halves(count) >> np.uint64(31)).astype(np.intp)
+
+    def draw_bits(self, count: int) -> np.ndarray:
+        return self._splice(self._bits(count), BlockStream.draw_bits, count)
 
     def draw_bit_pairs(self, count: int) -> np.ndarray:
         """The next ``2 * count`` bits as ``count`` pair indices ``2 * b + c``
@@ -320,10 +331,12 @@ class BlockStream:
         half word buffered, a pair is the top bits of one word's two halves,
         its bits 31 and 63."""
         if self._buffered is not None:
-            bits = self.draw_bits(2 * count)
-            return 2 * bits[0::2] + bits[1::2]
-        words = self._take(count)
-        return (((words >> np.uint64(30)) & np.uint64(2)) | (words >> np.uint64(63))).astype(np.intp)
+            bits = self._bits(2 * count)
+            pairs = 2 * bits[0::2] + bits[1::2]
+        else:
+            words = self._take(count)
+            pairs = (((words >> np.uint64(30)) & np.uint64(2)) | (words >> np.uint64(63))).astype(np.intp)
+        return self._splice(pairs, BlockStream.draw_bit_pairs, count)
 
     def bounded(self, highs) -> np.ndarray:
         """One draw in ``[0, high]`` per entry of ``highs``, a sequence of
@@ -334,14 +347,14 @@ class BlockStream:
         below ``(2**32 - 1 - high) mod (high + 1)``, which happens with
         probability below ``high / 2**32``.  A one-seed stream draws again,
         so its values and later draws are the generator's.  Over many
-        seeds, the seeds where a draw fell below the threshold are marked
-        in ``rejected``, where they stay.
+        seeds, a seed where a draw fell below the threshold is handed to a
+        one-seed stream that takes the call again from its start.
         """
         span, threshold = _lemire_bounds(tuple(highs))
         start = self._used, self._buffered
         product = self._halves(len(span)) * span
         rejected = ((product & _LOW32) < threshold).any(axis=0)
-        if rejected.size == 1 and rejected[0]:
+        if self._seeds.size == 1 and rejected[0]:
             # Draw again from the start, one 32-bit value at a time.
             self._used, self._buffered = start
             self._extends = True
@@ -350,11 +363,19 @@ class BlockStream:
                 while (product[index, 0] & _LOW32) < threshold[index, 0]:
                     product[index] = self._halves(1)[0] * span[index]
         else:
-            self.rejected |= rejected
-        return (product >> _SHIFT32).astype(np.intp)
+            for lane in np.flatnonzero(rejected).tolist():
+                if lane not in self._alone:
+                    # The lane's own stream, as many fresh blocks as this
+                    # one holds, at the call's start.
+                    seed = self._seeds[lane : lane + 1]
+                    words = philox_block(seed, ((self._stream, 0, len(self._words) // 4),))
+                    alone = BlockStream(seed, self._stream, words)
+                    alone._used, alone._buffered = start
+                    self._alone[lane] = alone
+        return self._splice((product >> _SHIFT32).astype(np.intp), BlockStream.bounded, highs)
 
     def randoms(self, count: int) -> np.ndarray:
-        return (self._take(count) >> np.uint64(11)) * 2.0**-53
+        return self._splice((self._take(count) >> np.uint64(11)) * 2.0**-53, BlockStream.randoms, count)
 
 
 @lru_cache(maxsize=_RANGES)

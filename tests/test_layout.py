@@ -607,8 +607,8 @@ def _range_loops(tree: ast.Module, names: set[str]) -> list[str]:
 
 
 def test_sequence_block_flows_loop_over_no_range():
-    # A lane its streams mark rejected is run again alone, by iterating
-    # np.flatnonzero of the streams' flags, which the rule allows.
+    # A Lemire redraw stays inside the stream that drew it, so no flow
+    # loops over lanes either; loops over anything but range stay allowed.
     for module, names in VECTORISED.items():
         tree = ast.parse((PACKAGE / module).read_text())
         assert names <= {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}, module
@@ -635,64 +635,61 @@ def test_range_loop_finder_sees_loops_comprehensions_and_wrapped_ranges():
     ]
 
 
-# The flows that run a lane again alone when a stream marks it rejected.
-REJECTED_READERS = {
-    "protocols.py": {"play_sequence_block"},
-    "adversary.py": {"_alice_sequence_block"},
-    "montecarlo.py": {"_detection_block"},
-}
+def _one_element_slice(node: ast.AST) -> bool:
+    # Whether node is a slice x[i : i + 1] of one element.
+    if not (isinstance(node, ast.Subscript) and isinstance(node.slice, ast.Slice)):
+        return False
+    lower, upper = node.slice.lower, node.slice.upper
+    return (
+        lower is not None
+        and isinstance(upper, ast.BinOp)
+        and isinstance(upper.op, ast.Add)
+        and ast.dump(upper.left) == ast.dump(lower)
+        and isinstance(upper.right, ast.Constant)
+        and upper.right.value == 1
+    )
 
 
-def _rejected_uses(tree: ast.Module) -> list[str]:
-    # Each read or assignment of an attribute called ``rejected``, and each
-    # class field of that name, labelled with the top-level definition
-    # that holds it.
+def _lane_replays(tree: ast.Module) -> list[str]:
+    # Each call given a one-element slice as an argument, and each use of
+    # an attribute called ``_alone``, the lanes' own streams, labelled with
+    # the top-level definition that holds it.
     found = []
     for top in tree.body:
         owner = getattr(top, "name", "<module>")
         for node in ast.walk(top):
-            if isinstance(node, ast.Attribute) and node.attr == "rejected":
+            if isinstance(node, ast.Call):
+                args = [*node.args, *(keyword.value for keyword in node.keywords)]
+                found += [f"{owner}: {ast.unparse(node)}" for arg in args if _one_element_slice(arg)]
+            elif isinstance(node, ast.Attribute) and node.attr == "_alone":
                 found.append(f"{owner}: {ast.unparse(node)}")
-            elif isinstance(node, ast.ClassDef):
-                fields = [field.target for field in node.body if isinstance(field, ast.AnnAssign)]
-                fields += [target for field in node.body if isinstance(field, ast.Assign) for target in field.targets]
-                found += [f"{owner}: field rejected" for f in fields if isinstance(f, ast.Name) and f.id == "rejected"]
     return found
 
 
-def test_only_the_replaying_flows_touch_the_rejection_flag():
-    # A Lemire rejection lives on the stream that drew it; only the flows
-    # that replay a marked lane read the mark, so no block or setup carries
-    # one to a caller that might forget it.
-    offences = _offences(_rejected_uses)
-    offences.pop("rng.py", None)
-    outside = {
-        module: [use for use in uses if use.split(":")[0] not in REJECTED_READERS.get(module, set())]
-        for module, uses in offences.items()
-    }
-    assert not any(outside.values()), outside
-    assert {module: {use.split(":")[0] for use in uses} for module, uses in offences.items()} == REJECTED_READERS
+def test_no_flow_runs_a_lane_again():
+    # A Lemire redraw stays inside the stream that drew it: rng hands the
+    # lane to a stream of its own, which no other module reaches, and no
+    # module calls a flow on one seed of a block to run that lane again.
+    offences = _offences(_lane_replays)
+    in_rng = offences.pop("rng.py", [])
+    assert not offences, offences
+    assert any("self._alone" in use for use in in_rng), "rng keeps the lanes' streams"
 
 
-def test_rejected_use_finder_sees_attributes_assignments_and_fields():
+def test_lane_replay_finder_sees_slices_keywords_and_lane_streams():
     source = (
-        "class Block(NamedTuple):\n"
-        "    pairs: np.ndarray\n"
-        "    rejected: np.ndarray\n"
-        "class Old:\n"
-        "    rejected = None\n"
-        "def flow(setup):\n"
-        "    rejected = setup.alice.rejected | setup.bob.rejected\n"
-        "    return rejected\n"
-        "def counts(block):\n"
-        "    block.rejected = None\n"
+        "def flow(cfg, seeds, setup):\n"
+        "    for lane in np.flatnonzero(setup.alice._alone):\n"
+        "        out[lane] = flow(cfg, seeds[lane : lane + 1])[0]\n"
+        "        run(seeds=seeds[lane:lane + 1])\n"
+        "def other(seeds, lane):\n"
+        "    head = seeds[lane : lane + 1]\n"
+        "    return f(seeds[lane : lane + 2]), g(seeds[: lane + 1]), h(seeds[lane + 1 : lane + 1])\n"
     )
-    assert _rejected_uses(ast.parse(source)) == [
-        "Block: field rejected",
-        "Old: field rejected",
-        "flow: setup.alice.rejected",
-        "flow: setup.bob.rejected",
-        "counts: block.rejected",
+    assert _lane_replays(ast.parse(source)) == [
+        "flow: setup.alice._alone",
+        "flow: run(seeds=seeds[lane:lane + 1])",
+        "flow: flow(cfg, seeds[lane:lane + 1])",
     ]
 
 

@@ -381,7 +381,7 @@ def test_block_flows_key_each_stream_once(monkeypatch):
     # Each block flow, over many seeds or over one, computes every Philox
     # word it draws, from all of its party streams, in a single
     # philox_block call, which keys each (stream, counter) once.  No seed
-    # here draws again, which would extend a one-seed stream.
+    # here draws again, which would open or extend a one-seed stream.
     calls = []
     philox_block = rng.philox_block
 
@@ -402,7 +402,7 @@ def test_block_flows_key_each_stream_once(monkeypatch):
 
 def _refuse_one_seed(seeds, *args):
     if np.asarray(seeds).size == 1:
-        raise AssertionError("a seed was run again alone")
+        raise AssertionError("a seed drew again on a stream of its own")
     return PHILOX_BLOCK(seeds, *args)
 
 
@@ -426,15 +426,15 @@ def test_sequence_blocks_match_scalar_runs_trial_by_trial(monkeypatch, n_states)
         }
         expected["cheat"] = [oracle.execute_cheat(cheat, seed) for seed in seeds.tolist()]
         with monkeypatch.context() as patch:
-            # No seed of a block is run again alone, so each outcome below is
-            # the block's own.  A one-seed block is a run on its own.
+            # No seed of a block draws again, which would open a one-seed
+            # stream, so each outcome below comes from the block's own
+            # words.  A one-seed block is a run on its own.
             if seeds.size > 1:
                 patch.setattr(rng, "philox_block", _refuse_one_seed)
             setup = sequence_setup_block(cfg, seeds)
             block = flows["play"](seeds)
             got = {variant: flows[variant](seeds).tolist() for variant in DETECTION_VARIANTS}
             got["cheat"] = cheat_block(cheat)(seeds).tolist()
-        assert not setup.alice.rejected.any()
         assert got == expected, (n_states, master)
         for lane, run in enumerate(runs):
             assert setup.pairs[:, lane].tolist() == block.pairs[:, lane].tolist()
@@ -456,6 +456,32 @@ def _assert_lane_is_run(block, lane, run):
         assert block.outcomes.bob_bit[:, lane].tolist() == [o.bob_bit for o in outcomes]
         received = block.outcomes.assert_bit[:, lane] == 0
         assert block.outcomes.g_hat[received, lane].tolist() == [o.g_hat for o in outcomes if o.assert_bit == 0]
+
+
+# Trials of master seed 0 at n_states = 10001 whose block draws meet a real
+# Lemire rejection, found by searching the draws alone over trial indices:
+# Alice's Floyd draws (block_streams and bounded(_choice_highs(n, k))) at
+# trial 398, about one trial in 8000, and Bob's corrupted-slot draw in
+# [0, 10000], which draws again with probability 7843 / 2**32, at trial
+# 752918.  Trial 399 draws nothing again.
+GENUINE = {"alice": 398, "none": 399, "bob": 752918}
+
+
+def test_genuine_lemire_rejections_give_the_scalar_runs():
+    cfg = SequenceConfig(10001)
+    seeds = np.array([trial_seed(0, index) for index in GENUINE.values()], dtype=np.uint64)
+    setup = sequence_setup_block(cfg, seeds, bob_words=1)
+    setup.bob.bounded([cfg.n_states - 1])
+    assert list(setup.alice._alone) == [0] and list(setup.bob._alone) == [2]
+    cheat = CheatStrategy("alice", "sequence", {"n_states": cfg.n_states})
+    flows = _sequence_block_flows(cfg)
+    block = flows["play"](seeds)
+    for lane, seed in enumerate(seeds.tolist()):
+        _assert_lane_is_run(block, lane, oracle.play_sequence(cfg, seed))
+    for variant in DETECTION_VARIANTS:
+        expected = [oracle.run_detection_trial(cfg, seed, variant) for seed in seeds.tolist()]
+        assert flows[variant](seeds).tolist() == expected, variant
+    assert cheat_block(cheat)(seeds).tolist() == [oracle.execute_cheat(cheat, seed) for seed in seeds.tolist()]
 
 
 def _lemire_threshold(high: int) -> int:
@@ -488,11 +514,11 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
     opened = []  # (party, seed) of every one-seed stream opened
 
     def forced(seeds, runs):
-        # The value is forced in the block pass only: the run of the target
-        # seed alone must see its real draws, which the oracle sees too.
-        # A one-seed flow opens its streams with the runs from block 0 in
-        # one call, and a redraw extends a stream by later blocks; a block
-        # pass asks for every party's blocks in one call.
+        # The value is forced in the block pass only: the stream the target
+        # lane opens on its own must see its real draws, which the oracle
+        # sees too.  A one-seed stream opens with a run from block 0, and a
+        # redraw extends it by later blocks; a block pass asks for every
+        # party's blocks in one call.
         out = PHILOX_BLOCK(seeds, runs)
         if seeds.size == 1:
             opened.extend((party, int(seeds[0])) for party, first, _ in runs if first == 0)
@@ -527,11 +553,12 @@ def test_forced_lemire_rejection_replays_the_lane(monkeypatch, draw):
                 report = estimate_cheat(strategy, runs, master)
             else:
                 report = sequence_detection_experiment(100, flow, runs, master)
-        # The target lane alone is run again, once: one stream per party.
-        assert sorted(opened) == [(rng.ALICE, target_seed), (rng.BOB, target_seed)], (draw, flow)
+        # Only the rejecting party's stream of the target lane is opened
+        # again, once; no flow runs the lane again.
+        assert opened == [(stream, target_seed)], (draw, flow)
         assert report.successes == expected, (draw, flow)
     if stream == rng.ALICE:
-        # The played block's forced lane is the lone run in every field.
+        # The played block's forced lane is the scalar run in every field.
         seeds = np.array([trial_seed(master, index) for index in range(target + 2)], dtype=np.uint64)
         with monkeypatch.context() as patch:
             patch.setattr(rng, "philox_block", forced)

@@ -278,8 +278,7 @@ MASK64 = (1 << 64) - 1
 )
 def test_block_test_sets_are_numpy_choice(seed, n_states):
     # Each seed's test set, sorted and as a mask, is numpy's choice on
-    # Alice's stream, unless the seed hit a Lemire rejection, which the
-    # stream marks instead.
+    # Alice's stream, Lemire redraws included.
     cfg = SequenceConfig(n_states)
     seeds = np.array([seed, (seed + 1) & MASK64], dtype=np.uint64)
     block = sequence_setup_block(cfg, seeds)
@@ -287,9 +286,8 @@ def test_block_test_sets_are_numpy_choice(seed, n_states):
         key = np.array([lane_seed, rng.ALICE], dtype=np.uint64)
         gen = np.random.Generator(np.random.Philox(key=key))
         expected = sorted(gen.choice(n_states, cfg.test_size, replace=False).tolist())
-        if not block.alice.rejected[lane]:
-            assert block.tested[:, lane].tolist() == expected, (lane_seed, n_states)
-            assert np.flatnonzero(block.is_tested[:, lane]).tolist() == expected, (lane_seed, n_states)
+        assert block.tested[:, lane].tolist() == expected, (lane_seed, n_states)
+        assert np.flatnonzero(block.is_tested[:, lane]).tolist() == expected, (lane_seed, n_states)
 
 
 def _lemire_value(value: int, high: int) -> int:
@@ -331,7 +329,6 @@ def test_floyd_steps_follow_chains_of_collisions(monkeypatch):
 
     monkeypatch.setattr(protocols, "block_streams", synthetic)
     setup = sequence_setup_block(cfg, np.arange(len(floyd_draws), dtype=np.uint64))
-    assert not setup.alice.rejected.any()
     for lane, draws in enumerate(floyd_draws):
         assert all(draw <= j for draw, j in zip(draws, range(n - k, n)))
         assert setup.tested[:, lane].tolist() == _floyd(draws, n), lane
@@ -341,7 +338,6 @@ def test_floyd_steps_follow_chains_of_collisions(monkeypatch):
 def test_sequence_spot_check_passes_honest_states():
     cfg = SequenceConfig(16)
     setup = sequence_setup_block(cfg, np.arange(40, dtype=np.uint64), alice_words=2 * cfg.test_size)
-    assert not setup.alice.rejected.any()
     rand = setup.alice.randoms(2 * cfg.test_size)
     assert (sequence_spot_check_block(rand, setup.tested, setup.pairs, setup.pairs) == -1).all()
 

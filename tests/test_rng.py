@@ -213,7 +213,7 @@ def test_one_seed_stream_extends_past_its_blocks_after_redraws():
         gen = party_stream(key, rng.BOB)
         block = _one_stream(np.array([key], dtype=np.uint64), rng.BOB, words=8)
         values = block.bounded([high] * 16)
-        assert values[:, 0].tolist() == [gen.integers(0, high + 1) for _ in range(16)] and not block.rejected[0], key
+        assert values[:, 0].tolist() == [gen.integers(0, high + 1) for _ in range(16)] and not block._alone, key
         held.append(len(block._words))
         if held[-1] > 8:
             # Later draws go on reading blocks as the generator does.
@@ -301,7 +301,6 @@ def test_block_stream_spans_blocks():
         bounded = block.bounded(highs)
         bits_b = block.draw_bits(4)
         (last,) = block.randoms(1)
-        assert not block.rejected.any()
         for index, key in enumerate(keys):
             gen = party_stream(int(key), stream)
             assert bits_a[:, index].tolist() == [draw_bit(gen) for _ in range(7)]
@@ -336,25 +335,69 @@ def test_bounded_flags_exactly_the_lemire_redraws():
     # A range of 3 * 2**30 + 1 values rejects about a quarter of all 32-bit
     # draws, so numpy's own generator shows which draws it took again: after
     # a single 32-bit draw a fresh generator holds one buffered half word
-    # and has used one word of its block.  A range of 2 has a threshold of
-    # 0, so a later draw in it rejects nothing and every mark stays.
+    # and has used one word of its block.  Exactly those lanes get a stream
+    # of their own.  A range of 2 has a threshold of 0, so a later draw in
+    # it rejects nothing and opens no other lane's stream.
     high = 3 << 30
     keys = _keys(300)
     stream = _one_stream(keys, 0)
     values = stream.bounded([high])
-    rejected = stream.rejected.copy()
-    assert 20 < np.count_nonzero(rejected) < 150
+    redrawn = set(stream._alone)
+    assert 20 < len(redrawn) < 150
     assert rng._lemire_bounds((1,))[1].tolist() == [[0]]
-    stream.bounded([1, 1])
-    assert np.array_equal(stream.rejected, rejected)
+    coins = stream.bounded([1, 1])
+    assert set(stream._alone) == redrawn
     for index, key in enumerate(keys):
         gen = party_stream(int(key), 0)
-        value = int(gen.integers(0, high + 1))
+        assert values[0, index] == gen.integers(0, high + 1), int(key)
         state = gen.bit_generator.state
         drew_once = state["has_uint32"] == 1 and state["buffer_pos"] == 1
-        assert bool(rejected[index]) == (not drew_once), int(key)
-        if drew_once:
-            assert values[0, index] == value
+        assert (index in redrawn) == (not drew_once), int(key)
+        assert coins[:, index].tolist() == [gen.integers(0, 2), gen.integers(0, 2)], int(key)
+
+
+# Draws of every kind in turn, after a bounded draw that leaves a half word
+# buffered: bit pairs taken from halves while a half is buffered and from
+# whole words while none is, bounded draws that start on a buffered half, and
+# lone bits.
+MIXED_DRAWS = (
+    ("bounded", (3 << 30,)),
+    ("draw_bit_pairs", 3),
+    ("randoms", 2),
+    ("bounded", (3 << 30, 7, 3 << 30)),
+    ("draw_bit_pairs", 4),
+    ("draw_bits", 3),
+    ("bounded", (3 << 30,)),
+    ("randoms", 1),
+    ("draw_bits", 1),
+    ("draw_bit_pairs", 2),
+)
+
+
+def _generator_draws(gen, kind, arg) -> list:
+    if kind == "bounded":
+        return [int(gen.integers(0, high + 1)) for high in arg]
+    if kind == "draw_bit_pairs":
+        return [2 * draw_bit(gen) + draw_bit(gen) for _ in range(arg)]
+    if kind == "draw_bits":
+        return [draw_bit(gen) for _ in range(arg)]
+    return [gen.random() for _ in range(arg)]
+
+
+@pytest.mark.parametrize("master", (0, 1, 2))
+def test_every_lane_after_redraws_is_the_generator(master):
+    # About a quarter of the lanes draw again at the first bounded draw,
+    # and 1 - (3/4)**4, about two thirds, by the last; each lane, redrawn
+    # or not, hands out exactly what numpy's generator gives over all four
+    # kinds of draw.
+    seeds = trial_seeds(master, 0, 300)
+    stream = _one_stream(seeds, rng.BOB, words=20)
+    drawn = [(kind, arg, getattr(stream, kind)(list(arg) if kind == "bounded" else arg)) for kind, arg in MIXED_DRAWS]
+    assert 150 < len(stream._alone) < 250, len(stream._alone)
+    for index, seed in enumerate(seeds.tolist()):
+        gen = party_stream(seed, rng.BOB)
+        for kind, arg, values in drawn:
+            assert values[:, index].tolist() == _generator_draws(gen, kind, arg), (master, seed, kind)
 
 
 def test_one_seed_bounded_redraws_as_generator():
@@ -367,7 +410,7 @@ def test_one_seed_bounded_redraws_as_generator():
     planned = _one_stream(keys, 0, words=12)
     planned.randoms(6)
     planned.bounded([high])
-    assert 20 < np.count_nonzero(planned.rejected) < 150
+    assert 20 < len(planned._alone) < 150
     one_seed_streams = (
         lambda seed: _one_stream(seed, 0, words=12),
         lambda seed: block_streams(seed, ((rng.BOB, 4), (0, 12)))[1],
@@ -377,20 +420,22 @@ def test_one_seed_bounded_redraws_as_generator():
         block = make(np.array([key], dtype=np.uint64))
         assert block.randoms(6)[:, 0].tolist() == [gen.random() for _ in range(6)]
         values = block.bounded([high])
-        assert values[0, 0] == gen.integers(0, high + 1) and not block.rejected[0], key
+        assert values[0, 0] == gen.integers(0, high + 1) and not block._alone, key
         assert block.randoms(1)[0, 0] == gen.random()
         assert block.draw_bits(1)[0, 0] == draw_bit(gen)
         assert block.randoms(1)[0, 0] == gen.random()
         # Several ranges in one call, each taken again on its own.
         values = block.bounded([high, 90, high])
-        assert values[:, 0].tolist() == [gen.integers(0, r + 1) for r in (high, 90, high)] and not block.rejected[0]
+        assert values[:, 0].tolist() == [gen.integers(0, r + 1) for r in (high, 90, high)] and not block._alone
         assert block.draw_bits(1)[0, 0] == draw_bit(gen)
         assert block.randoms(1)[0, 0] == gen.random()
 
 
 def test_bounded_redraws_strictly_below_the_threshold():
-    # Synthetic words whose low half u makes u * (high + 1) mod 2**32 equal
-    # the threshold (kept) or one less (redrawn).  Odd ranges make u unique.
+    # Synthetic words of seed 0 whose low half u makes u * (high + 1) mod
+    # 2**32 equal the threshold (kept) or one less (redrawn).  Odd ranges
+    # make u unique.  The redrawn lane takes the draw again on its own
+    # stream, whose words come fresh from the kernel: the generator's.
     for high in (2, 90, 3 << 30):
         span = high + 1
         threshold = (2**32 - 1 - high) % span
@@ -399,8 +444,8 @@ def test_bounded_redraws_strictly_below_the_threshold():
         words[0] = u
         stream = BlockStream(np.zeros(u.size, dtype=np.uint64), 0, words)
         values = stream.bounded([high])
-        assert stream.rejected.tolist() == [True, False], high
-        assert values[0].tolist() == [int(v) * span >> 32 for v in u]
+        assert list(stream._alone) == [0], high
+        assert values[0].tolist() == [party_stream(0, 0).integers(0, high + 1), int(u[1]) * span >> 32]
 
 
 def test_block_stream_maps_words_as_generator():
