@@ -14,9 +14,12 @@ Output is a human-readable table by default or a single canonical JSON
 document with ``--output json`` (sorted keys, probabilities at six
 decimals; parsing and re-emitting is byte-identical).  Exit codes: 0 on
 success, 1 on validation/usage errors or when the reader closes stdout
-early, 2 when the headline cross-checks drift.  The parser is built once,
-at import, and ``main`` only parses with it, so ``main`` may be called
-repeatedly in one process.
+early, 2 when the headline cross-checks drift.  Each verb's options, their
+defaults (``--trials 10000 --seed 42 --output table``) and its handler are
+declared once, in :func:`build_parser`; the library checks the values, so
+a ``--trials`` below a verb's minimum exits 1 with the library's message.
+The parser is built once, at import, and ``main`` only parses with it, so
+``main`` may be called repeatedly in one process.
 """
 
 from __future__ import annotations
@@ -25,7 +28,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass
 
 from . import adversary, montecarlo, security
 from .linalg import ValidationError
@@ -41,24 +43,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    protocol: str | None = None
-    trials: int = 10000
-    seed: int = 42
-    n_states: int | None = None  # the sequence batch size; None keeps the default
-    output: str = "table"
-    strategy_file: str | None = None
-
-    def __post_init__(self):
-        # argparse enforces the required options and the choices.
-        if self.trials < 1:
-            raise ValidationError("--trials must be positive")
-        if self.n_states is not None and self.protocol != "sequence":
-            raise ValidationError(f"--n-states applies only to --protocol sequence, not {self.protocol}")
 
 
 def render_json(value) -> str:
@@ -112,12 +96,12 @@ def _profile_dict(profile: security.CheatProfile) -> dict:
     }
 
 
-def _analyze(config: RunConfig) -> dict:
-    if config.protocol == "bad_classical":
+def _analyze(args: argparse.Namespace) -> dict:
+    if args.protocol == "bad_classical":
         return _profile_dict(security.BAD_CLASSICAL_PROFILE)
-    if config.protocol == "bad_qubit":
+    if args.protocol == "bad_qubit":
         return _profile_dict(security.BAD_QUBIT_PROFILE)
-    if config.protocol == "qutrit":
+    if args.protocol == "qutrit":
         triple, optimized = adversary.optimize_alice_qutrit(adversary.OPTIMIZER_TOLERANCE)
         payload = _profile_dict(security.qutrit_profile())
         payload["p_a_star_optimized"] = optimized
@@ -130,7 +114,7 @@ def _analyze(config: RunConfig) -> dict:
     return payload
 
 
-def _balance(config: RunConfig) -> dict:
+def _balance(args: argparse.Namespace) -> dict:
     bad_pair = security.balance(security.BAD_QUBIT_PROFILE, security.BAD_CLASSICAL_PROFILE)
     refined = security.balance(security.BAD_QUBIT_PROFILE, security.qutrit_profile())
     return {
@@ -139,27 +123,24 @@ def _balance(config: RunConfig) -> dict:
     }
 
 
-def _bound(config: RunConfig) -> dict:
-    value = security.kitaev_min_advantage(security.IDEAL_ALICE, security.IDEAL_BOB)
+def _bound(args: argparse.Namespace) -> dict:
     return {
-        "bound": value,
-        "quadratic_coefficients": [
-            security.IDEAL_ALICE * security.IDEAL_BOB,
-            security.IDEAL_BOB,
-            -1.0,
-        ],
+        "bound": security.kitaev_min_advantage(security.IDEAL_ALICE, security.IDEAL_BOB),
+        "quadratic_coefficients": security.kitaev_quadratic(security.IDEAL_ALICE, security.IDEAL_BOB),
         "ideal_alice": security.IDEAL_ALICE,
         "ideal_bob": security.IDEAL_BOB,
     }
 
 
-def _simulate(config: RunConfig) -> dict:
+def _simulate(args: argparse.Namespace) -> dict:
+    if args.n_states is not None and args.protocol != "sequence":
+        raise ValidationError(f"--n-states applies only to --protocol sequence, not {args.protocol}")
     report, conditional = montecarlo.estimate_completeness(
-        config.protocol, config.trials, config.seed, config.n_states
+        args.protocol, args.trials, args.seed, args.n_states
     )
     return {
-        "protocol": config.protocol,
-        "seed": config.seed,
+        "protocol": args.protocol,
+        "seed": args.seed,
         "assert_rate": report.to_dict(),
         "conditional_correct": conditional,
     }
@@ -186,56 +167,45 @@ def _load_strategy(path: str) -> adversary.CheatStrategy:
     return adversary.CheatStrategy(raw["party"], raw["protocol"], raw.get("parameters"))
 
 
-def _cheat(config: RunConfig) -> dict:
-    strategy = _load_strategy(config.strategy_file)
-    report = montecarlo.estimate_cheat(strategy, config.trials, config.seed)
+def _cheat(args: argparse.Namespace) -> dict:
+    strategy = _load_strategy(args.strategy_file)
+    report = montecarlo.estimate_cheat(strategy, args.trials, args.seed)
     return {
         "party": strategy.party,
         "protocol": strategy.protocol,
-        "seed": config.seed,
+        "seed": args.seed,
         "success": report.to_dict(),
     }
 
 
-def _headline(config: RunConfig) -> dict:
+def _headline(args: argparse.Namespace) -> dict:
     return security.reproduce_headline_table().to_dict()
-
-
-_COMMANDS = {
-    "analyze": _analyze,
-    "balance": _balance,
-    "bound": _bound,
-    "simulate": _simulate,
-    "cheat": _cheat,
-    "headline": _headline,
-}
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="rotlab", description="Rabin oblivious transfer security laboratory")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    # Options left off the command line stay off the namespace, so the
-    # defaults live in RunConfig alone.
-    def add(name, help_text, protocol=False, trials=False, strategy=False):
-        sub = commands.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+    def add(name, run, help_text, protocol=False, trials=False, strategy=False):
+        sub = commands.add_parser(name, help=help_text)
         if protocol:
             sub.add_argument("--protocol", choices=PROTOCOL_IDS, required=True)
         if trials:
-            sub.add_argument("--trials", type=int)
-            sub.add_argument("--seed", type=int)
+            sub.add_argument("--trials", type=int, default=10000)
+            sub.add_argument("--seed", type=int, default=42)
         if strategy:
             sub.add_argument("--strategy", dest="strategy_file", required=True)
-        sub.add_argument("--output", choices=("table", "json"))
+        sub.add_argument("--output", choices=("table", "json"), default="table")
+        sub.set_defaults(run=run)
         return sub
 
-    add("analyze", "cheating profile of one protocol", protocol=True)
-    add("balance", "coin-flip compositions of the protocol pairs")
-    add("bound", "closed-form lower bound on the cheating advantage")
-    simulate = add("simulate", "seeded completeness estimate", protocol=True, trials=True)
+    add("analyze", _analyze, "cheating profile of one protocol", protocol=True)
+    add("balance", _balance, "coin-flip compositions of the protocol pairs")
+    add("bound", _bound, "closed-form lower bound on the cheating advantage")
+    simulate = add("simulate", _simulate, "seeded completeness estimate", protocol=True, trials=True)
     simulate.add_argument("--n-states", type=int, dest="n_states")
-    add("cheat", "seeded cheating-strategy estimate", trials=True, strategy=True)
-    add("headline", "recompute the headline table with cross-checks")
+    add("cheat", _cheat, "seeded cheating-strategy estimate", trials=True, strategy=True)
+    add("headline", _headline, "recompute the headline table with cross-checks")
     return parser
 
 
@@ -246,15 +216,14 @@ _PARSER = build_parser()
 def main(argv=None) -> int:
     args = _PARSER.parse_args(argv)
     try:
-        config = RunConfig(**vars(args))
-        payload = _COMMANDS[config.command](config)
+        payload = args.run(args)
     except ConsistencyError as exc:
         print(f"consistency error: {exc}", file=sys.stderr)
         return 2
-    except (ValidationError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.output == "json":
+    if args.output == "json":
         print(render_json(payload))
     else:
         print(render_table(payload))

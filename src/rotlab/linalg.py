@@ -66,6 +66,11 @@ def as_integer(name: str, value) -> int:
     return operator.index(value)
 
 
+def is_real(value) -> bool:
+    """True for a real number but a bool, numpy's included."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real)
+
+
 @dataclass(frozen=True, eq=False)
 class ComplexMatrix:
     """Dense complex matrix, at most 16x16, of finite entries, read-only

@@ -13,13 +13,12 @@ block forms that the single runs call on one seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .adversary import CheatStrategy, cheat_block
-from .linalg import ValidationError, as_integer
+from .linalg import ValidationError, as_integer, is_real
 from .protocols import (
     PROTOCOL_IDS,
     ROT_EXECUTORS,
@@ -182,7 +181,7 @@ def estimate_cheat(
     if trials < 1:
         raise ValidationError("need at least one trial")
     if target is not None:
-        if isinstance(target, bool) or not isinstance(target, numbers.Real) or not 0.0 <= target <= 1.0:
+        if not (is_real(target) and 0.0 <= target <= 1.0):
             raise ValidationError(f"target must be a success rate in [0, 1], got {target!r}")
         target = float(target)
     block = cheat_block(strategy)

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import adversary
-from .linalg import ValidationError
+from .linalg import ValidationError, is_real
 
 IDEAL_ALICE = 0.75
 IDEAL_BOB = 0.5
@@ -55,8 +55,9 @@ class CheatProfile:
 
 
 def advantage(p_a: float, p_b: float) -> CheatProfile:
-    """Profile of a protocol with cheating probabilities (p_a, p_b)."""
-    if not (0.0 <= p_a <= 1.0 and 0.0 <= p_b <= 1.0):
+    """Profile of a protocol with cheating probabilities (p_a, p_b), each
+    a real number in [0, 1] but not a bool."""
+    if not (is_real(p_a) and is_real(p_b) and 0.0 <= p_a <= 1.0 and 0.0 <= p_b <= 1.0):
         raise ValidationError(f"cheating probabilities must lie in [0, 1], got ({p_a}, {p_b})")
     gamma_a = p_a / IDEAL_ALICE
     gamma_b = p_b / IDEAL_BOB
@@ -119,17 +120,22 @@ def balance(prof1: CheatProfile, prof2: CheatProfile) -> BalanceResult:
     return BalanceResult(z_bias=1.0 - weight_first, gamma=gamma, strict_improvement=strict)
 
 
-def kitaev_min_advantage(ideal_a: float, ideal_b: float) -> float:
-    """Smallest advantage compatible with the coin-flip product bound.
-
-    An equal-advantage profile turns the product bound into the quadratic
-    ideal_a * ideal_b * g**2 + ideal_b * g - 1 >= 0; the returned value is
-    its positive root, computed in closed form.
+def kitaev_quadratic(ideal_a: float, ideal_b: float) -> tuple[float, float, float]:
+    """Coefficients (a, b, c) of the quadratic a * g**2 + b * g + c >= 0 that
+    the coin-flip product bound puts on an equal advantage g: a = ideal_a *
+    ideal_b, b = ideal_b, c = -1.  Each ideal probability must be a real
+    number in (0, 1] but not a bool.
     """
-    if not (0.0 < ideal_a <= 1.0 and 0.0 < ideal_b <= 1.0):
+    if not (is_real(ideal_a) and is_real(ideal_b) and 0.0 < ideal_a <= 1.0 and 0.0 < ideal_b <= 1.0):
         raise ValidationError(f"ideal probabilities must lie in (0, 1], got ({ideal_a}, {ideal_b})")
-    quad = ideal_a * ideal_b
-    return (-ideal_b + math.sqrt(ideal_b * ideal_b + 4.0 * quad)) / (2.0 * quad)
+    return ideal_a * ideal_b, ideal_b, -1.0
+
+
+def kitaev_min_advantage(ideal_a: float, ideal_b: float) -> float:
+    """Smallest advantage compatible with the coin-flip product bound: the
+    positive root of :func:`kitaev_quadratic`, computed in closed form."""
+    a, b, c = kitaev_quadratic(ideal_a, ideal_b)
+    return (-b + math.sqrt(b * b - 4.0 * a * c)) / (2.0 * a)
 
 
 def check_kitaev_product(p_a0: float, p_b0: float) -> bool:

@@ -168,12 +168,17 @@ def test_criterion_6_catches_heads_where_a_differs_from_b(monkeypatch):
                     run_coinflip_reduction(rot, 11)
 
 
-@pytest.mark.parametrize(
-    "protocol,seed",
-    [("bad_classical", 101), ("bad_qubit", 103), ("qutrit", 107), ("sequence", 109)],
-)
+# Criterion 7's completeness gates: each protocol at its own seed.
+CRITERION_7_SEEDS = {"bad_classical": 101, "bad_qubit": 103, "qutrit": 107, "sequence": 109}
+
+
+def _criterion_7_gate(protocol):
+    return montecarlo.estimate_completeness(protocol, 100_000, seed=CRITERION_7_SEEDS[protocol])
+
+
+@pytest.mark.parametrize("protocol,seed", list(CRITERION_7_SEEDS.items()))
 def test_criterion_7_completeness(protocol, seed, capsys):
-    trial_report, conditional = montecarlo.estimate_completeness(protocol, 100_000, seed=seed)
+    trial_report, conditional = _criterion_7_gate(protocol)
     assert conditional is True
     assert abs(trial_report.z_score) < 3.0, trial_report
     with capsys.disabled():
@@ -181,6 +186,24 @@ def test_criterion_7_completeness(protocol, seed, capsys):
             f"criterion 7: {protocol} assert rate {trial_report.estimate:.4f} "
             f"(z={trial_report.z_score:.2f}), conditional correctness exact"
         )
+
+
+def test_criterion_7_catches_a_swapped_sequence_decode(monkeypatch):
+    # A planted defect of Alice's untested-slot decode: the outcome pairs
+    # (0, 1) and (1, 0) trade readings.  She still learns a bit half the
+    # time, so the assert rate holds, but some of the bits she learns are
+    # not the ones Bob sent, so conditional correctness fails.  Unpatched,
+    # the gate passes.
+    swapped = protocols.SEQUENCE_DECODE.copy()
+    swapped[0, 1], swapped[1, 0] = protocols.SEQUENCE_DECODE[1, 0], protocols.SEQUENCE_DECODE[0, 1]
+    tables = protocols._decode_tables(*protocols._SEQUENCE_THRESHOLDS, swapped)
+    for planted in (False, True):
+        with monkeypatch.context() as patch:
+            if planted:
+                patch.setattr(protocols, "_DECODE_TABLES", tables)
+            trial_report, conditional = _criterion_7_gate("sequence")
+        assert abs(trial_report.z_score) < 3.0, trial_report
+        assert conditional is not planted
 
 
 def test_criterion_7_honest_sequence_never_aborts(capsys):
@@ -218,10 +241,12 @@ def test_criterion_8_oracle_equivalence(capsys):
         )
 
 
+def _criterion_9_gate():
+    return montecarlo.sequence_detection_experiment(100, "send-orthogonal", 10_000, seed=1021)
+
+
 def test_criterion_9_spot_check_detection_rate(capsys):
-    trial_report = montecarlo.sequence_detection_experiment(
-        100, "send-orthogonal", 10_000, seed=1021
-    )
+    trial_report = _criterion_9_gate()
     assert trial_report.target == 0.1
     assert abs(trial_report.z_score) < 3.0, trial_report
     with capsys.disabled():
@@ -229,3 +254,21 @@ def test_criterion_9_spot_check_detection_rate(capsys):
             f"criterion 9: orthogonal corruption aborts at {trial_report.estimate:.4f} "
             f"(target 0.1, z={trial_report.z_score:.2f}) over 1e4 trials"
         )
+
+
+def test_criterion_9_catches_a_corruption_into_the_other_basis(monkeypatch):
+    # A planted defect of Bob's corruption: the corrupted slot carries a
+    # state of the other basis, announced ^ 1, which a test catches only
+    # with probability 3/4, so the abort rate falls below test_size /
+    # n_states.  Unpatched, the gate passes.
+    spot_check = montecarlo.sequence_spot_check_block
+
+    def other_basis(rand, tested, sent, announced):
+        return spot_check(rand, tested, np.where(sent != announced, announced ^ 1, sent), announced)
+
+    for planted in (False, True):
+        with monkeypatch.context() as patch:
+            if planted:
+                patch.setattr(montecarlo, "sequence_spot_check_block", other_basis)
+            trial_report = _criterion_9_gate()
+        assert (abs(trial_report.z_score) >= 3.0) is planted, trial_report

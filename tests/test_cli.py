@@ -279,9 +279,34 @@ def test_unknown_flag_exits_one(capsys):
     assert "unrecognized arguments: --wat" in capsys.readouterr().err
 
 
-def test_simulate_trials_validation(capsys):
+def test_simulate_trials_validation(capsys, tmp_path):
+    # The library refuses a trial count below the verb's minimum.
     code, _, err = run_cli(capsys, "simulate", "--protocol", "qutrit", "--trials", "0")
     assert code == 1
+    assert err == "error: need at least 1000 trials, got 0\n"
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"party": "bob", "protocol": "qutrit"}))
+    code, out, err = run_cli(capsys, "cheat", "--strategy", str(path), "--trials", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "error: need at least one trial\n"
+
+
+def _table(text):
+    return dict(line.split(None, 1) for line in text.splitlines())
+
+
+def test_estimates_default_to_10000_trials_at_seed_42_as_a_table(capsys, tmp_path):
+    code, out, _ = run_cli(capsys, "simulate", "--protocol", "bad_classical")
+    assert code == 0
+    rows = _table(out)
+    assert rows["assert_rate.trials"] == "10000" and rows["seed"] == "42"
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps({"party": "bob", "protocol": "qutrit"}))
+    code, out, _ = run_cli(capsys, "cheat", "--strategy", str(path))
+    assert code == 0
+    rows = _table(out)
+    assert rows["success.trials"] == "10000" and rows["seed"] == "42"
 
 
 def test_render_json_formats():

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
@@ -12,6 +13,7 @@ from rotlab.security import (
     balance,
     check_kitaev_product,
     kitaev_min_advantage,
+    kitaev_quadratic,
     reproduce_headline_table,
 )
 
@@ -53,6 +55,22 @@ def test_advantage_range_validation_and_flag():
         advantage(0.8, -0.1)
     assert not advantage(0.6, 0.5).admissible
     assert not advantage(0.75, 0.4).admissible
+
+
+@pytest.mark.parametrize("value", [True, False, "0.8", None, 0.5j])
+def test_probabilities_must_be_real_numbers(value):
+    # A bool is not a probability, and a string must not reach the
+    # comparisons as a TypeError.
+    for call in (advantage, kitaev_quadratic, kitaev_min_advantage):
+        with pytest.raises(ValidationError, match="must lie in"):
+            call(value, 0.5)
+        with pytest.raises(ValidationError, match="must lie in"):
+            call(0.75, value)
+
+
+def test_numpy_probabilities_are_accepted():
+    assert advantage(np.float64(0.75), np.float32(0.5)) == advantage(0.75, 0.5)
+    assert kitaev_min_advantage(np.float64(0.75), np.float64(0.5)) == kitaev_min_advantage(0.75, 0.5)
 
 
 @given(probabilities, probabilities, probabilities, probabilities)
@@ -160,6 +178,9 @@ def test_kitaev_root_satisfies_defining_equality():
         gamma = kitaev_min_advantage(ideal_a, ideal_b)
         product = (ideal_b * gamma) * (0.5 + 0.5 * ideal_a * gamma)
         assert abs(product - 0.5) < 1e-12
+        a, b, c = kitaev_quadratic(ideal_a, ideal_b)
+        assert (a, b, c) == (ideal_a * ideal_b, ideal_b, -1.0)
+        assert abs(a * gamma * gamma + b * gamma + c) < 1e-12
 
 
 @given(
@@ -172,6 +193,15 @@ def test_kitaev_bound_monotone_in_each_ideal(ideal_a, ideal_b, factor):
     base = kitaev_min_advantage(ideal_a, ideal_b)
     assert kitaev_min_advantage(min(ideal_a * factor, 1.0), ideal_b) <= base + 1e-12
     assert kitaev_min_advantage(ideal_a, min(ideal_b * factor, 1.0)) <= base + 1e-12
+
+
+@given(st.floats(min_value=1e-6, max_value=1.0), st.floats(min_value=1e-6, max_value=1.0))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_kitaev_root_keeps_its_closed_form_bit_for_bit(ideal_a, ideal_b):
+    # With c = -1, b*b - 4ac is exactly b*b + 4a.
+    quad = ideal_a * ideal_b
+    closed = (-ideal_b + math.sqrt(ideal_b * ideal_b + 4.0 * quad)) / (2.0 * quad)
+    assert kitaev_min_advantage(ideal_a, ideal_b).hex() == closed.hex()
 
 
 def test_kitaev_bound_input_validation():
