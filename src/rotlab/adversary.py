@@ -72,6 +72,7 @@ from .protocols import (
     coin_flip_results,
     pair_bit,
     sequence_setup_block,
+    slot_pairs,
 )
 from .rng import ALICE, BOB, BOB_AUX, BlockStream, block_streams, seed_array
 
@@ -400,10 +401,8 @@ def _alice_sequence_block(params: dict):
 
     def run(seeds: np.ndarray) -> np.ndarray:
         setup = sequence_setup_block(cfg, seeds, alice_words=1, bob_words=1)
-        # The first untested slot, and its pair: slot s of seed i is entry
-        # s * len(seeds) + i of the flattened pairs.
-        slot = setup.is_tested.argmin(axis=0)
-        pair = setup.pairs.take(slot * seeds.size + np.arange(seeds.size))
+        # The first untested slot's pair.
+        pair = slot_pairs(setup.pairs, setup.is_tested.argmin(axis=0))
         (declared,) = setup.bob.draw_bits(1)
         guess = setup.alice.randoms(1)[0] >= thresholds[pair, declared]
         return guess == pair_bit(pair, declared)

@@ -26,6 +26,7 @@ from .protocols import (
     play_sequence_block,
     sequence_setup_block,
     sequence_spot_check_block,
+    slot_pairs,
 )
 from .rng import trial_seeds
 
@@ -193,27 +194,24 @@ def estimate_cheat(
 
 
 def _detection_block(cfg: SequenceConfig, seeds: np.ndarray, variant: str) -> np.ndarray:
-    # Bob's preparation plus Alice's spot checks, on pair indices; the abort
-    # statistic is decided entirely by the testing phase, so the untested
-    # decode is skipped.  send-orthogonal flips both bits of a uniformly
-    # chosen slot, index ^ 3: the orthogonal partner within the same basis,
-    # which a test then catches with certainty.  announce-wrong-state
-    # announces, for a uniformly chosen tested slot, the a-th of the other
-    # three pairs, a + (a >= p) for the sent index p.  Bob's integers draws
-    # take the halves of his word n.
+    # Bob's preparation plus Alice's spot checks, on the tested slots' pair
+    # indices; the abort statistic is decided entirely by the testing
+    # phase, so the untested decode is skipped.  Each lie edits rows of
+    # what is sent or announced at the tested slots.  send-orthogonal flips
+    # both bits of a uniformly chosen slot, index ^ 3: the orthogonal
+    # partner within the same basis, which a test then catches with
+    # certainty, and which changes nothing where that slot is untested.
+    # announce-wrong-state announces, at the pick-th tested slot, the a-th
+    # of the other three pairs, a + (a >= p) for the sent index p.  Bob's
+    # integers draws take the halves of his word n.
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size, bob_words=1)
-    lanes = np.arange(seeds.size)
-    sent = announced = setup.pairs
-    # Slot s of seed i is entry s * len(seeds) + i of the flattened pairs.
+    sent = announced = slot_pairs(setup.pairs, setup.tested)
     if variant == "send-orthogonal":
         (corrupt,) = setup.bob.bounded([cfg.n_states - 1])
-        sent = setup.pairs.copy()
-        sent.ravel()[corrupt * seeds.size + lanes] ^= 3
+        sent = sent ^ 3 * (setup.tested == corrupt)
     elif variant == "announce-wrong-state":
         pick, alternative = setup.bob.bounded([cfg.test_size - 1, 2])
-        at = setup.tested.take(pick * seeds.size + lanes) * seeds.size + lanes
-        announced = setup.pairs.copy()
-        announced.ravel()[at] = alternative + (alternative >= setup.pairs.take(at))
+        announced = np.where(np.arange(cfg.test_size)[:, None] == pick, alternative + (alternative >= sent), sent)
     rand = setup.alice.randoms(2 * cfg.test_size)
     return sequence_spot_check_block(rand, setup.tested, sent, announced) >= 0
 

@@ -35,12 +35,16 @@ are read-only module constants, built at import.  The sequence forms step
 through no slot or draw one at a time: Alice's test set, Floyd's picks, is
 settled for all of its draws at once (see :func:`sequence_setup_block`),
 and her spot check and untested-slot decode each look their thresholds
-and outputs up in flat tables, by pair index.  The spot check draws
-nothing itself but takes the tested slots' uniforms, so the honest flow
-draws all of Alice's uniforms in one call, and a detection run only the
-tested slots' ones.  A run is its block form on one seed, with the
-transcript rendered from the bits it drew; the Monte-Carlo harness calls
-the block forms and builds no transcript.
+and outputs up in flat tables, by pair index.  :func:`slot_pairs` reads
+each seed's pair at given slots, so no other module indexes a slot of an
+``(n_states, seeds)`` table.  The spot check draws and gathers nothing
+itself but takes the tested slots' uniforms and the pair indices sent
+and announced at those slots, each shaped like the test set.  So the
+honest flow draws all of Alice's uniforms in one call, and a detection
+run only the tested slots' ones, modelling Bob's lie as an edit of rows
+of the tested slots' pairs.  A run is its block form on one seed, with
+the transcript rendered from the bits it drew; the Monte-Carlo harness
+calls the block forms and builds no transcript.
 
 Each protocol fact is defined here once, in the form the flows read.  The
 cheating strategies share Alice's qutrit probe (``QUTRIT_PROBES``, one row
@@ -56,7 +60,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from enum import Enum
 from functools import lru_cache
 from typing import NamedTuple
@@ -101,19 +105,8 @@ class Transcript:
         return tuple(self._messages)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for msg in self._messages:
-            lines.append(
-                json.dumps(
-                    {
-                        "index": msg.index,
-                        "sender": msg.sender,
-                        "label": msg.label,
-                        "payload": msg.payload,
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
+        # One JSON object per message, its fields in Message's order.
+        return "\n".join(json.dumps(asdict(msg)) for msg in self._messages) + "\n"
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Transcript):
@@ -355,7 +348,8 @@ class SequenceSetupBlock(NamedTuple):
     party streams, ``pairs``, Bob's pair index per slot, shape
     ``(n_states, seeds)``, ``tested``, Alice's sorted test set, shape
     ``(test_size, seeds)``, and ``is_tested``, the same set as a mask shaped
-    like ``pairs``."""
+    like ``pairs``.  ``slot_pairs(pairs, tested)`` reads the tested slots'
+    pairs, shaped like ``tested``."""
 
     alice: BlockStream
     bob: BlockStream
@@ -402,6 +396,20 @@ def pair_bit(pairs: np.ndarray, index) -> np.ndarray:
     """Bit ``index`` of each pair index 2 * x0 + x1: x0 at index 0, x1 at
     index 1."""
     return (pairs >> (1 - np.asarray(index))) & 1
+
+
+def _flat_index(rows: np.ndarray) -> np.ndarray:
+    # Where each seed's entry at ``rows`` sits in a flattened (rows, seeds)
+    # table, the last axis of ``rows`` running over the seeds: row r of
+    # seed i is entry r * seeds + i.
+    return rows * rows.shape[-1] + np.arange(rows.shape[-1])
+
+
+def slot_pairs(pairs: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Each seed's pair index at ``slots``, shaped like ``slots``, from
+    ``pairs``, shape ``(n_states, seeds)``: the last axis of ``slots`` runs
+    over the seeds."""
+    return pairs.take(_flat_index(slots))
 
 
 def _spot_check_tables(first: np.ndarray, second: np.ndarray) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
@@ -493,12 +501,10 @@ def _floyd_test_sets(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     # at once, until no more give way: one pass more than the longest chain
     # that matters, at most k.
     k, width = draws.shape
-    lanes = np.arange(width)
     gave_way = ((draws[:, None] == draws) & _earlier(k)).any(axis=1)
     links = np.maximum(draws, n - k)
     links -= n - k
-    links *= width
-    links += lanes
+    links = _flat_index(links)
     before, count = -1, np.count_nonzero(gave_way)
     while count > before:
         gave_way |= gave_way.take(links)
@@ -506,7 +512,7 @@ def _floyd_test_sets(draws: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]
     picks = np.where(gave_way, np.arange(n - k, n)[:, None], draws)
     # Each seed's picks as a row of a (seeds, n) mask, whose set entries,
     # row after row, are the test sets, sorted.
-    offsets = n * lanes
+    offsets = n * np.arange(width)
     picks += offsets
     chosen = np.zeros(width * n, dtype=bool)
     chosen[picks] = True
@@ -544,13 +550,12 @@ def sequence_spot_check_block(rand: np.ndarray, tested, sent, announced) -> np.n
     """Alice's consistency check of the tested slots, in order: the first
     failing tested slot per seed, or -1.  ``rand`` holds her uniforms for
     the tested slots, two per slot in order, shape ``(2 * test_size,
-    seeds)``; ``sent`` holds the pair index per slot whose state Bob sent,
-    ``announced`` the one he announces for it.  Every tested slot takes its
-    two uniforms; the outcomes after the first failure are not used, as the
-    check stops there."""
-    width = tested.shape[1]
-    at = tested * width + np.arange(width)
-    sent, announced = sent.take(at), announced.take(at)
+    seeds)``; ``tested`` holds the tested slots, shape ``(test_size,
+    seeds)``, and ``sent`` and ``announced``, shaped like it, the pair
+    index whose state Bob sent at each tested slot and the one he
+    announces for it.  Every tested slot takes its two uniforms; the
+    outcomes after the first failure are not used, as the check stops
+    there."""
     fails = _tested_fails(sent, announced, rand)
     first = np.where(fails, tested, MAX_SEQUENCE_STATES).min(axis=0)
     return np.where(first < MAX_SEQUENCE_STATES, first, -1)
@@ -565,7 +570,8 @@ def play_sequence_block(cfg: SequenceConfig, seeds: np.ndarray) -> SequenceBlock
     n, k = cfg.n_states, cfg.test_size
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * n, bob_words=(n - k + 1) // 2)
     rand = setup.alice.randoms(2 * n)
-    failed = sequence_spot_check_block(rand[: 2 * k], setup.tested, setup.pairs, setup.pairs)
+    tested_pairs = slot_pairs(setup.pairs, setup.tested)
+    failed = sequence_spot_check_block(rand[: 2 * k], setup.tested, tested_pairs, tested_pairs)
     # Each seed's untested slots, in order: n - k of them for every seed.
     sent = np.ascontiguousarray(setup.pairs.T[~setup.is_tested.T].reshape(seeds.size, n - k).T)
     declared = setup.bob.draw_bits(n - k)

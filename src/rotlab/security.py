@@ -99,8 +99,10 @@ def balance(prof1: CheatProfile, prof2: CheatProfile) -> BalanceResult:
     The first profile must be the Alice-preferred one (gamma_a no smaller
     than the second's) and the second the Bob-preferred one.  The
     improvement over both inputs is strict exactly when both preferences
-    are strict.
+    are strict.  Both must be :class:`CheatProfile` values.
     """
+    if not (isinstance(prof1, CheatProfile) and isinstance(prof2, CheatProfile)):
+        raise ValidationError(f"balance takes two CheatProfiles, got ({prof1!r}, {prof2!r})")
     if prof1.gamma_a < prof2.gamma_a:
         raise PreconditionError(
             "alice must prefer the first profile (gamma_a of profile 1 is smaller)"
@@ -140,14 +142,19 @@ def kitaev_min_advantage(ideal_a: float, ideal_b: float) -> float:
 
 def check_kitaev_product(p_a0: float, p_b0: float) -> bool:
     """True when the HEADS-forcing pair clears the product bound of 1/2;
-    a False result flags a pair no quantum coin-flip protocol achieves."""
+    a False result flags a pair no quantum coin-flip protocol achieves.
+    Each probability must be a real number in [0, 1] but not a bool."""
+    if not (is_real(p_a0) and is_real(p_b0) and 0.0 <= p_a0 <= 1.0 and 0.0 <= p_b0 <= 1.0):
+        raise ValidationError(f"HEADS-forcing probabilities must lie in [0, 1], got ({p_a0}, {p_b0})")
     return p_a0 * p_b0 >= 0.5 - _KITAEV_SLACK
 
 
 def coin_forcing_probs(rot_profile: CheatProfile) -> tuple[float, float]:
     """HEADS-forcing probabilities of the coin flip built on a transfer with
-    the given cheating profile: Alice forces with (1 + P_A*)/2, Bob with
-    P_B*."""
+    the given cheating profile, a :class:`CheatProfile`: Alice forces with
+    (1 + P_A*)/2, Bob with P_B*."""
+    if not isinstance(rot_profile, CheatProfile):
+        raise ValidationError(f"coin_forcing_probs takes a CheatProfile, got {rot_profile!r}")
     return 0.5 + 0.5 * rot_profile.p_a_star, rot_profile.p_b_star
 
 

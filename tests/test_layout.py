@@ -371,6 +371,74 @@ def test_hypot_finder_sees_attributes_and_imports():
     assert _hypot_uses(ast.parse(source)) == ["<module>: hypot", "f: hypot", "C: hypot"]
 
 
+def _is_ravel_call(node: ast.AST) -> bool:
+    # Whether node calls ravel, as a method or a function.
+    if not isinstance(node, ast.Call):
+        return False
+    func = node.func
+    return (isinstance(func, ast.Attribute) and func.attr == "ravel") or (
+        isinstance(func, ast.Name) and func.id == "ravel"
+    )
+
+
+def _flat_table_uses(tree: ast.Module) -> list[str]:
+    # Each use of ``take``, as an attribute or an imported name, and each
+    # assignment that writes through a ravel() call, labelled with the
+    # top-level definition that holds it.
+    found = _attribute_finder({"take"})(tree)
+    for top in tree.body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            found += [
+                f"{owner}: {ast.unparse(target)}"
+                for target in targets
+                if any(isinstance(sub, ast.Subscript) and _is_ravel_call(sub.value) for sub in ast.walk(target))
+            ]
+    return found
+
+
+def test_only_protocols_indexes_a_slot():
+    # Slot s of seed i is entry s * seeds + i of a flattened (n_states,
+    # seeds) table, and protocols.slot_pairs alone reads it: the flows
+    # outside protocols gather no entry with take and scatter none through
+    # ravel(), so a lie of Bob's is an edit of the tested slots' rows.
+    offences = _offences(_flat_table_uses)
+    offences = {name: offences.get(name) for name in ("adversary.py", "montecarlo.py") if name in offences}
+    assert not offences, offences
+
+
+def test_flat_table_finder_sees_takes_and_writes_through_ravel():
+    source = (
+        "import numpy as np\n"
+        "from numpy import take, ravel\n"
+        "def f(pairs, at, lanes):\n"
+        "    '''Calls take.'''\n"
+        "    got = pairs.take(at) + np.take(pairs, at)\n"
+        "    flat = pairs.ravel()\n"
+        "    read = pairs.ravel()[at]\n"
+        "    pairs.ravel()[at] ^= 3\n"
+        "    pairs[at, lanes] = 1\n"
+        "    head, np.ravel(pairs)[at] = 0, 1\n"
+        "class C:\n"
+        "    def g(self, pairs, at):\n"
+        "        ravel(pairs)[at][0]: int = 2\n"
+    )
+    assert _flat_table_uses(ast.parse(source)) == [
+        "<module>: take",
+        "f: take",
+        "f: take",
+        "f: pairs.ravel()[at]",
+        "f: (head, np.ravel(pairs)[at])",
+        "C: ravel(pairs)[at][0]",
+    ]
+
+
 def _top_level_name(top: ast.stmt) -> str:
     # The name a top-level statement defines: a function's or class's, an
     # assignment's one target, or X for X.setflags(...), which freezes what

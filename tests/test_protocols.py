@@ -335,11 +335,27 @@ def test_floyd_steps_follow_chains_of_collisions(monkeypatch):
     assert _floyd(floyd_draws[0], n) == [7, 21, 22, 23, 24]
 
 
+def _tested_rows(table, tested):
+    # Each seed's entries of a (n_states, seeds) table at its tested slots,
+    # shaped like ``tested``.
+    return np.take_along_axis(table, tested, axis=0)
+
+
+def test_slot_pairs_reads_each_seeds_column():
+    cfg = SequenceConfig(16)
+    setup = sequence_setup_block(cfg, np.arange(40, dtype=np.uint64))
+    assert np.array_equal(protocols.slot_pairs(setup.pairs, setup.tested), _tested_rows(setup.pairs, setup.tested))
+    first_untested = setup.is_tested.argmin(axis=0)
+    expected = [setup.pairs[slot, lane] for lane, slot in enumerate(first_untested.tolist())]
+    assert protocols.slot_pairs(setup.pairs, first_untested).tolist() == expected
+
+
 def test_sequence_spot_check_passes_honest_states():
     cfg = SequenceConfig(16)
     setup = sequence_setup_block(cfg, np.arange(40, dtype=np.uint64), alice_words=2 * cfg.test_size)
     rand = setup.alice.randoms(2 * cfg.test_size)
-    assert (sequence_spot_check_block(rand, setup.tested, setup.pairs, setup.pairs) == -1).all()
+    tested_pairs = _tested_rows(setup.pairs, setup.tested)
+    assert (sequence_spot_check_block(rand, setup.tested, tested_pairs, tested_pairs) == -1).all()
 
 
 def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
@@ -347,13 +363,13 @@ def test_sequence_spot_check_catches_a_tested_orthogonal_partner():
     # shows the announced outcome with probability 0.
     cfg = SequenceConfig(16)
     seeds = np.arange(40, dtype=np.uint64)
-    lanes = np.arange(seeds.size)
     for position in range(cfg.test_size):
         setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size)
         slot = setup.tested[position]
-        sent = setup.pairs.copy()
-        sent[slot, lanes] ^= 3
-        failed = sequence_spot_check_block(setup.alice.randoms(2 * cfg.test_size), setup.tested, sent, setup.pairs)
+        announced = _tested_rows(setup.pairs, setup.tested)
+        sent = announced.copy()
+        sent[position] ^= 3
+        failed = sequence_spot_check_block(setup.alice.randoms(2 * cfg.test_size), setup.tested, sent, announced)
         assert failed.tolist() == slot.tolist()
 
 
@@ -366,7 +382,8 @@ def test_sequence_spot_check_block_stops_where_the_scalar_check_does():
     announced[:, ::3] = -1  # every third run announces honestly
     setup = sequence_setup_block(cfg, seeds, alice_words=2 * cfg.test_size)
     announced = np.where(announced < 0, setup.pairs, announced)
-    failed = sequence_spot_check_block(setup.alice.randoms(2 * cfg.test_size), setup.tested, setup.pairs, announced)
+    sent, claimed = (_tested_rows(table, setup.tested) for table in (setup.pairs, announced))
+    failed = sequence_spot_check_block(setup.alice.randoms(2 * cfg.test_size), setup.tested, sent, claimed)
     positions = set()
     for lane, seed in enumerate(seeds.tolist()):
         alice, _, pairs, tested = oracle.sequence_setup(cfg, seed)

@@ -12,6 +12,7 @@ from rotlab.security import (
     advantage,
     balance,
     check_kitaev_product,
+    coin_forcing_probs,
     kitaev_min_advantage,
     kitaev_quadratic,
     reproduce_headline_table,
@@ -71,6 +72,8 @@ def test_probabilities_must_be_real_numbers(value):
 def test_numpy_probabilities_are_accepted():
     assert advantage(np.float64(0.75), np.float32(0.5)) == advantage(0.75, 0.5)
     assert kitaev_min_advantage(np.float64(0.75), np.float64(0.5)) == kitaev_min_advantage(0.75, 0.5)
+    assert check_kitaev_product(np.float64(0.9), np.float32(0.75))
+    assert not check_kitaev_product(np.float64(0.6), 0.6)
 
 
 @given(probabilities, probabilities, probabilities, probabilities)
@@ -216,6 +219,29 @@ def test_check_kitaev_product():
     assert check_kitaev_product(boundary, boundary)
     assert check_kitaev_product(0.5 + 0.5 * QUTRIT_PA, 0.75)
     assert not check_kitaev_product(0.6, 0.6)
+
+
+@pytest.mark.parametrize("pair", [(-1.0, -1.0), (2.0, 0.3), (True, True), ("0.9", 0.6), (0.9, None), (0.9, 1.5)])
+def test_check_kitaev_product_takes_only_probabilities(pair):
+    # Out of range the product can still clear 1/2, and a bool or a string
+    # must not reach it as a number or a TypeError.
+    with pytest.raises(ValidationError, match="must lie in"):
+        check_kitaev_product(*pair)
+
+
+def test_coin_forcing_probs_of_a_profile():
+    assert coin_forcing_probs(advantage(0.75, 0.5)) == (0.875, 0.5)
+
+
+@pytest.mark.parametrize("value", [(0.75, 0.5), "x", None])
+def test_profile_calculus_takes_only_profiles(value):
+    # Anything but a CheatProfile raises ValidationError, not AttributeError.
+    profile = advantage(0.75, 0.5)
+    with pytest.raises(ValidationError, match="CheatProfile"):
+        coin_forcing_probs(value)
+    for pair in ((value, profile), (profile, value)):
+        with pytest.raises(ValidationError, match="CheatProfile"):
+            balance(*pair)
 
 
 # ---------------------------------------------------------------------------
